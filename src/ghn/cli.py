@@ -7,6 +7,11 @@ entry).  All rationals cross this boundary as "p/q" strings.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 3 report I/O failure.
+
+Integer arguments are capped so that no input can request unbounded work:
+verify and table take --n-max 1..30, compute takes --n-max 0..180, series
+takes --order 1..180, table takes --limit >= 1, and eval takes its integer
+parameters (n, p, j) in 0..48.
 """
 
 from __future__ import annotations
@@ -37,10 +42,10 @@ from .closed_forms import (
     thm33_rhs,
 )
 from .errors import DomainError, OutOfValidityRangeError, SeqSpecError
-from .exact import binom_int
 from .registry import build_registry
-from .sequences import harmonic_p, materialize, parse_seq_spec, skew_harmonic
+from .sequences import harmonic_p, harmonic_table, materialize, parse_seq_spec
 from .verifier import (
+    binomial_oracle,
     harmonic_genfunc_first_diff,
     run_entry,
     run_suite,
@@ -49,10 +54,29 @@ from .verifier import (
 )
 
 FORMATS = ("text", "json", "csv", "markdown")
+GRID_CAP = 30  # verify/table --n-max
+TERMS_CAP = 180  # compute --n-max, series --order
+EVAL_CAP = 48  # eval n, p, j
 
 
 class UsageError(Exception):
     pass
+
+
+def _bounded_int(lo: int, hi: int | None = None):
+    """argparse type for an integer in [lo, hi]; hi=None leaves it unbounded above."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lo or (hi is not None and value > hi):
+            bound = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+            raise argparse.ArgumentTypeError(f"{value} is out of range: must be {bound}")
+        return value
+
+    return parse
 
 
 def _emit_table(title: str, headers: list[str], rows: list[list[str]], fmt: str, out) -> None:
@@ -87,6 +111,7 @@ def _parse_params(pairs: list[str]) -> dict[str, str]:
 
 _INT_PARAMS = {"n", "p", "j"}
 _SPEC_PARAMS = {"b", "c", "seq"}
+_eval_int = _bounded_int(0, EVAL_CAP)
 
 
 def _cast_params(raw: dict[str, str], names: list[str]) -> dict:
@@ -101,158 +126,94 @@ def _cast_params(raw: dict[str, str], names: list[str]) -> dict:
         value = raw[name]
         try:
             if name in _INT_PARAMS:
-                out[name] = int(value)
+                out[name] = _eval_int(value)
             elif name in _SPEC_PARAMS:
                 out[name] = parse_seq_spec(value)
             else:
                 out[name] = Fraction(value)
-        except (ValueError, ZeroDivisionError, SeqSpecError) as exc:
+        except (ValueError, ZeroDivisionError, SeqSpecError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"bad value for {name}: {exc}") from exc
+    for name in _SPEC_PARAMS.intersection(names):
+        out[name] = materialize(out[name], out["n"])  # a sequence parameter is used as its terms 0..n
     return out
 
 
-def _pair_rows(lhs: Fraction, rhs: Fraction) -> list[tuple[str, str]]:
-    return [("lhs", str(lhs)), ("rhs", str(rhs)), ("equal", "true" if lhs == rhs else "false")]
+def _concl(item: str, side: int, reading: str = "p2"):
+    return lambda n, alpha: conclusion_identity(item, n, alpha, reading=reading)[side]
 
 
-def _oracle_pan(n: int, mu, lam, alpha):
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += binom_int(n, k) * mu**k * lam ** (n - k) * harmonic_p(k, 1, alpha)
-    return total
-
-
-def _eval_gen_harmonic(p):
-    return _pair_rows(harmonic_p(p["n"], 1, p["alpha"]), generalized_harmonic_relation(p["n"], p["alpha"]))
-
-
-def _eval_knuth(p):
-    n, lam = p["n"], p["lambda"]
-    rhs = knuth_flajolet_rhs(n, lam)  # validates the domain before the oracle divides
-    lhs = Fraction(0)
-    for k in range(n + 1):
-        lhs += Fraction(binom_int(n, k) * (-1) ** k) / (k + lam)
-    return _pair_rows(lhs, rhs)
-
-
-def _eval_pan(p):
-    lhs = _oracle_pan(p["n"], p["mu"], p["lambda"], p["alpha"])
-    return _pair_rows(lhs, pan_closed_form(p["n"], p["mu"], p["lambda"], p["alpha"]))
-
-
-def _eval_idi1(p):
-    lhs = _oracle_pan(p["n"], Fraction(-1), Fraction(1), p["alpha"])
-    return _pair_rows(lhs, idi1_rhs(p["n"], p["alpha"]))
-
-
-def _eval_spivey(p):
-    n, alpha = p["n"], p["alpha"]
-    lhs = Fraction(0)
-    for k in range(1, n + 1):
-        lhs += binom_int(n, k) * harmonic_p(k, 1, alpha)
-    return _pair_rows(lhs, spivey_rhs(n, alpha))
-
-
-def _eval_frontczak(p):
-    n = p["n"]
-    lhs = sum(binom_int(n, k) * 2**k * skew_harmonic(k) for k in range(n + 1))
-    return _pair_rows(lhs, frontczak_rhs(n))
-
-
-def _eval_skew_transform(p):
-    n = p["n"]
-    lhs = sum(binom_int(n, k) * skew_harmonic(k) for k in range(n + 1))
-    return _pair_rows(lhs, skew_transform_rhs(n))
-
-
-def _eval_gould(p):
-    return _pair_rows(
-        gould_generalized_lhs(p["n"], p["j"], p["a"]),
-        gould_generalized_rhs(p["n"], p["j"], p["a"]),
-    )
-
-
-def _eval_as_np(p):
-    n, pp, z, alpha = p["n"], p["p"], p["z"], p["alpha"]
-    lhs = Fraction(0)
-    for j in range(n + 1):
-        lhs += binom_int(n, j) * j**pp * harmonic_p(j, 1, alpha) * z**j
-    return _pair_rows(lhs, as_np_closed(n, pp, z, alpha))
-
-
-def _eval_as_p1(p):
-    n, z, alpha = p["n"], p["z"], p["alpha"]
-    lhs = Fraction(0)
-    for j in range(n + 1):
-        lhs += binom_int(n, j) * j * harmonic_p(j, 1, alpha) * z**j
-    return _pair_rows(lhs, as_p1_closed(n, z, alpha))
-
-
-def _eval_newcoffey1(p):
-    n, pp = p["n"], p["p"]
-    lhs = Fraction(0)
-    for j in range(n + 1):
-        lhs += binom_int(n, j) * j**pp * harmonic_p(j, 1, 1) * Fraction(-1) ** j
-    rows = _pair_rows(lhs, as_zneg1_alpha1_closed(n, pp))
-    rows.append(("rhs_as_printed", str(as_zneg1_alpha1_closed(n, pp, as_printed=True))))
-    return rows
-
-
-def _eval_thm33(p):
-    n, alpha = p["n"], p["alpha"]
-    c = materialize(p["c"], n)
-    lhs = Fraction(0)
-    for k in range(n + 1):
-        lhs += binom_int(n, k) * (-1) ** k * harmonic_p(k, 1, alpha) * c[k]
-    return _pair_rows(lhs, thm33_rhs(c, n, alpha))
-
-
-def _eval_lemma21(p):
-    n, lam = p["n"], p["lambda"]
-    b = materialize(p["b"], n)
-    return _pair_rows(lemma21_lhs(b, n, lam), lemma21_rhs(b, n, lam))
-
-
-def _eval_thm23(p):
-    n, lam = p["n"], p["lambda"]
-    a = materialize(p["c"], n)
-    rhs = boyadzhiev_ratio_closed(a, n, lam)  # domain-checked first
-    lhs = Fraction(0)
-    for k in range(1, n + 1):
-        lhs += binom_int(n, k) * a[k] / (k + lam)
-    return _pair_rows(lhs, rhs)
-
-
-def _eval_concl(item):
-    def inner(p):
-        lhs, rhs = conclusion_identity(item, p["n"], p["alpha"])
-        rows = _pair_rows(lhs, rhs)
-        if item in ("item3", "item4"):
-            _, rhs_sq = conclusion_identity(item, p["n"], p["alpha"], reading="square")
-            rows.append(("rhs_square_reading", str(rhs_sq)))
-        return rows
-
-    return inner
-
-
+# id -> (parameter names, closed form, direct-sum oracle); both sides take the
+# parameters in the order named, and sequence parameters arrive as terms 0..n.
+# Each side calls its kernels by module-level name, so patching a kernel
+# reaches eval too.
 EVAL_FORMS = {
-    "gen-harmonic-relation": (["n", "alpha"], _eval_gen_harmonic),
-    "knuth-flajolet": (["n", "lambda"], _eval_knuth),
-    "pan-thm3.2": (["n", "mu", "lambda", "alpha"], _eval_pan),
-    "idi1-alternating": (["n", "alpha"], _eval_idi1),
-    "spivey-generalization": (["n", "alpha"], _eval_spivey),
-    "frontczak-variant": (["n"], _eval_frontczak),
-    "skew-transform": (["n"], _eval_skew_transform),
-    "eq-eulerbnew": (["n", "j", "a"], _eval_gould),
-    "as-np": (["n", "p", "z", "alpha"], _eval_as_np),
-    "as-p1-exemple1": (["n", "z", "alpha"], _eval_as_p1),
-    "as-newcoffey1": (["n", "p"], _eval_newcoffey1),
-    "thm3.3-eqnnew8": (["n", "alpha", "c"], _eval_thm33),
-    "lemma2.1": (["n", "lambda", "b"], _eval_lemma21),
-    "thm2.3": (["n", "lambda", "c"], _eval_thm23),
-    "concl-item2": (["n", "alpha"], _eval_concl("item2")),
-    "concl-item3": (["n", "alpha"], _eval_concl("item3")),
-    "concl-item4": (["n", "alpha"], _eval_concl("item4")),
+    "gen-harmonic-relation": (
+        ["n", "alpha"], lambda n, a: generalized_harmonic_relation(n, a), lambda n, a: harmonic_p(n, 1, a)
+    ),
+    "knuth-flajolet": (
+        ["n", "lambda"],
+        lambda n, lam: knuth_flajolet_rhs(n, lam),
+        lambda n, lam: binomial_oracle(n, [1 / (k + lam) for k in range(n + 1)], mu=-1),
+    ),
+    "pan-thm3.2": (
+        ["n", "mu", "lambda", "alpha"],
+        lambda n, mu, lam, a: pan_closed_form(n, mu, lam, a),
+        lambda n, mu, lam, a: binomial_oracle(n, harmonic_table(n, 1, a), mu, lam),
+    ),
+    "idi1-alternating": (
+        ["n", "alpha"], lambda n, a: idi1_rhs(n, a), lambda n, a: binomial_oracle(n, harmonic_table(n, 1, a), mu=-1)
+    ),
+    "spivey-generalization": (
+        ["n", "alpha"], lambda n, a: spivey_rhs(n, a), lambda n, a: binomial_oracle(n, harmonic_table(n, 1, a))
+    ),
+    # the skew-harmonic weights are H_k^- = -H_k(-1)
+    "frontczak-variant": (
+        ["n"], lambda n: frontczak_rhs(n), lambda n: -binomial_oracle(n, harmonic_table(n, 1, -1), mu=2)
+    ),
+    "skew-transform": (["n"], lambda n: skew_transform_rhs(n), lambda n: -binomial_oracle(n, harmonic_table(n, 1, -1))),
+    "eq-eulerbnew": (
+        ["n", "j", "a"], lambda n, j, a: gould_generalized_rhs(n, j, a), lambda n, j, a: gould_generalized_lhs(n, j, a)
+    ),
+    "as-np": (
+        ["n", "p", "z", "alpha"],
+        lambda n, p, z, a: as_np_closed(n, p, z, a),
+        lambda n, p, z, a: binomial_oracle(n, [k**p * h for k, h in enumerate(harmonic_table(n, 1, a))], mu=z),
+    ),
+    "as-p1-exemple1": (
+        ["n", "z", "alpha"],
+        lambda n, z, a: as_p1_closed(n, z, a),
+        lambda n, z, a: binomial_oracle(n, [k * h for k, h in enumerate(harmonic_table(n, 1, a))], mu=z),
+    ),
+    "as-newcoffey1": (
+        ["n", "p"],
+        lambda n, p: as_zneg1_alpha1_closed(n, p),
+        lambda n, p: binomial_oracle(n, [k**p * h for k, h in enumerate(harmonic_table(n, 1, 1))], mu=-1),
+    ),
+    "thm3.3-eqnnew8": (
+        ["n", "alpha", "c"],
+        lambda n, a, c: thm33_rhs(c, n, a),
+        lambda n, a, c: binomial_oracle(n, [h * ck for h, ck in zip(harmonic_table(n, 1, a), c)], mu=-1),
+    ),
+    "lemma2.1": (
+        ["n", "lambda", "b"], lambda n, lam, b: lemma21_rhs(b, n, lam), lambda n, lam, b: lemma21_lhs(b, n, lam)
+    ),
+    "thm2.3": (
+        ["n", "lambda", "c"],
+        lambda n, lam, c: boyadzhiev_ratio_closed(c, n, lam),
+        lambda n, lam, c: binomial_oracle(n, [ck / (k + lam) if k else 0 for k, ck in enumerate(c)]),
+    ),
+    "concl-item2": (
+        ["n", "alpha"], lambda n, a: idi1_rhs(n, a), lambda n, a: binomial_oracle(n, harmonic_table(n, 1, a), mu=-1)
+    ),
+    "concl-item3": (["n", "alpha"], _concl("item3", 1), _concl("item3", 0)),
+    "concl-item4": (["n", "alpha"], _concl("item4", 1), _concl("item4", 0)),
+}
+
+# Rows printed after lhs, rhs and equal: other readings of the same display.
+EXTRA_ROWS = {
+    "as-newcoffey1": ("rhs_as_printed", lambda n, p: as_zneg1_alpha1_closed(n, p, as_printed=True)),
+    "concl-item3": ("rhs_square_reading", _concl("item3", 1, "square")),
+    "concl-item4": ("rhs_square_reading", _concl("item4", 1, "square")),
 }
 
 
@@ -267,10 +228,17 @@ def cmd_compute(args) -> int:
 def cmd_eval(args) -> int:
     if args.id not in EVAL_FORMS:
         raise UsageError(f"unknown identity id {args.id!r}; known: {', '.join(sorted(EVAL_FORMS))}")
-    names, fn = EVAL_FORMS[args.id]
+    names, closed, oracle = EVAL_FORMS[args.id]
     params = _cast_params(_parse_params(args.param), names)
+    values = [params[name] for name in names]
     try:
-        rows = [[k, str(v)] for k, v in fn(params)]
+        # the closed form's domain check runs before the oracle can divide by zero
+        rhs = closed(*values)
+        lhs = oracle(*values)
+        rows = [["lhs", str(lhs)], ["rhs", str(rhs)], ["equal", "true" if lhs == rhs else "false"]]
+        if args.id in EXTRA_ROWS:
+            label, extra = EXTRA_ROWS[args.id]
+            rows.append([label, str(extra(*values))])
     except (DomainError, OutOfValidityRangeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     _emit_table(args.id, ["field", "value"], rows, args.format, sys.stdout)
@@ -305,7 +273,7 @@ def cmd_series(args) -> int:
     order = args.order
     if args.check == "pan-lemma":
         cast = _cast_params(params, ["lambda", "mu", "alpha"])
-        a = [-harmonic_p(k, 1, cast["alpha"]) for k in range(order + 1)]
+        a = [-h for h in harmonic_table(order, 1, cast["alpha"])]
         diff = series_lemma_first_diff(order, cast["lambda"], cast["mu"], a)
     elif args.check == "genfunc-alpha":
         cast = _cast_params(params, ["alpha"])
@@ -329,20 +297,18 @@ def cmd_table(args) -> int:
     if args.id not in entries:
         raise UsageError(f"unknown entry id {args.id!r}; known: {', '.join(sorted(entries))}")
     entry = entries[args.id]
-    result = run_entry(entry, n_max=args.n_max)
     param_names = sorted({name for cell in entry.cells for name in cell})
     rows = []
-    for cell in sorted(entry.cells, key=lambda c: sorted((k, Fraction(v)) for k, v in c.items())):
-        try:
-            lv, rv = entry.lhs(cell), entry.rhs(cell)
-            ok = "yes" if lv == rv else "NO"
-            lv, rv = str(lv), str(rv)
-        except (DomainError, OutOfValidityRangeError):
-            lv = rv = "-"
-            ok = "skipped"
-        rows.append([str(cell.get(name, "")) for name in param_names] + [lv, rv, ok])
-        if args.limit and len(rows) >= args.limit:
-            break
+
+    def on_cell(cell, lv, rv):
+        if lv is None:
+            shown = ["-", "-", "skipped"]
+        else:
+            shown = [str(lv), str(rv), "yes" if lv == rv else "NO"]
+        rows.append([str(cell.get(name, "")) for name in param_names] + shown)
+
+    result = run_entry(entry, n_max=args.n_max, on_cell=on_cell)
+    rows = rows[: args.limit]
     _emit_table(args.id, param_names + ["lhs", "rhs", "equal"], rows, args.format, sys.stdout)
     print(f"tier: {result.tier} ({result.cells} cells, {result.skipped} skipped)", file=sys.stderr)
     return 0
@@ -354,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="tabulate a sequence")
     p.add_argument("--seq", required=True, help='e.g. "harmonic:p=1,alpha=1/3"')
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=_bounded_int(0, TERMS_CAP), default=10)
     p.add_argument("--format", choices=FORMATS, default="text")
     p.set_defaults(fn=cmd_compute)
 
@@ -366,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the identity registry and report tiers")
     p.add_argument("--filter", default="*", help="fnmatch pattern on entry ids")
-    p.add_argument("--n-max", type=int, default=20)
+    p.add_argument("--n-max", type=_bounded_int(1, GRID_CAP), default=20)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--format", choices=("json", "md"), default="json")
     p.add_argument("--out", default=None)
@@ -374,15 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="coefficient-exact series checks")
     p.add_argument("--check", choices=("pan-lemma", "genfunc-alpha", "genfunc-skew"), required=True)
-    p.add_argument("--order", type=int, default=40)
+    p.add_argument("--order", type=_bounded_int(1, TERMS_CAP), default=40)
     p.add_argument("--param", action="append", default=[])
     p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("table", help="per-cell table for one registry entry")
     p.add_argument("--id", required=True)
-    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--n-max", type=_bounded_int(1, GRID_CAP), default=8)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_bounded_int(1), default=None)
     p.add_argument("--format", choices=FORMATS, default="markdown")
     p.set_defaults(fn=cmd_table)
     return parser

@@ -17,7 +17,7 @@ from typing import Sequence
 from .errors import DomainError, OutOfValidityRangeError
 from .exact import RatLike, binom_int, binom_rat
 from .sequences import harmonic, harmonic_p, stirling2
-from .transforms import binomial_transform, inverse_binomial_transform, weighted_nabla
+from .transforms import binomial_transform, inverse_binomial_transform, sanchez_transform, weighted_nabla
 
 
 def check_lambda_domain(lam: RatLike, n: int) -> Fraction:
@@ -252,7 +252,7 @@ def thm33_nabla_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
 def as_np_closed(n: int, p: int, z: RatLike, alpha: RatLike) -> Fraction:
     """Closed form of sum_j C(n,j) j^p H_j(alpha) z^j, valid for 1 <= p <= n.
 
-    Feeds the z-branch transform values b_m through the Stirling double sum;
+    Feeds the z-branch transform values b_m to sanchez_transform;
     at z = -1 the b_m come from the alternating transform (b_0 = 0 exactly,
     so the l = n corner raises no 0/0).
     """
@@ -269,17 +269,7 @@ def as_np_closed(n: int, p: int, z: RatLike, alpha: RatLike) -> Fraction:
             zp**m * (harmonic_p(m, 1, (1 + alpha * z) / zp) - harmonic_p(m, 1, 1 / zp))
             for m in range(n + 1)
         ]
-    total = Fraction(0)
-    for l in range(p + 1):
-        outer = binom_int(n, l)
-        if outer == 0:
-            continue
-        inner = sum(
-            binom_int(n - l, j - l) * math.factorial(j) * stirling2(p, j)
-            for j in range(l, p + 1)
-        )
-        total += (-1) ** l * outer * inner * bvals[n - l]
-    return total
+    return sanchez_transform(bvals, n, p)
 
 
 def as_p1_closed(n: int, z: RatLike, alpha: RatLike) -> Fraction:

@@ -48,6 +48,7 @@ from .sequences import (
     fibonacci,
     harmonic,
     harmonic_p,
+    harmonic_table,
     laguerre,
     lucas,
     skew_harmonic,
@@ -65,6 +66,7 @@ from .verifier import (
     ASSERT,
     REPORT_ONLY,
     IdentityEntry,
+    binomial_oracle,
     certify_alpha_identity,
     rand_rat,
 )
@@ -97,17 +99,6 @@ def _rng(seed: int, entry_id: str) -> random.Random:
     return random.Random(f"{seed}|{entry_id}")
 
 
-def _harm_table(alpha, n_max: int) -> list[Fraction]:
-    """H_0(alpha)..H_n_max(alpha) by running sums."""
-    alpha = Fraction(alpha)
-    vals = [Fraction(0)]
-    power = Fraction(1)
-    for j in range(1, n_max + 1):
-        power *= alpha
-        vals.append(vals[-1] + power / j)
-    return vals
-
-
 def _dedup(values):
     seen = set()
     out = []
@@ -121,10 +112,7 @@ def _dedup(values):
 def _ratio_oracle(a, n: int, lam) -> Fraction:
     """Direct sum_{k=1..n} C(n,k) a_k / (k + lam)."""
     lam = check_lambda_domain(lam, n)
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        total += binom_int(n, k) * Fraction(a[k]) / (k + lam)
-    return total
+    return binomial_oracle(n, [0] + [Fraction(a[k]) / (k + lam) for k in range(1, n + 1)])
 
 
 def _knuth_oracle(n: int, lam) -> Fraction:
@@ -132,10 +120,7 @@ def _knuth_oracle(n: int, lam) -> Fraction:
     if lam == 0:
         raise DomainError("lambda = 0 is a pole")
     lam = check_lambda_domain(lam, n)
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += Fraction(binom_int(n, k) * (-1) ** k) / (k + lam)
-    return total
+    return binomial_oracle(n, [1 / (k + lam) for k in range(n + 1)], mu=-1)
 
 
 # --- polynomial certificates --------------------------------------------------
@@ -404,7 +389,7 @@ def _series_entries(n_max: int, seed: int) -> list[IdentityEntry]:
     triples = [(rand_rat(rng), rand_rat(rng), rand_rat(rng)) for _ in range(10)]
     alists = []
     for lam, mu, alpha in triples:
-        alists.append([-h for h in _harm_table(alpha, order)])
+        alists.append([-h for h in harmonic_table(order, 1, alpha)])
     cells = [
         {"pair": i, "lambda": lam, "mu": mu, "alpha": alpha, "n": n}
         for i, (lam, mu, alpha) in enumerate(triples)
@@ -426,11 +411,7 @@ def _series_entries(n_max: int, seed: int) -> list[IdentityEntry]:
     def _pan_series_rhs(c, triples=triples, alists=alists):
         i = int(c["pair"])
         lam, mu, _ = triples[i]
-        n = int(c["n"])
-        total = Fraction(0)
-        for k in range(n + 1):
-            total += binom_int(n, k) * mu**k * lam ** (n - k) * alists[i][k]
-        return total
+        return binomial_oracle(int(c["n"]), alists[i], mu, lam)
 
     entries.append(
         IdentityEntry(
@@ -491,17 +472,7 @@ def _series_entries(n_max: int, seed: int) -> list[IdentityEntry]:
 
 def _pan_entries(n_max: int, seed: int) -> list[IdentityEntry]:
     entries = []
-    htab = {alpha: _harm_table(alpha, n_max) for alpha in ALPHA_GRID}
-
-    def _pan_oracle(c, htab=htab):
-        n = int(c["n"])
-        mu, lam = c["mu"], c["lambda"]
-        hs = htab[c["alpha"]]
-        total = Fraction(0)
-        for k in range(n + 1):
-            total += binom_int(n, k) * mu**k * lam ** (n - k) * hs[k]
-        return total
-
+    htab = {alpha: harmonic_table(n_max, 1, alpha) for alpha in ALPHA_GRID}
     cells = [
         {"mu": mu, "lambda": lam, "alpha": alpha, "n": n}
         for mu in MU_LAMBDA_GRID
@@ -514,7 +485,7 @@ def _pan_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="pan-thm3.2",
             anchor="teorempan: sum_k C(n,k)u^k L^(n-k) H_k(a), both branches",
             cells=cells,
-            lhs=_pan_oracle,
+            lhs=lambda c, htab=htab: binomial_oracle(int(c["n"]), htab[c["alpha"]], c["mu"], c["lambda"]),
             rhs=lambda c: pan_closed_form(int(c["n"]), c["mu"], c["lambda"], c["alpha"]),
             note="grid includes every u+L = 0 line (second branch) and u = L = 0",
         )
@@ -522,23 +493,14 @@ def _pan_entries(n_max: int, seed: int) -> list[IdentityEntry]:
 
     rng = _rng(seed, "idi1-alternating")
     alphas = _dedup(ALPHA_GRID + [rand_rat(rng) for _ in range(10)])
-    itab = {alpha: _harm_table(alpha, n_max) for alpha in alphas}
-
-    def _idi1_oracle(c, itab=itab):
-        n = int(c["n"])
-        hs = itab[c["alpha"]]
-        total = Fraction(0)
-        for k in range(n + 1):
-            total += binom_int(n, k) * (-1) ** k * hs[k]
-        return total
-
+    itab = {alpha: harmonic_table(n_max, 1, alpha) for alpha in alphas}
     cells = [{"alpha": a, "n": n} for a in alphas for n in range(1, n_max + 1)]
     entries.append(
         IdentityEntry(
             id="idi1-alternating",
             anchor="idi1: sum_k (-1)^k C(n,k) H_k(a) = ((1-a)^n - 1)/n",
             cells=cells,
-            lhs=_idi1_oracle,
+            lhs=lambda c, itab=itab: binomial_oracle(int(c["n"]), itab[c["alpha"]], mu=-1),
             rhs=lambda c: idi1_rhs(int(c["n"]), c["alpha"]),
             certify=lambda nm: certify_alpha_identity(idi1_poly_lhs, idi1_poly_rhs, nm),
             poly_param="alpha",
@@ -553,9 +515,7 @@ def _pan_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="skew-transform",
             anchor="sum_k C(n,k) H_k^- = 2^n H_n(1/2)",
             cells=cells,
-            lhs=lambda c, stab=stab: sum(
-                binom_int(int(c["n"]), k) * stab[k] for k in range(int(c["n"]) + 1)
-            ),
+            lhs=lambda c, stab=stab: binomial_oracle(int(c["n"]), stab),
             rhs=lambda c: skew_transform_rhs(int(c["n"])),
         )
     )
@@ -564,26 +524,21 @@ def _pan_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="frontczak-variant",
             anchor="sum_k C(n,k) 2^k H_k^- = -3^n (H_n(-1/3) - H_n(1/3))",
             cells=list(cells),
-            lhs=lambda c, stab=stab: sum(
-                binom_int(int(c["n"]), k) * 2**k * stab[k] for k in range(int(c["n"]) + 1)
-            ),
+            lhs=lambda c, stab=stab: binomial_oracle(int(c["n"]), stab, mu=2),
             rhs=lambda c: frontczak_rhs(int(c["n"])),
         )
     )
 
     rng = _rng(seed, "spivey-generalization")
     alphas = _dedup(ALPHA_GRID + [rand_rat(rng) for _ in range(5)])
-    sptab = {alpha: _harm_table(alpha, n_max) for alpha in alphas}
+    sptab = {alpha: harmonic_table(n_max, 1, alpha) for alpha in alphas}
     cells = [{"alpha": a, "n": n} for a in alphas for n in range(1, n_max + 1)]
     entries.append(
         IdentityEntry(
             id="spivey-generalization",
             anchor="sum_{k>=1} C(n,k) H_k(a) = 2^n (H_n((1+a)/2) - H_n(1/2))",
             cells=cells,
-            lhs=lambda c, sptab=sptab: sum(
-                binom_int(int(c["n"]), k) * sptab[c["alpha"]][k]
-                for k in range(1, int(c["n"]) + 1)
-            ),
+            lhs=lambda c, sptab=sptab: binomial_oracle(int(c["n"]), sptab[c["alpha"]]),
             rhs=lambda c: spivey_rhs(int(c["n"]), c["alpha"]),
         )
     )
@@ -591,7 +546,7 @@ def _pan_entries(n_max: int, seed: int) -> list[IdentityEntry]:
 
 
 def _thm33_clib(n_max: int, seed: int) -> tuple[list[str], list[list[Fraction]]]:
-    htab = _harm_table(1, n_max)
+    htab = harmonic_table(n_max, 1, 1)
     names = [
         "ones",
         "identity",
@@ -626,17 +581,17 @@ def _thm33_clib(n_max: int, seed: int) -> tuple[list[str], list[list[Fraction]]]
 def _thm33_entries(n_max: int, seed: int) -> list[IdentityEntry]:
     entries = []
     names, seqs = _thm33_clib(n_max, seed)
-    atab = {alpha: _harm_table(alpha, n_max) for alpha in ALPHA_GRID}
+    atab = {alpha: harmonic_table(n_max, 1, alpha) for alpha in ALPHA_GRID}
+    # oracle weights H_k(alpha) c_k, one table per (seq, alpha) pair
+    wtab = {
+        (i, alpha): [h * ck for h, ck in zip(hs, cs)]
+        for i, cs in enumerate(seqs)
+        for alpha, hs in atab.items()
+    }
     legend = ", ".join(f"{i}={name}" for i, name in enumerate(names))
 
-    def _oracle(c, seqs=seqs, atab=atab):
-        n = int(c["n"])
-        cs = seqs[int(c["seq"])]
-        hs = atab[c["alpha"]]
-        total = Fraction(0)
-        for k in range(n + 1):
-            total += binom_int(n, k) * (-1) ** k * hs[k] * cs[k]
-        return total
+    def _oracle(c, wtab=wtab):
+        return binomial_oracle(int(c["n"]), wtab[int(c["seq"]), c["alpha"]], mu=-1)
 
     cells = [
         {"seq": i, "alpha": alpha, "n": n}
@@ -676,7 +631,7 @@ def _thm33_entries(n_max: int, seed: int) -> list[IdentityEntry]:
 
 def _example34_entries(n_max: int, seed: int) -> list[IdentityEntry]:
     entries = []
-    htab = _harm_table(1, n_max)
+    htab = harmonic_table(n_max, 1, 1)
     cells_n0 = [{"n": n} for n in range(n_max + 1)]
     cells_n1 = [{"n": n} for n in range(1, n_max + 1)]
 
@@ -686,11 +641,8 @@ def _example34_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="ex3.4-stirling-power",
             anchor="sum_k C(n,k) k! S(p,k) = n^p",
             cells=cells,
-            lhs=lambda c: Fraction(
-                sum(
-                    binom_int(int(c["n"]), k) * math.factorial(k) * stirling2(int(c["p"]), k)
-                    for k in range(min(int(c["n"]), int(c["p"])) + 1)
-                )
+            lhs=lambda c: binomial_oracle(
+                int(c["n"]), [math.factorial(k) * stirling2(int(c["p"]), k) for k in range(int(c["n"]) + 1)]
             ),
             rhs=lambda c: Fraction(int(c["n"]) ** int(c["p"])),
             note="integer exponents only; the complex-exponent form of this pair is out of scope",
@@ -702,10 +654,7 @@ def _example34_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="ex3.4-harmonic-alt",
             anchor="sum_k C(n,k)(-1)^(k-1) H_k = 1/n",
             cells=cells_n1,
-            lhs=lambda c, htab=htab: sum(
-                -binom_int(int(c["n"]), k) * (-1) ** k * htab[k]
-                for k in range(int(c["n"]) + 1)
-            ),
+            lhs=lambda c, htab=htab: -binomial_oracle(int(c["n"]), htab, mu=-1),
             rhs=lambda c: Fraction(1, int(c["n"])),
             note="printed transform value (-1)^(n-1)/n holds only at odd n; see ex3.4-harmonic-alt-as-printed",
         )
@@ -715,10 +664,7 @@ def _example34_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="ex3.4-harmonic-alt-as-printed",
             anchor="sum_k C(n,k)(-1)^(k-1) H_k = (-1)^(n-1)/n (as printed)",
             cells=list(cells_n1),
-            lhs=lambda c, htab=htab: sum(
-                -binom_int(int(c["n"]), k) * (-1) ** k * htab[k]
-                for k in range(int(c["n"]) + 1)
-            ),
+            lhs=lambda c, htab=htab: -binomial_oracle(int(c["n"]), htab, mu=-1),
             rhs=lambda c: Fraction((-1) ** (int(c["n"]) - 1), int(c["n"])),
             policy=REPORT_ONLY,
         )
@@ -731,7 +677,7 @@ def _example34_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="ex3.4-fibonacci",
             anchor="sum_k C(n,k) F_k = F_2n",
             cells=cells_n0,
-            lhs=lambda c, fib=fib: sum(binom_int(int(c["n"]), k) * fib[k] for k in range(int(c["n"]) + 1)),
+            lhs=lambda c, fib=fib: binomial_oracle(int(c["n"]), fib),
             rhs=lambda c: Fraction(fibonacci(2 * int(c["n"]))),
         )
     )
@@ -740,9 +686,7 @@ def _example34_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="ex3.4-fibonacci-alt",
             anchor="sum_k C(n,k)(-1)^(k-1) F_k = F_n",
             cells=list(cells_n0),
-            lhs=lambda c, fib=fib: sum(
-                -binom_int(int(c["n"]), k) * (-1) ** k * fib[k] for k in range(int(c["n"]) + 1)
-            ),
+            lhs=lambda c, fib=fib: -binomial_oracle(int(c["n"]), fib, mu=-1),
             rhs=lambda c: Fraction(fibonacci(int(c["n"]))),
         )
     )
@@ -751,7 +695,7 @@ def _example34_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="ex3.4-lucas",
             anchor="sum_k C(n,k) L_k = L_2n",
             cells=list(cells_n0),
-            lhs=lambda c, luc=luc: sum(binom_int(int(c["n"]), k) * luc[k] for k in range(int(c["n"]) + 1)),
+            lhs=lambda c, luc=luc: binomial_oracle(int(c["n"]), luc),
             rhs=lambda c: Fraction(lucas(2 * int(c["n"]))),
         )
     )
@@ -760,9 +704,7 @@ def _example34_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="ex3.4-lucas-alt",
             anchor="sum_k C(n,k)(-1)^k L_k = L_n",
             cells=list(cells_n0),
-            lhs=lambda c, luc=luc: sum(
-                binom_int(int(c["n"]), k) * (-1) ** k * luc[k] for k in range(int(c["n"]) + 1)
-            ),
+            lhs=lambda c, luc=luc: binomial_oracle(int(c["n"]), luc, mu=-1),
             rhs=lambda c: Fraction(lucas(int(c["n"]))),
         )
     )
@@ -773,7 +715,7 @@ def _example34_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="ex3.4-bernoulli",
             anchor="sum_k C(n,k) B_k = (-1)^n B_n",
             cells=list(cells_n0),
-            lhs=lambda c, bern=bern: sum(binom_int(int(c["n"]), k) * bern[k] for k in range(int(c["n"]) + 1)),
+            lhs=lambda c, bern=bern: binomial_oracle(int(c["n"]), bern),
             rhs=lambda c, bern=bern: (-1) ** int(c["n"]) * bern[int(c["n"])],
             note="pins the B_1 = -1/2 convention; the +1/2 convention fails at n = 1",
         )
@@ -858,10 +800,7 @@ def _power_weight_oracle(a, n: int, p: int) -> Fraction:
     if p > n:
         # mirrors the formula's declared validity range so the cell is skipped
         raise OutOfValidityRangeError("p > n")
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += binom_int(n, k) * k**p * Fraction(a[k])
-    return total
+    return binomial_oracle(n, [k**p * Fraction(a[k]) for k in range(n + 1)])
 
 
 def _asnp_entries(n_max: int, seed: int) -> list[IdentityEntry]:
@@ -869,16 +808,12 @@ def _asnp_entries(n_max: int, seed: int) -> list[IdentityEntry]:
     top = min(n_max, 12)
     alphas4 = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
     # the p=2,3 display rows keep their smallest legal n even when n_max < p
-    tabs = {alpha: _harm_table(alpha, max(n_max, 3)) for alpha in ALPHA_GRID}
+    tabs = {alpha: harmonic_table(max(n_max, 3), 1, alpha) for alpha in ALPHA_GRID}
 
     def _as_oracle(c, tabs=tabs):
         n, p = int(c["n"]), int(c["p"])
-        z = c["z"]
         hs = tabs[c["alpha"]]
-        total = Fraction(0)
-        for j in range(n + 1):
-            total += binom_int(n, j) * j**p * hs[j] * z**j
-        return total
+        return binomial_oracle(n, [j**p * hs[j] for j in range(n + 1)], mu=c["z"])
 
     cells = [
         {"z": z, "alpha": alpha, "n": n, "p": p}
@@ -923,9 +858,7 @@ def _asnp_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="as-newcoffey1",
             anchor="newcoffey1: z=-1, a=1 case with weights k! S(p,k)",
             cells=cells,
-            lhs=lambda c, tabs=tabs: _as_oracle(
-                {"z": Fraction(-1), "alpha": Fraction(1), "n": c["n"], "p": c["p"]}, tabs
-            ),
+            lhs=lambda c: _as_oracle({**c, "z": Fraction(-1), "alpha": Fraction(1)}),
             rhs=lambda c: as_zneg1_alpha1_closed(int(c["n"]), int(c["p"])),
             note="tail weight corrected to k! S(p,k), forced by the oracle and by the surrounding derivation; see -as-printed",
         )
@@ -935,9 +868,7 @@ def _asnp_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="as-newcoffey1-as-printed",
             anchor="newcoffey1 with the printed tail weight k! C(n,k)",
             cells=list(cells),
-            lhs=lambda c, tabs=tabs: _as_oracle(
-                {"z": Fraction(-1), "alpha": Fraction(1), "n": c["n"], "p": c["p"]}, tabs
-            ),
+            lhs=lambda c: _as_oracle({**c, "z": Fraction(-1), "alpha": Fraction(1)}),
             rhs=lambda c: as_zneg1_alpha1_closed(int(c["n"]), int(c["p"]), as_printed=True),
             policy=REPORT_ONLY,
         )
@@ -950,22 +881,12 @@ def _asnp_entries(n_max: int, seed: int) -> list[IdentityEntry]:
         for n in range(1, top + 1)
     ]
 
-    def _p0_oracle(c, tabs=tabs, signed=False):
-        n = int(c["n"])
-        z = c["z"]
-        hs = tabs[c["alpha"]]
-        total = Fraction(0)
-        for k in range(n + 1):
-            term = binom_int(n, k) * z**k * hs[k]
-            total += -term if (signed and k % 2) else term
-        return total
-
     entries.append(
         IdentityEntry(
             id="as-p0",
             anchor="p=0 case: sum_k C(n,k) z^k H_k(a) = (1+z)^n (H_n((1+az)/(1+z)) - H_n(1/(1+z)))",
             cells=p0_cells,
-            lhs=_p0_oracle,
+            lhs=lambda c, tabs=tabs: binomial_oracle(int(c["n"]), tabs[c["alpha"]], mu=c["z"]),
             rhs=lambda c: pan_closed_form(int(c["n"]), c["z"], 1, c["alpha"]),
             note="printed display carries a stray (-1)^k on the left; see as-p0-as-printed",
         )
@@ -975,7 +896,7 @@ def _asnp_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="as-p0-as-printed",
             anchor="p=0 case with the printed (-1)^k kept on the left",
             cells=list(p0_cells),
-            lhs=lambda c: _p0_oracle(c, signed=True),
+            lhs=lambda c, tabs=tabs: binomial_oracle(int(c["n"]), tabs[c["alpha"]], mu=-c["z"]),
             rhs=lambda c: pan_closed_form(int(c["n"]), c["z"], 1, c["alpha"]),
             policy=REPORT_ONLY,
         )

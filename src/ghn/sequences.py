@@ -16,19 +16,24 @@ from .errors import SeqSpecError
 from .exact import RatLike, binom_int
 
 
-def harmonic_p(n: int, p: int, alpha: RatLike) -> Fraction:
-    """H_n^(p)(alpha) = sum_{j=1..n} alpha^j / j^p, with H_0 = 0."""
-    if n < 0:
+def harmonic_table(n_max: int, p: int, alpha: RatLike) -> list[Fraction]:
+    """[H_0^(p)(alpha), ..., H_n_max^(p)(alpha)] by one running sum."""
+    if n_max < 0:
         raise ValueError("n must be >= 0")
     if p < 1:
         raise ValueError("p must be >= 1")
     a = Fraction(alpha)
-    total = Fraction(0)
+    out = [Fraction(0)]
     power = Fraction(1)
-    for j in range(1, n + 1):
+    for j in range(1, n_max + 1):
         power *= a
-        total += power / j**p
-    return total
+        out.append(out[-1] + power / j**p)
+    return out
+
+
+def harmonic_p(n: int, p: int, alpha: RatLike) -> Fraction:
+    """H_n^(p)(alpha) = sum_{j=1..n} alpha^j / j^p, with H_0 = 0."""
+    return harmonic_table(n, p, alpha)[n]
 
 
 def harmonic(n: int) -> Fraction:
@@ -207,16 +212,9 @@ def materialize(spec: SeqSpec, n_max: int) -> list[Fraction]:
         raise ValueError("n_max must be >= 0")
     kind, params = spec.kind, spec.params
     if kind == "harmonic_p":
-        p = int(params.get("p", Fraction(1)))
-        alpha = params.get("alpha", Fraction(1))
-        out = [Fraction(0)]
-        power = Fraction(1)
-        for j in range(1, n_max + 1):
-            power *= alpha
-            out.append(out[-1] + power / j**p)
-        return out
+        return harmonic_table(n_max, int(params.get("p", Fraction(1))), params.get("alpha", Fraction(1)))
     if kind == "skew":
-        return [skew_harmonic(k) for k in range(n_max + 1)]
+        return [-h for h in harmonic_table(n_max, 1, -1)]
     if kind == "fibonacci":
         step = 2 if params.get("doubled") else 1
         return [Fraction(fibonacci(step * k)) for k in range(n_max + 1)]

@@ -36,6 +36,11 @@ def inverse_binomial_transform(b: Sequence[RatLike]) -> list:
     ]
 
 
+def _stirling_inner(n: int, l: int, p: int) -> int:
+    """sum_{j=l..p} C(n-l, j-l) j! S(p, j), the inner sum of the Stirling double sum."""
+    return sum(binom_int(n - l, j - l) * math.factorial(j) * stirling2(p, j) for j in range(l, p + 1))
+
+
 def sanchez_weight(n: int, k: int, p: int) -> int:
     """Signed double sum over shifted binomials that rebuilds C(n,k)*k^p.
 
@@ -51,11 +56,7 @@ def sanchez_weight(n: int, k: int, p: int) -> int:
         outer = binom_int(n, l) * binom_int(n - l, k)
         if outer == 0:
             continue
-        inner = sum(
-            binom_int(n - l, j - l) * math.factorial(j) * stirling2(p, j)
-            for j in range(l, p + 1)
-        )
-        total += (-1) ** l * outer * inner
+        total += (-1) ** l * outer * _stirling_inner(n, l, p)
     return total
 
 
@@ -105,11 +106,7 @@ def sanchez_transform(b: Sequence[RatLike], n: int, p: int) -> Fraction:
         outer = binom_int(n, l)
         if outer == 0:
             continue
-        inner = sum(
-            binom_int(n - l, j - l) * math.factorial(j) * stirling2(p, j)
-            for j in range(l, p + 1)
-        )
-        total += (-1) ** l * outer * inner * Fraction(b[n - l])
+        total += (-1) ** l * outer * _stirling_inner(n, l, p) * Fraction(b[n - l])
     return total
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 from .errors import DomainError, OutOfValidityRangeError
 from .exact import RatLike, binom_int
 from .polyseries import PolyQ, TruncSeries, geometric, log_one_minus
-from .sequences import harmonic_p, skew_harmonic
+from .sequences import harmonic_table
 
 ASSERT = "ASSERT"
 REPORT_ONLY = "REPORT_ONLY"
@@ -148,6 +148,18 @@ def oracle_sum(term: Callable[[int], Fraction], k_lo: int, k_hi: int) -> Fractio
     return total
 
 
+def binomial_oracle(n: int, w: Sequence[RatLike], mu: RatLike = 1, lam: RatLike = 1) -> Fraction:
+    """Exact sum_{k=0..n} C(n,k) mu^k lam^(n-k) w[k], summed term by term.
+
+    The direct-sum oracle behind every binomial-weighted identity; it uses no
+    transform, so it stays independent of the closed forms it checks.
+    """
+    total = Fraction(0)
+    for k in range(n + 1):
+        total += binom_int(n, k) * mu**k * lam ** (n - k) * w[k]
+    return total
+
+
 def _cell_key(cell: Cell):
     return tuple(sorted((name, Fraction(value)) for name, value in cell.items()))
 
@@ -173,8 +185,18 @@ def _poly_note(entry: IdentityEntry, cells: list[Cell]) -> str:
     return ""
 
 
-def run_entry(entry: IdentityEntry, n_max: int = 20, cap: int = 3) -> EntryResult:
-    """Evaluate both sides on every grid cell and grade the entry."""
+def run_entry(
+    entry: IdentityEntry,
+    n_max: int = 20,
+    cap: int = 3,
+    on_cell: Callable[[Cell, Fraction | None, Fraction | None], None] | None = None,
+) -> EntryResult:
+    """Evaluate both sides on every grid cell and grade the entry.
+
+    ``on_cell(cell, lhs, rhs)`` sees each visited cell in order, with
+    ``lhs = rhs = None`` for a skipped cell; an ASSERT entry stops at its
+    first failing cell.
+    """
     start = time.perf_counter()
     cells = sorted(entry.cells, key=_cell_key)
     evaluated = 0
@@ -188,8 +210,12 @@ def run_entry(entry: IdentityEntry, n_max: int = 20, cap: int = 3) -> EntryResul
             rv = entry.rhs(cell)
         except (DomainError, OutOfValidityRangeError):
             skipped += 1
+            if on_cell is not None:
+                on_cell(cell, None, None)
             continue
         evaluated += 1
+        if on_cell is not None:
+            on_cell(cell, lv, rv)
         if lv != rv:
             mismatches += 1
             if len(counterexamples) < cap:
@@ -253,9 +279,7 @@ def series_lemma_first_diff(
         inner.append(mu * lam ** (k - 1))
     lhs = f.compose(TruncSeries(inner, order)) * geometric(lam, order)
     for n in range(order + 1):
-        rhs = Fraction(0)
-        for k in range(n + 1):
-            rhs += binom_int(n, k) * mu**k * lam ** (n - k) * Fraction(a[k])
+        rhs = binomial_oracle(n, a, mu, lam)
         if lhs.coeffs[n] != rhs:
             return n, lhs.coeffs[n], rhs
     return None
@@ -269,20 +293,18 @@ def check_series_lemma(order: int, lam: RatLike, mu: RatLike, a: Sequence[RatLik
 def harmonic_genfunc_first_diff(order: int, alpha: RatLike) -> tuple[int, Fraction, Fraction] | None:
     """First n where [t^n] log(1-alpha*t)/(1-t) differs from -H_n(alpha)."""
     series = log_one_minus(alpha, order) * geometric(1, order)
-    for n in range(order + 1):
-        expect = -harmonic_p(n, 1, alpha)
-        if series.coeffs[n] != expect:
-            return n, series.coeffs[n], expect
+    for n, h in enumerate(harmonic_table(order, 1, alpha)):
+        if series.coeffs[n] != -h:
+            return n, series.coeffs[n], -h
     return None
 
 
 def skew_genfunc_first_diff(order: int) -> tuple[int, Fraction, Fraction] | None:
     """First n where [t^n] log(1+t)/(1-t) differs from H_n^-."""
     series = log_one_minus(-1, order) * geometric(1, order)
-    for n in range(order + 1):
-        expect = skew_harmonic(n)
-        if series.coeffs[n] != expect:
-            return n, series.coeffs[n], expect
+    for n, h in enumerate(harmonic_table(order, 1, -1)):  # H_n^- = -H_n(-1)
+        if series.coeffs[n] != -h:
+            return n, series.coeffs[n], -h
     return None
 
 

@@ -8,11 +8,13 @@ runtime budget.  Run with `pytest tests/test_acceptance.py -v -s`.
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from ghn.registry import build_registry
 from ghn.verifier import run_entry, run_suite
 
 SEED = 42
+REPORTS = Path(__file__).resolve().parent.parent / "reports"
 
 _CACHE = {}
 
@@ -135,6 +137,9 @@ def test_criterion_8_ledger_completeness_and_determinism():
     again = run_suite("*", n_max=20, seed=SEED)
     payload = report.to_json()
     ok = payload == again.to_json()  # byte-identical
+    # the shipped ledger and its markdown twin are exactly this run
+    ok = ok and payload == (REPORTS / "verdicts.json").read_text(encoding="utf-8")
+    ok = ok and report.to_markdown() == (REPORTS / "verdicts.md").read_text(encoding="utf-8")
     rows = {r["id"]: r for r in json.loads(payload)["entries"]}
     required = [
         "lemma2.1-coherence",

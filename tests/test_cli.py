@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ghn.cli import main
+from ghn.cli import EVAL_FORMS, main
 from ghn.verifier import ASSERT, IdentityEntry
 
 
@@ -85,6 +85,70 @@ def test_eval_known_ids(capsys):
     payload = json.loads(out)
     rows = {r["field"]: r["value"] for r in payload["rows"]}
     assert rows["lhs"] == rows["rhs"]
+
+
+# one in-domain point per eval id
+EVAL_POINTS = {
+    "gen-harmonic-relation": ["n=5", "alpha=2/3"],
+    "knuth-flajolet": ["n=4", "lambda=1/2"],
+    "pan-thm3.2": ["n=6", "mu=2", "lambda=1", "alpha=-1/3"],
+    "idi1-alternating": ["n=5", "alpha=3/2"],
+    "spivey-generalization": ["n=5", "alpha=-2"],
+    "frontczak-variant": ["n=7"],
+    "skew-transform": ["n=7"],
+    "eq-eulerbnew": ["n=6", "j=2", "a=1/2"],
+    "as-np": ["n=5", "p=2", "z=1/2", "alpha=2"],
+    "as-p1-exemple1": ["n=5", "z=2", "alpha=1/3"],
+    "as-newcoffey1": ["n=5", "p=3"],
+    "thm3.3-eqnnew8": ["n=5", "alpha=1/2", "c=lucas"],
+    "lemma2.1": ["n=5", "lambda=-1/2", "b=harmonic:p=1,alpha=1/3"],
+    "thm2.3": ["n=5", "lambda=3", "c=bernoulli"],
+    "concl-item2": ["n=5", "alpha=2"],
+    "concl-item3": ["n=5", "alpha=2"],
+    "concl-item4": ["n=5", "alpha=2"],
+}
+
+
+@pytest.mark.parametrize("entry_id", sorted(EVAL_FORMS))
+def test_eval_every_id(entry_id, capsys):
+    argv = ["eval", "--id", entry_id, "--format", "json"]
+    for param in EVAL_POINTS[entry_id]:
+        argv += ["--param", param]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    rows = {r["field"]: r["value"] for r in json.loads(out)["rows"]}
+    if entry_id in ("concl-item3", "concl-item4"):
+        assert "rhs_square_reading" in rows
+    else:
+        assert rows["equal"] == "true" and rows["lhs"] == rows["rhs"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--seq", "harmonic", "--n-max", "-1"],
+        ["compute", "--seq", "harmonic", "--n-max", "181"],
+        ["series", "--check", "genfunc-skew", "--order", "-2"],
+        ["series", "--check", "genfunc-skew", "--order", "181"],
+        ["verify", "--n-max", "0"],
+        ["verify", "--n-max", "31"],
+        ["table", "--id", "knuth-flajolet", "--n-max", "0"],
+        ["table", "--id", "knuth-flajolet", "--limit", "0"],
+        ["table", "--id", "knuth-flajolet", "--limit", "two"],
+        ["eval", "--id", "pan-thm3.2", "--param", "n=99999999", "--param", "mu=1", "--param", "lambda=1",
+         "--param", "alpha=1"],
+        ["eval", "--id", "as-newcoffey1", "--param", "n=3", "--param", "p=-1"],
+    ],
+)
+def test_out_of_range_integers_exit_2(argv, capsys):
+    # an exception escaping main would be a traceback; none may
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and ("out of range" in err or "expected an integer" in err)
 
 
 def test_eval_unknown_id_lists_known(capsys):
@@ -202,5 +266,30 @@ def test_table_command(capsys):
     assert out.startswith("| lambda | n |")
     assert "yes" in out
     assert "tier: HOLDS_ON_GRID" in err
+    code, limited, _ = run_cli(["table", "--id", "knuth-flajolet", "--n-max", "4", "--limit", "3"], capsys)
+    assert code == 0
+    assert limited.splitlines() == out.splitlines()[:5]
     code, _, err = run_cli(["table", "--id", "bogus"], capsys)
     assert code == 2
+
+
+def test_table_ends_at_first_failing_cell(capsys, monkeypatch):
+    import ghn.cli as cli_mod
+
+    def fake_registry(n_max, seed):
+        return [
+            IdentityEntry(
+                id="injected-fault",
+                anchor="fault",
+                cells=[{"n": n} for n in range(1, 6)],
+                lhs=lambda c: Fraction(c["n"]),
+                rhs=lambda c: Fraction(0 if c["n"] == 3 else c["n"]),
+                policy=ASSERT,
+            )
+        ]
+
+    monkeypatch.setattr(cli_mod, "build_registry", fake_registry)
+    code, out, err = run_cli(["table", "--id", "injected-fault"], capsys)
+    assert code == 0
+    assert out.splitlines()[2:] == ["| 1 | 1 | 1 | yes |", "| 2 | 2 | 2 | yes |", "| 3 | 3 | 0 | NO |"]
+    assert "tier: FAILS (3 cells, 0 skipped)" in err

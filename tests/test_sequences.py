@@ -11,6 +11,7 @@ from ghn.sequences import (
     fibonacci,
     harmonic,
     harmonic_p,
+    harmonic_table,
     laguerre,
     lucas,
     materialize,
@@ -25,6 +26,16 @@ def test_harmonic_p_examples():
     assert harmonic_p(0, 1, Fraction(9, 7)) == 0
     assert harmonic_p(3, 1, 1) == Fraction(11, 6)
     assert harmonic_p(2, 2, Fraction(1, 2)) == Fraction(9, 16)
+
+
+def test_harmonic_table_running_sums():
+    assert harmonic_table(3, 1, 1) == [0, 1, Fraction(3, 2), Fraction(11, 6)]
+    assert harmonic_table(2, 2, Fraction(1, 2)) == [0, Fraction(1, 2), Fraction(9, 16)]
+    assert harmonic_table(0, 1, 5) == [0]
+    with pytest.raises(ValueError):
+        harmonic_table(-1, 1, 1)
+    with pytest.raises(ValueError):
+        harmonic_table(3, 0, 1)
 
 
 def test_harmonic_values():

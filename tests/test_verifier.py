@@ -17,6 +17,7 @@ from ghn.verifier import (
     ASSERT,
     REPORT_ONLY,
     IdentityEntry,
+    binomial_oracle,
     certify_alpha_identity,
     check_series_lemma,
     harmonic_genfunc_first_diff,
@@ -38,6 +39,25 @@ def test_oracle_sum_examples():
     assert oracle_sum(term, 0, 2) == Fraction(16, 15)
     with pytest.raises(ValueError):
         oracle_sum(term, 3, 1)
+
+
+def test_binomial_oracle_examples():
+    mu, lam = Fraction(2, 3), Fraction(-1, 5)
+    for n in range(6):
+        assert binomial_oracle(n, [1] * (n + 1), mu, lam) == (mu + lam) ** n
+    assert binomial_oracle(3, [0, 1, 2, 3]) == 12  # sum_k C(3,k) k = 3 * 2^2
+    assert binomial_oracle(4, [1] * 5, mu=-1) == 0
+
+
+def test_faulty_harmonic_kernel_fails_genfunc(monkeypatch):
+    # the genfunc entries check the shared running harmonic sum against series
+    # coefficients that never call it, so an off-by-one in it cannot hide
+    import ghn.sequences as sequences_mod
+
+    real = sequences_mod.harmonic_table
+    monkeypatch.setattr(sequences_mod, "harmonic_table", lambda n_max, p, alpha: real(n_max + 1, p, alpha)[1:])
+    report = run_suite("genfunc-*", 8, 42)
+    assert [r.tier for r in report.results] == ["FAILS"] * 3
 
 
 def _toy_entry(policy=ASSERT, offset=0):
