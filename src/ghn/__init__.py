@@ -39,7 +39,10 @@ from .closed_forms import (
     as_p1_closed,
     as_zneg1_alpha1_closed,
     boyadzhiev_ratio_closed,
-    conclusion_identity,
+    concl_item3_lhs,
+    concl_item3_rhs,
+    concl_item4_lhs,
+    concl_item4_rhs,
     generalized_harmonic_relation,
     gould_generalized_lhs,
     gould_generalized_rhs,
@@ -62,60 +65,3 @@ from .verifier import (
 from .registry import build_registry
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Rat",
-    "binom_int",
-    "binom_rat",
-    "rising_factorial",
-    "hockey_stick_sum",
-    "DomainError",
-    "OutOfValidityRangeError",
-    "NotAUnitError",
-    "CompositionDomainError",
-    "SeqSpecError",
-    "SeqSpec",
-    "parse_seq_spec",
-    "seq_spec_text",
-    "materialize",
-    "harmonic",
-    "harmonic_p",
-    "skew_harmonic",
-    "stirling2",
-    "fibonacci",
-    "lucas",
-    "bernoulli",
-    "laguerre",
-    "PolyQ",
-    "TruncSeries",
-    "harmonic_poly",
-    "log_one_minus",
-    "geometric",
-    "binomial_transform",
-    "inverse_binomial_transform",
-    "sanchez_weight",
-    "sanchez_transform",
-    "weighted_nabla",
-    "lemma21_lhs",
-    "lemma21_rhs",
-    "boyadzhiev_ratio_closed",
-    "knuth_flajolet_rhs",
-    "generalized_harmonic_relation",
-    "gould_generalized_lhs",
-    "gould_generalized_rhs",
-    "pan_closed_form",
-    "idi1_rhs",
-    "thm33_rhs",
-    "as_np_closed",
-    "as_p1_closed",
-    "as_zneg1_alpha1_closed",
-    "conclusion_identity",
-    "IdentityEntry",
-    "VerdictReport",
-    "oracle_sum",
-    "run_entry",
-    "run_suite",
-    "certify_alpha_identity",
-    "check_series_lemma",
-    "build_registry",
-]

@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 Integer arguments are capped so that no input can request unbounded work:
 verify and table take --n-max 1..30, compute takes --n-max 0..180, series
 takes --order 1..180, table takes --limit >= 1, and eval takes its integer
-parameters (n, p, j) in 0..48.
+parameters (n, p, j) in 0..48.  Sequence specs cap their own p
+(sequences.SeqSpec): harmonic 1..48, stirling_row 0..180.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ from .closed_forms import (
     as_p1_closed,
     as_zneg1_alpha1_closed,
     boyadzhiev_ratio_closed,
-    conclusion_identity,
+    concl_item3_lhs,
+    concl_item3_rhs,
+    concl_item4_lhs,
+    concl_item4_rhs,
     frontczak_rhs,
     generalized_harmonic_relation,
     gould_generalized_lhs,
@@ -50,7 +54,6 @@ from .verifier import (
     run_entry,
     run_suite,
     series_lemma_first_diff,
-    skew_genfunc_first_diff,
 )
 
 FORMATS = ("text", "json", "csv", "markdown")
@@ -138,10 +141,6 @@ def _cast_params(raw: dict[str, str], names: list[str]) -> dict:
     return out
 
 
-def _concl(item: str, side: int, reading: str = "p2"):
-    return lambda n, alpha: conclusion_identity(item, n, alpha, reading=reading)[side]
-
-
 # id -> (parameter names, closed form, direct-sum oracle); both sides take the
 # parameters in the order named, and sequence parameters arrive as terms 0..n.
 # Each side calls its kernels by module-level name, so patching a kernel
@@ -205,15 +204,15 @@ EVAL_FORMS = {
     "concl-item2": (
         ["n", "alpha"], lambda n, a: idi1_rhs(n, a), lambda n, a: binomial_oracle(n, harmonic_table(n, 1, a), mu=-1)
     ),
-    "concl-item3": (["n", "alpha"], _concl("item3", 1), _concl("item3", 0)),
-    "concl-item4": (["n", "alpha"], _concl("item4", 1), _concl("item4", 0)),
+    "concl-item3": (["n", "alpha"], lambda n, a: concl_item3_rhs(n, a), lambda n, a: concl_item3_lhs(n, a)),
+    "concl-item4": (["n", "alpha"], lambda n, a: concl_item4_rhs(n, a), lambda n, a: concl_item4_lhs(n, a)),
 }
 
 # Rows printed after lhs, rhs and equal: other readings of the same display.
 EXTRA_ROWS = {
     "as-newcoffey1": ("rhs_as_printed", lambda n, p: as_zneg1_alpha1_closed(n, p, as_printed=True)),
-    "concl-item3": ("rhs_square_reading", _concl("item3", 1, "square")),
-    "concl-item4": ("rhs_square_reading", _concl("item4", 1, "square")),
+    "concl-item3": ("rhs_square_reading", lambda n, a: concl_item3_rhs(n, a, reading="square")),
+    "concl-item4": ("rhs_square_reading", lambda n, a: concl_item4_rhs(n, a, reading="square")),
 }
 
 
@@ -281,7 +280,7 @@ def cmd_series(args) -> int:
     elif args.check == "genfunc-skew":
         if params:
             raise UsageError("genfunc-skew takes no parameters")
-        diff = skew_genfunc_first_diff(order)
+        diff = harmonic_genfunc_first_diff(order, -1)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown check {args.check!r}")
     if diff is None:

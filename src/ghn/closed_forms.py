@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import DomainError, OutOfValidityRangeError
 from .exact import RatLike, binom_int, binom_rat
-from .sequences import harmonic, harmonic_p, stirling2
+from .sequences import harmonic, harmonic_p, harmonic_table, stirling2
 from .transforms import binomial_transform, inverse_binomial_transform, sanchez_transform, weighted_nabla
 
 
@@ -309,47 +309,47 @@ def as_zneg1_alpha1_closed(n: int, p: int, as_printed: bool = False) -> Fraction
     return lead - tail
 
 
-def conclusion_identity(item: str, n: int, alpha: RatLike, reading: str = "p2") -> tuple[Fraction, Fraction]:
-    """(LHS, RHS) pairs for the three concluding sums.
+# The concluding sums of items 3 and 4.  Their superscript-(2) notation is
+# ambiguous: reading="p2" takes it as the weight-2 sum H_n^(2)(x), "square" as
+# a square.  Neither pairing is asserted anywhere; the verifier only reports them.
 
-    item2: sum (-1)^k C(n,k) H_k(alpha)      vs ((1-alpha)^n - 1)/n
-    item3: sum H_k(alpha)/k                  vs the two-branch product form
-    item4: sum (-1)^k H_k(alpha)/k           vs weight-2 harmonic differences
 
-    For item3/item4 the superscript-(2) notation is ambiguous; reading="p2"
-    takes it as the weight-2 sum H_n^(2)(x), reading="square" as a square.
-    Neither pairing is asserted anywhere; the verifier only reports them.
-    """
+def _check_concl_args(n: int, reading: str = "p2") -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
     if reading not in ("p2", "square"):
         raise ValueError("reading must be 'p2' or 'square'")
+
+
+def concl_item3_lhs(n: int, alpha: RatLike) -> Fraction:
+    """sum_{k=1..n} H_k(alpha)/k."""
+    _check_concl_args(n)
+    return sum(h / k for k, h in enumerate(harmonic_table(n, 1, alpha)) if k)
+
+
+def concl_item3_rhs(n: int, alpha: RatLike, reading: str = "p2") -> Fraction:
+    """(H_n^2 + H_n^(2))/2 at alpha = 1, otherwise
+    H_n(alpha) H_n + H_n^(2)(alpha) - sum_{k=1..n} alpha^k H_k/k."""
+    _check_concl_args(n, reading)
     alpha = Fraction(alpha)
-    if item == "item2":
-        lhs = Fraction(0)
-        for k in range(n + 1):
-            lhs += binom_int(n, k) * (-1) ** k * harmonic_p(k, 1, alpha)
-        return lhs, idi1_rhs(n, alpha)
-    if item == "item3":
-        lhs = Fraction(0)
-        for k in range(1, n + 1):
-            lhs += harmonic_p(k, 1, alpha) / k
-        if alpha == 1:
-            h = harmonic(n)
-            rhs = (h * h + harmonic_p(n, 2, 1)) / 2
-        else:
-            second = harmonic_p(n, 2, alpha) if reading == "p2" else harmonic_p(n, 1, alpha) ** 2
-            rhs = harmonic_p(n, 1, alpha) * harmonic(n) + second
-            for k in range(1, n + 1):
-                rhs -= alpha**k * harmonic(k) / k
-        return lhs, rhs
-    if item == "item4":
-        lhs = Fraction(0)
-        for k in range(1, n + 1):
-            lhs += (-1) ** k * harmonic_p(k, 1, alpha) / k
-        if reading == "p2":
-            rhs = harmonic_p(n, 2, 1 - alpha) - harmonic_p(n, 2, 1)
-        else:
-            rhs = harmonic_p(n, 1, 1 - alpha) ** 2 - harmonic(n) ** 2
-        return lhs, rhs
-    raise ValueError(f"unknown item {item!r}; expected item2, item3 or item4")
+    if alpha == 1:
+        h = harmonic(n)
+        return (h * h + harmonic_p(n, 2, 1)) / 2
+    second = harmonic_p(n, 2, alpha) if reading == "p2" else harmonic_p(n, 1, alpha) ** 2
+    tail = sum(alpha**k * h / k for k, h in enumerate(harmonic_table(n, 1, 1)) if k)
+    return harmonic_p(n, 1, alpha) * harmonic(n) + second - tail
+
+
+def concl_item4_lhs(n: int, alpha: RatLike) -> Fraction:
+    """sum_{k=1..n} (-1)^k H_k(alpha)/k."""
+    _check_concl_args(n)
+    return sum((-1) ** k * h / k for k, h in enumerate(harmonic_table(n, 1, alpha)) if k)
+
+
+def concl_item4_rhs(n: int, alpha: RatLike, reading: str = "p2") -> Fraction:
+    """H_n^(2)(1-alpha) - H_n^(2)(1), or with squares for reading="square"."""
+    _check_concl_args(n, reading)
+    alpha = Fraction(alpha)
+    if reading == "p2":
+        return harmonic_p(n, 2, 1 - alpha) - harmonic_p(n, 2, 1)
+    return harmonic_p(n, 1, 1 - alpha) ** 2 - harmonic(n) ** 2

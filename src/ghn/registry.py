@@ -22,7 +22,10 @@ from .closed_forms import (
     as_zneg1_alpha1_closed,
     boyadzhiev_ratio_closed,
     check_lambda_domain,
-    conclusion_identity,
+    concl_item3_lhs,
+    concl_item3_rhs,
+    concl_item4_lhs,
+    concl_item4_rhs,
     frontczak_rhs,
     generalized_harmonic_relation,
     gould_generalized_lhs,
@@ -42,7 +45,7 @@ from .closed_forms import (
 )
 from .errors import DomainError, OutOfValidityRangeError
 from .exact import binom_int, binom_rat, hockey_stick_sum
-from .polyseries import PolyQ, TruncSeries, geometric, harmonic_poly, log_one_minus
+from .polyseries import PolyQ, geometric, harmonic_poly, log_one_minus
 from .sequences import (
     bernoulli,
     fibonacci,
@@ -68,6 +71,7 @@ from .verifier import (
     IdentityEntry,
     binomial_oracle,
     certify_alpha_identity,
+    pan_lemma_series,
     rand_rat,
 )
 
@@ -401,11 +405,7 @@ def _series_entries(n_max: int, seed: int) -> list[IdentityEntry]:
         i = int(c["pair"])
         if i not in cache:
             lam, mu, _ = triples[i]
-            inner = [Fraction(0)]
-            for k in range(1, order + 1):
-                inner.append(mu * lam ** (k - 1))
-            composed = TruncSeries(alists[i], order).compose(TruncSeries(inner, order))
-            cache[i] = (composed * geometric(lam, order)).coeffs
+            cache[i] = pan_lemma_series(order, lam, mu, alists[i]).coeffs
         return cache[i][int(c["n"])]
 
     def _pan_series_rhs(c, triples=triples, alists=alists):
@@ -428,11 +428,10 @@ def _series_entries(n_max: int, seed: int) -> list[IdentityEntry]:
     alphas = _dedup([rand_rat(rng) for _ in range(10)])
     series_cache: dict[Fraction, tuple] = {}
 
-    def _genfunc_lhs(c, cache=series_cache, order=order):
-        alpha = c["alpha"]
+    def _genfunc_coeff(alpha, n, cache=series_cache, order=order):
         if alpha not in cache:
             cache[alpha] = (log_one_minus(alpha, order) * geometric(1, order)).coeffs
-        return cache[alpha][int(c["n"])]
+        return cache[alpha][n]
 
     cells = [{"alpha": a, "n": n} for a in alphas for n in range(order + 1)]
     entries.append(
@@ -440,7 +439,7 @@ def _series_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="genfunc-alpha",
             anchor="conclusion-1: log(1-a*t)/(1-t) = -sum H_n(a) t^n",
             cells=cells,
-            lhs=_genfunc_lhs,
+            lhs=lambda c: _genfunc_coeff(c["alpha"], int(c["n"])),
             rhs=lambda c: -harmonic_p(int(c["n"]), 1, c["alpha"]),
         )
     )
@@ -450,19 +449,18 @@ def _series_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="genfunc-harmonic",
             anchor="conclusion-1.1: log(1-t)/(1-t) = -sum H_n t^n",
             cells=cells,
-            lhs=_genfunc_lhs,
+            lhs=lambda c: _genfunc_coeff(c["alpha"], int(c["n"])),
             rhs=lambda c: -harmonic(int(c["n"])),
         )
     )
 
-    skew_coeffs = (log_one_minus(-1, order) * geometric(1, order)).coeffs
     cells = [{"n": n} for n in range(order + 1)]
     entries.append(
         IdentityEntry(
             id="genfunc-skew",
             anchor="conclusion-1.2: [t^n] log(1+t)/(1-t) = H_n^- = -H_n(-1)",
             cells=cells,
-            lhs=lambda c, coeffs=skew_coeffs: coeffs[int(c["n"])],
+            lhs=lambda c: _genfunc_coeff(Fraction(-1), int(c["n"])),
             rhs=lambda c: skew_harmonic(int(c["n"])),
             note="the printed -H notation matches only under the H_n(-1) reading",
         )
@@ -946,14 +944,15 @@ def _conclusion_entries(n_max: int, seed: int) -> list[IdentityEntry]:
     entries = []
     rng = _rng(seed, "concl-item2")
     alphas = _dedup(ALPHA_GRID + [rand_rat(rng) for _ in range(5)])
+    itab = {alpha: harmonic_table(n_max, 1, alpha) for alpha in alphas}
     cells = [{"alpha": a, "n": n} for a in alphas for n in range(1, n_max + 1)]
     entries.append(
         IdentityEntry(
             id="concl-item2",
             anchor="conclusion-2: sum_k (-1)^k C(n,k) H_k(a) = ((1-a)^n - 1)/n",
             cells=cells,
-            lhs=lambda c: conclusion_identity("item2", int(c["n"]), c["alpha"])[0],
-            rhs=lambda c: conclusion_identity("item2", int(c["n"]), c["alpha"])[1],
+            lhs=lambda c, itab=itab: binomial_oracle(int(c["n"]), itab[c["alpha"]], mu=-1),
+            rhs=lambda c: idi1_rhs(int(c["n"]), c["alpha"]),
             certify=lambda nm: certify_alpha_identity(idi1_poly_lhs, idi1_poly_rhs, nm),
             poly_param="alpha",
             poly_degree=lambda n: n,
@@ -967,8 +966,8 @@ def _conclusion_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="concl-item3",
             anchor="conclusion-3: sum_k H_k(a)/k vs product form, H(a)^(2) read as the weight-2 sum",
             cells=list(grid),
-            lhs=lambda c: conclusion_identity("item3", int(c["n"]), c["alpha"])[0],
-            rhs=lambda c: conclusion_identity("item3", int(c["n"]), c["alpha"])[1],
+            lhs=lambda c: concl_item3_lhs(int(c["n"]), c["alpha"]),
+            rhs=lambda c: concl_item3_rhs(int(c["n"]), c["alpha"]),
             policy=REPORT_ONLY,
             note="question-marked in the source; registered as a conjecture, never asserted",
         )
@@ -978,8 +977,8 @@ def _conclusion_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="concl-item3-square",
             anchor="conclusion-3 with H(a)^(2) read as a square",
             cells=list(grid),
-            lhs=lambda c: conclusion_identity("item3", int(c["n"]), c["alpha"], reading="square")[0],
-            rhs=lambda c: conclusion_identity("item3", int(c["n"]), c["alpha"], reading="square")[1],
+            lhs=lambda c: concl_item3_lhs(int(c["n"]), c["alpha"]),
+            rhs=lambda c: concl_item3_rhs(int(c["n"]), c["alpha"], reading="square"),
             policy=REPORT_ONLY,
             note="alternative reading of the same conjecture",
         )
@@ -989,8 +988,8 @@ def _conclusion_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="concl-item4",
             anchor="conclusion-4: sum_k (-1)^k H_k(a)/k vs H^(2)(1-a) - H^(2)(1)",
             cells=list(grid),
-            lhs=lambda c: conclusion_identity("item4", int(c["n"]), c["alpha"])[0],
-            rhs=lambda c: conclusion_identity("item4", int(c["n"]), c["alpha"])[1],
+            lhs=lambda c: concl_item4_lhs(int(c["n"]), c["alpha"]),
+            rhs=lambda c: concl_item4_rhs(int(c["n"]), c["alpha"]),
             policy=REPORT_ONLY,
             note="weight-2 reading; disagrees beyond n = 1, counterexamples recorded",
         )
@@ -1000,8 +999,8 @@ def _conclusion_entries(n_max: int, seed: int) -> list[IdentityEntry]:
             id="concl-item4-square",
             anchor="conclusion-4 with the squares reading",
             cells=list(grid),
-            lhs=lambda c: conclusion_identity("item4", int(c["n"]), c["alpha"], reading="square")[0],
-            rhs=lambda c: conclusion_identity("item4", int(c["n"]), c["alpha"], reading="square")[1],
+            lhs=lambda c: concl_item4_lhs(int(c["n"]), c["alpha"]),
+            rhs=lambda c: concl_item4_rhs(int(c["n"]), c["alpha"], reading="square"),
             policy=REPORT_ONLY,
             note="alternative reading; also disagrees",
         )

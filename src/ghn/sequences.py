@@ -141,6 +141,10 @@ _REQUIRED: dict[str, set[str]] = {
     "powers": {"base"},
 }
 
+# Largest integer p per kind, so that no spec can request unbounded work:
+# harmonic_table(180, 48, alpha) and stirling2(180, k) take milliseconds.
+_P_CAP = {"harmonic_p": 48, "stirling_row": 180}
+
 
 @dataclass(frozen=True)
 class SeqSpec:
@@ -164,6 +168,8 @@ class SeqSpec:
             raise SeqSpecError("harmonic_p requires integer p >= 1")
         if self.kind == "stirling_row" and (p.denominator != 1 or p < 0):
             raise SeqSpecError("stirling_row requires integer p >= 0")
+        if p is not None and self.kind in _P_CAP and p > _P_CAP[self.kind]:
+            raise SeqSpecError(f"{self.kind} p={p} is out of range: must be at most {_P_CAP[self.kind]}")
 
 
 def parse_seq_spec(text: str) -> SeqSpec:

@@ -265,19 +265,21 @@ def certify_alpha_identity(
     return all(lhs_poly(n) == rhs_poly(n) for n in range(1, n_max + 1))
 
 
-def series_lemma_first_diff(
-    order: int, lam: RatLike, mu: RatLike, a: Sequence[RatLike]
-) -> tuple[int, Fraction, Fraction] | None:
-    """First coefficient where f(mu*t/(1-lam*t))/(1-lam*t) departs from the
-    binomial-convolution side sum_k C(n,k) mu^k lam^(n-k) a_k, or None."""
+def pan_lemma_series(order: int, lam: RatLike, mu: RatLike, a: Sequence[RatLike]) -> TruncSeries:
+    """f(mu*t/(1-lam*t))/(1-lam*t) through t^order, where f = sum_k a_k t^k."""
     if order < 1:
         raise ValueError("order must be >= 1")
     lam, mu = Fraction(lam), Fraction(mu)
-    f = TruncSeries(a, order)
-    inner = [Fraction(0)]
-    for k in range(1, order + 1):
-        inner.append(mu * lam ** (k - 1))
-    lhs = f.compose(TruncSeries(inner, order)) * geometric(lam, order)
+    inner = [Fraction(0)] + [mu * lam ** (k - 1) for k in range(1, order + 1)]
+    return TruncSeries(a, order).compose(TruncSeries(inner, order)) * geometric(lam, order)
+
+
+def series_lemma_first_diff(
+    order: int, lam: RatLike, mu: RatLike, a: Sequence[RatLike]
+) -> tuple[int, Fraction, Fraction] | None:
+    """First coefficient where pan_lemma_series departs from the
+    binomial-convolution side sum_k C(n,k) mu^k lam^(n-k) a_k, or None."""
+    lhs = pan_lemma_series(order, lam, mu, a)
     for n in range(order + 1):
         rhs = binomial_oracle(n, a, mu, lam)
         if lhs.coeffs[n] != rhs:
@@ -291,18 +293,12 @@ def check_series_lemma(order: int, lam: RatLike, mu: RatLike, a: Sequence[RatLik
 
 
 def harmonic_genfunc_first_diff(order: int, alpha: RatLike) -> tuple[int, Fraction, Fraction] | None:
-    """First n where [t^n] log(1-alpha*t)/(1-t) differs from -H_n(alpha)."""
+    """First n where [t^n] log(1-alpha*t)/(1-t) differs from -H_n(alpha).
+
+    At alpha = -1 this checks log(1+t)/(1-t) against H_n^- = -H_n(-1).
+    """
     series = log_one_minus(alpha, order) * geometric(1, order)
     for n, h in enumerate(harmonic_table(order, 1, alpha)):
-        if series.coeffs[n] != -h:
-            return n, series.coeffs[n], -h
-    return None
-
-
-def skew_genfunc_first_diff(order: int) -> tuple[int, Fraction, Fraction] | None:
-    """First n where [t^n] log(1+t)/(1-t) differs from H_n^-."""
-    series = log_one_minus(-1, order) * geometric(1, order)
-    for n, h in enumerate(harmonic_table(order, 1, -1)):  # H_n^- = -H_n(-1)
         if series.coeffs[n] != -h:
             return n, series.coeffs[n], -h
     return None

@@ -138,6 +138,8 @@ def test_eval_every_id(entry_id, capsys):
         ["eval", "--id", "pan-thm3.2", "--param", "n=99999999", "--param", "mu=1", "--param", "lambda=1",
          "--param", "alpha=1"],
         ["eval", "--id", "as-newcoffey1", "--param", "n=3", "--param", "p=-1"],
+        ["compute", "--seq", "harmonic:p=49"],
+        ["compute", "--seq", "stirling_row:p=181"],
     ],
 )
 def test_out_of_range_integers_exit_2(argv, capsys):
@@ -202,7 +204,7 @@ def test_series_reports_first_differing_coefficient(capsys, monkeypatch):
     import ghn.cli as cli_mod
 
     monkeypatch.setattr(
-        cli_mod, "skew_genfunc_first_diff", lambda order: (7, Fraction(1, 2), Fraction(1, 3))
+        cli_mod, "harmonic_genfunc_first_diff", lambda order, alpha: (7, Fraction(1, 2), Fraction(1, 3))
     )
     code, out, _ = run_cli(["series", "--check", "genfunc-skew", "--order", "10"], capsys)
     assert code == 1

@@ -8,7 +8,10 @@ from ghn.closed_forms import (
     as_p1_closed,
     as_zneg1_alpha1_closed,
     boyadzhiev_ratio_closed,
-    conclusion_identity,
+    concl_item3_lhs,
+    concl_item3_rhs,
+    concl_item4_lhs,
+    concl_item4_rhs,
     frontczak_rhs,
     generalized_harmonic_relation,
     gould_generalized_lhs,
@@ -28,8 +31,9 @@ from ghn.closed_forms import (
 )
 from ghn.errors import DomainError, OutOfValidityRangeError
 from ghn.exact import binom_int
-from ghn.sequences import harmonic, harmonic_p, skew_harmonic
+from ghn.sequences import harmonic, harmonic_p, harmonic_table, skew_harmonic
 from ghn.transforms import binomial_transform
+from ghn.verifier import binomial_oracle
 
 ONES = [Fraction(1)] * 32
 
@@ -333,38 +337,33 @@ def test_zneg1_alpha1_corrected_vs_printed():
 # --- concluding sums ---------------------------------------------------------------
 
 def test_item2_pair():
-    lhs, rhs = conclusion_identity("item2", 2,
-                                   Fraction(2))
-    assert (lhs, rhs) == (0, 0)
+    assert binomial_oracle(2, harmonic_table(2, 1, 2), mu=-1) == idi1_rhs(2, Fraction(2)) == 0
     for alpha in (Fraction(1), Fraction(-1), Fraction(1, 2)):
         for n in range(1, 21):
-            lhs, rhs = conclusion_identity("item2", n, alpha)
-            assert lhs == rhs
+            assert binomial_oracle(n, harmonic_table(n, 1, alpha), mu=-1) == idi1_rhs(n, alpha)
 
 
 def test_item3_alpha1_hand_check():
-    lhs, rhs = conclusion_identity("item3", 3, Fraction(1))
-    assert lhs == Fraction(85, 36)
-    assert rhs == Fraction(85, 36)
+    assert concl_item3_lhs(3, Fraction(1)) == Fraction(85, 36)
+    assert concl_item3_rhs(3, Fraction(1)) == Fraction(85, 36)
 
 
 def test_item3_weight2_reading_agrees_on_grid():
     for alpha in (Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(-1, 3)):
         for n in range(1, 21):
-            lhs, rhs = conclusion_identity("item3", n, alpha)
-            assert lhs == rhs  # conjecture confirmed on this grid (not asserted in the registry)
+            # conjecture confirmed on this grid (not asserted in the registry)
+            assert concl_item3_lhs(n, alpha) == concl_item3_rhs(n, alpha)
 
 
 def test_item4_readings_disagree():
-    lhs, rhs = conclusion_identity("item4", 2, Fraction(1))
+    lhs = concl_item4_lhs(2, Fraction(1))
     assert lhs == Fraction(-1, 4)
-    assert rhs == Fraction(-5, 4)
-    _, rhs_sq = conclusion_identity("item4", 2, Fraction(1), reading="square")
-    assert lhs != rhs_sq
+    assert concl_item4_rhs(2, Fraction(1)) == Fraction(-5, 4)
+    assert lhs != concl_item4_rhs(2, Fraction(1), reading="square")
 
 
-def test_conclusion_rejects_unknown_item():
+def test_conclusion_rejects_unknown_reading():
     with pytest.raises(ValueError):
-        conclusion_identity("item9", 3, Fraction(1))
+        concl_item3_rhs(3, Fraction(1), reading="other")
     with pytest.raises(ValueError):
-        conclusion_identity("item3", 3, Fraction(1), reading="other")
+        concl_item4_rhs(3, Fraction(1), reading="other")

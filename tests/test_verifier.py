@@ -26,7 +26,6 @@ from ghn.verifier import (
     run_entry,
     run_suite,
     series_lemma_first_diff,
-    skew_genfunc_first_diff,
 )
 
 
@@ -147,7 +146,7 @@ def test_check_series_lemma_cases():
 def test_genfunc_checks():
     assert harmonic_genfunc_first_diff(40, Fraction(1)) is None
     assert harmonic_genfunc_first_diff(40, Fraction(-2, 7)) is None
-    assert skew_genfunc_first_diff(40) is None
+    assert harmonic_genfunc_first_diff(40, -1) is None  # log(1+t)/(1-t) = sum H_n^- t^n
 
 
 def test_rand_rat_bounds():
