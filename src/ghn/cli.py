@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Subcommands: compute (sequence tables), eval (closed forms at a point),
-verify (run the identity registry and write a verdict report), series
-(coefficient-exact series checks), table (per-cell view of one registry
-entry).  All rationals cross this boundary as "p/q" strings.
+Subcommands: compute (sequence tables), eval (both sides of one registry
+entry at a point), verify (run the identity registry and write a verdict
+report), series (coefficient-exact series checks), table (per-cell view of
+one registry entry).  All rationals cross this boundary as "p/q" strings.
+
+eval builds no grid: it takes the entry's sides from registry.declare, casts
+each --param by the entry's params (integers n, p, j, k; sequence specs for
+seq, b, c; rationals otherwise) and calls rhs, then lhs, at that point.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 3 report I/O failure.
@@ -11,7 +15,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 Integer arguments are capped so that no input can request unbounded work:
 verify and table take --n-max 1..30, compute takes --n-max 0..180, series
 takes --order 1..180, table takes --limit >= 1, and eval takes its integer
-parameters (n, p, j) in 0..48.  Sequence specs cap their own p
+parameters (n, p, j, k) in 0..48.  Sequence specs cap their own p
 (sequences.SeqSpec): harmonic 1..48, stirling_row 0..180.
 """
 
@@ -23,43 +27,15 @@ import json
 import sys
 from fractions import Fraction
 
-from .closed_forms import (
-    as_np_closed,
-    as_p1_closed,
-    as_zneg1_alpha1_closed,
-    boyadzhiev_ratio_closed,
-    concl_item3_lhs,
-    concl_item3_rhs,
-    concl_item4_lhs,
-    concl_item4_rhs,
-    frontczak_rhs,
-    generalized_harmonic_relation,
-    gould_generalized_lhs,
-    gould_generalized_rhs,
-    idi1_rhs,
-    knuth_flajolet_rhs,
-    lemma21_lhs,
-    lemma21_rhs,
-    pan_closed_form,
-    skew_transform_rhs,
-    spivey_rhs,
-    thm33_rhs,
-)
 from .errors import DomainError, OutOfValidityRangeError, SeqSpecError
-from .registry import build_registry
-from .sequences import harmonic_p, harmonic_table, materialize, parse_seq_spec
-from .verifier import (
-    binomial_oracle,
-    harmonic_genfunc_first_diff,
-    run_entry,
-    run_suite,
-    series_lemma_first_diff,
-)
+from .registry import build_registry, declare
+from .sequences import harmonic_table, materialize, parse_seq_spec
+from .verifier import harmonic_genfunc_first_diff, run_entry, run_suite, series_lemma_first_diff
 
 FORMATS = ("text", "json", "csv", "markdown")
 GRID_CAP = 30  # verify/table --n-max
 TERMS_CAP = 180  # compute --n-max, series --order
-EVAL_CAP = 48  # eval n, p, j
+EVAL_CAP = 48  # eval n, p, j, k
 
 
 class UsageError(Exception):
@@ -112,7 +88,7 @@ def _parse_params(pairs: list[str]) -> dict[str, str]:
     return out
 
 
-_INT_PARAMS = {"n", "p", "j"}
+_INT_PARAMS = {"n", "p", "j", "k"}
 _SPEC_PARAMS = {"b", "c", "seq"}
 _eval_int = _bounded_int(0, EVAL_CAP)
 
@@ -137,108 +113,51 @@ def _cast_params(raw: dict[str, str], names: list[str]) -> dict:
         except (ValueError, ZeroDivisionError, SeqSpecError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"bad value for {name}: {exc}") from exc
     for name in _SPEC_PARAMS.intersection(names):
-        out[name] = materialize(out[name], out["n"])  # a sequence parameter is used as its terms 0..n
+        out[name] = tuple(materialize(out[name], out["n"]))  # a sequence parameter is used as its terms 0..n
     return out
 
 
-# id -> (parameter names, closed form, direct-sum oracle); both sides take the
-# parameters in the order named, and sequence parameters arrive as terms 0..n.
-# Each side calls its kernels by module-level name, so patching a kernel
-# reaches eval too.
-EVAL_FORMS = {
-    "gen-harmonic-relation": (
-        ["n", "alpha"], lambda n, a: generalized_harmonic_relation(n, a), lambda n, a: harmonic_p(n, 1, a)
-    ),
-    "knuth-flajolet": (
-        ["n", "lambda"],
-        lambda n, lam: knuth_flajolet_rhs(n, lam),
-        lambda n, lam: binomial_oracle(n, [1 / (k + lam) for k in range(n + 1)], mu=-1),
-    ),
-    "pan-thm3.2": (
-        ["n", "mu", "lambda", "alpha"],
-        lambda n, mu, lam, a: pan_closed_form(n, mu, lam, a),
-        lambda n, mu, lam, a: binomial_oracle(n, harmonic_table(n, 1, a), mu, lam),
-    ),
-    "idi1-alternating": (
-        ["n", "alpha"], lambda n, a: idi1_rhs(n, a), lambda n, a: binomial_oracle(n, harmonic_table(n, 1, a), mu=-1)
-    ),
-    "spivey-generalization": (
-        ["n", "alpha"], lambda n, a: spivey_rhs(n, a), lambda n, a: binomial_oracle(n, harmonic_table(n, 1, a))
-    ),
-    # the skew-harmonic weights are H_k^- = -H_k(-1)
-    "frontczak-variant": (
-        ["n"], lambda n: frontczak_rhs(n), lambda n: -binomial_oracle(n, harmonic_table(n, 1, -1), mu=2)
-    ),
-    "skew-transform": (["n"], lambda n: skew_transform_rhs(n), lambda n: -binomial_oracle(n, harmonic_table(n, 1, -1))),
-    "eq-eulerbnew": (
-        ["n", "j", "a"], lambda n, j, a: gould_generalized_rhs(n, j, a), lambda n, j, a: gould_generalized_lhs(n, j, a)
-    ),
-    "as-np": (
-        ["n", "p", "z", "alpha"],
-        lambda n, p, z, a: as_np_closed(n, p, z, a),
-        lambda n, p, z, a: binomial_oracle(n, [k**p * h for k, h in enumerate(harmonic_table(n, 1, a))], mu=z),
-    ),
-    "as-p1-exemple1": (
-        ["n", "z", "alpha"],
-        lambda n, z, a: as_p1_closed(n, z, a),
-        lambda n, z, a: binomial_oracle(n, [k * h for k, h in enumerate(harmonic_table(n, 1, a))], mu=z),
-    ),
-    "as-newcoffey1": (
-        ["n", "p"],
-        lambda n, p: as_zneg1_alpha1_closed(n, p),
-        lambda n, p: binomial_oracle(n, [k**p * h for k, h in enumerate(harmonic_table(n, 1, 1))], mu=-1),
-    ),
-    "thm3.3-eqnnew8": (
-        ["n", "alpha", "c"],
-        lambda n, a, c: thm33_rhs(c, n, a),
-        lambda n, a, c: binomial_oracle(n, [h * ck for h, ck in zip(harmonic_table(n, 1, a), c)], mu=-1),
-    ),
-    "lemma2.1": (
-        ["n", "lambda", "b"], lambda n, lam, b: lemma21_rhs(b, n, lam), lambda n, lam, b: lemma21_lhs(b, n, lam)
-    ),
-    "thm2.3": (
-        ["n", "lambda", "c"],
-        lambda n, lam, c: boyadzhiev_ratio_closed(c, n, lam),
-        lambda n, lam, c: binomial_oracle(n, [ck / (k + lam) if k else 0 for k, ck in enumerate(c)]),
-    ),
-    "concl-item2": (
-        ["n", "alpha"], lambda n, a: idi1_rhs(n, a), lambda n, a: binomial_oracle(n, harmonic_table(n, 1, a), mu=-1)
-    ),
-    "concl-item3": (["n", "alpha"], lambda n, a: concl_item3_rhs(n, a), lambda n, a: concl_item3_lhs(n, a)),
-    "concl-item4": (["n", "alpha"], lambda n, a: concl_item4_rhs(n, a), lambda n, a: concl_item4_lhs(n, a)),
-}
+# Names eval took before it reached every registry id: alias -> registry id,
+# and the name under which these ids take their sequence parameter `seq`.
+ALIASES = {"lemma2.1": "lemma2.1-coherence", "thm2.3": "thm2.3-general", "as-np": "as-newcoffey"}
+SEQ_NAMES = {"lemma2.1": "b", "thm2.3": "c", "thm3.3-eqnnew8": "c"}
 
-# Rows printed after lhs, rhs and equal: other readings of the same display.
-EXTRA_ROWS = {
-    "as-newcoffey1": ("rhs_as_printed", lambda n, p: as_zneg1_alpha1_closed(n, p, as_printed=True)),
-    "concl-item3": ("rhs_square_reading", lambda n, a: concl_item3_rhs(n, a, reading="square")),
-    "concl-item4": ("rhs_square_reading", lambda n, a: concl_item4_rhs(n, a, reading="square")),
+# Rows printed after lhs, rhs and equal: id -> (row, the entry whose rhs is
+# another reading of the same display).
+READINGS = {
+    "as-newcoffey1": ("rhs_as_printed", "as-newcoffey1-as-printed"),
+    "concl-item3": ("rhs_square_reading", "concl-item3-square"),
+    "concl-item4": ("rhs_square_reading", "concl-item4-square"),
 }
 
 
 def cmd_compute(args) -> int:
     spec = parse_seq_spec(args.seq)
-    values = materialize(spec, args.n_max)
-    rows = [[str(n), str(v)] for n, v in enumerate(values)]
+    try:
+        rows = [[str(n), str(v)] for n, v in enumerate(materialize(spec, args.n_max))]
+    except ValueError as exc:  # e.g. a term too long for str()
+        raise UsageError(str(exc)) from exc
     _emit_table(args.seq, ["n", "value"], rows, args.format, sys.stdout)
     return 0
 
 
 def cmd_eval(args) -> int:
-    if args.id not in EVAL_FORMS:
-        raise UsageError(f"unknown identity id {args.id!r}; known: {', '.join(sorted(EVAL_FORMS))}")
-    names, closed, oracle = EVAL_FORMS[args.id]
-    params = _cast_params(_parse_params(args.param), names)
-    values = [params[name] for name in names]
+    entries = {e.id: e for e in declare()}
+    entry = entries.get(ALIASES.get(args.id, args.id))
+    if entry is None:
+        raise UsageError(f"unknown identity id {args.id!r}; known: {', '.join(sorted([*entries, *ALIASES]))}")
+    names = [SEQ_NAMES.get(args.id, "seq") if name == "seq" else name for name in entry.params]
+    cast = _cast_params(_parse_params(args.param), names)
+    point = {param: cast[name] for param, name in zip(entry.params, names)}
     try:
         # the closed form's domain check runs before the oracle can divide by zero
-        rhs = closed(*values)
-        lhs = oracle(*values)
+        rhs = entry.rhs(point)
+        lhs = entry.lhs(point)
         rows = [["lhs", str(lhs)], ["rhs", str(rhs)], ["equal", "true" if lhs == rhs else "false"]]
-        if args.id in EXTRA_ROWS:
-            label, extra = EXTRA_ROWS[args.id]
-            rows.append([label, str(extra(*values))])
-    except (DomainError, OutOfValidityRangeError, ValueError) as exc:
+        if entry.id in READINGS:
+            label, other = READINGS[entry.id]
+            rows.append([label, str(entries[other].rhs(point))])
+    except (DomainError, OutOfValidityRangeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from exc
     _emit_table(args.id, ["field", "value"], rows, args.format, sys.stdout)
     return 0

@@ -1,7 +1,7 @@
 """Grid execution, polynomial certification, and tiered verdict reporting.
 
-An IdentityEntry pairs two evaluators over a finite grid of exact rational
-parameter points.  run_entry grades it:
+An IdentityEntry pairs two point functions (its sides) with a finite grid of
+exact rational parameter points.  run_entry grades it:
 
   CERTIFIED      exact polynomial equality in alpha for every n (strongest),
   HOLDS_ON_GRID  exact agreement at every evaluated cell,
@@ -43,13 +43,19 @@ Cell = dict
 
 @dataclass
 class IdentityEntry:
-    """One catalogued identity: two evaluators, a grid, and a policy."""
+    """One catalogued identity: two sides, the names they read, a grid, a policy.
+
+    ``lhs`` and ``rhs`` map a point (a dict holding at least the names in
+    ``params``) to an exact value; ``cells`` are the grid points that
+    run_entry visits, and may carry display-only names besides ``params``.
+    """
 
     id: str
     anchor: str
-    cells: list[Cell]
     lhs: Callable[[Cell], Fraction]
     rhs: Callable[[Cell], Fraction]
+    params: tuple[str, ...] = ()
+    cells: list[Cell] = field(default_factory=list)
     policy: str = ASSERT
     note: str = ""
     certify: Callable[[int], bool] | None = None
@@ -274,6 +280,11 @@ def pan_lemma_series(order: int, lam: RatLike, mu: RatLike, a: Sequence[RatLike]
     return TruncSeries(a, order).compose(TruncSeries(inner, order)) * geometric(lam, order)
 
 
+def harmonic_genfunc(order: int, alpha: RatLike) -> TruncSeries:
+    """log(1-alpha*t)/(1-t) through t^order; its t^n coefficient is -H_n(alpha)."""
+    return log_one_minus(alpha, order) * geometric(1, order)
+
+
 def series_lemma_first_diff(
     order: int, lam: RatLike, mu: RatLike, a: Sequence[RatLike]
 ) -> tuple[int, Fraction, Fraction] | None:
@@ -297,7 +308,7 @@ def harmonic_genfunc_first_diff(order: int, alpha: RatLike) -> tuple[int, Fracti
 
     At alpha = -1 this checks log(1+t)/(1-t) against H_n^- = -H_n(-1).
     """
-    series = log_one_minus(alpha, order) * geometric(1, order)
+    series = harmonic_genfunc(order, alpha)
     for n, h in enumerate(harmonic_table(order, 1, alpha)):
         if series.coeffs[n] != -h:
             return n, series.coeffs[n], -h

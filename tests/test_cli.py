@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from ghn.cli import EVAL_FORMS, main
-from ghn.verifier import ASSERT, IdentityEntry
+from ghn.cli import ALIASES, SEQ_NAMES, main
+from ghn.registry import build_registry, declare
+from ghn.sequences import materialize, parse_seq_spec
+from ghn.verifier import ASSERT, REPORT_ONLY, IdentityEntry
 
 
 def run_cli(args, capsys):
@@ -52,6 +54,13 @@ def test_compute_csv_round_trip(capsys):
     assert parsed == [harmonic_p(n, 2, Fraction(-1, 3)) for n in range(9)]
 
 
+def test_compute_too_long_term_exits_2(capsys):
+    # a term past str()'s digit limit is a usage error, not a traceback
+    code, out, err = run_cli(["compute", "--seq", "harmonic:p=48,alpha=7777777777/11", "--n-max", "180"], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "digits" in err
+
+
 def test_compute_bad_spec_exits_2(capsys):
     code, _, err = run_cli(["compute", "--seq", "nosuch:p=1"], capsys)
     assert code == 2
@@ -87,7 +96,7 @@ def test_eval_known_ids(capsys):
     assert rows["lhs"] == rows["rhs"]
 
 
-# one in-domain point per eval id
+# one in-domain point per id that eval took before it reached the whole registry
 EVAL_POINTS = {
     "gen-harmonic-relation": ["n=5", "alpha=2/3"],
     "knuth-flajolet": ["n=4", "lambda=1/2"],
@@ -107,20 +116,108 @@ EVAL_POINTS = {
     "concl-item3": ["n=5", "alpha=2"],
     "concl-item4": ["n=5", "alpha=2"],
 }
+GRID = {e.id: e for e in build_registry(3, 42)}
+SIDES = {e.id: e for e in declare()}
+EVAL_IDS = sorted([*SIDES, *ALIASES])
 
 
-@pytest.mark.parametrize("entry_id", sorted(EVAL_FORMS))
+def _seq_name(eval_id):
+    return SEQ_NAMES.get(eval_id, "seq")
+
+
+def _grid_point(eval_id, **fixed):
+    """--param values from the first cell of the entry's n_max 3 grid, overridden by `fixed`."""
+    entry = SIDES[ALIASES.get(eval_id, eval_id)]
+    cell = {**GRID[entry.id].cells[0], **fixed}
+    out = []
+    for name in entry.params:
+        if name == "seq":
+            out.append(f"{_seq_name(eval_id)}=lucas")
+        else:
+            out.append(f"{name}={cell[name]}")
+    return out
+
+
+def _eval_rows(argv, capsys):
+    code, out, err = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0, err
+    return {r["field"]: r["value"] for r in json.loads(out)["rows"]}
+
+
+@pytest.mark.parametrize("entry_id", EVAL_IDS)
 def test_eval_every_id(entry_id, capsys):
-    argv = ["eval", "--id", entry_id, "--format", "json"]
-    for param in EVAL_POINTS[entry_id]:
+    argv = ["eval", "--id", entry_id]
+    point = EVAL_POINTS.get(entry_id) or _grid_point(entry_id, n=3)
+    for param in point:
         argv += ["--param", param]
-    code, out, _ = run_cli(argv, capsys)
-    assert code == 0
-    rows = {r["field"]: r["value"] for r in json.loads(out)["rows"]}
+    rows = _eval_rows(argv, capsys)
+    entry = SIDES[ALIASES.get(entry_id, entry_id)]
     if entry_id in ("concl-item3", "concl-item4"):
         assert "rhs_square_reading" in rows
-    else:
+    elif entry.policy == ASSERT:
         assert rows["equal"] == "true" and rows["lhs"] == rows["rhs"]
+    else:
+        assert entry.policy == REPORT_ONLY and rows["equal"] in ("true", "false")
+
+
+@pytest.mark.parametrize("entry_id", sorted(i for i, e in SIDES.items() if "seq" not in e.params))
+def test_eval_agrees_with_table(entry_id, capsys):
+    code, out, _ = run_cli(
+        ["table", "--id", entry_id, "--n-max", "3", "--seed", "42", "--format", "json", "--limit", "1"], capsys
+    )
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["equal"] != "skipped"
+    argv = ["eval", "--id", entry_id]
+    for name in SIDES[entry_id].params:
+        argv += ["--param", f"{name}={row[name]}"]
+    rows = _eval_rows(argv, capsys)
+    assert (rows["lhs"], rows["rhs"]) == (row["lhs"], row["rhs"])
+
+
+@pytest.mark.parametrize(
+    "eval_id", sorted([i for i, e in SIDES.items() if "seq" in e.params] + ["lemma2.1", "thm2.3"])
+)
+def test_eval_seq_ids_match_sides(eval_id, capsys):
+    argv = ["eval", "--id", eval_id]
+    for param in _grid_point(eval_id, n=4, p=2, alpha=Fraction(2, 3), **{"lambda": Fraction(1, 2)}):
+        argv += ["--param", param]
+    rows = _eval_rows(argv, capsys)
+    entry = SIDES[ALIASES.get(eval_id, eval_id)]
+    point = {**GRID[entry.id].cells[0], "n": 4, "p": 2, "alpha": Fraction(2, 3), "lambda": Fraction(1, 2)}
+    point["seq"] = tuple(materialize(parse_seq_spec("lucas"), 4))
+    assert (rows["lhs"], rows["rhs"]) == (str(entry.lhs(point)), str(entry.rhs(point)))
+
+
+def test_eval_reading_rows_come_from_sibling_entries(capsys):
+    rows = _eval_rows(["eval", "--id", "as-newcoffey1", "--param", "n=5", "--param", "p=3"], capsys)
+    assert rows["rhs_as_printed"] == str(SIDES["as-newcoffey1-as-printed"].rhs({"n": 5, "p": 3}))
+    rows = _eval_rows(["eval", "--id", "concl-item4", "--param", "n=5", "--param", "alpha=2"], capsys)
+    assert rows["rhs_square_reading"] == str(SIDES["concl-item4-square"].rhs({"n": 5, "alpha": Fraction(2)}))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_eval_small_n_never_raises(n, capsys):
+    # a point off every grid may leave an identity's domain: exit 2, never a traceback
+    for eval_id in EVAL_IDS:
+        argv = ["eval", "--id", eval_id]
+        for param in _grid_point(eval_id, n=n):
+            argv += ["--param", param]
+        code, out, err = run_cli(argv, capsys)
+        assert code in (0, 2), (eval_id, err)
+        assert (code == 0) == bool(out) and (code == 2) == err.startswith("error:")
+
+
+def test_eval_alpha_off_every_grid(capsys):
+    for eval_id in EVAL_IDS:
+        entry = SIDES[ALIASES.get(eval_id, eval_id)]
+        if "alpha" not in entry.params:
+            continue
+        argv = ["eval", "--id", eval_id]
+        for param in _grid_point(eval_id, n=4, p=2, alpha=Fraction(-13, 17)):
+            argv += ["--param", param]
+        rows = _eval_rows(argv, capsys)
+        assert rows["equal"] == "true" or entry.policy == REPORT_ONLY, eval_id
 
 
 @pytest.mark.parametrize(

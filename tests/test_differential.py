@@ -16,7 +16,9 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ghn.exact import binom_rat  # noqa: E402
-from ghn.sequences import bernoulli, harmonic_p, stirling2  # noqa: E402
+from ghn.polyseries import PolyQ, TruncSeries  # noqa: E402
+from ghn.sequences import SeqSpec, bernoulli, harmonic_p, parse_seq_spec, seq_spec_text, stirling2  # noqa: E402
+from ghn.transforms import binomial_transform, inverse_binomial_transform  # noqa: E402
 from ghn.verifier import binomial_oracle, harmonic_genfunc_first_diff, pan_lemma_series  # noqa: E402
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -79,3 +81,95 @@ def test_bernoulli_matches_sympy():
         if n == 1:
             expected = -expected  # sympy >= 1.12 takes B_1 = +1/2; ghn takes -1/2
         assert bernoulli(n) == expected
+
+
+# --- ring laws, series inverses and round trips --------------------------------
+
+polys = st.lists(rats, max_size=6).map(PolyQ)
+ORDER = 7
+series = st.lists(rats, min_size=ORDER + 1, max_size=ORDER + 1).map(lambda cs: TruncSeries(cs, ORDER))
+# a series with zero constant term, the argument of compose
+inner_series = series.map(lambda s: TruncSeries([0, *s.coeffs[1:]], ORDER))
+
+
+@SETTINGS
+@given(p=polys, q=polys, r=polys)
+def test_polyq_ring_laws(p, q, r):
+    zero, one = PolyQ(), PolyQ([1])
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r) and (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p and p - p == zero
+    assert (p * q)(Fraction(3, 7)) == p(Fraction(3, 7)) * q(Fraction(3, 7))
+
+
+@SETTINGS
+@given(f=series, g=series, h=series)
+def test_truncseries_ring_laws(f, g, h):
+    zero, one = TruncSeries.zero(ORDER), TruncSeries.one(ORDER)
+    assert f + g == g + f and f * g == g * f
+    assert (f + g) + h == f + (g + h) and (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert f + zero == f and f * one == f and f - f == zero
+
+
+@SETTINGS
+@given(f=series, g=series)
+def test_recip_inverts_multiplication(f, g):
+    if f.coeffs[0] == 0:
+        return
+    assert f * f.recip() == TruncSeries.one(ORDER)
+    assert (g * f) * f.recip() == g
+
+
+@SETTINGS
+@given(f=series, g=series, h=inner_series)
+def test_compose_is_a_ring_map(f, g, h):
+    assert (f * g).compose(h) == f.compose(h) * g.compose(h)
+    assert (f + g).compose(h) == f.compose(h) + g.compose(h)
+    assert f.compose(TruncSeries([0, 1], ORDER)) == f
+    assert (h * h).compose(TruncSeries([0, 1], ORDER)) == h * h
+
+
+@SETTINGS
+@given(a=st.lists(rats, min_size=1, max_size=12))
+def test_binomial_transform_round_trips(a):
+    assert inverse_binomial_transform(binomial_transform(a)) == a
+    assert binomial_transform(inverse_binomial_transform(a)) == a
+
+
+specs = st.one_of(
+    st.builds(
+        lambda p, alpha: SeqSpec("harmonic_p", {"p": Fraction(p), "alpha": alpha}),
+        st.integers(min_value=1, max_value=48),
+        rats,
+    ),
+    st.sampled_from([SeqSpec("skew"), SeqSpec("bernoulli"), SeqSpec("fibonacci"), SeqSpec("lucas")]),
+    st.builds(
+        lambda kind, doubled: SeqSpec(kind, {"doubled": Fraction(doubled)}),
+        st.sampled_from(["fibonacci", "lucas"]),
+        st.booleans(),
+    ),
+    st.builds(lambda x: SeqSpec("laguerre", {"x": x}), rats),
+    st.builds(lambda p: SeqSpec("stirling_row", {"p": Fraction(p)}), st.integers(min_value=0, max_value=180)),
+    st.builds(lambda base: SeqSpec("powers", {"base": base}), rats),
+)
+
+
+@SETTINGS
+@given(spec=specs)
+def test_seq_spec_text_round_trips(spec):
+    assert parse_seq_spec(seq_spec_text(spec)) == spec
+
+
+@SETTINGS
+@given(
+    text=st.one_of(
+        st.builds(lambda p, a: f"harmonic:p={p},alpha={a}", st.integers(min_value=1, max_value=48), rats),
+        st.builds(lambda b: f"powers:base={b}", rats),
+        st.builds(lambda k, d: f"{k}:doubled={d}", st.sampled_from(["fibonacci", "lucas"]), st.sampled_from(["true", "false"])),
+        st.sampled_from(["skew", "bernoulli", "lucas", "fibonacci", "laguerre:x=2/5", "stirling_row:p=4"]),
+    )
+)
+def test_canonical_spec_text_survives_parsing(text):
+    assert seq_spec_text(parse_seq_spec(text)) == text
