@@ -4,7 +4,7 @@ Everything is computed over arbitrary-precision rationals; the verifier
 submodule grades every catalogued identity against brute-force oracles.
 """
 
-from .exact import Rat, binom_int, binom_rat, hockey_stick_sum, rising_factorial
+from .exact import Rat, binom_int, binom_rat, hockey_stick_sum
 from .errors import (
     CompositionDomainError,
     DomainError,
@@ -58,7 +58,6 @@ from .verifier import (
     VerdictReport,
     certify_alpha_identity,
     check_series_lemma,
-    oracle_sum,
     run_entry,
     run_suite,
 )

@@ -16,18 +16,21 @@ Integer arguments are capped so that no input can request unbounded work:
 verify and table take --n-max 1..30, compute takes --n-max 0..180, series
 takes --order 1..180, table takes --limit >= 1, and eval takes its integer
 parameters (n, p, j, k) in 0..48.  Sequence specs cap their own p
-(sequences.SeqSpec): harmonic 1..48, stirling_row 0..180.
+(sequences.SeqSpec): harmonic 1..48, stirling_row 0..180.  Every rational,
+an eval or series --param or a spec value, is read by exact.parse_rat, which
+rejects a numerator or denominator of more than 100 digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
-from fractions import Fraction
 
 from .errors import DomainError, OutOfValidityRangeError, SeqSpecError
+from .exact import parse_rat
 from .registry import build_registry, declare
 from .sequences import harmonic_table, materialize, parse_seq_spec
 from .verifier import harmonic_genfunc_first_diff, run_entry, run_suite, series_lemma_first_diff
@@ -109,7 +112,7 @@ def _cast_params(raw: dict[str, str], names: list[str]) -> dict:
             elif name in _SPEC_PARAMS:
                 out[name] = parse_seq_spec(value)
             else:
-                out[name] = Fraction(value)
+                out[name] = parse_rat(value)
         except (ValueError, ZeroDivisionError, SeqSpecError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"bad value for {name}: {exc}") from exc
     for name in _SPEC_PARAMS.intersection(names):
@@ -232,7 +235,9 @@ def cmd_table(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="ghn", description="exact generalized-harmonic identity toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -240,13 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True, help='e.g. "harmonic:p=1,alpha=1/3"')
     p.add_argument("--n-max", type=_bounded_int(0, TERMS_CAP), default=10)
     p.add_argument("--format", choices=FORMATS, default="text")
-    p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("eval", help="evaluate a closed form at one parameter point")
     p.add_argument("--id", required=True)
     p.add_argument("--param", action="append", default=[], help="name=value (repeatable)")
     p.add_argument("--format", choices=FORMATS, default="text")
-    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("verify", help="run the identity registry and report tiers")
     p.add_argument("--filter", default="*", help="fnmatch pattern on entry ids")
@@ -254,13 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--format", choices=("json", "md"), default="json")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("series", help="coefficient-exact series checks")
     p.add_argument("--check", choices=("pan-lemma", "genfunc-alpha", "genfunc-skew"), required=True)
     p.add_argument("--order", type=_bounded_int(1, TERMS_CAP), default=40)
     p.add_argument("--param", action="append", default=[])
-    p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("table", help="per-cell table for one registry entry")
     p.add_argument("--id", required=True)
@@ -268,15 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--limit", type=_bounded_int(1), default=None)
     p.add_argument("--format", choices=FORMATS, default="markdown")
-    p.set_defaults(fn=cmd_table)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up at call time, so a rebound cmd_* function is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (UsageError, SeqSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

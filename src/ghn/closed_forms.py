@@ -6,6 +6,17 @@ direct-summation oracles is established solely by the verifier, which is what
 lets demonstrably typo'd source formulas be evaluated as printed and reported
 honestly.  Ratio sums always start at k = 1 (the k = 0 term carries a 1/k
 factor), and 0^0 = 1 throughout.
+
+Derivation map: a closed form that the paper derives from another result is
+that result evaluated, not a copy of it.
+  boyadzhiev_ratio_closed (Thm 2.3)  lemma21_rhs at the transform of (0, a_1, ..., a_n)
+  thm33_rhs (Thm 3.3)                gould_generalized_rhs(n, n-m, 1-alpha) per d_m
+  as_np_closed (newcoffey)           sanchez_transform of pan_closed_form(m, z, 1, alpha)
+  pan_closed_form, mu + lam = 0      lam^n idi1_rhs(n, alpha)
+Printed displays keep their own form, so the ledger grades the display itself:
+lemma21_rhs_ones, lambda1_case_rhs, second_case_ones_rhs, as_p1_closed,
+as_zneg1_alpha1_closed; spivey_rhs, frontczak_rhs and skew_transform_rhs are
+Pan's theorem at fixed arguments but also answer n = 0, where Pan raises.
 """
 
 from __future__ import annotations
@@ -83,20 +94,8 @@ def lemma21_rhs_ones(n: int, lam: RatLike, as_printed: bool = False) -> Fraction
 
 
 def boyadzhiev_ratio_closed(a: Sequence[RatLike], n: int, lam: RatLike) -> Fraction:
-    """Closed form of sum_{k=1..n} C(n,k) a_k/(k+lam), through the transform b of a."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lam = check_lambda_domain(lam, n)
-    b = binomial_transform([Fraction(v) for v in a[: n + 1]])
-    if lam == 0:
-        return sum(b[m] / m for m in range(1, n + 1)) - b[0] * harmonic(n)
-    big = binom_rat(lam + n, n)
-    total = Fraction(0)
-    c = Fraction(1)
-    for m in range(1, n + 1):
-        c = c * (lam - 1 + m) / m
-        total += c * b[m]
-    return (total - b[0] * (big - 1)) / (lam * big)
+    """Closed form of sum_{k=1..n} C(n,k) a_k/(k+lam); a_0 never enters it."""
+    return lemma21_rhs(binomial_transform([0, *a[1 : n + 1]]), n, lam)
 
 
 def lambda1_case_rhs(a: Sequence[RatLike], n: int) -> Fraction:
@@ -152,30 +151,25 @@ def gould_generalized_lhs(n: int, j: int, a: RatLike) -> Fraction:
 
 
 def gould_generalized_rhs(n: int, j: int, a: RatLike) -> Fraction:
-    """sum_{t=1..n} C(t,j) (-a)^j (1-a)^(t-j) / t, skipping vanishing binomials."""
+    """(-a)^j sum_{t=max(j,1)..n} C(t,j) (1-a)^(t-j) / t."""
     if n < 1 or j < 0:
         raise ValueError("requires n >= 1 and j >= 0")
     a = Fraction(a)
-    total = Fraction(0)
-    for t in range(1, n + 1):
-        c = binom_int(t, j)
-        if c:
-            total += c * (-a) ** j * (1 - a) ** (t - j) / t
-    return total
+    return (-a) ** j * sum(binom_int(t, j) * (1 - a) ** (t - j) / t for t in range(max(j, 1), n + 1))
 
 
 def pan_closed_form(n: int, mu: RatLike, lam: RatLike, alpha: RatLike) -> Fraction:
     """Closed form of sum_k C(n,k) mu^k lam^(n-k) H_k(alpha).
 
     (mu+lam)^n (H_n((lam+mu*alpha)/(mu+lam)) - H_n(lam/(mu+lam))), or
-    lam^n ((1-alpha)^n - 1)/n when mu + lam = 0.
+    lam^n idi1_rhs(n, alpha) when mu + lam = 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     mu, lam, alpha = Fraction(mu), Fraction(lam), Fraction(alpha)
     s = mu + lam
     if s == 0:
-        return lam**n * ((1 - alpha) ** n - 1) / n
+        return lam**n * idi1_rhs(n, alpha)
     return s**n * (harmonic_p(n, 1, (lam + mu * alpha) / s) - harmonic_p(n, 1, lam / s))
 
 
@@ -207,8 +201,7 @@ def thm33_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
 
     Uses d = inverse binomial transform of c:
       (-1)^n d_n H_n(alpha) - sum_{m<n} d_m (-1)^m/(n-m)
-      + [alpha != 1] sum_{m<n} d_m (-1)^m (1-alpha)^(n-m)
-                     sum_{t=n-m..n} C(t, n-m) alpha^(t-(n-m)) / t.
+      + [alpha != 1] (-1)^n sum_{m<n} d_m gould_generalized_rhs(n, n-m, 1-alpha).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -217,18 +210,8 @@ def thm33_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
     total = (-1) ** n * d[n] * harmonic_p(n, 1, alpha)
     for m in range(n):
         total -= d[m] * Fraction((-1) ** m, n - m)
-    if alpha != 1:
-        one_minus = 1 - alpha
-        for m in range(n):
-            if d[m] == 0:
-                continue
-            r = n - m
-            inner = Fraction(0)
-            for t in range(r, n + 1):
-                ct = binom_int(t, r)
-                if ct:
-                    inner += ct * alpha ** (t - r) / t
-            total += d[m] * (-1) ** m * one_minus**r * inner
+        if alpha != 1 and d[m]:
+            total += (-1) ** n * d[m] * gould_generalized_rhs(n, n - m, 1 - alpha)
     return total
 
 
@@ -252,23 +235,15 @@ def thm33_nabla_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
 def as_np_closed(n: int, p: int, z: RatLike, alpha: RatLike) -> Fraction:
     """Closed form of sum_j C(n,j) j^p H_j(alpha) z^j, valid for 1 <= p <= n.
 
-    Feeds the z-branch transform values b_m to sanchez_transform;
-    at z = -1 the b_m come from the alternating transform (b_0 = 0 exactly,
-    so the l = n corner raises no 0/0).
+    Feeds Pan's values b_m = pan_closed_form(m, z, 1, alpha) to sanchez_transform;
+    at z = -1 they come from Pan's mu + lam = 0 branch, and b_0 = 0 exactly, so
+    the l = n corner raises no 0/0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if p < 1 or p > n:
         raise OutOfValidityRangeError(f"closed form needs 1 <= p <= n, got p={p}, n={n}")
-    z, alpha = Fraction(z), Fraction(alpha)
-    if z == -1:
-        bvals = [Fraction(0)] + [idi1_rhs(m, alpha) for m in range(1, n + 1)]
-    else:
-        zp = 1 + z
-        bvals = [
-            zp**m * (harmonic_p(m, 1, (1 + alpha * z) / zp) - harmonic_p(m, 1, 1 / zp))
-            for m in range(n + 1)
-        ]
+    bvals = [Fraction(0)] + [pan_closed_form(m, z, 1, alpha) for m in range(1, n + 1)]
     return sanchez_transform(bvals, n, p)
 
 

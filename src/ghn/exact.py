@@ -9,11 +9,34 @@ and print the same way, so they double as the wire format.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 Rat = Fraction
 
 RatLike = Fraction | int
+
+# Longest numerator or denominator a rational read from text may have, so
+# that no input value can request unbounded work.
+RAT_DIGITS = 100
+_RAT_BOUND = 10**RAT_DIGITS
+_EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*$", re.IGNORECASE)
+
+
+def parse_rat(text: str) -> Fraction:
+    """Fraction(text), rejecting a numerator or denominator of more than RAT_DIGITS digits.
+
+    Fraction expands an exponent ("1e999999999") before any check, so the
+    exponent is bounded first.  Raises ValueError (or ZeroDivisionError for a
+    zero denominator) like Fraction itself.
+    """
+    exp = _EXPONENT.search(text)
+    if exp and abs(int(exp.group(1))) > RAT_DIGITS + len(text):
+        raise ValueError(f"exponent of {text!r} is out of range: values may have at most {RAT_DIGITS} digits")
+    value = Fraction(text)
+    if abs(value.numerator) >= _RAT_BOUND or value.denominator >= _RAT_BOUND:
+        raise ValueError(f"{text!r} is out of range: numerator and denominator may have at most {RAT_DIGITS} digits")
+    return value
 
 
 def binom_int(n: int, k: int) -> int:
@@ -34,17 +57,6 @@ def binom_rat(x: RatLike, k: int) -> Fraction:
     for i in range(k):
         num *= x - i
     return num / math.factorial(k)
-
-
-def rising_factorial(x: RatLike, n: int) -> Fraction:
-    """x(x+1)...(x+n-1); the empty product 1 for n = 0."""
-    if n < 0:
-        raise ValueError("rising_factorial requires n >= 0")
-    x = Fraction(x)
-    out = Fraction(1)
-    for i in range(n):
-        out *= x + i
-    return out
 
 
 def hockey_stick_sum(x: RatLike, n: int) -> Fraction:

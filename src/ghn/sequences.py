@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import SeqSpecError
-from .exact import RatLike, binom_int
+from .exact import RatLike, binom_int, parse_rat
 
 
 def harmonic_table(n_max: int, p: int, alpha: RatLike) -> list[Fraction]:
@@ -190,9 +190,9 @@ def parse_seq_spec(text: str) -> SeqSpec:
                 params[key] = Fraction(1 if value == "true" else 0)
             else:
                 try:
-                    params[key] = Fraction(value)
+                    params[key] = parse_rat(value)
                 except (ValueError, ZeroDivisionError) as exc:
-                    raise SeqSpecError(f"bad rational {value!r} for {key}") from exc
+                    raise SeqSpecError(f"bad rational {value!r} for {key}: {exc}") from exc
     return SeqSpec(kind, params)
 
 

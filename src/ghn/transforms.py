@@ -26,14 +26,9 @@ def binomial_transform(a: Sequence[RatLike]) -> list:
 
 
 def inverse_binomial_transform(b: Sequence[RatLike]) -> list:
-    """a_n = sum_{k=0..n} C(n, k) (-1)^(n-k) b_k; inverts binomial_transform."""
-    b = list(b)
-    if not b:
-        raise ValueError("empty sequence")
-    return [
-        sum(binom_int(n, k) * (-1) ** (n - k) * b[k] for k in range(n + 1))
-        for n in range(len(b))
-    ]
+    """a_n = sum_{k=0..n} C(n, k) (-1)^(n-k) b_k, as (-1)^n times the transform of (-1)^k b_k."""
+    flipped = binomial_transform([-v if k % 2 else v for k, v in enumerate(b)])
+    return [-v if n % 2 else v for n, v in enumerate(flipped)]
 
 
 def _stirling_inner(n: int, l: int, p: int) -> int:

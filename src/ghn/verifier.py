@@ -144,16 +144,6 @@ def rand_rat(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-50, 50), rng.randint(1, 50))
 
 
-def oracle_sum(term: Callable[[int], Fraction], k_lo: int, k_hi: int) -> Fraction:
-    """Exact sum_{k=k_lo..k_hi} term(k); the empty range gives 0."""
-    if k_hi < k_lo - 1:
-        raise ValueError("invalid summation range")
-    total = Fraction(0)
-    for k in range(k_lo, k_hi + 1):
-        total += term(k)
-    return total
-
-
 def binomial_oracle(n: int, w: Sequence[RatLike], mu: RatLike = 1, lam: RatLike = 1) -> Fraction:
     """Exact sum_{k=0..n} C(n,k) mu^k lam^(n-k) w[k], summed term by term.
 

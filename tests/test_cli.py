@@ -250,6 +250,34 @@ def test_out_of_range_integers_exit_2(argv, capsys):
     assert "error:" in err and ("out of range" in err or "expected an integer" in err)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--id", "gen-harmonic-relation", "--param", "n=1", "--param", "alpha=1e5000"],
+        ["compute", "--seq", "powers:base=1e5000"],
+        ["compute", "--seq", "laguerre:x=1/" + "7" * 101],
+        ["series", "--check", "genfunc-alpha", "--param", "alpha=" + "3" * 101],
+    ],
+)
+def test_oversized_rationals_exit_2(argv, capsys):
+    # a numerator or denominator of more than 100 digits is a usage error
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "at most 100 digits" in err
+
+
+def test_successive_calls_share_no_parsed_values(capsys):
+    # the parser is built once per process; each call still parses afresh
+    first = ["eval", "--id", "pan-thm3.2", "--param", "n=2", "--param", "mu=1", "--param", "lambda=1",
+             "--param", "alpha=1/2"]
+    code, out, err = run_cli(first, capsys)
+    assert code == 0, err
+    code, again, err = run_cli(["eval", "--id", "idi1-alternating", "--param", "n=3", "--param", "alpha=1/3"], capsys)
+    assert code == 0, err
+    assert "equal  true" in again
+    assert run_cli(first, capsys) == (0, out, "")
+
+
 def test_eval_unknown_id_lists_known(capsys):
     code, _, err = run_cli(["eval", "--id", "bogus"], capsys)
     assert code == 2

@@ -5,6 +5,7 @@ missing, and the ghn runtime never imports them.  Examples are derandomized
 so that a run is reproducible.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,24 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from ghn import closed_forms, transforms  # noqa: E402
+from ghn.closed_forms import (  # noqa: E402
+    as_np_closed,
+    boyadzhiev_ratio_closed,
+    gould_generalized_lhs,
+    gould_generalized_rhs,
+    pan_closed_form,
+    thm33_rhs,
+)
+from ghn.errors import DomainError  # noqa: E402
 from ghn.exact import binom_rat  # noqa: E402
 from ghn.polyseries import PolyQ, TruncSeries  # noqa: E402
 from ghn.sequences import SeqSpec, bernoulli, harmonic_p, parse_seq_spec, seq_spec_text, stirling2  # noqa: E402
 from ghn.transforms import binomial_transform, inverse_binomial_transform  # noqa: E402
 from ghn.verifier import binomial_oracle, harmonic_genfunc_first_diff, pan_lemma_series  # noqa: E402
 
-SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+# one failure per property, so a mutation test can expect a plain AssertionError
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None, report_multiple_bugs=False)
 rats = st.fractions(min_value=-4, max_value=4, max_denominator=9)
 
 
@@ -173,3 +185,93 @@ def test_seq_spec_text_round_trips(spec):
 )
 def test_canonical_spec_text_survives_parsing(text):
     assert seq_spec_text(parse_seq_spec(text)) == text
+
+
+# --- closed forms evaluated through the results they derive from ---------------
+# Each rewritten closed form against a direct sum; the harmonic weights are
+# summed term by term here, not by the sequences kernel the closed forms use.
+
+lams = st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), rats)
+alphas = st.one_of(st.just(Fraction(1)), rats)
+zs = st.one_of(st.just(Fraction(-1)), rats)
+seqs = st.lists(rats, min_size=9, max_size=9)
+
+
+def _h(k: int, alpha: Fraction) -> Fraction:
+    return sum((alpha**j / j for j in range(1, k + 1)), Fraction(0))
+
+
+@SETTINGS
+@given(n=st.integers(min_value=1, max_value=8), lam=lams, a=seqs)
+def test_boyadzhiev_ratio_closed_matches_direct_sum(n, lam, a):
+    if lam.denominator == 1 and -n <= lam <= -1:
+        with pytest.raises(DomainError):
+            boyadzhiev_ratio_closed(a, n, lam)
+        return
+    direct = binomial_oracle(n, [0] + [a[k] / (k + lam) for k in range(1, n + 1)])
+    assert boyadzhiev_ratio_closed(a, n, lam) == direct
+
+
+@SETTINGS
+@given(n=st.integers(min_value=1, max_value=8), lam=lams, a=seqs, a0=rats)
+def test_boyadzhiev_ratio_closed_ignores_a0(n, lam, a, a0):
+    if lam.denominator == 1 and -n <= lam <= -1:
+        return
+    assert boyadzhiev_ratio_closed([a0, *a[1:]], n, lam) == boyadzhiev_ratio_closed(a, n, lam)
+
+
+@SETTINGS
+@given(n=st.integers(min_value=1, max_value=8), alpha=alphas, c=seqs)
+def test_thm33_rhs_matches_direct_sum(n, alpha, c):
+    assert thm33_rhs(c, n, alpha) == binomial_oracle(n, [_h(k, alpha) * c[k] for k in range(n + 1)], mu=-1)
+
+
+@SETTINGS
+@given(n=st.integers(min_value=1, max_value=8), j=st.integers(min_value=0, max_value=9), a=rats)
+def test_gould_generalized_rhs_matches_direct_sum(n, j, a):
+    # at j = 0 the printed display drops a -H_n correction
+    gap = _h(n, Fraction(1)) if j == 0 else 0
+    assert gould_generalized_rhs(n, j, a) == gould_generalized_lhs(n, j, a) + gap
+
+
+@SETTINGS
+@given(n=st.integers(min_value=1, max_value=8), mu=rats, lam=rats, alpha=alphas, opposite=st.booleans())
+def test_pan_closed_form_matches_direct_sum(n, mu, lam, alpha, opposite):
+    if opposite:  # the mu + lam = 0 branch
+        lam = -mu
+    direct = binomial_oracle(n, [_h(k, alpha) for k in range(n + 1)], mu, lam)
+    assert pan_closed_form(n, mu, lam, alpha) == direct
+
+
+@SETTINGS
+@given(n=st.integers(min_value=1, max_value=7), p=st.integers(min_value=0, max_value=6), z=zs, alpha=alphas)
+def test_as_np_closed_matches_direct_sum(n, p, z, alpha):
+    p = 1 + p % n  # the closed form holds for 1 <= p <= n
+    direct = binomial_oracle(n, [j**p * _h(j, alpha) for j in range(n + 1)], mu=z)
+    assert as_np_closed(n, p, z, alpha) == direct
+
+
+@SETTINGS
+@given(b=st.lists(rats, min_size=1, max_size=12))
+def test_inverse_binomial_transform_matches_direct_sum(b):
+    direct = [sum(math.comb(n, k) * (-1) ** (n - k) * b[k] for k in range(n + 1)) for n in range(len(b))]
+    assert inverse_binomial_transform(b) == direct
+
+
+def test_mutated_gould_sum_fails_thm33(monkeypatch):
+    real = closed_forms.gould_generalized_rhs
+    monkeypatch.setattr(closed_forms, "gould_generalized_rhs", lambda n, j, a: real(n, j + 1, a))
+    # the property's own body at one point (a full run spends seconds shrinking)
+    with pytest.raises(AssertionError):
+        test_thm33_rhs_matches_direct_sum.hypothesis.inner_test(3, Fraction(1, 3), [Fraction(k) for k in range(9)])
+
+
+def test_mutated_transform_fails_round_trip(monkeypatch):
+    # off by one in the binomial row; the inverse calls the same kernel
+    def mutated(a):
+        return [sum(math.comb(n + 1, k) * a[k] for k in range(n + 1)) for n in range(len(a))]
+
+    monkeypatch.setattr(transforms, "binomial_transform", mutated)
+    monkeypatch.setitem(globals(), "binomial_transform", mutated)
+    with pytest.raises(AssertionError):
+        test_binomial_transform_round_trips()

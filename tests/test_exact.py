@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ghn.exact import Rat, binom_int, binom_rat, hockey_stick_sum, rising_factorial
+from ghn.exact import RAT_DIGITS, Rat, binom_int, binom_rat, hockey_stick_sum, parse_rat
 
 
 def test_binom_int_small_values():
@@ -26,11 +26,17 @@ def test_binom_rat_examples():
     assert binom_rat(Fraction(1, 2), -2) == 0
 
 
-def test_rising_factorial_examples():
-    assert rising_factorial(Fraction(1, 2), 3) == Fraction(15, 8)
-    assert rising_factorial(Fraction(9, 4), 0) == 1
-    for n in range(8):
-        assert rising_factorial(1, n) == math.factorial(n)
+def test_parse_rat_caps_digits():
+    assert parse_rat(" -3/7 ") == Fraction(-3, 7)
+    assert parse_rat("1.5e-98") == Fraction(3, 2 * 10**98)
+    assert parse_rat("9" * RAT_DIGITS) == 10**RAT_DIGITS - 1
+    for text in ["9" * (RAT_DIGITS + 1), "1/" + "3" * (RAT_DIGITS + 1), "1e100", "1e-100"]:
+        with pytest.raises(ValueError):
+            parse_rat(text)
+    # the exponent is bounded before Fraction expands it, whatever the mantissa
+    for text in ["1e999999999", "0e999999999", "2.5E-999999999"]:
+        with pytest.raises(ValueError, match="exponent"):
+            parse_rat(text)
 
 
 def test_hockey_stick_examples():

@@ -1,8 +1,6 @@
 import json
 from fractions import Fraction
 
-import pytest
-
 from ghn.errors import DomainError
 from ghn.polyseries import PolyQ
 from ghn.registry import (
@@ -21,7 +19,6 @@ from ghn.verifier import (
     certify_alpha_identity,
     check_series_lemma,
     harmonic_genfunc_first_diff,
-    oracle_sum,
     rand_rat,
     run_entry,
     run_suite,
@@ -29,15 +26,6 @@ from ghn.verifier import (
 )
 
 
-def test_oracle_sum_examples():
-    assert oracle_sum(lambda k: Fraction(1, k), 1, 3) == Fraction(11, 6)
-    assert oracle_sum(lambda k: Fraction(1), 5, 4) == 0
-    from ghn.exact import binom_int
-
-    term = lambda k: Fraction(binom_int(2, k) * (-1) ** k) / (k + Fraction(1, 2))
-    assert oracle_sum(term, 0, 2) == Fraction(16, 15)
-    with pytest.raises(ValueError):
-        oracle_sum(term, 3, 1)
 
 
 def test_binomial_oracle_examples():
