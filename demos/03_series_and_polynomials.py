@@ -6,18 +6,20 @@ order; identities polynomial in alpha are proved exactly for each n by
 comparing coefficient vectors.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 from ghn import (
     TruncSeries,
-    check_series_lemma,
     certify_alpha_identity,
     geometric,
     harmonic_p,
     harmonic_poly,
     log_one_minus,
+    run_entry,
 )
 from ghn.registry import (
+    declare,
     gen_harmonic_poly_lhs,
     gen_harmonic_poly_rhs,
     idi1_poly_lhs,
@@ -41,10 +43,13 @@ g = TruncSeries([0, 1, 1], 6)
 print("(t+t^2)^2 via composition =", f.compose(g))
 
 # The composition identity behind the grid-product transform:
-#   f(mu*t/(1-lam*t)) / (1-lam*t) has coefficients sum C(n,k) mu^k lam^(n-k) a_k.
-a = [-harmonic_p(k, 1, Fraction(2, 5)) for k in range(41)]
-ok = check_series_lemma(40, Fraction(2, 3), Fraction(5, 7), a)
-print("\ncomposition identity exact through order 40:", ok)
+#   f(mu*t/(1-lam*t)) / (1-lam*t) has coefficients sum C(n,k) mu^k lam^(n-k) a_k,
+# here with a_k = -H_k(2/5).  `ghn series --check pan-lemma` runs this registry
+# entry at n = 0..order, as below.
+entry = next(e for e in declare(40) if e.id == "panequa1-series")
+point = {"lambda": Fraction(2, 3), "mu": Fraction(5, 7), "alpha": Fraction(2, 5)}
+result = run_entry(replace(entry, cells=[{**point, "n": n} for n in range(41)]))
+print("\ncomposition identity through order 40:", result.tier, f"({result.cells} coefficients)")
 
 # Polynomial certification: both sides of an alpha-identity are polynomials
 # of degree n, so coefficient equality is a proof for that n.

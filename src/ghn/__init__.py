@@ -57,7 +57,6 @@ from .verifier import (
     IdentityEntry,
     VerdictReport,
     certify_alpha_identity,
-    check_series_lemma,
     run_entry,
     run_suite,
 )

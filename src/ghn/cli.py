@@ -8,6 +8,9 @@ one registry entry).  All rationals cross this boundary as "p/q" strings.
 eval builds no grid: it takes the entry's sides from registry.declare, casts
 each --param by the entry's params (integers n, p, j, k; sequence specs for
 seq, b, c; rationals otherwise) and calls rhs, then lhs, at that point.
+series does the same for the entry its --check names (SERIES_CHECKS), then
+runs that entry through verifier.run_entry at n = 0..order, which stops at
+the first differing coefficient.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 3 report I/O failure.
@@ -28,12 +31,13 @@ import csv
 import functools
 import json
 import sys
+from dataclasses import replace
 
 from .errors import DomainError, OutOfValidityRangeError, SeqSpecError
 from .exact import parse_rat
 from .registry import build_registry, declare
-from .sequences import harmonic_table, materialize, parse_seq_spec
-from .verifier import harmonic_genfunc_first_diff, run_entry, run_suite, series_lemma_first_diff
+from .sequences import materialize, parse_seq_spec
+from .verifier import run_entry, run_suite
 
 FORMATS = ("text", "json", "csv", "markdown")
 GRID_CAP = 30  # verify/table --n-max
@@ -102,7 +106,7 @@ def _cast_params(raw: dict[str, str], names: list[str]) -> dict:
         raise UsageError(f"missing --param {', '.join(missing)}")
     extra = [name for name in raw if name not in names]
     if extra:
-        raise UsageError(f"unknown parameter(s) {', '.join(extra)}; expected {', '.join(names)}")
+        raise UsageError(f"unknown parameter(s) {', '.join(extra)}; expected {', '.join(names) or 'no parameters'}")
     out = {}
     for name in names:
         value = raw[name]
@@ -132,6 +136,9 @@ READINGS = {
     "concl-item3": ("rhs_square_reading", "concl-item3-square"),
     "concl-item4": ("rhs_square_reading", "concl-item4-square"),
 }
+
+# series --check name -> the registry entry it runs at n = 0..order
+SERIES_CHECKS = {"pan-lemma": "panequa1-series", "genfunc-alpha": "genfunc-alpha", "genfunc-skew": "genfunc-skew"}
 
 
 def cmd_compute(args) -> int:
@@ -190,26 +197,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_series(args) -> int:
-    params = _parse_params(args.param)
-    order = args.order
-    if args.check == "pan-lemma":
-        cast = _cast_params(params, ["lambda", "mu", "alpha"])
-        a = [-h for h in harmonic_table(order, 1, cast["alpha"])]
-        diff = series_lemma_first_diff(order, cast["lambda"], cast["mu"], a)
-    elif args.check == "genfunc-alpha":
-        cast = _cast_params(params, ["alpha"])
-        diff = harmonic_genfunc_first_diff(order, cast["alpha"])
-    elif args.check == "genfunc-skew":
-        if params:
-            raise UsageError("genfunc-skew takes no parameters")
-        diff = harmonic_genfunc_first_diff(order, -1)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown check {args.check!r}")
-    if diff is None:
-        print(f"PASS: {args.check} coefficient-exact through order {order}")
+    entry = next(e for e in declare(args.order) if e.id == SERIES_CHECKS[args.check])
+    point = _cast_params(_parse_params(args.param), [name for name in entry.params if name != "n"])
+    # run_entry visits n = 0..order in order and stops an ASSERT entry at its first failing cell
+    result = run_entry(replace(entry, cells=[{**point, "n": n} for n in range(args.order + 1)]))
+    if not result.counterexamples:
+        print(f"PASS: {args.check} coefficient-exact through order {args.order}")
         return 0
-    n, lhs, rhs = diff
-    print(f"FAIL: {args.check} first differing coefficient at n={n}: lhs={lhs} rhs={rhs}")
+    first = result.counterexamples[0]
+    print(f"FAIL: {args.check} first differing coefficient at n={first['params']['n']}: "
+          f"lhs={first['lhs']} rhs={first['rhs']}")
     return 1
 
 
@@ -259,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("series", help="coefficient-exact series checks")
-    p.add_argument("--check", choices=("pan-lemma", "genfunc-alpha", "genfunc-skew"), required=True)
+    p.add_argument("--check", choices=SERIES_CHECKS, required=True)
     p.add_argument("--order", type=_bounded_int(1, TERMS_CAP), default=40)
     p.add_argument("--param", action="append", default=[])
 

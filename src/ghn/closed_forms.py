@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, OutOfValidityRangeError
-from .exact import RatLike, binom_int, binom_rat
+from .exact import RatLike, binom_int, binom_rat, check_terms
 from .sequences import harmonic, harmonic_p, harmonic_table, stirling2
 from .transforms import binomial_transform, inverse_binomial_transform, sanchez_transform, weighted_nabla
 
@@ -44,8 +44,7 @@ def lemma21_lhs(b: Sequence[RatLike], n: int, lam: RatLike) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     lam = check_lambda_domain(lam, n)
-    if len(b) < n + 1:
-        raise ValueError("b must provide indices 0..n")
+    check_terms(b, n, "b")
     suffix = [Fraction(1)] * (n + 2)  # suffix[m] = (lam+m)...(lam+n)
     for m in range(n, 0, -1):
         suffix[m] = (lam + m) * suffix[m + 1]
@@ -65,8 +64,7 @@ def lemma21_rhs(b: Sequence[RatLike], n: int, lam: RatLike) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     lam = check_lambda_domain(lam, n)
-    if len(b) < n + 1:
-        raise ValueError("b must provide indices 0..n")
+    check_terms(b, n, "b")
     if lam == 0:
         return sum(Fraction(b[m]) / m for m in range(1, n + 1))
     total = Fraction(0)
@@ -102,6 +100,7 @@ def lambda1_case_rhs(a: Sequence[RatLike], n: int) -> Fraction:
     """lam = 1 simplification: (sum_{m=1..n} b_m - n b_0) / (n+1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_terms(a, n, "a")
     b = binomial_transform([Fraction(v) for v in a[: n + 1]])
     return (sum(b[1:]) - n * b[0]) / (n + 1)
 
@@ -205,6 +204,7 @@ def thm33_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_terms(c, n, "c")
     alpha = Fraction(alpha)
     d = inverse_binomial_transform([Fraction(v) for v in c[: n + 1]])
     total = (-1) ** n * d[n] * harmonic_p(n, 1, alpha)
@@ -222,6 +222,7 @@ def thm33_nabla_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_terms(c, n, "c")
     alpha = Fraction(alpha)
     d = inverse_binomial_transform([Fraction(v) for v in c[: n + 1]])
     b = [Fraction(0)] + [idi1_rhs(j, alpha) for j in range(1, n + 1)]

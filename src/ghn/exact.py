@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from typing import Sequence
 
 Rat = Fraction
 
@@ -37,6 +38,12 @@ def parse_rat(text: str) -> Fraction:
     if abs(value.numerator) >= _RAT_BOUND or value.denominator >= _RAT_BOUND:
         raise ValueError(f"{text!r} is out of range: numerator and denominator may have at most {RAT_DIGITS} digits")
     return value
+
+
+def check_terms(seq: Sequence, n: int, name: str) -> None:
+    """Reject a sequence that lacks any of the terms 0..n (ValueError)."""
+    if len(seq) < n + 1:
+        raise ValueError(f"{name} must provide indices 0..n")
 
 
 def binom_int(n: int, k: int) -> int:

@@ -318,8 +318,6 @@ def _ratio_sides() -> list[IdentityEntry]:
             lhs=lambda c: harmonic_p(int(c["n"]), 1, c["alpha"]),
             rhs=lambda c: generalized_harmonic_relation(int(c["n"]), c["alpha"]),
             certify=lambda nm: certify_alpha_identity(gen_harmonic_poly_lhs, gen_harmonic_poly_rhs, nm),
-            poly_param="alpha",
-            poly_degree=lambda n: n,
         ),
         skew,
         replace(
@@ -365,8 +363,8 @@ def _gould_sides() -> list[IdentityEntry]:
 
 
 def _series_sides(size: int) -> list[IdentityEntry]:
-    # a_k = -H_k(alpha), and the series of Pan's lemma with that f per (L, u, alpha),
-    # built at order 1 at least (its smallest order)
+    # a_k = -H_k(alpha) (Pan's weights and the genfunc right sides), and the series of
+    # Pan's lemma with that f per (L, u, alpha), built at order 1 at least (its smallest order)
     a = _memo(lambda alpha, m: [-h for h in harmonic_table(m, 1, alpha)], size)
     pan = _memo(lambda key, m: pan_lemma_series(max(m, 1), key[0], key[1], a(key[2], m)).coeffs, size)
     genfunc = _memo(lambda alpha, m: harmonic_genfunc(m, alpha).coeffs, size)
@@ -384,21 +382,21 @@ def _series_sides(size: int) -> list[IdentityEntry]:
             anchor="conclusion-1: log(1-a*t)/(1-t) = -sum H_n(a) t^n",
             params=("n", "alpha"),
             lhs=lambda c: genfunc(c["alpha"], int(c["n"]))[int(c["n"])],
-            rhs=lambda c: -harmonic_p(int(c["n"]), 1, c["alpha"]),
+            rhs=lambda c: a(c["alpha"], int(c["n"]))[int(c["n"])],
         ),
         IdentityEntry(
             id="genfunc-harmonic",
             anchor="conclusion-1.1: log(1-t)/(1-t) = -sum H_n t^n",
             params=("n",),
             lhs=lambda c: genfunc(Fraction(1), int(c["n"]))[int(c["n"])],
-            rhs=lambda c: -harmonic(int(c["n"])),
+            rhs=lambda c: a(Fraction(1), int(c["n"]))[int(c["n"])],
         ),
         IdentityEntry(
             id="genfunc-skew",
             anchor="conclusion-1.2: [t^n] log(1+t)/(1-t) = H_n^- = -H_n(-1)",
             params=("n",),
             lhs=lambda c: genfunc(Fraction(-1), int(c["n"]))[int(c["n"])],
-            rhs=lambda c: skew_harmonic(int(c["n"])),
+            rhs=lambda c: a(Fraction(-1), int(c["n"]))[int(c["n"])],
             note="the printed -H notation matches only under the H_n(-1) reading",
         ),
     ]
@@ -422,8 +420,6 @@ def _pan_sides(ht) -> list[IdentityEntry]:
             lhs=lambda c: binomial_oracle(int(c["n"]), ht(c["alpha"], int(c["n"])), mu=-1),
             rhs=lambda c: idi1_rhs(int(c["n"]), c["alpha"]),
             certify=lambda nm: certify_alpha_identity(idi1_poly_lhs, idi1_poly_rhs, nm),
-            poly_param="alpha",
-            poly_degree=lambda n: n,
         ),
         IdentityEntry(
             id="skew-transform",

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import OutOfValidityRangeError
-from .exact import RatLike, binom_int
+from .exact import RatLike, binom_int, check_terms
 from .sequences import stirling2
 
 
@@ -94,8 +94,7 @@ def sanchez_transform(b: Sequence[RatLike], n: int, p: int) -> Fraction:
         raise ValueError("p must be >= 0")
     if p > n:
         raise OutOfValidityRangeError(f"weighted transform needs p <= n, got p={p}, n={n}")
-    if len(b) < n + 1:
-        raise ValueError("b must provide indices 0..n")
+    check_terms(b, n, "b")
     total = Fraction(0)
     for l in range(p + 1):
         outer = binom_int(n, l)
@@ -109,8 +108,7 @@ def weighted_nabla(b: Sequence[RatLike], n: int, m: int) -> Fraction:
     """sum_{j=0..n} C(n,j) C(j,n-m) (-1)^(n-j) b_j  (the C(n,m)-weighted nabla^m)."""
     if not 0 <= m <= n:
         raise ValueError("requires 0 <= m <= n")
-    if len(b) < n + 1:
-        raise ValueError("b must provide indices 0..n")
+    check_terms(b, n, "b")
     total = Fraction(0)
     for j in range(n + 1):
         c = binom_int(n, j) * binom_int(j, n - m)

@@ -29,7 +29,6 @@ from typing import Callable, Sequence
 from .errors import DomainError, OutOfValidityRangeError
 from .exact import RatLike, binom_int
 from .polyseries import PolyQ, TruncSeries, geometric, log_one_minus
-from .sequences import harmonic_table
 
 ASSERT = "ASSERT"
 REPORT_ONLY = "REPORT_ONLY"
@@ -48,6 +47,9 @@ class IdentityEntry:
     ``lhs`` and ``rhs`` map a point (a dict holding at least the names in
     ``params``) to an exact value; ``cells`` are the grid points that
     run_entry visits, and may carry display-only names besides ``params``.
+    An entry with ``certify`` has sides that are, for each n, polynomials of
+    degree <= n in alpha; ``certify(n_max)`` compares them coefficient-wise
+    for every n <= n_max.
     """
 
     id: str
@@ -59,8 +61,6 @@ class IdentityEntry:
     policy: str = ASSERT
     note: str = ""
     certify: Callable[[int], bool] | None = None
-    poly_param: str | None = None
-    poly_degree: Callable[[int], int] | None = None
 
 
 @dataclass
@@ -168,16 +168,14 @@ def _sample(cell: Cell, lhs: Fraction, rhs: Fraction) -> dict:
     }
 
 
-def _poly_note(entry: IdentityEntry, cells: list[Cell]) -> str:
-    """Check the degree-counting threshold: >= deg+1 distinct sampled values per n."""
+def _poly_note(cells: list[Cell]) -> str:
+    """Check a certifiable entry's degree-counting threshold: >= n+1 distinct alpha values per n."""
     by_n: dict[int, set] = {}
     for cell in cells:
-        if "n" in cell and entry.poly_param in cell:
-            by_n.setdefault(int(cell["n"]), set()).add(cell[entry.poly_param])
-    if not by_n:
-        return ""
-    if all(len(vals) >= entry.poly_degree(n) + 1 for n, vals in by_n.items()):
-        return f"grid has >= degree+1 distinct {entry.poly_param} values per n: pointwise polynomial proof"
+        if "n" in cell and "alpha" in cell:
+            by_n.setdefault(int(cell["n"]), set()).add(cell["alpha"])
+    if by_n and all(len(vals) >= n + 1 for n, vals in by_n.items()):
+        return "grid has >= degree+1 distinct alpha values per n: pointwise polynomial proof"
     return ""
 
 
@@ -226,10 +224,10 @@ def run_entry(
             tier = FAILS
         else:
             tier = HOLDS_ON_GRID
-            if entry.certify is not None and entry.certify(max(n_max, 30)):
-                tier = CERTIFIED
-            if entry.poly_param is not None and entry.poly_degree is not None:
-                extra = _poly_note(entry, cells)
+            if entry.certify is not None:
+                if entry.certify(max(n_max, 30)):
+                    tier = CERTIFIED
+                extra = _poly_note(cells)
                 if extra:
                     note = f"{note} [{extra}]" if note else extra
     else:
@@ -273,36 +271,6 @@ def pan_lemma_series(order: int, lam: RatLike, mu: RatLike, a: Sequence[RatLike]
 def harmonic_genfunc(order: int, alpha: RatLike) -> TruncSeries:
     """log(1-alpha*t)/(1-t) through t^order; its t^n coefficient is -H_n(alpha)."""
     return log_one_minus(alpha, order) * geometric(1, order)
-
-
-def series_lemma_first_diff(
-    order: int, lam: RatLike, mu: RatLike, a: Sequence[RatLike]
-) -> tuple[int, Fraction, Fraction] | None:
-    """First coefficient where pan_lemma_series departs from the
-    binomial-convolution side sum_k C(n,k) mu^k lam^(n-k) a_k, or None."""
-    lhs = pan_lemma_series(order, lam, mu, a)
-    for n in range(order + 1):
-        rhs = binomial_oracle(n, a, mu, lam)
-        if lhs.coeffs[n] != rhs:
-            return n, lhs.coeffs[n], rhs
-    return None
-
-
-def check_series_lemma(order: int, lam: RatLike, mu: RatLike, a: Sequence[RatLike]) -> bool:
-    """Coefficient-exact check of the composition identity through the order."""
-    return series_lemma_first_diff(order, lam, mu, a) is None
-
-
-def harmonic_genfunc_first_diff(order: int, alpha: RatLike) -> tuple[int, Fraction, Fraction] | None:
-    """First n where [t^n] log(1-alpha*t)/(1-t) differs from -H_n(alpha).
-
-    At alpha = -1 this checks log(1+t)/(1-t) against H_n^- = -H_n(-1).
-    """
-    series = harmonic_genfunc(order, alpha)
-    for n, h in enumerate(harmonic_table(order, 1, alpha)):
-        if series.coeffs[n] != -h:
-            return n, series.coeffs[n], -h
-    return None
 
 
 def run_suite(pattern: str = "*", n_max: int = 20, seed: int = 42, cap: int = 3) -> VerdictReport:

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from ghn.cli import ALIASES, SEQ_NAMES, main
+from ghn.polyseries import TruncSeries
 from ghn.registry import build_registry, declare
-from ghn.sequences import materialize, parse_seq_spec
-from ghn.verifier import ASSERT, REPORT_ONLY, IdentityEntry
+from ghn.sequences import harmonic_table, materialize, parse_seq_spec, skew_harmonic
+from ghn.verifier import ASSERT, REPORT_ONLY, IdentityEntry, binomial_oracle
 
 
 def run_cli(args, capsys):
@@ -325,15 +326,70 @@ def test_series_checks(capsys):
     assert code == 0
 
 
-def test_series_reports_first_differing_coefficient(capsys, monkeypatch):
-    import ghn.cli as cli_mod
+@pytest.mark.parametrize(
+    "check, params",
+    [
+        ("pan-lemma", ["lambda=2/3", "mu=0", "alpha=1/3"]),  # mu = 0 degenerates to a_0 * geometric(lam)
+        ("pan-lemma", ["lambda=0", "mu=5/7", "alpha=1/3"]),  # lam = 0 degenerates to pure scaling
+        ("genfunc-alpha", ["alpha=1"]),
+        ("genfunc-alpha", ["alpha=-2/7"]),
+        ("genfunc-alpha", ["alpha=-1"]),
+        ("genfunc-skew", []),  # log(1+t)/(1-t) = sum H_n^- t^n
+    ],
+    ids=["pan-lemma-mu0", "pan-lemma-lambda0", "alpha1", "alpha-2/7", "alpha-1", "skew"],
+)
+def test_series_check_cases(check, params, capsys):
+    argv = ["series", "--check", check, "--order", "40"]
+    for param in params:
+        argv += ["--param", param]
+    assert run_cli(argv, capsys) == (0, f"PASS: {check} coefficient-exact through order 40\n", "")
 
-    monkeypatch.setattr(
-        cli_mod, "harmonic_genfunc_first_diff", lambda order, alpha: (7, Fraction(1, 2), Fraction(1, 3))
-    )
+
+def test_series_reports_first_differing_coefficient(capsys, monkeypatch):
+    import ghn.registry as registry_mod
+
+    real = registry_mod.harmonic_genfunc
+
+    def faulty(order, alpha):
+        coeffs = list(real(order, alpha).coeffs)
+        coeffs[7] += 1
+        return TruncSeries(coeffs, order)
+
+    monkeypatch.setattr(registry_mod, "harmonic_genfunc", faulty)
     code, out, _ = run_cli(["series", "--check", "genfunc-skew", "--order", "10"], capsys)
     assert code == 1
-    assert "n=7" in out and "1/2" in out and "1/3" in out
+    h7 = skew_harmonic(7)
+    assert out == f"FAIL: genfunc-skew first differing coefficient at n=7: lhs={h7 + 1} rhs={h7}\n"
+
+
+def test_off_by_one_pan_series_fails_at_its_first_n(capsys, monkeypatch):
+    import ghn.registry as registry_mod
+
+    real = registry_mod.pan_lemma_series
+    # drops a_order: only the last coefficient loses its a_order * mu^order term
+    monkeypatch.setattr(registry_mod, "pan_lemma_series", lambda order, lam, mu, a: real(order, lam, mu, a[:order]))
+    argv = ["series", "--check", "pan-lemma", "--order", "10", "--param", "lambda=2/3", "--param", "mu=5/7",
+            "--param", "alpha=1/3"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    a = [-h for h in harmonic_table(10, 1, Fraction(1, 3))]
+    rhs = binomial_oracle(10, a, Fraction(5, 7), Fraction(2, 3))
+    lhs = rhs - Fraction(5, 7) ** 10 * a[10]
+    assert out == f"FAIL: pan-lemma first differing coefficient at n=10: lhs={lhs} rhs={rhs}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--check", "genfunc-skew", "--param", "alpha=1"], "unknown parameter(s) alpha; expected no parameters"),
+        (["--check", "pan-lemma", "--param", "alpha=1"], "missing --param lambda, mu"),
+        (["--check", "genfunc-alpha", "--param", "alpha=x"], "bad value for alpha: "),
+    ],
+)
+def test_series_bad_params_exit_2(argv, message, capsys):
+    code, out, err = run_cli(["series", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
 
 
 def test_verify_writes_report_and_exits_zero(tmp_path, capsys):

@@ -5,6 +5,7 @@ missing, and the ghn runtime never imports them.  Examples are derandomized
 so that a run is reproducible.
 """
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -28,9 +29,17 @@ from ghn.closed_forms import (  # noqa: E402
 from ghn.errors import DomainError  # noqa: E402
 from ghn.exact import binom_rat  # noqa: E402
 from ghn.polyseries import PolyQ, TruncSeries  # noqa: E402
-from ghn.sequences import SeqSpec, bernoulli, harmonic_p, parse_seq_spec, seq_spec_text, stirling2  # noqa: E402
+from ghn.sequences import (  # noqa: E402
+    SeqSpec,
+    bernoulli,
+    harmonic_p,
+    harmonic_table,
+    parse_seq_spec,
+    seq_spec_text,
+    stirling2,
+)
 from ghn.transforms import binomial_transform, inverse_binomial_transform  # noqa: E402
-from ghn.verifier import binomial_oracle, harmonic_genfunc_first_diff, pan_lemma_series  # noqa: E402
+from ghn.verifier import binomial_oracle, harmonic_genfunc, pan_lemma_series  # noqa: E402
 
 # one failure per property, so a mutation test can expect a plain AssertionError
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None, report_multiple_bugs=False)
@@ -62,7 +71,8 @@ def test_pan_lemma_series_matches_binomial_oracle(order, lam, mu, a):
 @SETTINGS
 @given(order=st.integers(min_value=1, max_value=30), alpha=rats)
 def test_harmonic_genfunc_holds(order, alpha):
-    assert harmonic_genfunc_first_diff(order, alpha) is None
+    # [t^n] log(1-alpha*t)/(1-t) = -H_n(alpha); at alpha = -1 that is H_n^-
+    assert list(harmonic_genfunc(order, alpha).coeffs) == [-h for h in harmonic_table(order, 1, alpha)]
 
 
 @SETTINGS
@@ -256,6 +266,37 @@ def test_as_np_closed_matches_direct_sum(n, p, z, alpha):
 def test_inverse_binomial_transform_matches_direct_sum(b):
     direct = [sum(math.comb(n, k) * (-1) ** (n - k) * b[k] for k in range(n + 1)) for n in range(len(b))]
     assert inverse_binomial_transform(b) == direct
+
+
+def _indexed_forms():
+    """Every public function of closed_forms and transforms called as f(seq, n, ...)."""
+    for module in (closed_forms, transforms):
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__ and not name.startswith("_"):
+                params = list(inspect.signature(fn).parameters.values())
+                if len(params) > 1 and params[0].annotation.startswith("Sequence") and params[1].name == "n":
+                    yield fn
+
+
+INDEXED_FORMS = list(_indexed_forms())
+
+
+def test_indexed_forms_are_found():
+    names = {fn.__name__ for fn in INDEXED_FORMS}
+    assert {"lambda1_case_rhs", "thm33_rhs", "thm33_nabla_rhs", "lemma21_lhs", "weighted_nabla"} <= names
+
+
+@SETTINGS
+@given(data=st.data(), n=st.integers(min_value=1, max_value=8), alpha=rats)
+def test_short_sequences_raise_value_error(data, n, alpha):
+    # fewer than the n+1 terms 0..n is a ValueError, never a silent value or an IndexError
+    seq = data.draw(st.lists(rats, max_size=n))
+    rest = {"lam": Fraction(2), "alpha": alpha, "p": 1, "m": 0}
+    for fn in INDEXED_FORMS:
+        params = list(inspect.signature(fn).parameters.values())[2:]
+        args = [rest[p.name] for p in params if p.default is inspect.Parameter.empty]
+        with pytest.raises(ValueError, match="must provide indices 0..n"):
+            fn(seq, n, *args)
 
 
 def test_mutated_gould_sum_fails_thm33(monkeypatch):
