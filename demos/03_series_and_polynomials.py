@@ -35,9 +35,9 @@ print("coefficients of log(1-t/3)/(1-t):")
 print("  ", [str(c) for c in series.coeffs[:7]])
 print("  -H_n(1/3):", [str(-harmonic_p(n, 1, alpha)) for n in range(7)])
 
-# Series arithmetic: reciprocal and composition stay exact.
+# Series arithmetic: products and composition stay exact.
 s = TruncSeries([1, -1], 8)
-print("\n1/(1-t) =", s.recip())
+print("\n(1-t) * 1/(1-t) =", s * geometric(1, 8))
 f = TruncSeries([0, 0, 1], 6)
 g = TruncSeries([0, 1, 1], 6)
 print("(t+t^2)^2 via composition =", f.compose(g))

@@ -8,7 +8,6 @@ from .exact import Rat, binom_int, binom_rat, hockey_stick_sum
 from .errors import (
     CompositionDomainError,
     DomainError,
-    NotAUnitError,
     OutOfValidityRangeError,
     SeqSpecError,
 )

@@ -9,10 +9,6 @@ class OutOfValidityRangeError(ValueError):
     """A power-weighted transform formula was requested outside its p <= n range."""
 
 
-class NotAUnitError(ArithmeticError):
-    """Reciprocal of a truncated series whose constant term is zero."""
-
-
 class CompositionDomainError(ValueError):
     """Series composition requires the inner series to have zero constant term."""
 

@@ -2,50 +2,86 @@
 
 ``PolyQ`` certifies identities that are polynomial in a parameter by
 coefficient-wise comparison; ``TruncSeries`` proves series identities through
-a chosen order.  Both print as ``"c0 + c1*t + ..."`` and export their
-coefficients as arrays of ``"p/q"`` strings.
+a chosen order.  Both keep a tuple of ``Fraction`` coefficients, print as
+``"c0 + c1*t + ..."`` and export their coefficients as arrays of ``"p/q"``
+strings.  They differ only in their length rule: a ``PolyQ`` strips trailing
+zeros and a product keeps every term, while a ``TruncSeries`` holds exactly
+order + 1 coefficients and a product keeps the smaller operand's order.  Both
+products, and the Horner steps of ``TruncSeries.compose``, run the one product
+loop, ``_convolve``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .errors import CompositionDomainError, NotAUnitError
+from .errors import CompositionDomainError
 from .exact import RatLike
 
 
-def _format_terms(coeffs: tuple[Fraction, ...]) -> str:
-    terms = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        mag = f"{abs(c)}" if i == 0 else (f"{abs(c)}*t" if i == 1 else f"{abs(c)}*t^{i}")
-        if not terms:
-            terms.append(f"-{mag}" if c < 0 else mag)
-        else:
-            terms.append(f"- {mag}" if c < 0 else f"+ {mag}")
-    return " ".join(terms) if terms else "0"
+def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], size: int) -> list[Fraction]:
+    """The first `size` coefficients of the product of coefficient vectors a and b."""
+    out = [Fraction(0)] * size
+    for i, x in enumerate(a[:size]):
+        if x:
+            for j, y in enumerate(b[: size - i], i):
+                out[j] += x * y
+    return out
 
 
-class PolyQ:
+class _Coeffs:
+    """A coefficient tuple, c0 first; what PolyQ and TruncSeries share."""
+
+    __slots__ = ("coeffs",)
+
+    coeffs: tuple[Fraction, ...]
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __neg__(self):
+        return type(self)([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __str__(self) -> str:
+        terms = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            mag = f"{abs(c)}" if i == 0 else (f"{abs(c)}*t" if i == 1 else f"{abs(c)}*t^{i}")
+            if not terms:
+                terms.append(f"-{mag}" if c < 0 else mag)
+            else:
+                terms.append(f"- {mag}" if c < 0 else f"+ {mag}")
+        return " ".join(terms) if terms else "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}([{', '.join(str(c) for c in self.coeffs)}])"
+
+    def to_json(self) -> list[str]:
+        return [str(c) for c in self.coeffs]
+
+
+class PolyQ(_Coeffs):
     """Dense univariate polynomial over Fraction, stored in canonical form.
 
     The coefficient tuple never has trailing zeros; the zero polynomial is the
     empty tuple (degree -1).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @classmethod
-    def constant(cls, c: RatLike) -> "PolyQ":
-        return cls([c])
+        self.coeffs = tuple(cs)
 
     @property
     def degree(self) -> int:
@@ -53,15 +89,6 @@ class PolyQ:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyQ) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __neg__(self) -> "PolyQ":
-        return PolyQ(-c for c in self.coeffs)
 
     def __add__(self, other: "PolyQ") -> "PolyQ":
         if not isinstance(other, PolyQ):
@@ -74,20 +101,10 @@ class PolyQ:
             out[i] += c
         return PolyQ(out)
 
-    def __sub__(self, other: "PolyQ") -> "PolyQ":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, PolyQ):
-            if self.is_zero() or other.is_zero():
-                return PolyQ()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return PolyQ(out)
+            a, b = self.coeffs, other.coeffs
+            return PolyQ(_convolve(a, b, len(a) + len(b) - 1))
         return PolyQ(c * Fraction(other) for c in self.coeffs)
 
     __rmul__ = __mul__
@@ -107,15 +124,6 @@ class PolyQ:
             acc = acc * at + c
         return acc
 
-    def __str__(self) -> str:
-        return _format_terms(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"PolyQ([{', '.join(str(c) for c in self.coeffs)}])"
-
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
 
 def harmonic_poly(n: int, p: int = 1) -> PolyQ:
     """H_n^(p) as a polynomial in alpha: coefficient 1/j^p at degree j."""
@@ -126,14 +134,14 @@ def harmonic_poly(n: int, p: int = 1) -> PolyQ:
     return PolyQ([Fraction(0)] + [Fraction(1, j**p) for j in range(1, n + 1)])
 
 
-class TruncSeries:
+class TruncSeries(_Coeffs):
     """Power series over Fraction kept through a fixed order (inclusive).
 
     Binary operations truncate to the smaller operand order; composition keeps
     the outer series' order, zero-extending the inner argument as needed.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[RatLike], order: int | None = None):
         cs = [Fraction(c) for c in coeffs]
@@ -143,7 +151,7 @@ class TruncSeries:
             cs = cs[: order + 1] + [Fraction(0)] * (order + 1 - len(cs))
         elif not cs:
             raise ValueError("an empty coefficient list needs an explicit order")
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs = tuple(cs)
 
     @classmethod
     def constant(cls, c: RatLike, order: int) -> "TruncSeries":
@@ -161,59 +169,18 @@ class TruncSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, n: int) -> Fraction:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TruncSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries([-c for c in self.coeffs])
-
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         if not isinstance(other, TruncSeries):
             return NotImplemented
         n = min(self.order, other.order)
         return TruncSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
 
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
-            n = min(self.order, other.order)
-            out = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(self.coeffs[: n + 1]):
-                if a == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return TruncSeries(out)
+            return TruncSeries(_convolve(self.coeffs, other.coeffs, min(self.order, other.order) + 1))
         return TruncSeries([c * Fraction(other) for c in self.coeffs])
 
     __rmul__ = __mul__
-
-    def recip(self) -> "TruncSeries":
-        """Multiplicative inverse up to the truncation order."""
-        a0 = self.coeffs[0]
-        if a0 == 0:
-            raise NotAUnitError("series with zero constant term has no reciprocal")
-        inv0 = 1 / a0
-        out = [inv0]
-        for k in range(1, self.order + 1):
-            s = Fraction(0)
-            for i in range(1, k + 1):
-                if self.coeffs[i]:
-                    s += self.coeffs[i] * out[k - i]
-            out.append(-inv0 * s)
-        return TruncSeries(out)
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
         """self(inner), by Horner; inner must have zero constant term."""
@@ -221,21 +188,12 @@ class TruncSeries:
             raise TypeError("compose expects a TruncSeries")
         if inner.coeffs[0] != 0:
             raise CompositionDomainError("inner series must have zero constant term")
-        n = self.order
-        g = TruncSeries(inner.coeffs, n)
-        acc = TruncSeries.constant(self.coeffs[-1], n)
+        size = len(self.coeffs)
+        acc = [self.coeffs[-1]]
         for c in reversed(self.coeffs[:-1]):
-            acc = acc * g + TruncSeries.constant(c, n)
-        return acc
-
-    def __str__(self) -> str:
-        return _format_terms(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"TruncSeries([{', '.join(str(c) for c in self.coeffs)}])"
-
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
+            acc = _convolve(acc, inner.coeffs, size)
+            acc[0] += c
+        return TruncSeries(acc, size - 1)
 
 
 def log_one_minus(c: RatLike, order: int) -> TruncSeries:

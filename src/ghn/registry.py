@@ -362,11 +362,10 @@ def _gould_sides() -> list[IdentityEntry]:
     ]
 
 
-def _series_sides(size: int) -> list[IdentityEntry]:
-    # a_k = -H_k(alpha) (Pan's weights and the genfunc right sides), and the series of
-    # Pan's lemma with that f per (L, u, alpha), built at order 1 at least (its smallest order)
-    a = _memo(lambda alpha, m: [-h for h in harmonic_table(m, 1, alpha)], size)
-    pan = _memo(lambda key, m: pan_lemma_series(max(m, 1), key[0], key[1], a(key[2], m)).coeffs, size)
+def _series_sides(ht, size: int) -> list[IdentityEntry]:
+    # the series of Pan's lemma with a_k = -H_k(alpha) per (L, u, alpha), built at order 1
+    # at least (its smallest order); the right sides negate the shared harmonic tables
+    pan = _memo(lambda key, m: pan_lemma_series(max(m, 1), key[0], key[1], [-h for h in ht(key[2], m)]).coeffs, size)
     genfunc = _memo(lambda alpha, m: harmonic_genfunc(m, alpha).coeffs, size)
     return [
         IdentityEntry(
@@ -374,7 +373,7 @@ def _series_sides(size: int) -> list[IdentityEntry]:
             anchor="panequa1: [t^n] f(ut/(1-Lt))/(1-Lt) = sum_k C(n,k)u^k L^(n-k) a_k",
             params=("n", "lambda", "mu", "alpha"),
             lhs=lambda c: pan((c["lambda"], c["mu"], c["alpha"]), int(c["n"]))[int(c["n"])],
-            rhs=lambda c: binomial_oracle(int(c["n"]), a(c["alpha"], int(c["n"])), c["mu"], c["lambda"]),
+            rhs=lambda c: -binomial_oracle(int(c["n"]), ht(c["alpha"], int(c["n"])), c["mu"], c["lambda"]),
             note="a_k = -H_k(alpha), the generating coefficients of log(1-alpha*t)/(1-t); seeded (L,u,alpha) triples",
         ),
         IdentityEntry(
@@ -382,21 +381,21 @@ def _series_sides(size: int) -> list[IdentityEntry]:
             anchor="conclusion-1: log(1-a*t)/(1-t) = -sum H_n(a) t^n",
             params=("n", "alpha"),
             lhs=lambda c: genfunc(c["alpha"], int(c["n"]))[int(c["n"])],
-            rhs=lambda c: a(c["alpha"], int(c["n"]))[int(c["n"])],
+            rhs=lambda c: -ht(c["alpha"], int(c["n"]))[int(c["n"])],
         ),
         IdentityEntry(
             id="genfunc-harmonic",
             anchor="conclusion-1.1: log(1-t)/(1-t) = -sum H_n t^n",
             params=("n",),
             lhs=lambda c: genfunc(Fraction(1), int(c["n"]))[int(c["n"])],
-            rhs=lambda c: a(Fraction(1), int(c["n"]))[int(c["n"])],
+            rhs=lambda c: -ht(1, int(c["n"]))[int(c["n"])],
         ),
         IdentityEntry(
             id="genfunc-skew",
             anchor="conclusion-1.2: [t^n] log(1+t)/(1-t) = H_n^- = -H_n(-1)",
             params=("n",),
             lhs=lambda c: genfunc(Fraction(-1), int(c["n"]))[int(c["n"])],
-            rhs=lambda c: a(Fraction(-1), int(c["n"]))[int(c["n"])],
+            rhs=lambda c: -ht(-1, int(c["n"]))[int(c["n"])],
             note="the printed -H notation matches only under the H_n(-1) reading",
         ),
     ]
@@ -708,7 +707,7 @@ def declare(size: int = 0) -> list[IdentityEntry]:
         *_exact_sides(),
         *_ratio_sides(),
         *_gould_sides(),
-        *_series_sides(size),
+        *_series_sides(ht, size),
         *_pan_sides(ht),
         *_thm33_sides(ht),
         *_example34_sides(ht, size),

@@ -132,7 +132,6 @@ _KIND_PARAMS: dict[str, set[str]] = {
     "laguerre": {"x"},
     "stirling_row": {"p"},
     "powers": {"base"},
-    "custom": set(),
 }
 
 _REQUIRED: dict[str, set[str]] = {
@@ -152,7 +151,6 @@ class SeqSpec:
 
     kind: str
     params: dict[str, Fraction] = field(default_factory=dict)
-    values: tuple[Fraction, ...] = ()  # explicit terms, kind="custom" only
 
     def __post_init__(self):
         if self.kind not in _KIND_PARAMS:
@@ -170,14 +168,14 @@ class SeqSpec:
             raise SeqSpecError("stirling_row requires integer p >= 0")
         if p is not None and self.kind in _P_CAP and p > _P_CAP[self.kind]:
             raise SeqSpecError(f"{self.kind} p={p} is out of range: must be at most {_P_CAP[self.kind]}")
+        if self.params.get("doubled", 0) not in (0, 1):
+            raise SeqSpecError(f"{self.kind} doubled must be 0 or 1 (false or true)")
 
 
 def parse_seq_spec(text: str) -> SeqSpec:
     """Parse the canonical text form, e.g. "harmonic:p=1,alpha=1/3"."""
     kind, _, rest = text.strip().partition(":")
     kind = _ALIASES.get(kind, kind)
-    if kind == "custom":
-        raise SeqSpecError("custom sequences cannot be built from text")
     params: dict[str, Fraction] = {}
     if rest:
         for item in rest.split(","):
@@ -186,8 +184,10 @@ def parse_seq_spec(text: str) -> SeqSpec:
                 raise SeqSpecError(f"expected key=value, got {item!r}")
             key = key.strip()
             value = value.strip()
-            if value in ("true", "false"):
-                params[key] = Fraction(1 if value == "true" else 0)
+            if key == "doubled":
+                if value not in ("true", "false"):
+                    raise SeqSpecError(f"doubled must be true or false, got {value!r}")
+                params[key] = Fraction(value == "true")
             else:
                 try:
                     params[key] = parse_rat(value)
@@ -237,8 +237,4 @@ def materialize(spec: SeqSpec, n_max: int) -> list[Fraction]:
     if kind == "powers":
         base = params["base"]
         return [base**k if k else Fraction(1) for k in range(n_max + 1)]
-    if kind == "custom":
-        if len(spec.values) < n_max + 1:
-            raise SeqSpecError("custom sequence shorter than requested range")
-        return [Fraction(v) for v in spec.values[: n_max + 1]]
     raise SeqSpecError(f"unknown sequence kind {kind!r}")

@@ -37,6 +37,9 @@ CERTIFIED = "CERTIFIED"
 HOLDS_ON_GRID = "HOLDS_ON_GRID"
 FAILS = "FAILS"
 
+# counterexamples a result keeps, the first mismatching cells in visiting order
+SAMPLE_CAP = 3
+
 Cell = dict
 
 
@@ -182,7 +185,6 @@ def _poly_note(cells: list[Cell]) -> str:
 def run_entry(
     entry: IdentityEntry,
     n_max: int = 20,
-    cap: int = 3,
     on_cell: Callable[[Cell, Fraction | None, Fraction | None], None] | None = None,
 ) -> EntryResult:
     """Evaluate both sides on every grid cell and grade the entry.
@@ -212,7 +214,7 @@ def run_entry(
             on_cell(cell, lv, rv)
         if lv != rv:
             mismatches += 1
-            if len(counterexamples) < cap:
+            if len(counterexamples) < SAMPLE_CAP:
                 counterexamples.append(_sample(cell, lv, rv))
             if entry.policy == ASSERT:
                 break
@@ -273,7 +275,7 @@ def harmonic_genfunc(order: int, alpha: RatLike) -> TruncSeries:
     return log_one_minus(alpha, order) * geometric(1, order)
 
 
-def run_suite(pattern: str = "*", n_max: int = 20, seed: int = 42, cap: int = 3) -> VerdictReport:
+def run_suite(pattern: str = "*", n_max: int = 20, seed: int = 42) -> VerdictReport:
     """Run every registry entry whose id matches the fnmatch pattern.
 
     Deterministic: identical (pattern, n_max, seed) give byte-identical JSON.
@@ -282,7 +284,7 @@ def run_suite(pattern: str = "*", n_max: int = 20, seed: int = 42, cap: int = 3)
 
     start = time.perf_counter()
     entries = [e for e in build_registry(n_max, seed) if fnmatch.fnmatchcase(e.id, pattern)]
-    results = [run_entry(e, n_max=n_max, cap=cap) for e in entries]
+    results = [run_entry(e, n_max=n_max) for e in entries]
     return VerdictReport(
         suite=f"ghn:{pattern}",
         seed=seed,

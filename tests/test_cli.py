@@ -254,6 +254,23 @@ def test_out_of_range_integers_exit_2(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["compute", "--seq", "fibonacci:doubled=7"],
+        ["compute", "--seq", "lucas:doubled=1/2"],
+        ["compute", "--seq", "harmonic:alpha=true"],
+        ["compute", "--seq", "powers:base=false"],
+        ["eval", "--id", "thm2.3", "--param", "n=3", "--param", "lambda=2", "--param", "c=fibonacci:doubled=5"],
+    ],
+)
+def test_bad_spec_values_exit_2(argv, capsys):
+    # doubled takes only true/false, and every other spec value is a rational
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["eval", "--id", "gen-harmonic-relation", "--param", "n=1", "--param", "alpha=1e5000"],
         ["compute", "--seq", "powers:base=1e5000"],
         ["compute", "--seq", "laguerre:x=1/" + "7" * 101],

@@ -26,7 +26,7 @@ from ghn.closed_forms import (  # noqa: E402
     pan_closed_form,
     thm33_rhs,
 )
-from ghn.errors import DomainError  # noqa: E402
+from ghn.errors import DomainError, SeqSpecError  # noqa: E402
 from ghn.exact import binom_rat  # noqa: E402
 from ghn.polyseries import PolyQ, TruncSeries  # noqa: E402
 from ghn.sequences import (  # noqa: E402
@@ -105,7 +105,7 @@ def test_bernoulli_matches_sympy():
         assert bernoulli(n) == expected
 
 
-# --- ring laws, series inverses and round trips --------------------------------
+# --- ring laws, products and round trips ---------------------------------------
 
 polys = st.lists(rats, max_size=6).map(PolyQ)
 ORDER = 7
@@ -136,12 +136,14 @@ def test_truncseries_ring_laws(f, g, h):
 
 
 @SETTINGS
-@given(f=series, g=series)
-def test_recip_inverts_multiplication(f, g):
-    if f.coeffs[0] == 0:
-        return
-    assert f * f.recip() == TruncSeries.one(ORDER)
-    assert (g * f) * f.recip() == g
+@given(a=st.lists(rats, min_size=1, max_size=9), b=st.lists(rats, min_size=1, max_size=9))
+def test_products_match_sympy(a, b):
+    # a series product is the polynomial product truncated to the smaller order
+    t = sympy.Symbol("t")
+    product = sympy.expand(sum(_sym(x) * t**i for i, x in enumerate(a)) * sum(_sym(y) * t**j for j, y in enumerate(b)))
+    expected = [_frac(product.coeff(t, k)) for k in range(len(a) + len(b) - 1)]
+    assert PolyQ(a) * PolyQ(b) == PolyQ(expected)
+    assert TruncSeries(a) * TruncSeries(b) == TruncSeries(expected[: min(len(a), len(b))])
 
 
 @SETTINGS
@@ -195,6 +197,16 @@ def test_seq_spec_text_round_trips(spec):
 )
 def test_canonical_spec_text_survives_parsing(text):
     assert seq_spec_text(parse_seq_spec(text)) == text
+
+
+@SETTINGS
+@given(kind=st.sampled_from(["fibonacci", "lucas"]), doubled=st.one_of(st.sampled_from(["true", "false"]), rats.map(str)))
+def test_accepted_doubled_specs_round_trip(kind, doubled):
+    try:
+        spec = parse_seq_spec(f"{kind}:doubled={doubled}")
+    except SeqSpecError:
+        return
+    assert parse_seq_spec(seq_spec_text(spec)) == spec
 
 
 # --- closed forms evaluated through the results they derive from ---------------

@@ -172,10 +172,6 @@ def test_bad_specs_rejected():
         parse_seq_spec("powers:base=oops")
     with pytest.raises(SeqSpecError):
         SeqSpec("unknown")
-
-
-def test_custom_spec_materializes_explicit_values():
-    spec = SeqSpec("custom", values=(Fraction(1), Fraction(2), Fraction(3)))
-    assert materialize(spec, 2) == [1, 2, 3]
-    with pytest.raises(SeqSpecError):
-        materialize(spec, 5)
+    for doubled in (Fraction(2), Fraction(1, 2)):  # library callers hold doubled to 0 or 1 as well
+        with pytest.raises(SeqSpecError):
+            SeqSpec("lucas", {"doubled": doubled})

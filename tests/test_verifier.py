@@ -13,6 +13,7 @@ from ghn.registry import (
 from ghn.verifier import (
     ASSERT,
     REPORT_ONLY,
+    SAMPLE_CAP,
     IdentityEntry,
     binomial_oracle,
     certify_alpha_identity,
@@ -35,7 +36,7 @@ def test_binomial_oracle_examples():
 def test_faulty_harmonic_kernel_fails_genfunc(monkeypatch):
     # the genfunc entries check the shared running harmonic sum against series
     # coefficients that never call it, so an off-by-one in it cannot hide; the
-    # registry's own binding feeds the a_k = -H_k(alpha) memo of their right sides
+    # registry's own binding feeds the harmonic memo that their right sides negate
     import ghn.registry as registry_mod
     import ghn.sequences as sequences_mod
 
@@ -78,9 +79,10 @@ def test_run_entry_fault_injection():
 
 
 def test_run_entry_report_only_records_everything():
-    res = run_entry(_toy_entry(policy=REPORT_ONLY, offset=1), cap=2)
+    res = run_entry(_toy_entry(policy=REPORT_ONLY, offset=1))
     assert res.tier == "REPORT_ONLY"
-    assert len(res.counterexamples) == 2  # capped
+    assert 5 > SAMPLE_CAP and len(res.counterexamples) == SAMPLE_CAP  # capped, at the first cells visited
+    assert [c["params"]["n"] for c in res.counterexamples] == [str(n) for n in range(1, SAMPLE_CAP + 1)]
     assert "disagrees at 5 of 5" in res.note
     res = run_entry(_toy_entry(policy=REPORT_ONLY))
     assert res.tier == "REPORT_ONLY"
