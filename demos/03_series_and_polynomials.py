@@ -11,20 +11,15 @@ from fractions import Fraction
 
 from ghn import (
     TruncSeries,
-    certify_alpha_identity,
     geometric,
     harmonic_p,
     harmonic_poly,
+    idi1_rhs,
     log_one_minus,
     run_entry,
 )
-from ghn.registry import (
-    declare,
-    gen_harmonic_poly_lhs,
-    gen_harmonic_poly_rhs,
-    idi1_poly_lhs,
-    idi1_poly_rhs,
-)
+from ghn.registry import declare
+from ghn.verifier import ALPHA, CERTIFY_N
 
 # The generating function of the generalized harmonic numbers:
 #   log(1 - alpha*t) / (1 - t) = -sum H_n(alpha) t^n.
@@ -51,10 +46,11 @@ point = {"lambda": Fraction(2, 3), "mu": Fraction(5, 7), "alpha": Fraction(2, 5)
 result = run_entry(replace(entry, cells=[{**point, "n": n} for n in range(41)]))
 print("\ncomposition identity through order 40:", result.tier, f"({result.cells} coefficients)")
 
-# Polynomial certification: both sides of an alpha-identity are polynomials
-# of degree n, so coefficient equality is a proof for that n.
+# Polynomial certification: at alpha = ALPHA, the polynomial alpha, a
+# certifiable entry's own right side returns a polynomial in alpha, which its
+# certify hook compares coefficient-wise with a direct sum for each n.
 print("\nH_2 as a polynomial in alpha:", harmonic_poly(2, 1))
-print("certify H_n(a) = H_n + sum C(n,k)(a-1)^k/k for n <= 30:",
-      certify_alpha_identity(gen_harmonic_poly_lhs, gen_harmonic_poly_rhs, 30))
-print("certify sum (-1)^k C(n,k) H_k(a) = ((1-a)^n - 1)/n for n <= 30:",
-      certify_alpha_identity(idi1_poly_lhs, idi1_poly_rhs, 30))
+print("((1-a)^3 - 1)/3 at alpha = ALPHA:", idi1_rhs(3, ALPHA))
+for entry in declare(CERTIFY_N):
+    if entry.certify is not None:
+        print(f"certify {entry.id} ({entry.anchor}) for n <= {CERTIFY_N}:", entry.certify(CERTIFY_N))

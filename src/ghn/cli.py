@@ -225,7 +225,7 @@ def cmd_table(args) -> int:
             shown = [str(lv), str(rv), "yes" if lv == rv else "NO"]
         rows.append([str(cell.get(name, "")) for name in param_names] + shown)
 
-    result = run_entry(entry, n_max=args.n_max, on_cell=on_cell)
+    result = run_entry(entry, on_cell=on_cell)
     rows = rows[: args.limit]
     _emit_table(args.id, param_names + ["lhs", "rhs", "equal"], rows, args.format, sys.stdout)
     print(f"tier: {result.tier} ({result.cells} cells, {result.skipped} skipped)", file=sys.stderr)

@@ -17,6 +17,11 @@ Printed displays keep their own form, so the ledger grades the display itself:
 lemma21_rhs_ones, lambda1_case_rhs, second_case_ones_rhs, as_p1_closed,
 as_zneg1_alpha1_closed; spivey_rhs, frontczak_rhs and skew_transform_rhs are
 Pan's theorem at fixed arguments but also answer n = 0, where Pan raises.
+
+generalized_harmonic_relation and idi1_rhs also run over Q[alpha]: at alpha =
+verifier.ALPHA they return the PolyQ in alpha that CERTIFIED proves.  So neither
+coerces alpha through Fraction(), and neither divides an int by an int, which
+gives a float when alpha is an int.
 """
 
 from __future__ import annotations
@@ -120,12 +125,12 @@ def generalized_harmonic_relation(n: int, alpha: RatLike) -> Fraction:
     """H_n + sum_{k=1..n} C(n,k) (alpha-1)^k / k; evaluates to H_n(alpha)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = Fraction(alpha) - 1
+    d = alpha - 1
     total = harmonic(n)
     power = Fraction(1)
     for k in range(1, n + 1):
         power *= d
-        total += binom_int(n, k) * power / k
+        total += Fraction(binom_int(n, k), k) * power
     return total
 
 
@@ -176,7 +181,7 @@ def idi1_rhs(n: int, alpha: RatLike) -> Fraction:
     """((1-alpha)^n - 1)/n: the alternating transform of H_k(alpha)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return ((1 - Fraction(alpha)) ** n - 1) / n
+    return ((1 - alpha) ** n - 1) * Fraction(1, n)
 
 
 def spivey_rhs(n: int, alpha: RatLike) -> Fraction:

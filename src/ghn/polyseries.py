@@ -8,7 +8,8 @@ strings.  They differ only in their length rule: a ``PolyQ`` strips trailing
 zeros and a product keeps every term, while a ``TruncSeries`` holds exactly
 order + 1 coefficients and a product keeps the smaller operand's order.  Both
 products, and the Horner steps of ``TruncSeries.compose``, run the one product
-loop, ``_convolve``.
+loop, ``_convolve``.  A scalar (an ``int`` or a ``Fraction``) may stand on
+either side of a product and of a ``PolyQ`` sum or difference; no other type may.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class _Coeffs:
         return type(self)([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(-other)
 
     def __str__(self) -> str:
         terms = []
@@ -90,8 +91,10 @@ class PolyQ(_Coeffs):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "PolyQ") -> "PolyQ":
-        if not isinstance(other, PolyQ):
+    def __add__(self, other):
+        if isinstance(other, RatLike):
+            other = PolyQ([other])
+        elif not isinstance(other, PolyQ):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -101,11 +104,18 @@ class PolyQ(_Coeffs):
             out[i] += c
         return PolyQ(out)
 
+    __radd__ = __add__
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
     def __mul__(self, other):
         if isinstance(other, PolyQ):
             a, b = self.coeffs, other.coeffs
             return PolyQ(_convolve(a, b, len(a) + len(b) - 1))
-        return PolyQ(c * Fraction(other) for c in self.coeffs)
+        if not isinstance(other, RatLike):
+            return NotImplemented
+        return PolyQ(c * other for c in self.coeffs)
 
     __rmul__ = __mul__
 
@@ -154,10 +164,6 @@ class TruncSeries(_Coeffs):
         self.coeffs = tuple(cs)
 
     @classmethod
-    def constant(cls, c: RatLike, order: int) -> "TruncSeries":
-        return cls([c], order)
-
-    @classmethod
     def zero(cls, order: int) -> "TruncSeries":
         return cls([], order)
 
@@ -178,7 +184,9 @@ class TruncSeries(_Coeffs):
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
             return TruncSeries(_convolve(self.coeffs, other.coeffs, min(self.order, other.order) + 1))
-        return TruncSeries([c * Fraction(other) for c in self.coeffs])
+        if not isinstance(other, RatLike):
+            return NotImplemented
+        return TruncSeries([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
 

@@ -55,7 +55,7 @@ from .closed_forms import (
 )
 from .errors import DomainError, OutOfValidityRangeError
 from .exact import binom_int, binom_rat, hockey_stick_sum
-from .polyseries import PolyQ, harmonic_poly
+from .polyseries import harmonic_poly
 from .sequences import (
     bernoulli,
     fibonacci,
@@ -191,34 +191,6 @@ def _laguerre_recurrence(x, n_max: int) -> list[Fraction]:
     return vals
 
 
-# --- polynomial certificates --------------------------------------------------
-
-def gen_harmonic_poly_lhs(n: int) -> PolyQ:
-    return harmonic_poly(n, 1)
-
-
-def gen_harmonic_poly_rhs(n: int) -> PolyQ:
-    """H_n + sum_k C(n,k)/k (alpha-1)^k expanded as a polynomial in alpha."""
-    total = PolyQ([harmonic(n)])
-    shift = PolyQ([-1, 1])
-    power = PolyQ([1])
-    for k in range(1, n + 1):
-        power = power * shift
-        total = total + Fraction(binom_int(n, k), k) * power
-    return total
-
-
-def idi1_poly_lhs(n: int) -> PolyQ:
-    total = PolyQ()
-    for k in range(n + 1):
-        total = total + (binom_int(n, k) * (-1) ** k) * harmonic_poly(k, 1)
-    return total
-
-
-def idi1_poly_rhs(n: int) -> PolyQ:
-    return (PolyQ([1, -1]) ** n - PolyQ([1])) * Fraction(1, n)
-
-
 # --- sides, by group -------------------------------------------------------------
 
 def _exact_sides() -> list[IdentityEntry]:
@@ -250,6 +222,7 @@ def _ratio_sides() -> list[IdentityEntry]:
         rhs=lambda c: generalized_harmonic_relation(int(c["n"]), -1),
         note="holds with H_n(-1) = -H_n^- on the left; the printed H_n^- reading fails (see skew-sign-convention)",
     )
+    relation_rhs = lambda c: generalized_harmonic_relation(int(c["n"]), c["alpha"])
     return [
         IdentityEntry(
             id="lemma2.1-coherence",
@@ -316,8 +289,8 @@ def _ratio_sides() -> list[IdentityEntry]:
             anchor="H_n(a) = H_n + sum_k C(n,k)(a-1)^k/k",
             params=("n", "alpha"),
             lhs=lambda c: harmonic_p(int(c["n"]), 1, c["alpha"]),
-            rhs=lambda c: generalized_harmonic_relation(int(c["n"]), c["alpha"]),
-            certify=lambda nm: certify_alpha_identity(gen_harmonic_poly_lhs, gen_harmonic_poly_rhs, nm),
+            rhs=relation_rhs,
+            certify=lambda nm: certify_alpha_identity(harmonic_poly, relation_rhs, nm),
         ),
         skew,
         replace(
@@ -402,6 +375,8 @@ def _series_sides(ht, size: int) -> list[IdentityEntry]:
 
 
 def _pan_sides(ht) -> list[IdentityEntry]:
+    alternating_rhs = lambda c: idi1_rhs(int(c["n"]), c["alpha"])
+    alternating_oracle = lambda n: binomial_oracle(n, [harmonic_poly(k) for k in range(n + 1)], mu=-1)
     # the skew-harmonic weights are H_k^- = -H_k(-1)
     return [
         IdentityEntry(
@@ -417,8 +392,8 @@ def _pan_sides(ht) -> list[IdentityEntry]:
             anchor="idi1: sum_k (-1)^k C(n,k) H_k(a) = ((1-a)^n - 1)/n",
             params=("n", "alpha"),
             lhs=lambda c: binomial_oracle(int(c["n"]), ht(c["alpha"], int(c["n"])), mu=-1),
-            rhs=lambda c: idi1_rhs(int(c["n"]), c["alpha"]),
-            certify=lambda nm: certify_alpha_identity(idi1_poly_lhs, idi1_poly_rhs, nm),
+            rhs=alternating_rhs,
+            certify=lambda nm: certify_alpha_identity(alternating_oracle, alternating_rhs, nm),
         ),
         IdentityEntry(
             id="skew-transform",

@@ -183,6 +183,8 @@ def parse_seq_spec(text: str) -> SeqSpec:
             if not eq:
                 raise SeqSpecError(f"expected key=value, got {item!r}")
             key = key.strip()
+            if key in params:
+                raise SeqSpecError(f"parameter {key!r} is given twice")
             value = value.strip()
             if key == "doubled":
                 if value not in ("true", "false"):

@@ -3,7 +3,7 @@
 An IdentityEntry pairs two point functions (its sides) with a finite grid of
 exact rational parameter points.  run_entry grades it:
 
-  CERTIFIED      exact polynomial equality in alpha for every n (strongest),
+  CERTIFIED      its rhs over Q[alpha] equals a direct sum for n <= 30 (strongest),
   HOLDS_ON_GRID  exact agreement at every evaluated cell,
   FAILS          at least one mismatch (ASSERT entries only), carrying the
                  lexicographically smallest failing cell,
@@ -39,6 +39,9 @@ FAILS = "FAILS"
 
 # counterexamples a result keeps, the first mismatching cells in visiting order
 SAMPLE_CAP = 3
+# a certify hook proves its identity for each n <= CERTIFY_N at alpha = ALPHA, alpha itself
+CERTIFY_N = 30
+ALPHA = PolyQ([0, 1])
 
 Cell = dict
 
@@ -50,9 +53,9 @@ class IdentityEntry:
     ``lhs`` and ``rhs`` map a point (a dict holding at least the names in
     ``params``) to an exact value; ``cells`` are the grid points that
     run_entry visits, and may carry display-only names besides ``params``.
-    An entry with ``certify`` has sides that are, for each n, polynomials of
-    degree <= n in alpha; ``certify(n_max)`` compares them coefficient-wise
-    for every n <= n_max.
+    An entry with ``certify`` has an ``rhs`` that is, at alpha = ALPHA, a
+    polynomial in alpha; ``certify(n_max)`` compares it coefficient-wise with a
+    direct-sum oracle over Q[alpha] for every n <= n_max.
     """
 
     id: str
@@ -184,7 +187,6 @@ def _poly_note(cells: list[Cell]) -> str:
 
 def run_entry(
     entry: IdentityEntry,
-    n_max: int = 20,
     on_cell: Callable[[Cell, Fraction | None, Fraction | None], None] | None = None,
 ) -> EntryResult:
     """Evaluate both sides on every grid cell and grade the entry.
@@ -227,7 +229,7 @@ def run_entry(
         else:
             tier = HOLDS_ON_GRID
             if entry.certify is not None:
-                if entry.certify(max(n_max, 30)):
+                if entry.certify(CERTIFY_N):
                     tier = CERTIFIED
                 extra = _poly_note(cells)
                 if extra:
@@ -254,11 +256,9 @@ def run_entry(
     )
 
 
-def certify_alpha_identity(
-    lhs_poly: Callable[[int], PolyQ], rhs_poly: Callable[[int], PolyQ], n_max: int
-) -> bool:
-    """True iff both polynomial constructors agree coefficient-wise for 1..n_max."""
-    return all(lhs_poly(n) == rhs_poly(n) for n in range(1, n_max + 1))
+def certify_alpha_identity(oracle: Callable[[int], PolyQ], rhs: Callable[[Cell], PolyQ], n_max: int) -> bool:
+    """True iff oracle(n) equals rhs at the point (n, ALPHA), coefficient-wise, for 1..n_max."""
+    return all(oracle(n) == rhs({"n": n, "alpha": ALPHA}) for n in range(1, n_max + 1))
 
 
 def pan_lemma_series(order: int, lam: RatLike, mu: RatLike, a: Sequence[RatLike]) -> TruncSeries:
@@ -284,7 +284,7 @@ def run_suite(pattern: str = "*", n_max: int = 20, seed: int = 42) -> VerdictRep
 
     start = time.perf_counter()
     entries = [e for e in build_registry(n_max, seed) if fnmatch.fnmatchcase(e.id, pattern)]
-    results = [run_entry(e, n_max=n_max) for e in entries]
+    results = [run_entry(e) for e in entries]
     return VerdictReport(
         suite=f"ghn:{pattern}",
         seed=seed,

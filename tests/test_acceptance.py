@@ -42,8 +42,8 @@ def _finish(num, ok, t0, budget):
 def test_criterion_1_exact_polynomial_certification():
     # gen-harmonic-relation and idi1-alternating CERTIFIED for 1 <= n <= 30
     t0 = time.perf_counter()
-    r1 = run_entry(_entry(30, "gen-harmonic-relation"), n_max=30)
-    r2 = run_entry(_entry(30, "idi1-alternating"), n_max=30)
+    r1 = run_entry(_entry(30, "gen-harmonic-relation"))
+    r2 = run_entry(_entry(30, "idi1-alternating"))
     _finish(1, r1.tier == "CERTIFIED" and r2.tier == "CERTIFIED", t0, 5)
 
 
@@ -53,7 +53,7 @@ def test_criterion_2_pan_theorem_full_grid():
     entry = _entry(25, "pan-thm3.2")
     second_branch_cells = sum(1 for c in entry.cells if c["mu"] + c["lambda"] == 0)
     assert second_branch_cells == 5 * 5 * 25  # five mu+lam=0 pairs in the grid
-    res = run_entry(entry, n_max=25)
+    res = run_entry(entry)
     ok = res.tier == "HOLDS_ON_GRID" and res.cells == 7 * 7 * 5 * 25 and res.skipped == 0
     _finish(2, ok, t0, 30)
 
@@ -70,7 +70,7 @@ def test_criterion_3_ratio_lemma_and_theorem_branches():
         "thm2.3-lambda0",
         "thm2.3-lambda1",
     ]
-    results = {i: run_entry(_entry(25, i), n_max=25) for i in ids}
+    results = {i: run_entry(_entry(25, i)) for i in ids}
     ok = all(r.tier == "HOLDS_ON_GRID" for r in results.values())
     coherence = _entry(25, "lemma2.1-coherence")
     ok = ok and len({c["seq"] for c in coherence.cells}) == 30
@@ -85,7 +85,7 @@ def test_criterion_3_ratio_lemma_and_theorem_branches():
 def test_criterion_4_knuth_flajolet():
     t0 = time.perf_counter()
     entry = _entry(30, "knuth-flajolet")
-    res = run_entry(entry, n_max=30)
+    res = run_entry(entry)
     spot = next(
         (entry.lhs(c), entry.rhs(c))
         for c in entry.cells
@@ -98,7 +98,7 @@ def test_criterion_4_knuth_flajolet():
 def test_criterion_5_series_identities_to_order_40():
     t0 = time.perf_counter()
     ids = ["panequa1-series", "genfunc-alpha", "genfunc-harmonic", "genfunc-skew"]
-    results = [run_entry(_entry(40, i), n_max=40) for i in ids]
+    results = [run_entry(_entry(40, i)) for i in ids]
     pairs = {c["pair"] for c in _entry(40, "panequa1-series").cells}
     ok = all(r.tier == "HOLDS_ON_GRID" for r in results) and len(pairs) == 10
     ok = ok and all(r.cells % 41 == 0 for r in results)  # coefficients 0..40 per parameter set
@@ -117,16 +117,16 @@ def test_criterion_6_example_transform_pairs():
         "ex3.4-fibonacci-alt",
         "ex3.4-lucas-alt",
     ]
-    results = [run_entry(_entry(20, i), n_max=20) for i in ids]
+    results = [run_entry(_entry(20, i)) for i in ids]
     _finish(6, all(r.tier == "HOLDS_ON_GRID" for r in results), t0, 5)
 
 
 def test_criterion_7_power_weight_machinery():
     t0 = time.perf_counter()
-    weight = run_entry(_entry(15, "sanchez-weight"), n_max=15)
+    weight = run_entry(_entry(15, "sanchez-weight"))
     ok = weight.tier == "HOLDS_ON_GRID" and weight.cells == 16 * 17 // 2 * 7
     for p in (1, 2, 3):
-        res = run_entry(_entry(12, f"sanchez-p{p}"), n_max=12)
+        res = run_entry(_entry(12, f"sanchez-p{p}"))
         ok = ok and res.tier == "HOLDS_ON_GRID" and res.cells == 13 * 14 // 2
     _finish(7, ok, t0, 5)
 

@@ -259,10 +259,12 @@ def test_out_of_range_integers_exit_2(argv, capsys):
         ["compute", "--seq", "harmonic:alpha=true"],
         ["compute", "--seq", "powers:base=false"],
         ["eval", "--id", "thm2.3", "--param", "n=3", "--param", "lambda=2", "--param", "c=fibonacci:doubled=5"],
+        ["compute", "--seq", "harmonic:alpha=1,alpha=2"],
+        ["compute", "--seq", "fibonacci:doubled=true,doubled=false"],
     ],
 )
 def test_bad_spec_values_exit_2(argv, capsys):
-    # doubled takes only true/false, and every other spec value is a rational
+    # doubled takes only true/false, every other spec value is a rational, and no key repeats
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == "" and err.startswith("error:")

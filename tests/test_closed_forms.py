@@ -252,6 +252,13 @@ def test_idi1_rhs_matches_alternating_oracle():
             assert oracle == idi1_rhs(n, alpha)
 
 
+def test_alpha_closed_forms_stay_exact_at_an_int_alpha():
+    # neither coerces alpha, so an int alpha must not reach int / int
+    assert isinstance(idi1_rhs(3, 2), Fraction) and idi1_rhs(3, 2) == Fraction(-2, 3)
+    assert isinstance(generalized_harmonic_relation(3, 2), Fraction)
+    assert generalized_harmonic_relation(3, 2) == harmonic_p(3, 1, 2)
+
+
 # --- alternating weighted transform (eqnnew8 / eqnnew9) ---------------------------
 
 def _thm33_oracle(c, n, alpha):

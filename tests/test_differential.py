@@ -5,6 +5,7 @@ missing, and the ghn runtime never imports them.  Examples are derandomized
 so that a run is reproducible.
 """
 
+import functools
 import inspect
 import math
 from fractions import Fraction
@@ -29,6 +30,7 @@ from ghn.closed_forms import (  # noqa: E402
 from ghn.errors import DomainError, SeqSpecError  # noqa: E402
 from ghn.exact import binom_rat  # noqa: E402
 from ghn.polyseries import PolyQ, TruncSeries  # noqa: E402
+from ghn.registry import declare  # noqa: E402
 from ghn.sequences import (  # noqa: E402
     SeqSpec,
     bernoulli,
@@ -39,7 +41,7 @@ from ghn.sequences import (  # noqa: E402
     stirling2,
 )
 from ghn.transforms import binomial_transform, inverse_binomial_transform  # noqa: E402
-from ghn.verifier import binomial_oracle, harmonic_genfunc, pan_lemma_series  # noqa: E402
+from ghn.verifier import ALPHA, CERTIFY_N, binomial_oracle, harmonic_genfunc, pan_lemma_series  # noqa: E402
 
 # one failure per property, so a mutation test can expect a plain AssertionError
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None, report_multiple_bugs=False)
@@ -115,14 +117,18 @@ inner_series = series.map(lambda s: TruncSeries([0, *s.coeffs[1:]], ORDER))
 
 
 @SETTINGS
-@given(p=polys, q=polys, r=polys)
-def test_polyq_ring_laws(p, q, r):
+@given(p=polys, q=polys, r=polys, s=st.one_of(rats, st.integers(min_value=-9, max_value=9)))
+def test_polyq_ring_laws(p, q, r, s):
     zero, one = PolyQ(), PolyQ([1])
     assert p + q == q + p and p * q == q * p
     assert (p + q) + r == p + (q + r) and (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
     assert p + zero == p and p * one == p and p - p == zero
     assert (p * q)(Fraction(3, 7)) == p(Fraction(3, 7)) * q(Fraction(3, 7))
+    # an int or Fraction scalar s on either side acts as the constant polynomial s
+    const = PolyQ([s])
+    assert p + s == s + p == p + const and p - s == p - const and s - p == const - p
+    assert p * s == s * p == p * const
 
 
 @SETTINGS
@@ -271,6 +277,23 @@ def test_as_np_closed_matches_direct_sum(n, p, z, alpha):
     p = 1 + p % n  # the closed form holds for 1 <= p <= n
     direct = binomial_oracle(n, [j**p * _h(j, alpha) for j in range(n + 1)], mu=z)
     assert as_np_closed(n, p, z, alpha) == direct
+
+
+@functools.cache
+def _certified_polys() -> tuple:
+    """(entry, n, its rhs at alpha = ALPHA) for each certifiable entry and n <= CERTIFY_N."""
+    entries = [e for e in declare() if e.certify is not None]
+    return tuple((e, n, e.rhs({"n": n, "alpha": ALPHA})) for e in entries for n in range(1, CERTIFY_N + 1))
+
+
+@SETTINGS
+@given(a=rats)
+def test_certified_rhs_over_q_alpha_evaluates_to_the_rational_rhs(a):
+    # what certify proves, the rhs at ALPHA, is the rhs that the grid grades
+    polys = _certified_polys()
+    assert {e.id for e, _, _ in polys} == {"gen-harmonic-relation", "idi1-alternating", "concl-item2"}
+    for entry, n, poly in polys:
+        assert poly(a) == entry.rhs({"n": n, "alpha": a})
 
 
 @SETTINGS

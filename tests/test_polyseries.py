@@ -27,6 +27,25 @@ def test_poly_ring_ops():
     assert p - p == PolyQ()
     assert 2 * q == PolyQ([0, 2])
     assert q**3 == PolyQ([0, 0, 0, 1])
+    assert 1 - q == PolyQ([1, -1]) and q - Fraction(1, 2) == PolyQ([Fraction(-1, 2), 1])  # scalars, either side
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: PolyQ([1, 2]) * TruncSeries([1, 2]),
+        lambda: TruncSeries([1, 2]) * PolyQ([1, 2]),
+        lambda: PolyQ([1]) * 1.5,
+        lambda: 1.5 * TruncSeries([1]),
+        lambda: PolyQ([1]) + 1.5,
+        lambda: 1.5 - PolyQ([1]),
+        lambda: PolyQ([1]) + TruncSeries([1]),
+    ],
+)
+def test_mixed_operands_are_unsupported(op):
+    # a scalar is an int or a Fraction; any other operand is Python's own TypeError
+    with pytest.raises(TypeError, match="unsupported operand type"):
+        op()
 
 
 def test_poly_eval_horner():
@@ -73,7 +92,7 @@ def test_series_compose():
     f2 = TruncSeries([0, 0, 1], 5)  # t^2 at order 5
     g = TruncSeries([0, 1, 1], 5)  # t + t^2
     assert f2.compose(g) == TruncSeries([0, 0, 1, 2, 1], 5)
-    assert f.compose(TruncSeries.zero(6)) == TruncSeries.constant(3, 6)
+    assert f.compose(TruncSeries.zero(6)) == TruncSeries([3], 6)
     with pytest.raises(CompositionDomainError):
         f.compose(TruncSeries.one(6))
 

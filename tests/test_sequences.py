@@ -172,6 +172,9 @@ def test_bad_specs_rejected():
         parse_seq_spec("powers:base=oops")
     with pytest.raises(SeqSpecError):
         SeqSpec("unknown")
+    for text in ("harmonic:alpha=1,alpha=2", "fibonacci:doubled=true,doubled=false", "powers:base=2, base=2"):
+        with pytest.raises(SeqSpecError, match="given twice"):
+            parse_seq_spec(text)  # a repeated key, even with the same value
     for doubled in (Fraction(2), Fraction(1, 2)):  # library callers hold doubled to 0 or 1 as well
         with pytest.raises(SeqSpecError):
             SeqSpec("lucas", {"doubled": doubled})

@@ -2,16 +2,12 @@ import json
 from fractions import Fraction
 
 from ghn.errors import DomainError
-from ghn.polyseries import PolyQ
-from ghn.registry import (
-    build_registry,
-    gen_harmonic_poly_lhs,
-    gen_harmonic_poly_rhs,
-    idi1_poly_lhs,
-    idi1_poly_rhs,
-)
+from ghn.polyseries import PolyQ, harmonic_poly
+from ghn.registry import build_registry
 from ghn.verifier import (
     ASSERT,
+    CERTIFY_N,
+    HOLDS_ON_GRID,
     REPORT_ONLY,
     SAMPLE_CAP,
     IdentityEntry,
@@ -109,12 +105,32 @@ def test_run_entry_skips_domain_errors():
     assert res.skipped == 3
 
 
+CERTIFIABLE = ["gen-harmonic-relation", "idi1-alternating", "concl-item2"]
+
+
 def test_certify_alpha_identity():
-    assert certify_alpha_identity(gen_harmonic_poly_lhs, gen_harmonic_poly_rhs, 30)
-    assert certify_alpha_identity(idi1_poly_lhs, idi1_poly_rhs, 30)
-    # fault injection: degree bump on one side
-    bad = lambda n: gen_harmonic_poly_rhs(n) + PolyQ([0] * (n + 1) + [1])
-    assert not certify_alpha_identity(gen_harmonic_poly_lhs, bad, 10)
+    entries = [e for e in build_registry(6, 42) if e.certify is not None]
+    assert [e.id for e in entries] == CERTIFIABLE
+    assert all(e.certify(CERTIFY_N) for e in entries)
+    # fault injection: an extra alpha^(n+1) term on the right side
+    rhs = entries[0].rhs
+    bad = lambda c: rhs(c) + PolyQ([0] * (int(c["n"]) + 1) + [1])
+    assert certify_alpha_identity(harmonic_poly, rhs, 10)
+    assert not certify_alpha_identity(harmonic_poly, bad, 10)
+
+
+def test_certify_proves_the_graded_closed_forms_beyond_the_grid(monkeypatch):
+    # each closed form off by one at a single n above the grid's n_max = 20 but
+    # within CERTIFY_N: the grid holds, and certify must no longer pass
+    import ghn.registry as registry_mod
+
+    relation, alternating = registry_mod.generalized_harmonic_relation, registry_mod.idi1_rhs
+    relation_25 = lambda n, alpha: relation(n, alpha) + (1 if n == 25 else 0)
+    alternating_27 = lambda n, alpha: alternating(n, alpha) + (1 if n == 27 else 0)
+    monkeypatch.setattr(registry_mod, "generalized_harmonic_relation", relation_25)
+    monkeypatch.setattr(registry_mod, "idi1_rhs", alternating_27)
+    entries = {e.id: e for e in build_registry(20, 42)}
+    assert {i: run_entry(entries[i]).tier for i in CERTIFIABLE} == dict.fromkeys(CERTIFIABLE, HOLDS_ON_GRID)
 
 
 def test_rand_rat_bounds():
