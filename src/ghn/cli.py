@@ -7,7 +7,8 @@ one registry entry).  All rationals cross this boundary as "p/q" strings.
 
 eval builds no grid: it takes the entry's sides from registry.declare, casts
 each --param by the entry's params (integers n, p, j, k; sequence specs for
-seq, b, c; rationals otherwise) and calls rhs, then lhs, at that point.
+seq, b, c; rationals otherwise) and calls rhs, then lhs, with those values in
+the order of params.  A --param given twice is a usage error.
 series does the same for the entry its --check names (SERIES_CHECKS), then
 runs that entry through verifier.run_entry at n = 0..order, which stops at
 the first differing coefficient.
@@ -91,7 +92,10 @@ def _parse_params(pairs: list[str]) -> dict[str, str]:
         key, eq, value = item.partition("=")
         if not eq:
             raise UsageError(f"expected name=value, got {item!r}")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise UsageError(f"parameter {key!r} is given twice")
+        out[key] = value.strip()
     return out
 
 
@@ -158,15 +162,15 @@ def cmd_eval(args) -> int:
         raise UsageError(f"unknown identity id {args.id!r}; known: {', '.join(sorted([*entries, *ALIASES]))}")
     names = [SEQ_NAMES.get(args.id, "seq") if name == "seq" else name for name in entry.params]
     cast = _cast_params(_parse_params(args.param), names)
-    point = {param: cast[name] for param, name in zip(entry.params, names)}
+    point = [cast[name] for name in names]
     try:
         # the closed form's domain check runs before the oracle can divide by zero
-        rhs = entry.rhs(point)
-        lhs = entry.lhs(point)
+        rhs = entry.rhs(*point)
+        lhs = entry.lhs(*point)
         rows = [["lhs", str(lhs)], ["rhs", str(rhs)], ["equal", "true" if lhs == rhs else "false"]]
         if entry.id in READINGS:
             label, other = READINGS[entry.id]
-            rows.append([label, str(entries[other].rhs(point))])
+            rows.append([label, str(entries[other].rhs(*point))])
     except (DomainError, OutOfValidityRangeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from exc
     _emit_table(args.id, ["field", "value"], rows, args.format, sys.stdout)

@@ -13,10 +13,11 @@ that result evaluated, not a copy of it.
   thm33_rhs (Thm 3.3)                gould_generalized_rhs(n, n-m, 1-alpha) per d_m
   as_np_closed (newcoffey)           sanchez_transform of pan_closed_form(m, z, 1, alpha)
   pan_closed_form, mu + lam = 0      lam^n idi1_rhs(n, alpha)
+  Spivey, Frontczak, skew transform  pan_closed_form(n, 1, 1, alpha), -pan_closed_form(n, 2, 1, -1),
+                                     -pan_closed_form(n, 1, 1, -1), in the registry
 Printed displays keep their own form, so the ledger grades the display itself:
 lemma21_rhs_ones, lambda1_case_rhs, second_case_ones_rhs, as_p1_closed,
-as_zneg1_alpha1_closed; spivey_rhs, frontczak_rhs and skew_transform_rhs are
-Pan's theorem at fixed arguments but also answer n = 0, where Pan raises.
+as_zneg1_alpha1_closed.
 
 generalized_harmonic_relation and idi1_rhs also run over Q[alpha]: at alpha =
 verifier.ALPHA they return the PolyQ in alpha that CERTIFIED proves.  So neither
@@ -166,10 +167,10 @@ def pan_closed_form(n: int, mu: RatLike, lam: RatLike, alpha: RatLike) -> Fracti
     """Closed form of sum_k C(n,k) mu^k lam^(n-k) H_k(alpha).
 
     (mu+lam)^n (H_n((lam+mu*alpha)/(mu+lam)) - H_n(lam/(mu+lam))), or
-    lam^n idi1_rhs(n, alpha) when mu + lam = 0.
+    lam^n idi1_rhs(n, alpha) when mu + lam = 0, which needs n >= 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     mu, lam, alpha = Fraction(mu), Fraction(lam), Fraction(alpha)
     s = mu + lam
     if s == 0:
@@ -182,22 +183,6 @@ def idi1_rhs(n: int, alpha: RatLike) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     return ((1 - alpha) ** n - 1) * Fraction(1, n)
-
-
-def spivey_rhs(n: int, alpha: RatLike) -> Fraction:
-    """2^n (H_n((1+alpha)/2) - H_n(1/2))."""
-    alpha = Fraction(alpha)
-    return 2**n * (harmonic_p(n, 1, (1 + alpha) / 2) - harmonic_p(n, 1, Fraction(1, 2)))
-
-
-def frontczak_rhs(n: int) -> Fraction:
-    """-3^n (H_n(-1/3) - H_n(1/3))."""
-    return -(3**n) * (harmonic_p(n, 1, Fraction(-1, 3)) - harmonic_p(n, 1, Fraction(1, 3)))
-
-
-def skew_transform_rhs(n: int) -> Fraction:
-    """2^n H_n(1/2)."""
-    return 2**n * harmonic_p(n, 1, Fraction(1, 2))
 
 
 def thm33_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:

@@ -1,12 +1,15 @@
 """The identity catalog: every registered entry, as its sides and its grid.
 
-An entry's sides (``declare``) are point functions of the names in its
-``params``, valid at any in-domain point; ``ghn eval`` calls them at a point
-the user gives.  Tables that sides share are memos made by each ``declare``
-call and keyed by value, so no table depends on a grid.  An entry's grid
-(``_grids``) is the list of seeded cells that ``verify`` and ``table`` run;
-``build_registry`` joins the two.  A grid cell's ``seq`` is an index into the
-entry's seeded sequences, resolved to their terms when the sides are called.
+An entry's sides (``declare``) take the values of the names in its
+``params`` as positional arguments, in that order, and are valid at any
+in-domain point; ``ghn eval`` calls them at a point the user gives.  A side
+that is one closed form or oracle as it stands is that function itself, and
+an entry with a sequence parameter lists it first, as ``seq``.  Tables that
+sides share are memos made by each ``declare`` call and keyed by value, so no
+table depends on a grid.  An entry's grid (``_grids``) is the list of seeded
+cells that ``verify`` and ``table`` run; ``build_registry`` joins the two.  A
+grid cell's ``seq`` is an index into the entry's seeded sequences, resolved to
+their terms when the sides are called.
 
 Grids are deterministic functions of (n_max, seed); each entry draws its
 random parameters from its own seeded stream so that filtering or reordering
@@ -36,7 +39,6 @@ from .closed_forms import (
     concl_item3_rhs,
     concl_item4_lhs,
     concl_item4_rhs,
-    frontczak_rhs,
     generalized_harmonic_relation,
     gould_generalized_lhs,
     gould_generalized_rhs,
@@ -48,8 +50,6 @@ from .closed_forms import (
     lemma21_rhs_ones,
     pan_closed_form,
     second_case_ones_rhs,
-    skew_transform_rhs,
-    spivey_rhs,
     thm33_nabla_rhs,
     thm33_rhs,
 )
@@ -199,8 +199,8 @@ def _exact_sides() -> list[IdentityEntry]:
             id="hockey-stick",
             anchor="sum_{m=0..n} C(x+m,m) = C(x+n+1,n)",
             params=("n", "x"),
-            lhs=lambda c: hockey_stick_sum(c["x"], int(c["n"])),
-            rhs=lambda c: binom_rat(c["x"] + int(c["n"]) + 1, int(c["n"])),
+            lhs=lambda n, x: hockey_stick_sum(x, n),
+            rhs=lambda n, x: binom_rat(x + n + 1, n),
         )
     ]
 
@@ -210,94 +210,93 @@ def _ratio_sides() -> list[IdentityEntry]:
         id="lemma2.1-ones",
         anchor="lemmaeq0: b=1, L!=0 branch = (C(L+n,n)-1)/(L*C(L+n,n))",
         params=("n", "lambda"),
-        lhs=lambda c: lemma21_lhs(_ones(int(c["n"])), int(c["n"]), c["lambda"]),
-        rhs=lambda c: lemma21_rhs_ones(int(c["n"]), c["lambda"]),
+        lhs=lambda n, lam: lemma21_lhs(_ones(n), n, lam),
+        rhs=lemma21_rhs_ones,
         note="numerator corrected to C(L+n,n); the printed lower index n-1 fails the oracle (see lemma2.1-ones-as-printed)",
     )
     skew = IdentityEntry(
         id="skew-relation",
         anchor="H_n(-1) = H_n + sum_k C(n,k)(-2)^k/k",
         params=("n",),
-        lhs=lambda c: harmonic_p(int(c["n"]), 1, -1),
-        rhs=lambda c: generalized_harmonic_relation(int(c["n"]), -1),
+        lhs=lambda n: harmonic_p(n, 1, -1),
+        rhs=lambda n: generalized_harmonic_relation(n, -1),
         note="holds with H_n(-1) = -H_n^- on the left; the printed H_n^- reading fails (see skew-sign-convention)",
     )
-    relation_rhs = lambda c: generalized_harmonic_relation(int(c["n"]), c["alpha"])
     return [
         IdentityEntry(
             id="lemma2.1-coherence",
             anchor="lemmaeq0: n!*sum_m b_m/(m!(L+m)..(L+n)) = branch(L)",
-            params=("n", "lambda", "seq"),
-            lhs=lambda c: lemma21_lhs(c["seq"], int(c["n"]), c["lambda"]),
-            rhs=lambda c: lemma21_rhs(c["seq"], int(c["n"]), c["lambda"]),
+            params=("seq", "n", "lambda"),
+            lhs=lemma21_lhs,
+            rhs=lemma21_rhs,
             note="seq indexes the seeded random b sequences; integer lambdas in [-n,-1] are skipped",
         ),
         IdentityEntry(
             id="lemma2.1-ones-zero",
             anchor="lemmaeq0: b=1, L=0 branch equals H_n",
             params=("n",),
-            lhs=lambda c: lemma21_lhs(_ones(int(c["n"])), int(c["n"]), 0),
-            rhs=lambda c: harmonic(int(c["n"])),
+            lhs=lambda n: lemma21_lhs(_ones(n), n, 0),
+            rhs=harmonic,
         ),
         ones,
         replace(
             ones,
             id="lemma2.1-ones-as-printed",
             anchor="lemmaeq0: b=1, L!=0 branch with numerator C(L+n,n-1) as printed",
-            rhs=lambda c: lemma21_rhs_ones(int(c["n"]), c["lambda"], as_printed=True),
+            rhs=lambda n, lam: lemma21_rhs_ones(n, lam, as_printed=True),
             policy=REPORT_ONLY,
             note="as-printed variant; agreement only where C(L+n,n-1) happens to equal C(L+n,n)",
         ),
         IdentityEntry(
             id="thm2.3-general",
             anchor="suce11: sum_k C(n,k) a_k/(k+L) = transform closed form",
-            params=("n", "lambda", "seq"),
-            lhs=lambda c: _ratio_oracle(c["seq"], int(c["n"]), c["lambda"]),
-            rhs=lambda c: boyadzhiev_ratio_closed(c["seq"], int(c["n"]), c["lambda"]),
+            params=("seq", "n", "lambda"),
+            lhs=_ratio_oracle,
+            rhs=boyadzhiev_ratio_closed,
             note="even seq indices have a_0 = 0, odd ones a_0 != 0",
         ),
         IdentityEntry(
             id="thm2.3-lambda0",
             anchor="suce11: L=0 branch sum b_m/m - b_0 H_n",
-            params=("n", "seq"),
-            lhs=lambda c: _ratio_oracle(c["seq"], int(c["n"]), 0),
-            rhs=lambda c: boyadzhiev_ratio_closed(c["seq"], int(c["n"]), 0),
+            params=("seq", "n"),
+            lhs=lambda a, n: _ratio_oracle(a, n, 0),
+            rhs=lambda a, n: boyadzhiev_ratio_closed(a, n, 0),
         ),
         IdentityEntry(
             id="thm2.3-lambda1",
             anchor="suce11: L=1 case (sum_m b_m - n b_0)/(n+1)",
-            params=("n", "seq"),
-            lhs=lambda c: _ratio_oracle(c["seq"], int(c["n"]), 1),
-            rhs=lambda c: lambda1_case_rhs(c["seq"], int(c["n"])),
+            params=("seq", "n"),
+            lhs=lambda a, n: _ratio_oracle(a, n, 1),
+            rhs=lambda1_case_rhs,
         ),
         IdentityEntry(
             id="second-case-ones",
             anchor="sum_k C(n,k)/k = sum_m 2^m/m - H_n",
             params=("n",),
-            lhs=lambda c: _ratio_oracle(_ones(int(c["n"])), int(c["n"]), 0),
-            rhs=lambda c: second_case_ones_rhs(int(c["n"])),
+            lhs=lambda n: _ratio_oracle(_ones(n), n, 0),
+            rhs=second_case_ones_rhs,
         ),
         IdentityEntry(
             id="knuth-flajolet",
             anchor="sum_k C(n,k)(-1)^k/(k+L) = 1/(L*C(L+n,n))",
             params=("n", "lambda"),
-            lhs=lambda c: _knuth_oracle(int(c["n"]), c["lambda"]),
-            rhs=lambda c: knuth_flajolet_rhs(int(c["n"]), c["lambda"]),
+            lhs=_knuth_oracle,
+            rhs=knuth_flajolet_rhs,
         ),
         IdentityEntry(
             id="gen-harmonic-relation",
             anchor="H_n(a) = H_n + sum_k C(n,k)(a-1)^k/k",
             params=("n", "alpha"),
-            lhs=lambda c: harmonic_p(int(c["n"]), 1, c["alpha"]),
-            rhs=relation_rhs,
-            certify=lambda nm: certify_alpha_identity(harmonic_poly, relation_rhs, nm),
+            lhs=lambda n, alpha: harmonic_p(n, 1, alpha),
+            rhs=generalized_harmonic_relation,
+            certify=lambda nm: certify_alpha_identity(harmonic_poly, generalized_harmonic_relation, nm),
         ),
         skew,
         replace(
             skew,
             id="skew-sign-convention",
             anchor="H_n^- = H_n + sum_k C(n,k)(-2)^k/k (as printed)",
-            lhs=lambda c: skew_harmonic(int(c["n"])),
+            lhs=skew_harmonic,
             policy=REPORT_ONLY,
             note="resolves the sign convention empirically: this reading disagrees, the H_n(-1) reading holds",
         ),
@@ -309,8 +308,8 @@ def _gould_sides() -> list[IdentityEntry]:
         id="eq-eulerbnew-j0",
         anchor="eulerbnew at j=0 as printed",
         params=("n", "a"),
-        lhs=lambda c: gould_generalized_lhs(int(c["n"]), 0, c["a"]),
-        rhs=lambda c: gould_generalized_rhs(int(c["n"]), 0, c["a"]),
+        lhs=lambda n, a: gould_generalized_lhs(n, 0, a),
+        rhs=lambda n, a: gould_generalized_rhs(n, 0, a),
         policy=REPORT_ONLY,
         note="at j=0 the printed display drops the -b_0*H_n correction (b_0 = 1), so the sides differ by H_n",
     )
@@ -319,8 +318,8 @@ def _gould_sides() -> list[IdentityEntry]:
             id="eq-eulerbnew",
             anchor="eulerbnew: sum_k C(n,k)C(k,j)(-a)^k/k = sum_t C(t,j)(-a)^j(1-a)^(t-j)/t",
             params=("n", "j", "a"),
-            lhs=lambda c: gould_generalized_lhs(int(c["n"]), int(c["j"]), c["a"]),
-            rhs=lambda c: gould_generalized_rhs(int(c["n"]), int(c["j"]), c["a"]),
+            lhs=gould_generalized_lhs,
+            rhs=gould_generalized_rhs,
             note="j >= 1 grid; ratio sums start at k = 1; 0^0 = 1 at the a = 1 edge",
         ),
         j0,
@@ -328,7 +327,7 @@ def _gould_sides() -> list[IdentityEntry]:
             j0,
             id="eq-eulerbnew-j0-corrected",
             anchor="eulerbnew at j=0 with the -H_n correction restored",
-            rhs=lambda c, printed=j0.rhs: printed(c) - harmonic(int(c["n"])),
+            rhs=lambda n, a, printed=j0.rhs: printed(n, a) - harmonic(n),
             policy=ASSERT,
             note="",
         ),
@@ -345,76 +344,76 @@ def _series_sides(ht, size: int) -> list[IdentityEntry]:
             id="panequa1-series",
             anchor="panequa1: [t^n] f(ut/(1-Lt))/(1-Lt) = sum_k C(n,k)u^k L^(n-k) a_k",
             params=("n", "lambda", "mu", "alpha"),
-            lhs=lambda c: pan((c["lambda"], c["mu"], c["alpha"]), int(c["n"]))[int(c["n"])],
-            rhs=lambda c: -binomial_oracle(int(c["n"]), ht(c["alpha"], int(c["n"])), c["mu"], c["lambda"]),
+            lhs=lambda n, lam, mu, alpha: pan((lam, mu, alpha), n)[n],
+            rhs=lambda n, lam, mu, alpha: -binomial_oracle(n, ht(alpha, n), mu, lam),
             note="a_k = -H_k(alpha), the generating coefficients of log(1-alpha*t)/(1-t); seeded (L,u,alpha) triples",
         ),
         IdentityEntry(
             id="genfunc-alpha",
             anchor="conclusion-1: log(1-a*t)/(1-t) = -sum H_n(a) t^n",
             params=("n", "alpha"),
-            lhs=lambda c: genfunc(c["alpha"], int(c["n"]))[int(c["n"])],
-            rhs=lambda c: -ht(c["alpha"], int(c["n"]))[int(c["n"])],
+            lhs=lambda n, alpha: genfunc(alpha, n)[n],
+            rhs=lambda n, alpha: -ht(alpha, n)[n],
         ),
         IdentityEntry(
             id="genfunc-harmonic",
             anchor="conclusion-1.1: log(1-t)/(1-t) = -sum H_n t^n",
             params=("n",),
-            lhs=lambda c: genfunc(Fraction(1), int(c["n"]))[int(c["n"])],
-            rhs=lambda c: -ht(1, int(c["n"]))[int(c["n"])],
+            lhs=lambda n: genfunc(Fraction(1), n)[n],
+            rhs=lambda n: -ht(1, n)[n],
         ),
         IdentityEntry(
             id="genfunc-skew",
             anchor="conclusion-1.2: [t^n] log(1+t)/(1-t) = H_n^- = -H_n(-1)",
             params=("n",),
-            lhs=lambda c: genfunc(Fraction(-1), int(c["n"]))[int(c["n"])],
-            rhs=lambda c: -ht(-1, int(c["n"]))[int(c["n"])],
+            lhs=lambda n: genfunc(Fraction(-1), n)[n],
+            rhs=lambda n: -ht(-1, n)[n],
             note="the printed -H notation matches only under the H_n(-1) reading",
         ),
     ]
 
 
 def _pan_sides(ht) -> list[IdentityEntry]:
-    alternating_rhs = lambda c: idi1_rhs(int(c["n"]), c["alpha"])
     alternating_oracle = lambda n: binomial_oracle(n, [harmonic_poly(k) for k in range(n + 1)], mu=-1)
-    # the skew-harmonic weights are H_k^- = -H_k(-1)
+    # the skew-harmonic weights are H_k^- = -H_k(-1); the last three right sides
+    # are Pan's theorem at each display's own (mu, lam, alpha)
     return [
         IdentityEntry(
             id="pan-thm3.2",
             anchor="teorempan: sum_k C(n,k)u^k L^(n-k) H_k(a), both branches",
             params=("n", "mu", "lambda", "alpha"),
-            lhs=lambda c: binomial_oracle(int(c["n"]), ht(c["alpha"], int(c["n"])), c["mu"], c["lambda"]),
-            rhs=lambda c: pan_closed_form(int(c["n"]), c["mu"], c["lambda"], c["alpha"]),
+            lhs=lambda n, mu, lam, alpha: binomial_oracle(n, ht(alpha, n), mu, lam),
+            rhs=pan_closed_form,
             note="grid includes every u+L = 0 line (second branch) and u = L = 0",
         ),
         IdentityEntry(
             id="idi1-alternating",
             anchor="idi1: sum_k (-1)^k C(n,k) H_k(a) = ((1-a)^n - 1)/n",
             params=("n", "alpha"),
-            lhs=lambda c: binomial_oracle(int(c["n"]), ht(c["alpha"], int(c["n"])), mu=-1),
-            rhs=alternating_rhs,
-            certify=lambda nm: certify_alpha_identity(alternating_oracle, alternating_rhs, nm),
+            lhs=lambda n, alpha: binomial_oracle(n, ht(alpha, n), mu=-1),
+            rhs=idi1_rhs,
+            certify=lambda nm: certify_alpha_identity(alternating_oracle, idi1_rhs, nm),
         ),
         IdentityEntry(
             id="skew-transform",
             anchor="sum_k C(n,k) H_k^- = 2^n H_n(1/2)",
             params=("n",),
-            lhs=lambda c: -binomial_oracle(int(c["n"]), ht(-1, int(c["n"]))),
-            rhs=lambda c: skew_transform_rhs(int(c["n"])),
+            lhs=lambda n: -binomial_oracle(n, ht(-1, n)),
+            rhs=lambda n: -pan_closed_form(n, 1, 1, -1),
         ),
         IdentityEntry(
             id="frontczak-variant",
             anchor="sum_k C(n,k) 2^k H_k^- = -3^n (H_n(-1/3) - H_n(1/3))",
             params=("n",),
-            lhs=lambda c: -binomial_oracle(int(c["n"]), ht(-1, int(c["n"])), mu=2),
-            rhs=lambda c: frontczak_rhs(int(c["n"])),
+            lhs=lambda n: -binomial_oracle(n, ht(-1, n), mu=2),
+            rhs=lambda n: -pan_closed_form(n, 2, 1, -1),
         ),
         IdentityEntry(
             id="spivey-generalization",
             anchor="sum_{k>=1} C(n,k) H_k(a) = 2^n (H_n((1+a)/2) - H_n(1/2))",
             params=("n", "alpha"),
-            lhs=lambda c: binomial_oracle(int(c["n"]), ht(c["alpha"], int(c["n"]))),
-            rhs=lambda c: spivey_rhs(int(c["n"]), c["alpha"]),
+            lhs=lambda n, alpha: binomial_oracle(n, ht(alpha, n)),
+            rhs=lambda n, alpha: pan_closed_form(n, 1, 1, alpha),
         ),
     ]
 
@@ -423,11 +422,9 @@ def _thm33_sides(ht) -> list[IdentityEntry]:
     eqnnew8 = IdentityEntry(
         id="thm3.3-eqnnew8",
         anchor="eqnnew8: sum_k C(n,k)(-1)^k H_k(a) c_k via d = inverse transform of c",
-        params=("n", "alpha", "seq"),
-        lhs=lambda c: binomial_oracle(
-            int(c["n"]), [h * ck for h, ck in zip(ht(c["alpha"], int(c["n"]))[: int(c["n"]) + 1], c["seq"])], mu=-1
-        ),
-        rhs=lambda c: thm33_rhs(c["seq"], int(c["n"]), c["alpha"]),
+        params=("seq", "n", "alpha"),
+        lhs=lambda c, n, alpha: binomial_oracle(n, [h * ck for h, ck in zip(ht(alpha, n)[: n + 1], c)], mu=-1),
+        rhs=thm33_rhs,
         note=f"promoted to ASSERT after a clean full oracle run; a and alpha are treated as one symbol; seq: {_THM33_LEGEND}",
     )
     return [
@@ -436,7 +433,7 @@ def _thm33_sides(ht) -> list[IdentityEntry]:
             eqnnew8,
             id="thm3.3-nabla",
             anchor="eqnnew9: same sum decomposed through weighted nabla terms",
-            rhs=lambda c: thm33_nabla_rhs(c["seq"], int(c["n"]), c["alpha"]),
+            rhs=thm33_nabla_rhs,
             note=f"seq: {_THM33_LEGEND}",
         ),
     ]
@@ -448,8 +445,8 @@ def _example34_sides(ht, size: int) -> list[IdentityEntry]:
         id="ex3.4-harmonic-alt",
         anchor="sum_k C(n,k)(-1)^(k-1) H_k = 1/n",
         params=("n",),
-        lhs=lambda c: -binomial_oracle(int(c["n"]), ht(1, int(c["n"])), mu=-1),
-        rhs=lambda c: Fraction(1, int(c["n"])),
+        lhs=lambda n: -binomial_oracle(n, ht(1, n), mu=-1),
+        rhs=lambda n: Fraction(1, n),
         note="printed transform value (-1)^(n-1)/n holds only at odd n; see ex3.4-harmonic-alt-as-printed",
     )
     return [
@@ -457,10 +454,8 @@ def _example34_sides(ht, size: int) -> list[IdentityEntry]:
             id="ex3.4-stirling-power",
             anchor="sum_k C(n,k) k! S(p,k) = n^p",
             params=("n", "p"),
-            lhs=lambda c: binomial_oracle(
-                int(c["n"]), [math.factorial(k) * stirling2(int(c["p"]), k) for k in range(int(c["n"]) + 1)]
-            ),
-            rhs=lambda c: Fraction(int(c["n"]) ** int(c["p"])),
+            lhs=lambda n, p: binomial_oracle(n, [math.factorial(k) * stirling2(p, k) for k in range(n + 1)]),
+            rhs=lambda n, p: Fraction(n**p),
             note="integer exponents only; the complex-exponent form of this pair is out of scope",
         ),
         harmonic_alt,
@@ -468,7 +463,7 @@ def _example34_sides(ht, size: int) -> list[IdentityEntry]:
             harmonic_alt,
             id="ex3.4-harmonic-alt-as-printed",
             anchor="sum_k C(n,k)(-1)^(k-1) H_k = (-1)^(n-1)/n (as printed)",
-            rhs=lambda c: Fraction((-1) ** (int(c["n"]) + 1), int(c["n"])),  # (-1)^(n-1), an int also at n = 0
+            rhs=lambda n: Fraction((-1) ** (n + 1), n),  # (-1)^(n-1), an int also at n = 0
             policy=REPORT_ONLY,
             note="",
         ),
@@ -476,44 +471,44 @@ def _example34_sides(ht, size: int) -> list[IdentityEntry]:
             id="ex3.4-fibonacci",
             anchor="sum_k C(n,k) F_k = F_2n",
             params=("n",),
-            lhs=lambda c: binomial_oracle(int(c["n"]), [fibonacci(k) for k in range(int(c["n"]) + 1)]),
-            rhs=lambda c: Fraction(fibonacci(2 * int(c["n"]))),
+            lhs=lambda n: binomial_oracle(n, [fibonacci(k) for k in range(n + 1)]),
+            rhs=lambda n: Fraction(fibonacci(2 * n)),
         ),
         IdentityEntry(
             id="ex3.4-fibonacci-alt",
             anchor="sum_k C(n,k)(-1)^(k-1) F_k = F_n",
             params=("n",),
-            lhs=lambda c: -binomial_oracle(int(c["n"]), [fibonacci(k) for k in range(int(c["n"]) + 1)], mu=-1),
-            rhs=lambda c: Fraction(fibonacci(int(c["n"]))),
+            lhs=lambda n: -binomial_oracle(n, [fibonacci(k) for k in range(n + 1)], mu=-1),
+            rhs=lambda n: Fraction(fibonacci(n)),
         ),
         IdentityEntry(
             id="ex3.4-lucas",
             anchor="sum_k C(n,k) L_k = L_2n",
             params=("n",),
-            lhs=lambda c: binomial_oracle(int(c["n"]), [lucas(k) for k in range(int(c["n"]) + 1)]),
-            rhs=lambda c: Fraction(lucas(2 * int(c["n"]))),
+            lhs=lambda n: binomial_oracle(n, [lucas(k) for k in range(n + 1)]),
+            rhs=lambda n: Fraction(lucas(2 * n)),
         ),
         IdentityEntry(
             id="ex3.4-lucas-alt",
             anchor="sum_k C(n,k)(-1)^k L_k = L_n",
             params=("n",),
-            lhs=lambda c: binomial_oracle(int(c["n"]), [lucas(k) for k in range(int(c["n"]) + 1)], mu=-1),
-            rhs=lambda c: Fraction(lucas(int(c["n"]))),
+            lhs=lambda n: binomial_oracle(n, [lucas(k) for k in range(n + 1)], mu=-1),
+            rhs=lambda n: Fraction(lucas(n)),
         ),
         IdentityEntry(
             id="ex3.4-bernoulli",
             anchor="sum_k C(n,k) B_k = (-1)^n B_n",
             params=("n",),
-            lhs=lambda c: binomial_oracle(int(c["n"]), [bernoulli(k) for k in range(int(c["n"]) + 1)]),
-            rhs=lambda c: (-1) ** int(c["n"]) * bernoulli(int(c["n"])),
+            lhs=lambda n: binomial_oracle(n, [bernoulli(k) for k in range(n + 1)]),
+            rhs=lambda n: (-1) ** n * bernoulli(n),
             note="pins the B_1 = -1/2 convention; the +1/2 convention fails at n = 1",
         ),
         IdentityEntry(
             id="ex3.4-laguerre",
             anchor="sum_k C(n,k)(-x)^k/k! = L_n(x)",
             params=("n", "x"),
-            lhs=lambda c: laguerre(int(c["n"]), c["x"]),
-            rhs=lambda c: recurrence(c["x"], int(c["n"]))[int(c["n"])],
+            lhs=laguerre,
+            rhs=lambda n, x: recurrence(x, n)[n],
             note="right side from the three-term recurrence, independent of the defining sum",
         ),
     ]
@@ -526,8 +521,8 @@ def _sanchez_sides(size: int) -> list[IdentityEntry]:
             id="sanchez-weight",
             anchor="sanchezlemma: C(n,k) k^p as the signed Stirling double sum",
             params=("n", "k", "p"),
-            lhs=lambda c: Fraction(binom_int(int(c["n"]), int(c["k"])) * int(c["k"]) ** int(c["p"])),
-            rhs=lambda c: Fraction(sanchez_weight(int(c["n"]), int(c["k"]), int(c["p"]))),
+            lhs=lambda n, k, p: Fraction(binom_int(n, k) * k**p),
+            rhs=lambda n, k, p: Fraction(sanchez_weight(n, k, p)),
             note="uses the C(n-l,k), C(n-l,j-l) index reading; the printed C(n-1,*) occurrences fail the p=1..3 examples",
         )
     ]
@@ -537,17 +532,17 @@ def _sanchez_sides(size: int) -> list[IdentityEntry]:
                 id=f"sanchez-p{p}",
                 anchor=f"exsanchez: printed p={p} shifted-binomial specialization",
                 params=("n", "k"),
-                lhs=lambda c, p=p: Fraction(binom_int(int(c["n"]), int(c["k"])) * int(c["k"]) ** p),
-                rhs=lambda c, fn=fn: Fraction(fn(int(c["n"]), int(c["k"]))),
+                lhs=lambda n, k, p=p: Fraction(binom_int(n, k) * k**p),
+                rhs=lambda n, k, fn=fn: Fraction(fn(n, k)),
             )
         )
     entries.append(
         IdentityEntry(
             id="sanchez-transform",
             anchor="sanchez: sum_k C(n,k) k^p a_k from the plain transform of a",
-            params=("n", "p", "seq"),
-            lhs=lambda c: _power_weight_oracle(c["seq"], int(c["n"]), int(c["p"])),
-            rhs=lambda c: sanchez_transform(transform(c["seq"], int(c["n"])), int(c["n"]), int(c["p"])),
+            params=("seq", "n", "p"),
+            lhs=_power_weight_oracle,
+            rhs=lambda a, n, p: sanchez_transform(transform(a, n), n, p),
             note="cells with p > n are skipped by contract, not evaluated",
         )
     )
@@ -563,23 +558,23 @@ def _asnp_sides(ht) -> list[IdentityEntry]:
         id="as-newcoffey",
         anchor="newcoffey: sum_j C(n,j) j^p H_j(a) z^j, z != -1, via Stirling double sum",
         params=("n", "p", "z", "alpha"),
-        lhs=lambda c: oracle(int(c["n"]), int(c["p"]), c["z"], c["alpha"]),
-        rhs=lambda c: as_np_closed(int(c["n"]), int(c["p"]), c["z"], c["alpha"]),
+        lhs=oracle,
+        rhs=as_np_closed,
     )
     alpha1 = IdentityEntry(
         id="as-newcoffey1",
         anchor="newcoffey1: z=-1, a=1 case with weights k! S(p,k)",
         params=("n", "p"),
-        lhs=lambda c: oracle(int(c["n"]), int(c["p"]), Fraction(-1), Fraction(1)),
-        rhs=lambda c: as_zneg1_alpha1_closed(int(c["n"]), int(c["p"])),
+        lhs=lambda n, p: oracle(n, p, Fraction(-1), Fraction(1)),
+        rhs=as_zneg1_alpha1_closed,
         note="tail weight corrected to k! S(p,k), forced by the oracle and by the surrounding derivation; see -as-printed",
     )
     p0 = IdentityEntry(
         id="as-p0",
         anchor="p=0 case: sum_k C(n,k) z^k H_k(a) = (1+z)^n (H_n((1+az)/(1+z)) - H_n(1/(1+z)))",
         params=("n", "z", "alpha"),
-        lhs=lambda c: binomial_oracle(int(c["n"]), ht(c["alpha"], int(c["n"])), mu=c["z"]),
-        rhs=lambda c: pan_closed_form(int(c["n"]), c["z"], 1, c["alpha"]),
+        lhs=lambda n, z, alpha: binomial_oracle(n, ht(alpha, n), mu=z),
+        rhs=lambda n, z, alpha: pan_closed_form(n, z, 1, alpha),
         note="printed display carries a stray (-1)^k on the left; see as-p0-as-printed",
     )
     return [
@@ -595,7 +590,7 @@ def _asnp_sides(ht) -> list[IdentityEntry]:
             alpha1,
             id="as-newcoffey1-as-printed",
             anchor="newcoffey1 with the printed tail weight k! C(n,k)",
-            rhs=lambda c: as_zneg1_alpha1_closed(int(c["n"]), int(c["p"]), as_printed=True),
+            rhs=lambda n, p: as_zneg1_alpha1_closed(n, p, as_printed=True),
             policy=REPORT_ONLY,
             note="",
         ),
@@ -604,7 +599,7 @@ def _asnp_sides(ht) -> list[IdentityEntry]:
             p0,
             id="as-p0-as-printed",
             anchor="p=0 case with the printed (-1)^k kept on the left",
-            lhs=lambda c: binomial_oracle(int(c["n"]), ht(c["alpha"], int(c["n"])), mu=-c["z"]),
+            lhs=lambda n, z, alpha: binomial_oracle(n, ht(alpha, n), mu=-z),
             policy=REPORT_ONLY,
             note="",
         ),
@@ -612,8 +607,8 @@ def _asnp_sides(ht) -> list[IdentityEntry]:
             id="as-p1-exemple1",
             anchor="exemple1: the factored p=1 expansion",
             params=("n", "z", "alpha"),
-            lhs=lambda c: oracle(int(c["n"]), 1, c["z"], c["alpha"]),
-            rhs=lambda c: as_p1_closed(int(c["n"]), c["z"], c["alpha"]),
+            lhs=lambda n, z, alpha: oracle(n, 1, z, alpha),
+            rhs=as_p1_closed,
         ),
         *(
             replace(
@@ -636,8 +631,8 @@ def _conclusion_sides(idi1: IdentityEntry) -> list[IdentityEntry]:
         id="concl-item3",
         anchor="conclusion-3: sum_k H_k(a)/k vs product form, H(a)^(2) read as the weight-2 sum",
         params=("n", "alpha"),
-        lhs=lambda c: concl_item3_lhs(int(c["n"]), c["alpha"]),
-        rhs=lambda c: concl_item3_rhs(int(c["n"]), c["alpha"]),
+        lhs=concl_item3_lhs,
+        rhs=concl_item3_rhs,
         policy=REPORT_ONLY,
         note="question-marked in the source; registered as a conjecture, never asserted",
     )
@@ -645,8 +640,8 @@ def _conclusion_sides(idi1: IdentityEntry) -> list[IdentityEntry]:
         id="concl-item4",
         anchor="conclusion-4: sum_k (-1)^k H_k(a)/k vs H^(2)(1-a) - H^(2)(1)",
         params=("n", "alpha"),
-        lhs=lambda c: concl_item4_lhs(int(c["n"]), c["alpha"]),
-        rhs=lambda c: concl_item4_rhs(int(c["n"]), c["alpha"]),
+        lhs=concl_item4_lhs,
+        rhs=concl_item4_rhs,
         policy=REPORT_ONLY,
         note="weight-2 reading; disagrees beyond n = 1, counterexamples recorded",
     )
@@ -657,7 +652,7 @@ def _conclusion_sides(idi1: IdentityEntry) -> list[IdentityEntry]:
             item3,
             id="concl-item3-square",
             anchor="conclusion-3 with H(a)^(2) read as a square",
-            rhs=lambda c: concl_item3_rhs(int(c["n"]), c["alpha"], reading="square"),
+            rhs=lambda n, alpha: concl_item3_rhs(n, alpha, reading="square"),
             note="alternative reading of the same conjecture",
         ),
         item4,
@@ -665,7 +660,7 @@ def _conclusion_sides(idi1: IdentityEntry) -> list[IdentityEntry]:
             item4,
             id="concl-item4-square",
             anchor="conclusion-4 with the squares reading",
-            rhs=lambda c: concl_item4_rhs(int(c["n"]), c["alpha"], reading="square"),
+            rhs=lambda n, alpha: concl_item4_rhs(n, alpha, reading="square"),
             note="alternative reading; also disagrees",
         ),
     ]
@@ -845,8 +840,8 @@ def _grids(n_max: int, seed: int) -> tuple[dict[str, list[Cell]], dict[str, list
 
 
 def _on_seqs(side, seqs: list[tuple]):
-    """side at a grid cell whose `seq` is an index into seqs."""
-    return lambda c: side({**c, "seq": seqs[int(c["seq"])]})
+    """side with its first argument, a grid cell's `seq`, read as an index into seqs."""
+    return lambda i, *rest: side(seqs[i], *rest)
 
 
 def build_registry(n_max: int, seed: int) -> list[IdentityEntry]:

@@ -1,7 +1,7 @@
 """Grid execution, polynomial certification, and tiered verdict reporting.
 
-An IdentityEntry pairs two point functions (its sides) with a finite grid of
-exact rational parameter points.  run_entry grades it:
+An IdentityEntry pairs two sides, functions of its parameters, with a finite
+grid of exact rational parameter points.  run_entry grades it:
 
   CERTIFIED      its rhs over Q[alpha] equals a direct sum for n <= 30 (strongest),
   HOLDS_ON_GRID  exact agreement at every evaluated cell,
@@ -48,20 +48,21 @@ Cell = dict
 
 @dataclass
 class IdentityEntry:
-    """One catalogued identity: two sides, the names they read, a grid, a policy.
+    """One catalogued identity: two sides, the names they take, a grid, a policy.
 
-    ``lhs`` and ``rhs`` map a point (a dict holding at least the names in
-    ``params``) to an exact value; ``cells`` are the grid points that
-    run_entry visits, and may carry display-only names besides ``params``.
-    An entry with ``certify`` has an ``rhs`` that is, at alpha = ALPHA, a
-    polynomial in alpha; ``certify(n_max)`` compares it coefficient-wise with a
-    direct-sum oracle over Q[alpha] for every n <= n_max.
+    ``lhs`` and ``rhs`` take the values of the names in ``params``, in that
+    order, and return an exact value; ``cells`` are the grid points (dicts
+    holding at least the names in ``params``) that run_entry visits, and may
+    carry display-only names besides them.  An entry with ``certify`` has an
+    ``rhs(n, alpha)`` that is, at alpha = ALPHA, a polynomial in alpha;
+    ``certify(n_max)`` compares it coefficient-wise with a direct-sum oracle
+    over Q[alpha] for every n <= n_max.
     """
 
     id: str
     anchor: str
-    lhs: Callable[[Cell], Fraction]
-    rhs: Callable[[Cell], Fraction]
+    lhs: Callable[..., Fraction]
+    rhs: Callable[..., Fraction]
     params: tuple[str, ...] = ()
     cells: list[Cell] = field(default_factory=list)
     policy: str = ASSERT
@@ -189,7 +190,7 @@ def run_entry(
     entry: IdentityEntry,
     on_cell: Callable[[Cell, Fraction | None, Fraction | None], None] | None = None,
 ) -> EntryResult:
-    """Evaluate both sides on every grid cell and grade the entry.
+    """Evaluate both sides at the params of every grid cell and grade the entry.
 
     ``on_cell(cell, lhs, rhs)`` sees each visited cell in order, with
     ``lhs = rhs = None`` for a skipped cell; an ASSERT entry stops at its
@@ -203,9 +204,10 @@ def run_entry(
     counterexamples: list[dict] = []
     agreement: dict | None = None
     for cell in cells:
+        args = [cell[name] for name in entry.params]
         try:
-            lv = entry.lhs(cell)
-            rv = entry.rhs(cell)
+            lv = entry.lhs(*args)
+            rv = entry.rhs(*args)
         except (DomainError, OutOfValidityRangeError):
             skipped += 1
             if on_cell is not None:
@@ -256,9 +258,9 @@ def run_entry(
     )
 
 
-def certify_alpha_identity(oracle: Callable[[int], PolyQ], rhs: Callable[[Cell], PolyQ], n_max: int) -> bool:
-    """True iff oracle(n) equals rhs at the point (n, ALPHA), coefficient-wise, for 1..n_max."""
-    return all(oracle(n) == rhs({"n": n, "alpha": ALPHA}) for n in range(1, n_max + 1))
+def certify_alpha_identity(oracle: Callable[[int], PolyQ], rhs: Callable[[int, PolyQ], PolyQ], n_max: int) -> bool:
+    """True iff oracle(n) equals rhs(n, ALPHA), coefficient-wise, for 1..n_max."""
+    return all(oracle(n) == rhs(n, ALPHA) for n in range(1, n_max + 1))
 
 
 def pan_lemma_series(order: int, lam: RatLike, mu: RatLike, a: Sequence[RatLike]) -> TruncSeries:

@@ -86,8 +86,9 @@ def test_criterion_4_knuth_flajolet():
     t0 = time.perf_counter()
     entry = _entry(30, "knuth-flajolet")
     res = run_entry(entry)
+    side = lambda f, c: f(*(c[p] for p in entry.params))
     spot = next(
-        (entry.lhs(c), entry.rhs(c))
+        (side(entry.lhs, c), side(entry.rhs, c))
         for c in entry.cells
         if c["n"] == 2 and c["lambda"] == Fraction(1, 2)
     )

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,11 @@ def _grid_point(eval_id, **fixed):
     return out
 
 
+def _at(side, entry, cell):
+    """side called with the values of the entry's params at cell."""
+    return side(*(cell[p] for p in entry.params))
+
+
 def _eval_rows(argv, capsys):
     code, out, err = run_cli(argv + ["--format", "json"], capsys)
     assert code == 0, err
@@ -187,14 +193,14 @@ def test_eval_seq_ids_match_sides(eval_id, capsys):
     entry = SIDES[ALIASES.get(eval_id, eval_id)]
     point = {**GRID[entry.id].cells[0], "n": 4, "p": 2, "alpha": Fraction(2, 3), "lambda": Fraction(1, 2)}
     point["seq"] = tuple(materialize(parse_seq_spec("lucas"), 4))
-    assert (rows["lhs"], rows["rhs"]) == (str(entry.lhs(point)), str(entry.rhs(point)))
+    assert (rows["lhs"], rows["rhs"]) == (str(_at(entry.lhs, entry, point)), str(_at(entry.rhs, entry, point)))
 
 
 def test_eval_reading_rows_come_from_sibling_entries(capsys):
     rows = _eval_rows(["eval", "--id", "as-newcoffey1", "--param", "n=5", "--param", "p=3"], capsys)
-    assert rows["rhs_as_printed"] == str(SIDES["as-newcoffey1-as-printed"].rhs({"n": 5, "p": 3}))
+    assert rows["rhs_as_printed"] == str(SIDES["as-newcoffey1-as-printed"].rhs(5, 3))
     rows = _eval_rows(["eval", "--id", "concl-item4", "--param", "n=5", "--param", "alpha=2"], capsys)
-    assert rows["rhs_square_reading"] == str(SIDES["concl-item4-square"].rhs({"n": 5, "alpha": Fraction(2)}))
+    assert rows["rhs_square_reading"] == str(SIDES["concl-item4-square"].rhs(5, Fraction(2)))
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -296,6 +302,59 @@ def test_successive_calls_share_no_parsed_values(capsys):
     assert code == 0, err
     assert "equal  true" in again
     assert run_cli(first, capsys) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--id", "gen-harmonic-relation", "--param", "n=3", "--param", "n=5", "--param", "alpha=2"],
+        ["series", "--check", "genfunc-alpha", "--param", "alpha=1", "--param", "alpha=2"],
+    ],
+)
+def test_repeated_param_exits_2(argv, capsys):
+    # a name given twice is a usage error, as a repeated spec key is, not "the last one wins"
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parameter ") and "given twice" in err and "Traceback" not in err
+
+
+def _h(k, alpha):
+    return sum((Fraction(alpha) ** j / j for j in range(1, k + 1)), Fraction(0))
+
+
+def _weighted(n, mu, lam, alpha, p=0):
+    """sum_k C(n,k) k^p mu^k lam^(n-k) H_k(alpha), by plain loops."""
+    return sum(
+        (math.comb(n, k) * k**p * Fraction(mu) ** k * Fraction(lam) ** (n - k) * _h(k, alpha) for k in range(n + 1)),
+        Fraction(0),
+    )
+
+
+def _gould(n, j, a):
+    return sum((Fraction(math.comb(n, k) * math.comb(k, j)) * (-Fraction(a)) ** k / k for k in range(max(j, 1), n + 1)),
+               Fraction(0))
+
+
+# id -> (--param values, the direct sum there).  Each point is asymmetric in every pair
+# of parameters of one kind, so sides that swapped such a pair together would differ
+SWAP_PINS = {
+    "pan-thm3.2": (["n=5", "mu=2", "lambda=1/3", "alpha=-3/2"], _weighted(5, 2, Fraction(1, 3), Fraction(-3, 2))),
+    "panequa1-series": (["n=5", "lambda=1/3", "mu=2", "alpha=-3/2"], -_weighted(5, 2, Fraction(1, 3), Fraction(-3, 2))),
+    "as-p0": (["n=5", "z=2", "alpha=1/3"], _weighted(5, 2, 1, Fraction(1, 3))),
+    "as-p1-exemple1": (["n=5", "z=2", "alpha=1/3"], _weighted(5, 2, 1, Fraction(1, 3), p=1)),
+    "as-newcoffey": (["n=5", "p=2", "z=2", "alpha=1/3"], _weighted(5, 2, 1, Fraction(1, 3), p=2)),
+    "eq-eulerbnew": (["n=6", "j=2", "a=1/2"], _gould(6, 2, Fraction(1, 2))),
+}
+
+
+@pytest.mark.parametrize("entry_id", sorted(SWAP_PINS))
+def test_eval_pins_each_parameter_to_its_name(entry_id, capsys):
+    params, direct = SWAP_PINS[entry_id]
+    argv = ["eval", "--id", entry_id]
+    for param in params:
+        argv += ["--param", param]
+    rows = _eval_rows(argv, capsys)
+    assert (rows["lhs"], rows["rhs"]) == (str(direct), str(direct))
 
 
 def test_eval_unknown_id_lists_known(capsys):
@@ -438,9 +497,10 @@ def test_verify_exit_1_on_injected_fault(capsys, monkeypatch):
             IdentityEntry(
                 id="injected-fault",
                 anchor="fault",
+                params=("n",),
                 cells=cells,
-                lhs=lambda c: Fraction(0),
-                rhs=lambda c: Fraction(1),
+                lhs=lambda n: Fraction(0),
+                rhs=lambda n: Fraction(1),
                 policy=ASSERT,
             )
         ]
@@ -483,9 +543,10 @@ def test_table_ends_at_first_failing_cell(capsys, monkeypatch):
             IdentityEntry(
                 id="injected-fault",
                 anchor="fault",
+                params=("n",),
                 cells=[{"n": n} for n in range(1, 6)],
-                lhs=lambda c: Fraction(c["n"]),
-                rhs=lambda c: Fraction(0 if c["n"] == 3 else c["n"]),
+                lhs=lambda n: Fraction(n),
+                rhs=lambda n: Fraction(0 if n == 3 else n),
                 policy=ASSERT,
             )
         ]

@@ -12,7 +12,6 @@ from ghn.closed_forms import (
     concl_item3_rhs,
     concl_item4_lhs,
     concl_item4_rhs,
-    frontczak_rhs,
     generalized_harmonic_relation,
     gould_generalized_lhs,
     gould_generalized_rhs,
@@ -24,8 +23,6 @@ from ghn.closed_forms import (
     lemma21_rhs_ones,
     pan_closed_form,
     second_case_ones_rhs,
-    skew_transform_rhs,
-    spivey_rhs,
     thm33_nabla_rhs,
     thm33_rhs,
 )
@@ -227,20 +224,30 @@ def test_pan_examples():
 
 
 def test_pan_specializations():
-    # skew transform: sum C(n,k) H_k^- = 2^n H_n(1/2)
-    for n in range(1, 20):
+    # skew transform: sum C(n,k) H_k^- = 2^n H_n(1/2), Pan at mu = lam = 1, alpha = -1
+    for n in range(0, 20):
         oracle = sum(binom_int(n, k) * skew_harmonic(k) for k in range(n + 1))
-        assert oracle == skew_transform_rhs(n)
+        assert oracle == -pan_closed_form(n, 1, 1, -1) == 2**n * harmonic_p(n, 1, Fraction(1, 2))
     # doubled-weight variant: sum C(n,k) 2^k H_k^- = -3^n (H_n(-1/3) - H_n(1/3))
-    assert frontczak_rhs(1) == 2
-    for n in range(1, 20):
+    assert -pan_closed_form(1, 2, 1, -1) == 2
+    for n in range(0, 20):
         oracle = sum(binom_int(n, k) * 2**k * skew_harmonic(k) for k in range(n + 1))
-        assert oracle == frontczak_rhs(n)
+        assert oracle == -pan_closed_form(n, 2, 1, -1)
     # half-shift form: sum_{k>=1} C(n,k) H_k(alpha) = 2^n (H_n((1+alpha)/2) - H_n(1/2))
     for alpha in (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)):
-        for n in range(1, 16):
+        for n in range(0, 16):
             oracle = sum(binom_int(n, k) * harmonic_p(k, 1, alpha) for k in range(1, n + 1))
-            assert oracle == spivey_rhs(n, alpha)
+            assert oracle == pan_closed_form(n, 1, 1, alpha)
+
+
+def test_pan_at_n_zero():
+    # the empty sum is 0 off the mu + lam = 0 line; on it, ((1-alpha)^n - 1)/n has no value at n = 0
+    for mu, lam in ((1, 1), (2, 1), (Fraction(1, 2), -3), (0, 5), (4, 0)):
+        assert pan_closed_form(0, mu, lam, Fraction(2, 3)) == 0
+    with pytest.raises(ValueError):
+        pan_closed_form(0, 1, -1, 2)
+    with pytest.raises(ValueError):
+        pan_closed_form(-1, 1, 1, 2)
 
 
 def test_idi1_rhs_matches_alternating_oracle():

@@ -283,7 +283,7 @@ def test_as_np_closed_matches_direct_sum(n, p, z, alpha):
 def _certified_polys() -> tuple:
     """(entry, n, its rhs at alpha = ALPHA) for each certifiable entry and n <= CERTIFY_N."""
     entries = [e for e in declare() if e.certify is not None]
-    return tuple((e, n, e.rhs({"n": n, "alpha": ALPHA})) for e in entries for n in range(1, CERTIFY_N + 1))
+    return tuple((e, n, e.rhs(n, ALPHA)) for e in entries for n in range(1, CERTIFY_N + 1))
 
 
 @SETTINGS
@@ -293,7 +293,7 @@ def test_certified_rhs_over_q_alpha_evaluates_to_the_rational_rhs(a):
     polys = _certified_polys()
     assert {e.id for e, _, _ in polys} == {"gen-harmonic-relation", "idi1-alternating", "concl-item2"}
     for entry, n, poly in polys:
-        assert poly(a) == entry.rhs({"n": n, "alpha": a})
+        assert poly(a) == entry.rhs(n, a)
 
 
 @SETTINGS

@@ -49,9 +49,10 @@ def _toy_entry(policy=ASSERT, offset=0):
     return IdentityEntry(
         id="toy",
         anchor="toy",
+        params=("n",),
         cells=cells,
-        lhs=lambda c: Fraction(int(c["n"]) ** 2),
-        rhs=lambda c: Fraction(int(c["n"]) ** 2 + offset),
+        lhs=lambda n: Fraction(n**2),
+        rhs=lambda n: Fraction(n**2 + offset),
         policy=policy,
     )
 
@@ -87,17 +88,18 @@ def test_run_entry_report_only_records_everything():
 
 
 def test_run_entry_skips_domain_errors():
-    def lhs(c):
-        if int(c["n"]) % 2:
+    def lhs(n):
+        if n % 2:
             raise DomainError("odd cells excluded")
         return Fraction(1)
 
     entry = IdentityEntry(
         id="skips",
         anchor="skips",
+        params=("n",),
         cells=[{"n": n} for n in range(1, 7)],
         lhs=lhs,
-        rhs=lambda c: Fraction(1),
+        rhs=lambda n: Fraction(1),
     )
     res = run_entry(entry)
     assert res.tier == "HOLDS_ON_GRID"
@@ -114,7 +116,7 @@ def test_certify_alpha_identity():
     assert all(e.certify(CERTIFY_N) for e in entries)
     # fault injection: an extra alpha^(n+1) term on the right side
     rhs = entries[0].rhs
-    bad = lambda c: rhs(c) + PolyQ([0] * (int(c["n"]) + 1) + [1])
+    bad = lambda n, alpha: rhs(n, alpha) + PolyQ([0] * (n + 1) + [1])
     assert certify_alpha_identity(harmonic_poly, rhs, 10)
     assert not certify_alpha_identity(harmonic_poly, bad, 10)
 
@@ -131,6 +133,27 @@ def test_certify_proves_the_graded_closed_forms_beyond_the_grid(monkeypatch):
     monkeypatch.setattr(registry_mod, "idi1_rhs", alternating_27)
     entries = {e.id: e for e in build_registry(20, 42)}
     assert {i: run_entry(entries[i]).tier for i in CERTIFIABLE} == dict.fromkeys(CERTIFIABLE, HOLDS_ON_GRID)
+
+
+def test_declared_sides_bind_their_closed_forms():
+    # a side that is one closed form as it stands is that function, with no adapter around it
+    from ghn import closed_forms as cf
+    from ghn.registry import declare
+
+    rhs = {e.id: e.rhs for e in declare()}
+    bound = {
+        "pan-thm3.2": cf.pan_closed_form,
+        "idi1-alternating": cf.idi1_rhs,
+        "gen-harmonic-relation": cf.generalized_harmonic_relation,
+        "thm2.3-general": cf.boyadzhiev_ratio_closed,
+        "lemma2.1-coherence": cf.lemma21_rhs,
+        "knuth-flajolet": cf.knuth_flajolet_rhs,
+        "eq-eulerbnew": cf.gould_generalized_rhs,
+        "thm3.3-eqnnew8": cf.thm33_rhs,
+        "as-newcoffey": cf.as_np_closed,
+    }
+    for entry_id, fn in bound.items():
+        assert rhs[entry_id] is fn, entry_id
 
 
 def test_rand_rat_bounds():
