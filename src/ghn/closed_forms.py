@@ -23,6 +23,14 @@ generalized_harmonic_relation and idi1_rhs also run over Q[alpha]: at alpha =
 verifier.ALPHA they return the PolyQ in alpha that CERTIFIED proves.  So neither
 coerces alpha through Fraction(), and neither divides an int by an int, which
 gives a float when alpha is an int.
+
+Fraction-free kernels: lemma21_rhs and gould_generalized_rhs (like
+binomial_transform and harmonic_table below them) sum integer numerators over
+one denominator and build one Fraction per value.  lemma21_rhs lifts b through
+exact.common_denominator; with lam = p/q it needs no binomial of a rational.
+gould_generalized_rhs sums over q^n lcm(1..n) for a = p/q.  The oracles here,
+lemma21_lhs and gould_generalized_lhs, never call that helper: lemma21_lhs has
+its own integer coefficients over (p+q)...(p+nq) and multiplies each b_m as it is.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, OutOfValidityRangeError
-from .exact import RatLike, binom_int, binom_rat, check_terms
+from .exact import RatLike, binom_int, binom_rat, check_terms, common_denominator
 from .sequences import harmonic, harmonic_p, harmonic_table, stirling2
 from .transforms import binomial_transform, inverse_binomial_transform, sanchez_transform, weighted_nabla
 
@@ -51,34 +59,43 @@ def lemma21_lhs(b: Sequence[RatLike], n: int, lam: RatLike) -> Fraction:
         raise ValueError("n must be >= 1")
     lam = check_lambda_domain(lam, n)
     check_terms(b, n, "b")
-    suffix = [Fraction(1)] * (n + 2)  # suffix[m] = (lam+m)...(lam+n)
-    for m in range(n, 0, -1):
-        suffix[m] = (lam + m) * suffix[m + 1]
-    total = Fraction(0)
-    mfact = 1
+    # with lam = p/q, term m is b_m q^(n-m+1) (n!/m!) / ((p+mq)...(p+nq)); over the
+    # denominator (p+q)...(p+nq) its integer coefficient gains (p+q)...(p+(m-1)q)
+    p, q = lam.numerator, lam.denominator
+    total = 0
+    prefix = 1
     for m in range(1, n + 1):
-        mfact *= m
-        total += Fraction(b[m]) / (mfact * suffix[m])
-    return math.factorial(n) * total
+        total += prefix * q ** (n - m + 1) * (math.factorial(n) // math.factorial(m)) * b[m]
+        prefix *= p + m * q
+    return total * Fraction(1, prefix)
 
 
 def lemma21_rhs(b: Sequence[RatLike], n: int, lam: RatLike) -> Fraction:
     """Branch-selected closed form of lemma21_lhs.
 
     lam = 0: sum b_m/m; otherwise sum C(lam-1+m, m) b_m / (lam C(lam+n, n)).
+
+    Both are one integer sum over the numerators of b_1..b_n.  With lam = p/q,
+    C(lam-1+m, m) = p(p+q)...(p+(m-1)q) / (q^m m!) and
+    lam C(lam+n, n) = p(p+q)...(p+nq) / (q^(n+1) n!).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     lam = check_lambda_domain(lam, n)
     check_terms(b, n, "b")
-    if lam == 0:
-        return sum(Fraction(b[m]) / m for m in range(1, n + 1))
-    total = Fraction(0)
-    c = Fraction(1)  # C(lam-1+m, m), built incrementally
-    for m in range(1, n + 1):
-        c = c * (lam - 1 + m) / m
-        total += c * Fraction(b[m])
-    return total / (lam * binom_rat(lam + n, n))
+    nums, den = common_denominator(b[1 : n + 1])
+    p, q = lam.numerator, lam.denominator
+    if p == 0:
+        lcm = math.lcm(*range(1, n + 1))
+        return Fraction(sum(num * (lcm // m) for m, num in enumerate(nums, 1)), den * lcm)
+    total = 0
+    rising = 1  # p(p+q)...(p+(m-1)q)
+    fact_n, fact_m = math.factorial(n), 1
+    for m, num in enumerate(nums, 1):
+        rising *= p + (m - 1) * q
+        fact_m *= m
+        total += rising * q ** (n - m) * (fact_n // fact_m) * num
+    return Fraction(total * q, den * rising * (p + n * q))
 
 
 def lemma21_rhs_ones(n: int, lam: RatLike, as_printed: bool = False) -> Fraction:
@@ -107,7 +124,7 @@ def lambda1_case_rhs(a: Sequence[RatLike], n: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     check_terms(a, n, "a")
-    b = binomial_transform([Fraction(v) for v in a[: n + 1]])
+    b = binomial_transform(a[: n + 1])
     return (sum(b[1:]) - n * b[0]) / (n + 1)
 
 
@@ -156,21 +173,30 @@ def gould_generalized_lhs(n: int, j: int, a: RatLike) -> Fraction:
 
 
 def gould_generalized_rhs(n: int, j: int, a: RatLike) -> Fraction:
-    """(-a)^j sum_{t=max(j,1)..n} C(t,j) (1-a)^(t-j) / t."""
+    """(-a)^j sum_{t=max(j,1)..n} C(t,j) (1-a)^(t-j) / t.
+
+    With a = p/q and L = lcm(1..n), one integer sum over q^n L: term t is
+    C(t,j) (q-p)^(t-j) q^(n-t) (L/t), and the sum is scaled by (-p)^j.
+    """
     if n < 1 or j < 0:
         raise ValueError("requires n >= 1 and j >= 0")
     a = Fraction(a)
-    return (-a) ** j * sum(binom_int(t, j) * (1 - a) ** (t - j) / t for t in range(max(j, 1), n + 1))
+    p, q = a.numerator, a.denominator
+    lcm = math.lcm(*range(1, n + 1))
+    total = sum(binom_int(t, j) * (q - p) ** (t - j) * q ** (n - t) * (lcm // t) for t in range(max(j, 1), n + 1))
+    return Fraction((-p) ** j * total, q**n * lcm)
 
 
 def pan_closed_form(n: int, mu: RatLike, lam: RatLike, alpha: RatLike) -> Fraction:
     """Closed form of sum_k C(n,k) mu^k lam^(n-k) H_k(alpha).
 
     (mu+lam)^n (H_n((lam+mu*alpha)/(mu+lam)) - H_n(lam/(mu+lam))), or
-    lam^n idi1_rhs(n, alpha) when mu + lam = 0, which needs n >= 1.
+    lam^n idi1_rhs(n, alpha) when mu + lam = 0.  At n = 0 it is the empty sum, 0.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if n == 0:
+        return Fraction(0)
     mu, lam, alpha = Fraction(mu), Fraction(lam), Fraction(alpha)
     s = mu + lam
     if s == 0:
@@ -196,7 +222,7 @@ def thm33_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
         raise ValueError("n must be >= 1")
     check_terms(c, n, "c")
     alpha = Fraction(alpha)
-    d = inverse_binomial_transform([Fraction(v) for v in c[: n + 1]])
+    d = inverse_binomial_transform(c[: n + 1])
     total = (-1) ** n * d[n] * harmonic_p(n, 1, alpha)
     for m in range(n):
         total -= d[m] * Fraction((-1) ** m, n - m)
@@ -214,7 +240,7 @@ def thm33_nabla_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
         raise ValueError("n must be >= 1")
     check_terms(c, n, "c")
     alpha = Fraction(alpha)
-    d = inverse_binomial_transform([Fraction(v) for v in c[: n + 1]])
+    d = inverse_binomial_transform(c[: n + 1])
     b = [Fraction(0)] + [idi1_rhs(j, alpha) for j in range(1, n + 1)]
     total = Fraction(0)
     for m in range(n + 1):

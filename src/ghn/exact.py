@@ -3,7 +3,9 @@
 Every scalar in this package is an exact ``fractions.Fraction`` (aliased as
 ``Rat``); nothing here ever touches floating point.  Fractions are always
 stored reduced with a positive denominator, parse from strings like ``"p/q"``
-and print the same way, so they double as the wire format.
+and print the same way, so they double as the wire format.  The hot kernels
+run their inner loops in ints: ``common_denominator`` lifts their inputs to
+integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Rat = Fraction
 
@@ -44,6 +46,18 @@ def check_terms(seq: Sequence, n: int, name: str) -> None:
     """Reject a sequence that lacks any of the terms 0..n (ValueError)."""
     if len(seq) < n + 1:
         raise ValueError(f"{name} must provide indices 0..n")
+
+
+def common_denominator(values: Iterable[RatLike]) -> tuple[list[int], int]:
+    """Integer numerators of ints and Fractions over their least common denominator.
+
+    Returns (nums, den) with values[i] == Fraction(nums[i], den); den is 1 for
+    no values or ints only.  The closed-form kernels sum these numerators and
+    build one Fraction per output; no oracle calls this.
+    """
+    values = list(values)
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def binom_int(n: int, k: int) -> int:

@@ -14,20 +14,30 @@ either side of a product and of a ``PolyQ`` sum or difference; no other type may
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CompositionDomainError
-from .exact import RatLike
+from .exact import RatLike, common_denominator
 
 
 def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], size: int) -> list[Fraction]:
-    """The first `size` coefficients of the product of coefficient vectors a and b."""
-    out = [Fraction(0)] * size
-    for i, x in enumerate(a[:size]):
-        if x:
-            for j, y in enumerate(b[: size - i], i):
-                out[j] += x * y
+    """The first `size` coefficients of the product of coefficient vectors a and b.
+
+    Convolves the integer numerators of a and b, each over its own common
+    denominator, and divides once by the product of the two.
+    """
+    an, da = common_denominator(a[:size])
+    bn, db = common_denominator(b[:size])
+    rb = bn[::-1]
+    last = len(bn) - 1
+    den = da * db
+    out = []
+    for j in range(size):
+        # i runs over lo..hi-1, and b_(j-i) is rb[last-j+i]
+        lo, hi = max(0, j - last), min(j, len(an) - 1) + 1
+        out.append(Fraction(sum(map(operator.mul, an[lo:hi], rb[last - j + lo : last - j + hi])), den))
     return out
 
 

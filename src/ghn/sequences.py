@@ -17,17 +17,29 @@ from .exact import RatLike, binom_int, parse_rat
 
 
 def harmonic_table(n_max: int, p: int, alpha: RatLike) -> list[Fraction]:
-    """[H_0^(p)(alpha), ..., H_n_max^(p)(alpha)] by one running sum."""
+    """[H_0^(p)(alpha), ..., H_n_max^(p)(alpha)] by one running sum.
+
+    With alpha = r/q the sum is one integer numerator over q^n_max L^p, where
+    L = lcm(1..n_max): term j adds r^j q^(n_max-j) (L/j)^p.
+    """
     if n_max < 0:
         raise ValueError("n must be >= 0")
     if p < 1:
         raise ValueError("p must be >= 1")
     a = Fraction(alpha)
+    r, q = a.numerator, a.denominator
+    lcm = math.lcm(*range(1, n_max + 1))
+    den = q**n_max * lcm**p
+    qpow = [1]
+    for _ in range(n_max):
+        qpow.append(qpow[-1] * q)
     out = [Fraction(0)]
-    power = Fraction(1)
+    total = 0
+    rpow = 1
     for j in range(1, n_max + 1):
-        power *= a
-        out.append(out[-1] + power / j**p)
+        rpow *= r
+        total += rpow * qpow[n_max - j] * (lcm // j) ** p
+        out.append(Fraction(total, den))
     return out
 
 

@@ -9,23 +9,34 @@ alternating harmonic-transform decomposition.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import OutOfValidityRangeError
-from .exact import RatLike, binom_int, check_terms
+from .exact import RatLike, binom_int, check_terms, common_denominator
 from .sequences import stirling2
 
 
-def binomial_transform(a: Sequence[RatLike]) -> list:
-    """b_n = sum_{k=0..n} C(n, k) a_k for every index of a."""
-    a = list(a)
-    if not a:
+def binomial_transform(a: Sequence[RatLike]) -> list[Fraction]:
+    """b_n = sum_{k=0..n} C(n, k) a_k for every index of a.
+
+    Sums integer numerators over the terms' common denominator, with the
+    binomial row built by Pascal's rule; one Fraction per output.
+    """
+    nums, den = common_denominator(a)
+    if not nums:
         raise ValueError("empty sequence")
-    return [sum(binom_int(n, k) * a[k] for k in range(n + 1)) for n in range(len(a))]
+    out = []
+    row = [1]
+    for n in range(len(nums)):
+        if n:
+            row = [1, *map(operator.add, row, row[1:]), 1]
+        out.append(Fraction(sum(map(operator.mul, row, nums)), den))
+    return out
 
 
-def inverse_binomial_transform(b: Sequence[RatLike]) -> list:
+def inverse_binomial_transform(b: Sequence[RatLike]) -> list[Fraction]:
     """a_n = sum_{k=0..n} C(n, k) (-1)^(n-k) b_k, as (-1)^n times the transform of (-1)^k b_k."""
     flipped = binomial_transform([-v if k % 2 else v for k, v in enumerate(b)])
     return [-v if n % 2 else v for n, v in enumerate(flipped)]

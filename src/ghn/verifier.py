@@ -155,12 +155,18 @@ def binomial_oracle(n: int, w: Sequence[RatLike], mu: RatLike = 1, lam: RatLike 
     """Exact sum_{k=0..n} C(n,k) mu^k lam^(n-k) w[k], summed term by term.
 
     The direct-sum oracle behind every binomial-weighted identity; it uses no
-    transform, so it stays independent of the closed forms it checks.
+    transform, so it stays independent of the closed forms it checks.  With
+    mu = a/b and lam = c/d, the integer C(n,k) (ad)^k (bc)^(n-k) multiplies
+    w[k] as it is (a Fraction, or a PolyQ over Q[alpha]), and the sum is
+    divided once by (bd)^n.
     """
-    total = Fraction(0)
+    mu, lam = Fraction(mu), Fraction(lam)
+    x = mu.numerator * lam.denominator
+    y = mu.denominator * lam.numerator
+    total = 0
     for k in range(n + 1):
-        total += binom_int(n, k) * mu**k * lam ** (n - k) * w[k]
-    return total
+        total += binom_int(n, k) * x**k * y ** (n - k) * w[k]
+    return total * Fraction(1, (mu.denominator * lam.denominator) ** n)
 
 
 def _cell_key(cell: Cell):

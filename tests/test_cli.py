@@ -357,6 +357,17 @@ def test_eval_pins_each_parameter_to_its_name(entry_id, capsys):
     assert (rows["lhs"], rows["rhs"]) == (str(direct), str(direct))
 
 
+def test_eval_pan_empty_sum_on_the_opposite_line(capsys):
+    # mu + lambda = 0 at n = 0 is the empty sum, as off that line
+    code, out, err = run_cli(
+        ["eval", "--id", "pan-thm3.2", "--param", "n=0", "--param", "mu=1", "--param", "lambda=-1", "--param", "alpha=2"],
+        capsys,
+    )
+    assert code == 0, err
+    rows = dict(line.split() for line in out.strip().splitlines()[1:])
+    assert rows == {"lhs": "0", "rhs": "0", "equal": "true"}
+
+
 def test_eval_unknown_id_lists_known(capsys):
     code, _, err = run_cli(["eval", "--id", "bogus"], capsys)
     assert code == 2

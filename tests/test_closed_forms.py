@@ -241,11 +241,10 @@ def test_pan_specializations():
 
 
 def test_pan_at_n_zero():
-    # the empty sum is 0 off the mu + lam = 0 line; on it, ((1-alpha)^n - 1)/n has no value at n = 0
-    for mu, lam in ((1, 1), (2, 1), (Fraction(1, 2), -3), (0, 5), (4, 0)):
+    # the empty sum is 0, also on the mu + lam = 0 line, where ((1-alpha)^n - 1)/n has no value at n = 0
+    for mu, lam in ((1, 1), (2, 1), (Fraction(1, 2), -3), (0, 5), (4, 0), (1, -1), (Fraction(2, 5), Fraction(-2, 5))):
         assert pan_closed_form(0, mu, lam, Fraction(2, 3)) == 0
-    with pytest.raises(ValueError):
-        pan_closed_form(0, 1, -1, 2)
+    assert pan_closed_form(0, 1, -1, 2) == 0
     with pytest.raises(ValueError):
         pan_closed_form(-1, 1, 1, 2)
 

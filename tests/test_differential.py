@@ -15,7 +15,7 @@ import pytest
 pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ghn import closed_forms, transforms  # noqa: E402
@@ -24,12 +24,14 @@ from ghn.closed_forms import (  # noqa: E402
     boyadzhiev_ratio_closed,
     gould_generalized_lhs,
     gould_generalized_rhs,
+    lemma21_lhs,
+    lemma21_rhs,
     pan_closed_form,
     thm33_rhs,
 )
 from ghn.errors import DomainError, SeqSpecError  # noqa: E402
 from ghn.exact import binom_rat  # noqa: E402
-from ghn.polyseries import PolyQ, TruncSeries  # noqa: E402
+from ghn.polyseries import PolyQ, TruncSeries, _convolve  # noqa: E402
 from ghn.registry import declare  # noqa: E402
 from ghn.sequences import (  # noqa: E402
     SeqSpec,
@@ -46,9 +48,16 @@ from ghn.verifier import ALPHA, CERTIFY_N, binomial_oracle, harmonic_genfunc, pa
 # one failure per property, so a mutation test can expect a plain AssertionError
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None, report_multiple_bugs=False)
 rats = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+# the inputs that the integer kernels must also take: ints, and negative and 100-digit rationals
+big_rats = st.builds(Fraction, st.integers(min_value=-(10**100) + 1, max_value=10**100 - 1), st.integers(min_value=10**99, max_value=10**100 - 1))
+edge_rats = st.one_of(rats, st.integers(min_value=-9, max_value=9), big_rats)
 
 
-def _sym(x: Fraction):
+def _all_fractions(values) -> bool:
+    return all(type(v) is Fraction for v in values)
+
+
+def _sym(x: Fraction | int):
     return sympy.Rational(x.numerator, x.denominator)
 
 
@@ -78,13 +87,20 @@ def test_harmonic_genfunc_holds(order, alpha):
 
 
 @SETTINGS
-@given(n=st.integers(min_value=0, max_value=25), p=st.integers(min_value=1, max_value=4), alpha=rats)
+@example(n=25, p=48, alpha=Fraction(-7, 3))
+@example(n=6, p=1, alpha=Fraction(0))
+@example(n=9, p=2, alpha=Fraction(-(10**99) - 7, 10**99 + 3))
+@given(n=st.integers(min_value=0, max_value=25), p=st.integers(min_value=1, max_value=4), alpha=st.one_of(rats, st.integers(-9, 9)))
 def test_harmonic_p_matches_sympy(n, p, alpha):
     j = sympy.Symbol("j", integer=True, positive=True)
     expected = sympy.summation(_sym(alpha) ** j / j**p, (j, 1, n))
     assert harmonic_p(n, p, alpha) == _frac(expected)
     if alpha == 1:
         assert harmonic_p(n, p, 1) == _frac(sympy.harmonic(n, p))
+    # the whole table against a plain Fraction loop
+    table = harmonic_table(n, p, alpha)
+    assert table == [sum((Fraction(alpha) ** i / i**p for i in range(1, k + 1)), Fraction(0)) for k in range(n + 1)]
+    assert _all_fractions(table)
 
 
 @SETTINGS
@@ -142,7 +158,10 @@ def test_truncseries_ring_laws(f, g, h):
 
 
 @SETTINGS
-@given(a=st.lists(rats, min_size=1, max_size=9), b=st.lists(rats, min_size=1, max_size=9))
+@example(a=[3], b=[-2])
+@example(a=[Fraction(1, 2), Fraction(1, 2), 0, 0], b=[2, -2, 0])  # zero-padded: the top coefficients are 0
+@example(a=[1, 1], b=[1, -1])  # (1 + t)(1 - t) has no t term
+@given(a=st.lists(edge_rats, min_size=1, max_size=9), b=st.lists(edge_rats, min_size=1, max_size=9))
 def test_products_match_sympy(a, b):
     # a series product is the polynomial product truncated to the smaller order
     t = sympy.Symbol("t")
@@ -150,6 +169,24 @@ def test_products_match_sympy(a, b):
     expected = [_frac(product.coeff(t, k)) for k in range(len(a) + len(b) - 1)]
     assert PolyQ(a) * PolyQ(b) == PolyQ(expected)
     assert TruncSeries(a) * TruncSeries(b) == TruncSeries(expected[: min(len(a), len(b))])
+    # the product loop itself, against a plain Fraction loop, with zeros kept
+    size = len(a) + len(b) - 1
+    plain = [Fraction(0)] * size
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            plain[i + j] += Fraction(x) * y
+    for cut in (size, min(len(a), len(b))):
+        out = _convolve(a, b, cut)
+        assert out == plain[:cut] and _all_fractions(out)
+
+
+def test_polyq_product_after_trailing_cancellation():
+    # a sum whose top coefficients cancel has a lower degree, and so does its product
+    p = PolyQ([Fraction(1, 3), 2, Fraction(5, 7)]) - PolyQ([0, 0, Fraction(5, 7)])
+    q = PolyQ([Fraction(-10**99, 3), 0, 1]) + PolyQ([0, 0, -1])
+    assert p.degree == 1 and q.degree == 0
+    assert p * q == PolyQ([Fraction(-10**99, 9), Fraction(-2 * 10**99, 3)])
+    assert (p * q).degree == 1 and _all_fractions((p * q).coeffs)
 
 
 @SETTINGS
@@ -249,17 +286,27 @@ def test_boyadzhiev_ratio_closed_ignores_a0(n, lam, a, a0):
 
 
 @SETTINGS
+@example(n=5, alpha=Fraction(0), c=[Fraction(k - 4, 3) for k in range(9)])  # the Gould sums at a = 1
+@example(n=4, alpha=Fraction(1), c=list(range(9)))
 @given(n=st.integers(min_value=1, max_value=8), alpha=alphas, c=seqs)
 def test_thm33_rhs_matches_direct_sum(n, alpha, c):
     assert thm33_rhs(c, n, alpha) == binomial_oracle(n, [_h(k, alpha) * c[k] for k in range(n + 1)], mu=-1)
 
 
 @SETTINGS
-@given(n=st.integers(min_value=1, max_value=8), j=st.integers(min_value=0, max_value=9), a=rats)
+@example(n=5, j=3, a=Fraction(1))  # (1 - a)^(t - j) is 0^0 at t = j
+@example(n=4, j=0, a=Fraction(0))
+@example(n=6, j=2, a=Fraction(10**99 + 1, -(10**99) - 2))
+@example(n=3, j=1, a=-2)
+@given(n=st.integers(min_value=1, max_value=8), j=st.integers(min_value=0, max_value=9), a=st.one_of(st.just(Fraction(1)), edge_rats))
 def test_gould_generalized_rhs_matches_direct_sum(n, j, a):
     # at j = 0 the printed display drops a -H_n correction
     gap = _h(n, Fraction(1)) if j == 0 else 0
-    assert gould_generalized_rhs(n, j, a) == gould_generalized_lhs(n, j, a) + gap
+    rhs = gould_generalized_rhs(n, j, a)
+    assert rhs == gould_generalized_lhs(n, j, a) + gap
+    a = Fraction(a)
+    plain = sum((math.comb(t, j) * (1 - a) ** (t - j) / t for t in range(max(j, 1), n + 1)), Fraction(0))
+    assert rhs == (-a) ** j * plain and type(rhs) is Fraction
 
 
 @SETTINGS
@@ -277,6 +324,40 @@ def test_as_np_closed_matches_direct_sum(n, p, z, alpha):
     p = 1 + p % n  # the closed form holds for 1 <= p <= n
     direct = binomial_oracle(n, [j**p * _h(j, alpha) for j in range(n + 1)], mu=z)
     assert as_np_closed(n, p, z, alpha) == direct
+
+
+@SETTINGS
+@example(n=5, lam=Fraction(0), b=list(range(9)))
+@example(n=3, lam=Fraction(-1, 2), b=[Fraction(-(10**99) - 1, 10**99)] * 9)
+@given(n=st.integers(min_value=1, max_value=8), lam=st.one_of(lams, big_rats), b=st.lists(edge_rats, min_size=9, max_size=9))
+def test_lemma21_sides_match_plain_loops(n, lam, b):
+    # both sides of Lemma 2.1 against the plain Fraction loops of their formulas
+    if lam.denominator == 1 and -n <= lam <= -1:
+        return
+    suffix = [Fraction(1)] * (n + 2)  # (lam+m)...(lam+n)
+    for m in range(n, 0, -1):
+        suffix[m] = (lam + m) * suffix[m + 1]
+    lhs = math.factorial(n) * sum((b[m] / (math.factorial(m) * suffix[m]) for m in range(1, n + 1)), Fraction(0))
+    if lam == 0:
+        rhs = sum((Fraction(b[m]) / m for m in range(1, n + 1)), Fraction(0))
+    else:
+        c, rhs = Fraction(1), Fraction(0)  # c = C(lam-1+m, m)
+        for m in range(1, n + 1):
+            c = c * (lam - 1 + m) / m
+            rhs += c * b[m]
+        rhs /= lam * binom_rat(lam + n, n)
+    assert lemma21_lhs(b, n, lam) == lhs == rhs == lemma21_rhs(b, n, lam)
+    assert type(lemma21_lhs(b, n, lam)) is Fraction and type(lemma21_rhs(b, n, lam)) is Fraction
+
+
+@SETTINGS
+@example(n=4, mu=Fraction(0), lam=Fraction(0), w=list(range(9)))  # 0^0 = 1 at k = 0 and k = n
+@example(n=3, mu=Fraction(1), lam=Fraction(1), w=[1, 2, 3, 4, 0, 0, 0, 0, 0])
+@given(n=st.integers(min_value=0, max_value=8), mu=st.one_of(st.just(Fraction(0)), rats, big_rats), lam=st.one_of(st.just(Fraction(0)), rats, big_rats), w=st.lists(edge_rats, min_size=9, max_size=9))
+def test_binomial_oracle_matches_a_plain_loop(n, mu, lam, w):
+    plain = sum((math.comb(n, k) * mu**k * lam ** (n - k) * w[k] for k in range(n + 1)), Fraction(0))
+    value = binomial_oracle(n, w, mu, lam)
+    assert value == plain and type(value) is Fraction
 
 
 @functools.cache
@@ -297,10 +378,18 @@ def test_certified_rhs_over_q_alpha_evaluates_to_the_rational_rhs(a):
 
 
 @SETTINGS
-@given(b=st.lists(rats, min_size=1, max_size=12))
+@example(b=[7])
+@example(b=[Fraction(-(10**100) + 1, 10**99)])
+@example(b=[1, -2, 0, 5, 3])
+@given(b=st.lists(edge_rats, min_size=1, max_size=12))
 def test_inverse_binomial_transform_matches_direct_sum(b):
     direct = [sum(math.comb(n, k) * (-1) ** (n - k) * b[k] for k in range(n + 1)) for n in range(len(b))]
-    assert inverse_binomial_transform(b) == direct
+    inverse = inverse_binomial_transform(b)
+    assert inverse == direct and _all_fractions(inverse)
+    # and the forward transform, which the inverse calls
+    forward = binomial_transform(b)
+    assert forward == [sum(math.comb(n, k) * Fraction(b[k]) for k in range(n + 1)) for n in range(len(b))]
+    assert _all_fractions(forward)
 
 
 def _indexed_forms():

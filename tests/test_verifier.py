@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from ghn.errors import DomainError
 from ghn.polyseries import PolyQ, harmonic_poly
 from ghn.registry import build_registry
@@ -133,6 +135,65 @@ def test_certify_proves_the_graded_closed_forms_beyond_the_grid(monkeypatch):
     monkeypatch.setattr(registry_mod, "idi1_rhs", alternating_27)
     entries = {e.id: e for e in build_registry(20, 42)}
     assert {i: run_entry(entries[i]).tier for i in CERTIFIABLE} == dict.fromkeys(CERTIFIABLE, HOLDS_ON_GRID)
+
+
+def _rebind_lifting_helper(monkeypatch, replacement):
+    """Replace exact.common_denominator in every ghn module that imported it."""
+    import sys
+
+    import ghn.exact as exact_mod
+
+    real = exact_mod.common_denominator
+    bound = []
+    for name, mod in list(sys.modules.items()):
+        if name == "ghn" or name.startswith("ghn."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, replacement)
+                    bound.append(f"{name}.{attr}")
+    return real, bound
+
+
+def test_faulty_lifting_helper_fails_the_closed_forms(monkeypatch):
+    # the closed-form kernels lift through common_denominator and their oracles
+    # do not, so a wrong denominator shows as FAILS
+    def doubled(values):
+        nums, den = real(values)
+        return nums, 2 * den
+
+    real, bound = _rebind_lifting_helper(monkeypatch, doubled)
+    assert {"ghn.transforms.common_denominator", "ghn.closed_forms.common_denominator"} <= set(bound)
+    entries = {e.id: e for e in build_registry(6, 42)}
+    for entry_id in ("thm2.3-general", "lemma2.1-coherence"):
+        assert run_entry(entries[entry_id]).tier == "FAILS"
+
+
+def test_oracles_never_call_the_lifting_helper(monkeypatch):
+    from ghn.closed_forms import gould_generalized_lhs, lemma21_lhs
+    from ghn.registry import _knuth_oracle, _power_weight_oracle, _ratio_oracle
+    from ghn.sequences import harmonic_table
+    from ghn.transforms import binomial_transform
+
+    a = [Fraction(k * k - 3, k + 2) for k in range(8)]
+    lam, mu = Fraction(-5, 3), Fraction(2, 7)
+    oracles = {
+        "binomial_oracle": lambda: binomial_oracle(7, a, mu, lam),
+        "_ratio_oracle": lambda: _ratio_oracle(a, 7, lam),
+        "_knuth_oracle": lambda: _knuth_oracle(7, lam),
+        "_power_weight_oracle": lambda: _power_weight_oracle(a, 7, 3),
+        "lemma21_lhs": lambda: lemma21_lhs(a, 7, lam),
+        "gould_generalized_lhs": lambda: gould_generalized_lhs(7, 2, mu),
+        "harmonic_table": lambda: harmonic_table(7, 2, mu),
+    }
+    expected = {name: oracle() for name, oracle in oracles.items()}
+
+    def broken(values):
+        raise RuntimeError("common_denominator called")
+
+    _rebind_lifting_helper(monkeypatch, broken)
+    with pytest.raises(RuntimeError):
+        binomial_transform(a)
+    assert {name: oracle() for name, oracle in oracles.items()} == expected
 
 
 def test_declared_sides_bind_their_closed_forms():
