@@ -10,7 +10,6 @@ from fractions import Fraction
 from ghn import (
     binom_int,
     boyadzhiev_ratio_closed,
-    gould_generalized_lhs,
     gould_generalized_rhs,
     harmonic_p,
     knuth_flajolet_rhs,
@@ -45,8 +44,9 @@ print(f"second branch (mu=-2, lam=2): {direct} vs {pan_closed_form(4, -2, 2, alp
 
 # The two-index alternating identity, valid for j >= 1.
 n, j, a_val = 5, 2, Fraction(1, 2)
+direct = sum(binom_int(n, k) * binom_int(k, j) * (-a_val) ** k / k for k in range(1, n + 1))
 print(f"\ntwo-index alternating sum, n={n}, j={j}, a={a_val}:",
-      gould_generalized_lhs(n, j, a_val), "vs", gould_generalized_rhs(n, j, a_val))
+      direct, "vs", gould_generalized_rhs(n, j, a_val))
 
 # The alternating weighted transform: the closed side only needs the inverse
 # transform d of the weight sequence c.

@@ -43,7 +43,6 @@ from .closed_forms import (
     concl_item4_lhs,
     concl_item4_rhs,
     generalized_harmonic_relation,
-    gould_generalized_lhs,
     gould_generalized_rhs,
     idi1_rhs,
     knuth_flajolet_rhs,

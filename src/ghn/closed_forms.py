@@ -28,9 +28,16 @@ Fraction-free kernels: lemma21_rhs and gould_generalized_rhs (like
 binomial_transform and harmonic_table below them) sum integer numerators over
 one denominator and build one Fraction per value.  lemma21_rhs lifts b through
 exact.common_denominator; with lam = p/q it needs no binomial of a rational.
-gould_generalized_rhs sums over q^n lcm(1..n) for a = p/q.  The oracles here,
-lemma21_lhs and gould_generalized_lhs, never call that helper: lemma21_lhs has
-its own integer coefficients over (p+q)...(p+nq) and multiplies each b_m as it is.
+gould_generalized_rhs sums over q^n lcm(1..n) for a = p/q.
+
+Binomial sums: a closed form that needs a transform calls
+transforms.binomial_transform or its inverse, and every direct-sum oracle of a
+C(n,k)-weighted sum is verifier.binomial_oracle, called by the registry (the
+Gould left side too).  The exceptions are sequences.laguerre's defining sum and
+the Sanchez Stirling double sums; a display that is itself a binomial sum
+(generalized_harmonic_relation) is evaluated as printed.  The one oracle kept
+here, lemma21_lhs, is not a binomial sum; it never calls the lifting helper, but
+has its own integer coefficients over (p+q)...(p+nq) and multiplies each b_m as it is.
 """
 
 from __future__ import annotations
@@ -157,19 +164,6 @@ def second_case_ones_rhs(n: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     return harmonic_p(n, 1, 2) - harmonic(n)
-
-
-def gould_generalized_lhs(n: int, j: int, a: RatLike) -> Fraction:
-    """sum_{k=max(j,1)..n} C(n,k) C(k,j) (-a)^k / k  (k = 0 is excluded)."""
-    if n < 1 or j < 0:
-        raise ValueError("requires n >= 1 and j >= 0")
-    a = Fraction(a)
-    total = Fraction(0)
-    for k in range(max(j, 1), n + 1):
-        c = binom_int(n, k) * binom_int(k, j)
-        if c:
-            total += c * (-a) ** k / k
-    return total
 
 
 def gould_generalized_rhs(n: int, j: int, a: RatLike) -> Fraction:

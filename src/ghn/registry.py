@@ -40,7 +40,6 @@ from .closed_forms import (
     concl_item4_lhs,
     concl_item4_rhs,
     generalized_harmonic_relation,
-    gould_generalized_lhs,
     gould_generalized_rhs,
     idi1_rhs,
     knuth_flajolet_rhs,
@@ -166,6 +165,11 @@ def _ratio_oracle(a, n: int, lam) -> Fraction:
     """Direct sum_{k=1..n} C(n,k) a_k / (k + lam)."""
     lam = check_lambda_domain(lam, n)
     return binomial_oracle(n, [0] + [Fraction(a[k]) / (k + lam) for k in range(1, n + 1)])
+
+
+def _gould_oracle(n: int, j: int, a) -> Fraction:
+    """Direct sum_{k=1..n} C(n,k) C(k,j) (-a)^k / k (k = 0 is excluded)."""
+    return binomial_oracle(n, [0] + [Fraction(binom_int(k, j), k) for k in range(1, n + 1)], mu=-a)
 
 
 def _knuth_oracle(n: int, lam) -> Fraction:
@@ -308,7 +312,7 @@ def _gould_sides() -> list[IdentityEntry]:
         id="eq-eulerbnew-j0",
         anchor="eulerbnew at j=0 as printed",
         params=("n", "a"),
-        lhs=lambda n, a: gould_generalized_lhs(n, 0, a),
+        lhs=lambda n, a: _gould_oracle(n, 0, a),
         rhs=lambda n, a: gould_generalized_rhs(n, 0, a),
         policy=REPORT_ONLY,
         note="at j=0 the printed display drops the -b_0*H_n correction (b_0 = 1), so the sides differ by H_n",
@@ -318,7 +322,7 @@ def _gould_sides() -> list[IdentityEntry]:
             id="eq-eulerbnew",
             anchor="eulerbnew: sum_k C(n,k)C(k,j)(-a)^k/k = sum_t C(t,j)(-a)^j(1-a)^(t-j)/t",
             params=("n", "j", "a"),
-            lhs=gould_generalized_lhs,
+            lhs=_gould_oracle,
             rhs=gould_generalized_rhs,
             note="j >= 1 grid; ratio sums start at k = 1; 0^0 = 1 at the a = 1 edge",
         ),
@@ -455,7 +459,7 @@ def _example34_sides(ht, size: int) -> list[IdentityEntry]:
             anchor="sum_k C(n,k) k! S(p,k) = n^p",
             params=("n", "p"),
             lhs=lambda n, p: binomial_oracle(n, [math.factorial(k) * stirling2(p, k) for k in range(n + 1)]),
-            rhs=lambda n, p: Fraction(n**p),
+            rhs=lambda n, p: n**p,
             note="integer exponents only; the complex-exponent form of this pair is out of scope",
         ),
         harmonic_alt,
@@ -472,28 +476,28 @@ def _example34_sides(ht, size: int) -> list[IdentityEntry]:
             anchor="sum_k C(n,k) F_k = F_2n",
             params=("n",),
             lhs=lambda n: binomial_oracle(n, [fibonacci(k) for k in range(n + 1)]),
-            rhs=lambda n: Fraction(fibonacci(2 * n)),
+            rhs=lambda n: fibonacci(2 * n),
         ),
         IdentityEntry(
             id="ex3.4-fibonacci-alt",
             anchor="sum_k C(n,k)(-1)^(k-1) F_k = F_n",
             params=("n",),
             lhs=lambda n: -binomial_oracle(n, [fibonacci(k) for k in range(n + 1)], mu=-1),
-            rhs=lambda n: Fraction(fibonacci(n)),
+            rhs=fibonacci,
         ),
         IdentityEntry(
             id="ex3.4-lucas",
             anchor="sum_k C(n,k) L_k = L_2n",
             params=("n",),
             lhs=lambda n: binomial_oracle(n, [lucas(k) for k in range(n + 1)]),
-            rhs=lambda n: Fraction(lucas(2 * n)),
+            rhs=lambda n: lucas(2 * n),
         ),
         IdentityEntry(
             id="ex3.4-lucas-alt",
             anchor="sum_k C(n,k)(-1)^k L_k = L_n",
             params=("n",),
             lhs=lambda n: binomial_oracle(n, [lucas(k) for k in range(n + 1)], mu=-1),
-            rhs=lambda n: Fraction(lucas(n)),
+            rhs=lucas,
         ),
         IdentityEntry(
             id="ex3.4-bernoulli",
@@ -521,8 +525,8 @@ def _sanchez_sides(size: int) -> list[IdentityEntry]:
             id="sanchez-weight",
             anchor="sanchezlemma: C(n,k) k^p as the signed Stirling double sum",
             params=("n", "k", "p"),
-            lhs=lambda n, k, p: Fraction(binom_int(n, k) * k**p),
-            rhs=lambda n, k, p: Fraction(sanchez_weight(n, k, p)),
+            lhs=lambda n, k, p: binom_int(n, k) * k**p,
+            rhs=sanchez_weight,
             note="uses the C(n-l,k), C(n-l,j-l) index reading; the printed C(n-1,*) occurrences fail the p=1..3 examples",
         )
     ]
@@ -532,8 +536,8 @@ def _sanchez_sides(size: int) -> list[IdentityEntry]:
                 id=f"sanchez-p{p}",
                 anchor=f"exsanchez: printed p={p} shifted-binomial specialization",
                 params=("n", "k"),
-                lhs=lambda n, k, p=p: Fraction(binom_int(n, k) * k**p),
-                rhs=lambda n, k, fn=fn: Fraction(fn(n, k)),
+                lhs=lambda n, k, p=p: binom_int(n, k) * k**p,
+                rhs=fn,
             )
         )
     entries.append(

@@ -4,6 +4,12 @@ Forward and inverse binomial transforms, the double-sum expansion of
 C(n,k)*k^p over Stirling numbers (which turns plain transforms into
 k^p-weighted ones), and the combined weighted-nabla sum used by the
 alternating harmonic-transform decomposition.
+
+binomial_transform is the one C(n,k)-weighted sum of the closed forms:
+inverse_binomial_transform flips its signs, and weighted_nabla is a slice of
+the inverse transform.  The exceptions keep their own loops: the Sanchez
+Stirling double sums here (sanchez_weight, sanchez_transform) and
+sequences.laguerre's defining sum.
 """
 
 from __future__ import annotations
@@ -108,21 +114,18 @@ def sanchez_transform(b: Sequence[RatLike], n: int, p: int) -> Fraction:
     check_terms(b, n, "b")
     total = Fraction(0)
     for l in range(p + 1):
-        outer = binom_int(n, l)
-        if outer == 0:
-            continue
-        total += (-1) ** l * outer * _stirling_inner(n, l, p) * Fraction(b[n - l])
+        total += (-1) ** l * binom_int(n, l) * _stirling_inner(n, l, p) * Fraction(b[n - l])
     return total
 
 
 def weighted_nabla(b: Sequence[RatLike], n: int, m: int) -> Fraction:
-    """sum_{j=0..n} C(n,j) C(j,n-m) (-1)^(n-j) b_j  (the C(n,m)-weighted nabla^m)."""
+    """sum_{j=0..n} C(n,j) C(j,n-m) (-1)^(n-j) b_j  (the C(n,m)-weighted nabla^m).
+
+    By trinomial revision C(n,j) C(j,n-m) = C(n,m) C(m,j-n+m), this is C(n,m)
+    times the m-th difference of b_(n-m), ..., b_n: the last inverse
+    transform value of that slice.
+    """
     if not 0 <= m <= n:
         raise ValueError("requires 0 <= m <= n")
     check_terms(b, n, "b")
-    total = Fraction(0)
-    for j in range(n + 1):
-        c = binom_int(n, j) * binom_int(j, n - m)
-        if c:
-            total += (-1) ** (n - j) * c * Fraction(b[j])
-    return total
+    return binom_int(n, m) * inverse_binomial_transform(b[n - m : n + 1])[m]

@@ -169,27 +169,12 @@ def binomial_oracle(n: int, w: Sequence[RatLike], mu: RatLike = 1, lam: RatLike 
     return total * Fraction(1, (mu.denominator * lam.denominator) ** n)
 
 
-def _cell_key(cell: Cell):
-    return tuple(sorted((name, Fraction(value)) for name, value in cell.items()))
-
-
 def _sample(cell: Cell, lhs: Fraction, rhs: Fraction) -> dict:
     return {
         "params": {name: str(cell[name]) for name in sorted(cell)},
         "lhs": str(lhs),
         "rhs": str(rhs),
     }
-
-
-def _poly_note(cells: list[Cell]) -> str:
-    """Check a certifiable entry's degree-counting threshold: >= n+1 distinct alpha values per n."""
-    by_n: dict[int, set] = {}
-    for cell in cells:
-        if "n" in cell and "alpha" in cell:
-            by_n.setdefault(int(cell["n"]), set()).add(cell["alpha"])
-    if by_n and all(len(vals) >= n + 1 for n, vals in by_n.items()):
-        return "grid has >= degree+1 distinct alpha values per n: pointwise polynomial proof"
-    return ""
 
 
 def run_entry(
@@ -203,7 +188,8 @@ def run_entry(
     first failing cell.
     """
     start = time.perf_counter()
-    cells = sorted(entry.cells, key=_cell_key)
+    # cell values are ints and Fractions, which compare with each other exactly
+    cells = sorted(entry.cells, key=lambda cell: tuple(sorted(cell.items())))
     evaluated = 0
     skipped = 0
     mismatches = 0
@@ -236,12 +222,8 @@ def run_entry(
             tier = FAILS
         else:
             tier = HOLDS_ON_GRID
-            if entry.certify is not None:
-                if entry.certify(CERTIFY_N):
-                    tier = CERTIFIED
-                extra = _poly_note(cells)
-                if extra:
-                    note = f"{note} [{extra}]" if note else extra
+            if entry.certify is not None and entry.certify(CERTIFY_N):
+                tier = CERTIFIED
     else:
         tier = REPORT_ONLY
         outcome = (

@@ -22,7 +22,6 @@ from ghn import closed_forms, transforms  # noqa: E402
 from ghn.closed_forms import (  # noqa: E402
     as_np_closed,
     boyadzhiev_ratio_closed,
-    gould_generalized_lhs,
     gould_generalized_rhs,
     lemma21_lhs,
     lemma21_rhs,
@@ -32,7 +31,7 @@ from ghn.closed_forms import (  # noqa: E402
 from ghn.errors import DomainError, SeqSpecError  # noqa: E402
 from ghn.exact import binom_rat  # noqa: E402
 from ghn.polyseries import PolyQ, TruncSeries, _convolve  # noqa: E402
-from ghn.registry import declare  # noqa: E402
+from ghn.registry import _gould_oracle, declare  # noqa: E402
 from ghn.sequences import (  # noqa: E402
     SeqSpec,
     bernoulli,
@@ -42,7 +41,7 @@ from ghn.sequences import (  # noqa: E402
     seq_spec_text,
     stirling2,
 )
-from ghn.transforms import binomial_transform, inverse_binomial_transform  # noqa: E402
+from ghn.transforms import binomial_transform, inverse_binomial_transform, weighted_nabla  # noqa: E402
 from ghn.verifier import ALPHA, CERTIFY_N, binomial_oracle, harmonic_genfunc, pan_lemma_series  # noqa: E402
 
 # one failure per property, so a mutation test can expect a plain AssertionError
@@ -303,9 +302,12 @@ def test_gould_generalized_rhs_matches_direct_sum(n, j, a):
     # at j = 0 the printed display drops a -H_n correction
     gap = _h(n, Fraction(1)) if j == 0 else 0
     rhs = gould_generalized_rhs(n, j, a)
-    assert rhs == gould_generalized_lhs(n, j, a) + gap
+    lhs = _gould_oracle(n, j, a)
+    assert rhs == lhs + gap
     a = Fraction(a)
+    plain_lhs = sum((math.comb(n, k) * math.comb(k, j) * (-a) ** k / k for k in range(1, n + 1)), Fraction(0))
     plain = sum((math.comb(t, j) * (1 - a) ** (t - j) / t for t in range(max(j, 1), n + 1)), Fraction(0))
+    assert lhs == plain_lhs and type(lhs) is Fraction
     assert rhs == (-a) ** j * plain and type(rhs) is Fraction
 
 
@@ -390,6 +392,14 @@ def test_inverse_binomial_transform_matches_direct_sum(b):
     forward = binomial_transform(b)
     assert forward == [sum(math.comb(n, k) * Fraction(b[k]) for k in range(n + 1)) for n in range(len(b))]
     assert _all_fractions(forward)
+    # and weighted_nabla, a slice of the inverse, at every (n, m), terms past n included
+    nablas = [weighted_nabla(b, n, m) for n in range(len(b)) for m in range(n + 1)]
+    assert nablas == [
+        sum(math.comb(n, j) * math.comb(j, n - m) * (-1) ** (n - j) * b[j] for j in range(n + 1))
+        for n in range(len(b))
+        for m in range(n + 1)
+    ]
+    assert _all_fractions(nablas)
 
 
 def _indexed_forms():

@@ -1,5 +1,9 @@
+import ast
+import inspect
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -164,13 +168,13 @@ def test_faulty_lifting_helper_fails_the_closed_forms(monkeypatch):
     real, bound = _rebind_lifting_helper(monkeypatch, doubled)
     assert {"ghn.transforms.common_denominator", "ghn.closed_forms.common_denominator"} <= set(bound)
     entries = {e.id: e for e in build_registry(6, 42)}
-    for entry_id in ("thm2.3-general", "lemma2.1-coherence"):
+    for entry_id in ("thm2.3-general", "lemma2.1-coherence", "thm3.3-nabla"):
         assert run_entry(entries[entry_id]).tier == "FAILS"
 
 
 def test_oracles_never_call_the_lifting_helper(monkeypatch):
-    from ghn.closed_forms import gould_generalized_lhs, lemma21_lhs
-    from ghn.registry import _knuth_oracle, _power_weight_oracle, _ratio_oracle
+    from ghn.closed_forms import lemma21_lhs
+    from ghn.registry import _gould_oracle, _knuth_oracle, _power_weight_oracle, _ratio_oracle
     from ghn.sequences import harmonic_table
     from ghn.transforms import binomial_transform
 
@@ -182,7 +186,7 @@ def test_oracles_never_call_the_lifting_helper(monkeypatch):
         "_knuth_oracle": lambda: _knuth_oracle(7, lam),
         "_power_weight_oracle": lambda: _power_weight_oracle(a, 7, 3),
         "lemma21_lhs": lambda: lemma21_lhs(a, 7, lam),
-        "gould_generalized_lhs": lambda: gould_generalized_lhs(7, 2, mu),
+        "_gould_oracle": lambda: _gould_oracle(7, 2, mu),
         "harmonic_table": lambda: harmonic_table(7, 2, mu),
     }
     expected = {name: oracle() for name, oracle in oracles.items()}
@@ -199,9 +203,10 @@ def test_oracles_never_call_the_lifting_helper(monkeypatch):
 def test_declared_sides_bind_their_closed_forms():
     # a side that is one closed form as it stands is that function, with no adapter around it
     from ghn import closed_forms as cf
-    from ghn.registry import declare
+    from ghn import sequences, transforms
+    from ghn.registry import _gould_oracle, declare
 
-    rhs = {e.id: e.rhs for e in declare()}
+    entries = {e.id: e for e in declare()}
     bound = {
         "pan-thm3.2": cf.pan_closed_form,
         "idi1-alternating": cf.idi1_rhs,
@@ -212,9 +217,17 @@ def test_declared_sides_bind_their_closed_forms():
         "eq-eulerbnew": cf.gould_generalized_rhs,
         "thm3.3-eqnnew8": cf.thm33_rhs,
         "as-newcoffey": cf.as_np_closed,
+        # int-valued kernels, bound with no Fraction wrapper
+        "sanchez-weight": transforms.sanchez_weight,
+        "sanchez-p1": transforms.sanchez_weight_p1,
+        "sanchez-p2": transforms.sanchez_weight_p2,
+        "sanchez-p3": transforms.sanchez_weight_p3,
+        "ex3.4-fibonacci-alt": sequences.fibonacci,
+        "ex3.4-lucas-alt": sequences.lucas,
     }
     for entry_id, fn in bound.items():
-        assert rhs[entry_id] is fn, entry_id
+        assert entries[entry_id].rhs is fn, entry_id
+    assert entries["eq-eulerbnew"].lhs is _gould_oracle
 
 
 def test_rand_rat_bounds():
@@ -267,3 +280,67 @@ def test_suite_exit_semantics_with_fault():
 
     report = VerdictReport(suite="toy", seed=0, n_max=5, results=[run_entry(e) for e in entries])
     assert report.has_assert_failure()
+
+
+def _block_statements(body):
+    """The statements of a function body, nested blocks included, nested functions not."""
+    for stmt in body:
+        yield stmt
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        for field_name in ("body", "orelse", "finalbody"):
+            yield from _block_statements(getattr(stmt, field_name, []))
+        for handler in getattr(stmt, "handlers", []):
+            yield from _block_statements(handler.body)
+
+
+def _unexecuted_statements(modules, run):
+    """(function, statement text) of each non-raise statement in the modules' functions that run() never executes.
+
+    A statement counts as executed when any of its own lines, the ones no
+    nested statement covers, runs; the tracer follows only frames of these files.
+    """
+    paths = {inspect.getsourcefile(module) for module in modules}
+    executed = set()
+
+    def on_line(frame, event, arg):
+        if event == "line":
+            executed.add((frame.f_code.co_filename, frame.f_lineno))
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code.co_filename in paths else None)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    missed = set()
+    for path in paths:
+        source = Path(path).read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for fn in ast.walk(ast.parse(source)):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+            for stmt in _block_statements(body):
+                if isinstance(stmt, (ast.Raise, ast.FunctionDef, ast.ClassDef)):
+                    continue
+                own = set(range(stmt.lineno, stmt.end_lineno + 1))
+                for child in _block_statements([stmt]):
+                    if child is not stmt:
+                        own -= set(range(child.lineno, child.end_lineno + 1))
+                if not any((path, line) in executed for line in own):
+                    missed.add((fn.name, lines[stmt.lineno - 1].strip()))
+    return missed
+
+
+def test_every_closed_form_statement_is_reached_by_the_ledger():
+    # apart from raises, only two statements of closed_forms and transforms are left
+    # to `ghn eval`: no grid has lambda = 0 for the b = 1 display, or Pan at n = 0
+    from ghn import closed_forms, transforms
+
+    missed = _unexecuted_statements([closed_forms, transforms], lambda: run_suite("*", 3, 42))
+    assert missed == {
+        ("lemma21_rhs_ones", "return harmonic(n)"),
+        ("pan_closed_form", "return Fraction(0)"),
+    }
