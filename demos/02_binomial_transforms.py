@@ -41,4 +41,4 @@ print(f"\nsum C(5,k) k^2 H_k = {direct} "
 
 # The combined weighted-nabla sum used by the alternating decomposition.
 vals = [Fraction(0), Fraction(1), Fraction(4)]
-print("\nweighted_nabla([0,1,4], n=2, m=1) =", weighted_nabla(vals, 2, 1))
+print("\nweighted_nabla([0,1,4], n=2, m=1) =", weighted_nabla(vals, 2)[1])

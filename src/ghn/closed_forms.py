@@ -11,6 +11,7 @@ Derivation map: a closed form that the paper derives from another result is
 that result evaluated, not a copy of it.
   boyadzhiev_ratio_closed (Thm 2.3)  lemma21_rhs at the transform of (0, a_1, ..., a_n)
   thm33_rhs (Thm 3.3)                gould_generalized_rhs(n, n-m, 1-alpha) per d_m
+  thm33_nabla_rhs (eqnnew9)          d dotted with the row weighted_nabla(b, n)
   as_np_closed (newcoffey)           sanchez_transform of pan_closed_form(m, z, 1, alpha)
   pan_closed_form, mu + lam = 0      lam^n idi1_rhs(n, alpha)
   Spivey, Frontczak, skew transform  pan_closed_form(n, 1, 1, alpha), -pan_closed_form(n, 2, 1, -1),
@@ -25,10 +26,11 @@ coerces alpha through Fraction(), and neither divides an int by an int, which
 gives a float when alpha is an int.
 
 Fraction-free kernels: lemma21_rhs and gould_generalized_rhs (like
-binomial_transform and harmonic_table below them) sum integer numerators over
-one denominator and build one Fraction per value.  lemma21_rhs lifts b through
-exact.common_denominator; with lam = p/q it needs no binomial of a rational.
-gould_generalized_rhs sums over q^n lcm(1..n) for a = p/q.
+binomial_transform, sanchez_transform and harmonic_table below them) sum
+integer numerators over one denominator and build one Fraction per value.
+lemma21_rhs lifts b through exact.common_denominator; with lam = p/q it needs
+no binomial of a rational.  gould_generalized_rhs sums over q^n lcm(1..n) for
+a = p/q.
 
 Binomial sums: a closed form that needs a transform calls
 transforms.binomial_transform or its inverse, and every direct-sum oracle of a
@@ -43,6 +45,7 @@ has its own integer coefficients over (p+q)...(p+nq) and multiplies each b_m as 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -226,7 +229,7 @@ def thm33_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
 
 
 def thm33_nabla_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
-    """Weighted-nabla decomposition: sum_m d_m * weighted_nabla(b, n, m).
+    """Weighted-nabla decomposition: sum_m d_m * weighted_nabla(b, n)[m].
 
     b_j is the alternating transform of H_k(alpha) (zero at j = 0).
     """
@@ -236,25 +239,21 @@ def thm33_nabla_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
     alpha = Fraction(alpha)
     d = inverse_binomial_transform(c[: n + 1])
     b = [Fraction(0)] + [idi1_rhs(j, alpha) for j in range(1, n + 1)]
-    total = Fraction(0)
-    for m in range(n + 1):
-        if d[m]:
-            total += d[m] * weighted_nabla(b, n, m)
-    return total
+    return sum(map(operator.mul, d, weighted_nabla(b, n)), Fraction(0))
 
 
 def as_np_closed(n: int, p: int, z: RatLike, alpha: RatLike) -> Fraction:
     """Closed form of sum_j C(n,j) j^p H_j(alpha) z^j, valid for 1 <= p <= n.
 
     Feeds Pan's values b_m = pan_closed_form(m, z, 1, alpha) to sanchez_transform;
-    at z = -1 they come from Pan's mu + lam = 0 branch, and b_0 = 0 exactly, so
-    the l = n corner raises no 0/0.
+    at z = -1 they come from Pan's mu + lam = 0 branch, and Pan's b_0 is the
+    empty sum, an exact 0, so the l = n corner raises no 0/0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if p < 1 or p > n:
         raise OutOfValidityRangeError(f"closed form needs 1 <= p <= n, got p={p}, n={n}")
-    bvals = [Fraction(0)] + [pan_closed_form(m, z, 1, alpha) for m in range(1, n + 1)]
+    bvals = [pan_closed_form(m, z, 1, alpha) for m in range(n + 1)]
     return sanchez_transform(bvals, n, p)
 
 

@@ -240,7 +240,7 @@ def _ratio_sides() -> list[IdentityEntry]:
             anchor="lemmaeq0: b=1, L=0 branch equals H_n",
             params=("n",),
             lhs=lambda n: lemma21_lhs(_ones(n), n, 0),
-            rhs=harmonic,
+            rhs=lambda n: lemma21_rhs_ones(n, 0),
         ),
         ones,
         replace(
@@ -443,8 +443,7 @@ def _thm33_sides(ht) -> list[IdentityEntry]:
     ]
 
 
-def _example34_sides(ht, size: int) -> list[IdentityEntry]:
-    recurrence = _memo(_laguerre_recurrence, size)
+def _example34_sides(ht) -> list[IdentityEntry]:
     harmonic_alt = IdentityEntry(
         id="ex3.4-harmonic-alt",
         anchor="sum_k C(n,k)(-1)^(k-1) H_k = 1/n",
@@ -512,14 +511,13 @@ def _example34_sides(ht, size: int) -> list[IdentityEntry]:
             anchor="sum_k C(n,k)(-x)^k/k! = L_n(x)",
             params=("n", "x"),
             lhs=laguerre,
-            rhs=lambda n, x: recurrence(x, n)[n],
+            rhs=lambda n, x: _laguerre_recurrence(x, n)[n],
             note="right side from the three-term recurrence, independent of the defining sum",
         ),
     ]
 
 
-def _sanchez_sides(size: int) -> list[IdentityEntry]:
-    transform = _memo(lambda seq, m: binomial_transform(seq), size)
+def _sanchez_sides() -> list[IdentityEntry]:
     entries = [
         IdentityEntry(
             id="sanchez-weight",
@@ -546,7 +544,7 @@ def _sanchez_sides(size: int) -> list[IdentityEntry]:
             anchor="sanchez: sum_k C(n,k) k^p a_k from the plain transform of a",
             params=("seq", "n", "p"),
             lhs=_power_weight_oracle,
-            rhs=lambda a, n, p: sanchez_transform(transform(a, n), n, p),
+            rhs=lambda a, n, p: sanchez_transform(binomial_transform(a[: n + 1]), n, p),
             note="cells with p > n are skipped by contract, not evaluated",
         )
     )
@@ -684,8 +682,8 @@ def declare(size: int = 0) -> list[IdentityEntry]:
         *_series_sides(ht, size),
         *_pan_sides(ht),
         *_thm33_sides(ht),
-        *_example34_sides(ht, size),
-        *_sanchez_sides(size),
+        *_example34_sides(ht),
+        *_sanchez_sides(),
         *_asnp_sides(ht),
     ]
     idi1 = next(e for e in entries if e.id == "idi1-alternating")

@@ -6,10 +6,10 @@ k^p-weighted ones), and the combined weighted-nabla sum used by the
 alternating harmonic-transform decomposition.
 
 binomial_transform is the one C(n,k)-weighted sum of the closed forms:
-inverse_binomial_transform flips its signs, and weighted_nabla is a slice of
-the inverse transform.  The exceptions keep their own loops: the Sanchez
-Stirling double sums here (sanchez_weight, sanchez_transform) and
-sequences.laguerre's defining sum.
+inverse_binomial_transform flips its signs, and weighted_nabla's row is one
+transform of b_n, -b_(n-1), b_(n-2), ...  The Sanchez Stirling double sums
+are one integer row, _sanchez_row, dotted with C(n-l,k) (sanchez_weight) or
+with b_(n-l) (sanchez_transform); sequences.laguerre keeps its defining sum.
 """
 
 from __future__ import annotations
@@ -48,28 +48,26 @@ def inverse_binomial_transform(b: Sequence[RatLike]) -> list[Fraction]:
     return [-v if n % 2 else v for n, v in enumerate(flipped)]
 
 
-def _stirling_inner(n: int, l: int, p: int) -> int:
-    """sum_{j=l..p} C(n-l, j-l) j! S(p, j), the inner sum of the Stirling double sum."""
-    return sum(binom_int(n - l, j - l) * math.factorial(j) * stirling2(p, j) for j in range(l, p + 1))
+def _sanchez_row(n: int, p: int) -> list[int]:
+    """(-1)^l C(n,l) sum_{j=l..p} C(n-l,j-l) j! S(p,j) for l <= min(p, n); C(n,l) is 0 past n."""
+    weights = [math.factorial(j) * stirling2(p, j) for j in range(p + 1)]
+    return [
+        (-1) ** l * binom_int(n, l) * sum(binom_int(n - l, j - l) * weights[j] for j in range(l, p + 1))
+        for l in range(min(p, n) + 1)
+    ]
 
 
 def sanchez_weight(n: int, k: int, p: int) -> int:
     """Signed double sum over shifted binomials that rebuilds C(n,k)*k^p.
 
-    sum_{l,j} (-1)^l C(n-l,k) C(n,l) C(n-l,j-l) j! S(p,j), with l,j up to p.
-    Terms with l > n vanish through C(n,l) and are skipped.
+    sum_{l,j} (-1)^l C(n-l,k) C(n,l) C(n-l,j-l) j! S(p,j), with l,j up to p:
+    the row of _sanchez_row dotted with C(n-l,k).
     """
     if not 0 <= k <= n:
         raise ValueError("requires 0 <= k <= n")
     if p < 0:
         raise ValueError("p must be >= 0")
-    total = 0
-    for l in range(min(p, n) + 1):
-        outer = binom_int(n, l) * binom_int(n - l, k)
-        if outer == 0:
-            continue
-        total += (-1) ** l * outer * _stirling_inner(n, l, p)
-    return total
+    return sum(c * binom_int(n - l, k) for l, c in enumerate(_sanchez_row(n, p)))
 
 
 def _scaled_binom(coef: int, n: int, k: int) -> int:
@@ -104,28 +102,27 @@ def sanchez_weight_p3(n: int, k: int) -> int:
 def sanchez_transform(b: Sequence[RatLike], n: int, p: int) -> Fraction:
     """sum_k C(n,k) k^p a_k recovered from the plain transform b of a.
 
-    Valid for p <= n; larger p raises OutOfValidityRangeError rather than
-    returning a silently wrong value.
+    The row of _sanchez_row dotted with the integer numerators of b_n, ...,
+    b_(n-p) over their common denominator.  Valid for p <= n; larger p raises
+    OutOfValidityRangeError rather than returning a silently wrong value.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
     if p > n:
         raise OutOfValidityRangeError(f"weighted transform needs p <= n, got p={p}, n={n}")
     check_terms(b, n, "b")
-    total = Fraction(0)
-    for l in range(p + 1):
-        total += (-1) ** l * binom_int(n, l) * _stirling_inner(n, l, p) * Fraction(b[n - l])
-    return total
+    nums, den = common_denominator(b[n - p : n + 1])
+    return Fraction(sum(map(operator.mul, _sanchez_row(n, p), reversed(nums))), den)
 
 
-def weighted_nabla(b: Sequence[RatLike], n: int, m: int) -> Fraction:
-    """sum_{j=0..n} C(n,j) C(j,n-m) (-1)^(n-j) b_j  (the C(n,m)-weighted nabla^m).
+def weighted_nabla(b: Sequence[RatLike], n: int) -> list[Fraction]:
+    """sum_{j=0..n} C(n,j) C(j,n-m) (-1)^(n-j) b_j for m = 0..n  (C(n,m) nabla^m b_n).
 
-    By trinomial revision C(n,j) C(j,n-m) = C(n,m) C(m,j-n+m), this is C(n,m)
-    times the m-th difference of b_(n-m), ..., b_n: the last inverse
-    transform value of that slice.
+    By trinomial revision C(n,j) C(j,n-m) = C(n,m) C(m,n-j), term m is C(n,m)
+    times the m-th binomial transform value of b_n, -b_(n-1), b_(n-2), ...
     """
-    if not 0 <= m <= n:
-        raise ValueError("requires 0 <= m <= n")
+    if n < 0:
+        raise ValueError("requires n >= 0")
     check_terms(b, n, "b")
-    return binom_int(n, m) * inverse_binomial_transform(b[n - m : n + 1])[m]
+    flipped = binomial_transform([-v if i % 2 else v for i, v in enumerate(b[n::-1])])
+    return [binom_int(n, m) * v for m, v in enumerate(flipped)]

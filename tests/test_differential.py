@@ -28,7 +28,7 @@ from ghn.closed_forms import (  # noqa: E402
     pan_closed_form,
     thm33_rhs,
 )
-from ghn.errors import DomainError, SeqSpecError  # noqa: E402
+from ghn.errors import DomainError, OutOfValidityRangeError, SeqSpecError  # noqa: E402
 from ghn.exact import binom_rat  # noqa: E402
 from ghn.polyseries import PolyQ, TruncSeries, _convolve  # noqa: E402
 from ghn.registry import _gould_oracle, declare  # noqa: E402
@@ -41,7 +41,13 @@ from ghn.sequences import (  # noqa: E402
     seq_spec_text,
     stirling2,
 )
-from ghn.transforms import binomial_transform, inverse_binomial_transform, weighted_nabla  # noqa: E402
+from ghn.transforms import (  # noqa: E402
+    binomial_transform,
+    inverse_binomial_transform,
+    sanchez_transform,
+    sanchez_weight,
+    weighted_nabla,
+)
 from ghn.verifier import ALPHA, CERTIFY_N, binomial_oracle, harmonic_genfunc, pan_lemma_series  # noqa: E402
 
 # one failure per property, so a mutation test can expect a plain AssertionError
@@ -195,6 +201,29 @@ def test_compose_is_a_ring_map(f, g, h):
     assert (f + g).compose(h) == f.compose(h) + g.compose(h)
     assert f.compose(TruncSeries([0, 1], ORDER)) == f
     assert (h * h).compose(TruncSeries([0, 1], ORDER)) == h * h
+
+
+@SETTINGS
+@example(n=0, p=0, a=[7] * 9)  # 0^0 = 1
+@example(n=8, p=8, a=[Fraction(-(10**100) + 1, 10**99)] * 9)
+@given(n=st.integers(min_value=0, max_value=8), p=st.integers(min_value=0, max_value=8), a=st.lists(edge_rats, min_size=9, max_size=9))
+def test_sanchez_transform_matches_direct_sum(n, p, a):
+    if p > n:
+        with pytest.raises(OutOfValidityRangeError):
+            sanchez_transform(binomial_transform(a), n, p)
+        return
+    value = sanchez_transform(binomial_transform(a), n, p)
+    assert value == sum((math.comb(n, k) * k**p * a[k] for k in range(n + 1)), Fraction(0))
+    assert type(value) is Fraction
+
+
+@SETTINGS
+@example(n=0, p=0)
+@example(n=3, p=12)
+@given(n=st.integers(min_value=0, max_value=14), p=st.integers(min_value=0, max_value=16))
+def test_sanchez_weight_matches_direct_product(n, p):
+    # p > n included: the row stops at l = min(p, n)
+    assert [sanchez_weight(n, k, p) for k in range(n + 1)] == [math.comb(n, k) * k**p for k in range(n + 1)]
 
 
 @SETTINGS
@@ -392,14 +421,13 @@ def test_inverse_binomial_transform_matches_direct_sum(b):
     forward = binomial_transform(b)
     assert forward == [sum(math.comb(n, k) * Fraction(b[k]) for k in range(n + 1)) for n in range(len(b))]
     assert _all_fractions(forward)
-    # and weighted_nabla, a slice of the inverse, at every (n, m), terms past n included
-    nablas = [weighted_nabla(b, n, m) for n in range(len(b)) for m in range(n + 1)]
+    # and weighted_nabla's row, which calls the forward transform, at every (n, m), terms past n included
+    nablas = [weighted_nabla(b, n) for n in range(len(b))]
     assert nablas == [
-        sum(math.comb(n, j) * math.comb(j, n - m) * (-1) ** (n - j) * b[j] for j in range(n + 1))
+        [sum(math.comb(n, j) * math.comb(j, n - m) * (-1) ** (n - j) * b[j] for j in range(n + 1)) for m in range(n + 1)]
         for n in range(len(b))
-        for m in range(n + 1)
     ]
-    assert _all_fractions(nablas)
+    assert all(_all_fractions(row) for row in nablas)
 
 
 def _indexed_forms():
@@ -425,7 +453,7 @@ def test_indexed_forms_are_found():
 def test_short_sequences_raise_value_error(data, n, alpha):
     # fewer than the n+1 terms 0..n is a ValueError, never a silent value or an IndexError
     seq = data.draw(st.lists(rats, max_size=n))
-    rest = {"lam": Fraction(2), "alpha": alpha, "p": 1, "m": 0}
+    rest = {"lam": Fraction(2), "alpha": alpha, "p": 1}
     for fn in INDEXED_FORMS:
         params = list(inspect.signature(fn).parameters.values())[2:]
         args = [rest[p.name] for p in params if p.default is inspect.Parameter.empty]

@@ -107,20 +107,20 @@ def test_weighted_nabla_collapse_at_m_equals_n():
     for n in range(1, 10):
         b = _rand_seq(rng, n + 1)
         direct = sum(binom_int(n, j) * (-1) ** (n - j) * b[j] for j in range(n + 1))
-        assert weighted_nabla(b, n, n) == direct
+        assert weighted_nabla(b, n)[n] == direct
 
 
 def test_weighted_nabla_constant_sequence():
     ones = [Fraction(1)] * 12
     for n in range(1, 12):
         # annihilates constants for 1 <= m < n; at m = 0 only j = n survives
-        for m in range(1, n):
-            assert weighted_nabla(ones, n, m) == 0
-        assert weighted_nabla(ones, n, 0) == 1
+        row = weighted_nabla(ones, n)
+        assert row[1:n] == [0] * (n - 1)
+        assert row[0] == 1
 
 
 def test_weighted_nabla_direct_evaluation():
-    # sum_j C(2,j)C(j,1)(-1)^(2-j) b_j with b = [0,1,4]: -2*1 + 2*4 = 6
-    assert weighted_nabla([0, 1, 4], 2, 1) == 6
+    # sum_j C(2,j)C(j,2-m)(-1)^(2-j) b_j with b = [0,1,4]: b_2 = 4, -2*1 + 2*4 = 6, -2*1 + 4 = 2
+    assert weighted_nabla([0, 1, 4], 2) == [4, 6, 2]
     with pytest.raises(ValueError):
-        weighted_nabla([0, 1, 4], 2, 3)
+        weighted_nabla([0, 1], 2)

@@ -168,8 +168,27 @@ def test_faulty_lifting_helper_fails_the_closed_forms(monkeypatch):
     real, bound = _rebind_lifting_helper(monkeypatch, doubled)
     assert {"ghn.transforms.common_denominator", "ghn.closed_forms.common_denominator"} <= set(bound)
     entries = {e.id: e for e in build_registry(6, 42)}
-    for entry_id in ("thm2.3-general", "lemma2.1-coherence", "thm3.3-nabla"):
+    for entry_id in ("thm2.3-general", "lemma2.1-coherence", "thm3.3-nabla", "sanchez-transform", "as-newcoffey"):
         assert run_entry(entries[entry_id]).tier == "FAILS"
+
+
+def test_mutated_sanchez_row_fails_its_entries(monkeypatch):
+    # the Stirling row is shared by both Sanchez sums and, through the transform,
+    # by the newcoffey closed form; a sign flip at l = 1 must show in each
+    from ghn import transforms
+
+    real = transforms._sanchez_row
+
+    def flipped(n, p):
+        row = real(n, p)
+        if len(row) > 1:
+            row[1] = -row[1]
+        return row
+
+    monkeypatch.setattr(transforms, "_sanchez_row", flipped)
+    entries = {e.id: e for e in build_registry(6, 42)}
+    for entry_id in ("sanchez-weight", "sanchez-transform", "as-newcoffey"):
+        assert run_entry(entries[entry_id]).tier == "FAILS", entry_id
 
 
 def test_oracles_never_call_the_lifting_helper(monkeypatch):
@@ -335,12 +354,86 @@ def _unexecuted_statements(modules, run):
 
 
 def test_every_closed_form_statement_is_reached_by_the_ledger():
-    # apart from raises, only two statements of closed_forms and transforms are left
-    # to `ghn eval`: no grid has lambda = 0 for the b = 1 display, or Pan at n = 0
+    # apart from raises, the ledger runs every statement of closed_forms and transforms:
+    # lemma2.1-ones-zero reaches the lambda = 0 branch of the b = 1 display, and
+    # as-newcoffey takes its b_0 from Pan at n = 0
     from ghn import closed_forms, transforms
 
     missed = _unexecuted_statements([closed_forms, transforms], lambda: run_suite("*", 3, 42))
-    assert missed == {
-        ("lemma21_rhs_ones", "return harmonic(n)"),
-        ("pan_closed_form", "return Fraction(0)"),
+    assert missed == set()
+
+
+def _functions_reached(entry_id, side_name):
+    """Names of the ghn functions outside the registry's wiring that one side calls on up to 15 cells.
+
+    Each side runs on its own fresh registry, so no memo that the other side
+    filled hides a call.
+    """
+    import ghn
+    import ghn.registry as registry_mod
+    from ghn.errors import OutOfValidityRangeError
+
+    package = str(Path(inspect.getsourcefile(ghn)).parent)
+    wiring = inspect.getsourcefile(registry_mod)
+    entry = next(e for e in build_registry(8, 42) if e.id == entry_id)
+    side = getattr(entry, side_name)
+    names = set()
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(package) and code.co_filename != wiring:
+            if not code.co_name.startswith("<"):
+                names.add(code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(on_call)
+    try:
+        for cell in entry.cells[:15]:
+            try:
+                side(*[cell[name] for name in entry.params])
+            except (DomainError, OutOfValidityRangeError):
+                pass
+    finally:
+        sys.setprofile(previous)
+    return names
+
+
+def test_functions_both_sides_reach_are_pinned():
+    """The ghn functions that both sides of each ASSERT entry reach, so that new sharing fails here.
+
+    A fault in a function that both sides call can cancel out.  Open finding:
+    the ex3.4-* rows call fibonacci, lucas and bernoulli on both sides, and the
+    identities are linear in the sequence, so a doubled generator leaves them
+    green; they need right sides that do not call the generator.
+    """
+    expected = {
+        **dict.fromkeys(
+            ["lemma2.1-ones-zero", "lemma2.1-ones", "thm2.3-general", "thm2.3-lambda0", "knuth-flajolet"],
+            {"check_lambda_domain"},
+        ),
+        "lemma2.1-coherence": {"check_lambda_domain", "check_terms"},
+        **dict.fromkeys(["gen-harmonic-relation", "skew-relation"], {"harmonic_p", "harmonic_table"}),
+        **dict.fromkeys(
+            ["panequa1-series", "pan-thm3.2", "skew-transform", "frontczak-variant", "spivey-generalization"],
+            {"harmonic_table"},
+        ),
+        **dict.fromkeys(["as-newcoffey1", "as-p0", "as-p1-exemple1"], {"harmonic_table"}),
+        **dict.fromkeys(["thm3.3-eqnnew8", "as-newcoffey"], {"binom_int", "harmonic_table"}),
+        **dict.fromkeys(
+            ["eq-eulerbnew", "eq-eulerbnew-j0-corrected", "thm3.3-nabla", "as-newcoff", "sanchez-transform"],
+            {"binom_int"},
+        ),
+        **dict.fromkeys(["sanchez-weight", "sanchez-p1", "sanchez-p2", "sanchez-p3"], {"binom_int"}),
+        **dict.fromkeys(["ex3.4-fibonacci", "ex3.4-fibonacci-alt"], {"fibonacci"}),
+        **dict.fromkeys(["ex3.4-lucas", "ex3.4-lucas-alt"], {"lucas"}),
+        "ex3.4-bernoulli": {"bernoulli"},
     }
+    shared = {}
+    for entry in build_registry(8, 42):
+        if entry.policy == ASSERT:
+            both = _functions_reached(entry.id, "lhs") & _functions_reached(entry.id, "rhs")
+            if both:
+                shared[entry.id] = both
+    assert shared == expected
+    # the coefficient rows belong to the closed forms alone
+    assert not any({"_sanchez_row", "weighted_nabla"} & names for names in shared.values())
