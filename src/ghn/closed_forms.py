@@ -10,10 +10,12 @@ factor), and 0^0 = 1 throughout.
 Derivation map: a closed form that the paper derives from another result is
 that result evaluated, not a copy of it.
   boyadzhiev_ratio_closed (Thm 2.3)  lemma21_rhs at the transform of (0, a_1, ..., a_n)
-  thm33_rhs (Thm 3.3)                gould_generalized_rhs(n, n-m, 1-alpha) per d_m
+  thm33_rhs (Thm 3.3)                the Gould sum _gould_num(n, n-m, 1-alpha) per d_m
   thm33_nabla_rhs (eqnnew9)          d dotted with the row weighted_nabla(b, n)
-  as_np_closed (newcoffey)           sanchez_transform of pan_closed_form(m, z, 1, alpha)
-  pan_closed_form, mu + lam = 0      lam^n idi1_rhs(n, alpha)
+  as_np_closed (newcoffey)           sanchez_transform of pan_closed_form(m, z, 1, alpha),
+                                     for the m = n-p..n that it reads
+  pan_closed_form (Thm 3.2)          its own integer sum, no harmonic_p; mu + lam = 0:
+                                     lam^n idi1_rhs(n, alpha)
   Spivey, Frontczak, skew transform  pan_closed_form(n, 1, 1, alpha), -pan_closed_form(n, 2, 1, -1),
                                      -pan_closed_form(n, 1, 1, -1), in the registry
 Printed displays keep their own form, so the ledger grades the display itself:
@@ -25,21 +27,29 @@ verifier.ALPHA they return the PolyQ in alpha that CERTIFIED proves.  So neither
 coerces alpha through Fraction(), and neither divides an int by an int, which
 gives a float when alpha is an int.
 
-Fraction-free kernels: lemma21_rhs and gould_generalized_rhs (like
-binomial_transform, sanchez_transform and harmonic_table below them) sum
-integer numerators over one denominator and build one Fraction per value.
-lemma21_rhs lifts b through exact.common_denominator; with lam = p/q it needs
-no binomial of a rational.  gould_generalized_rhs sums over q^n lcm(1..n) for
-a = p/q.
+Fraction-free kernels: lemma21_rhs, pan_closed_form, thm33_rhs and
+gould_generalized_rhs (like binomial_transform, sanchez_transform and
+harmonic_table below them) sum integer numerators over one denominator and
+build one Fraction per value, or per part; the first three lift their inputs
+through exact.common_denominator.  lemma21_rhs with lam = p/q needs no binomial
+of a rational.  pan_closed_form sums over D^n lcm(1..n), D the common denominator
+of mu+lam, lam+mu*alpha and lam.  The Gould sum is one integer kernel,
+_gould_num, over q^n lcm(1..n) for a = p/q: gould_generalized_rhs wraps it in a
+Fraction, and thm33_rhs dots it with the numerators of d_0..d_(n-1), so its
+Gould part and its 1/(n-m) tail are one Fraction each.
 
 Binomial sums: a closed form that needs a transform calls
 transforms.binomial_transform or its inverse, and every direct-sum oracle of a
 C(n,k)-weighted sum is verifier.binomial_oracle, called by the registry (the
-Gould left side too).  The exceptions are sequences.laguerre's defining sum and
-the Sanchez Stirling double sums; a display that is itself a binomial sum
-(generalized_harmonic_relation) is evaluated as printed.  The one oracle kept
-here, lemma21_lhs, is not a binomial sum; it never calls the lifting helper, but
-has its own integer coefficients over (p+q)...(p+nq) and multiplies each b_m as it is.
+Gould left side too).  The exceptions are sequences.laguerre's defining sum,
+the Sanchez Stirling double sums and the registry's Theorem 2.3 ratio oracle,
+which has its own integer loop like lemma21_lhs; a display that is itself a
+binomial sum (generalized_harmonic_relation) is evaluated as printed.  The one
+oracle kept here, lemma21_lhs, is not a binomial sum; it never calls the
+lifting helper, but has its own integer coefficients over (p+q)...(p+nq) and
+multiplies each b_m as it is.  Oracles call check_lambda_domain only for its
+DomainError and keep the lambda they are given, so a fault in it reaches the
+closed forms alone.
 """
 
 from __future__ import annotations
@@ -67,7 +77,8 @@ def lemma21_lhs(b: Sequence[RatLike], n: int, lam: RatLike) -> Fraction:
     """n! * sum_{m=1..n} b_m / (m! (lam+m)(lam+m+1)...(lam+n)), summed directly."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lam = check_lambda_domain(lam, n)
+    check_lambda_domain(lam, n)  # for its DomainError: an oracle takes lambda as given
+    lam = Fraction(lam)
     check_terms(b, n, "b")
     # with lam = p/q, term m is b_m q^(n-m+1) (n!/m!) / ((p+mq)...(p+nq)); over the
     # denominator (p+q)...(p+nq) its integer coefficient gains (p+q)...(p+(m-1)q)
@@ -178,10 +189,14 @@ def gould_generalized_rhs(n: int, j: int, a: RatLike) -> Fraction:
     if n < 1 or j < 0:
         raise ValueError("requires n >= 1 and j >= 0")
     a = Fraction(a)
-    p, q = a.numerator, a.denominator
     lcm = math.lcm(*range(1, n + 1))
+    return Fraction(_gould_num(n, j, a.numerator, a.denominator, lcm), a.denominator**n * lcm)
+
+
+def _gould_num(n: int, j: int, p: int, q: int, lcm: int) -> int:
+    """gould_generalized_rhs(n, j, p/q) times q^n lcm, with lcm = lcm(1..n)."""
     total = sum(binom_int(t, j) * (q - p) ** (t - j) * q ** (n - t) * (lcm // t) for t in range(max(j, 1), n + 1))
-    return Fraction((-p) ** j * total, q**n * lcm)
+    return (-p) ** j * total
 
 
 def pan_closed_form(n: int, mu: RatLike, lam: RatLike, alpha: RatLike) -> Fraction:
@@ -189,6 +204,10 @@ def pan_closed_form(n: int, mu: RatLike, lam: RatLike, alpha: RatLike) -> Fracti
 
     (mu+lam)^n (H_n((lam+mu*alpha)/(mu+lam)) - H_n(lam/(mu+lam))), or
     lam^n idi1_rhs(n, alpha) when mu + lam = 0.  At n = 0 it is the empty sum, 0.
+
+    With u = lam+mu*alpha, v = lam and s = mu+lam over one denominator D as
+    nu/D, nv/D and ns/D, the first form is one integer sum over D^n L, with
+    L = lcm(1..n): s^n (H_n(u/s) - H_n(v/s)) = sum_k ns^(n-k) (nu^k - nv^k) (L/k) / (D^n L).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -198,7 +217,15 @@ def pan_closed_form(n: int, mu: RatLike, lam: RatLike, alpha: RatLike) -> Fracti
     s = mu + lam
     if s == 0:
         return lam**n * idi1_rhs(n, alpha)
-    return s**n * (harmonic_p(n, 1, (lam + mu * alpha) / s) - harmonic_p(n, 1, lam / s))
+    (nu, nv, ns), den = common_denominator([lam + mu * alpha, lam, s])
+    lcm = math.lcm(*range(1, n + 1))
+    total = 0
+    upow = vpow = 1
+    for k in range(1, n + 1):  # Horner in ns: term k ends up times ns^(n-k)
+        upow *= nu
+        vpow *= nv
+        total = total * ns + (upow - vpow) * (lcm // k)
+    return Fraction(total, den**n * lcm)
 
 
 def idi1_rhs(n: int, alpha: RatLike) -> Fraction:
@@ -220,11 +247,16 @@ def thm33_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
     check_terms(c, n, "c")
     alpha = Fraction(alpha)
     d = inverse_binomial_transform(c[: n + 1])
+    nums, den = common_denominator(d[:n])
+    lcm = math.lcm(*range(1, n + 1))
+    # the 1/(n-m) tail over den lcm, and the Gould part over den q^n lcm (a = 1 - alpha = p/q)
     total = (-1) ** n * d[n] * harmonic_p(n, 1, alpha)
-    for m in range(n):
-        total -= d[m] * Fraction((-1) ** m, n - m)
-        if alpha != 1 and d[m]:
-            total += (-1) ** n * d[m] * gould_generalized_rhs(n, n - m, 1 - alpha)
+    total -= Fraction(sum((-1) ** m * num * (lcm // (n - m)) for m, num in enumerate(nums)), den * lcm)
+    if alpha != 1:
+        a = 1 - alpha
+        p, q = a.numerator, a.denominator
+        gould = sum(num * _gould_num(n, n - m, p, q, lcm) for m, num in enumerate(nums) if num)
+        total += Fraction((-1) ** n * gould, den * q**n * lcm)
     return total
 
 
@@ -253,7 +285,8 @@ def as_np_closed(n: int, p: int, z: RatLike, alpha: RatLike) -> Fraction:
         raise ValueError("n must be >= 1")
     if p < 1 or p > n:
         raise OutOfValidityRangeError(f"closed form needs 1 <= p <= n, got p={p}, n={n}")
-    bvals = [pan_closed_form(m, z, 1, alpha) for m in range(n + 1)]
+    # sanchez_transform reads only b_(n-p..n), so the slots below n-p hold a 0 it never reads
+    bvals = [0] * (n - p) + [pan_closed_form(m, z, 1, alpha) for m in range(n - p, n + 1)]
     return sanchez_transform(bvals, n, p)
 
 

@@ -162,9 +162,20 @@ def _ones(n: int) -> list[Fraction]:
 
 
 def _ratio_oracle(a, n: int, lam) -> Fraction:
-    """Direct sum_{k=1..n} C(n,k) a_k / (k + lam)."""
-    lam = check_lambda_domain(lam, n)
-    return binomial_oracle(n, [0] + [Fraction(a[k]) / (k + lam) for k in range(1, n + 1)])
+    """Direct sum_{k=1..n} C(n,k) a_k / (k + lam).
+
+    With lam = p/q the term is C(n,k) a_k q / (kq + p): each a_k is multiplied
+    as it is by an integer coefficient over the lcm M of the kq + p, and the
+    sum is divided once by M.
+    """
+    check_lambda_domain(lam, n)  # for its DomainError: an oracle takes lambda as given
+    lam = Fraction(lam)
+    p, q = lam.numerator, lam.denominator
+    lcm = math.lcm(*[k * q + p for k in range(1, n + 1)])
+    total = 0
+    for k in range(1, n + 1):
+        total += binom_int(n, k) * q * (lcm // (k * q + p)) * a[k]
+    return total * Fraction(1, lcm)
 
 
 def _gould_oracle(n: int, j: int, a) -> Fraction:
@@ -176,7 +187,7 @@ def _knuth_oracle(n: int, lam) -> Fraction:
     lam = Fraction(lam)
     if lam == 0:
         raise DomainError("lambda = 0 is a pole")
-    lam = check_lambda_domain(lam, n)
+    check_lambda_domain(lam, n)  # for its DomainError: an oracle takes lambda as given
     return binomial_oracle(n, [1 / (k + lam) for k in range(n + 1)], mu=-1)
 
 
@@ -185,6 +196,45 @@ def _power_weight_oracle(a, n: int, p: int) -> Fraction:
         # mirrors the formula's declared validity range so the cell is skipped
         raise OutOfValidityRangeError("p > n")
     return binomial_oracle(n, [k**p * Fraction(a[k]) for k in range(n + 1)])
+
+
+# Second definitions for the ex3.4 right sides: the identities are linear in
+# the sequence, so a right side that called the generator would pass any
+# multiple of it.
+
+
+def _fibonacci_doubling(n: int) -> int:
+    """F_n by fast doubling, F_2k = F_k (2 F_(k+1) - F_k) and F_(2k+1) = F_k^2 + F_(k+1)^2."""
+    f, g = 0, 1  # F_k, F_(k+1), k = 0
+    for bit in bin(n)[2:]:
+        f, g = f * (2 * g - f), f * f + g * g
+        if bit == "1":
+            f, g = g, f + g
+    return f
+
+
+def _lucas_doubling(n: int) -> int:
+    """L_n by fast doubling, L_2k = L_k^2 - 2(-1)^k and L_(2k+1) = L_k L_(k+1) - (-1)^k."""
+    a, b, sign = 2, 1, 1  # L_k, L_(k+1), (-1)^k, k = 0
+    for bit in bin(n)[2:]:
+        a, b, sign = a * a - 2 * sign, a * b - sign, 1
+        if bit == "1":
+            a, b, sign = b, a + b, -1
+    return a
+
+
+def _bernoulli_alternating(n: int) -> Fraction:
+    """(-1)^n B_n by the Akiyama-Tanigawa algorithm.
+
+    The algorithm gives B_1 = +1/2, which is (-1)^n B_n under the B_1 = -1/2
+    convention of sequences.bernoulli (odd B_n vanish past n = 1).
+    """
+    row: list[Fraction] = []
+    for m in range(n + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+    return row[0]
 
 
 def _laguerre_recurrence(x, n_max: int) -> list[Fraction]:
@@ -475,35 +525,35 @@ def _example34_sides(ht) -> list[IdentityEntry]:
             anchor="sum_k C(n,k) F_k = F_2n",
             params=("n",),
             lhs=lambda n: binomial_oracle(n, [fibonacci(k) for k in range(n + 1)]),
-            rhs=lambda n: fibonacci(2 * n),
+            rhs=lambda n: _fibonacci_doubling(2 * n),
         ),
         IdentityEntry(
             id="ex3.4-fibonacci-alt",
             anchor="sum_k C(n,k)(-1)^(k-1) F_k = F_n",
             params=("n",),
             lhs=lambda n: -binomial_oracle(n, [fibonacci(k) for k in range(n + 1)], mu=-1),
-            rhs=fibonacci,
+            rhs=_fibonacci_doubling,
         ),
         IdentityEntry(
             id="ex3.4-lucas",
             anchor="sum_k C(n,k) L_k = L_2n",
             params=("n",),
             lhs=lambda n: binomial_oracle(n, [lucas(k) for k in range(n + 1)]),
-            rhs=lambda n: lucas(2 * n),
+            rhs=lambda n: _lucas_doubling(2 * n),
         ),
         IdentityEntry(
             id="ex3.4-lucas-alt",
             anchor="sum_k C(n,k)(-1)^k L_k = L_n",
             params=("n",),
             lhs=lambda n: binomial_oracle(n, [lucas(k) for k in range(n + 1)], mu=-1),
-            rhs=lucas,
+            rhs=_lucas_doubling,
         ),
         IdentityEntry(
             id="ex3.4-bernoulli",
             anchor="sum_k C(n,k) B_k = (-1)^n B_n",
             params=("n",),
             lhs=lambda n: binomial_oracle(n, [bernoulli(k) for k in range(n + 1)]),
-            rhs=lambda n: (-1) ** n * bernoulli(n),
+            rhs=_bernoulli_alternating,
             note="pins the B_1 = -1/2 convention; the +1/2 convention fails at n = 1",
         ),
         IdentityEntry(

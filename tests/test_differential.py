@@ -31,7 +31,7 @@ from ghn.closed_forms import (  # noqa: E402
 from ghn.errors import DomainError, OutOfValidityRangeError, SeqSpecError  # noqa: E402
 from ghn.exact import binom_rat  # noqa: E402
 from ghn.polyseries import PolyQ, TruncSeries, _convolve  # noqa: E402
-from ghn.registry import _gould_oracle, declare  # noqa: E402
+from ghn.registry import _gould_oracle, _ratio_oracle, build_registry, declare  # noqa: E402
 from ghn.sequences import (  # noqa: E402
     SeqSpec,
     bernoulli,
@@ -48,7 +48,7 @@ from ghn.transforms import (  # noqa: E402
     sanchez_weight,
     weighted_nabla,
 )
-from ghn.verifier import ALPHA, CERTIFY_N, binomial_oracle, harmonic_genfunc, pan_lemma_series  # noqa: E402
+from ghn.verifier import ALPHA, CERTIFY_N, binomial_oracle, harmonic_genfunc, pan_lemma_series, run_entry  # noqa: E402
 
 # one failure per property, so a mutation test can expect a plain AssertionError
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None, report_multiple_bugs=False)
@@ -316,6 +316,7 @@ def test_boyadzhiev_ratio_closed_ignores_a0(n, lam, a, a0):
 @SETTINGS
 @example(n=5, alpha=Fraction(0), c=[Fraction(k - 4, 3) for k in range(9)])  # the Gould sums at a = 1
 @example(n=4, alpha=Fraction(1), c=list(range(9)))
+@example(n=6, alpha=Fraction(10**99 + 3, -(10**99) - 8), c=[Fraction(10**99 - k, 3 + k) for k in range(9)])
 @given(n=st.integers(min_value=1, max_value=8), alpha=alphas, c=seqs)
 def test_thm33_rhs_matches_direct_sum(n, alpha, c):
     assert thm33_rhs(c, n, alpha) == binomial_oracle(n, [_h(k, alpha) * c[k] for k in range(n + 1)], mu=-1)
@@ -341,12 +342,25 @@ def test_gould_generalized_rhs_matches_direct_sum(n, j, a):
 
 
 @SETTINGS
-@given(n=st.integers(min_value=1, max_value=8), mu=rats, lam=rats, alpha=alphas, opposite=st.booleans())
-def test_pan_closed_form_matches_direct_sum(n, mu, lam, alpha, opposite):
-    if opposite:  # the mu + lam = 0 branch
+@example(n=5, mu=Fraction(2, 3), lam=Fraction(0), alpha=Fraction(-1, 4), branch="")  # lam = 0
+@example(n=4, mu=Fraction(3), lam=Fraction(-1, 2), alpha=Fraction(0), branch="u=0")
+@example(n=6, mu=Fraction(10**99 + 7, 10**99 - 3), lam=Fraction(-(10**99) - 1, 10**98 + 9), alpha=Fraction(10**99 + 2, 7), branch="")
+@given(
+    n=st.integers(min_value=0, max_value=8),
+    mu=edge_rats,
+    lam=st.one_of(st.just(Fraction(0)), edge_rats),
+    alpha=st.one_of(st.just(Fraction(1)), edge_rats),
+    branch=st.sampled_from(["", "mu+lam=0", "u=0"]),
+)
+def test_pan_closed_form_matches_direct_sum(n, mu, lam, alpha, branch):
+    mu, lam, alpha = Fraction(mu), Fraction(lam), Fraction(alpha)
+    if branch == "mu+lam=0":
         lam = -mu
-    direct = binomial_oracle(n, [_h(k, alpha) for k in range(n + 1)], mu, lam)
-    assert pan_closed_form(n, mu, lam, alpha) == direct
+    elif branch == "u=0" and mu:  # lam + mu*alpha = 0, the first argument of H_n is 0
+        alpha = -lam / mu
+    plain = sum((math.comb(n, k) * mu**k * lam ** (n - k) * _h(k, alpha) for k in range(n + 1)), Fraction(0))
+    value = pan_closed_form(n, mu, lam, alpha)
+    assert value == plain and type(value) is Fraction
 
 
 @SETTINGS
@@ -355,6 +369,37 @@ def test_as_np_closed_matches_direct_sum(n, p, z, alpha):
     p = 1 + p % n  # the closed form holds for 1 <= p <= n
     direct = binomial_oracle(n, [j**p * _h(j, alpha) for j in range(n + 1)], mu=z)
     assert as_np_closed(n, p, z, alpha) == direct
+
+
+@SETTINGS
+@given(
+    n=st.integers(min_value=1, max_value=7),
+    p=st.integers(min_value=0, max_value=6),
+    z=zs,
+    alpha=alphas,
+    junk=st.lists(edge_rats, min_size=7, max_size=7),
+)
+def test_as_np_closed_reads_no_pan_value_below_n_minus_p(n, p, z, alpha, junk):
+    # as_np_closed makes only b_(n-p..n); any values in the slots below n-p give the same sum
+    p = 1 + p % n
+    b = [pan_closed_form(m, z, 1, alpha) for m in range(n + 1)]
+    junked = junk[: n - p] + b[n - p :]
+    assert sanchez_transform(junked, n, p) == sanchez_transform(b, n, p) == as_np_closed(n, p, z, alpha)
+
+
+@SETTINGS
+@example(n=4, lam=Fraction(0), a=list(range(9)))
+@example(n=3, lam=Fraction(-7, 2), a=[Fraction(10**99 + 1, -(10**99) - 2)] * 9)
+@example(n=0, lam=Fraction(5), a=[1] * 9)
+@given(n=st.integers(min_value=0, max_value=8), lam=st.one_of(lams, big_rats), a=st.lists(edge_rats, min_size=9, max_size=9))
+def test_ratio_oracle_matches_a_plain_loop(n, lam, a):
+    if lam.denominator == 1 and -n <= lam <= -1:
+        with pytest.raises(DomainError):
+            _ratio_oracle(a, n, lam)
+        return
+    plain = sum((math.comb(n, k) * Fraction(a[k]) / (k + lam) for k in range(1, n + 1)), Fraction(0))
+    value = _ratio_oracle(a, n, lam)
+    assert value == plain and type(value) is Fraction
 
 
 @SETTINGS
@@ -462,11 +507,14 @@ def test_short_sequences_raise_value_error(data, n, alpha):
 
 
 def test_mutated_gould_sum_fails_thm33(monkeypatch):
-    real = closed_forms.gould_generalized_rhs
-    monkeypatch.setattr(closed_forms, "gould_generalized_rhs", lambda n, j, a: real(n, j + 1, a))
+    # the one Gould sum, which the eulerbnew right side and Theorem 3.3 both call
+    real = closed_forms._gould_num
+    monkeypatch.setattr(closed_forms, "_gould_num", lambda n, j, p, q, lcm: real(n, j + 1, p, q, lcm))
     # the property's own body at one point (a full run spends seconds shrinking)
     with pytest.raises(AssertionError):
         test_thm33_rhs_matches_direct_sum.hypothesis.inner_test(3, Fraction(1, 3), [Fraction(k) for k in range(9)])
+    entries = {e.id: e for e in build_registry(6, 42)}
+    assert [run_entry(entries[i]).tier for i in ("eq-eulerbnew", "thm3.3-eqnnew8")] == ["FAILS", "FAILS"]
 
 
 def test_mutated_transform_fails_round_trip(monkeypatch):

@@ -141,13 +141,8 @@ def test_certify_proves_the_graded_closed_forms_beyond_the_grid(monkeypatch):
     assert {i: run_entry(entries[i]).tier for i in CERTIFIABLE} == dict.fromkeys(CERTIFIABLE, HOLDS_ON_GRID)
 
 
-def _rebind_lifting_helper(monkeypatch, replacement):
-    """Replace exact.common_denominator in every ghn module that imported it."""
-    import sys
-
-    import ghn.exact as exact_mod
-
-    real = exact_mod.common_denominator
+def _rebind(monkeypatch, real, replacement):
+    """Replace the function real in every ghn module that binds it; the names rebound."""
     bound = []
     for name, mod in list(sys.modules.items()):
         if name == "ghn" or name.startswith("ghn."):
@@ -155,7 +150,15 @@ def _rebind_lifting_helper(monkeypatch, replacement):
                 if value is real:
                     monkeypatch.setattr(mod, attr, replacement)
                     bound.append(f"{name}.{attr}")
-    return real, bound
+    return bound
+
+
+def _rebind_lifting_helper(monkeypatch, replacement):
+    """Replace exact.common_denominator in every ghn module that imported it."""
+    import ghn.exact as exact_mod
+
+    real = exact_mod.common_denominator
+    return real, _rebind(monkeypatch, real, replacement)
 
 
 def test_faulty_lifting_helper_fails_the_closed_forms(monkeypatch):
@@ -168,8 +171,38 @@ def test_faulty_lifting_helper_fails_the_closed_forms(monkeypatch):
     real, bound = _rebind_lifting_helper(monkeypatch, doubled)
     assert {"ghn.transforms.common_denominator", "ghn.closed_forms.common_denominator"} <= set(bound)
     entries = {e.id: e for e in build_registry(6, 42)}
-    for entry_id in ("thm2.3-general", "lemma2.1-coherence", "thm3.3-nabla", "sanchez-transform", "as-newcoffey"):
-        assert run_entry(entries[entry_id]).tier == "FAILS"
+    for entry_id in (
+        "thm2.3-general",
+        "lemma2.1-coherence",
+        "pan-thm3.2",
+        "thm3.3-eqnnew8",
+        "thm3.3-nabla",
+        "sanchez-transform",
+        "as-newcoffey",
+    ):
+        assert run_entry(entries[entry_id]).tier == "FAILS", entry_id
+
+
+def test_shifted_lambda_check_fails_every_lambda_row(monkeypatch):
+    # the oracles call check_lambda_domain only for its DomainError and keep the
+    # lambda they were given, so a lambda shifted there reaches the closed forms alone
+    import ghn.closed_forms as closed_forms_mod
+
+    real = closed_forms_mod.check_lambda_domain
+    bound = _rebind(monkeypatch, real, lambda lam, n: real(lam, n) + Fraction(1, 997))
+    assert {"ghn.closed_forms.check_lambda_domain", "ghn.registry.check_lambda_domain"} <= set(bound)
+    entries = {e.id: e for e in build_registry(8, 42)}
+    lambda_rows = [
+        "lemma2.1-coherence",
+        "lemma2.1-ones",
+        "lemma2.1-ones-zero",
+        "thm2.3-general",
+        "thm2.3-lambda0",
+        "knuth-flajolet",
+    ]
+    assert {i: run_entry(entries[i]).tier for i in lambda_rows} == dict.fromkeys(lambda_rows, "FAILS")
+    # the printed lambda = 1 display has no lambda, so the shift reaches neither of its sides
+    assert run_entry(entries["thm2.3-lambda1"]).tier == HOLDS_ON_GRID
 
 
 def test_mutated_sanchez_row_fails_its_entries(monkeypatch):
@@ -223,7 +256,7 @@ def test_declared_sides_bind_their_closed_forms():
     # a side that is one closed form as it stands is that function, with no adapter around it
     from ghn import closed_forms as cf
     from ghn import sequences, transforms
-    from ghn.registry import _gould_oracle, declare
+    from ghn.registry import _bernoulli_alternating, _fibonacci_doubling, _gould_oracle, _lucas_doubling, declare
 
     entries = {e.id: e for e in declare()}
     bound = {
@@ -241,11 +274,14 @@ def test_declared_sides_bind_their_closed_forms():
         "sanchez-p1": transforms.sanchez_weight_p1,
         "sanchez-p2": transforms.sanchez_weight_p2,
         "sanchez-p3": transforms.sanchez_weight_p3,
-        "ex3.4-fibonacci-alt": sequences.fibonacci,
-        "ex3.4-lucas-alt": sequences.lucas,
+        # second definitions, independent of the generators that the left sides call
+        "ex3.4-fibonacci-alt": _fibonacci_doubling,
+        "ex3.4-lucas-alt": _lucas_doubling,
+        "ex3.4-bernoulli": _bernoulli_alternating,
     }
     for entry_id, fn in bound.items():
         assert entries[entry_id].rhs is fn, entry_id
+    assert [entries[i].rhs(6) for i in ("ex3.4-fibonacci", "ex3.4-lucas")] == [sequences.fibonacci(12), sequences.lucas(12)]
     assert entries["eq-eulerbnew"].lhs is _gould_oracle
 
 
@@ -398,42 +434,60 @@ def _functions_reached(entry_id, side_name):
     return names
 
 
+# The ghn functions that both sides of each ASSERT entry reach.  Pan's closed
+# form and the ex3.4 right sides call no sequence generator.
+SHARED = {
+    **dict.fromkeys(
+        ["lemma2.1-ones-zero", "lemma2.1-ones", "thm2.3-general", "thm2.3-lambda0", "knuth-flajolet"],
+        {"check_lambda_domain"},
+    ),
+    "lemma2.1-coherence": {"check_lambda_domain", "check_terms"},
+    **dict.fromkeys(["gen-harmonic-relation", "skew-relation"], {"harmonic_p", "harmonic_table"}),
+    **dict.fromkeys(["panequa1-series", "as-newcoffey1", "as-p1-exemple1"], {"harmonic_table"}),
+    "thm3.3-eqnnew8": {"binom_int", "harmonic_table"},
+    **dict.fromkeys(
+        ["eq-eulerbnew", "eq-eulerbnew-j0-corrected", "thm3.3-nabla", "as-newcoffey", "as-newcoff", "sanchez-transform"],
+        {"binom_int"},
+    ),
+    **dict.fromkeys(["sanchez-weight", "sanchez-p1", "sanchez-p2", "sanchez-p3"], {"binom_int"}),
+}
+
+
 def test_functions_both_sides_reach_are_pinned():
     """The ghn functions that both sides of each ASSERT entry reach, so that new sharing fails here.
 
-    A fault in a function that both sides call can cancel out.  Open finding:
-    the ex3.4-* rows call fibonacci, lucas and bernoulli on both sides, and the
-    identities are linear in the sequence, so a doubled generator leaves them
-    green; they need right sides that do not call the generator.
+    A fault in a function that both sides call can cancel out; the kernel-fault
+    test below shows that none of these does.
     """
-    expected = {
-        **dict.fromkeys(
-            ["lemma2.1-ones-zero", "lemma2.1-ones", "thm2.3-general", "thm2.3-lambda0", "knuth-flajolet"],
-            {"check_lambda_domain"},
-        ),
-        "lemma2.1-coherence": {"check_lambda_domain", "check_terms"},
-        **dict.fromkeys(["gen-harmonic-relation", "skew-relation"], {"harmonic_p", "harmonic_table"}),
-        **dict.fromkeys(
-            ["panequa1-series", "pan-thm3.2", "skew-transform", "frontczak-variant", "spivey-generalization"],
-            {"harmonic_table"},
-        ),
-        **dict.fromkeys(["as-newcoffey1", "as-p0", "as-p1-exemple1"], {"harmonic_table"}),
-        **dict.fromkeys(["thm3.3-eqnnew8", "as-newcoffey"], {"binom_int", "harmonic_table"}),
-        **dict.fromkeys(
-            ["eq-eulerbnew", "eq-eulerbnew-j0-corrected", "thm3.3-nabla", "as-newcoff", "sanchez-transform"],
-            {"binom_int"},
-        ),
-        **dict.fromkeys(["sanchez-weight", "sanchez-p1", "sanchez-p2", "sanchez-p3"], {"binom_int"}),
-        **dict.fromkeys(["ex3.4-fibonacci", "ex3.4-fibonacci-alt"], {"fibonacci"}),
-        **dict.fromkeys(["ex3.4-lucas", "ex3.4-lucas-alt"], {"lucas"}),
-        "ex3.4-bernoulli": {"bernoulli"},
-    }
     shared = {}
     for entry in build_registry(8, 42):
         if entry.policy == ASSERT:
             both = _functions_reached(entry.id, "lhs") & _functions_reached(entry.id, "rhs")
             if both:
                 shared[entry.id] = both
-    assert shared == expected
+    assert shared == SHARED
     # the coefficient rows belong to the closed forms alone
     assert not any({"_sanchez_row", "weighted_nabla"} & names for names in shared.values())
+
+
+def _doubled(fn):
+    def double(*args):
+        value = fn(*args)
+        return [2 * v for v in value] if isinstance(value, list) else 2 * value
+
+    return double
+
+
+@pytest.mark.parametrize(
+    "name",
+    # every function both sides reach but check_terms, which returns nothing, and
+    # the generators that the ex3.4 left sides call, so their right sides must not
+    sorted(set().union(*SHARED.values()) - {"check_terms"} | {"fibonacci", "lucas", "bernoulli"}),
+)
+def test_doubled_shared_function_fails_an_assert_entry(monkeypatch, name):
+    from ghn import closed_forms, exact, sequences
+
+    real = next(getattr(mod, name) for mod in (exact, sequences, closed_forms) if hasattr(mod, name))
+    assert _rebind(monkeypatch, real, _doubled(real))
+    entries = [e for e in build_registry(8, 42) if e.policy == ASSERT]
+    assert any(run_entry(e).tier == "FAILS" for e in entries), name
