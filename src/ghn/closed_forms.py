@@ -10,7 +10,8 @@ factor), and 0^0 = 1 throughout.
 Derivation map: a closed form that the paper derives from another result is
 that result evaluated, not a copy of it.
   boyadzhiev_ratio_closed (Thm 2.3)  lemma21_rhs at the transform of (0, a_1, ..., a_n)
-  thm33_rhs (Thm 3.3)                the Gould sum _gould_num(n, n-m, 1-alpha) per d_m
+  thm33_rhs (Thm 3.3)                the Gould sum _gould_num(n, n-m, 1-alpha) per d_m,
+                                     d the inverse transform of c
   thm33_nabla_rhs (eqnnew9)          d dotted with the row weighted_nabla(b, n)
   as_np_closed (newcoffey)           sanchez_transform of pan_closed_form(m, z, 1, alpha),
                                      for the m = n-p..n that it reads
@@ -28,28 +29,37 @@ coerces alpha through Fraction(), and neither divides an int by an int, which
 gives a float when alpha is an int.
 
 Fraction-free kernels: lemma21_rhs, pan_closed_form, thm33_rhs and
-gould_generalized_rhs (like binomial_transform, sanchez_transform and
+gould_generalized_rhs (like the transforms, sanchez_transform and
 harmonic_table below them) sum integer numerators over one denominator and
-build one Fraction per value, or per part; the first three lift their inputs
-through exact.common_denominator.  lemma21_rhs with lam = p/q needs no binomial
-of a rational.  pan_closed_form sums over D^n lcm(1..n), D the common denominator
-of mu+lam, lam+mu*alpha and lam.  The Gould sum is one integer kernel,
-_gould_num, over q^n lcm(1..n) for a = p/q: gould_generalized_rhs wraps it in a
-Fraction, and thm33_rhs dots it with the numerators of d_0..d_(n-1), so its
-Gould part and its 1/(n-m) tail are one Fraction each.
+build one Fraction per value, or per part.  lemma21_rhs and pan_closed_form
+lift their inputs through exact.common_denominator; boyadzhiev_ratio_closed
+and thm33_rhs take the numerators of the transform, or of its inverse, from
+transforms._transform_num as they are, so no transform value is reduced to a
+Fraction and lifted again.  Lemma 2.1's integer body, _lemma21_num, holds the
+argument checks that lemma21_rhs and boyadzhiev_ratio_closed share; with lam =
+p/q it needs no binomial of a rational.  pan_closed_form sums over D^n
+lcm(1..n), D the common denominator of mu+lam, lam+mu*alpha and lam.  The
+Gould sum is one integer kernel, _gould_num, over q^n lcm(1..n) for a = p/q:
+gould_generalized_rhs wraps it in a Fraction, and thm33_rhs dots it with the
+numerators of d_0..d_(n-1), so its Gould part and its 1/(n-m) tail are one
+Fraction each.
 
 Binomial sums: a closed form that needs a transform calls
-transforms.binomial_transform or its inverse, and every direct-sum oracle of a
-C(n,k)-weighted sum is verifier.binomial_oracle, called by the registry (the
-Gould left side too).  The exceptions are sequences.laguerre's defining sum,
-the Sanchez Stirling double sums and the registry's Theorem 2.3 ratio oracle,
-which has its own integer loop like lemma21_lhs; a display that is itself a
+transforms.binomial_transform, its inverse or their integer kernel
+_transform_num, and every direct-sum oracle of a C(n,k)-weighted sum over
+rationals is verifier.binomial_oracle, called by the registry (the Gould left
+side too).  The exceptions are sequences.laguerre's defining sum, the Sanchez
+Stirling double sums, the registry's Theorem 2.3 ratio oracle, which has its
+own integer loop like lemma21_lhs, and the registry's Q[alpha] oracle of the
+alternating sum, which adds its PolyQ terms itself; a display that is itself a
 binomial sum (generalized_harmonic_relation) is evaluated as printed.  The one
-oracle kept here, lemma21_lhs, is not a binomial sum; it never calls the
-lifting helper, but has its own integer coefficients over (p+q)...(p+nq) and
-multiplies each b_m as it is.  Oracles call check_lambda_domain only for its
-DomainError and keep the lambda they are given, so a fault in it reaches the
-closed forms alone.
+oracle kept here, lemma21_lhs, is not a binomial sum.  The oracles never call
+the lifting helper or a transform: binomial_oracle, the ratio oracle and
+lemma21_lhs each lift their own terms inline over the lcm of their
+denominators, and lemma21_lhs has its own integer coefficients over
+(p+q)...(p+nq).  Oracles call check_lambda_domain only for its DomainError and
+keep the lambda they are given, so a fault in it reaches the closed forms
+alone.
 """
 
 from __future__ import annotations
@@ -62,7 +72,13 @@ from typing import Sequence
 from .errors import DomainError, OutOfValidityRangeError
 from .exact import RatLike, binom_int, binom_rat, check_terms, common_denominator
 from .sequences import harmonic, harmonic_p, harmonic_table, stirling2
-from .transforms import binomial_transform, inverse_binomial_transform, sanchez_transform, weighted_nabla
+from .transforms import (
+    _transform_num,
+    binomial_transform,
+    inverse_binomial_transform,
+    sanchez_transform,
+    weighted_nabla,
+)
 
 
 def check_lambda_domain(lam: RatLike, n: int) -> Fraction:
@@ -81,41 +97,51 @@ def lemma21_lhs(b: Sequence[RatLike], n: int, lam: RatLike) -> Fraction:
     lam = Fraction(lam)
     check_terms(b, n, "b")
     # with lam = p/q, term m is b_m q^(n-m+1) (n!/m!) / ((p+mq)...(p+nq)); over the
-    # denominator (p+q)...(p+nq) its integer coefficient gains (p+q)...(p+(m-1)q)
+    # denominator (p+q)...(p+nq) its integer coefficient gains (p+q)...(p+(m-1)q),
+    # and b_m = num_m/den_m is lifted inline over the lcm D of den_1..den_n
     p, q = lam.numerator, lam.denominator
+    den = math.lcm(*[b[m].denominator for m in range(1, n + 1)])
     total = 0
     prefix = 1
     for m in range(1, n + 1):
-        total += prefix * q ** (n - m + 1) * (math.factorial(n) // math.factorial(m)) * b[m]
+        coef = prefix * q ** (n - m + 1) * (math.factorial(n) // math.factorial(m))
+        total += coef * b[m].numerator * (den // b[m].denominator)
         prefix *= p + m * q
-    return total * Fraction(1, prefix)
+    return Fraction(total, prefix * den)
 
 
 def lemma21_rhs(b: Sequence[RatLike], n: int, lam: RatLike) -> Fraction:
     """Branch-selected closed form of lemma21_lhs.
 
     lam = 0: sum b_m/m; otherwise sum C(lam-1+m, m) b_m / (lam C(lam+n, n)).
+    Both are one integer sum over the numerators of b_1..b_n (_lemma21_num).
+    """
+    nums, den = common_denominator([0, *b[1 : n + 1]])
+    return _lemma21_num(nums, den, n, lam)
 
-    Both are one integer sum over the numerators of b_1..b_n.  With lam = p/q,
+
+def _lemma21_num(nums: Sequence[int], den: int, n: int, lam: RatLike) -> Fraction:
+    """lemma21_rhs at b_m = nums[m] / den for m = 1..n; nums[0] is never read.
+
+    The argument checks of Lemma 2.1 and Theorem 2.3.  With lam = p/q,
     C(lam-1+m, m) = p(p+q)...(p+(m-1)q) / (q^m m!) and
     lam C(lam+n, n) = p(p+q)...(p+nq) / (q^(n+1) n!).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     lam = check_lambda_domain(lam, n)
-    check_terms(b, n, "b")
-    nums, den = common_denominator(b[1 : n + 1])
+    check_terms(nums, n, "b")
     p, q = lam.numerator, lam.denominator
     if p == 0:
         lcm = math.lcm(*range(1, n + 1))
-        return Fraction(sum(num * (lcm // m) for m, num in enumerate(nums, 1)), den * lcm)
+        return Fraction(sum(nums[m] * (lcm // m) for m in range(1, n + 1)), den * lcm)
     total = 0
     rising = 1  # p(p+q)...(p+(m-1)q)
     fact_n, fact_m = math.factorial(n), 1
-    for m, num in enumerate(nums, 1):
+    for m in range(1, n + 1):
         rising *= p + (m - 1) * q
         fact_m *= m
-        total += rising * q ** (n - m) * (fact_n // fact_m) * num
+        total += rising * q ** (n - m) * (fact_n // fact_m) * nums[m]
     return Fraction(total * q, den * rising * (p + n * q))
 
 
@@ -136,8 +162,13 @@ def lemma21_rhs_ones(n: int, lam: RatLike, as_printed: bool = False) -> Fraction
 
 
 def boyadzhiev_ratio_closed(a: Sequence[RatLike], n: int, lam: RatLike) -> Fraction:
-    """Closed form of sum_{k=1..n} C(n,k) a_k/(k+lam); a_0 never enters it."""
-    return lemma21_rhs(binomial_transform([0, *a[1 : n + 1]]), n, lam)
+    """Closed form of sum_{k=1..n} C(n,k) a_k/(k+lam); a_0 never enters it.
+
+    Lemma 2.1 at the transform b of (0, a_1, ..., a_n), whose integer
+    numerators it takes as they are.
+    """
+    nums, den = _transform_num([0, *a[1 : n + 1]])
+    return _lemma21_num(nums, den, n, lam)
 
 
 def lambda1_case_rhs(a: Sequence[RatLike], n: int) -> Fraction:
@@ -246,16 +277,15 @@ def thm33_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
         raise ValueError("n must be >= 1")
     check_terms(c, n, "c")
     alpha = Fraction(alpha)
-    d = inverse_binomial_transform(c[: n + 1])
-    nums, den = common_denominator(d[:n])
+    nums, den = _transform_num(c[: n + 1], inverse=True)  # d_m = nums[m] / den
     lcm = math.lcm(*range(1, n + 1))
     # the 1/(n-m) tail over den lcm, and the Gould part over den q^n lcm (a = 1 - alpha = p/q)
-    total = (-1) ** n * d[n] * harmonic_p(n, 1, alpha)
-    total -= Fraction(sum((-1) ** m * num * (lcm // (n - m)) for m, num in enumerate(nums)), den * lcm)
+    total = (-1) ** n * Fraction(nums[n], den) * harmonic_p(n, 1, alpha)
+    total -= Fraction(sum((-1) ** m * nums[m] * (lcm // (n - m)) for m in range(n)), den * lcm)
     if alpha != 1:
         a = 1 - alpha
         p, q = a.numerator, a.denominator
-        gould = sum(num * _gould_num(n, n - m, p, q, lcm) for m, num in enumerate(nums) if num)
+        gould = sum(nums[m] * _gould_num(n, n - m, p, q, lcm) for m in range(n) if nums[m])
         total += Fraction((-1) ** n * gould, den * q**n * lcm)
     return total
 

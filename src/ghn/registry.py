@@ -54,7 +54,7 @@ from .closed_forms import (
 )
 from .errors import DomainError, OutOfValidityRangeError
 from .exact import binom_int, binom_rat, hockey_stick_sum
-from .polyseries import harmonic_poly
+from .polyseries import PolyQ, harmonic_poly
 from .sequences import (
     bernoulli,
     fibonacci,
@@ -164,18 +164,19 @@ def _ones(n: int) -> list[Fraction]:
 def _ratio_oracle(a, n: int, lam) -> Fraction:
     """Direct sum_{k=1..n} C(n,k) a_k / (k + lam).
 
-    With lam = p/q the term is C(n,k) a_k q / (kq + p): each a_k is multiplied
-    as it is by an integer coefficient over the lcm M of the kq + p, and the
-    sum is divided once by M.
+    With lam = p/q the term is C(n,k) a_k q / (kq + p): over the lcm M of the
+    kq + p, and with a_k = num_k/den_k lifted inline over the lcm D of
+    den_1..den_n, it is an integer, and the sum is divided once by M D.
     """
     check_lambda_domain(lam, n)  # for its DomainError: an oracle takes lambda as given
     lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator
     lcm = math.lcm(*[k * q + p for k in range(1, n + 1)])
+    den = math.lcm(*[a[k].denominator for k in range(1, n + 1)])
     total = 0
     for k in range(1, n + 1):
-        total += binom_int(n, k) * q * (lcm // (k * q + p)) * a[k]
-    return total * Fraction(1, lcm)
+        total += binom_int(n, k) * q * (lcm // (k * q + p)) * a[k].numerator * (den // a[k].denominator)
+    return Fraction(total, lcm * den)
 
 
 def _gould_oracle(n: int, j: int, a) -> Fraction:
@@ -428,7 +429,7 @@ def _series_sides(ht, size: int) -> list[IdentityEntry]:
 
 
 def _pan_sides(ht) -> list[IdentityEntry]:
-    alternating_oracle = lambda n: binomial_oracle(n, [harmonic_poly(k) for k in range(n + 1)], mu=-1)
+    alternating_oracle = lambda n: sum((binom_int(n, k) * (-1) ** k * harmonic_poly(k) for k in range(n + 1)), PolyQ())
     # the skew-harmonic weights are H_k^- = -H_k(-1); the last three right sides
     # are Pan's theorem at each display's own (mu, lam, alpha)
     return [

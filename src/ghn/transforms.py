@@ -5,11 +5,15 @@ C(n,k)*k^p over Stirling numbers (which turns plain transforms into
 k^p-weighted ones), and the combined weighted-nabla sum used by the
 alternating harmonic-transform decomposition.
 
-binomial_transform is the one C(n,k)-weighted sum of the closed forms:
-inverse_binomial_transform flips its signs, and weighted_nabla's row is one
-transform of b_n, -b_(n-1), b_(n-2), ...  The Sanchez Stirling double sums
-are one integer row, _sanchez_row, dotted with C(n-l,k) (sanchez_weight) or
-with b_(n-l) (sanchez_transform); sequences.laguerre keeps its defining sum.
+_transform_num is the one C(n,k)-weighted sum of the closed forms: it builds
+each row C(n,k) or C(n,k) (-1)^(n-k) by Pascal's rule and returns the unreduced
+integer numerators of the transform, or of its inverse, over the input's common
+denominator.  binomial_transform and inverse_binomial_transform are its
+Fraction views; closed_forms.boyadzhiev_ratio_closed and thm33_rhs read its
+numerators as they are, and weighted_nabla's row is one transform of b_n,
+-b_(n-1), b_(n-2), ...  The Sanchez Stirling double sums are one integer row,
+_sanchez_row, dotted with C(n-l,k) (sanchez_weight) or with b_(n-l)
+(sanchez_transform); sequences.laguerre keeps its defining sum.
 """
 
 from __future__ import annotations
@@ -24,28 +28,38 @@ from .exact import RatLike, binom_int, check_terms, common_denominator
 from .sequences import stirling2
 
 
-def binomial_transform(a: Sequence[RatLike]) -> list[Fraction]:
-    """b_n = sum_{k=0..n} C(n, k) a_k for every index of a.
+def _transform_num(a: Sequence[RatLike], inverse: bool = False) -> tuple[list[int], int]:
+    """The binomial transform of a, or with ``inverse`` its inverse, as integer numerators.
 
-    Sums integer numerators over the terms' common denominator, with the
-    binomial row built by Pascal's rule; one Fraction per output.
+    Returns (nums, den) with entry n equal to Fraction(nums[n], den), where den
+    is a's common denominator and nums[n] = sum_{k=0..n} C(n,k) s^(n-k) num_k,
+    unreduced, with s = -1 for the inverse and 1 otherwise.  The one
+    Pascal-row loop: the row C(n,k) s^(n-k) is C(n-1,k-1) s^(n-k) plus s times
+    C(n-1,k) s^(n-1-k).
     """
     nums, den = common_denominator(a)
     if not nums:
         raise ValueError("empty sequence")
+    step = operator.sub if inverse else operator.add
     out = []
     row = [1]
     for n in range(len(nums)):
         if n:
-            row = [1, *map(operator.add, row, row[1:]), 1]
-        out.append(Fraction(sum(map(operator.mul, row, nums)), den))
-    return out
+            row = [step(0, row[0]), *map(step, row, row[1:]), 1]  # starts with C(n,0) s^n = s^n
+        out.append(sum(map(operator.mul, row, nums)))
+    return out, den
+
+
+def binomial_transform(a: Sequence[RatLike]) -> list[Fraction]:
+    """b_n = sum_{k=0..n} C(n, k) a_k for every index of a; one Fraction per output."""
+    nums, den = _transform_num(a)
+    return [Fraction(num, den) for num in nums]
 
 
 def inverse_binomial_transform(b: Sequence[RatLike]) -> list[Fraction]:
-    """a_n = sum_{k=0..n} C(n, k) (-1)^(n-k) b_k, as (-1)^n times the transform of (-1)^k b_k."""
-    flipped = binomial_transform([-v if k % 2 else v for k, v in enumerate(b)])
-    return [-v if n % 2 else v for n, v in enumerate(flipped)]
+    """a_n = sum_{k=0..n} C(n, k) (-1)^(n-k) b_k for every index of b; one Fraction per output."""
+    nums, den = _transform_num(b, inverse=True)
+    return [Fraction(num, den) for num in nums]
 
 
 def _sanchez_row(n: int, p: int) -> list[int]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import fnmatch
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -152,21 +153,27 @@ def rand_rat(rng: random.Random) -> Fraction:
 
 
 def binomial_oracle(n: int, w: Sequence[RatLike], mu: RatLike = 1, lam: RatLike = 1) -> Fraction:
-    """Exact sum_{k=0..n} C(n,k) mu^k lam^(n-k) w[k], summed term by term.
+    """Exact sum_{k=0..n} C(n,k) mu^k lam^(n-k) w[k], summed in integers.
 
-    The direct-sum oracle behind every binomial-weighted identity; it uses no
-    transform, so it stays independent of the closed forms it checks.  With
-    mu = a/b and lam = c/d, the integer C(n,k) (ad)^k (bc)^(n-k) multiplies
-    w[k] as it is (a Fraction, or a PolyQ over Q[alpha]), and the sum is
-    divided once by (bd)^n.
+    The direct-sum oracle behind every binomial-weighted identity.  It calls no
+    transform and lifts its own weights, so it stays independent of the closed
+    forms it checks.  The weights are ints and Fractions (any other type raises
+    TypeError); with w[k] = num_k/den_k over their lcm D, mu = a/b and lam =
+    c/d, term k is the integer C(n,k) (ad)^k (bc)^(n-k) num_k (D // den_k), and
+    the sum is divided once by D (bd)^n.
     """
     mu, lam = Fraction(mu), Fraction(lam)
     x = mu.numerator * lam.denominator
     y = mu.denominator * lam.numerator
+    try:
+        terms = [(w[k].numerator, w[k].denominator) for k in range(n + 1)]
+    except AttributeError:
+        raise TypeError("binomial_oracle takes int and Fraction weights") from None
+    den = math.lcm(*[d for _, d in terms])
     total = 0
-    for k in range(n + 1):
-        total += binom_int(n, k) * x**k * y ** (n - k) * w[k]
-    return total * Fraction(1, (mu.denominator * lam.denominator) ** n)
+    for k, (num, d) in enumerate(terms):
+        total += binom_int(n, k) * x**k * y ** (n - k) * num * (den // d)
+    return Fraction(total, den * (mu.denominator * lam.denominator) ** n)
 
 
 def _sample(cell: Cell, lhs: Fraction, rhs: Fraction) -> dict:

@@ -295,14 +295,20 @@ def _h(k: int, alpha: Fraction) -> Fraction:
 
 
 @SETTINGS
-@given(n=st.integers(min_value=1, max_value=8), lam=lams, a=seqs)
+@example(n=4, lam=Fraction(0), a=list(range(9)))
+@example(n=5, lam=Fraction(1), a=[Fraction(10**99 + 1, -(10**99) - 2)] * 9)
+@example(n=3, lam=Fraction(-3), a=[1] * 9)  # excluded
+@given(n=st.integers(min_value=1, max_value=8), lam=st.one_of(lams, big_rats), a=st.lists(edge_rats, min_size=9, max_size=9))
 def test_boyadzhiev_ratio_closed_matches_direct_sum(n, lam, a):
+    # lambda = 0 and 1 included; against the oracle and a plain Fraction loop
     if lam.denominator == 1 and -n <= lam <= -1:
         with pytest.raises(DomainError):
             boyadzhiev_ratio_closed(a, n, lam)
         return
     direct = binomial_oracle(n, [0] + [a[k] / (k + lam) for k in range(1, n + 1)])
-    assert boyadzhiev_ratio_closed(a, n, lam) == direct
+    plain = sum((math.comb(n, k) * Fraction(a[k]) / (k + lam) for k in range(1, n + 1)), Fraction(0))
+    value = boyadzhiev_ratio_closed(a, n, lam)
+    assert value == direct == plain and type(value) is Fraction
 
 
 @SETTINGS
@@ -462,10 +468,16 @@ def test_inverse_binomial_transform_matches_direct_sum(b):
     direct = [sum(math.comb(n, k) * (-1) ** (n - k) * b[k] for k in range(n + 1)) for n in range(len(b))]
     inverse = inverse_binomial_transform(b)
     assert inverse == direct and _all_fractions(inverse)
-    # and the forward transform, which the inverse calls
+    # and the forward transform
+    plain_forward = [sum(math.comb(n, k) * Fraction(b[k]) for k in range(n + 1)) for n in range(len(b))]
     forward = binomial_transform(b)
-    assert forward == [sum(math.comb(n, k) * Fraction(b[k]) for k in range(n + 1)) for n in range(len(b))]
-    assert _all_fractions(forward)
+    assert forward == plain_forward and _all_fractions(forward)
+    # and the integer kernel of both: unreduced int numerators over b's common denominator
+    for inverse_kernel, plain in ((False, plain_forward), (True, direct)):
+        nums, den = transforms._transform_num(b, inverse=inverse_kernel)
+        assert [Fraction(num, den) for num in nums] == plain
+        assert den == math.lcm(*[Fraction(v).denominator for v in b])
+        assert all(type(v) is int for v in [*nums, den])
     # and weighted_nabla's row, which calls the forward transform, at every (n, m), terms past n included
     nablas = [weighted_nabla(b, n) for n in range(len(b))]
     assert nablas == [

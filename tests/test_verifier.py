@@ -35,6 +35,14 @@ def test_binomial_oracle_examples():
     assert binomial_oracle(4, [1] * 5, mu=-1) == 0
 
 
+def test_binomial_oracle_takes_only_ints_and_fractions():
+    # a float weight gives no float sum, and a polynomial weight is summed by its caller
+    for weight in (0.5, PolyQ([0, 1]), "1/2"):
+        with pytest.raises(TypeError):
+            binomial_oracle(2, [weight, 1, 1])
+    assert binomial_oracle(2, [Fraction(1, 2), 1, True]) == Fraction(7, 2)
+
+
 def test_faulty_harmonic_kernel_fails_genfunc(monkeypatch):
     # the genfunc entries check the shared running harmonic sum against series
     # coefficients that never call it, so an off-by-one in it cannot hide; the
@@ -224,8 +232,52 @@ def test_mutated_sanchez_row_fails_its_entries(monkeypatch):
         assert run_entry(entries[entry_id]).tier == "FAILS", entry_id
 
 
+def _mutated(fn, old, new):
+    """fn compiled again from its source, with the one occurrence of old replaced by new."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1, old
+    namespace = dict(fn.__globals__)
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+@pytest.mark.parametrize(
+    "module, name, share, index, entry_ids",
+    [
+        ("verifier", "binomial_oracle", "den // d", "k", ("pan-thm3.2", "as-newcoffey", "eq-eulerbnew")),
+        ("closed_forms", "lemma21_lhs", "den // b[m].denominator", "m", ("lemma2.1-coherence",)),
+        ("registry", "_ratio_oracle", "den // a[k].denominator", "k", ("thm2.3-general",)),
+    ],
+)
+def test_wrong_weight_lift_in_an_oracle_fails_its_entries(monkeypatch, module, name, share, index, entry_ids):
+    # the oracles lift their own weights; one weight over a wrong share of the
+    # common denominator, at index 1, must fail the entries that the oracle checks
+    import importlib
+
+    real = getattr(importlib.import_module(f"ghn.{module}"), name)
+    mutated = _mutated(real, f"({share})", f"({share} + ({index} == 1))")
+    assert "ghn.registry" in {path.rsplit(".", 1)[0] for path in _rebind(monkeypatch, real, mutated)}
+    entries = {e.id: e for e in build_registry(6, 42)}
+    for entry_id in entry_ids:
+        assert run_entry(entries[entry_id]).tier == "FAILS", entry_id
+
+
+def test_shifted_pascal_row_fails_the_transform_consumers(monkeypatch):
+    # row C(n, k+1) in place of C(n, k): Theorem 2.3 reads the forward numerators
+    # and Theorem 3.3 the inverse ones, so each must fail
+    from ghn import transforms
+
+    mutated = _mutated(transforms._transform_num, "map(operator.mul, row, nums)", "map(operator.mul, row[1:], nums)")
+    assert "ghn.closed_forms._transform_num" in _rebind(monkeypatch, transforms._transform_num, mutated)
+    entries = {e.id: e for e in build_registry(6, 42)}
+    for entry_id in ("thm2.3-general", "thm3.3-eqnnew8"):
+        assert run_entry(entries[entry_id]).tier == "FAILS", entry_id
+
+
 def test_oracles_never_call_the_lifting_helper(monkeypatch):
-    from ghn.closed_forms import lemma21_lhs
+    # nor the integer transform kernel that the closed forms read their numerators from
+    from ghn import transforms
+    from ghn.closed_forms import boyadzhiev_ratio_closed, lemma21_lhs, thm33_rhs
     from ghn.registry import _gould_oracle, _knuth_oracle, _power_weight_oracle, _ratio_oracle
     from ghn.sequences import harmonic_table
     from ghn.transforms import binomial_transform
@@ -249,6 +301,16 @@ def test_oracles_never_call_the_lifting_helper(monkeypatch):
     _rebind_lifting_helper(monkeypatch, broken)
     with pytest.raises(RuntimeError):
         binomial_transform(a)
+    assert {name: oracle() for name, oracle in oracles.items()} == expected
+
+    def broken_kernel(a, inverse=False):
+        raise RuntimeError("_transform_num called")
+
+    bound = _rebind(monkeypatch, transforms._transform_num, broken_kernel)
+    assert sorted(bound) == ["ghn.closed_forms._transform_num", "ghn.transforms._transform_num"]
+    for closed_form in (boyadzhiev_ratio_closed, thm33_rhs):
+        with pytest.raises(RuntimeError, match="_transform_num"):
+            closed_form(a, 7, lam)
     assert {name: oracle() for name, oracle in oracles.items()} == expected
 
 
