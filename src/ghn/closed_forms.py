@@ -9,9 +9,9 @@ factor), and 0^0 = 1 throughout.
 
 Derivation map: a closed form that the paper derives from another result is
 that result evaluated, not a copy of it.
-  boyadzhiev_ratio_closed (Thm 2.3)  lemma21_rhs at the transform of (0, a_1, ..., a_n)
+  boyadzhiev_ratio_closed (Thm 2.3)  lemma21_rhs at the transform of (0, a_1, a_2, ...)
   thm33_rhs (Thm 3.3)                the Gould sum _gould_num(n, n-m, 1-alpha) per d_m,
-                                     d the inverse transform of c
+                                     d the inverse transform of the whole of c
   thm33_nabla_rhs (eqnnew9)          d dotted with the row weighted_nabla(b, n)
   as_np_closed (newcoffey)           sanchez_transform of pan_closed_form(m, z, 1, alpha),
                                      for the m = n-p..n that it reads
@@ -22,6 +22,21 @@ that result evaluated, not a copy of it.
 Printed displays keep their own form, so the ledger grades the display itself:
 lemma21_rhs_ones, lambda1_case_rhs, second_case_ones_rhs, as_p1_closed,
 as_zneg1_alpha1_closed.
+
+Shared work: entry m of a binomial transform depends on the terms 0..m
+alone, so these three closed forms transform the whole sequence they are
+given and read its first n+1 entries; that one transform serves every n.
+Through exact._shared, inside a verifier run they compute once per run
+  - per sequence, keyed by its id(): the _transform_num of (0, a_1, a_2, ...)
+    (boyadzhiev_ratio_closed), the inverse _transform_num of c (thm33_rhs)
+    and inverse_binomial_transform(c) (thm33_nabla_rhs);
+  - per (n, alpha): thm33_rhs's Gould row _gould_num(n, n-m, p, q, L) for
+    m < n with H_n(alpha), and thm33_nabla_rhs's row weighted_nabla(b, n)
+    with b_j = idi1_rhs(j, alpha).
+The memo holds each sequence it keys, so no id is reused while the run
+lasts, and a side may not mutate a sequence during a run.  Outside a run
+every call computes afresh.  No oracle, no registry side and nothing else
+here reads the memo.
 
 generalized_harmonic_relation and idi1_rhs also run over Q[alpha]: at alpha =
 verifier.ALPHA they return the PolyQ in alpha that CERTIFIED proves.  So neither
@@ -70,7 +85,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, OutOfValidityRangeError
-from .exact import RatLike, binom_int, binom_rat, check_terms, common_denominator
+from .exact import RatLike, _shared, binom_int, binom_rat, check_terms, common_denominator
 from .sequences import harmonic, harmonic_p, harmonic_table, stirling2
 from .transforms import (
     _transform_num,
@@ -100,7 +115,10 @@ def lemma21_lhs(b: Sequence[RatLike], n: int, lam: RatLike) -> Fraction:
     # denominator (p+q)...(p+nq) its integer coefficient gains (p+q)...(p+(m-1)q),
     # and b_m = num_m/den_m is lifted inline over the lcm D of den_1..den_n
     p, q = lam.numerator, lam.denominator
-    den = math.lcm(*[b[m].denominator for m in range(1, n + 1)])
+    try:
+        den = math.lcm(*[b[m].denominator for m in range(1, n + 1)])
+    except AttributeError:
+        raise TypeError("lemma21_lhs takes int and Fraction terms") from None
     total = 0
     prefix = 1
     for m in range(1, n + 1):
@@ -164,10 +182,10 @@ def lemma21_rhs_ones(n: int, lam: RatLike, as_printed: bool = False) -> Fraction
 def boyadzhiev_ratio_closed(a: Sequence[RatLike], n: int, lam: RatLike) -> Fraction:
     """Closed form of sum_{k=1..n} C(n,k) a_k/(k+lam); a_0 never enters it.
 
-    Lemma 2.1 at the transform b of (0, a_1, ..., a_n), whose integer
-    numerators it takes as they are.
+    Lemma 2.1 at the transform b of (0, a_1, a_2, ...), whose integer
+    numerators it takes as they are; b_0..b_n read a_1..a_n alone.
     """
-    nums, den = _transform_num([0, *a[1 : n + 1]])
+    nums, den = _per_sequence("ratio", a, lambda a: _transform_num([0, *a[1:]]))
     return _lemma21_num(nums, den, n, lam)
 
 
@@ -230,6 +248,11 @@ def _gould_num(n: int, j: int, p: int, q: int, lcm: int) -> int:
     return (-p) ** j * total
 
 
+def _per_sequence(tag: str, seq: Sequence, build):
+    """build(seq), once per run for this sequence object; the memo keeps seq so its id stays taken."""
+    return _shared((tag, id(seq)), lambda: (seq, build(seq)))[1]
+
+
 def pan_closed_form(n: int, mu: RatLike, lam: RatLike, alpha: RatLike) -> Fraction:
     """Closed form of sum_k C(n,k) mu^k lam^(n-k) H_k(alpha).
 
@@ -277,17 +300,24 @@ def thm33_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
         raise ValueError("n must be >= 1")
     check_terms(c, n, "c")
     alpha = Fraction(alpha)
-    nums, den = _transform_num(c[: n + 1], inverse=True)  # d_m = nums[m] / den
-    lcm = math.lcm(*range(1, n + 1))
-    # the 1/(n-m) tail over den lcm, and the Gould part over den q^n lcm (a = 1 - alpha = p/q)
-    total = (-1) ** n * Fraction(nums[n], den) * harmonic_p(n, 1, alpha)
+    nums, den = _per_sequence("inverse", c, lambda c: _transform_num(c, inverse=True))  # d_m = nums[m] / den
+    h, lcm, gould_row = _shared(("gould", n, alpha), lambda: _thm33_row(n, alpha))
+    # the 1/(n-m) tail over den lcm, and the Gould part over den q^n lcm (a = 1 - alpha = p/q,
+    # so q is alpha's denominator)
+    total = (-1) ** n * Fraction(nums[n], den) * h
     total -= Fraction(sum((-1) ** m * nums[m] * (lcm // (n - m)) for m in range(n)), den * lcm)
     if alpha != 1:
-        a = 1 - alpha
-        p, q = a.numerator, a.denominator
-        gould = sum(nums[m] * _gould_num(n, n - m, p, q, lcm) for m in range(n) if nums[m])
-        total += Fraction((-1) ** n * gould, den * q**n * lcm)
+        gould = sum(nums[m] * gould_row[m] for m in range(n) if nums[m])
+        total += Fraction((-1) ** n * gould, den * alpha.denominator**n * lcm)
     return total
+
+
+def _thm33_row(n: int, alpha: Fraction) -> tuple[Fraction, int, list[int]]:
+    """H_n(alpha), lcm(1..n) and, unless alpha = 1, the Gould row _gould_num(n, n-m, 1-alpha) for m < n."""
+    lcm = math.lcm(*range(1, n + 1))
+    a = 1 - alpha
+    row = [_gould_num(n, n - m, a.numerator, a.denominator, lcm) for m in range(n)] if alpha != 1 else []
+    return harmonic_p(n, 1, alpha), lcm, row
 
 
 def thm33_nabla_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
@@ -299,9 +329,14 @@ def thm33_nabla_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
         raise ValueError("n must be >= 1")
     check_terms(c, n, "c")
     alpha = Fraction(alpha)
-    d = inverse_binomial_transform(c[: n + 1])
-    b = [Fraction(0)] + [idi1_rhs(j, alpha) for j in range(1, n + 1)]
-    return sum(map(operator.mul, d, weighted_nabla(b, n)), Fraction(0))
+    d = _per_sequence("inverse-rat", c, inverse_binomial_transform)
+    row = _shared(("nabla", n, alpha), lambda: _nabla_row(n, alpha))
+    return sum(map(operator.mul, d, row), Fraction(0))
+
+
+def _nabla_row(n: int, alpha: Fraction) -> list[Fraction]:
+    """weighted_nabla(b, n) at b_j = idi1_rhs(j, alpha) for j >= 1 and b_0 = 0."""
+    return weighted_nabla([Fraction(0)] + [idi1_rhs(j, alpha) for j in range(1, n + 1)], n)
 
 
 def as_np_closed(n: int, p: int, z: RatLike, alpha: RatLike) -> Fraction:

@@ -6,18 +6,30 @@ stored reduced with a positive denominator, parse from strings like ``"p/q"``
 and print the same way, so they double as the wire format.  The hot kernels
 run their inner loops in ints: ``common_denominator`` lifts their inputs to
 integer numerators over one denominator.
+
+Shared work: ``shared_run`` opens a memo for the length of a ``with`` block,
+and ``_shared(key, build)`` returns build() once per key inside it.  The
+verifier opens one per ``run_entry`` call, so that the closed forms of
+Theorems 2.3 and 3.3 compute a grid sequence's transform, and a row that
+depends only on (n, alpha), once per run instead of once per cell.  With no
+run open, ``_shared`` builds on every call.  The memo lives in a ContextVar,
+is dropped when its block ends, and no oracle reads it.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import re
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 Rat = Fraction
 
 RatLike = Fraction | int
+
+T = TypeVar("T")
 
 # Longest numerator or denominator a rational read from text may have, so
 # that no input value can request unbounded work.
@@ -52,12 +64,45 @@ def common_denominator(values: Iterable[RatLike]) -> tuple[list[int], int]:
     """Integer numerators of ints and Fractions over their least common denominator.
 
     Returns (nums, den) with values[i] == Fraction(nums[i], den); den is 1 for
-    no values or ints only.  The closed-form kernels sum these numerators and
-    build one Fraction per output; no oracle calls this.
+    no values or ints only, and any other value (a float) raises TypeError.
+    The closed-form kernels sum these numerators and build one Fraction per
+    output; no oracle calls this.
     """
     values = list(values)
-    den = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
+    try:
+        den = math.lcm(*[v.denominator for v in values])
+        return [v.numerator * (den // v.denominator) for v in values], den
+    except AttributeError:
+        raise TypeError("common_denominator takes int and Fraction values") from None
+
+
+# the memo of the run that is open in this context, or None outside every run
+_RUN: contextvars.ContextVar[dict | None] = contextvars.ContextVar("ghn_shared_run", default=None)
+
+
+@contextmanager
+def shared_run() -> Iterator[None]:
+    """Open a fresh memo for _shared until the block ends, then restore the outer one.
+
+    A key that names a sequence by its id() must keep a reference to that
+    sequence in its value, so that the id cannot be reused while the run
+    lasts; and no caller may mutate a sequence while a run is open.
+    """
+    token = _RUN.set({})
+    try:
+        yield
+    finally:
+        _RUN.reset(token)
+
+
+def _shared(key: Hashable, build: Callable[[], T]) -> T:
+    """build() once per key in the open run; with no run open, build() on every call."""
+    memo = _RUN.get()
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 def binom_int(n: int, k: int) -> int:

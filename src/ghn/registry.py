@@ -172,7 +172,10 @@ def _ratio_oracle(a, n: int, lam) -> Fraction:
     lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator
     lcm = math.lcm(*[k * q + p for k in range(1, n + 1)])
-    den = math.lcm(*[a[k].denominator for k in range(1, n + 1)])
+    try:
+        den = math.lcm(*[a[k].denominator for k in range(1, n + 1)])
+    except AttributeError:
+        raise TypeError("_ratio_oracle takes int and Fraction terms") from None
     total = 0
     for k in range(1, n + 1):
         total += binom_int(n, k) * q * (lcm // (k * q + p)) * a[k].numerator * (den // a[k].denominator)

@@ -14,6 +14,14 @@ Cells whose parameters violate an identity's hypotheses (DomainError or
 OutOfValidityRangeError) are skipped and counted, never failed.  Reports are
 deterministic functions of (filter, n_max, seed): cells are iterated in
 sorted order and wall-clock timings are kept out of the serialized formats.
+
+Shared work: run_entry opens an exact.shared_run memo for its cell loop and
+drops it when the loop ends.  The closed forms of Theorems 2.3 and 3.3 read
+through it the transform of each grid sequence, keyed by the sequence's
+identity, and the rows that depend only on (n, alpha), so each is computed
+once per run_entry call; see closed_forms.  No oracle reads the memo, and no
+value outlives the run, so a kernel patched between two runs reaches the
+second one.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DomainError, OutOfValidityRangeError
-from .exact import RatLike, binom_int
+from .exact import RatLike, binom_int, shared_run
 from .polyseries import PolyQ, TruncSeries, geometric, log_one_minus
 
 ASSERT = "ASSERT"
@@ -192,7 +200,8 @@ def run_entry(
 
     ``on_cell(cell, lhs, rhs)`` sees each visited cell in order, with
     ``lhs = rhs = None`` for a skipped cell; an ASSERT entry stops at its
-    first failing cell.
+    first failing cell.  The cell loop runs inside one exact.shared_run, so
+    the sides may not mutate a grid sequence.
     """
     start = time.perf_counter()
     # cell values are ints and Fractions, which compare with each other exactly
@@ -202,27 +211,28 @@ def run_entry(
     mismatches = 0
     counterexamples: list[dict] = []
     agreement: dict | None = None
-    for cell in cells:
-        args = [cell[name] for name in entry.params]
-        try:
-            lv = entry.lhs(*args)
-            rv = entry.rhs(*args)
-        except (DomainError, OutOfValidityRangeError):
-            skipped += 1
+    with shared_run():
+        for cell in cells:
+            args = [cell[name] for name in entry.params]
+            try:
+                lv = entry.lhs(*args)
+                rv = entry.rhs(*args)
+            except (DomainError, OutOfValidityRangeError):
+                skipped += 1
+                if on_cell is not None:
+                    on_cell(cell, None, None)
+                continue
+            evaluated += 1
             if on_cell is not None:
-                on_cell(cell, None, None)
-            continue
-        evaluated += 1
-        if on_cell is not None:
-            on_cell(cell, lv, rv)
-        if lv != rv:
-            mismatches += 1
-            if len(counterexamples) < SAMPLE_CAP:
-                counterexamples.append(_sample(cell, lv, rv))
-            if entry.policy == ASSERT:
-                break
-        elif agreement is None:
-            agreement = _sample(cell, lv, rv)
+                on_cell(cell, lv, rv)
+            if lv != rv:
+                mismatches += 1
+                if len(counterexamples) < SAMPLE_CAP:
+                    counterexamples.append(_sample(cell, lv, rv))
+                if entry.policy == ASSERT:
+                    break
+            elif agreement is None:
+                agreement = _sample(cell, lv, rv)
     note = entry.note
     if entry.policy == ASSERT:
         if mismatches:

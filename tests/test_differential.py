@@ -26,10 +26,11 @@ from ghn.closed_forms import (  # noqa: E402
     lemma21_lhs,
     lemma21_rhs,
     pan_closed_form,
+    thm33_nabla_rhs,
     thm33_rhs,
 )
 from ghn.errors import DomainError, OutOfValidityRangeError, SeqSpecError  # noqa: E402
-from ghn.exact import binom_rat  # noqa: E402
+from ghn.exact import binom_rat, shared_run  # noqa: E402
 from ghn.polyseries import PolyQ, TruncSeries, _convolve  # noqa: E402
 from ghn.registry import _gould_oracle, _ratio_oracle, build_registry, declare  # noqa: E402
 from ghn.sequences import (  # noqa: E402
@@ -391,6 +392,30 @@ def test_as_np_closed_reads_no_pan_value_below_n_minus_p(n, p, z, alpha, junk):
     b = [pan_closed_form(m, z, 1, alpha) for m in range(n + 1)]
     junked = junk[: n - p] + b[n - p :]
     assert sanchez_transform(junked, n, p) == sanchez_transform(b, n, p) == as_np_closed(n, p, z, alpha)
+
+
+@SETTINGS
+@example(lam=Fraction(0), alpha=Fraction(1), a=list(range(9)))
+@example(lam=Fraction(-3), alpha=Fraction(10**99 + 3, -(10**99) - 8), a=[Fraction(10**99 - k, 3 + k) for k in range(9)])
+@given(lam=st.one_of(lams, big_rats), alpha=st.one_of(alphas, big_rats), a=st.lists(edge_rats, min_size=9, max_size=9))
+def test_one_run_serves_every_prefix(lam, alpha, a):
+    # inside one run the memoized closed forms transform the whole of a once and read its
+    # first n+1 entries at each n; that equals their value on those terms with no run open
+    forms = ((boyadzhiev_ratio_closed, lam), (thm33_rhs, alpha), (thm33_nabla_rhs, alpha))
+
+    def values(terms):
+        out = {}
+        for n in range(9):
+            for fn, x in forms:
+                try:
+                    out[fn.__name__, n] = fn(terms(n), n, x)
+                except (DomainError, ValueError) as exc:  # n = 0, and lambda in {-1, ..., -n}
+                    out[fn.__name__, n] = type(exc)
+        return out
+
+    with shared_run():
+        shared = values(lambda n: a)
+    assert shared == values(lambda n: a[: n + 1])
 
 
 @SETTINGS

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ghn.exact import RAT_DIGITS, Rat, binom_int, binom_rat, hockey_stick_sum, parse_rat
+from ghn.exact import RAT_DIGITS, Rat, _shared, binom_int, binom_rat, hockey_stick_sum, parse_rat, shared_run
 
 
 def test_binom_int_small_values():
@@ -84,3 +84,48 @@ def test_rat_string_round_trip():
     assert str(Rat(5)) == "5"
     assert Rat("-3/4") == Fraction(-3, 4)
     assert Rat("7") == 7
+
+
+def _counting(value):
+    """A build function that returns value and counts its calls."""
+
+    def build():
+        build.calls += 1
+        return value
+
+    build.calls = 0
+    return build
+
+
+def test_shared_builds_on_every_call_with_no_run_open():
+    build = _counting("v")
+    assert [_shared("k", build) for _ in range(3)] == ["v"] * 3
+    assert build.calls == 3
+
+
+def test_shared_builds_once_per_key_inside_a_run():
+    first, second = _counting([1]), _counting([2])
+    with shared_run():
+        values = [_shared("a", first), _shared("b", second), _shared("a", second), _shared("b", first)]
+    assert values == [[1], [2], [1], [2]]
+    assert values[0] is values[2]
+    assert (first.calls, second.calls) == (1, 1)
+
+
+def test_shared_run_restores_the_outer_state():
+    with shared_run():
+        assert _shared("k", lambda: "outer") == "outer"
+        with shared_run():
+            # a nested run starts empty and leaves the outer memo as it was
+            assert _shared("k", lambda: "inner") == "inner"
+            assert _shared("k", lambda: "unused") == "inner"
+        assert _shared("k", lambda: "unused") == "outer"
+    assert _shared("k", lambda: "no run") == "no run"
+    # an exception that ends a run drops its memo too
+    with pytest.raises(RuntimeError):
+        with shared_run():
+            _shared("k", lambda: "dropped")
+            raise RuntimeError
+    build = _counting("fresh")
+    assert [_shared("k", build) for _ in range(2)] == ["fresh"] * 2
+    assert build.calls == 2

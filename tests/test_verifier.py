@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ghn.errors import DomainError
+from ghn.exact import shared_run
 from ghn.polyseries import PolyQ, harmonic_poly
 from ghn.registry import build_registry
 from ghn.verifier import (
@@ -41,6 +42,39 @@ def test_binomial_oracle_takes_only_ints_and_fractions():
         with pytest.raises(TypeError):
             binomial_oracle(2, [weight, 1, 1])
     assert binomial_oracle(2, [Fraction(1, 2), 1, True]) == Fraction(7, 2)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "common_denominator",
+        "lemma21_lhs",
+        "lemma21_rhs",
+        "boyadzhiev_ratio_closed",
+        "thm33_rhs",
+        "thm33_nabla_rhs",
+        "_ratio_oracle",
+        "binomial_oracle",
+    ],
+)
+def test_a_float_term_is_a_type_error(name):
+    # one error type for one mistake, whether an oracle or a closed form lifts the terms
+    from ghn import closed_forms, exact, registry
+
+    a = [Fraction(1), 0.5, Fraction(2, 3), 3]
+    lam, alpha = Fraction(1, 2), Fraction(2)
+    calls = {
+        "common_denominator": lambda: exact.common_denominator(a),
+        "lemma21_lhs": lambda: closed_forms.lemma21_lhs(a, 3, lam),
+        "lemma21_rhs": lambda: closed_forms.lemma21_rhs(a, 3, lam),
+        "boyadzhiev_ratio_closed": lambda: closed_forms.boyadzhiev_ratio_closed(a, 3, lam),
+        "thm33_rhs": lambda: closed_forms.thm33_rhs(a, 3, alpha),
+        "thm33_nabla_rhs": lambda: closed_forms.thm33_nabla_rhs(a, 3, alpha),
+        "_ratio_oracle": lambda: registry._ratio_oracle(a, 3, lam),
+        "binomial_oracle": lambda: binomial_oracle(3, a),
+    }
+    with pytest.raises(TypeError, match="int and Fraction"):
+        calls[name]()
 
 
 def test_faulty_harmonic_kernel_fails_genfunc(monkeypatch):
@@ -274,10 +308,37 @@ def test_shifted_pascal_row_fails_the_transform_consumers(monkeypatch):
         assert run_entry(entries[entry_id]).tier == "FAILS", entry_id
 
 
+MEMOIZED = ("thm2.3-general", "thm3.3-eqnnew8", "thm3.3-nabla")
+
+
+@pytest.mark.parametrize(
+    "name, entry_ids",
+    [("_transform_num", MEMOIZED), ("_gould_num", ("thm3.3-eqnnew8",)), ("weighted_nabla", ("thm3.3-nabla",))],
+)
+def test_no_memo_outlives_its_run(monkeypatch, name, entry_ids):
+    # clean runs of the entries whose right sides share work fill and drop their memos; a
+    # kernel fault made after them must reach the next runs on the same grid sequences
+    from ghn import closed_forms, transforms
+
+    entries = {e.id: e for e in build_registry(6, 42)}
+    assert {i: run_entry(entries[i]).tier for i in MEMOIZED} == dict.fromkeys(MEMOIZED, HOLDS_ON_GRID)
+    real = getattr(transforms, name, None) or getattr(closed_forms, name)
+    if name == "_transform_num":
+        mutated = _mutated(real, "map(operator.mul, row, nums)", "map(operator.mul, row[1:], nums)")
+    elif name == "_gould_num":
+        mutated = lambda n, j, p, q, lcm: real(n, j + 1, p, q, lcm)
+    else:
+        mutated = lambda b, n: [2 * v for v in real(b, n)]
+    assert "ghn.closed_forms." + name in _rebind(monkeypatch, real, mutated)
+    for entry_id in entry_ids:
+        assert run_entry(entries[entry_id]).tier == "FAILS", entry_id
+
+
 def test_oracles_never_call_the_lifting_helper(monkeypatch):
-    # nor the integer transform kernel that the closed forms read their numerators from
-    from ghn import transforms
-    from ghn.closed_forms import boyadzhiev_ratio_closed, lemma21_lhs, thm33_rhs
+    # nor the integer transform kernel that the closed forms read their numerators from,
+    # nor the run memo that the closed forms share their work through
+    from ghn import exact, transforms
+    from ghn.closed_forms import boyadzhiev_ratio_closed, lemma21_lhs, thm33_nabla_rhs, thm33_rhs
     from ghn.registry import _gould_oracle, _knuth_oracle, _power_weight_oracle, _ratio_oracle
     from ghn.sequences import harmonic_table
     from ghn.transforms import binomial_transform
@@ -312,6 +373,17 @@ def test_oracles_never_call_the_lifting_helper(monkeypatch):
         with pytest.raises(RuntimeError, match="_transform_num"):
             closed_form(a, 7, lam)
     assert {name: oracle() for name, oracle in oracles.items()} == expected
+
+    def broken_memo(key, build):
+        raise RuntimeError("_shared called")
+
+    bound = _rebind(monkeypatch, exact._shared, broken_memo)
+    assert sorted(bound) == ["ghn.closed_forms._shared", "ghn.exact._shared"]
+    for closed_form in (boyadzhiev_ratio_closed, thm33_rhs, thm33_nabla_rhs):
+        with pytest.raises(RuntimeError, match="_shared"):
+            closed_form(a, 7, lam)
+    with shared_run():
+        assert {name: oracle() for name, oracle in oracles.items()} == expected
 
 
 def test_declared_sides_bind_their_closed_forms():
