@@ -39,9 +39,9 @@ every call computes afresh.  No oracle, no registry side and nothing else
 here reads the memo.
 
 generalized_harmonic_relation and idi1_rhs also run over Q[alpha]: at alpha =
-verifier.ALPHA they return the PolyQ in alpha that CERTIFIED proves.  So neither
-coerces alpha through Fraction(), and neither divides an int by an int, which
-gives a float when alpha is an int.
+verifier.ALPHA they return the PolyQ in alpha that CERTIFIED proves.  So they
+coerce any other alpha through Fraction(), as every closed form does, and
+leave a PolyQ alpha as it is.
 
 Fraction-free kernels: lemma21_rhs, pan_closed_form, thm33_rhs and
 gould_generalized_rhs (like the transforms, sanchez_transform and
@@ -86,6 +86,7 @@ from typing import Sequence
 
 from .errors import DomainError, OutOfValidityRangeError
 from .exact import RatLike, _shared, binom_int, binom_rat, check_terms, common_denominator
+from .polyseries import PolyQ
 from .sequences import harmonic, harmonic_p, harmonic_table, stirling2
 from .transforms import (
     _transform_num,
@@ -213,6 +214,8 @@ def generalized_harmonic_relation(n: int, alpha: RatLike) -> Fraction:
     """H_n + sum_{k=1..n} C(n,k) (alpha-1)^k / k; evaluates to H_n(alpha)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not isinstance(alpha, PolyQ):
+        alpha = Fraction(alpha)
     d = alpha - 1
     total = harmonic(n)
     power = Fraction(1)
@@ -286,6 +289,8 @@ def idi1_rhs(n: int, alpha: RatLike) -> Fraction:
     """((1-alpha)^n - 1)/n: the alternating transform of H_k(alpha)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not isinstance(alpha, PolyQ):
+        alpha = Fraction(alpha)
     return ((1 - alpha) ** n - 1) * Fraction(1, n)
 
 

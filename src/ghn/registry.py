@@ -87,15 +87,15 @@ from .verifier import (
 )
 
 LAMBDA_GRID = [
-    Fraction(0),
-    Fraction(1),
-    Fraction(1, 2),
-    Fraction(-1, 2),
-    Fraction(3),
     Fraction(-7, 3),
     Fraction(-2),  # excluded for n >= 2: exercises skip accounting
+    Fraction(-1, 2),
+    Fraction(0),
+    Fraction(1, 2),
+    Fraction(1),
+    Fraction(3),
 ]
-ALPHA_GRID = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-1, 3)]
+ALPHA_GRID = [Fraction(-1), Fraction(-1, 3), Fraction(1, 2), Fraction(1), Fraction(2)]
 MU_LAMBDA_GRID = [
     Fraction(-2),
     Fraction(-1),
@@ -105,9 +105,9 @@ MU_LAMBDA_GRID = [
     Fraction(1),
     Fraction(3),
 ]
-KNUTH_LAMBDAS = [Fraction(1, 2), Fraction(1, 3), Fraction(5, 2), Fraction(-1, 2)]
-Z_GRID = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1, 2), Fraction(-2)]
-GOULD_A_GRID = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1, 2), Fraction(-2, 3)]
+KNUTH_LAMBDAS = [Fraction(-1, 2), Fraction(1, 3), Fraction(1, 2), Fraction(5, 2)]
+Z_GRID = [Fraction(-2), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2)]
+GOULD_A_GRID = [Fraction(-2, 3), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2)]
 THM33_SEQS = [
     "ones",
     "identity",
@@ -128,16 +128,6 @@ _THM33_LEGEND = ", ".join(f"{i}={name}" for i, name in enumerate(THM33_SEQS))
 
 def _rng(seed: int, entry_id: str) -> random.Random:
     return random.Random(f"{seed}|{entry_id}")
-
-
-def _dedup(values):
-    seen = set()
-    out = []
-    for v in values:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
 
 
 def _memo(build, size: int):
@@ -770,18 +760,24 @@ def _thm33_clib(n_max: int, seed: int) -> list[tuple[Fraction, ...]]:
 
 
 def _grids(n_max: int, seed: int) -> tuple[dict[str, list[Cell]], dict[str, list[tuple]]]:
-    """Every entry's cells by id, and the seeded sequences that `seq` cells index."""
+    """Every entry's cells by id, in visiting order, and the sequences that `seq` cells index.
+
+    run_entry visits a grid as given, so each is built in lexicographic order of
+    its cells' (name, value) pairs: the loops run over the names in sorted order
+    (a < alpha < j < k < lambda < mu < n < p < pair < seq < x < z), and over
+    each name's values in ascending order.
+    """
     ns = range(1, n_max + 1)
     ns0 = range(n_max + 1)
     cells: dict[str, list[Cell]] = {}
     seqs: dict[str, list[tuple]] = {}
 
     rng = _rng(seed, "hockey-stick")
-    xs = _dedup(rand_rat(rng) for _ in range(20))
-    cells["hockey-stick"] = [{"x": x, "n": n} for x in xs for n in range(min(n_max, 30) + 1)]
+    xs = sorted({rand_rat(rng) for _ in range(20)})
+    cells["hockey-stick"] = [{"x": x, "n": n} for n in range(min(n_max, 30) + 1) for x in xs]
 
     seqs["lemma2.1-coherence"] = _rand_seqs(_rng(seed, "lemma2.1-coherence"), 30, n_max)
-    cells["lemma2.1-coherence"] = [{"seq": s, "lambda": lam, "n": n} for s in range(30) for lam in LAMBDA_GRID for n in ns]
+    cells["lemma2.1-coherence"] = [{"seq": s, "lambda": lam, "n": n} for lam in LAMBDA_GRID for n in ns for s in range(30)]
     cells["lemma2.1-ones-zero"] = [{"n": n} for n in ns]
     cells["lemma2.1-ones"] = cells["lemma2.1-ones-as-printed"] = [
         {"lambda": lam, "n": n} for lam in LAMBDA_GRID if lam != 0 for n in ns
@@ -789,18 +785,18 @@ def _grids(n_max: int, seed: int) -> tuple[dict[str, list[Cell]], dict[str, list
     # even seq indices get a_0 = 0, so the b_0-correction path is exercised either way
     general = _rand_seqs(_rng(seed, "thm2.3-general"), 30, n_max)
     seqs["thm2.3-general"] = [(Fraction(0), *s[1:]) if i % 2 == 0 else s for i, s in enumerate(general)]
-    cells["thm2.3-general"] = [{"seq": i, "lambda": lam, "n": n} for i in range(30) for lam in LAMBDA_GRID for n in ns]
+    cells["thm2.3-general"] = [{"seq": i, "lambda": lam, "n": n} for lam in LAMBDA_GRID for n in ns for i in range(30)]
     for entry_id in ("thm2.3-lambda0", "thm2.3-lambda1"):
         seqs[entry_id] = _rand_seqs(_rng(seed, entry_id), 10, n_max)
-        cells[entry_id] = [{"seq": i, "n": n} for i in range(10) for n in ns]
+        cells[entry_id] = [{"seq": i, "n": n} for n in ns for i in range(10)]
     cells["second-case-ones"] = [{"n": n} for n in ns]
     cells["knuth-flajolet"] = [{"lambda": lam, "n": n} for lam in KNUTH_LAMBDAS for n in ns]
     rng = _rng(seed, "gen-harmonic-relation")
-    alphas = _dedup(ALPHA_GRID + [rand_rat(rng) for _ in range(20)])
+    alphas = sorted({*ALPHA_GRID, *(rand_rat(rng) for _ in range(20))})
     cells["gen-harmonic-relation"] = [{"alpha": a, "n": n} for a in alphas for n in ns]
     cells["skew-relation"] = cells["skew-sign-convention"] = [{"n": n} for n in ns]
 
-    cells["eq-eulerbnew"] = [{"a": a, "j": j, "n": n} for a in GOULD_A_GRID for n in ns for j in range(1, n + 1)]
+    cells["eq-eulerbnew"] = [{"a": a, "j": j, "n": n} for a in GOULD_A_GRID for j in ns for n in range(j, n_max + 1)]
     cells["eq-eulerbnew-j0"] = cells["eq-eulerbnew-j0-corrected"] = [
         {"a": a, "j": 0, "n": n} for a in GOULD_A_GRID for n in ns
     ]
@@ -809,60 +805,60 @@ def _grids(n_max: int, seed: int) -> tuple[dict[str, list[Cell]], dict[str, list
     triples = [(rand_rat(rng), rand_rat(rng), rand_rat(rng)) for _ in range(10)]
     cells["panequa1-series"] = [
         {"pair": i, "lambda": lam, "mu": mu, "alpha": alpha, "n": n}
-        for i, (lam, mu, alpha) in enumerate(triples)
+        for alpha, lam, mu, i in sorted((alpha, lam, mu, i) for i, (lam, mu, alpha) in enumerate(triples))
         for n in ns0
     ]
     rng = _rng(seed, "genfunc-alpha")
-    alphas = _dedup([rand_rat(rng) for _ in range(10)])
+    alphas = sorted({rand_rat(rng) for _ in range(10)})
     cells["genfunc-alpha"] = [{"alpha": a, "n": n} for a in alphas for n in ns0]
     cells["genfunc-harmonic"] = [{"alpha": Fraction(1), "n": n} for n in ns0]
     cells["genfunc-skew"] = [{"n": n} for n in ns0]
 
     cells["pan-thm3.2"] = [
         {"mu": mu, "lambda": lam, "alpha": alpha, "n": n}
-        for mu in MU_LAMBDA_GRID
-        for lam in MU_LAMBDA_GRID
         for alpha in ALPHA_GRID
+        for lam in MU_LAMBDA_GRID
+        for mu in MU_LAMBDA_GRID
         for n in ns
     ]
     for entry_id, extra in (("idi1-alternating", 10), ("spivey-generalization", 5), ("concl-item2", 5)):
         rng = _rng(seed, entry_id)
-        alphas = _dedup(ALPHA_GRID + [rand_rat(rng) for _ in range(extra)])
+        alphas = sorted({*ALPHA_GRID, *(rand_rat(rng) for _ in range(extra))})
         cells[entry_id] = [{"alpha": a, "n": n} for a in alphas for n in ns]
     cells["skew-transform"] = cells["frontczak-variant"] = [{"n": n} for n in ns]
 
     seqs["thm3.3-eqnnew8"] = seqs["thm3.3-nabla"] = _thm33_clib(n_max, seed)
-    cells["thm3.3-eqnnew8"] = [{"seq": i, "alpha": a, "n": n} for i in range(len(THM33_SEQS)) for a in ALPHA_GRID for n in ns]
-    cells["thm3.3-nabla"] = [{"seq": i, "alpha": a, "n": n} for i in range(6) for a in ALPHA_GRID for n in ns]
+    cells["thm3.3-eqnnew8"] = [{"seq": i, "alpha": a, "n": n} for a in ALPHA_GRID for n in ns for i in range(len(THM33_SEQS))]
+    cells["thm3.3-nabla"] = [{"seq": i, "alpha": a, "n": n} for a in ALPHA_GRID for n in ns for i in range(6)]
 
-    cells["ex3.4-stirling-power"] = [{"p": p, "n": n} for p in range(9) for n in ns0]
+    cells["ex3.4-stirling-power"] = [{"p": p, "n": n} for n in ns0 for p in range(9)]
     cells["ex3.4-harmonic-alt"] = cells["ex3.4-harmonic-alt-as-printed"] = [{"n": n} for n in ns]
     for entry_id in ("ex3.4-fibonacci", "ex3.4-fibonacci-alt", "ex3.4-lucas", "ex3.4-lucas-alt", "ex3.4-bernoulli"):
         cells[entry_id] = [{"n": n} for n in ns0]
-    xs = [Fraction(1), Fraction(1, 2), Fraction(-2, 3), Fraction(3)]
-    cells["ex3.4-laguerre"] = [{"x": x, "n": n} for x in xs for n in ns0]
+    xs = [Fraction(-2, 3), Fraction(1, 2), Fraction(1), Fraction(3)]
+    cells["ex3.4-laguerre"] = [{"x": x, "n": n} for n in ns0 for x in xs]
 
     top15, top12 = min(n_max, 15), min(n_max, 12)
     cells["sanchez-weight"] = [
-        {"n": n, "k": k, "p": p} for n in range(top15 + 1) for k in range(n + 1) for p in range(7)
+        {"n": n, "k": k, "p": p} for k in range(top15 + 1) for n in range(k, top15 + 1) for p in range(7)
     ]
     for p in (1, 2, 3):
-        cells[f"sanchez-p{p}"] = [{"n": n, "k": k} for n in range(top12 + 1) for k in range(n + 1)]
+        cells[f"sanchez-p{p}"] = [{"n": n, "k": k} for k in range(top12 + 1) for n in range(k, top12 + 1)]
     seqs["sanchez-transform"] = _rand_seqs(_rng(seed, "sanchez-transform"), 10, top12)
     cells["sanchez-transform"] = [
         {"seq": i, "n": n, "p": p}
-        for i in range(10)
         for n in range(1, top12 + 1)
         for p in range(min(n, 6) + 2)  # p = n+1 cells exercise the validity-range skip
+        for i in range(10)
     ]
 
-    alphas4 = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
+    alphas4 = [Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2)]
     cells["as-newcoffey"] = [
         {"z": z, "alpha": alpha, "n": n, "p": p}
-        for z in Z_GRID
         for alpha in alphas4
         for n in range(1, top12 + 1)
         for p in range(1, min(n, 4) + 1)
+        for z in Z_GRID
     ]
     cells["as-newcoff"] = [
         {"z": Fraction(-1), "alpha": alpha, "n": n, "p": p}
@@ -874,19 +870,19 @@ def _grids(n_max: int, seed: int) -> tuple[dict[str, list[Cell]], dict[str, list
         {"n": n, "p": p} for n in range(1, top15 + 1) for p in range(1, min(n, 6) + 1)
     ]
     cells["as-p0"] = cells["as-p0-as-printed"] = [
-        {"z": z, "alpha": alpha, "n": n} for z in Z_GRID for alpha in alphas4 for n in range(1, top12 + 1)
+        {"z": z, "alpha": alpha, "n": n} for alpha in alphas4 for n in range(1, top12 + 1) for z in Z_GRID
     ]
     # p = 1 is shown in the table; the sides of as-p1-exemple1 do not read it
     cells["as-p1-exemple1"] = [
-        {"z": z, "alpha": alpha, "n": n, "p": 1} for z in Z_GRID for alpha in alphas4 for n in range(1, top12 + 1)
+        {"z": z, "alpha": alpha, "n": n, "p": 1} for alpha in alphas4 for n in range(1, top12 + 1) for z in Z_GRID
     ]
     for p in (2, 3):
         # the display rows keep their smallest legal n even when n_max < p
         cells[f"as-p{p}-display"] = [
             {"z": z, "alpha": alpha, "n": n, "p": p}
-            for z in (Fraction(1), Fraction(1, 2))
             for alpha in (Fraction(1), Fraction(2))
             for n in range(p, max(min(n_max, 10), p) + 1)
+            for z in (Fraction(1, 2), Fraction(1))
         ]
 
     concl = [{"alpha": a, "n": n} for a in ALPHA_GRID for n in range(1, min(n_max, 20) + 1)]

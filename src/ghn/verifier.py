@@ -6,14 +6,14 @@ grid of exact rational parameter points.  run_entry grades it:
   CERTIFIED      its rhs over Q[alpha] equals a direct sum for n <= 30 (strongest),
   HOLDS_ON_GRID  exact agreement at every evaluated cell,
   FAILS          at least one mismatch (ASSERT entries only), carrying the
-                 lexicographically smallest failing cell,
+                 first failing cell in grid order,
   REPORT_ONLY    outcome recorded without judgement (conjectures, suspected
                  typos); such rows always carry at least one sample cell.
 
 Cells whose parameters violate an identity's hypotheses (DomainError or
 OutOfValidityRangeError) are skipped and counted, never failed.  Reports are
-deterministic functions of (filter, n_max, seed): cells are iterated in
-sorted order and wall-clock timings are kept out of the serialized formats.
+deterministic functions of (filter, n_max, seed): cells are visited in grid
+order and wall-clock timings are kept out of the serialized formats.
 
 Shared work: run_entry opens an exact.shared_run memo for its cell loop and
 drops it when the loop ends.  The closed forms of Theorems 2.3 and 3.3 read
@@ -61,11 +61,11 @@ class IdentityEntry:
 
     ``lhs`` and ``rhs`` take the values of the names in ``params``, in that
     order, and return an exact value; ``cells`` are the grid points (dicts
-    holding at least the names in ``params``) that run_entry visits, and may
-    carry display-only names besides them.  An entry with ``certify`` has an
-    ``rhs(n, alpha)`` that is, at alpha = ALPHA, a polynomial in alpha;
-    ``certify(n_max)`` compares it coefficient-wise with a direct-sum oracle
-    over Q[alpha] for every n <= n_max.
+    holding at least the names in ``params``) in the order run_entry visits
+    them, and may carry display-only names besides them.  An entry with
+    ``certify`` has an ``rhs(n, alpha)`` that is, at alpha = ALPHA, a
+    polynomial in alpha; ``certify(n_max)`` compares it coefficient-wise with
+    a direct-sum oracle over Q[alpha] for every n <= n_max.
     """
 
     id: str
@@ -198,21 +198,20 @@ def run_entry(
 ) -> EntryResult:
     """Evaluate both sides at the params of every grid cell and grade the entry.
 
-    ``on_cell(cell, lhs, rhs)`` sees each visited cell in order, with
-    ``lhs = rhs = None`` for a skipped cell; an ASSERT entry stops at its
-    first failing cell.  The cell loop runs inside one exact.shared_run, so
-    the sides may not mutate a grid sequence.
+    The grid sets the order: the cells are visited as ``entry.cells`` lists
+    them.  ``on_cell(cell, lhs, rhs)`` sees each one, with ``lhs = rhs =
+    None`` for a skipped cell, and an ASSERT entry stops at its first failing
+    cell.  The cell loop runs inside one exact.shared_run, so the sides may
+    not mutate a grid sequence.
     """
     start = time.perf_counter()
-    # cell values are ints and Fractions, which compare with each other exactly
-    cells = sorted(entry.cells, key=lambda cell: tuple(sorted(cell.items())))
     evaluated = 0
     skipped = 0
     mismatches = 0
     counterexamples: list[dict] = []
     agreement: dict | None = None
     with shared_run():
-        for cell in cells:
+        for cell in entry.cells:
             args = [cell[name] for name in entry.params]
             try:
                 lv = entry.lhs(*args)

@@ -265,6 +265,13 @@ def test_alpha_closed_forms_stay_exact_at_an_int_alpha():
     assert generalized_harmonic_relation(3, 2) == harmonic_p(3, 1, 2)
 
 
+@pytest.mark.parametrize("closed_form", [generalized_harmonic_relation, idi1_rhs])
+def test_alpha_closed_forms_coerce_a_float_alpha(closed_form):
+    # a float alpha goes through Fraction(), like every other closed form's arguments
+    value = closed_form(3, 0.5)
+    assert type(value) is Fraction and value == closed_form(3, Fraction(1, 2))
+
+
 # --- alternating weighted transform (eqnnew8 / eqnnew9) ---------------------------
 
 def _thm33_oracle(c, n, alpha):

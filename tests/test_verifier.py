@@ -117,10 +117,40 @@ def test_run_entry_fault_injection():
     res = run_entry(_toy_entry(offset=1))
     assert res.tier == "FAILS"
     assert len(res.counterexamples) == 1
-    # lexicographically smallest failing cell
+    # the first failing cell in the order the grid lists its cells
     assert res.counterexamples[0]["params"] == {"n": "1"}
     assert res.counterexamples[0]["lhs"] == "1"
     assert res.counterexamples[0]["rhs"] == "2"
+
+
+def test_run_entry_visits_cells_in_the_order_given():
+    faulty = {2, 4}
+    seen = []
+    entry = IdentityEntry(
+        id="descending",
+        anchor="descending",
+        params=("n",),
+        cells=[{"n": n} for n in range(5, 0, -1)],
+        lhs=lambda n: Fraction(n),
+        rhs=lambda n: Fraction(n + (n in faulty)),
+    )
+    res = run_entry(entry, on_cell=lambda cell, lv, rv: seen.append(cell["n"]))
+    assert res.tier == "FAILS"
+    assert [c["params"] for c in res.counterexamples] == [{"n": "4"}]
+    assert seen == [5, 4]
+
+
+GRID_SEEDS = [(20, 42), (20, 7), (1, 0), (2, 7), (3, 123456789), (12, 1), (25, 42), (30, 5)]
+
+
+@pytest.mark.parametrize("n_max, seed", GRID_SEEDS)
+def test_registry_grids_are_built_in_visiting_order(n_max, seed):
+    # run_entry does not sort, so each grid must already be in lexicographic
+    # order of its cells' (name, value) pairs: the first failing cell it reports
+    # is then the smallest one
+    key = lambda cell: tuple(sorted(cell.items()))
+    unsorted = [e.id for e in build_registry(n_max, seed) if e.cells != sorted(e.cells, key=key)]
+    assert unsorted == []
 
 
 def test_run_entry_report_only_records_everything():
@@ -161,7 +191,8 @@ CERTIFIABLE = ["gen-harmonic-relation", "idi1-alternating", "concl-item2"]
 def test_certify_alpha_identity():
     entries = [e for e in build_registry(6, 42) if e.certify is not None]
     assert [e.id for e in entries] == CERTIFIABLE
-    assert all(e.certify(CERTIFY_N) for e in entries)
+    # 36 > CERTIFY_N: the series-certify bench workload certifies up to n = 36
+    assert all(e.certify(36) for e in entries)
     # fault injection: an extra alpha^(n+1) term on the right side
     rhs = entries[0].rhs
     bad = lambda n, alpha: rhs(n, alpha) + PolyQ([0] * (n + 1) + [1])
