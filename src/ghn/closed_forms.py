@@ -28,11 +28,13 @@ alone, so these three closed forms transform the whole sequence they are
 given and read its first n+1 entries; that one transform serves every n.
 Through exact._shared, inside a verifier run they compute once per run
   - per sequence, keyed by its id(): the _transform_num of (0, a_1, a_2, ...)
-    (boyadzhiev_ratio_closed), the inverse _transform_num of c (thm33_rhs)
-    and inverse_binomial_transform(c) (thm33_nabla_rhs);
+    (boyadzhiev_ratio_closed), and the inverse _transform_num of c, which
+    thm33_rhs and thm33_nabla_rhs share under one key;
   - per (n, alpha): thm33_rhs's Gould row _gould_num(n, n-m, p, q, L) for
     m < n with H_n(alpha), and thm33_nabla_rhs's row weighted_nabla(b, n)
-    with b_j = idi1_rhs(j, alpha).
+    with b_j = idi1_rhs(j, alpha), lifted to integers over one denominator;
+  - per (m, z, alpha): as_np_closed's Pan value pan_closed_form(m, z, 1, alpha),
+    which every (n, p) with n-p <= m <= n reads.
 The memo holds each sequence it keys, so no id is reused while the run
 lasts, and a side may not mutate a sequence during a run.  Outside a run
 every call computes afresh.  No oracle, no registry side and nothing else
@@ -43,16 +45,20 @@ verifier.ALPHA they return the PolyQ in alpha that CERTIFIED proves.  So they
 coerce any other alpha through Fraction(), as every closed form does, and
 leave a PolyQ alpha as it is.
 
-Fraction-free kernels: lemma21_rhs, pan_closed_form, thm33_rhs and
-gould_generalized_rhs (like the transforms, sanchez_transform and
-harmonic_table below them) sum integer numerators over one denominator and
-build one Fraction per value, or per part.  lemma21_rhs and pan_closed_form
-lift their inputs through exact.common_denominator; boyadzhiev_ratio_closed
-and thm33_rhs take the numerators of the transform, or of its inverse, from
+Fraction-free kernels: lemma21_rhs, pan_closed_form, thm33_rhs,
+thm33_nabla_rhs and gould_generalized_rhs (like the transforms,
+sanchez_transform, exact.binom_rat and sequences._harmonic_num below them)
+sum integer numerators over one denominator and build one Fraction per value,
+or per part.  lemma21_rhs and pan_closed_form lift their inputs through
+exact.common_denominator; boyadzhiev_ratio_closed, thm33_rhs and
+thm33_nabla_rhs take the numerators of the transform, or of its inverse, from
 transforms._transform_num as they are, so no transform value is reduced to a
-Fraction and lifted again.  Lemma 2.1's integer body, _lemma21_num, holds the
-argument checks that lemma21_rhs and boyadzhiev_ratio_closed share; with lam =
-p/q it needs no binomial of a rational.  pan_closed_form sums over D^n
+Fraction and lifted again, and thm33_nabla_rhs lifts its (n, alpha) row once,
+inside the memo.  The one per-term Fraction loop left on a graded side is
+generalized_harmonic_relation, which must still take a PolyQ alpha.  Lemma
+2.1's integer body, _lemma21_num, holds the argument checks that lemma21_rhs
+and boyadzhiev_ratio_closed share; with lam = p/q it needs no binomial of a
+rational.  pan_closed_form sums over D^n
 lcm(1..n), D the common denominator of mu+lam, lam+mu*alpha and lam.  The
 Gould sum is one integer kernel, _gould_num, over q^n lcm(1..n) for a = p/q:
 gould_generalized_rhs wraps it in a Fraction, and thm33_rhs dots it with the
@@ -88,13 +94,7 @@ from .errors import DomainError, OutOfValidityRangeError
 from .exact import RatLike, _shared, binom_int, binom_rat, check_terms, common_denominator
 from .polyseries import PolyQ
 from .sequences import harmonic, harmonic_p, harmonic_table, stirling2
-from .transforms import (
-    _transform_num,
-    binomial_transform,
-    inverse_binomial_transform,
-    sanchez_transform,
-    weighted_nabla,
-)
+from .transforms import _transform_num, binomial_transform, sanchez_transform, weighted_nabla
 
 
 def check_lambda_domain(lam: RatLike, n: int) -> Fraction:
@@ -176,8 +176,9 @@ def lemma21_rhs_ones(n: int, lam: RatLike, as_printed: bool = False) -> Fraction
     lam = check_lambda_domain(lam, n)
     if lam == 0:
         return harmonic(n)
-    top = binom_rat(lam + n, n - 1) if as_printed else binom_rat(lam + n, n)
-    return (top - 1) / (lam * binom_rat(lam + n, n))
+    whole = binom_rat(lam + n, n)
+    top = binom_rat(lam + n, n - 1) if as_printed else whole
+    return (top - 1) / (lam * whole)
 
 
 def boyadzhiev_ratio_closed(a: Sequence[RatLike], n: int, lam: RatLike) -> Fraction:
@@ -256,6 +257,11 @@ def _per_sequence(tag: str, seq: Sequence, build):
     return _shared((tag, id(seq)), lambda: (seq, build(seq)))[1]
 
 
+def _inverse_num(c: Sequence) -> tuple[list[int], int]:
+    """The inverse _transform_num of c, once per run for both Theorem 3.3 forms."""
+    return _per_sequence("inverse", c, lambda c: _transform_num(c, inverse=True))
+
+
 def pan_closed_form(n: int, mu: RatLike, lam: RatLike, alpha: RatLike) -> Fraction:
     """Closed form of sum_k C(n,k) mu^k lam^(n-k) H_k(alpha).
 
@@ -305,7 +311,7 @@ def thm33_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
         raise ValueError("n must be >= 1")
     check_terms(c, n, "c")
     alpha = Fraction(alpha)
-    nums, den = _per_sequence("inverse", c, lambda c: _transform_num(c, inverse=True))  # d_m = nums[m] / den
+    nums, den = _inverse_num(c)  # d_m = nums[m] / den
     h, lcm, gould_row = _shared(("gould", n, alpha), lambda: _thm33_row(n, alpha))
     # the 1/(n-m) tail over den lcm, and the Gould part over den q^n lcm (a = 1 - alpha = p/q,
     # so q is alpha's denominator)
@@ -328,20 +334,21 @@ def _thm33_row(n: int, alpha: Fraction) -> tuple[Fraction, int, list[int]]:
 def thm33_nabla_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
     """Weighted-nabla decomposition: sum_m d_m * weighted_nabla(b, n)[m].
 
-    b_j is the alternating transform of H_k(alpha) (zero at j = 0).
+    b_j is the alternating transform of H_k(alpha) (zero at j = 0).  One
+    integer dot product of d's numerators with the row's, over both denominators.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     check_terms(c, n, "c")
     alpha = Fraction(alpha)
-    d = _per_sequence("inverse-rat", c, inverse_binomial_transform)
-    row = _shared(("nabla", n, alpha), lambda: _nabla_row(n, alpha))
-    return sum(map(operator.mul, d, row), Fraction(0))
+    nums, den = _inverse_num(c)  # d_m = nums[m] / den
+    row, row_den = _shared(("nabla", n, alpha), lambda: _nabla_row(n, alpha))
+    return Fraction(sum(map(operator.mul, nums, row)), den * row_den)
 
 
-def _nabla_row(n: int, alpha: Fraction) -> list[Fraction]:
-    """weighted_nabla(b, n) at b_j = idi1_rhs(j, alpha) for j >= 1 and b_0 = 0."""
-    return weighted_nabla([Fraction(0)] + [idi1_rhs(j, alpha) for j in range(1, n + 1)], n)
+def _nabla_row(n: int, alpha: Fraction) -> tuple[list[int], int]:
+    """weighted_nabla(b, n) at b_j = idi1_rhs(j, alpha) for j >= 1 and b_0 = 0, over one denominator."""
+    return common_denominator(weighted_nabla([Fraction(0)] + [idi1_rhs(j, alpha) for j in range(1, n + 1)], n))
 
 
 def as_np_closed(n: int, p: int, z: RatLike, alpha: RatLike) -> Fraction:
@@ -355,8 +362,10 @@ def as_np_closed(n: int, p: int, z: RatLike, alpha: RatLike) -> Fraction:
         raise ValueError("n must be >= 1")
     if p < 1 or p > n:
         raise OutOfValidityRangeError(f"closed form needs 1 <= p <= n, got p={p}, n={n}")
-    # sanchez_transform reads only b_(n-p..n), so the slots below n-p hold a 0 it never reads
-    bvals = [0] * (n - p) + [pan_closed_form(m, z, 1, alpha) for m in range(n - p, n + 1)]
+    # sanchez_transform reads only b_(n-p..n), so the slots below n-p hold a 0 it never reads;
+    # a run computes each Pan value once for all the (n, p) that read it
+    pan = [_shared(("pan", m, z, alpha), lambda: pan_closed_form(m, z, 1, alpha)) for m in range(n - p, n + 1)]
+    bvals = [0] * (n - p) + pan
     return sanchez_transform(bvals, n, p)
 
 

@@ -11,9 +11,15 @@ Shared work: ``shared_run`` opens a memo for the length of a ``with`` block,
 and ``_shared(key, build)`` returns build() once per key inside it.  The
 verifier opens one per ``run_entry`` call, so that the closed forms of
 Theorems 2.3 and 3.3 compute a grid sequence's transform, and a row that
-depends only on (n, alpha), once per run instead of once per cell.  With no
-run open, ``_shared`` builds on every call.  The memo lives in a ContextVar,
-is dropped when its block ends, and no oracle reads it.
+depends only on (n, alpha), once per run instead of once per cell, and the
+newcoffey closed form each of its Pan values.  With no run open, ``_shared``
+builds on every call.  The memo lives in a ContextVar, is dropped when its
+block ends, and no oracle reads it.
+
+binom_rat builds one Fraction from an integer product: with x = p/q,
+C(x, k) = p(p-q)...(p-(k-1)q) / (q^k k!).  hockey_stick_sum, the oracle of the
+hockey-stick row, sums its terms as integers over n! q^n and shares no kernel
+with binom_rat.
 """
 
 from __future__ import annotations
@@ -115,25 +121,36 @@ def binom_int(n: int, k: int) -> int:
 
 
 def binom_rat(x: RatLike, k: int) -> Fraction:
-    """Generalized binomial coefficient x(x-1)...(x-k+1)/k!; zero for k < 0."""
+    """Generalized binomial coefficient x(x-1)...(x-k+1)/k!; zero for k < 0.
+
+    With x = p/q it is one Fraction, p(p-q)...(p-(k-1)q) / (q^k k!).
+    """
     if k < 0:
         return Fraction(0)
     x = Fraction(x)
-    num = Fraction(1)
+    p, q = x.numerator, x.denominator
+    num = 1
     for i in range(k):
-        num *= x - i
-    return num / math.factorial(k)
+        num *= p - i * q
+    return Fraction(num, q**k * math.factorial(k))
 
 
 def hockey_stick_sum(x: RatLike, n: int) -> Fraction:
-    """sum_{m=0..n} C(x+m, m), which telescopes to C(x+n+1, n)."""
+    """sum_{m=0..n} C(x+m, m), summed term by term (it telescopes to C(x+n+1, n)).
+
+    An oracle that shares no kernel with binom_rat: with x = p/q, term m is
+    (p+q)(p+2q)...(p+mq) / (m! q^m), and the terms are summed over n! q^n by
+    Horner's rule, so one Fraction is built.
+    """
     if n < 0:
         raise ValueError("hockey_stick_sum requires n >= 0")
     x = Fraction(x)
-    total = Fraction(0)
-    term = Fraction(1)
+    p, q = x.numerator, x.denominator
+    total = 0
+    rising = den = 1  # (p+q)...(p+mq) and m! q^m
     for m in range(n + 1):
         if m > 0:
-            term = term * (x + m) / m
-        total += term
-    return total
+            rising *= p + m * q
+            den *= m * q
+        total = total * m * q + rising  # the terms 0..m over m! q^m
+    return Fraction(total, den)

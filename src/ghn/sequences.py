@@ -4,6 +4,10 @@ Covers the generalized harmonic family H_n^(p)(alpha), skew-harmonic numbers,
 Stirling numbers of the second kind, Fibonacci/Lucas, Bernoulli numbers and
 Laguerre polynomial values, plus a small text format ("harmonic:p=1,alpha=1/3")
 for naming sequences on the command line.
+
+The harmonic family has one integer kernel, _harmonic_num: the running sum as
+integer numerators over one denominator.  harmonic_table is its Fraction view,
+and harmonic_p builds one Fraction, for its last entry alone.
 """
 
 from __future__ import annotations
@@ -16,11 +20,12 @@ from .errors import SeqSpecError
 from .exact import RatLike, binom_int, parse_rat
 
 
-def harmonic_table(n_max: int, p: int, alpha: RatLike) -> list[Fraction]:
-    """[H_0^(p)(alpha), ..., H_n_max^(p)(alpha)] by one running sum.
+def _harmonic_num(n_max: int, p: int, alpha: RatLike) -> tuple[list[int], int]:
+    """H_0^(p)(alpha), ..., H_n_max^(p)(alpha) as integer numerators over one denominator.
 
-    With alpha = r/q the sum is one integer numerator over q^n_max L^p, where
-    L = lcm(1..n_max): term j adds r^j q^(n_max-j) (L/j)^p.
+    Returns (nums, den) with H_n^(p)(alpha) = Fraction(nums[n], den), by one
+    running sum: with alpha = r/q, den = q^n_max L^p, where L = lcm(1..n_max),
+    and term j adds r^j q^(n_max-j) (L/j)^p.
     """
     if n_max < 0:
         raise ValueError("n must be >= 0")
@@ -29,23 +34,27 @@ def harmonic_table(n_max: int, p: int, alpha: RatLike) -> list[Fraction]:
     a = Fraction(alpha)
     r, q = a.numerator, a.denominator
     lcm = math.lcm(*range(1, n_max + 1))
-    den = q**n_max * lcm**p
     qpow = [1]
     for _ in range(n_max):
         qpow.append(qpow[-1] * q)
-    out = [Fraction(0)]
-    total = 0
+    nums = [0]
     rpow = 1
     for j in range(1, n_max + 1):
         rpow *= r
-        total += rpow * qpow[n_max - j] * (lcm // j) ** p
-        out.append(Fraction(total, den))
-    return out
+        nums.append(nums[-1] + rpow * qpow[n_max - j] * (lcm // j) ** p)
+    return nums, qpow[n_max] * lcm**p
+
+
+def harmonic_table(n_max: int, p: int, alpha: RatLike) -> list[Fraction]:
+    """[H_0^(p)(alpha), ..., H_n_max^(p)(alpha)]: the Fraction view of _harmonic_num."""
+    nums, den = _harmonic_num(n_max, p, alpha)
+    return [Fraction(num, den) for num in nums]
 
 
 def harmonic_p(n: int, p: int, alpha: RatLike) -> Fraction:
-    """H_n^(p)(alpha) = sum_{j=1..n} alpha^j / j^p, with H_0 = 0."""
-    return harmonic_table(n, p, alpha)[n]
+    """H_n^(p)(alpha) = sum_{j=1..n} alpha^j / j^p, with H_0 = 0; one Fraction."""
+    nums, den = _harmonic_num(n, p, alpha)
+    return Fraction(nums[n], den)
 
 
 def harmonic(n: int) -> Fraction:

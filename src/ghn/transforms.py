@@ -9,11 +9,12 @@ _transform_num is the one C(n,k)-weighted sum of the closed forms: it builds
 each row C(n,k) or C(n,k) (-1)^(n-k) by Pascal's rule and returns the unreduced
 integer numerators of the transform, or of its inverse, over the input's common
 denominator.  binomial_transform and inverse_binomial_transform are its
-Fraction views; closed_forms.boyadzhiev_ratio_closed and thm33_rhs read its
-numerators as they are, and weighted_nabla's row is one transform of b_n,
--b_(n-1), b_(n-2), ...  The Sanchez Stirling double sums are one integer row,
-_sanchez_row, dotted with C(n-l,k) (sanchez_weight) or with b_(n-l)
-(sanchez_transform); sequences.laguerre keeps its defining sum.
+Fraction views; closed_forms.boyadzhiev_ratio_closed, thm33_rhs and
+thm33_nabla_rhs read its numerators as they are, and weighted_nabla's row is
+one inverse transform of b_n, b_(n-1), ..., b_0, signed (-1)^m.  The Sanchez
+Stirling double sums are one integer row, _sanchez_row, dotted with C(n-l,k)
+(sanchez_weight) or with b_(n-l) (sanchez_transform); sequences.laguerre keeps
+its defining sum.
 """
 
 from __future__ import annotations
@@ -132,11 +133,12 @@ def sanchez_transform(b: Sequence[RatLike], n: int, p: int) -> Fraction:
 def weighted_nabla(b: Sequence[RatLike], n: int) -> list[Fraction]:
     """sum_{j=0..n} C(n,j) C(j,n-m) (-1)^(n-j) b_j for m = 0..n  (C(n,m) nabla^m b_n).
 
-    By trinomial revision C(n,j) C(j,n-m) = C(n,m) C(m,n-j), term m is C(n,m)
-    times the m-th binomial transform value of b_n, -b_(n-1), b_(n-2), ...
+    By trinomial revision C(n,j) C(j,n-m) = C(n,m) C(m,n-j), term m is
+    (-1)^m C(n,m) times the m-th inverse binomial transform value of
+    b_n, b_(n-1), ..., b_0.
     """
     if n < 0:
         raise ValueError("requires n >= 0")
     check_terms(b, n, "b")
-    flipped = binomial_transform([-v if i % 2 else v for i, v in enumerate(b[n::-1])])
-    return [binom_int(n, m) * v for m, v in enumerate(flipped)]
+    flipped = inverse_binomial_transform(b[n::-1])
+    return [(-1) ** m * binom_int(n, m) * v for m, v in enumerate(flipped)]

@@ -30,11 +30,12 @@ from ghn.closed_forms import (  # noqa: E402
     thm33_rhs,
 )
 from ghn.errors import DomainError, OutOfValidityRangeError, SeqSpecError  # noqa: E402
-from ghn.exact import binom_rat, shared_run  # noqa: E402
+from ghn.exact import binom_rat, hockey_stick_sum, shared_run  # noqa: E402
 from ghn.polyseries import PolyQ, TruncSeries, _convolve  # noqa: E402
-from ghn.registry import _gould_oracle, _ratio_oracle, build_registry, declare  # noqa: E402
+from ghn.registry import _gould_oracle, _ratio_oracle, _thm33_clib, build_registry, declare  # noqa: E402
 from ghn.sequences import (  # noqa: E402
     SeqSpec,
+    _harmonic_num,
     bernoulli,
     harmonic_p,
     harmonic_table,
@@ -95,18 +96,28 @@ def test_harmonic_genfunc_holds(order, alpha):
 @SETTINGS
 @example(n=25, p=48, alpha=Fraction(-7, 3))
 @example(n=6, p=1, alpha=Fraction(0))
+@example(n=0, p=1, alpha=2)
+@example(n=20, p=3, alpha=-1)
 @example(n=9, p=2, alpha=Fraction(-(10**99) - 7, 10**99 + 3))
-@given(n=st.integers(min_value=0, max_value=25), p=st.integers(min_value=1, max_value=4), alpha=st.one_of(rats, st.integers(-9, 9)))
+@given(
+    n=st.integers(min_value=0, max_value=25),
+    p=st.integers(min_value=1, max_value=4),
+    alpha=st.one_of(st.sampled_from([0, 1, -1, 2]), rats, st.integers(-9, 9)),
+)
 def test_harmonic_p_matches_sympy(n, p, alpha):
     j = sympy.Symbol("j", integer=True, positive=True)
     expected = sympy.summation(_sym(alpha) ** j / j**p, (j, 1, n))
-    assert harmonic_p(n, p, alpha) == _frac(expected)
+    value = harmonic_p(n, p, alpha)
+    assert value == _frac(expected) and type(value) is Fraction
     if alpha == 1:
         assert harmonic_p(n, p, 1) == _frac(sympy.harmonic(n, p))
-    # the whole table against a plain Fraction loop
+    # the whole table against a plain Fraction loop, and harmonic_p as its last entry
     table = harmonic_table(n, p, alpha)
     assert table == [sum((Fraction(alpha) ** i / i**p for i in range(1, k + 1)), Fraction(0)) for k in range(n + 1)]
-    assert _all_fractions(table)
+    assert _all_fractions(table) and table[n] == value
+    # both views of the one integer kernel
+    nums, den = _harmonic_num(n, p, alpha)
+    assert len(nums) == n + 1 and all(type(v) is int for v in [*nums, den])
 
 
 @SETTINGS
@@ -115,10 +126,35 @@ def test_stirling2_matches_sympy(p, j):
     assert stirling2(p, j) == int(sympy.functions.combinatorial.numbers.stirling(p, j, kind=2))
 
 
+def _plain_binom(x, k: int) -> Fraction:
+    """x(x-1)...(x-k+1)/k! by a plain Fraction loop; zero for k < 0."""
+    if k < 0:
+        return Fraction(0)
+    num = Fraction(1)
+    for i in range(k):
+        num *= Fraction(x) - i
+    return num / math.factorial(k)
+
+
 @SETTINGS
-@given(x=rats, k=st.integers(min_value=-2, max_value=15))
+@example(x=0, k=12)
+@example(x=-7, k=5)
+@example(x=9, k=12)
+@given(x=st.one_of(edge_rats, st.integers(min_value=-12, max_value=12)), k=st.integers(min_value=-2, max_value=15))
 def test_binom_rat_matches_sympy(x, k):
-    assert binom_rat(x, k) == _frac(sympy.binomial(_sym(x), k))
+    # the one-Fraction product p(p-q)...(p-(k-1)q) / (q^k k!), at negative, integer and zero x too
+    value = binom_rat(x, k)
+    assert value == _frac(sympy.binomial(_sym(Fraction(x)), k)) == _plain_binom(x, k) and type(value) is Fraction
+
+
+@SETTINGS
+@example(x=Fraction(0), n=0)
+@example(x=Fraction(-3), n=20)
+@given(x=edge_rats, n=st.integers(min_value=0, max_value=20))
+def test_hockey_stick_sum_matches_a_plain_fraction_loop(x, n):
+    value = hockey_stick_sum(x, n)
+    assert value == sum((_plain_binom(Fraction(x) + m, m) for m in range(n + 1)), Fraction(0))
+    assert value == _plain_binom(Fraction(x) + n + 1, n) and type(value) is Fraction
 
 
 def test_bernoulli_matches_sympy():
@@ -395,6 +431,38 @@ def test_as_np_closed_reads_no_pan_value_below_n_minus_p(n, p, z, alpha, junk):
 
 
 @SETTINGS
+@given(
+    n=st.integers(min_value=1, max_value=7),
+    p=st.integers(min_value=0, max_value=6),
+    z=st.one_of(zs, st.integers(min_value=-3, max_value=3)),
+    alpha=alphas,
+)
+def test_as_np_closed_is_the_same_inside_and_outside_a_run(n, p, z, alpha):
+    # inside a run every (n', p') of a grid over three (z, alpha) reads the Pan values that the others made
+    p = 1 + p % n
+    points = [(m, q, x, a) for x, a in ((z, alpha), (z + 1, alpha), (z, alpha + 1)) for m in range(1, n + 1) for q in range(1, m + 1)]
+    with shared_run():
+        shared = [as_np_closed(*point) for point in points]
+        repeated = as_np_closed(n, p, Fraction(z), alpha)
+    assert shared == [as_np_closed(*point) for point in points]
+    assert repeated == as_np_closed(n, p, z, alpha)
+
+
+@settings(SETTINGS, max_examples=8)
+@example(alpha=Fraction(1))
+@example(alpha=Fraction(0))
+@given(alpha=alphas)
+def test_thm33_nabla_rhs_is_d_dotted_with_the_nabla_row(alpha):
+    # at every n <= 12 of the 13 Theorem 3.3 sequences, d from a plain inverse-transform loop
+    b = [Fraction(0)] + [((1 - alpha) ** j - 1) / j for j in range(1, 13)]
+    for c in _thm33_clib(12, 42):
+        d = [sum((math.comb(m, k) * (-1) ** (m - k) * c[k] for k in range(m + 1)), Fraction(0)) for m in range(13)]
+        for n in range(1, 13):
+            row = weighted_nabla(b, n)
+            assert thm33_nabla_rhs(c, n, alpha) == sum((d[m] * row[m] for m in range(n + 1)), Fraction(0))
+
+
+@SETTINGS
 @example(lam=Fraction(0), alpha=Fraction(1), a=list(range(9)))
 @example(lam=Fraction(-3), alpha=Fraction(10**99 + 3, -(10**99) - 8), a=[Fraction(10**99 - k, 3 + k) for k in range(9)])
 @given(lam=st.one_of(lams, big_rats), alpha=st.one_of(alphas, big_rats), a=st.lists(edge_rats, min_size=9, max_size=9))
@@ -503,7 +571,7 @@ def test_inverse_binomial_transform_matches_direct_sum(b):
         assert [Fraction(num, den) for num in nums] == plain
         assert den == math.lcm(*[Fraction(v).denominator for v in b])
         assert all(type(v) is int for v in [*nums, den])
-    # and weighted_nabla's row, which calls the forward transform, at every (n, m), terms past n included
+    # and weighted_nabla's row, which calls the inverse transform, at every (n, m), terms past n included
     nablas = [weighted_nabla(b, n) for n in range(len(b))]
     assert nablas == [
         [sum(math.comb(n, j) * math.comb(j, n - m) * (-1) ** (n - j) * b[j] for j in range(n + 1)) for m in range(n + 1)]

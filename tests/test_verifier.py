@@ -297,6 +297,40 @@ def test_mutated_sanchez_row_fails_its_entries(monkeypatch):
         assert run_entry(entries[entry_id]).tier == "FAILS", entry_id
 
 
+def test_shifted_binom_rat_product_fails_its_entries(monkeypatch):
+    # C(x, k) built from (x-1)...(x-k): the right sides of the hockey stick, the b = 1
+    # display and Knuth-Flajolet read binom_rat, and their oracles do not
+    from ghn import exact
+
+    mutated = _mutated(exact.binom_rat, "p - i * q", "p - (i + 1) * q")
+    assert {"ghn.registry.binom_rat", "ghn.closed_forms.binom_rat"} <= set(_rebind(monkeypatch, exact.binom_rat, mutated))
+    entries = {e.id: e for e in build_registry(6, 42)}
+    for entry_id in ("hockey-stick", "lemma2.1-ones", "knuth-flajolet"):
+        assert run_entry(entries[entry_id]).tier == "FAILS", entry_id
+
+
+def test_off_by_one_hockey_stick_oracle_fails_its_entry(monkeypatch):
+    from ghn import exact
+
+    mutated = _mutated(exact.hockey_stick_sum, "range(n + 1)", "range(n)")
+    assert "ghn.registry.hockey_stick_sum" in _rebind(monkeypatch, exact.hockey_stick_sum, mutated)
+    entry = next(e for e in build_registry(6, 42) if e.id == "hockey-stick")
+    assert run_entry(entry).tier == "FAILS"
+
+
+def test_doubled_pan_closed_form_fails_the_newcoffey_rows_through_the_memo(monkeypatch):
+    # as_np_closed reads each Pan value through the run memo; a clean run first fills and
+    # drops it, and a doubled Pan must then fail both rows that read it
+    from ghn import closed_forms
+
+    entries = {e.id: e for e in build_registry(6, 42)}
+    rows = ("as-newcoffey", "as-newcoff")
+    assert {i: run_entry(entries[i]).tier for i in rows} == dict.fromkeys(rows, HOLDS_ON_GRID)
+    real = closed_forms.pan_closed_form
+    assert "ghn.closed_forms.pan_closed_form" in _rebind(monkeypatch, real, _doubled(real))
+    assert {i: run_entry(entries[i]).tier for i in rows} == dict.fromkeys(rows, "FAILS")
+
+
 def _mutated(fn, old, new):
     """fn compiled again from its source, with the one occurrence of old replaced by new."""
     source = inspect.getsource(fn)
@@ -400,7 +434,7 @@ def test_oracles_never_call_the_lifting_helper(monkeypatch):
 
     bound = _rebind(monkeypatch, transforms._transform_num, broken_kernel)
     assert sorted(bound) == ["ghn.closed_forms._transform_num", "ghn.transforms._transform_num"]
-    for closed_form in (boyadzhiev_ratio_closed, thm33_rhs):
+    for closed_form in (boyadzhiev_ratio_closed, thm33_rhs, thm33_nabla_rhs):
         with pytest.raises(RuntimeError, match="_transform_num"):
             closed_form(a, 7, lam)
     assert {name: oracle() for name, oracle in oracles.items()} == expected
@@ -607,9 +641,10 @@ SHARED = {
         {"check_lambda_domain"},
     ),
     "lemma2.1-coherence": {"check_lambda_domain", "check_terms"},
-    **dict.fromkeys(["gen-harmonic-relation", "skew-relation"], {"harmonic_p", "harmonic_table"}),
-    **dict.fromkeys(["panequa1-series", "as-newcoffey1", "as-p1-exemple1"], {"harmonic_table"}),
-    "thm3.3-eqnnew8": {"binom_int", "harmonic_table"},
+    **dict.fromkeys(["gen-harmonic-relation", "skew-relation"], {"harmonic_p", "_harmonic_num"}),
+    **dict.fromkeys(["as-newcoffey1", "as-p1-exemple1"], {"_harmonic_num"}),
+    "panequa1-series": {"harmonic_table", "_harmonic_num"},
+    "thm3.3-eqnnew8": {"binom_int", "_harmonic_num"},
     **dict.fromkeys(
         ["eq-eulerbnew", "eq-eulerbnew-j0-corrected", "thm3.3-nabla", "as-newcoffey", "as-newcoff", "sanchez-transform"],
         {"binom_int"},
@@ -638,6 +673,9 @@ def test_functions_both_sides_reach_are_pinned():
 def _doubled(fn):
     def double(*args):
         value = fn(*args)
+        if isinstance(value, tuple):  # integer numerators over one denominator
+            nums, den = value
+            return [2 * v for v in nums], den
         return [2 * v for v in value] if isinstance(value, list) else 2 * value
 
     return double
