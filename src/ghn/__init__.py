@@ -4,7 +4,7 @@ Everything is computed over arbitrary-precision rationals; the verifier
 submodule grades every catalogued identity against brute-force oracles.
 """
 
-from .exact import Rat, binom_int, binom_rat, hockey_stick_sum
+from .exact import binom_int, binom_rat, hockey_stick_sum
 from .errors import (
     CompositionDomainError,
     DomainError,
@@ -21,7 +21,6 @@ from .sequences import (
     lucas,
     materialize,
     parse_seq_spec,
-    seq_spec_text,
     skew_harmonic,
     stirling2,
 )

@@ -13,8 +13,8 @@ series does the same for the entry its --check names (SERIES_CHECKS), then
 runs that entry through verifier.run_entry at n = 0..order, which stops at
 the first differing coefficient.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 report I/O failure.
+Exit codes: 0 success, 1 verification failure, 2 usage/parse error (a
+verify --filter that matches no entry id among them), 3 report I/O failure.
 
 Integer arguments are capped so that no input can request unbounded work:
 verify and table take --n-max 1..30, compute takes --n-max 0..180, series
@@ -179,6 +179,8 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_suite(args.filter, args.n_max, args.seed)
+    if not report.results:  # a mistyped filter is not a clean run
+        raise UsageError(f"no entry id matches {args.filter!r}")
     payload = report.to_json() if args.format == "json" else report.to_markdown()
     if args.out:
         try:

@@ -1,7 +1,7 @@
 """Exact rational scalars and binomial/factorial primitives.
 
-Every scalar in this package is an exact ``fractions.Fraction`` (aliased as
-``Rat``); nothing here ever touches floating point.  Fractions are always
+Every scalar in this package is an exact ``fractions.Fraction``; nothing
+here ever touches floating point.  Fractions are always
 stored reduced with a positive denominator, parse from strings like ``"p/q"``
 and print the same way, so they double as the wire format.  The hot kernels
 run their inner loops in ints: ``common_denominator`` lifts their inputs to
@@ -30,8 +30,6 @@ import re
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
-
-Rat = Fraction
 
 RatLike = Fraction | int
 

@@ -2,14 +2,14 @@
 
 ``PolyQ`` certifies identities that are polynomial in a parameter by
 coefficient-wise comparison; ``TruncSeries`` proves series identities through
-a chosen order.  Both keep a tuple of ``Fraction`` coefficients, print as
-``"c0 + c1*t + ..."`` and export their coefficients as arrays of ``"p/q"``
-strings.  They differ only in their length rule: a ``PolyQ`` strips trailing
-zeros and a product keeps every term, while a ``TruncSeries`` holds exactly
-order + 1 coefficients and a product keeps the smaller operand's order.  Both
-products, and the Horner steps of ``TruncSeries.compose``, run the one product
-loop, ``_convolve``.  A scalar (an ``int`` or a ``Fraction``) may stand on
-either side of a product and of a ``PolyQ`` sum or difference; no other type may.
+a chosen order.  Both keep a tuple of ``Fraction`` coefficients and print as
+``"c0 + c1*t + ..."``.  They differ only in their length rule: a ``PolyQ``
+strips trailing zeros and a product keeps every term, while a
+``TruncSeries`` holds exactly order + 1 coefficients and a product keeps the
+smaller operand's order.  Both products, and the Horner steps of
+``TruncSeries.compose``, run the one product loop, ``_convolve``.  A scalar
+(an ``int`` or a ``Fraction``) may stand on either side of a product and of a
+``PolyQ`` sum or difference; no other type may.
 """
 
 from __future__ import annotations
@@ -74,9 +74,6 @@ class _Coeffs:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}([{', '.join(str(c) for c in self.coeffs)}])"
-
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
 
 
 class PolyQ(_Coeffs):
@@ -172,14 +169,6 @@ class TruncSeries(_Coeffs):
         elif not cs:
             raise ValueError("an empty coefficient list needs an explicit order")
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncSeries":
-        return cls([1], order)
 
     @property
     def order(self) -> int:

@@ -108,21 +108,21 @@ MU_LAMBDA_GRID = [
 KNUTH_LAMBDAS = [Fraction(-1, 2), Fraction(1, 3), Fraction(1, 2), Fraction(5, 2)]
 Z_GRID = [Fraction(-2), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2)]
 GOULD_A_GRID = [Fraction(-2, 3), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2)]
-THM33_SEQS = [
-    "ones",
-    "identity",
-    "squares",
-    "fib",
-    "fib2",
-    "lucas",
-    "lucas2",
-    "bernoulli-alt",
-    "laguerre-half",
-    "harm-alt",
-    "random-0",
-    "random-1",
-    "random-2",
+# The named sequences c of the Theorem 3.3 grids, as (name, c_k); the grids
+# index them in this order, then three seeded random sequences.
+_THM33_NAMED = [
+    ("ones", lambda k: Fraction(1)),
+    ("identity", lambda k: Fraction(k)),
+    ("squares", lambda k: Fraction(k * k)),
+    ("fib", lambda k: Fraction(fibonacci(k))),
+    ("fib2", lambda k: Fraction(fibonacci(2 * k))),
+    ("lucas", lambda k: Fraction(lucas(k))),
+    ("lucas2", lambda k: Fraction(lucas(2 * k))),
+    ("bernoulli-alt", lambda k: (-1) ** k * bernoulli(k)),
+    ("laguerre-half", lambda k: laguerre(k, Fraction(1, 2))),
+    ("harm-alt", lambda k: -((-1) ** k) * harmonic(k)),
 ]
+THM33_SEQS = [name for name, _ in _THM33_NAMED] + [f"random-{i}" for i in range(3)]
 _THM33_LEGEND = ", ".join(f"{i}={name}" for i, name in enumerate(THM33_SEQS))
 
 
@@ -742,21 +742,8 @@ def _rand_seqs(rng: random.Random, count: int, n_max: int) -> list[tuple[Fractio
 
 def _thm33_clib(n_max: int, seed: int) -> list[tuple[Fraction, ...]]:
     """The terms 0..n_max of each sequence named in THM33_SEQS."""
-    ks = range(n_max + 1)
-    htab = harmonic_table(n_max, 1, 1)
-    seqs = [
-        [Fraction(1)] * (n_max + 1),
-        [Fraction(k) for k in ks],
-        [Fraction(k * k) for k in ks],
-        [Fraction(fibonacci(k)) for k in ks],
-        [Fraction(fibonacci(2 * k)) for k in ks],
-        [Fraction(lucas(k)) for k in ks],
-        [Fraction(lucas(2 * k)) for k in ks],
-        [(-1) ** k * bernoulli(k) for k in ks],
-        [laguerre(k, Fraction(1, 2)) for k in ks],
-        [-((-1) ** k) * htab[k] for k in ks],
-    ]
-    return [tuple(s) for s in seqs] + _rand_seqs(_rng(seed, "thm3.3-clib"), 3, n_max)
+    named = [tuple(term(k) for k in range(n_max + 1)) for _, term in _THM33_NAMED]
+    return named + _rand_seqs(_rng(seed, "thm3.3-clib"), len(THM33_SEQS) - len(named), n_max)
 
 
 def _grids(n_max: int, seed: int) -> tuple[dict[str, list[Cell]], dict[str, list[tuple]]]:
@@ -776,8 +763,8 @@ def _grids(n_max: int, seed: int) -> tuple[dict[str, list[Cell]], dict[str, list
     xs = sorted({rand_rat(rng) for _ in range(20)})
     cells["hockey-stick"] = [{"x": x, "n": n} for n in range(min(n_max, 30) + 1) for x in xs]
 
-    seqs["lemma2.1-coherence"] = _rand_seqs(_rng(seed, "lemma2.1-coherence"), 30, n_max)
-    cells["lemma2.1-coherence"] = [{"seq": s, "lambda": lam, "n": n} for lam in LAMBDA_GRID for n in ns for s in range(30)]
+    seqs["lemma2.1-coherence"] = coherence = _rand_seqs(_rng(seed, "lemma2.1-coherence"), 30, n_max)
+    cells["lemma2.1-coherence"] = [{"seq": s, "lambda": lam, "n": n} for lam in LAMBDA_GRID for n in ns for s in range(len(coherence))]
     cells["lemma2.1-ones-zero"] = [{"n": n} for n in ns]
     cells["lemma2.1-ones"] = cells["lemma2.1-ones-as-printed"] = [
         {"lambda": lam, "n": n} for lam in LAMBDA_GRID if lam != 0 for n in ns
@@ -785,10 +772,10 @@ def _grids(n_max: int, seed: int) -> tuple[dict[str, list[Cell]], dict[str, list
     # even seq indices get a_0 = 0, so the b_0-correction path is exercised either way
     general = _rand_seqs(_rng(seed, "thm2.3-general"), 30, n_max)
     seqs["thm2.3-general"] = [(Fraction(0), *s[1:]) if i % 2 == 0 else s for i, s in enumerate(general)]
-    cells["thm2.3-general"] = [{"seq": i, "lambda": lam, "n": n} for lam in LAMBDA_GRID for n in ns for i in range(30)]
+    cells["thm2.3-general"] = [{"seq": i, "lambda": lam, "n": n} for lam in LAMBDA_GRID for n in ns for i in range(len(general))]
     for entry_id in ("thm2.3-lambda0", "thm2.3-lambda1"):
         seqs[entry_id] = _rand_seqs(_rng(seed, entry_id), 10, n_max)
-        cells[entry_id] = [{"seq": i, "n": n} for n in ns for i in range(10)]
+        cells[entry_id] = [{"seq": i, "n": n} for n in ns for i in range(len(seqs[entry_id]))]
     cells["second-case-ones"] = [{"n": n} for n in ns]
     cells["knuth-flajolet"] = [{"lambda": lam, "n": n} for lam in KNUTH_LAMBDAS for n in ns]
     rng = _rng(seed, "gen-harmonic-relation")
@@ -828,7 +815,7 @@ def _grids(n_max: int, seed: int) -> tuple[dict[str, list[Cell]], dict[str, list
     cells["skew-transform"] = cells["frontczak-variant"] = [{"n": n} for n in ns]
 
     seqs["thm3.3-eqnnew8"] = seqs["thm3.3-nabla"] = _thm33_clib(n_max, seed)
-    cells["thm3.3-eqnnew8"] = [{"seq": i, "alpha": a, "n": n} for a in ALPHA_GRID for n in ns for i in range(len(THM33_SEQS))]
+    cells["thm3.3-eqnnew8"] = [{"seq": i, "alpha": a, "n": n} for a in ALPHA_GRID for n in ns for i in range(len(seqs["thm3.3-eqnnew8"]))]
     cells["thm3.3-nabla"] = [{"seq": i, "alpha": a, "n": n} for a in ALPHA_GRID for n in ns for i in range(6)]
 
     cells["ex3.4-stirling-power"] = [{"p": p, "n": n} for n in ns0 for p in range(9)]
@@ -849,7 +836,7 @@ def _grids(n_max: int, seed: int) -> tuple[dict[str, list[Cell]], dict[str, list
         {"seq": i, "n": n, "p": p}
         for n in range(1, top12 + 1)
         for p in range(min(n, 6) + 2)  # p = n+1 cells exercise the validity-range skip
-        for i in range(10)
+        for i in range(len(seqs["sanchez-transform"]))
     ]
 
     alphas4 = [Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2)]

@@ -3,7 +3,10 @@
 Covers the generalized harmonic family H_n^(p)(alpha), skew-harmonic numbers,
 Stirling numbers of the second kind, Fibonacci/Lucas, Bernoulli numbers and
 Laguerre polynomial values, plus a small text format ("harmonic:p=1,alpha=1/3")
-for naming sequences on the command line.
+for naming sequences on the command line.  Each kind of that format is one row
+of the table _KINDS: the parameters it takes and requires, the range of its
+integer p, and the function that returns its terms.  SeqSpec checks a spec
+against its row and materialize calls the row's function.
 
 The harmonic family has one integer kernel, _harmonic_num: the running sum as
 integer numerators over one denominator.  harmonic_table is its Fraction view,
@@ -15,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .errors import SeqSpecError
 from .exact import RatLike, binom_int, parse_rat
@@ -144,26 +148,28 @@ def laguerre(n: int, x: RatLike) -> Fraction:
 
 _ALIASES = {"harmonic": "harmonic_p"}
 
-_KIND_PARAMS: dict[str, set[str]] = {
-    "harmonic_p": {"p", "alpha"},
-    "skew": set(),
-    "fibonacci": {"doubled"},
-    "lucas": {"doubled"},
-    "bernoulli": set(),
-    "laguerre": {"x"},
-    "stirling_row": {"p"},
-    "powers": {"base"},
-}
 
-_REQUIRED: dict[str, set[str]] = {
-    "laguerre": {"x"},
-    "stirling_row": {"p"},
-    "powers": {"base"},
-}
+def _doubling(term, q: dict, n_max: int) -> list[Fraction]:
+    """term(k) for k = 0..n_max as Fractions, or term(2k) under doubled."""
+    step = 2 if q.get("doubled") else 1
+    return [Fraction(term(step * k)) for k in range(n_max + 1)]
 
-# Largest integer p per kind, so that no spec can request unbounded work:
-# harmonic_table(180, 48, alpha) and stirling2(180, k) take milliseconds.
-_P_CAP = {"harmonic_p": 48, "stirling_row": 180}
+
+# kind -> (parameters it takes, parameters it requires, the range (lo, hi) of
+# its integer p or None if it takes no p, and terms(q, n_max): the terms
+# 0..n_max, as Fractions, of the spec with params q).  hi bounds the work a
+# spec can request: harmonic_table(180, 48, alpha) and stirling2(180, k) take
+# milliseconds.
+_KINDS: dict[str, tuple[set[str], set[str], tuple[int, int] | None, Callable]] = {
+    "harmonic_p": ({"p", "alpha"}, set(), (1, 48), lambda q, n_max: harmonic_table(n_max, int(q.get("p", 1)), q.get("alpha", 1))),
+    "skew": (set(), set(), None, lambda q, n_max: [-h for h in harmonic_table(n_max, 1, -1)]),
+    "fibonacci": ({"doubled"}, set(), None, lambda q, n_max: _doubling(fibonacci, q, n_max)),
+    "lucas": ({"doubled"}, set(), None, lambda q, n_max: _doubling(lucas, q, n_max)),
+    "bernoulli": (set(), set(), None, lambda q, n_max: [bernoulli(k) for k in range(n_max + 1)]),
+    "laguerre": ({"x"}, {"x"}, None, lambda q, n_max: [laguerre(k, q["x"]) for k in range(n_max + 1)]),
+    "stirling_row": ({"p"}, {"p"}, (0, 180), lambda q, n_max: [Fraction(stirling2(int(q["p"]), j)) for j in range(n_max + 1)]),
+    "powers": ({"base"}, {"base"}, None, lambda q, n_max: [q["base"] ** k if k else Fraction(1) for k in range(n_max + 1)]),
+}
 
 
 @dataclass(frozen=True)
@@ -174,21 +180,22 @@ class SeqSpec:
     params: dict[str, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KIND_PARAMS:
-            raise SeqSpecError(f"unknown sequence kind {self.kind!r}; known: {sorted(_KIND_PARAMS)}")
-        extra = set(self.params) - _KIND_PARAMS[self.kind]
+        if self.kind not in _KINDS:
+            raise SeqSpecError(f"unknown sequence kind {self.kind!r}; known: {sorted(_KINDS)}")
+        takes, requires, p_range, _ = _KINDS[self.kind]
+        extra = set(self.params) - takes
         if extra:
             raise SeqSpecError(f"{self.kind} does not take parameters {sorted(extra)}")
-        missing = _REQUIRED.get(self.kind, set()) - set(self.params)
+        missing = requires - set(self.params)
         if missing:
             raise SeqSpecError(f"{self.kind} requires parameters {sorted(missing)}")
         p = self.params.get("p")
-        if self.kind == "harmonic_p" and p is not None and (p.denominator != 1 or p < 1):
-            raise SeqSpecError("harmonic_p requires integer p >= 1")
-        if self.kind == "stirling_row" and (p.denominator != 1 or p < 0):
-            raise SeqSpecError("stirling_row requires integer p >= 0")
-        if p is not None and self.kind in _P_CAP and p > _P_CAP[self.kind]:
-            raise SeqSpecError(f"{self.kind} p={p} is out of range: must be at most {_P_CAP[self.kind]}")
+        if p is not None:  # only a kind with a p range takes p
+            lo, hi = p_range
+            if p.denominator != 1 or p < lo:
+                raise SeqSpecError(f"{self.kind} requires integer p >= {lo}")
+            if p > hi:
+                raise SeqSpecError(f"{self.kind} p={p} is out of range: must be at most {hi}")
         if self.params.get("doubled", 0) not in (0, 1):
             raise SeqSpecError(f"{self.kind} doubled must be 0 or 1 (false or true)")
 
@@ -196,6 +203,7 @@ class SeqSpec:
 def parse_seq_spec(text: str) -> SeqSpec:
     """Parse the canonical text form, e.g. "harmonic:p=1,alpha=1/3"."""
     kind, _, rest = text.strip().partition(":")
+    kind = kind.strip()
     kind = _ALIASES.get(kind, kind)
     params: dict[str, Fraction] = {}
     if rest:
@@ -219,45 +227,8 @@ def parse_seq_spec(text: str) -> SeqSpec:
     return SeqSpec(kind, params)
 
 
-def seq_spec_text(spec: SeqSpec) -> str:
-    """Canonical text form; inverse of parse_seq_spec."""
-    kind = "harmonic" if spec.kind == "harmonic_p" else spec.kind
-    if not spec.params:
-        return kind
-    order = {"p": 0, "alpha": 1}
-    parts = []
-    for key in sorted(spec.params, key=lambda k: (order.get(k, 9), k)):
-        value = spec.params[key]
-        if key == "doubled":
-            parts.append(f"{key}={'true' if value else 'false'}")
-        else:
-            parts.append(f"{key}={value}")
-    return f"{kind}:{','.join(parts)}"
-
-
 def materialize(spec: SeqSpec, n_max: int) -> list[Fraction]:
     """Terms 0..n_max of the sequence, all as exact Fractions."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    kind, params = spec.kind, spec.params
-    if kind == "harmonic_p":
-        return harmonic_table(n_max, int(params.get("p", Fraction(1))), params.get("alpha", Fraction(1)))
-    if kind == "skew":
-        return [-h for h in harmonic_table(n_max, 1, -1)]
-    if kind == "fibonacci":
-        step = 2 if params.get("doubled") else 1
-        return [Fraction(fibonacci(step * k)) for k in range(n_max + 1)]
-    if kind == "lucas":
-        step = 2 if params.get("doubled") else 1
-        return [Fraction(lucas(step * k)) for k in range(n_max + 1)]
-    if kind == "bernoulli":
-        return [bernoulli(k) for k in range(n_max + 1)]
-    if kind == "laguerre":
-        return [laguerre(k, params["x"]) for k in range(n_max + 1)]
-    if kind == "stirling_row":
-        p = int(params["p"])
-        return [Fraction(stirling2(p, j)) for j in range(n_max + 1)]
-    if kind == "powers":
-        base = params["base"]
-        return [base**k if k else Fraction(1) for k in range(n_max + 1)]
-    raise SeqSpecError(f"unknown sequence kind {kind!r}")
+    return _KINDS[spec.kind][3](spec.params, n_max)

@@ -63,6 +63,15 @@ def test_compute_too_long_term_exits_2(capsys):
     assert out == "" and err.startswith("error:") and "digits" in err
 
 
+def test_compute_spec_with_spaces_around_kind_and_key(capsys):
+    outputs = []
+    for spec in ("harmonic : p=1", "harmonic:p = 1"):
+        code, out, err = run_cli(["compute", "--seq", spec, "--n-max", "6", "--format", "csv"], capsys)
+        assert code == 0 and err == ""
+        outputs.append(list(csv.reader(io.StringIO(out)))[1:])
+    assert outputs[0] == outputs[1] == [[str(n), str(h)] for n, h in enumerate(harmonic_table(6, 1, 1))]
+
+
 def test_compute_bad_spec_exits_2(capsys):
     code, _, err = run_cli(["compute", "--seq", "nosuch:p=1"], capsys)
     assert code == 2
@@ -491,6 +500,15 @@ def test_verify_writes_report_and_exits_zero(tmp_path, capsys):
     assert payload["n_max"] == 8
     assert any(row["id"] == "ex3.4-fibonacci" for row in payload["entries"])
     assert "entries" in err
+
+
+def test_verify_filter_matching_nothing_exits_2(tmp_path, capsys):
+    # a mistyped filter is a usage error, not a clean run over no entries
+    out_file = tmp_path / "report.json"
+    code, out, err = run_cli(["verify", "--filter", "hocky*", "--n-max", "4", "--out", str(out_file)], capsys)
+    assert code == 2
+    assert out == "" and err == "error: no entry id matches 'hocky*'\n"
+    assert not out_file.exists()
 
 
 def test_verify_markdown_format(capsys):

@@ -40,7 +40,6 @@ from ghn.sequences import (  # noqa: E402
     harmonic_p,
     harmonic_table,
     parse_seq_spec,
-    seq_spec_text,
     stirling2,
 )
 from ghn.transforms import (  # noqa: E402
@@ -192,7 +191,7 @@ def test_polyq_ring_laws(p, q, r, s):
 @SETTINGS
 @given(f=series, g=series, h=series)
 def test_truncseries_ring_laws(f, g, h):
-    zero, one = TruncSeries.zero(ORDER), TruncSeries.one(ORDER)
+    zero, one = TruncSeries([], ORDER), TruncSeries([1], ORDER)
     assert f + g == g + f and f * g == g * f
     assert (f + g) + h == f + (g + h) and (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
@@ -270,51 +269,73 @@ def test_binomial_transform_round_trips(a):
     assert binomial_transform(inverse_binomial_transform(a)) == a
 
 
+# (text, the SeqSpec it names), the text built here from the spec's values
 specs = st.one_of(
     st.builds(
-        lambda p, alpha: SeqSpec("harmonic_p", {"p": Fraction(p), "alpha": alpha}),
+        lambda p, alpha: (f"harmonic:p={p},alpha={alpha}", SeqSpec("harmonic_p", {"p": Fraction(p), "alpha": alpha})),
         st.integers(min_value=1, max_value=48),
         rats,
     ),
-    st.sampled_from([SeqSpec("skew"), SeqSpec("bernoulli"), SeqSpec("fibonacci"), SeqSpec("lucas")]),
+    st.builds(lambda kind: (kind, SeqSpec(kind)), st.sampled_from(["skew", "bernoulli", "fibonacci", "lucas"])),
     st.builds(
-        lambda kind, doubled: SeqSpec(kind, {"doubled": Fraction(doubled)}),
+        lambda kind, doubled: (f"{kind}:doubled={str(doubled).lower()}", SeqSpec(kind, {"doubled": Fraction(doubled)})),
         st.sampled_from(["fibonacci", "lucas"]),
         st.booleans(),
     ),
-    st.builds(lambda x: SeqSpec("laguerre", {"x": x}), rats),
-    st.builds(lambda p: SeqSpec("stirling_row", {"p": Fraction(p)}), st.integers(min_value=0, max_value=180)),
-    st.builds(lambda base: SeqSpec("powers", {"base": base}), rats),
+    st.builds(lambda x: (f"laguerre:x={x}", SeqSpec("laguerre", {"x": x})), rats),
+    st.builds(lambda p: (f"stirling_row:p={p}", SeqSpec("stirling_row", {"p": Fraction(p)})), st.integers(min_value=0, max_value=180)),
+    st.builds(lambda base: (f"powers:base={base}", SeqSpec("powers", {"base": base})), rats),
 )
 
 
 @SETTINGS
-@given(spec=specs)
-def test_seq_spec_text_round_trips(spec):
-    assert parse_seq_spec(seq_spec_text(spec)) == spec
+@given(case=specs)
+def test_spec_text_parses_to_its_spec(case):
+    text, spec = case
+    assert parse_seq_spec(text) == spec
 
 
 @SETTINGS
 @given(
-    text=st.one_of(
-        st.builds(lambda p, a: f"harmonic:p={p},alpha={a}", st.integers(min_value=1, max_value=48), rats),
-        st.builds(lambda b: f"powers:base={b}", rats),
-        st.builds(lambda k, d: f"{k}:doubled={d}", st.sampled_from(["fibonacci", "lucas"]), st.sampled_from(["true", "false"])),
-        st.sampled_from(["skew", "bernoulli", "lucas", "fibonacci", "laguerre:x=2/5", "stirling_row:p=4"]),
+    case=st.one_of(
+        st.builds(
+            lambda p, a: (f"harmonic:p={p},alpha={a}", SeqSpec("harmonic_p", {"p": Fraction(p), "alpha": a})),
+            st.integers(min_value=1, max_value=48),
+            rats,
+        ),
+        st.builds(lambda b: (f"powers:base={b}", SeqSpec("powers", {"base": b})), rats),
+        st.builds(
+            lambda k, d: (f"{k}:doubled={d}", SeqSpec(k, {"doubled": Fraction(d == "true")})),
+            st.sampled_from(["fibonacci", "lucas"]),
+            st.sampled_from(["true", "false"]),
+        ),
+        st.sampled_from(
+            [
+                ("skew", SeqSpec("skew")),
+                ("bernoulli", SeqSpec("bernoulli")),
+                ("lucas", SeqSpec("lucas")),
+                ("fibonacci", SeqSpec("fibonacci")),
+                ("laguerre:x=2/5", SeqSpec("laguerre", {"x": Fraction(2, 5)})),
+                ("stirling_row:p=4", SeqSpec("stirling_row", {"p": Fraction(4)})),
+            ]
+        ),
     )
 )
-def test_canonical_spec_text_survives_parsing(text):
-    assert seq_spec_text(parse_seq_spec(text)) == text
+def test_canonical_spec_text_survives_parsing(case):
+    text, spec = case
+    assert parse_seq_spec(text) == spec
 
 
 @SETTINGS
 @given(kind=st.sampled_from(["fibonacci", "lucas"]), doubled=st.one_of(st.sampled_from(["true", "false"]), rats.map(str)))
-def test_accepted_doubled_specs_round_trip(kind, doubled):
+def test_accepted_doubled_specs_parse_to_their_flag(kind, doubled):
+    # only the words true and false are accepted, as 1 and 0
     try:
         spec = parse_seq_spec(f"{kind}:doubled={doubled}")
     except SeqSpecError:
+        assert doubled not in ("true", "false")
         return
-    assert parse_seq_spec(seq_spec_text(spec)) == spec
+    assert spec == SeqSpec(kind, {"doubled": Fraction(doubled == "true")})
 
 
 # --- closed forms evaluated through the results they derive from ---------------

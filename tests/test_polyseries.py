@@ -73,9 +73,9 @@ def test_series_mul_geometric_square():
     g = geometric(1, 12)
     sq = g * g
     assert [sq.coeffs[k] for k in range(13)] == [k + 1 for k in range(13)]
-    one = TruncSeries.one(12)
+    one = TruncSeries([1], 12)
     assert g * one == g
-    assert (g * TruncSeries.zero(12)).coeffs == TruncSeries.zero(12).coeffs
+    assert (g * TruncSeries([], 12)).coeffs == TruncSeries([], 12).coeffs
 
 
 def test_series_min_order_rule():
@@ -92,9 +92,9 @@ def test_series_compose():
     f2 = TruncSeries([0, 0, 1], 5)  # t^2 at order 5
     g = TruncSeries([0, 1, 1], 5)  # t + t^2
     assert f2.compose(g) == TruncSeries([0, 0, 1, 2, 1], 5)
-    assert f.compose(TruncSeries.zero(6)) == TruncSeries([3], 6)
+    assert f.compose(TruncSeries([], 6)) == TruncSeries([3], 6)
     with pytest.raises(CompositionDomainError):
-        f.compose(TruncSeries.one(6))
+        f.compose(TruncSeries([1], 6))
 
 
 def test_series_compose_associative_random():
@@ -108,17 +108,17 @@ def test_series_compose_associative_random():
 
 def test_log_one_minus():
     assert log_one_minus(1, 3) == TruncSeries([0, -1, Fraction(-1, 2), Fraction(-1, 3)])
-    assert log_one_minus(0, 5) == TruncSeries.zero(5)
+    assert log_one_minus(0, 5) == TruncSeries([], 5)
     assert log_one_minus(-1, 2) == TruncSeries([0, 1, Fraction(-1, 2)])
 
 
 def test_geometric():
     assert geometric(2, 2) == TruncSeries([1, 2, 4])
-    assert geometric(0, 7) == TruncSeries.one(7)
+    assert geometric(0, 7) == TruncSeries([1], 7)
     assert geometric(Fraction(1, 3), 2) == TruncSeries([1, Fraction(1, 3), Fraction(1, 9)])
     # the inverse of 1 - c*t
     c = Fraction(5, 4)
-    assert geometric(c, 9) * TruncSeries([1, -c], 9) == TruncSeries.one(9)
+    assert geometric(c, 9) * TruncSeries([1, -c], 9) == TruncSeries([1], 9)
 
 
 def test_generating_function_of_generalized_harmonics():
@@ -139,9 +139,7 @@ def test_traced_methods_stay_in_their_class_bodies():
     assert "compose" in vars(TruncSeries)
 
 
-def test_str_and_json_forms():
+def test_str_forms():
     s = TruncSeries([1, Fraction(-1, 2), 0, Fraction(2, 3)])
     assert str(s) == "1 - 1/2*t + 2/3*t^3"
-    assert s.to_json() == ["1", "-1/2", "0", "2/3"]
     assert str(PolyQ()) == "0"
-    assert PolyQ([0, 1]).to_json() == ["0", "1"]

@@ -16,7 +16,6 @@ from ghn.sequences import (
     lucas,
     materialize,
     parse_seq_spec,
-    seq_spec_text,
     skew_harmonic,
     stirling2,
 )
@@ -146,17 +145,115 @@ def test_materialize_returns_fractions():
         assert all(isinstance(v, Fraction) for v in values)
 
 
-def test_spec_text_round_trip():
-    for text in (
-        "harmonic:p=2,alpha=1/3",
-        "laguerre:x=2/5",
-        "fibonacci:doubled=true",
-        "powers:base=-2",
-        "stirling_row:p=4",
-        "skew",
+def test_spec_text_parses_to_its_spec():
+    for text, spec in (
+        ("harmonic:p=2,alpha=1/3", SeqSpec("harmonic_p", {"p": Fraction(2), "alpha": Fraction(1, 3)})),
+        ("harmonic_p:alpha=-7/2", SeqSpec("harmonic_p", {"alpha": Fraction(-7, 2)})),
+        ("laguerre:x=2/5", SeqSpec("laguerre", {"x": Fraction(2, 5)})),
+        ("fibonacci:doubled=true", SeqSpec("fibonacci", {"doubled": Fraction(1)})),
+        ("lucas:doubled=false", SeqSpec("lucas", {"doubled": Fraction(0)})),
+        ("powers:base=-2", SeqSpec("powers", {"base": Fraction(-2)})),
+        ("stirling_row:p=4", SeqSpec("stirling_row", {"p": Fraction(4)})),
+        ("skew", SeqSpec("skew")),
+        ("bernoulli", SeqSpec("bernoulli")),
     ):
-        spec = parse_seq_spec(text)
-        assert parse_seq_spec(seq_spec_text(spec)) == spec
+        assert parse_seq_spec(text) == spec
+
+
+def test_whitespace_around_a_kind_is_ignored():
+    spec = SeqSpec("harmonic_p", {"p": Fraction(1)})
+    for text in ("harmonic : p=1", "harmonic:p = 1", " harmonic_p\t:p=1 ", "harmonic:p=1"):
+        assert parse_seq_spec(text) == spec
+    assert parse_seq_spec(" skew ") == SeqSpec("skew")
+    assert materialize(parse_seq_spec("harmonic : p=1"), 6) == materialize(parse_seq_spec("harmonic:p = 1"), 6)
+
+
+KINDS = ["bernoulli", "fibonacci", "harmonic_p", "laguerre", "lucas", "powers", "skew", "stirling_row"]
+KNOWN_KINDS = "['bernoulli', 'fibonacci', 'harmonic_p', 'laguerre', 'lucas', 'powers', 'skew', 'stirling_row']"
+
+
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("nosuch", {}, f"unknown sequence kind 'nosuch'; known: {KNOWN_KINDS}"),
+        ("harmonic", {}, f"unknown sequence kind 'harmonic'; known: {KNOWN_KINDS}"),  # the alias is text-only
+        ("fibonacci", {"x": 1}, "fibonacci does not take parameters ['x']"),
+        ("skew", {"p": 1, "alpha": 1}, "skew does not take parameters ['alpha', 'p']"),
+        ("bernoulli", {"doubled": 1}, "bernoulli does not take parameters ['doubled']"),
+        ("harmonic_p", {"x": 1}, "harmonic_p does not take parameters ['x']"),
+        ("laguerre", {}, "laguerre requires parameters ['x']"),
+        ("stirling_row", {}, "stirling_row requires parameters ['p']"),
+        ("powers", {}, "powers requires parameters ['base']"),
+        ("harmonic_p", {"p": Fraction(3, 2)}, "harmonic_p requires integer p >= 1"),
+        ("harmonic_p", {"p": Fraction(97, 2)}, "harmonic_p requires integer p >= 1"),
+        ("harmonic_p", {"p": Fraction(0)}, "harmonic_p requires integer p >= 1"),
+        ("harmonic_p", {"p": Fraction(-3)}, "harmonic_p requires integer p >= 1"),
+        ("stirling_row", {"p": Fraction(1, 2)}, "stirling_row requires integer p >= 0"),
+        ("stirling_row", {"p": Fraction(361, 2)}, "stirling_row requires integer p >= 0"),
+        ("stirling_row", {"p": Fraction(-1)}, "stirling_row requires integer p >= 0"),
+        ("harmonic_p", {"p": Fraction(49)}, "harmonic_p p=49 is out of range: must be at most 48"),
+        ("stirling_row", {"p": Fraction(181)}, "stirling_row p=181 is out of range: must be at most 180"),
+        ("fibonacci", {"doubled": Fraction(7)}, "fibonacci doubled must be 0 or 1 (false or true)"),
+        ("lucas", {"doubled": Fraction(1, 2)}, "lucas doubled must be 0 or 1 (false or true)"),
+    ],
+)
+def test_spec_validation_messages(kind, params, message):
+    with pytest.raises(SeqSpecError) as exc:
+        SeqSpec(kind, params)
+    assert str(exc.value) == message
+
+
+def test_spec_text_validation_messages():
+    cases = {
+        "nosuch:p=1": f"unknown sequence kind 'nosuch'; known: {KNOWN_KINDS}",
+        "harmonic:p=49": "harmonic_p p=49 is out of range: must be at most 48",
+        "harmonic:p=1/2": "harmonic_p requires integer p >= 1",
+        "stirling_row:p=181": "stirling_row p=181 is out of range: must be at most 180",
+        "stirling_row": "stirling_row requires parameters ['p']",
+        "fibonacci:doubled=7": "doubled must be true or false, got '7'",
+    }
+    for text, message in cases.items():
+        with pytest.raises(SeqSpecError) as exc:
+            parse_seq_spec(text)
+        assert str(exc.value) == message
+    # the caps themselves are accepted
+    assert materialize(parse_seq_spec("harmonic:p=48"), 1) == [0, 1]
+    assert materialize(parse_seq_spec("stirling_row:p=180"), 1) == [0, 1]
+
+
+def _direct_cases():
+    """(spec, terms(k_max) from the generator called directly) for every kind over a small grid."""
+    for p in (1, 2, 3, 48):
+        for alpha in (Fraction(1), Fraction(-1, 3), Fraction(2)):
+            spec = SeqSpec("harmonic_p", {"p": Fraction(p), "alpha": alpha})
+            yield spec, lambda n, p=p, alpha=alpha: harmonic_table(n, p, alpha)
+    yield SeqSpec("harmonic_p"), lambda n: harmonic_table(n, 1, 1)
+    yield SeqSpec("harmonic_p", {"p": Fraction(2)}), lambda n: harmonic_table(n, 2, 1)
+    yield SeqSpec("harmonic_p", {"alpha": Fraction(1, 2)}), lambda n: harmonic_table(n, 1, Fraction(1, 2))
+    yield SeqSpec("skew"), lambda n: [skew_harmonic(k) for k in range(n + 1)]
+    for kind, gen in (("fibonacci", fibonacci), ("lucas", lucas)):
+        yield SeqSpec(kind), lambda n, gen=gen: [gen(k) for k in range(n + 1)]
+        yield SeqSpec(kind, {"doubled": Fraction(0)}), lambda n, gen=gen: [gen(k) for k in range(n + 1)]
+        yield SeqSpec(kind, {"doubled": Fraction(1)}), lambda n, gen=gen: [gen(2 * k) for k in range(n + 1)]
+    yield SeqSpec("bernoulli"), lambda n: [bernoulli(k) for k in range(n + 1)]
+    for x in (Fraction(-2, 3), Fraction(0), Fraction(1, 2), Fraction(3)):
+        yield SeqSpec("laguerre", {"x": x}), lambda n, x=x: [laguerre(k, x) for k in range(n + 1)]
+    for p in (0, 1, 4, 9, 180):
+        yield SeqSpec("stirling_row", {"p": Fraction(p)}), lambda n, p=p: [stirling2(p, j) for j in range(n + 1)]
+    for base in (Fraction(-2), Fraction(0), Fraction(1, 3), Fraction(5)):
+        yield SeqSpec("powers", {"base": base}), lambda n, base=base: [base**k for k in range(n + 1)]
+
+
+def test_materialize_equals_each_generator():
+    cases = list(_direct_cases())
+    assert sorted({spec.kind for spec, _ in cases}) == KINDS
+    for spec, direct in cases:
+        for n_max in range(13):
+            terms = materialize(spec, n_max)
+            assert terms == direct(n_max), (spec, n_max)
+            assert all(type(t) is Fraction for t in terms)
+    with pytest.raises(ValueError):
+        materialize(SeqSpec("skew"), -1)
 
 
 def test_bad_specs_rejected():

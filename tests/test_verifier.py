@@ -10,7 +10,8 @@ import pytest
 from ghn.errors import DomainError
 from ghn.exact import shared_run
 from ghn.polyseries import PolyQ, harmonic_poly
-from ghn.registry import build_registry
+from ghn.registry import THM33_SEQS, _thm33_clib, build_registry
+from ghn.sequences import bernoulli, fibonacci, harmonic, laguerre, lucas
 from ghn.verifier import (
     ASSERT,
     CERTIFY_N,
@@ -515,6 +516,43 @@ def test_run_suite_filter_and_determinism():
     r2 = run_suite("pan*", n_max=8, seed=7)
     assert r1.to_json() == r2.to_json()
     assert json.loads(r1.to_json())["suite"] == "ghn:pan*"
+
+
+def test_run_suite_matching_nothing_returns_an_empty_report():
+    # the library keeps an empty report; only the command line calls it a usage error
+    report = run_suite("hocky*", n_max=3, seed=42)
+    assert report.results == [] and not report.has_assert_failure()
+    assert json.loads(report.to_json())["entries"] == []
+
+
+def test_thm33_named_rows_equal_their_generators():
+    ks = range(21)
+    direct = {
+        "ones": [1 for k in ks],
+        "identity": list(ks),
+        "squares": [k * k for k in ks],
+        "fib": [fibonacci(k) for k in ks],
+        "fib2": [fibonacci(2 * k) for k in ks],
+        "lucas": [lucas(k) for k in ks],
+        "lucas2": [lucas(2 * k) for k in ks],
+        "bernoulli-alt": [(-1) ** k * bernoulli(k) for k in ks],
+        "laguerre-half": [laguerre(k, Fraction(1, 2)) for k in ks],
+        "harm-alt": [-((-1) ** k) * harmonic(k) for k in ks],
+    }
+    rows = _thm33_clib(20, 42)
+    assert len(rows) == len(THM33_SEQS) == 13
+    for name, row in zip(THM33_SEQS, rows):
+        assert len(row) == 21 and all(type(c) is Fraction for c in row)
+        if name in direct:
+            assert list(row) == direct[name], name
+    assert THM33_SEQS[len(direct):] == ["random-0", "random-1", "random-2"]
+    assert rows[len(direct):] == _thm33_clib(20, 42)[len(direct):] != _thm33_clib(20, 7)[len(direct):]
+    legend = (
+        "seq: 0=ones, 1=identity, 2=squares, 3=fib, 4=fib2, 5=lucas, 6=lucas2, 7=bernoulli-alt, "
+        "8=laguerre-half, 9=harm-alt, 10=random-0, 11=random-1, 12=random-2"
+    )
+    notes = {e.id: e.note for e in build_registry(2, 42)}
+    assert notes["thm3.3-eqnnew8"].endswith(legend) and notes["thm3.3-nabla"] == legend
 
 
 def test_report_json_schema():
