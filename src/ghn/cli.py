@@ -22,7 +22,9 @@ takes --order 1..180, table takes --limit >= 1, and eval takes its integer
 parameters (n, p, j, k) in 0..48.  Sequence specs cap their own p
 (sequences.SeqSpec): harmonic 1..48, stirling_row 0..180.  Every rational,
 an eval or series --param or a spec value, is read by exact.parse_rat, which
-rejects a numerator or denominator of more than 100 digits.
+rejects a numerator or denominator of more than 100 digits.  A value too long
+for Python to print (sys.get_int_max_str_digits()) is a usage error that
+names its field: a compute row by its n, an eval row by its label.
 """
 
 from __future__ import annotations
@@ -145,12 +147,18 @@ READINGS = {
 SERIES_CHECKS = {"pan-lemma": "panequa1-series", "genfunc-alpha": "genfunc-alpha", "genfunc-skew": "genfunc-skew"}
 
 
+def _shown(field: str, value) -> str:
+    """str(value); a value past Python's limit on digits printed is a usage error naming field."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise UsageError(f"{field} has more than {limit} digits; use smaller parameters") from None
+
+
 def cmd_compute(args) -> int:
     spec = parse_seq_spec(args.seq)
-    try:
-        rows = [[str(n), str(v)] for n, v in enumerate(materialize(spec, args.n_max))]
-    except ValueError as exc:  # e.g. a term too long for str()
-        raise UsageError(str(exc)) from exc
+    rows = [[str(n), _shown(f"the value at n={n}", v)] for n, v in enumerate(materialize(spec, args.n_max))]
     _emit_table(args.seq, ["n", "value"], rows, args.format, sys.stdout)
     return 0
 
@@ -167,10 +175,10 @@ def cmd_eval(args) -> int:
         # the closed form's domain check runs before the oracle can divide by zero
         rhs = entry.rhs(*point)
         lhs = entry.lhs(*point)
-        rows = [["lhs", str(lhs)], ["rhs", str(rhs)], ["equal", "true" if lhs == rhs else "false"]]
+        rows = [["lhs", _shown("lhs", lhs)], ["rhs", _shown("rhs", rhs)], ["equal", "true" if lhs == rhs else "false"]]
         if entry.id in READINGS:
             label, other = READINGS[entry.id]
-            rows.append([label, str(entries[other].rhs(*point))])
+            rows.append([label, _shown(label, entries[other].rhs(*point))])
     except (DomainError, OutOfValidityRangeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from exc
     _emit_table(args.id, ["field", "value"], rows, args.format, sys.stdout)

@@ -47,19 +47,19 @@ leave a PolyQ alpha as it is.
 
 Fraction-free kernels: lemma21_rhs, pan_closed_form, thm33_rhs,
 thm33_nabla_rhs and gould_generalized_rhs (like the transforms,
-sanchez_transform, exact.binom_rat and sequences._harmonic_num below them)
-sum integer numerators over one denominator and build one Fraction per value,
-or per part.  lemma21_rhs and pan_closed_form lift their inputs through
-exact.common_denominator; boyadzhiev_ratio_closed, thm33_rhs and
-thm33_nabla_rhs take the numerators of the transform, or of its inverse, from
-transforms._transform_num as they are, so no transform value is reduced to a
-Fraction and lifted again, and thm33_nabla_rhs lifts its (n, alpha) row once,
-inside the memo.  The one per-term Fraction loop left on a graded side is
-generalized_harmonic_relation, which must still take a PolyQ alpha.  Lemma
-2.1's integer body, _lemma21_num, holds the argument checks that lemma21_rhs
-and boyadzhiev_ratio_closed share; with lam = p/q it needs no binomial of a
-rational.  pan_closed_form sums over D^n
-lcm(1..n), D the common denominator of mu+lam, lam+mu*alpha and lam.  The
+sanchez_transform, exact.binom_rat and sequences._harmonic_num below them) sum
+integer numerators over one denominator and build one Fraction per value, or
+per part.  lemma21_rhs lifts its inputs through exact.common_denominator, and
+pan_closed_form lifts mu, lam and alpha itself, in integers;
+boyadzhiev_ratio_closed, thm33_rhs and thm33_nabla_rhs take the numerators of
+the transform, or of its inverse, from transforms._transform_num as they are,
+so no transform value is reduced to a Fraction and lifted again, and
+thm33_nabla_rhs lifts its (n, alpha) row once, inside the memo.  The one
+per-term Fraction loop left on a graded side is generalized_harmonic_relation,
+which must still take a PolyQ alpha.  Lemma 2.1's integer body, _lemma21_num,
+holds the argument checks that lemma21_rhs and boyadzhiev_ratio_closed share;
+with lam = p/q it needs no binomial of a rational.  pan_closed_form sums over
+D^n lcm(1..n), D the product of the denominators of mu, lam and alpha.  The
 Gould sum is one integer kernel, _gould_num, over q^n lcm(1..n) for a = p/q:
 gould_generalized_rhs wraps it in a Fraction, and thm33_rhs dots it with the
 numerators of d_0..d_(n-1), so its Gould part and its 1/(n-m) tail are one
@@ -271,16 +271,23 @@ def pan_closed_form(n: int, mu: RatLike, lam: RatLike, alpha: RatLike) -> Fracti
     With u = lam+mu*alpha, v = lam and s = mu+lam over one denominator D as
     nu/D, nv/D and ns/D, the first form is one integer sum over D^n L, with
     L = lcm(1..n): s^n (H_n(u/s) - H_n(v/s)) = sum_k ns^(n-k) (nu^k - nv^k) (L/k) / (D^n L).
+    The sum is homogeneous of degree n in (nu, nv, ns), so any common D gives
+    the same value: with mu = a/b, lam = c/d and alpha = e/f it takes D = bdf.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return Fraction(0)
     mu, lam, alpha = Fraction(mu), Fraction(lam), Fraction(alpha)
-    s = mu + lam
-    if s == 0:
+    a, b = mu.numerator, mu.denominator
+    c, d = lam.numerator, lam.denominator
+    e, f = alpha.numerator, alpha.denominator
+    ns = (a * d + c * b) * f
+    if ns == 0:
         return lam**n * idi1_rhs(n, alpha)
-    (nu, nv, ns), den = common_denominator([lam + mu * alpha, lam, s])
+    nv = c * b * f
+    nu = nv + a * e * d
+    den = b * d * f
     lcm = math.lcm(*range(1, n + 1))
     total = 0
     upow = vpow = 1

@@ -2,24 +2,42 @@
 
 ``PolyQ`` certifies identities that are polynomial in a parameter by
 coefficient-wise comparison; ``TruncSeries`` proves series identities through
-a chosen order.  Both keep a tuple of ``Fraction`` coefficients and print as
-``"c0 + c1*t + ..."``.  They differ only in their length rule: a ``PolyQ``
-strips trailing zeros and a product keeps every term, while a
-``TruncSeries`` holds exactly order + 1 coefficients and a product keeps the
-smaller operand's order.  Both products, and the Horner steps of
-``TruncSeries.compose``, run the one product loop, ``_convolve``.  A scalar
-(an ``int`` or a ``Fraction``) may stand on either side of a product and of a
-``PolyQ`` sum or difference; no other type may.
+a chosen order.  A ``TruncSeries`` keeps a tuple of ``Fraction`` coefficients.
+A ``PolyQ`` keeps integer numerators over one denominator, in lowest terms,
+so that its sums, products and comparisons build no ``Fraction``; its
+``coeffs`` is the ``Fraction`` view of that form.  Both print as
+``"c0 + c1*t + ..."``.  Their length rules differ: a ``PolyQ`` strips
+trailing zeros and a product keeps every term, while a ``TruncSeries`` holds
+exactly order + 1 coefficients and a product keeps the smaller operand's
+order.  Every product runs the one integer product loop, ``_convolve_num``: a
+``PolyQ`` product passes the numerators it holds, and a ``TruncSeries``
+product and the Horner steps of ``TruncSeries.compose`` go through
+``_convolve``, which lifts each operand over its common denominator.  A
+scalar (an ``int`` or a ``Fraction``) may stand on either side of a product
+and of a ``PolyQ`` sum or difference; no other type may.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CompositionDomainError
 from .exact import RatLike, common_denominator
+
+
+def _convolve_num(a: Sequence[int], b: Sequence[int], size: int) -> list[int]:
+    """The first `size` coefficients of the product of integer vectors a and b."""
+    rb = b[::-1]
+    last = len(b) - 1
+    out = []
+    for j in range(size):
+        # i runs over lo..hi-1, and b_(j-i) is rb[last-j+i]
+        lo, hi = max(0, j - last), min(j, len(a) - 1) + 1
+        out.append(sum(map(operator.mul, a[lo:hi], rb[last - j + lo : last - j + hi])))
+    return out
 
 
 def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], size: int) -> list[Fraction]:
@@ -30,21 +48,18 @@ def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], size: int) -> list[F
     """
     an, da = common_denominator(a[:size])
     bn, db = common_denominator(b[:size])
-    rb = bn[::-1]
-    last = len(bn) - 1
     den = da * db
-    out = []
-    for j in range(size):
-        # i runs over lo..hi-1, and b_(j-i) is rb[last-j+i]
-        lo, hi = max(0, j - last), min(j, len(an) - 1) + 1
-        out.append(Fraction(sum(map(operator.mul, an[lo:hi], rb[last - j + lo : last - j + hi])), den))
-    return out
+    return [Fraction(c, den) for c in _convolve_num(an, bn, size)]
 
 
 class _Coeffs:
-    """A coefficient tuple, c0 first; what PolyQ and TruncSeries share."""
+    """A coefficient tuple, c0 first; what PolyQ and TruncSeries share.
 
-    __slots__ = ("coeffs",)
+    Equality, hashing and negation here read ``coeffs``; PolyQ overrides them
+    on its integer form.
+    """
+
+    __slots__ = ()
 
     coeffs: tuple[Fraction, ...]
 
@@ -77,39 +92,69 @@ class _Coeffs:
 
 
 class PolyQ(_Coeffs):
-    """Dense univariate polynomial over Fraction, stored in canonical form.
+    """Dense univariate polynomial over Q, stored in canonical form.
 
-    The coefficient tuple never has trailing zeros; the zero polynomial is the
-    empty tuple (degree -1).
+    Integer numerators over one denominator: coefficient i is _nums[i] / _den,
+    with _den > 0, gcd(_den, *_nums) == 1 and no trailing zero numerator, so
+    the zero polynomial is ((), 1), of degree -1.  Each operation is integer
+    list work followed by one gcd reduction; ``coeffs`` is the Fraction view of
+    the same form.
     """
 
-    __slots__ = ()
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        # a float or a string is read as Fraction() reads it
+        self._canonize(*common_denominator([c if isinstance(c, RatLike) else Fraction(c) for c in coeffs]))
+
+    def _canonize(self, nums: list[int], den: int) -> "PolyQ":
+        """Set self to nums / den (den > 0): strip trailing zeros, divide out the gcd."""
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        self._nums = tuple(c // g for c in nums) if g > 1 else tuple(nums)
+        self._den = den // g
+        return self
+
+    @classmethod
+    def _of(cls, nums: list[int], den: int) -> "PolyQ":
+        return cls.__new__(cls)._canonize(nums, den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._den) for c in self._nums)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._nums
+
+    def __eq__(self, other) -> bool:
+        return type(other) is PolyQ and self._den == other._den and self._nums == other._nums
+
+    def __hash__(self) -> int:
+        return hash((self._nums, self._den))
+
+    def __neg__(self) -> "PolyQ":
+        return PolyQ._of([-c for c in self._nums], self._den)
 
     def __add__(self, other):
         if isinstance(other, RatLike):
             other = PolyQ([other])
         elif not isinstance(other, PolyQ):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        # over lcm(da, db) = da * (db // g)
+        g = math.gcd(self._den, other._den)
+        fa, fb = other._den // g, self._den // g
+        a = [c * fa for c in self._nums]
+        b = [c * fb for c in other._nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return PolyQ(out)
+            a[i] += c
+        return PolyQ._of(a, self._den * fa)
 
     __radd__ = __add__
 
@@ -118,20 +163,26 @@ class PolyQ(_Coeffs):
 
     def __mul__(self, other):
         if isinstance(other, PolyQ):
-            a, b = self.coeffs, other.coeffs
-            return PolyQ(_convolve(a, b, len(a) + len(b) - 1))
+            a, b = self._nums, other._nums
+            if not a or not b:
+                return PolyQ()
+            return PolyQ._of(_convolve_num(a, b, len(a) + len(b) - 1), self._den * other._den)
         if not isinstance(other, RatLike):
             return NotImplemented
-        return PolyQ(c * other for c in self.coeffs)
+        return PolyQ._of([c * other.numerator for c in self._nums], self._den * other.denominator)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "PolyQ":
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = PolyQ([1])
-        for _ in range(k):
-            out = out * self
+        out, square = PolyQ([1]), self
+        while k:  # by squaring
+            if k & 1:
+                out = out * square
+            k >>= 1
+            if k:
+                square = square * square
         return out
 
     def __call__(self, at: RatLike) -> Fraction:
@@ -143,12 +194,16 @@ class PolyQ(_Coeffs):
 
 
 def harmonic_poly(n: int, p: int = 1) -> PolyQ:
-    """H_n^(p) as a polynomial in alpha: coefficient 1/j^p at degree j."""
+    """H_n^(p) as a polynomial in alpha: coefficient 1/j^p at degree j.
+
+    The numerators are L // j^p over L = lcm(1..n)^p, the lcm of the j^p.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if p < 1:
         raise ValueError("p must be >= 1")
-    return PolyQ([Fraction(0)] + [Fraction(1, j**p) for j in range(1, n + 1)])
+    lcm = math.lcm(*range(1, n + 1)) ** p
+    return PolyQ._of([0] + [lcm // j**p for j in range(1, n + 1)], lcm)
 
 
 class TruncSeries(_Coeffs):
@@ -158,7 +213,7 @@ class TruncSeries(_Coeffs):
     the outer series' order, zero-extending the inner argument as needed.
     """
 
-    __slots__ = ()
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RatLike], order: int | None = None):
         cs = [Fraction(c) for c in coeffs]

@@ -63,6 +63,22 @@ def test_compute_too_long_term_exits_2(capsys):
     assert out == "" and err.startswith("error:") and "digits" in err
 
 
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["compute", "--seq", "powers:base={x}", "--n-max", "180"], "the value at n=44"),
+        (["eval", "--id", "gen-harmonic-relation", "--param", "n=48", "--param", "alpha={x}"], "lhs"),
+    ],
+)
+def test_too_long_value_names_its_field(capsys, args, field):
+    # a value past Python's limit on printed digits is refused by the field that holds
+    # it, not by the Python limit that refuses to print it
+    x = "7" * 100 + "/" + "3" * 99 + "1"
+    code, out, err = run_cli([a.format(x=x) for a in args], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {field} has more than 4300 digits; use smaller parameters\n"
+
+
 def test_compute_spec_with_spaces_around_kind_and_key(capsys):
     outputs = []
     for spec in ("harmonic : p=1", "harmonic:p = 1"):

@@ -230,6 +230,85 @@ def test_polyq_product_after_trailing_cancellation():
     assert (p * q).degree == 1 and _all_fractions((p * q).coeffs)
 
 
+def _plain(cs) -> tuple:
+    """cs as a tuple of Fractions without trailing zeros: a PolyQ's coeffs, computed apart."""
+    out = [Fraction(c) for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _plain_add(a: tuple, b: tuple) -> tuple:
+    return _plain((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(max(len(a), len(b))))
+
+
+def _plain_mul(a: tuple, b: tuple) -> tuple:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _plain(out)
+
+
+@SETTINGS
+@example(a=[Fraction(2, 4), 0], b=[Fraction(1, 2)], s=0, k=0)  # equal, built apart; a zero scalar
+@example(a=[1, Fraction(1, 3)], b=[-1, Fraction(-1, 3)], s=Fraction(-3, 2), k=5)  # p + q == 0
+@given(
+    a=st.lists(edge_rats, max_size=7),
+    b=st.lists(edge_rats, max_size=7),
+    s=edge_rats,
+    k=st.integers(min_value=0, max_value=5),
+)
+def test_polyq_matches_plain_fraction_tuples(a, b, s, k):
+    # every operator on the integer form, against the same operation on Fraction tuples
+    p, q = PolyQ(a), PolyQ(b)
+    pa, pb = _plain(a), _plain(b)
+    neg_pa, fs = tuple(-c for c in pa), (Fraction(s),)
+    cases = {
+        "p": (p, pa),
+        "p + q": (p + q, _plain_add(pa, pb)),
+        "p - q": (p - q, _plain_add(pa, tuple(-c for c in pb))),
+        "-p": (-p, neg_pa),
+        "p + s": (p + s, _plain_add(pa, fs)),
+        "s + p": (s + p, _plain_add(pa, fs)),
+        "p - s": (p - s, _plain_add(pa, (-Fraction(s),))),
+        "s - p": (s - p, _plain_add(neg_pa, fs)),
+        "p * s": (p * s, _plain(c * s for c in pa)),
+        "s * p": (s * p, _plain(c * s for c in pa)),
+        "p * q": (p * q, _plain_mul(pa, pb)),
+        "p ** k": (p**k, functools.reduce(_plain_mul, [pa] * k, (Fraction(1),))),
+        "(p + q) - q": ((p + q) - q, pa),
+    }
+    for name, (poly, plain) in cases.items():
+        assert type(poly) is PolyQ and poly.coeffs == plain and _all_fractions(poly.coeffs), name
+        assert poly.degree == len(plain) - 1 and poly.is_zero() == (not plain), name
+        # canonical: one reduced denominator and no trailing zero, so equal means equal hashes
+        nums, den = poly._nums, poly._den
+        assert den > 0 and math.gcd(den, *nums) == 1 and (not nums or nums[-1] != 0), name
+        assert poly == PolyQ(plain) and hash(poly) == hash(PolyQ(plain)), name
+        assert poly == PolyQ([*plain, 0, Fraction(0)]) and hash(poly) == hash(PolyQ([*plain, 0])), name
+        # the printed forms of the Fraction tuple, as TruncSeries prints its own
+        assert str(poly) == (str(TruncSeries(plain)) if plain else "0"), name
+        assert repr(poly) == f"PolyQ([{', '.join(str(c) for c in plain)}])", name
+    at = Fraction(s)
+    value = p(s)
+    assert value == sum((c * at**i for i, c in enumerate(pa)), Fraction(0)) and type(value) is Fraction
+    assert (PolyQ(a) == PolyQ(b)) == (pa == pb)
+    # a float is no scalar, on either side of any operator
+    x = float(at)
+    for op in (lambda: p + x, lambda: x + p, lambda: p - x, lambda: x - p, lambda: p * x, lambda: x * p):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_polyq_canonical_form_of_equal_inputs():
+    assert PolyQ([Fraction(2, 4), 0]) == PolyQ([Fraction(1, 2)])
+    assert PolyQ([Fraction(2, 4), 0]).coeffs == (Fraction(1, 2),)
+    assert hash(PolyQ([Fraction(1, 3), 0, 0])) == hash(PolyQ([2]) * Fraction(1, 6))
+    assert PolyQ([0, 0])._nums == () and PolyQ([0, 0])._den == 1
+    assert PolyQ([Fraction(3, 4), Fraction(5, 6)])._nums == (9, 10) and PolyQ([Fraction(3, 4), Fraction(5, 6)])._den == 12
+
+
 @SETTINGS
 @given(f=series, g=series, h=inner_series)
 def test_compose_is_a_ring_map(f, g, h):
@@ -424,7 +503,34 @@ def test_pan_closed_form_matches_direct_sum(n, mu, lam, alpha, branch):
         alpha = -lam / mu
     plain = sum((math.comb(n, k) * mu**k * lam ** (n - k) * _h(k, alpha) for k in range(n + 1)), Fraction(0))
     value = pan_closed_form(n, mu, lam, alpha)
-    assert value == plain and type(value) is Fraction
+    assert value == plain == _pan_lifted_by_fractions(n, mu, lam, alpha) and type(value) is Fraction
+
+
+def _pan_lifted_by_fractions(n, mu, lam, alpha) -> Fraction:
+    """pan_closed_form with its inputs lifted as it lifted them before: Fraction sums over their lcm."""
+    if n == 0:
+        return Fraction(0)
+    mu, lam, alpha = Fraction(mu), Fraction(lam), Fraction(alpha)
+    if mu + lam == 0:
+        return lam**n * ((1 - alpha) ** n - 1) / n
+    values = [lam + mu * alpha, lam, mu + lam]
+    den = math.lcm(*[v.denominator for v in values])
+    nu, nv, ns = (v.numerator * (den // v.denominator) for v in values)
+    lcm = math.lcm(*range(1, n + 1))
+    total = 0
+    for k in range(1, n + 1):
+        total = total * ns + (nu**k - nv**k) * (lcm // k)
+    return Fraction(total, den**n * lcm)
+
+
+def test_pan_closed_form_equals_the_fraction_lift_on_the_grid():
+    # every pan-thm3.2 cell at n_max 20, seed 42 (n >= 1, 500 of them with mu + lam = 0), and n = 0
+    cells = next(e for e in build_registry(20, 42) if e.id == "pan-thm3.2").cells
+    assert any(c["mu"] + c["lambda"] == 0 for c in cells)
+    for c in cells:
+        args = (c["n"], c["mu"], c["lambda"], c["alpha"])
+        assert pan_closed_form(*args) == _pan_lifted_by_fractions(*args), c
+    assert pan_closed_form(0, Fraction(2, 3), Fraction(-2, 3), 5) == _pan_lifted_by_fractions(0, 1, 2, 3) == 0
 
 
 @SETTINGS

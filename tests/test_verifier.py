@@ -213,6 +213,42 @@ def test_certify_proves_the_graded_closed_forms_beyond_the_grid(monkeypatch):
     monkeypatch.setattr(registry_mod, "idi1_rhs", alternating_27)
     entries = {e.id: e for e in build_registry(20, 42)}
     assert {i: run_entry(entries[i]).tier for i in CERTIFIABLE} == dict.fromkeys(CERTIFIABLE, HOLDS_ON_GRID)
+    # each hook's right side off at n = 36 alone, in its constant or its top coefficient:
+    # certify(36) must fail and certify(35) still pass
+    for bump in (lambda alpha: 1, lambda alpha: alpha**36 * Fraction(1, 10**9)):
+        monkeypatch.setattr(registry_mod, "generalized_harmonic_relation",
+                            lambda n, alpha: relation(n, alpha) + (bump(alpha) if n == 36 else 0))
+        monkeypatch.setattr(registry_mod, "idi1_rhs", lambda n, alpha: alternating(n, alpha) + (bump(alpha) if n == 36 else 0))
+        assert {i: (entries[i].certify(35), entries[i].certify(36)) for i in CERTIFIABLE} == dict.fromkeys(
+            CERTIFIABLE, (True, False)
+        )
+
+
+def test_certify_hooks_reach_the_kernels_the_benchmark_traces(monkeypatch):
+    # bench/tracing.py wraps PolyQ.__mul__ and __rmul__ by name in the class body, and
+    # the series-certify trace gates need nonzero polyseries.PolyQ.mul and
+    # polyseries.harmonic_poly counts from its certify calls.  The change to the
+    # benchmark that redefines series-certify and retires Q[alpha] (ROADMAP item 1)
+    # removes this test.
+    assert {"__mul__", "__rmul__"} <= set(vars(PolyQ))
+    counts = dict.fromkeys(("mul", "harmonic_poly"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for attr in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(PolyQ, attr, counted("mul", vars(PolyQ)[attr]))
+    assert "ghn.registry.harmonic_poly" in _rebind(monkeypatch, harmonic_poly, counted("harmonic_poly", harmonic_poly))
+    entries = [e for e in build_registry(6, 42) if e.certify is not None]
+    assert [e.id for e in entries] == CERTIFIABLE
+    for entry in entries:
+        counts.update(mul=0, harmonic_poly=0)
+        assert entry.certify(4) is True
+        assert counts["mul"] > 0 and counts["harmonic_poly"] > 0, (entry.id, counts)
 
 
 def _rebind(monkeypatch, real, replacement):
@@ -248,12 +284,27 @@ def test_faulty_lifting_helper_fails_the_closed_forms(monkeypatch):
     for entry_id in (
         "thm2.3-general",
         "lemma2.1-coherence",
-        "pan-thm3.2",
         "thm3.3-eqnnew8",
         "thm3.3-nabla",
         "sanchez-transform",
         "as-newcoffey",
     ):
+        assert run_entry(entries[entry_id]).tier == "FAILS", entry_id
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("nv = c * b * f", "nv = c * d * f"), ("nu = nv + a * e * d", "nu = nv + a * e * b"), ("den = b * d * f", "den = b * d")],
+)
+def test_wrong_lift_in_pan_fails_its_entries(monkeypatch, old, new):
+    # pan_closed_form lifts mu, lam and alpha over bdf itself; a wrong share of that
+    # denominator must fail Theorem 3.2 and the newcoffey row that reads Pan's values
+    from ghn import closed_forms
+
+    mutated = _mutated(closed_forms.pan_closed_form, old, new)
+    assert "ghn.closed_forms.pan_closed_form" in _rebind(monkeypatch, closed_forms.pan_closed_form, mutated)
+    entries = {e.id: e for e in build_registry(6, 42)}
+    for entry_id in ("pan-thm3.2", "as-newcoffey"):
         assert run_entry(entries[entry_id]).tier == "FAILS", entry_id
 
 
