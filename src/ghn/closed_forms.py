@@ -54,12 +54,14 @@ pan_closed_form lifts mu, lam and alpha itself, in integers;
 boyadzhiev_ratio_closed, thm33_rhs and thm33_nabla_rhs take the numerators of
 the transform, or of its inverse, from transforms._transform_num as they are,
 so no transform value is reduced to a Fraction and lifted again, and
-thm33_nabla_rhs lifts its (n, alpha) row once, inside the memo.  The one
-per-term Fraction loop left on a graded side is generalized_harmonic_relation,
-which must still take a PolyQ alpha.  Lemma 2.1's integer body, _lemma21_num,
-holds the argument checks that lemma21_rhs and boyadzhiev_ratio_closed share;
-with lam = p/q it needs no binomial of a rational.  pan_closed_form sums over
-D^n lcm(1..n), D the product of the denominators of mu, lam and alpha.  The
+thm33_nabla_rhs lifts its (n, alpha) row once, inside the memo.  Three
+per-term Fraction loops are left on graded sides:
+generalized_harmonic_relation, which must still take a PolyQ alpha,
+lambda1_case_rhs's sum of transform values and as_zneg1_alpha1_closed's tail.
+Lemma 2.1's integer body, _lemma21_num, holds the argument checks that
+lemma21_rhs and boyadzhiev_ratio_closed share; with lam = p/q it needs no
+binomial of a rational.  pan_closed_form sums over D^n lcm(1..n), D the
+product of the denominators of mu, lam and alpha.  The
 Gould sum is one integer kernel, _gould_num, over q^n lcm(1..n) for a = p/q:
 gould_generalized_rhs wraps it in a Fraction, and thm33_rhs dots it with the
 numerators of d_0..d_(n-1), so its Gould part and its 1/(n-m) tail are one

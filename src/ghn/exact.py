@@ -70,7 +70,10 @@ def common_denominator(values: Iterable[RatLike]) -> tuple[list[int], int]:
     Returns (nums, den) with values[i] == Fraction(nums[i], den); den is 1 for
     no values or ints only, and any other value (a float) raises TypeError.
     The closed-form kernels sum these numerators and build one Fraction per
-    output; no oracle calls this.
+    output.  The PolyQ and TruncSeries constructors lift through it too, so
+    the series oracles pan_lemma_series and harmonic_genfunc reach it; the
+    other side of each of their rows (harmonic_table, binomial_oracle) does
+    not, so a fault here still cannot hide.
     """
     values = list(values)
     try:

@@ -2,19 +2,18 @@
 
 ``PolyQ`` certifies identities that are polynomial in a parameter by
 coefficient-wise comparison; ``TruncSeries`` proves series identities through
-a chosen order.  A ``TruncSeries`` keeps a tuple of ``Fraction`` coefficients.
-A ``PolyQ`` keeps integer numerators over one denominator, in lowest terms,
-so that its sums, products and comparisons build no ``Fraction``; its
-``coeffs`` is the ``Fraction`` view of that form.  Both print as
-``"c0 + c1*t + ..."``.  Their length rules differ: a ``PolyQ`` strips
-trailing zeros and a product keeps every term, while a ``TruncSeries`` holds
-exactly order + 1 coefficients and a product keeps the smaller operand's
-order.  Every product runs the one integer product loop, ``_convolve_num``: a
-``PolyQ`` product passes the numerators it holds, and a ``TruncSeries``
-product and the Horner steps of ``TruncSeries.compose`` go through
-``_convolve``, which lifts each operand over its common denominator.  A
-scalar (an ``int`` or a ``Fraction``) may stand on either side of a product
-and of a ``PolyQ`` sum or difference; no other type may.
+a chosen order.  Both keep one form: integer numerators over one denominator,
+in lowest terms, so that their sums, products, compositions and comparisons
+build no ``Fraction``; ``coeffs`` is the ``Fraction`` view of that form.
+Both print as ``"c0 + c1*t + ..."``.  Their length rules differ: a ``PolyQ``
+strips trailing zeros and a product keeps every term, while a ``TruncSeries``
+holds exactly order + 1 coefficients and a product keeps the smaller
+operand's order.  Every product runs the one integer product loop,
+``_convolve_num``, on the numerators the operands hold, and so does each
+Horner step of ``TruncSeries.compose``.  A scalar (an ``int`` or a
+``Fraction``) may stand on either side of a product and of a ``PolyQ`` sum or
+difference; no other type may, and a coefficient that is not an ``int`` or a
+``Fraction`` (a float, a string) raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .errors import CompositionDomainError
@@ -40,40 +40,67 @@ def _convolve_num(a: Sequence[int], b: Sequence[int], size: int) -> list[int]:
     return out
 
 
-def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], size: int) -> list[Fraction]:
-    """The first `size` coefficients of the product of coefficient vectors a and b.
-
-    Convolves the integer numerators of a and b, each over its own common
-    denominator, and divides once by the product of the two.
-    """
-    an, da = common_denominator(a[:size])
-    bn, db = common_denominator(b[:size])
-    den = da * db
-    return [Fraction(c, den) for c in _convolve_num(an, bn, size)]
-
-
 class _Coeffs:
-    """A coefficient tuple, c0 first; what PolyQ and TruncSeries share.
+    """Coefficients c0, c1, ... as integer numerators over one denominator.
 
-    Equality, hashing and negation here read ``coeffs``; PolyQ overrides them
-    on its integer form.
+    Coefficient i is _nums[i] / _den, with _den > 0 and gcd(_den, *_nums) == 1,
+    so equal values have equal (_nums, _den) and equal hashes.  Every operation
+    is integer list work followed by one gcd reduction, in _of; ``coeffs`` is
+    the Fraction view of the same form.  A PolyQ also drops trailing zero
+    numerators there (its ``_strip``), so the zero polynomial is ((), 1); a
+    TruncSeries keeps exactly order + 1 of them.
     """
 
-    __slots__ = ()
+    __slots__ = ("_nums", "_den")
+    # PolyQ sets it; tested here rather than in an override of _of, so that no
+    # operation makes a second call
+    _strip = False
 
-    coeffs: tuple[Fraction, ...]
+    @classmethod
+    def _of(cls, nums: list[int], den: int):
+        """A new cls holding nums / den (den > 0), in canonical form."""
+        if cls._strip:
+            while nums and not nums[-1]:
+                nums.pop()
+        # the top numerator first: a series' largest denominators sit there, so
+        # the running gcd falls at once and the rest are cheap
+        g = math.gcd(den, nums[-1], *nums) if nums else den
+        self = object.__new__(cls)  # cls.__new__ takes coefficients
+        self._nums = tuple(c // g for c in nums) if g > 1 else tuple(nums)
+        self._den = den // g
+        return self
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._den) for c in self._nums)
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__, which takes the coefficients
+        return (self.coeffs,)
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._nums, self._den))
 
     def __neg__(self):
-        return type(self)([-c for c in self.coeffs])
+        return self._of([-c for c in self._nums], self._den)
 
     def __sub__(self, other):
         return self.__add__(-other)
+
+    def _sum(self, other, size: int | None):
+        """self + other through `size` numerators (None: all of them)."""
+        # over lcm(da, db) = da * (db // g)
+        g = math.gcd(self._den, other._den)
+        fa, fb = other._den // g, self._den // g
+        pairs = zip_longest(self._nums[:size], other._nums[:size], fillvalue=0)
+        return self._of([x * fa + y * fb for x, y in pairs], self._den * fa)
+
+    def _scaled(self, s: RatLike):
+        """self times the scalar s."""
+        return self._of([c * s.numerator for c in self._nums], self._den * s.denominator)
 
     def __str__(self) -> str:
         terms = []
@@ -92,37 +119,16 @@ class _Coeffs:
 
 
 class PolyQ(_Coeffs):
-    """Dense univariate polynomial over Q, stored in canonical form.
+    """Dense univariate polynomial over Q, with no trailing zero coefficient.
 
-    Integer numerators over one denominator: coefficient i is _nums[i] / _den,
-    with _den > 0, gcd(_den, *_nums) == 1 and no trailing zero numerator, so
-    the zero polynomial is ((), 1), of degree -1.  Each operation is integer
-    list work followed by one gcd reduction; ``coeffs`` is the Fraction view of
-    the same form.
+    The zero polynomial has degree -1, and a product keeps every term.
     """
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ()
+    _strip = True
 
-    def __init__(self, coeffs: Iterable[RatLike] = ()):
-        # a float or a string is read as Fraction() reads it
-        self._canonize(*common_denominator([c if isinstance(c, RatLike) else Fraction(c) for c in coeffs]))
-
-    def _canonize(self, nums: list[int], den: int) -> "PolyQ":
-        """Set self to nums / den (den > 0): strip trailing zeros, divide out the gcd."""
-        while nums and not nums[-1]:
-            nums.pop()
-        g = math.gcd(den, *nums)
-        self._nums = tuple(c // g for c in nums) if g > 1 else tuple(nums)
-        self._den = den // g
-        return self
-
-    @classmethod
-    def _of(cls, nums: list[int], den: int) -> "PolyQ":
-        return cls.__new__(cls)._canonize(nums, den)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self._den) for c in self._nums)
+    def __new__(cls, coeffs: Iterable[RatLike] = ()):
+        return cls._of(*common_denominator(coeffs))
 
     @property
     def degree(self) -> int:
@@ -131,30 +137,12 @@ class PolyQ(_Coeffs):
     def is_zero(self) -> bool:
         return not self._nums
 
-    def __eq__(self, other) -> bool:
-        return type(other) is PolyQ and self._den == other._den and self._nums == other._nums
-
-    def __hash__(self) -> int:
-        return hash((self._nums, self._den))
-
-    def __neg__(self) -> "PolyQ":
-        return PolyQ._of([-c for c in self._nums], self._den)
-
     def __add__(self, other):
         if isinstance(other, RatLike):
             other = PolyQ([other])
         elif not isinstance(other, PolyQ):
             return NotImplemented
-        # over lcm(da, db) = da * (db // g)
-        g = math.gcd(self._den, other._den)
-        fa, fb = other._den // g, self._den // g
-        a = [c * fa for c in self._nums]
-        b = [c * fb for c in other._nums]
-        if len(a) < len(b):
-            a, b = b, a
-        for i, c in enumerate(b):
-            a[i] += c
-        return PolyQ._of(a, self._den * fa)
+        return self._sum(other, None)
 
     __radd__ = __add__
 
@@ -169,7 +157,7 @@ class PolyQ(_Coeffs):
             return PolyQ._of(_convolve_num(a, b, len(a) + len(b) - 1), self._den * other._den)
         if not isinstance(other, RatLike):
             return NotImplemented
-        return PolyQ._of([c * other.numerator for c in self._nums], self._den * other.denominator)
+        return self._scaled(other)
 
     __rmul__ = __mul__
 
@@ -207,55 +195,65 @@ def harmonic_poly(n: int, p: int = 1) -> PolyQ:
 
 
 class TruncSeries(_Coeffs):
-    """Power series over Fraction kept through a fixed order (inclusive).
+    """Power series over Q kept through a fixed order (inclusive).
 
-    Binary operations truncate to the smaller operand order; composition keeps
-    the outer series' order, zero-extending the inner argument as needed.
+    It holds exactly order + 1 numerators.  Binary operations truncate to the
+    smaller operand order; composition keeps the outer series' order,
+    zero-extending the inner argument as needed.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Iterable[RatLike], order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+    def __new__(cls, coeffs: Iterable[RatLike], order: int | None = None):
+        nums, den = common_denominator(coeffs)
         if order is not None:
             if order < 0:
                 raise ValueError("order must be >= 0")
-            cs = cs[: order + 1] + [Fraction(0)] * (order + 1 - len(cs))
-        elif not cs:
+            nums = nums[: order + 1] + [0] * (order + 1 - len(nums))
+        elif not nums:
             raise ValueError("an empty coefficient list needs an explicit order")
-        self.coeffs = tuple(cs)
+        return cls._of(nums, den)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return TruncSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
+        return self._sum(other, min(len(self._nums), len(other._nums)))
 
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
-            return TruncSeries(_convolve(self.coeffs, other.coeffs, min(self.order, other.order) + 1))
+            size = min(len(self._nums), len(other._nums))
+            return TruncSeries._of(_convolve_num(self._nums, other._nums, size), self._den * other._den)
         if not isinstance(other, RatLike):
             return NotImplemented
-        return TruncSeries([c * other for c in self.coeffs])
+        return self._scaled(other)
 
     __rmul__ = __mul__
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """self(inner), by Horner; inner must have zero constant term."""
+        """self(inner), by Horner in integers; inner must have zero constant term.
+
+        With self = s / S and inner = q / d, the accumulator is acc / (S e).  A
+        step multiplies it by q / d and adds s_i / S = s_i e d / (S e d), then
+        divides acc and e by their gcd.
+        """
         if not isinstance(inner, TruncSeries):
             raise TypeError("compose expects a TruncSeries")
-        if inner.coeffs[0] != 0:
+        if inner._nums[0]:
             raise CompositionDomainError("inner series must have zero constant term")
-        size = len(self.coeffs)
-        acc = [self.coeffs[-1]]
-        for c in reversed(self.coeffs[:-1]):
-            acc = _convolve(acc, inner.coeffs, size)
-            acc[0] += c
-        return TruncSeries(acc, size - 1)
+        s, size = self._nums, len(self._nums)
+        q, d = inner._nums[:size], inner._den
+        acc, e = [s[-1]], 1
+        for c in reversed(s[:-1]):
+            acc = _convolve_num(acc, q, size)
+            e *= d
+            acc[0] += c * e
+            g = math.gcd(e, *acc)
+            acc, e = [a // g for a in acc], e // g
+        return TruncSeries._of(acc, self._den * e)
 
 
 def log_one_minus(c: RatLike, order: int) -> TruncSeries:

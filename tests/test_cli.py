@@ -2,7 +2,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,32 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Loads ghn in a fresh interpreter, runs a suite, a series check and an eval, and
+# prints the top-level modules that this loaded beyond ghn and the standard library.
+_LOADED_OUTSIDE_STDLIB = """
+import sys
+before = set(sys.modules)
+import ghn, ghn.cli
+ghn.run_suite("hockey*", 3, 1).to_json()
+codes = [ghn.cli.main(argv) for argv in (
+    ["series", "--check", "genfunc-alpha", "--order", "7", "--param", "alpha=1/3"],
+    ["eval", "--id", "hockey-stick", "--param", "n=3", "--param", "x=1/2"],
+)]
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"ghn"}), codes)
+"""
+
+
+def test_runtime_loads_only_the_standard_library():
+    # the tests import hypothesis and sympy themselves, so only a fresh
+    # interpreter shows that the runtime stays stdlib-only
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_OUTSIDE_STDLIB], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] [0, 0]"
 
 
 def test_compute_harmonic_table(capsys):

@@ -30,8 +30,8 @@ from ghn.closed_forms import (  # noqa: E402
     thm33_rhs,
 )
 from ghn.errors import DomainError, OutOfValidityRangeError, SeqSpecError  # noqa: E402
-from ghn.exact import binom_rat, hockey_stick_sum, shared_run  # noqa: E402
-from ghn.polyseries import PolyQ, TruncSeries, _convolve  # noqa: E402
+from ghn.exact import binom_rat, common_denominator, hockey_stick_sum, shared_run  # noqa: E402
+from ghn.polyseries import PolyQ, TruncSeries, _convolve_num  # noqa: E402
 from ghn.registry import _gould_oracle, _ratio_oracle, _thm33_clib, build_registry, declare  # noqa: E402
 from ghn.sequences import (  # noqa: E402
     SeqSpec,
@@ -210,15 +210,17 @@ def test_products_match_sympy(a, b):
     expected = [_frac(product.coeff(t, k)) for k in range(len(a) + len(b) - 1)]
     assert PolyQ(a) * PolyQ(b) == PolyQ(expected)
     assert TruncSeries(a) * TruncSeries(b) == TruncSeries(expected[: min(len(a), len(b))])
-    # the product loop itself, against a plain Fraction loop, with zeros kept
+    # the integer product loop itself, on the numerators of a and b, against a plain
+    # loop, with zeros kept: inside, at and past the full product length
+    an, _ = common_denominator(a)
+    bn, _ = common_denominator(b)
     size = len(a) + len(b) - 1
-    plain = [Fraction(0)] * size
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            plain[i + j] += Fraction(x) * y
-    for cut in (size, min(len(a), len(b))):
-        out = _convolve(a, b, cut)
-        assert out == plain[:cut] and _all_fractions(out)
+    plain = [0] * (size + 2)
+    for i, x in enumerate(an):
+        for j, y in enumerate(bn):
+            plain[i + j] += x * y
+    for cut in (size, min(len(a), len(b)), size + 2):
+        assert _convolve_num(an, bn, cut) == plain[:cut]
 
 
 def test_polyq_product_after_trailing_cancellation():
@@ -230,37 +232,53 @@ def test_polyq_product_after_trailing_cancellation():
     assert (p * q).degree == 1 and _all_fractions((p * q).coeffs)
 
 
-def _plain(cs) -> tuple:
-    """cs as a tuple of Fractions without trailing zeros: a PolyQ's coeffs, computed apart."""
+def _plain(cs, order: int | None = None) -> tuple:
+    """cs as a tuple of Fractions, computed apart: without trailing zeros, as a
+    PolyQ's coeffs, or cut or zero-padded to order + 1 terms, as a TruncSeries'."""
     out = [Fraction(c) for c in cs]
+    if order is not None:
+        return tuple(out[: order + 1] + [Fraction(0)] * (order + 1 - len(out)))
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
 
 
-def _plain_add(a: tuple, b: tuple) -> tuple:
-    return _plain((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(max(len(a), len(b))))
+def _plain_add(a: tuple, b: tuple, order: int | None = None) -> tuple:
+    return _plain(((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(max(len(a), len(b)))), order)
 
 
-def _plain_mul(a: tuple, b: tuple) -> tuple:
+def _plain_mul(a: tuple, b: tuple, order: int | None = None) -> tuple:
     out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return _plain(out)
+    return _plain(out, order)
+
+
+def _plain_compose(f: tuple, g: tuple) -> tuple:
+    """f(g) through f's order by Horner on Fraction tuples; g has zero constant term."""
+    order = len(f) - 1
+    acc = (f[-1],)
+    for c in reversed(f[:-1]):
+        acc = _plain_mul(acc, g, order)
+        acc = (acc[0] + c, *acc[1:])
+    return _plain(acc, order)
 
 
 @SETTINGS
-@example(a=[Fraction(2, 4), 0], b=[Fraction(1, 2)], s=0, k=0)  # equal, built apart; a zero scalar
-@example(a=[1, Fraction(1, 3)], b=[-1, Fraction(-1, 3)], s=Fraction(-3, 2), k=5)  # p + q == 0
+@example(a=[Fraction(2, 4), 0], b=[Fraction(1, 2)], s=0, k=0, orders=(1, 0))  # equal, built apart; a zero scalar
+@example(a=[1, Fraction(1, 3)], b=[-1, Fraction(-1, 3)], s=Fraction(-3, 2), k=5, orders=(1, 1))  # p + q == 0
+@example(a=[1, 2, 3, 4, 5, 6], b=[0, Fraction(1, 3), Fraction(-2, 5)], s=Fraction(3, 7), k=1, orders=(5, 2))
 @given(
     a=st.lists(edge_rats, max_size=7),
     b=st.lists(edge_rats, max_size=7),
     s=edge_rats,
     k=st.integers(min_value=0, max_value=5),
+    orders=st.tuples(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7)),
 )
-def test_polyq_matches_plain_fraction_tuples(a, b, s, k):
-    # every operator on the integer form, against the same operation on Fraction tuples
+def test_polyq_matches_plain_fraction_tuples(a, b, s, k, orders):
+    # every operator on the integer form of PolyQ and of TruncSeries, against the
+    # same operation on Fraction tuples
     p, q = PolyQ(a), PolyQ(b)
     pa, pb = _plain(a), _plain(b)
     neg_pa, fs = tuple(-c for c in pa), (Fraction(s),)
@@ -294,9 +312,46 @@ def test_polyq_matches_plain_fraction_tuples(a, b, s, k):
     value = p(s)
     assert value == sum((c * at**i for i, c in enumerate(pa)), Fraction(0)) and type(value) is Fraction
     assert (PolyQ(a) == PolyQ(b)) == (pa == pb)
+
+    # TruncSeries: f and g of orders oa and ob, so that a sum or product keeps the
+    # smaller; the inner series h and pan of compose have order ob, lower or higher than f's
+    oa, ob = orders
+    f, g = TruncSeries(a, oa), TruncSeries(b, ob)
+    fa, fb = _plain(a, oa), _plain(b, ob)
+    n = min(oa, ob)
+    ha = _plain([0, *b[1:]], ob)
+    # mu lam^(k-1) at t^k, as pan_lemma_series builds its inner series: mu = s, lam = s + 1/3
+    lam = at + Fraction(1, 3)
+    pan_inner = [0] + [at * lam ** (j - 1) for j in range(1, ob + 1)]
+    series_cases = {
+        "f": (f, fa),
+        "f + g": (f + g, _plain_add(fa, fb, n)),
+        "f - g": (f - g, _plain_add(fa, tuple(-c for c in fb), n)),
+        "-f": (-f, tuple(-c for c in fa)),
+        "f * s": (f * s, tuple(c * s for c in fa)),
+        "s * f": (s * f, tuple(c * s for c in fa)),
+        "f * g": (f * g, _plain_mul(fa, fb, n)),
+        "f(h)": (f.compose(TruncSeries(ha, ob)), _plain_compose(fa, ha)),
+        "f(pan inner)": (f.compose(TruncSeries(pan_inner, ob)), _plain_compose(fa, _plain(pan_inner))),
+        "(f + g) - g": ((f + g) - g, fa[: n + 1]),
+    }
+    for name, (ser, plain) in series_cases.items():
+        assert type(ser) is TruncSeries and ser.coeffs == plain and _all_fractions(ser.coeffs), name
+        # canonical: one reduced denominator over exactly order + 1 numerators
+        nums, den = ser._nums, ser._den
+        assert ser.order == len(plain) - 1 == len(nums) - 1, name
+        assert den > 0 and math.gcd(den, *nums) == 1, name
+        # equal series built apart, from the Fraction tuple and from it without trailing zeros
+        rebuilt = TruncSeries(_plain(plain), ser.order)
+        assert ser == TruncSeries(plain) == rebuilt and hash(ser) == hash(rebuilt), name
+        assert repr(ser) == f"TruncSeries([{', '.join(str(c) for c in plain)}])", name
+
     # a float is no scalar, on either side of any operator
     x = float(at)
-    for op in (lambda: p + x, lambda: x + p, lambda: p - x, lambda: x - p, lambda: p * x, lambda: x * p):
+    for op in (
+        lambda: p + x, lambda: x + p, lambda: p - x, lambda: x - p, lambda: p * x, lambda: x * p,
+        lambda: f * x, lambda: x * f, lambda: f + x,
+    ):
         with pytest.raises(TypeError):
             op()
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 from ghn.errors import CompositionDomainError
 from ghn.polyseries import PolyQ, TruncSeries, geometric, harmonic_poly, log_one_minus
 from ghn.sequences import harmonic, harmonic_p, skew_harmonic
+from ghn.verifier import pan_lemma_series
 
 
 def _rand_rat(rng):
@@ -46,6 +49,22 @@ def test_mixed_operands_are_unsupported(op):
     # a scalar is an int or a Fraction; any other operand is Python's own TypeError
     with pytest.raises(TypeError, match="unsupported operand type"):
         op()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PolyQ([0.1]),
+        lambda: PolyQ([1, "1/3"]),
+        lambda: TruncSeries(["1/3"], 2),
+        lambda: TruncSeries([1, 0.5]),
+        lambda: pan_lemma_series(3, 1, 1, [0.5, 0, 0, 0]),
+    ],
+)
+def test_a_coefficient_that_is_no_int_or_fraction_raises(build):
+    # as everywhere else in ghn, a float or a string term is refused, not read as Fraction() reads it
+    with pytest.raises(TypeError, match="common_denominator takes int and Fraction values"):
+        build()
 
 
 def test_poly_eval_horner():
@@ -137,6 +156,12 @@ def test_traced_methods_stay_in_their_class_bodies():
     for cls in (PolyQ, TruncSeries):
         assert {"__mul__", "__rmul__"} <= set(vars(cls))
     assert "compose" in vars(TruncSeries)
+
+
+def test_copy_and_pickle_round_trip():
+    for value in (PolyQ(), PolyQ([Fraction(1, 2), 3]), TruncSeries([], 4), TruncSeries([1, Fraction(-2, 3), 0], 2)):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value and twin.coeffs == value.coeffs
 
 
 def test_str_forms():

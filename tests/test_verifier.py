@@ -272,14 +272,15 @@ def _rebind_lifting_helper(monkeypatch, replacement):
 
 
 def test_faulty_lifting_helper_fails_the_closed_forms(monkeypatch):
-    # the closed-form kernels lift through common_denominator and their oracles
-    # do not, so a wrong denominator shows as FAILS
+    # the closed-form kernels and the series oracles (pan_lemma_series and
+    # harmonic_genfunc, through TruncSeries) lift through common_denominator, and
+    # the other side of each row does not, so a wrong denominator shows as FAILS
     def doubled(values):
         nums, den = real(values)
         return nums, 2 * den
 
     real, bound = _rebind_lifting_helper(monkeypatch, doubled)
-    assert {"ghn.transforms.common_denominator", "ghn.closed_forms.common_denominator"} <= set(bound)
+    assert {"ghn.transforms.common_denominator", "ghn.closed_forms.common_denominator", "ghn.polyseries.common_denominator"} <= set(bound)
     entries = {e.id: e for e in build_registry(6, 42)}
     for entry_id in (
         "thm2.3-general",
@@ -288,6 +289,10 @@ def test_faulty_lifting_helper_fails_the_closed_forms(monkeypatch):
         "thm3.3-nabla",
         "sanchez-transform",
         "as-newcoffey",
+        "panequa1-series",
+        "genfunc-alpha",
+        "genfunc-harmonic",
+        "genfunc-skew",
     ):
         assert run_entry(entries[entry_id]).tier == "FAILS", entry_id
 
