@@ -37,8 +37,8 @@ Through exact._shared, inside a verifier run they compute once per run
     which every (n, p) with n-p <= m <= n reads.
 The memo holds each sequence it keys, so no id is reused while the run
 lasts, and a side may not mutate a sequence during a run.  Outside a run
-every call computes afresh.  No oracle, no registry side and nothing else
-here reads the memo.
+every call computes afresh.  No oracle here reads the memo; the cache rule is
+in exact.
 
 generalized_harmonic_relation and idi1_rhs also run over Q[alpha]: at alpha =
 verifier.ALPHA they return the PolyQ in alpha that CERTIFIED proves.  So they
@@ -95,7 +95,7 @@ from typing import Sequence
 from .errors import DomainError, OutOfValidityRangeError
 from .exact import RatLike, _shared, binom_int, binom_rat, check_terms, common_denominator
 from .polyseries import PolyQ
-from .sequences import harmonic, harmonic_p, harmonic_table, stirling2
+from .sequences import harmonic, harmonic_p, harmonic_table, stirling2_row
 from .transforms import _transform_num, binomial_transform, sanchez_transform, weighted_nabla
 
 
@@ -406,10 +406,11 @@ def as_zneg1_alpha1_closed(n: int, p: int, as_printed: bool = False) -> Fraction
         raise ValueError("n must be >= 1")
     if p < 1 or p > n:
         raise OutOfValidityRangeError(f"closed form needs 1 <= p <= n, got p={p}, n={n}")
-    lead = (-1) ** n * math.factorial(n) * stirling2(p, n) * harmonic(n)
+    stirling = stirling2_row(p) + [0] * (n - p)  # S(p, k) for k = 0..n
+    lead = (-1) ** n * math.factorial(n) * stirling[n] * harmonic(n)
     tail = Fraction(0)
     for k in range(n):
-        w = binom_int(n, k) if as_printed else stirling2(p, k)
+        w = binom_int(n, k) if as_printed else stirling[k]
         if w:
             tail += Fraction((-1) ** k * math.factorial(k) * w, n - k)
     return lead - tail

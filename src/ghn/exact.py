@@ -7,14 +7,23 @@ and print the same way, so they double as the wire format.  The hot kernels
 run their inner loops in ints: ``common_denominator`` lifts their inputs to
 integer numerators over one denominator.
 
-Shared work: ``shared_run`` opens a memo for the length of a ``with`` block,
-and ``_shared(key, build)`` returns build() once per key inside it.  The
-verifier opens one per ``run_entry`` call, so that the closed forms of
-Theorems 2.3 and 3.3 compute a grid sequence's transform, and a row that
-depends only on (n, alpha), once per run instead of once per cell, and the
-newcoffey closed form each of its Pan values.  With no run open, ``_shared``
-builds on every call.  The memo lives in a ContextVar, is dropped when its
-block ends, and no oracle reads it.
+The cache rule, for the whole package: every memo is the run memo.
+``shared_run`` opens one for the length of a ``with`` block, and
+``_shared(key, build)`` returns build() once per key inside it; with no run
+open, ``_shared`` builds on every call.  The verifier opens one per
+``run_entry`` call, and it is dropped when that call ends, so no value
+outlives its run and a kernel patched between two runs reaches the second.
+No module keeps a cache of values of its own (cli builds its argument parser
+once per process; it holds no computed value).  No oracle function calls
+``_shared``.  Its readers are:
+  - closed_forms: a grid sequence's transform, the rows of Theorem 3.3 that
+    depend only on (n, alpha), and the newcoffey form's Pan values;
+  - transforms: the Sanchez weights j! S(p, j), per p;
+  - registry: the tables that sides read as oracle inputs (harmonic tables,
+    and the series of Pan's lemma and of log(1-alpha*t)/(1-t)), under tags
+    that no closed form uses.
+A key is a tuple whose first item, its tag, names what it holds.  The memo
+lives in a ContextVar.
 
 binom_rat builds one Fraction from an integer product: with x = p/q,
 C(x, k) = p(p-q)...(p-(k-1)q) / (q^k k!).  hockey_stick_sum, the oracle of the
@@ -107,9 +116,10 @@ def _shared(key: Hashable, build: Callable[[], T]) -> T:
     memo = _RUN.get()
     if memo is None:
         return build()
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
+    value = memo.get(key, _RUN)  # _RUN marks a key not built yet: no build returns it
+    if value is _RUN:
+        value = memo[key] = build()
+    return value
 
 
 def binom_int(n: int, k: int) -> int:

@@ -5,8 +5,9 @@ An entry's sides (``declare``) take the values of the names in its
 in-domain point; ``ghn eval`` calls them at a point the user gives.  A side
 that is one closed form or oracle as it stands is that function itself, and
 an entry with a sequence parameter lists it first, as ``seq``.  Tables that
-sides share are memos made by each ``declare`` call and keyed by value, so no
-table depends on a grid.  An entry's grid (``_grids``) is the list of seeded
+sides share are read through the run memo, keyed by value and by the length
+they are built to, so no table depends on a grid or outlives a run (the cache
+rule is in exact).  An entry's grid (``_grids``) is the list of seeded
 cells that ``verify`` and ``table`` run; ``build_registry`` joins the two.  A
 grid cell's ``seq`` is an index into the entry's seeded sequences, resolved to
 their terms when the sides are called.
@@ -53,10 +54,10 @@ from .closed_forms import (
     thm33_rhs,
 )
 from .errors import DomainError, OutOfValidityRangeError
-from .exact import binom_int, binom_rat, hockey_stick_sum
+from .exact import _shared, binom_int, binom_rat, hockey_stick_sum
 from .polyseries import PolyQ, harmonic_poly
 from .sequences import (
-    bernoulli,
+    bernoulli_table,
     fibonacci,
     harmonic,
     harmonic_p,
@@ -64,7 +65,7 @@ from .sequences import (
     laguerre,
     lucas,
     skew_harmonic,
-    stirling2,
+    stirling2_row,
 )
 from .transforms import (
     binomial_transform,
@@ -108,19 +109,20 @@ MU_LAMBDA_GRID = [
 KNUTH_LAMBDAS = [Fraction(-1, 2), Fraction(1, 3), Fraction(1, 2), Fraction(5, 2)]
 Z_GRID = [Fraction(-2), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2)]
 GOULD_A_GRID = [Fraction(-2, 3), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2)]
-# The named sequences c of the Theorem 3.3 grids, as (name, c_k); the grids
-# index them in this order, then three seeded random sequences.
+# The named sequences c of the Theorem 3.3 grids, as (name, the terms c_0..c_n
+# as a function of n); the grids index them in this order, then three seeded
+# random sequences.
 _THM33_NAMED = [
-    ("ones", lambda k: Fraction(1)),
-    ("identity", lambda k: Fraction(k)),
-    ("squares", lambda k: Fraction(k * k)),
-    ("fib", lambda k: Fraction(fibonacci(k))),
-    ("fib2", lambda k: Fraction(fibonacci(2 * k))),
-    ("lucas", lambda k: Fraction(lucas(k))),
-    ("lucas2", lambda k: Fraction(lucas(2 * k))),
-    ("bernoulli-alt", lambda k: (-1) ** k * bernoulli(k)),
-    ("laguerre-half", lambda k: laguerre(k, Fraction(1, 2))),
-    ("harm-alt", lambda k: -((-1) ** k) * harmonic(k)),
+    ("ones", lambda n: [Fraction(1)] * (n + 1)),
+    ("identity", lambda n: [Fraction(k) for k in range(n + 1)]),
+    ("squares", lambda n: [Fraction(k * k) for k in range(n + 1)]),
+    ("fib", lambda n: [Fraction(fibonacci(k)) for k in range(n + 1)]),
+    ("fib2", lambda n: [Fraction(fibonacci(2 * k)) for k in range(n + 1)]),
+    ("lucas", lambda n: [Fraction(lucas(k)) for k in range(n + 1)]),
+    ("lucas2", lambda n: [Fraction(lucas(2 * k)) for k in range(n + 1)]),
+    ("bernoulli-alt", lambda n: [(-1) ** k * b for k, b in enumerate(bernoulli_table(n))]),
+    ("laguerre-half", lambda n: [laguerre(k, Fraction(1, 2)) for k in range(n + 1)]),
+    ("harm-alt", lambda n: [-((-1) ** k) * harmonic(k) for k in range(n + 1)]),
 ]
 THM33_SEQS = [name for name, _ in _THM33_NAMED] + [f"random-{i}" for i in range(3)]
 _THM33_LEGEND = ", ".join(f"{i}={name}" for i, name in enumerate(THM33_SEQS))
@@ -130,19 +132,15 @@ def _rng(seed: int, entry_id: str) -> random.Random:
     return random.Random(f"{seed}|{entry_id}")
 
 
-def _memo(build, size: int):
-    """Memo of build(key, m) keyed by value, where m is max(size, the n asked for).
+def _memo(tag: str, build, size: int):
+    """table(key, n): build(key, m) with m = max(size, n), once per run under the run-memo key (tag, key, m).
 
-    A table longer than n serves every smaller n; a call that asks past the
-    end of a table rebuilds it at that n.
+    A table of length m + 1 serves every n <= m, so on a grid of n_max = size
+    each key is built once per run_entry call.
     """
-    cache = {}
-
     def table(key, n: int):
-        t = cache.get(key)
-        if t is None or len(t) <= n:
-            t = cache[key] = build(key, max(size, n))
-        return t
+        m = max(size, n)
+        return _shared((tag, key, m), lambda: build(key, m))
 
     return table
 
@@ -385,8 +383,8 @@ def _gould_sides() -> list[IdentityEntry]:
 def _series_sides(ht, size: int) -> list[IdentityEntry]:
     # the series of Pan's lemma with a_k = -H_k(alpha) per (L, u, alpha), built at order 1
     # at least (its smallest order); the right sides negate the shared harmonic tables
-    pan = _memo(lambda key, m: pan_lemma_series(max(m, 1), key[0], key[1], [-h for h in ht(key[2], m)]).coeffs, size)
-    genfunc = _memo(lambda alpha, m: harmonic_genfunc(m, alpha).coeffs, size)
+    pan = _memo("pan_lemma_series", lambda key, m: pan_lemma_series(max(m, 1), key[0], key[1], [-h for h in ht(key[2], m)]).coeffs, size)
+    genfunc = _memo("harmonic_genfunc", lambda alpha, m: harmonic_genfunc(m, alpha).coeffs, size)
     return [
         IdentityEntry(
             id="panequa1-series",
@@ -501,7 +499,7 @@ def _example34_sides(ht) -> list[IdentityEntry]:
             id="ex3.4-stirling-power",
             anchor="sum_k C(n,k) k! S(p,k) = n^p",
             params=("n", "p"),
-            lhs=lambda n, p: binomial_oracle(n, [math.factorial(k) * stirling2(p, k) for k in range(n + 1)]),
+            lhs=lambda n, p: binomial_oracle(n, [math.factorial(k) * s for k, s in enumerate(stirling2_row(p))] + [0] * n),
             rhs=lambda n, p: n**p,
             note="integer exponents only; the complex-exponent form of this pair is out of scope",
         ),
@@ -546,7 +544,7 @@ def _example34_sides(ht) -> list[IdentityEntry]:
             id="ex3.4-bernoulli",
             anchor="sum_k C(n,k) B_k = (-1)^n B_n",
             params=("n",),
-            lhs=lambda n: binomial_oracle(n, [bernoulli(k) for k in range(n + 1)]),
+            lhs=lambda n: binomial_oracle(n, bernoulli_table(n)),
             rhs=_bernoulli_alternating,
             note="pins the B_1 = -1/2 convention; the +1/2 convention fails at n = 1",
         ),
@@ -715,10 +713,11 @@ def _conclusion_sides(idi1: IdentityEntry) -> list[IdentityEntry]:
 def declare(size: int = 0) -> list[IdentityEntry]:
     """Every entry's sides, params and policy, in ledger order, with no cells.
 
-    Each call makes its own memos; `size` is the n they are built for at
-    least (a grid's n_max), and a side asking for a larger n grows them.
+    The tables the sides share are read through the run memo (see exact);
+    `size` is the n they are built for at least (a grid's n_max), and a side
+    asking for a larger n builds them at that n.
     """
-    ht = _memo(lambda alpha, m: harmonic_table(m, 1, alpha), size)
+    ht = _memo("harmonic_table", lambda alpha, m: harmonic_table(m, 1, alpha), size)
     entries = [
         *_exact_sides(),
         *_ratio_sides(),
@@ -742,7 +741,7 @@ def _rand_seqs(rng: random.Random, count: int, n_max: int) -> list[tuple[Fractio
 
 def _thm33_clib(n_max: int, seed: int) -> list[tuple[Fraction, ...]]:
     """The terms 0..n_max of each sequence named in THM33_SEQS."""
-    named = [tuple(term(k) for k in range(n_max + 1)) for _, term in _THM33_NAMED]
+    named = [tuple(terms(n_max)) for _, terms in _THM33_NAMED]
     return named + _rand_seqs(_rng(seed, "thm3.3-clib"), len(THM33_SEQS) - len(named), n_max)
 
 

@@ -10,7 +10,11 @@ against its row and materialize calls the row's function.
 
 The harmonic family has one integer kernel, _harmonic_num: the running sum as
 integer numerators over one denominator.  harmonic_table is its Fraction view,
-and harmonic_p builds one Fraction, for its last entry alone.
+and harmonic_p builds one Fraction, for its last entry alone.  Stirling numbers
+and Bernoulli numbers come as whole tables, stirling2_row(p) and
+bernoulli_table(n), built afresh on each call, since nothing here is cached
+(the cache rule is in exact); stirling2 and bernoulli are views of one entry,
+so a caller that needs many values takes one table.
 """
 
 from __future__ import annotations
@@ -71,27 +75,25 @@ def skew_harmonic(n: int) -> Fraction:
     return -harmonic_p(n, 1, -1)
 
 
-_STIRLING_ROWS: list[list[int]] = [[1]]
+def stirling2_row(p: int) -> list[int]:
+    """[S(p, 0), ..., S(p, p)], the Stirling numbers of the second kind, built afresh on each call.
+
+    S(p, j) = j S(p-1, j) + S(p-1, j-1) with S(0, 0) = 1; S(p, j) counts the
+    partitions of a p-set into j nonempty blocks.
+    """
+    if p < 0:
+        raise ValueError("stirling2 requires p, j >= 0")
+    row = [1]
+    for _ in range(p):
+        row = [0, *[i * row[i] + row[i - 1] for i in range(1, len(row))], 1]
+    return row
 
 
 def stirling2(p: int, j: int) -> int:
-    """Stirling number of the second kind S(p, j).
-
-    S(p, j) = j*S(p-1, j) + S(p-1, j-1) with S(0, 0) = 1; counts partitions
-    of a p-set into j nonempty blocks.  Rows are cached as they are built.
-    """
-    if p < 0 or j < 0:
+    """S(p, j): one entry of stirling2_row(p), and 0 for j > p."""
+    if j < 0:
         raise ValueError("stirling2 requires p, j >= 0")
-    if j > p:
-        return 0
-    while len(_STIRLING_ROWS) <= p:
-        prev = _STIRLING_ROWS[-1]
-        q = len(_STIRLING_ROWS)
-        row = [0] * (q + 1)
-        for i in range(1, q + 1):
-            row[i] = i * (prev[i] if i < len(prev) else 0) + prev[i - 1]
-        _STIRLING_ROWS.append(row)
-    return _STIRLING_ROWS[p][j]
+    return (stirling2_row(p) + [0] * j)[j]
 
 
 def fibonacci(n: int) -> int:
@@ -114,23 +116,28 @@ def lucas(n: int) -> int:
     return a
 
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
+def bernoulli_table(n: int) -> list[Fraction]:
+    """[B_0, ..., B_n], the Bernoulli numbers under the B_1 = -1/2 convention, built afresh on each call.
 
-
-def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n under the B_1 = -1/2 convention.
-
-    Computed from sum_{k=0..n} C(n+1, k) B_k = 0 for n >= 1.  This is the
+    Computed from sum_{k=0..m} C(m+1, k) B_k = 0 for m >= 1, in integers: the
+    numerators of B_0..B_(m-1) over the lcm of their denominators.  This is the
     unique convention under which the binomial transform of (B_k) equals
     ((-1)^n B_n); the other convention fails that check at n = 1.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    while len(_BERNOULLI) <= n:
-        m = len(_BERNOULLI)
-        acc = sum(binom_int(m + 1, k) * _BERNOULLI[k] for k in range(m))
-        _BERNOULLI.append(-acc / (m + 1))
-    return _BERNOULLI[n]
+    nums, den = [1], 1
+    for m in range(1, n + 1):
+        b = Fraction(-sum(binom_int(m + 1, k) * v for k, v in enumerate(nums)), den * (m + 1))
+        scale = b.denominator // math.gcd(b.denominator, den)  # den * scale is the new lcm
+        nums, den = [v * scale for v in nums], den * scale
+        nums.append(b.numerator * (den // b.denominator))
+    return [Fraction(v, den) for v in nums]
+
+
+def bernoulli(n: int) -> Fraction:
+    """B_n: the last entry of bernoulli_table(n)."""
+    return bernoulli_table(n)[n]
 
 
 def laguerre(n: int, x: RatLike) -> Fraction:
@@ -158,16 +165,16 @@ def _doubling(term, q: dict, n_max: int) -> list[Fraction]:
 # kind -> (parameters it takes, parameters it requires, the range (lo, hi) of
 # its integer p or None if it takes no p, and terms(q, n_max): the terms
 # 0..n_max, as Fractions, of the spec with params q).  hi bounds the work a
-# spec can request: harmonic_table(180, 48, alpha) and stirling2(180, k) take
+# spec can request: harmonic_table(180, 48, alpha) and stirling2_row(180) take
 # milliseconds.
 _KINDS: dict[str, tuple[set[str], set[str], tuple[int, int] | None, Callable]] = {
     "harmonic_p": ({"p", "alpha"}, set(), (1, 48), lambda q, n_max: harmonic_table(n_max, int(q.get("p", 1)), q.get("alpha", 1))),
     "skew": (set(), set(), None, lambda q, n_max: [-h for h in harmonic_table(n_max, 1, -1)]),
     "fibonacci": ({"doubled"}, set(), None, lambda q, n_max: _doubling(fibonacci, q, n_max)),
     "lucas": ({"doubled"}, set(), None, lambda q, n_max: _doubling(lucas, q, n_max)),
-    "bernoulli": (set(), set(), None, lambda q, n_max: [bernoulli(k) for k in range(n_max + 1)]),
+    "bernoulli": (set(), set(), None, lambda q, n_max: bernoulli_table(n_max)),
     "laguerre": ({"x"}, {"x"}, None, lambda q, n_max: [laguerre(k, q["x"]) for k in range(n_max + 1)]),
-    "stirling_row": ({"p"}, {"p"}, (0, 180), lambda q, n_max: [Fraction(stirling2(int(q["p"]), j)) for j in range(n_max + 1)]),
+    "stirling_row": ({"p"}, {"p"}, (0, 180), lambda q, n_max: [Fraction(s) for s in (stirling2_row(int(q["p"])) + [0] * n_max)[: n_max + 1]]),
     "powers": ({"base"}, {"base"}, None, lambda q, n_max: [q["base"] ** k if k else Fraction(1) for k in range(n_max + 1)]),
 }
 

@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import OutOfValidityRangeError
-from .exact import RatLike, binom_int, check_terms, common_denominator
-from .sequences import stirling2
+from .exact import RatLike, _shared, binom_int, check_terms, common_denominator
+from .sequences import stirling2_row
 
 
 def _transform_num(a: Sequence[RatLike], inverse: bool = False) -> tuple[list[int], int]:
@@ -64,8 +64,11 @@ def inverse_binomial_transform(b: Sequence[RatLike]) -> list[Fraction]:
 
 
 def _sanchez_row(n: int, p: int) -> list[int]:
-    """(-1)^l C(n,l) sum_{j=l..p} C(n-l,j-l) j! S(p,j) for l <= min(p, n); C(n,l) is 0 past n."""
-    weights = [math.factorial(j) * stirling2(p, j) for j in range(p + 1)]
+    """(-1)^l C(n,l) sum_{j=l..p} C(n-l,j-l) j! S(p,j) for l <= min(p, n); C(n,l) is 0 past n.
+
+    The weights j! S(p,j) are built once per run and p, through exact._shared.
+    """
+    weights = _shared(("sanchez-weights", p), lambda: [math.factorial(j) * s for j, s in enumerate(stirling2_row(p))])
     return [
         (-1) ** l * binom_int(n, l) * sum(binom_int(n - l, j - l) * weights[j] for j in range(l, p + 1))
         for l in range(min(p, n) + 1)

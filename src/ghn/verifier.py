@@ -16,12 +16,8 @@ deterministic functions of (filter, n_max, seed): cells are visited in grid
 order and wall-clock timings are kept out of the serialized formats.
 
 Shared work: run_entry opens an exact.shared_run memo for its cell loop and
-drops it when the loop ends.  The closed forms of Theorems 2.3 and 3.3 read
-through it the transform of each grid sequence, keyed by the sequence's
-identity, and the rows that depend only on (n, alpha), so each is computed
-once per run_entry call; see closed_forms.  No oracle reads the memo, and no
-value outlives the run, so a kernel patched between two runs reaches the
-second one.
+drops it when the loop ends.  That run memo is the one cache of the package;
+its rule and its readers are written once, in exact.
 """
 
 from __future__ import annotations

@@ -49,6 +49,44 @@ def test_runtime_loads_only_the_standard_library():
     assert proc.stdout.splitlines()[-1] == "[] [0, 0]"
 
 
+# Snapshots every module-level list, dict and set of every ghn module in a fresh
+# interpreter, runs the ledger, two compute queries and an eval, and prints the
+# names whose value changed, with the exit codes.
+_MODULE_CONTAINERS_CHANGED = """
+import contextlib, copy, io, sys
+import ghn, ghn.cli
+
+def snapshot():
+    return {
+        f"{name}.{attr}": copy.deepcopy(value)
+        for name, mod in sorted(sys.modules.items()) if name == "ghn" or name.startswith("ghn.")
+        for attr, value in vars(mod).items()
+        if not attr.startswith("__") and isinstance(value, (list, dict, set))
+    }
+
+before = snapshot()
+ghn.run_suite("*", 8, 42)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [ghn.cli.main(argv) for argv in (
+        ["compute", "--seq", "bernoulli"],
+        ["compute", "--seq", "stirling_row:p=12"],
+        ["eval", "--id", "sanchez-weight", "--param", "n=9", "--param", "k=4", "--param", "p=5"],
+    )]
+after = snapshot()
+print(sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k)), codes)
+"""
+
+
+def test_no_module_level_container_grows_across_runs():
+    # every memo is the run memo, which is dropped when its run ends; a module-level
+    # cache of values would outlive it and could hide a kernel fault from later runs
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _MODULE_CONTAINERS_CHANGED], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] [0, 0, 0]"
+
+
 def test_compute_harmonic_table(capsys):
     code, out, _ = run_cli(["compute", "--seq", "harmonic:p=1,alpha=1", "--n-max", "4"], capsys)
     assert code == 0
@@ -131,6 +169,10 @@ def test_eval_known_ids(capsys):
     assert code == 0
     assert "16/15" in out
     assert "true" in out
+    # at n = 0 both sums are their k = 0 term, 1/lambda
+    code, out, _ = run_cli(["eval", "--id", "knuth-flajolet", "--param", "n=0", "--param", "lambda=3/2"], capsys)
+    assert code == 0
+    assert [line.split() for line in out.strip().splitlines()[-3:]] == [["lhs", "2/3"], ["rhs", "2/3"], ["equal", "true"]]
     code, out, _ = run_cli(
         [
             "eval",

@@ -105,6 +105,14 @@ def test_ratio_closed_knuth_case():
             assert boyadzhiev_ratio_closed(a, n, lam) == direct - 1 / lam
 
 
+def test_knuth_rhs_at_n_zero():
+    # the empty product: C(lambda, 0) = 1, so the sum is its one term 1/lambda
+    for lam in (Fraction(3, 2), Fraction(-1, 2), Fraction(7)):
+        assert knuth_flajolet_rhs(0, lam) == 1 / lam
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        knuth_flajolet_rhs(-1, Fraction(3, 2))
+
+
 def test_knuth_rhs_rejects_poles():
     with pytest.raises(DomainError):
         knuth_flajolet_rhs(4, 0)

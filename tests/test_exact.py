@@ -37,6 +37,14 @@ def test_parse_rat_caps_digits():
     for text in ["1e999999999", "0e999999999", "2.5E-999999999"]:
         with pytest.raises(ValueError, match="exponent"):
             parse_rat(text)
+    # the exponent bound is RAT_DIGITS + len(text): an exponent at it reaches the digit
+    # check, and one past it does not
+    for text in ["1e105", "1e-106"]:
+        with pytest.raises(ValueError, match="numerator and denominator may have at most"):
+            parse_rat(text)
+    for text in ["1e106", "1e-107"]:
+        with pytest.raises(ValueError, match="exponent"):
+            parse_rat(text)
 
 
 def test_hockey_stick_examples():

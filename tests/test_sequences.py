@@ -8,6 +8,7 @@ from ghn.exact import binom_int
 from ghn.sequences import (
     SeqSpec,
     bernoulli,
+    bernoulli_table,
     fibonacci,
     harmonic,
     harmonic_p,
@@ -18,6 +19,7 @@ from ghn.sequences import (
     parse_seq_spec,
     skew_harmonic,
     stirling2,
+    stirling2_row,
 )
 
 
@@ -71,6 +73,16 @@ def test_stirling2_values():
     for p in range(9):
         assert stirling2(p, p) == 1
     assert stirling2(2, 5) == 0
+
+
+def test_tables_reject_a_negative_index():
+    for call in (lambda: stirling2_row(-1), lambda: stirling2(-1, 0), lambda: stirling2(3, -1)):
+        with pytest.raises(ValueError, match="stirling2 requires p, j >= 0"):
+            call()
+    for call in (lambda: bernoulli_table(-1), lambda: bernoulli(-1)):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            call()
+    assert stirling2_row(0) == [1] and bernoulli_table(0) == [1]
 
 
 def test_stirling2_power_expansion():

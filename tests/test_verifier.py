@@ -431,29 +431,64 @@ def test_shifted_pascal_row_fails_the_transform_consumers(monkeypatch):
 
 
 MEMOIZED = ("thm2.3-general", "thm3.3-eqnnew8", "thm3.3-nabla")
+# entries that read the registry's harmonic tables on one side only
+HARMONIC_TABLE_READERS = ("genfunc-alpha", "pan-thm3.2", "thm3.3-eqnnew8", "spivey-generalization")
 
 
 @pytest.mark.parametrize(
     "name, entry_ids",
-    [("_transform_num", MEMOIZED), ("_gould_num", ("thm3.3-eqnnew8",)), ("weighted_nabla", ("thm3.3-nabla",))],
+    [
+        ("_transform_num", MEMOIZED),
+        ("_gould_num", ("thm3.3-eqnnew8",)),
+        ("weighted_nabla", ("thm3.3-nabla",)),
+        ("harmonic_table", HARMONIC_TABLE_READERS),
+    ],
 )
 def test_no_memo_outlives_its_run(monkeypatch, name, entry_ids):
-    # clean runs of the entries whose right sides share work fill and drop their memos; a
-    # kernel fault made after them must reach the next runs on the same grid sequences
-    from ghn import closed_forms, transforms
+    # clean runs of the entries whose sides share work fill and drop their memos; a
+    # kernel fault made after them must reach the next runs on the same registry
+    from ghn import closed_forms, sequences, transforms
 
     entries = {e.id: e for e in build_registry(6, 42)}
-    assert {i: run_entry(entries[i]).tier for i in MEMOIZED} == dict.fromkeys(MEMOIZED, HOLDS_ON_GRID)
-    real = getattr(transforms, name, None) or getattr(closed_forms, name)
+    warm = dict.fromkeys([*MEMOIZED, *entry_ids])
+    assert {i: run_entry(entries[i]).tier for i in warm} == dict.fromkeys(warm, HOLDS_ON_GRID)
+    real = next(getattr(mod, name) for mod in (transforms, closed_forms, sequences) if hasattr(mod, name))
     if name == "_transform_num":
         mutated = _mutated(real, "map(operator.mul, row, nums)", "map(operator.mul, row[1:], nums)")
     elif name == "_gould_num":
         mutated = lambda n, j, p, q, lcm: real(n, j + 1, p, q, lcm)
     else:
-        mutated = lambda b, n: [2 * v for v in real(b, n)]
-    assert "ghn.closed_forms." + name in _rebind(monkeypatch, real, mutated)
+        mutated = _doubled(real)
+    reader = "registry" if name == "harmonic_table" else "closed_forms"
+    assert f"ghn.{reader}.{name}" in _rebind(monkeypatch, real, mutated)
     for entry_id in entry_ids:
         assert run_entry(entries[entry_id]).tier == "FAILS", entry_id
+
+
+@pytest.mark.parametrize(
+    "name, old, new, entry_ids",
+    [
+        (
+            "stirling2_row",
+            "i *",
+            "(i + 1) *",
+            ("ex3.4-stirling-power", "sanchez-weight", "sanchez-transform", "as-newcoffey", "as-newcoffey1"),
+        ),
+        ("bernoulli_table", "den * (m + 1)", "den * (m + 2)", ("ex3.4-bernoulli",)),
+    ],
+    ids=["stirling2_row", "bernoulli_table"],
+)
+def test_no_sequence_table_outlives_its_run(monkeypatch, name, old, new, entry_ids):
+    # Stirling rows and Bernoulli numbers are built afresh on each call, so a recurrence
+    # broken after a warm run reaches the next run, on a new registry as on the old one
+    from ghn import sequences
+
+    entries = {e.id: e for e in build_registry(6, 42)}
+    assert {i: run_entry(entries[i]).tier for i in entry_ids} == dict.fromkeys(entry_ids, HOLDS_ON_GRID)
+    real = getattr(sequences, name)
+    assert f"ghn.registry.{name}" in _rebind(monkeypatch, real, _mutated(real, old, new))
+    for entries in (entries, {e.id: e for e in build_registry(6, 42)}):
+        assert {i: run_entry(entries[i]).tier for i in entry_ids} == dict.fromkeys(entry_ids, "FAILS")
 
 
 def test_oracles_never_call_the_lifting_helper(monkeypatch):
@@ -500,7 +535,7 @@ def test_oracles_never_call_the_lifting_helper(monkeypatch):
         raise RuntimeError("_shared called")
 
     bound = _rebind(monkeypatch, exact._shared, broken_memo)
-    assert sorted(bound) == ["ghn.closed_forms._shared", "ghn.exact._shared"]
+    assert sorted(bound) == ["ghn.closed_forms._shared", "ghn.exact._shared", "ghn.registry._shared", "ghn.transforms._shared"]
     for closed_form in (boyadzhiev_ratio_closed, thm33_rhs, thm33_nabla_rhs):
         with pytest.raises(RuntimeError, match="_shared"):
             closed_form(a, 7, lam)
@@ -728,7 +763,9 @@ def _functions_reached(entry_id, side_name):
 
 
 # The ghn functions that both sides of each ASSERT entry reach.  Pan's closed
-# form and the ex3.4 right sides call no sequence generator.
+# form and the ex3.4 right sides call no sequence generator.  _shared is the run
+# memo: the registry's tables of oracle inputs and the closed forms' rows are
+# both read through it, under tags of their own.
 SHARED = {
     **dict.fromkeys(
         ["lemma2.1-ones-zero", "lemma2.1-ones", "thm2.3-general", "thm2.3-lambda0", "knuth-flajolet"],
@@ -737,12 +774,11 @@ SHARED = {
     "lemma2.1-coherence": {"check_lambda_domain", "check_terms"},
     **dict.fromkeys(["gen-harmonic-relation", "skew-relation"], {"harmonic_p", "_harmonic_num"}),
     **dict.fromkeys(["as-newcoffey1", "as-p1-exemple1"], {"_harmonic_num"}),
-    "panequa1-series": {"harmonic_table", "_harmonic_num"},
-    "thm3.3-eqnnew8": {"binom_int", "_harmonic_num"},
-    **dict.fromkeys(
-        ["eq-eulerbnew", "eq-eulerbnew-j0-corrected", "thm3.3-nabla", "as-newcoffey", "as-newcoff", "sanchez-transform"],
-        {"binom_int"},
-    ),
+    "panequa1-series": {"harmonic_table", "_harmonic_num", "_shared"},
+    "thm3.3-eqnnew8": {"binom_int", "_harmonic_num", "_shared"},
+    **dict.fromkeys(["genfunc-alpha", "genfunc-harmonic", "genfunc-skew"], {"_shared"}),
+    **dict.fromkeys(["thm3.3-nabla", "as-newcoffey", "as-newcoff"], {"binom_int", "_shared"}),
+    **dict.fromkeys(["eq-eulerbnew", "eq-eulerbnew-j0-corrected", "sanchez-transform"], {"binom_int"}),
     **dict.fromkeys(["sanchez-weight", "sanchez-p1", "sanchez-p2", "sanchez-p3"], {"binom_int"}),
 }
 
@@ -764,22 +800,24 @@ def test_functions_both_sides_reach_are_pinned():
     assert not any({"_sanchez_row", "weighted_nabla"} & names for names in shared.values())
 
 
-def _doubled(fn):
-    def double(*args):
-        value = fn(*args)
-        if isinstance(value, tuple):  # integer numerators over one denominator
-            nums, den = value
-            return [2 * v for v in nums], den
-        return [2 * v for v in value] if isinstance(value, list) else 2 * value
+def _double(value):
+    """value with every number in it doubled; of integer numerators over one denominator, the numerators."""
+    if isinstance(value, tuple) and len(value) == 2 and isinstance(value[0], list):
+        return [2 * v for v in value[0]], value[1]
+    if isinstance(value, (list, tuple)):  # a table, or a run-memo value made of several parts
+        return type(value)(map(_double, value))
+    return 2 * value
 
-    return double
+
+def _doubled(fn):
+    return lambda *args: _double(fn(*args))
 
 
 @pytest.mark.parametrize(
     "name",
     # every function both sides reach but check_terms, which returns nothing, and
     # the generators that the ex3.4 left sides call, so their right sides must not
-    sorted(set().union(*SHARED.values()) - {"check_terms"} | {"fibonacci", "lucas", "bernoulli"}),
+    sorted(set().union(*SHARED.values()) - {"check_terms"} | {"fibonacci", "lucas", "bernoulli_table"}),
 )
 def test_doubled_shared_function_fails_an_assert_entry(monkeypatch, name):
     from ghn import closed_forms, exact, sequences
