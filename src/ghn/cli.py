@@ -11,7 +11,9 @@ seq, b, c; rationals otherwise) and calls rhs, then lhs, with those values in
 the order of params.  A --param given twice is a usage error.
 series does the same for the entry its --check names (SERIES_CHECKS), then
 runs that entry through verifier.run_entry at n = 0..order, which stops at
-the first differing coefficient.
+the first differing coefficient.  table builds one grid: it passes its --id
+to registry.build_registry as the pattern, and refuses a pattern that is not
+itself an id.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error (a
 verify --filter that matches no entry id among them), 3 report I/O failure.
@@ -225,10 +227,12 @@ def cmd_series(args) -> int:
 
 
 def cmd_table(args) -> int:
-    entries = {e.id: e for e in build_registry(args.n_max, args.seed)}
-    if args.id not in entries:
-        raise UsageError(f"unknown entry id {args.id!r}; known: {', '.join(sorted(entries))}")
-    entry = entries[args.id]
+    # the id is build_registry's pattern, so only its grid is built; a pattern that
+    # matches some other id, such as 'hockey*', is not an id
+    entries = build_registry(args.n_max, args.seed, args.id)
+    if [e.id for e in entries] != [args.id]:
+        raise UsageError(f"unknown entry id {args.id!r}; known: {', '.join(sorted(e.id for e in declare()))}")
+    entry = entries[0]
     param_names = sorted({name for cell in entry.cells for name in cell})
     rows = []
 

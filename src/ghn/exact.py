@@ -3,7 +3,9 @@
 Every scalar in this package is an exact ``fractions.Fraction``; nothing
 here ever touches floating point.  Fractions are always
 stored reduced with a positive denominator, parse from strings like ``"p/q"``
-and print the same way, so they double as the wire format.  The hot kernels
+and print the same way, so they double as the wire format.  The series
+kernels read their scalar arguments through ``as_fraction``, which refuses a
+float instead of reading its binary expansion.  The hot kernels
 run their inner loops in ints: ``common_denominator`` lifts their inputs to
 integer numerators over one denominator.
 
@@ -65,6 +67,13 @@ def parse_rat(text: str) -> Fraction:
     if abs(value.numerator) >= _RAT_BOUND or value.denominator >= _RAT_BOUND:
         raise ValueError(f"{text!r} is out of range: numerator and denominator may have at most {RAT_DIGITS} digits")
     return value
+
+
+def as_fraction(x: RatLike, name: str) -> Fraction:
+    """x as a Fraction; x must be an int or a Fraction, and any other type (a float, a string) raises TypeError."""
+    if not isinstance(x, RatLike):
+        raise TypeError(f"{name} must be an int or a Fraction, not {type(x).__name__}")
+    return Fraction(x)
 
 
 def check_terms(seq: Sequence, n: int, name: str) -> None:

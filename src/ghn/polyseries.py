@@ -25,7 +25,7 @@ from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .errors import CompositionDomainError
-from .exact import RatLike, common_denominator
+from .exact import RatLike, as_fraction, common_denominator
 
 
 def _convolve_num(a: Sequence[int], b: Sequence[int], size: int) -> list[int]:
@@ -260,7 +260,7 @@ def log_one_minus(c: RatLike, order: int) -> TruncSeries:
     """Series of ln(1 - c*t): coefficient -c^k/k at t^k, zero constant term."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    c = Fraction(c)
+    c = as_fraction(c, "c")
     coeffs = [Fraction(0)]
     power = Fraction(1)
     for k in range(1, order + 1):
@@ -273,7 +273,7 @@ def geometric(c: RatLike, order: int) -> TruncSeries:
     """Series of 1/(1 - c*t): coefficient c^k at t^k."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    c = Fraction(c)
+    c = as_fraction(c, "c")
     coeffs = [Fraction(1)]
     for _ in range(order):
         coeffs.append(coeffs[-1] * c)

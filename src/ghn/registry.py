@@ -7,27 +7,36 @@ that is one closed form or oracle as it stands is that function itself, and
 an entry with a sequence parameter lists it first, as ``seq``.  Tables that
 sides share are read through the run memo, keyed by value and by the length
 they are built to, so no table depends on a grid or outlives a run (the cache
-rule is in exact).  An entry's grid (``_grids``) is the list of seeded
-cells that ``verify`` and ``table`` run; ``build_registry`` joins the two.  A
-grid cell's ``seq`` is an index into the entry's seeded sequences, resolved to
-their terms when the sides are called.
+rule is in exact).  Each entry declares its grid beside its sides:
+``grid(n_max, rng)`` returns the cells that ``verify`` and ``table`` run, and
+an entry whose sides take a sequence also declares ``family(n_max, seed,
+rng)``, the seeded sequences that a cell's ``seq`` indexes, resolved to their
+terms when the sides are called.  An entry made from another with
+``_variant`` keeps both unless it declares its own.  ``declare`` gives the
+entries with no cells; ``build_registry(n_max, seed, pattern)`` builds the
+grids and families of the entries whose id matches the pattern, and of no
+other entry, so ``verify --filter`` and ``table`` build only what they run.
 
-Grids are deterministic functions of (n_max, seed); each entry draws its
-random parameters from its own seeded stream so that filtering or reordering
-entries cannot change any row.  ASSERT entries are expected to hold and fail
-the suite if they do not; REPORT_ONLY entries record conjectures, ambiguous
-readings, and source-text displays that the oracles contradict ("as printed"
-rows), each with sample cells.  Where a printed display provably disagrees
-with its own direct sum, the corrected identity is registered under the plain
-id and the printed variant under an ``-as-printed`` suffix, derived from the
-plain entry so that the sides they share are written once.
+Grids are deterministic functions of (n_max, seed); each draws its random
+values from its entry's own stream, seeded by (seed, id), so that filtering
+or reordering entries cannot change any row.  The one family that two entries
+share, Theorem 3.3's sequences, has a stream of its own and is drawn once per
+build.
+
+ASSERT entries are expected to hold and fail the suite if they do not;
+REPORT_ONLY entries record conjectures, ambiguous readings, and source-text
+displays that the oracles contradict ("as printed" rows), each with sample
+cells.  Where a printed display provably disagrees with its own direct sum,
+the corrected identity is registered under the plain id and the printed
+variant under an ``-as-printed`` suffix, derived from the plain entry so that
+the sides and the grid they share are written once.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
+from fnmatch import fnmatchcase
 from fractions import Fraction
 
 from .closed_forms import (
@@ -109,6 +118,8 @@ MU_LAMBDA_GRID = [
 KNUTH_LAMBDAS = [Fraction(-1, 2), Fraction(1, 3), Fraction(1, 2), Fraction(5, 2)]
 Z_GRID = [Fraction(-2), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2)]
 GOULD_A_GRID = [Fraction(-2, 3), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2)]
+AS_ALPHAS = [Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2)]
+LAGUERRE_XS = [Fraction(-2, 3), Fraction(1, 2), Fraction(1), Fraction(3)]
 # The named sequences c of the Theorem 3.3 grids, as (name, the terms c_0..c_n
 # as a function of n); the grids index them in this order, then three seeded
 # random sequences.
@@ -128,8 +139,8 @@ THM33_SEQS = [name for name, _ in _THM33_NAMED] + [f"random-{i}" for i in range(
 _THM33_LEGEND = ", ".join(f"{i}={name}" for i, name in enumerate(THM33_SEQS))
 
 
-def _rng(seed: int, entry_id: str) -> random.Random:
-    return random.Random(f"{seed}|{entry_id}")
+def _rng(seed: int, stream: str) -> random.Random:
+    return random.Random(f"{seed}|{stream}")
 
 
 def _memo(tag: str, build, size: int):
@@ -143,6 +154,47 @@ def _memo(tag: str, build, size: int):
         return _shared((tag, key, m), lambda: build(key, m))
 
     return table
+
+
+def _rand_seqs(rng: random.Random, count: int, n_max: int) -> list[tuple[Fraction, ...]]:
+    return [tuple(rand_rat(rng) for _ in range(n_max + 1)) for _ in range(count)]
+
+
+def _thm33_clib(n_max: int, seed: int) -> list[tuple[Fraction, ...]]:
+    """The terms 0..n_max of each sequence named in THM33_SEQS; the random ones from a stream of their own."""
+    named = [tuple(terms(n_max)) for _, terms in _THM33_NAMED]
+    return named + _rand_seqs(_rng(seed, "thm3.3-clib"), len(THM33_SEQS) - len(named), n_max)
+
+
+# Grids.  run_entry visits a grid as given, so each is built in lexicographic
+# order of its cells' (name, value) pairs: the loops run over the names in
+# sorted order (a < alpha < j < k < lambda < mu < n < p < pair < seq < x < z),
+# and over each name's values in ascending order.  A grid draws its random
+# values from the rng it is given, the entry's own stream, so filtering or
+# reordering entries cannot change any row.
+
+def _n_grid(n_max: int, rng) -> list[Cell]:
+    return [{"n": n} for n in range(1, n_max + 1)]
+
+
+def _n0_grid(n_max: int, rng) -> list[Cell]:
+    return [{"n": n} for n in range(n_max + 1)]
+
+
+def _alpha_grid(extra: int):
+    """The grid of ALPHA_GRID and `extra` seeded alphas, by n = 1..n_max."""
+    return lambda n_max, rng: [
+        {"alpha": a, "n": n} for a in sorted({*ALPHA_GRID, *(rand_rat(rng) for _ in range(extra))}) for n in range(1, n_max + 1)
+    ]
+
+
+def _concl_grid(n_max: int, rng) -> list[Cell]:
+    return [{"alpha": a, "n": n} for a in ALPHA_GRID for n in range(1, min(n_max, 20) + 1)]
+
+
+def _variant(base: IdentityEntry, **changes) -> IdentityEntry:
+    """dataclasses.replace(base, **changes) at half its cost; every eval calls declare()."""
+    return IdentityEntry(**{**vars(base), **changes})
 
 
 def _ones(n: int) -> list[Fraction]:
@@ -247,6 +299,9 @@ def _exact_sides() -> list[IdentityEntry]:
             params=("n", "x"),
             lhs=lambda n, x: hockey_stick_sum(x, n),
             rhs=lambda n, x: binom_rat(x + n + 1, n),
+            grid=lambda n_max, rng: [
+                {"x": x, "n": n} for xs in [sorted({rand_rat(rng) for _ in range(20)})] for n in range(min(n_max, 30) + 1) for x in xs
+            ],
         )
     ]
 
@@ -259,6 +314,7 @@ def _ratio_sides() -> list[IdentityEntry]:
         lhs=lambda n, lam: lemma21_lhs(_ones(n), n, lam),
         rhs=lemma21_rhs_ones,
         note="numerator corrected to C(L+n,n); the printed lower index n-1 fails the oracle (see lemma2.1-ones-as-printed)",
+        grid=lambda n_max, rng: [{"lambda": lam, "n": n} for lam in LAMBDA_GRID if lam != 0 for n in range(1, n_max + 1)],
     )
     skew = IdentityEntry(
         id="skew-relation",
@@ -267,6 +323,7 @@ def _ratio_sides() -> list[IdentityEntry]:
         lhs=lambda n: harmonic_p(n, 1, -1),
         rhs=lambda n: generalized_harmonic_relation(n, -1),
         note="holds with H_n(-1) = -H_n^- on the left; the printed H_n^- reading fails (see skew-sign-convention)",
+        grid=_n_grid,
     )
     return [
         IdentityEntry(
@@ -276,6 +333,8 @@ def _ratio_sides() -> list[IdentityEntry]:
             lhs=lemma21_lhs,
             rhs=lemma21_rhs,
             note="seq indexes the seeded random b sequences; integer lambdas in [-n,-1] are skipped",
+            family=lambda n_max, seed, rng: _rand_seqs(rng, 30, n_max),
+            grid=lambda n_max, rng: [{"seq": s, "lambda": lam, "n": n} for lam in LAMBDA_GRID for n in range(1, n_max + 1) for s in range(30)],
         ),
         IdentityEntry(
             id="lemma2.1-ones-zero",
@@ -283,9 +342,10 @@ def _ratio_sides() -> list[IdentityEntry]:
             params=("n",),
             lhs=lambda n: lemma21_lhs(_ones(n), n, 0),
             rhs=lambda n: lemma21_rhs_ones(n, 0),
+            grid=_n_grid,
         ),
         ones,
-        replace(
+        _variant(
             ones,
             id="lemma2.1-ones-as-printed",
             anchor="lemmaeq0: b=1, L!=0 branch with numerator C(L+n,n-1) as printed",
@@ -300,6 +360,9 @@ def _ratio_sides() -> list[IdentityEntry]:
             lhs=_ratio_oracle,
             rhs=boyadzhiev_ratio_closed,
             note="even seq indices have a_0 = 0, odd ones a_0 != 0",
+            # even seq indices get a_0 = 0, so the b_0-correction path is exercised either way
+            family=lambda n_max, seed, rng: [(Fraction(0), *s[1:]) if i % 2 == 0 else s for i, s in enumerate(_rand_seqs(rng, 30, n_max))],
+            grid=lambda n_max, rng: [{"seq": i, "lambda": lam, "n": n} for lam in LAMBDA_GRID for n in range(1, n_max + 1) for i in range(30)],
         ),
         IdentityEntry(
             id="thm2.3-lambda0",
@@ -307,6 +370,8 @@ def _ratio_sides() -> list[IdentityEntry]:
             params=("seq", "n"),
             lhs=lambda a, n: _ratio_oracle(a, n, 0),
             rhs=lambda a, n: boyadzhiev_ratio_closed(a, n, 0),
+            family=lambda n_max, seed, rng: _rand_seqs(rng, 10, n_max),
+            grid=lambda n_max, rng: [{"seq": i, "n": n} for n in range(1, n_max + 1) for i in range(10)],
         ),
         IdentityEntry(
             id="thm2.3-lambda1",
@@ -314,6 +379,8 @@ def _ratio_sides() -> list[IdentityEntry]:
             params=("seq", "n"),
             lhs=lambda a, n: _ratio_oracle(a, n, 1),
             rhs=lambda1_case_rhs,
+            family=lambda n_max, seed, rng: _rand_seqs(rng, 10, n_max),
+            grid=lambda n_max, rng: [{"seq": i, "n": n} for n in range(1, n_max + 1) for i in range(10)],
         ),
         IdentityEntry(
             id="second-case-ones",
@@ -321,6 +388,7 @@ def _ratio_sides() -> list[IdentityEntry]:
             params=("n",),
             lhs=lambda n: _ratio_oracle(_ones(n), n, 0),
             rhs=second_case_ones_rhs,
+            grid=_n_grid,
         ),
         IdentityEntry(
             id="knuth-flajolet",
@@ -328,6 +396,7 @@ def _ratio_sides() -> list[IdentityEntry]:
             params=("n", "lambda"),
             lhs=_knuth_oracle,
             rhs=knuth_flajolet_rhs,
+            grid=lambda n_max, rng: [{"lambda": lam, "n": n} for lam in KNUTH_LAMBDAS for n in range(1, n_max + 1)],
         ),
         IdentityEntry(
             id="gen-harmonic-relation",
@@ -336,9 +405,10 @@ def _ratio_sides() -> list[IdentityEntry]:
             lhs=lambda n, alpha: harmonic_p(n, 1, alpha),
             rhs=generalized_harmonic_relation,
             certify=lambda nm: certify_alpha_identity(harmonic_poly, generalized_harmonic_relation, nm),
+            grid=_alpha_grid(20),
         ),
         skew,
-        replace(
+        _variant(
             skew,
             id="skew-sign-convention",
             anchor="H_n^- = H_n + sum_k C(n,k)(-2)^k/k (as printed)",
@@ -358,6 +428,7 @@ def _gould_sides() -> list[IdentityEntry]:
         rhs=lambda n, a: gould_generalized_rhs(n, 0, a),
         policy=REPORT_ONLY,
         note="at j=0 the printed display drops the -b_0*H_n correction (b_0 = 1), so the sides differ by H_n",
+        grid=lambda n_max, rng: [{"a": a, "j": 0, "n": n} for a in GOULD_A_GRID for n in range(1, n_max + 1)],
     )
     return [
         IdentityEntry(
@@ -367,9 +438,12 @@ def _gould_sides() -> list[IdentityEntry]:
             lhs=_gould_oracle,
             rhs=gould_generalized_rhs,
             note="j >= 1 grid; ratio sums start at k = 1; 0^0 = 1 at the a = 1 edge",
+            grid=lambda n_max, rng: [
+                {"a": a, "j": j, "n": n} for a in GOULD_A_GRID for j in range(1, n_max + 1) for n in range(j, n_max + 1)
+            ],
         ),
         j0,
-        replace(
+        _variant(
             j0,
             id="eq-eulerbnew-j0-corrected",
             anchor="eulerbnew at j=0 with the -H_n correction restored",
@@ -393,6 +467,13 @@ def _series_sides(ht, size: int) -> list[IdentityEntry]:
             lhs=lambda n, lam, mu, alpha: pan((lam, mu, alpha), n)[n],
             rhs=lambda n, lam, mu, alpha: -binomial_oracle(n, ht(alpha, n), mu, lam),
             note="a_k = -H_k(alpha), the generating coefficients of log(1-alpha*t)/(1-t); seeded (L,u,alpha) triples",
+            grid=lambda n_max, rng: [
+                {"pair": i, "lambda": lam, "mu": mu, "alpha": alpha, "n": n}
+                for alpha, lam, mu, i in sorted(
+                    (alpha, lam, mu, i) for i, (lam, mu, alpha) in enumerate([[rand_rat(rng) for _ in range(3)] for _ in range(10)])
+                )
+                for n in range(n_max + 1)
+            ],
         ),
         IdentityEntry(
             id="genfunc-alpha",
@@ -400,6 +481,7 @@ def _series_sides(ht, size: int) -> list[IdentityEntry]:
             params=("n", "alpha"),
             lhs=lambda n, alpha: genfunc(alpha, n)[n],
             rhs=lambda n, alpha: -ht(alpha, n)[n],
+            grid=lambda n_max, rng: [{"alpha": a, "n": n} for a in sorted({rand_rat(rng) for _ in range(10)}) for n in range(n_max + 1)],
         ),
         IdentityEntry(
             id="genfunc-harmonic",
@@ -407,6 +489,7 @@ def _series_sides(ht, size: int) -> list[IdentityEntry]:
             params=("n",),
             lhs=lambda n: genfunc(Fraction(1), n)[n],
             rhs=lambda n: -ht(1, n)[n],
+            grid=lambda n_max, rng: [{"alpha": Fraction(1), "n": n} for n in range(n_max + 1)],
         ),
         IdentityEntry(
             id="genfunc-skew",
@@ -415,6 +498,7 @@ def _series_sides(ht, size: int) -> list[IdentityEntry]:
             lhs=lambda n: genfunc(Fraction(-1), n)[n],
             rhs=lambda n: -ht(-1, n)[n],
             note="the printed -H notation matches only under the H_n(-1) reading",
+            grid=_n0_grid,
         ),
     ]
 
@@ -431,6 +515,10 @@ def _pan_sides(ht) -> list[IdentityEntry]:
             lhs=lambda n, mu, lam, alpha: binomial_oracle(n, ht(alpha, n), mu, lam),
             rhs=pan_closed_form,
             note="grid includes every u+L = 0 line (second branch) and u = L = 0",
+            grid=lambda n_max, rng: [
+                {"mu": mu, "lambda": lam, "alpha": alpha, "n": n}
+                for alpha in ALPHA_GRID for lam in MU_LAMBDA_GRID for mu in MU_LAMBDA_GRID for n in range(1, n_max + 1)
+            ],
         ),
         IdentityEntry(
             id="idi1-alternating",
@@ -439,6 +527,7 @@ def _pan_sides(ht) -> list[IdentityEntry]:
             lhs=lambda n, alpha: binomial_oracle(n, ht(alpha, n), mu=-1),
             rhs=idi1_rhs,
             certify=lambda nm: certify_alpha_identity(alternating_oracle, idi1_rhs, nm),
+            grid=_alpha_grid(10),
         ),
         IdentityEntry(
             id="skew-transform",
@@ -446,6 +535,7 @@ def _pan_sides(ht) -> list[IdentityEntry]:
             params=("n",),
             lhs=lambda n: -binomial_oracle(n, ht(-1, n)),
             rhs=lambda n: -pan_closed_form(n, 1, 1, -1),
+            grid=_n_grid,
         ),
         IdentityEntry(
             id="frontczak-variant",
@@ -453,6 +543,7 @@ def _pan_sides(ht) -> list[IdentityEntry]:
             params=("n",),
             lhs=lambda n: -binomial_oracle(n, ht(-1, n), mu=2),
             rhs=lambda n: -pan_closed_form(n, 2, 1, -1),
+            grid=_n_grid,
         ),
         IdentityEntry(
             id="spivey-generalization",
@@ -460,6 +551,7 @@ def _pan_sides(ht) -> list[IdentityEntry]:
             params=("n", "alpha"),
             lhs=lambda n, alpha: binomial_oracle(n, ht(alpha, n)),
             rhs=lambda n, alpha: pan_closed_form(n, 1, 1, alpha),
+            grid=_alpha_grid(5),
         ),
     ]
 
@@ -472,15 +564,20 @@ def _thm33_sides(ht) -> list[IdentityEntry]:
         lhs=lambda c, n, alpha: binomial_oracle(n, [h * ck for h, ck in zip(ht(alpha, n)[: n + 1], c)], mu=-1),
         rhs=thm33_rhs,
         note=f"promoted to ASSERT after a clean full oracle run; a and alpha are treated as one symbol; seq: {_THM33_LEGEND}",
+        family=lambda n_max, seed, rng: _thm33_clib(n_max, seed),
+        grid=lambda n_max, rng: [
+            {"seq": i, "alpha": a, "n": n} for a in ALPHA_GRID for n in range(1, n_max + 1) for i in range(len(THM33_SEQS))
+        ],
     )
     return [
         eqnnew8,
-        replace(
+        _variant(
             eqnnew8,
             id="thm3.3-nabla",
             anchor="eqnnew9: same sum decomposed through weighted nabla terms",
             rhs=thm33_nabla_rhs,
             note=f"seq: {_THM33_LEGEND}",
+            grid=lambda n_max, rng: [{"seq": i, "alpha": a, "n": n} for a in ALPHA_GRID for n in range(1, n_max + 1) for i in range(6)],
         ),
     ]
 
@@ -493,6 +590,7 @@ def _example34_sides(ht) -> list[IdentityEntry]:
         lhs=lambda n: -binomial_oracle(n, ht(1, n), mu=-1),
         rhs=lambda n: Fraction(1, n),
         note="printed transform value (-1)^(n-1)/n holds only at odd n; see ex3.4-harmonic-alt-as-printed",
+        grid=_n_grid,
     )
     return [
         IdentityEntry(
@@ -502,9 +600,10 @@ def _example34_sides(ht) -> list[IdentityEntry]:
             lhs=lambda n, p: binomial_oracle(n, [math.factorial(k) * s for k, s in enumerate(stirling2_row(p))] + [0] * n),
             rhs=lambda n, p: n**p,
             note="integer exponents only; the complex-exponent form of this pair is out of scope",
+            grid=lambda n_max, rng: [{"p": p, "n": n} for n in range(n_max + 1) for p in range(9)],
         ),
         harmonic_alt,
-        replace(
+        _variant(
             harmonic_alt,
             id="ex3.4-harmonic-alt-as-printed",
             anchor="sum_k C(n,k)(-1)^(k-1) H_k = (-1)^(n-1)/n (as printed)",
@@ -518,6 +617,7 @@ def _example34_sides(ht) -> list[IdentityEntry]:
             params=("n",),
             lhs=lambda n: binomial_oracle(n, [fibonacci(k) for k in range(n + 1)]),
             rhs=lambda n: _fibonacci_doubling(2 * n),
+            grid=_n0_grid,
         ),
         IdentityEntry(
             id="ex3.4-fibonacci-alt",
@@ -525,6 +625,7 @@ def _example34_sides(ht) -> list[IdentityEntry]:
             params=("n",),
             lhs=lambda n: -binomial_oracle(n, [fibonacci(k) for k in range(n + 1)], mu=-1),
             rhs=_fibonacci_doubling,
+            grid=_n0_grid,
         ),
         IdentityEntry(
             id="ex3.4-lucas",
@@ -532,6 +633,7 @@ def _example34_sides(ht) -> list[IdentityEntry]:
             params=("n",),
             lhs=lambda n: binomial_oracle(n, [lucas(k) for k in range(n + 1)]),
             rhs=lambda n: _lucas_doubling(2 * n),
+            grid=_n0_grid,
         ),
         IdentityEntry(
             id="ex3.4-lucas-alt",
@@ -539,6 +641,7 @@ def _example34_sides(ht) -> list[IdentityEntry]:
             params=("n",),
             lhs=lambda n: binomial_oracle(n, [lucas(k) for k in range(n + 1)], mu=-1),
             rhs=_lucas_doubling,
+            grid=_n0_grid,
         ),
         IdentityEntry(
             id="ex3.4-bernoulli",
@@ -547,6 +650,7 @@ def _example34_sides(ht) -> list[IdentityEntry]:
             lhs=lambda n: binomial_oracle(n, bernoulli_table(n)),
             rhs=_bernoulli_alternating,
             note="pins the B_1 = -1/2 convention; the +1/2 convention fails at n = 1",
+            grid=_n0_grid,
         ),
         IdentityEntry(
             id="ex3.4-laguerre",
@@ -555,6 +659,7 @@ def _example34_sides(ht) -> list[IdentityEntry]:
             lhs=laguerre,
             rhs=lambda n, x: _laguerre_recurrence(x, n)[n],
             note="right side from the three-term recurrence, independent of the defining sum",
+            grid=lambda n_max, rng: [{"x": x, "n": n} for n in range(n_max + 1) for x in LAGUERRE_XS],
         ),
     ]
 
@@ -568,6 +673,9 @@ def _sanchez_sides() -> list[IdentityEntry]:
             lhs=lambda n, k, p: binom_int(n, k) * k**p,
             rhs=sanchez_weight,
             note="uses the C(n-l,k), C(n-l,j-l) index reading; the printed C(n-1,*) occurrences fail the p=1..3 examples",
+            grid=lambda n_max, rng: [
+                {"n": n, "k": k, "p": p} for top in [min(n_max, 15)] for k in range(top + 1) for n in range(k, top + 1) for p in range(7)
+            ],
         )
     ]
     for p, fn in ((1, sanchez_weight_p1), (2, sanchez_weight_p2), (3, sanchez_weight_p3)):
@@ -578,6 +686,9 @@ def _sanchez_sides() -> list[IdentityEntry]:
                 params=("n", "k"),
                 lhs=lambda n, k, p=p: binom_int(n, k) * k**p,
                 rhs=fn,
+                grid=lambda n_max, rng: [
+                    {"n": n, "k": k} for top in [min(n_max, 12)] for k in range(top + 1) for n in range(k, top + 1)
+                ],
             )
         )
     entries.append(
@@ -588,6 +699,11 @@ def _sanchez_sides() -> list[IdentityEntry]:
             lhs=_power_weight_oracle,
             rhs=lambda a, n, p: sanchez_transform(binomial_transform(a[: n + 1]), n, p),
             note="cells with p > n are skipped by contract, not evaluated",
+            family=lambda n_max, seed, rng: _rand_seqs(rng, 10, min(n_max, 12)),
+            # p = n+1 cells exercise the validity-range skip
+            grid=lambda n_max, rng: [
+                {"seq": i, "n": n, "p": p} for n in range(1, min(n_max, 12) + 1) for p in range(min(n, 6) + 2) for i in range(10)
+            ],
         )
     )
     return entries
@@ -604,6 +720,10 @@ def _asnp_sides(ht) -> list[IdentityEntry]:
         params=("n", "p", "z", "alpha"),
         lhs=oracle,
         rhs=as_np_closed,
+        grid=lambda n_max, rng: [
+            {"z": z, "alpha": alpha, "n": n, "p": p}
+            for alpha in AS_ALPHAS for n in range(1, min(n_max, 12) + 1) for p in range(1, min(n, 4) + 1) for z in Z_GRID
+        ],
     )
     alpha1 = IdentityEntry(
         id="as-newcoffey1",
@@ -612,6 +732,7 @@ def _asnp_sides(ht) -> list[IdentityEntry]:
         lhs=lambda n, p: oracle(n, p, Fraction(-1), Fraction(1)),
         rhs=as_zneg1_alpha1_closed,
         note="tail weight corrected to k! S(p,k), forced by the oracle and by the surrounding derivation; see -as-printed",
+        grid=lambda n_max, rng: [{"n": n, "p": p} for n in range(1, min(n_max, 15) + 1) for p in range(1, min(n, 6) + 1)],
     )
     p0 = IdentityEntry(
         id="as-p0",
@@ -620,17 +741,24 @@ def _asnp_sides(ht) -> list[IdentityEntry]:
         lhs=lambda n, z, alpha: binomial_oracle(n, ht(alpha, n), mu=z),
         rhs=lambda n, z, alpha: pan_closed_form(n, z, 1, alpha),
         note="printed display carries a stray (-1)^k on the left; see as-p0-as-printed",
+        grid=lambda n_max, rng: [
+            {"z": z, "alpha": alpha, "n": n} for alpha in AS_ALPHAS for n in range(1, min(n_max, 12) + 1) for z in Z_GRID
+        ],
     )
     return [
         general,
-        replace(
+        _variant(
             general,
             id="as-newcoff",
             anchor="newcoff: the z = -1 branch through the alternating transform values",
             note="promoted to ASSERT after a clean full oracle run; the l = n corner uses b_0 = 0 exactly, avoiding the printed 0/0",
+            grid=lambda n_max, rng: [
+                {"z": Fraction(-1), "alpha": alpha, "n": n, "p": p}
+                for alpha in ALPHA_GRID for n in range(1, min(n_max, 15) + 1) for p in range(1, min(n, 4) + 1)
+            ],
         ),
         alpha1,
-        replace(
+        _variant(
             alpha1,
             id="as-newcoffey1-as-printed",
             anchor="newcoffey1 with the printed tail weight k! C(n,k)",
@@ -639,7 +767,7 @@ def _asnp_sides(ht) -> list[IdentityEntry]:
             note="",
         ),
         p0,
-        replace(
+        _variant(
             p0,
             id="as-p0-as-printed",
             anchor="p=0 case with the printed (-1)^k kept on the left",
@@ -653,9 +781,13 @@ def _asnp_sides(ht) -> list[IdentityEntry]:
             params=("n", "z", "alpha"),
             lhs=lambda n, z, alpha: oracle(n, 1, z, alpha),
             rhs=as_p1_closed,
+            # p = 1 is shown in the table; the sides do not read it
+            grid=lambda n_max, rng: [
+                {"z": z, "alpha": alpha, "n": n, "p": 1} for alpha in AS_ALPHAS for n in range(1, min(n_max, 12) + 1) for z in Z_GRID
+            ],
         ),
         *(
-            replace(
+            _variant(
                 general,
                 id=f"as-p{p}-display",
                 anchor=f"p={p} display expansion",
@@ -664,6 +796,11 @@ def _asnp_sides(ht) -> list[IdentityEntry]:
                     "UNIMPLEMENTED-AS-PRINTED: the display has unbalanced parentheses and an "
                     "undefined symbol; cells compare the general closed form instead"
                 ),
+                # the display rows keep their smallest legal n even when n_max < p
+                grid=lambda n_max, rng, p=p: [
+                    {"z": z, "alpha": alpha, "n": n, "p": p}
+                    for alpha in (Fraction(1), Fraction(2)) for n in range(p, max(min(n_max, 10), p) + 1) for z in (Fraction(1, 2), Fraction(1))
+                ],
             )
             for p in (2, 3)
         ),
@@ -679,6 +816,7 @@ def _conclusion_sides(idi1: IdentityEntry) -> list[IdentityEntry]:
         rhs=concl_item3_rhs,
         policy=REPORT_ONLY,
         note="question-marked in the source; registered as a conjecture, never asserted",
+        grid=_concl_grid,
     )
     item4 = IdentityEntry(
         id="concl-item4",
@@ -688,11 +826,17 @@ def _conclusion_sides(idi1: IdentityEntry) -> list[IdentityEntry]:
         rhs=concl_item4_rhs,
         policy=REPORT_ONLY,
         note="weight-2 reading; disagrees beyond n = 1, counterexamples recorded",
+        grid=_concl_grid,
     )
     return [
-        replace(idi1, id="concl-item2", anchor="conclusion-2: sum_k (-1)^k C(n,k) H_k(a) = ((1-a)^n - 1)/n"),
+        _variant(
+            idi1,
+            id="concl-item2",
+            anchor="conclusion-2: sum_k (-1)^k C(n,k) H_k(a) = ((1-a)^n - 1)/n",
+            grid=_alpha_grid(5),
+        ),
         item3,
-        replace(
+        _variant(
             item3,
             id="concl-item3-square",
             anchor="conclusion-3 with H(a)^(2) read as a square",
@@ -700,7 +844,7 @@ def _conclusion_sides(idi1: IdentityEntry) -> list[IdentityEntry]:
             note="alternative reading of the same conjecture",
         ),
         item4,
-        replace(
+        _variant(
             item4,
             id="concl-item4-square",
             anchor="conclusion-4 with the squares reading",
@@ -718,163 +862,19 @@ def declare(size: int = 0) -> list[IdentityEntry]:
     asking for a larger n builds them at that n.
     """
     ht = _memo("harmonic_table", lambda alpha, m: harmonic_table(m, 1, alpha), size)
-    entries = [
+    pan = _pan_sides(ht)  # pan[1] is idi1-alternating, which concl-item2 restates
+    return [
         *_exact_sides(),
         *_ratio_sides(),
         *_gould_sides(),
         *_series_sides(ht, size),
-        *_pan_sides(ht),
+        *pan,
         *_thm33_sides(ht),
         *_example34_sides(ht),
         *_sanchez_sides(),
         *_asnp_sides(ht),
+        *_conclusion_sides(pan[1]),
     ]
-    idi1 = next(e for e in entries if e.id == "idi1-alternating")
-    return entries + _conclusion_sides(idi1)
-
-
-# --- grids -----------------------------------------------------------------------
-
-def _rand_seqs(rng: random.Random, count: int, n_max: int) -> list[tuple[Fraction, ...]]:
-    return [tuple(rand_rat(rng) for _ in range(n_max + 1)) for _ in range(count)]
-
-
-def _thm33_clib(n_max: int, seed: int) -> list[tuple[Fraction, ...]]:
-    """The terms 0..n_max of each sequence named in THM33_SEQS."""
-    named = [tuple(terms(n_max)) for _, terms in _THM33_NAMED]
-    return named + _rand_seqs(_rng(seed, "thm3.3-clib"), len(THM33_SEQS) - len(named), n_max)
-
-
-def _grids(n_max: int, seed: int) -> tuple[dict[str, list[Cell]], dict[str, list[tuple]]]:
-    """Every entry's cells by id, in visiting order, and the sequences that `seq` cells index.
-
-    run_entry visits a grid as given, so each is built in lexicographic order of
-    its cells' (name, value) pairs: the loops run over the names in sorted order
-    (a < alpha < j < k < lambda < mu < n < p < pair < seq < x < z), and over
-    each name's values in ascending order.
-    """
-    ns = range(1, n_max + 1)
-    ns0 = range(n_max + 1)
-    cells: dict[str, list[Cell]] = {}
-    seqs: dict[str, list[tuple]] = {}
-
-    rng = _rng(seed, "hockey-stick")
-    xs = sorted({rand_rat(rng) for _ in range(20)})
-    cells["hockey-stick"] = [{"x": x, "n": n} for n in range(min(n_max, 30) + 1) for x in xs]
-
-    seqs["lemma2.1-coherence"] = coherence = _rand_seqs(_rng(seed, "lemma2.1-coherence"), 30, n_max)
-    cells["lemma2.1-coherence"] = [{"seq": s, "lambda": lam, "n": n} for lam in LAMBDA_GRID for n in ns for s in range(len(coherence))]
-    cells["lemma2.1-ones-zero"] = [{"n": n} for n in ns]
-    cells["lemma2.1-ones"] = cells["lemma2.1-ones-as-printed"] = [
-        {"lambda": lam, "n": n} for lam in LAMBDA_GRID if lam != 0 for n in ns
-    ]
-    # even seq indices get a_0 = 0, so the b_0-correction path is exercised either way
-    general = _rand_seqs(_rng(seed, "thm2.3-general"), 30, n_max)
-    seqs["thm2.3-general"] = [(Fraction(0), *s[1:]) if i % 2 == 0 else s for i, s in enumerate(general)]
-    cells["thm2.3-general"] = [{"seq": i, "lambda": lam, "n": n} for lam in LAMBDA_GRID for n in ns for i in range(len(general))]
-    for entry_id in ("thm2.3-lambda0", "thm2.3-lambda1"):
-        seqs[entry_id] = _rand_seqs(_rng(seed, entry_id), 10, n_max)
-        cells[entry_id] = [{"seq": i, "n": n} for n in ns for i in range(len(seqs[entry_id]))]
-    cells["second-case-ones"] = [{"n": n} for n in ns]
-    cells["knuth-flajolet"] = [{"lambda": lam, "n": n} for lam in KNUTH_LAMBDAS for n in ns]
-    rng = _rng(seed, "gen-harmonic-relation")
-    alphas = sorted({*ALPHA_GRID, *(rand_rat(rng) for _ in range(20))})
-    cells["gen-harmonic-relation"] = [{"alpha": a, "n": n} for a in alphas for n in ns]
-    cells["skew-relation"] = cells["skew-sign-convention"] = [{"n": n} for n in ns]
-
-    cells["eq-eulerbnew"] = [{"a": a, "j": j, "n": n} for a in GOULD_A_GRID for j in ns for n in range(j, n_max + 1)]
-    cells["eq-eulerbnew-j0"] = cells["eq-eulerbnew-j0-corrected"] = [
-        {"a": a, "j": 0, "n": n} for a in GOULD_A_GRID for n in ns
-    ]
-
-    rng = _rng(seed, "panequa1-series")
-    triples = [(rand_rat(rng), rand_rat(rng), rand_rat(rng)) for _ in range(10)]
-    cells["panequa1-series"] = [
-        {"pair": i, "lambda": lam, "mu": mu, "alpha": alpha, "n": n}
-        for alpha, lam, mu, i in sorted((alpha, lam, mu, i) for i, (lam, mu, alpha) in enumerate(triples))
-        for n in ns0
-    ]
-    rng = _rng(seed, "genfunc-alpha")
-    alphas = sorted({rand_rat(rng) for _ in range(10)})
-    cells["genfunc-alpha"] = [{"alpha": a, "n": n} for a in alphas for n in ns0]
-    cells["genfunc-harmonic"] = [{"alpha": Fraction(1), "n": n} for n in ns0]
-    cells["genfunc-skew"] = [{"n": n} for n in ns0]
-
-    cells["pan-thm3.2"] = [
-        {"mu": mu, "lambda": lam, "alpha": alpha, "n": n}
-        for alpha in ALPHA_GRID
-        for lam in MU_LAMBDA_GRID
-        for mu in MU_LAMBDA_GRID
-        for n in ns
-    ]
-    for entry_id, extra in (("idi1-alternating", 10), ("spivey-generalization", 5), ("concl-item2", 5)):
-        rng = _rng(seed, entry_id)
-        alphas = sorted({*ALPHA_GRID, *(rand_rat(rng) for _ in range(extra))})
-        cells[entry_id] = [{"alpha": a, "n": n} for a in alphas for n in ns]
-    cells["skew-transform"] = cells["frontczak-variant"] = [{"n": n} for n in ns]
-
-    seqs["thm3.3-eqnnew8"] = seqs["thm3.3-nabla"] = _thm33_clib(n_max, seed)
-    cells["thm3.3-eqnnew8"] = [{"seq": i, "alpha": a, "n": n} for a in ALPHA_GRID for n in ns for i in range(len(seqs["thm3.3-eqnnew8"]))]
-    cells["thm3.3-nabla"] = [{"seq": i, "alpha": a, "n": n} for a in ALPHA_GRID for n in ns for i in range(6)]
-
-    cells["ex3.4-stirling-power"] = [{"p": p, "n": n} for n in ns0 for p in range(9)]
-    cells["ex3.4-harmonic-alt"] = cells["ex3.4-harmonic-alt-as-printed"] = [{"n": n} for n in ns]
-    for entry_id in ("ex3.4-fibonacci", "ex3.4-fibonacci-alt", "ex3.4-lucas", "ex3.4-lucas-alt", "ex3.4-bernoulli"):
-        cells[entry_id] = [{"n": n} for n in ns0]
-    xs = [Fraction(-2, 3), Fraction(1, 2), Fraction(1), Fraction(3)]
-    cells["ex3.4-laguerre"] = [{"x": x, "n": n} for n in ns0 for x in xs]
-
-    top15, top12 = min(n_max, 15), min(n_max, 12)
-    cells["sanchez-weight"] = [
-        {"n": n, "k": k, "p": p} for k in range(top15 + 1) for n in range(k, top15 + 1) for p in range(7)
-    ]
-    for p in (1, 2, 3):
-        cells[f"sanchez-p{p}"] = [{"n": n, "k": k} for k in range(top12 + 1) for n in range(k, top12 + 1)]
-    seqs["sanchez-transform"] = _rand_seqs(_rng(seed, "sanchez-transform"), 10, top12)
-    cells["sanchez-transform"] = [
-        {"seq": i, "n": n, "p": p}
-        for n in range(1, top12 + 1)
-        for p in range(min(n, 6) + 2)  # p = n+1 cells exercise the validity-range skip
-        for i in range(len(seqs["sanchez-transform"]))
-    ]
-
-    alphas4 = [Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2)]
-    cells["as-newcoffey"] = [
-        {"z": z, "alpha": alpha, "n": n, "p": p}
-        for alpha in alphas4
-        for n in range(1, top12 + 1)
-        for p in range(1, min(n, 4) + 1)
-        for z in Z_GRID
-    ]
-    cells["as-newcoff"] = [
-        {"z": Fraction(-1), "alpha": alpha, "n": n, "p": p}
-        for alpha in ALPHA_GRID
-        for n in range(1, top15 + 1)
-        for p in range(1, min(n, 4) + 1)
-    ]
-    cells["as-newcoffey1"] = cells["as-newcoffey1-as-printed"] = [
-        {"n": n, "p": p} for n in range(1, top15 + 1) for p in range(1, min(n, 6) + 1)
-    ]
-    cells["as-p0"] = cells["as-p0-as-printed"] = [
-        {"z": z, "alpha": alpha, "n": n} for alpha in alphas4 for n in range(1, top12 + 1) for z in Z_GRID
-    ]
-    # p = 1 is shown in the table; the sides of as-p1-exemple1 do not read it
-    cells["as-p1-exemple1"] = [
-        {"z": z, "alpha": alpha, "n": n, "p": 1} for alpha in alphas4 for n in range(1, top12 + 1) for z in Z_GRID
-    ]
-    for p in (2, 3):
-        # the display rows keep their smallest legal n even when n_max < p
-        cells[f"as-p{p}-display"] = [
-            {"z": z, "alpha": alpha, "n": n, "p": p}
-            for alpha in (Fraction(1), Fraction(2))
-            for n in range(p, max(min(n_max, 10), p) + 1)
-            for z in (Fraction(1, 2), Fraction(1))
-        ]
-
-    concl = [{"alpha": a, "n": n} for a in ALPHA_GRID for n in range(1, min(n_max, 20) + 1)]
-    for entry_id in ("concl-item3", "concl-item3-square", "concl-item4", "concl-item4-square"):
-        cells[entry_id] = concl
-    return cells, seqs
 
 
 def _on_seqs(side, seqs: list[tuple]):
@@ -882,17 +882,22 @@ def _on_seqs(side, seqs: list[tuple]):
     return lambda i, *rest: side(seqs[i], *rest)
 
 
-def build_registry(n_max: int, seed: int) -> list[IdentityEntry]:
-    """All registered entries with grids sized by n_max and seeded randomness."""
+def build_registry(n_max: int, seed: int, pattern: str = "*") -> list[IdentityEntry]:
+    """The entries whose id matches the fnmatch pattern, with their grids sized by n_max and seeded by seed.
+
+    Only the matching entries' grids and families are built.  An id holds no
+    fnmatch metacharacter, so an exact id matches only itself.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    cells, seqs = _grids(n_max, seed)
-    entries = declare(n_max)
-    ids = [e.id for e in entries]
-    if len(ids) != len(set(ids)) or set(ids) != set(cells):
-        raise RuntimeError("registry ids and grids disagree")
+    entries = [e for e in declare(n_max) if fnmatchcase(e.id, pattern)]
+    families: dict = {}  # family function -> its one draw in this build
     for e in entries:
-        e.cells = list(cells[e.id])
-        if e.id in seqs:
-            e.lhs, e.rhs = _on_seqs(e.lhs, seqs[e.id]), _on_seqs(e.rhs, seqs[e.id])
+        rng = _rng(seed, e.id)
+        if e.family is not None:
+            if e.family not in families:
+                families[e.family] = e.family(n_max, seed, rng)
+            seqs = families[e.family]
+            e.lhs, e.rhs = _on_seqs(e.lhs, seqs), _on_seqs(e.rhs, seqs)
+        e.cells = e.grid(n_max, rng)
     return entries

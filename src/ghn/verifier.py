@@ -22,7 +22,6 @@ its rule and its readers are written once, in exact.
 
 from __future__ import annotations
 
-import fnmatch
 import json
 import math
 import random
@@ -32,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DomainError, OutOfValidityRangeError
-from .exact import RatLike, binom_int, shared_run
+from .exact import RatLike, as_fraction, binom_int, shared_run
 from .polyseries import PolyQ, TruncSeries, geometric, log_one_minus
 
 ASSERT = "ASSERT"
@@ -62,6 +61,12 @@ class IdentityEntry:
     ``certify`` has an ``rhs(n, alpha)`` that is, at alpha = ALPHA, a
     polynomial in alpha; ``certify(n_max)`` compares it coefficient-wise with
     a direct-sum oracle over Q[alpha] for every n <= n_max.
+
+    A registry entry declares how its cells are made: ``grid(n_max, rng)``
+    returns them, drawing any random value from ``rng``, the entry's own
+    seeded stream.  An entry whose sides take a sequence ``seq`` declares
+    ``family(n_max, seed, rng)``, the seeded sequences that a cell's ``seq``
+    indexes; entries that hold the same family function share one draw of it.
     """
 
     id: str
@@ -69,10 +74,12 @@ class IdentityEntry:
     lhs: Callable[..., Fraction]
     rhs: Callable[..., Fraction]
     params: tuple[str, ...] = ()
-    cells: list[Cell] = field(default_factory=list)
+    cells: Sequence[Cell] = ()
     policy: str = ASSERT
     note: str = ""
     certify: Callable[[int], bool] | None = None
+    grid: Callable[[int, random.Random], list[Cell]] | None = None
+    family: Callable[[int, int, random.Random], list[tuple]] | None = None
 
 
 @dataclass
@@ -267,26 +274,26 @@ def pan_lemma_series(order: int, lam: RatLike, mu: RatLike, a: Sequence[RatLike]
     """f(mu*t/(1-lam*t))/(1-lam*t) through t^order, where f = sum_k a_k t^k."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    lam, mu = Fraction(lam), Fraction(mu)
+    lam, mu = as_fraction(lam, "lambda"), as_fraction(mu, "mu")
     inner = [Fraction(0)] + [mu * lam ** (k - 1) for k in range(1, order + 1)]
     return TruncSeries(a, order).compose(TruncSeries(inner, order)) * geometric(lam, order)
 
 
 def harmonic_genfunc(order: int, alpha: RatLike) -> TruncSeries:
     """log(1-alpha*t)/(1-t) through t^order; its t^n coefficient is -H_n(alpha)."""
-    return log_one_minus(alpha, order) * geometric(1, order)
+    return log_one_minus(as_fraction(alpha, "alpha"), order) * geometric(1, order)
 
 
 def run_suite(pattern: str = "*", n_max: int = 20, seed: int = 42) -> VerdictReport:
     """Run every registry entry whose id matches the fnmatch pattern.
 
+    Only the matching entries' grids are built (registry.build_registry).
     Deterministic: identical (pattern, n_max, seed) give byte-identical JSON.
     """
     from .registry import build_registry
 
     start = time.perf_counter()
-    entries = [e for e in build_registry(n_max, seed) if fnmatch.fnmatchcase(e.id, pattern)]
-    results = [run_entry(e) for e in entries]
+    results = [run_entry(e) for e in build_registry(n_max, seed, pattern)]
     return VerdictReport(
         suite=f"ghn:{pattern}",
         seed=seed,

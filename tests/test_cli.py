@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -5,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from ghn.cli import ALIASES, SEQ_NAMES, main
 from ghn.polyseries import TruncSeries
 from ghn.registry import build_registry, declare
 from ghn.sequences import harmonic_table, materialize, parse_seq_spec, skew_harmonic
-from ghn.verifier import ASSERT, REPORT_ONLY, IdentityEntry, binomial_oracle
+from ghn.verifier import ASSERT, REPORT_ONLY, IdentityEntry, binomial_oracle, run_suite
 
 
 def run_cli(args, capsys):
@@ -47,6 +49,14 @@ def test_runtime_loads_only_the_standard_library():
     proc = subprocess.run([sys.executable, "-c", _LOADED_OUTSIDE_STDLIB], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[] [0, 0]"
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    # pyproject.toml says requires-python >= 3.10; ast rejects later syntax, such as except*
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "ghn").glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
 # Snapshots every module-level list, dict and set of every ghn module in a fresh
@@ -608,7 +618,7 @@ def test_verify_markdown_format(capsys):
 def test_verify_exit_1_on_injected_fault(capsys, monkeypatch):
     import ghn.verifier as verifier_mod
 
-    def fake_registry(n_max, seed):
+    def fake_registry(n_max, seed, pattern="*"):
         cells = [{"n": n} for n in range(1, 4)]
         return [
             IdentityEntry(
@@ -652,10 +662,35 @@ def test_table_command(capsys):
     assert code == 2
 
 
+def test_only_the_grids_asked_for_are_built(capsys, monkeypatch):
+    import ghn.registry as registry_mod
+
+    table = run_cli(["table", "--id", "knuth-flajolet", "--n-max", "4"], capsys)
+    ledger = run_suite("knuth*", 4, 42).to_json()
+    declare = registry_mod.declare
+
+    def unasked(n_max, rng):
+        raise AssertionError("built a grid that was not asked for")
+
+    def guarded(size=0):
+        return [e if e.id == "knuth-flajolet" else replace(e, grid=unasked) for e in declare(size)]
+
+    monkeypatch.setattr(registry_mod, "declare", guarded)
+    assert run_cli(["table", "--id", "knuth-flajolet", "--n-max", "4"], capsys) == table
+    assert run_suite("knuth*", 4, 42).to_json() == ledger
+
+
+@pytest.mark.parametrize("pattern", ["hockey*", "knuth-flajolet?", "[h]ockey-stick"])
+def test_table_takes_no_pattern_for_an_id(pattern, capsys):
+    code, out, err = run_cli(["table", "--id", pattern], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: unknown entry id {pattern!r}; known: as-newcoff, ") and "hockey-stick" in err
+
+
 def test_table_ends_at_first_failing_cell(capsys, monkeypatch):
     import ghn.cli as cli_mod
 
-    def fake_registry(n_max, seed):
+    def fake_registry(n_max, seed, pattern="*"):
         return [
             IdentityEntry(
                 id="injected-fault",

@@ -8,7 +8,7 @@ import pytest
 from ghn.errors import CompositionDomainError
 from ghn.polyseries import PolyQ, TruncSeries, geometric, harmonic_poly, log_one_minus
 from ghn.sequences import harmonic, harmonic_p, skew_harmonic
-from ghn.verifier import pan_lemma_series
+from ghn.verifier import harmonic_genfunc, pan_lemma_series
 
 
 def _rand_rat(rng):
@@ -64,6 +64,24 @@ def test_mixed_operands_are_unsupported(op):
 def test_a_coefficient_that_is_no_int_or_fraction_raises(build):
     # as everywhere else in ghn, a float or a string term is refused, not read as Fraction() reads it
     with pytest.raises(TypeError, match="common_denominator takes int and Fraction values"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: log_one_minus(0.5, 3), "c"),
+        (lambda: log_one_minus(0.5, 0), "c"),
+        (lambda: geometric(0.1, 1), "c"),
+        (lambda: pan_lemma_series(2, 0.5, 1, [1, 0, 0]), "lambda"),
+        (lambda: pan_lemma_series(2, 1, 0.5, [1, 0, 0]), "mu"),
+        (lambda: harmonic_genfunc(3, 0.5), "alpha"),
+    ],
+    ids=["log_one_minus", "log_one_minus-order-0", "geometric", "pan_lemma_series-lambda", "pan_lemma_series-mu", "harmonic_genfunc"],
+)
+def test_a_float_scalar_raises(build, name):
+    # a float would be read as its binary expansion: geometric(0.1, 1) printed 3602879701896397/36028797018963968*t
+    with pytest.raises(TypeError, match=f"^{name} must be an int or a Fraction, not float$"):
         build()
 
 

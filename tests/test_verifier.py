@@ -592,6 +592,8 @@ def test_registry_well_formed():
     for e in entries:
         assert e.cells, f"{e.id} has an empty grid"
         assert e.policy in (ASSERT, REPORT_ONLY)
+        # an id is a build_registry pattern that matches only itself
+        assert not set("*?[]") & set(e.id), e.id
     # smallest legal grids still exist at n_max = 1, and each entry still
     # evaluates at least one cell there
     for e in build_registry(1, 42):
@@ -614,6 +616,27 @@ def test_run_suite_matching_nothing_returns_an_empty_report():
     report = run_suite("hocky*", n_max=3, seed=42)
     assert report.results == [] and not report.has_assert_failure()
     assert json.loads(report.to_json())["entries"] == []
+
+
+@pytest.mark.parametrize("n_max, seed", [(5, 3), (20, 42)])
+def test_filtering_cannot_change_a_row(n_max, seed):
+    # each grid draws from its entry's own stream, so an entry run alone gives its row of the full run
+    full = json.loads(run_suite("*", n_max, seed).to_json())["entries"]
+    for row in full:
+        assert json.loads(run_suite(row["id"], n_max, seed).to_json())["entries"] == [row]
+
+
+def test_a_shared_family_is_drawn_once_per_build(monkeypatch):
+    import ghn.registry as registry_mod
+
+    calls = []
+    clib = registry_mod._thm33_clib
+    monkeypatch.setattr(registry_mod, "_thm33_clib", lambda n_max, seed: calls.append((n_max, seed)) or clib(n_max, seed))
+    build_registry(20, 42)
+    assert calls == [(20, 42)]
+    build_registry(20, 42, "thm3.3-nabla")
+    build_registry(20, 42, "hockey*")
+    assert calls == [(20, 42), (20, 42)]
 
 
 def test_thm33_named_rows_equal_their_generators():
