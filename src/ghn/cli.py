@@ -5,15 +5,17 @@ entry at a point), verify (run the identity registry and write a verdict
 report), series (coefficient-exact series checks), table (per-cell view of
 one registry entry).  All rationals cross this boundary as "p/q" strings.
 
-eval builds no grid: it takes the entry's sides from registry.declare, casts
-each --param by the entry's params (integers n, p, j, k; sequence specs for
-seq, b, c; rationals otherwise) and calls rhs, then lhs, with those values in
-the order of params.  A --param given twice is a usage error.
-series does the same for the entry its --check names (SERIES_CHECKS), then
-runs that entry through verifier.run_entry at n = 0..order, which stops at
-the first differing coefficient.  table builds one grid: it passes its --id
-to registry.build_registry as the pattern, and refuses a pattern that is not
-itself an id.
+eval builds no grid: it checks its id against registry.GROUP_OF, takes the
+entry's sides from registry.declare with the id as the pattern, so that only
+the group that holds the entry is built, casts each --param by the entry's
+params (integers n, p, j, k; sequence specs for seq, b, c; rationals
+otherwise) and calls rhs, then lhs, with those values in the order of params.
+A --param given twice is a usage error.  series does the same for the entry
+its --check names (SERIES_CHECKS), then runs that entry through
+verifier.run_entry at n = 0..order, which stops at the first differing
+coefficient.  table refuses an --id that is not in registry.GROUP_OF, a
+pattern too, before it builds anything; it then passes the id to
+registry.build_registry as the pattern and builds one grid.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error (a
 verify --filter that matches no entry id among them), 3 report I/O failure.
@@ -40,7 +42,7 @@ from dataclasses import replace
 
 from .errors import DomainError, OutOfValidityRangeError, SeqSpecError
 from .exact import parse_rat
-from .registry import build_registry, declare
+from .registry import GROUP_OF, build_registry, declare
 from .sequences import materialize, parse_seq_spec
 from .verifier import run_entry, run_suite
 
@@ -166,10 +168,10 @@ def cmd_compute(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    entries = {e.id: e for e in declare()}
-    entry = entries.get(ALIASES.get(args.id, args.id))
-    if entry is None:
-        raise UsageError(f"unknown identity id {args.id!r}; known: {', '.join(sorted([*entries, *ALIASES]))}")
+    entry_id = ALIASES.get(args.id, args.id)
+    if entry_id not in GROUP_OF:
+        raise UsageError(f"unknown identity id {args.id!r}; known: {', '.join(sorted([*GROUP_OF, *ALIASES]))}")
+    [entry] = declare(pattern=entry_id)
     names = [SEQ_NAMES.get(args.id, "seq") if name == "seq" else name for name in entry.params]
     cast = _cast_params(_parse_params(args.param), names)
     point = [cast[name] for name in names]
@@ -180,7 +182,8 @@ def cmd_eval(args) -> int:
         rows = [["lhs", _shown("lhs", lhs)], ["rhs", _shown("rhs", rhs)], ["equal", "true" if lhs == rhs else "false"]]
         if entry.id in READINGS:
             label, other = READINGS[entry.id]
-            rows.append([label, _shown(label, entries[other].rhs(*point))])
+            [reading] = declare(pattern=other)
+            rows.append([label, _shown(label, reading.rhs(*point))])
     except (DomainError, OutOfValidityRangeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from exc
     _emit_table(args.id, ["field", "value"], rows, args.format, sys.stdout)
@@ -213,7 +216,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_series(args) -> int:
-    entry = next(e for e in declare(args.order) if e.id == SERIES_CHECKS[args.check])
+    [entry] = declare(args.order, SERIES_CHECKS[args.check])
     point = _cast_params(_parse_params(args.param), [name for name in entry.params if name != "n"])
     # run_entry visits n = 0..order in order and stops an ASSERT entry at its first failing cell
     result = run_entry(replace(entry, cells=[{**point, "n": n} for n in range(args.order + 1)]))
@@ -227,12 +230,11 @@ def cmd_series(args) -> int:
 
 
 def cmd_table(args) -> int:
-    # the id is build_registry's pattern, so only its grid is built; a pattern that
-    # matches some other id, such as 'hockey*', is not an id
-    entries = build_registry(args.n_max, args.seed, args.id)
-    if [e.id for e in entries] != [args.id]:
-        raise UsageError(f"unknown entry id {args.id!r}; known: {', '.join(sorted(e.id for e in declare()))}")
-    entry = entries[0]
+    # a pattern that matches some id, such as 'hockey*', is not an id; an id is
+    # build_registry's pattern, so only its grid is built
+    if args.id not in GROUP_OF:
+        raise UsageError(f"unknown entry id {args.id!r}; known: {', '.join(sorted(GROUP_OF))}")
+    [entry] = build_registry(args.n_max, args.seed, args.id)
     param_names = sorted({name for cell in entry.cells for name in cell})
     rows = []
 

@@ -12,10 +12,16 @@ rule is in exact).  Each entry declares its grid beside its sides:
 an entry whose sides take a sequence also declares ``family(n_max, seed,
 rng)``, the seeded sequences that a cell's ``seq`` indexes, resolved to their
 terms when the sides are called.  An entry made from another with
-``_variant`` keeps both unless it declares its own.  ``declare`` gives the
-entries with no cells; ``build_registry(n_max, seed, pattern)`` builds the
-grids and families of the entries whose id matches the pattern, and of no
-other entry, so ``verify --filter`` and ``table`` build only what they run.
+``_variant`` keeps both unless it declares its own.
+
+Entries are declared in groups, one builder per part of the paper, kept in
+ledger order in ``_GROUPS``; ``GROUP_OF`` maps each id to its group and is
+read once, at import, from the groups' own output, so no id is written twice.
+``declare(size, pattern)`` gives the entries whose id matches the fnmatch
+pattern, with no cells, and builds only the groups that hold them, so ``eval``
+and ``series`` build one group's sides.  ``build_registry(n_max, seed,
+pattern)`` builds the grids and families of those entries, and of no other
+entry, so ``verify --filter`` and ``table`` build only what they run.
 
 Grids are deterministic functions of (n_max, seed); each draws its random
 values from its entry's own stream, seeded by (seed, id), so that filtering
@@ -291,7 +297,7 @@ def _laguerre_recurrence(x, n_max: int) -> list[Fraction]:
 
 # --- sides, by group -------------------------------------------------------------
 
-def _exact_sides() -> list[IdentityEntry]:
+def _exact_sides(ht, size: int) -> list[IdentityEntry]:
     return [
         IdentityEntry(
             id="hockey-stick",
@@ -306,7 +312,7 @@ def _exact_sides() -> list[IdentityEntry]:
     ]
 
 
-def _ratio_sides() -> list[IdentityEntry]:
+def _ratio_sides(ht, size: int) -> list[IdentityEntry]:
     ones = IdentityEntry(
         id="lemma2.1-ones",
         anchor="lemmaeq0: b=1, L!=0 branch = (C(L+n,n)-1)/(L*C(L+n,n))",
@@ -419,7 +425,7 @@ def _ratio_sides() -> list[IdentityEntry]:
     ]
 
 
-def _gould_sides() -> list[IdentityEntry]:
+def _gould_sides(ht, size: int) -> list[IdentityEntry]:
     j0 = IdentityEntry(
         id="eq-eulerbnew-j0",
         anchor="eulerbnew at j=0 as printed",
@@ -503,8 +509,21 @@ def _series_sides(ht, size: int) -> list[IdentityEntry]:
     ]
 
 
-def _pan_sides(ht) -> list[IdentityEntry]:
+def _idi1_alternating(ht) -> IdentityEntry:
+    """idi1-alternating, of the Pan group; the conclusion group restates it as concl-item2."""
     alternating_oracle = lambda n: sum((binom_int(n, k) * (-1) ** k * harmonic_poly(k) for k in range(n + 1)), PolyQ())
+    return IdentityEntry(
+        id="idi1-alternating",
+        anchor="idi1: sum_k (-1)^k C(n,k) H_k(a) = ((1-a)^n - 1)/n",
+        params=("n", "alpha"),
+        lhs=lambda n, alpha: binomial_oracle(n, ht(alpha, n), mu=-1),
+        rhs=idi1_rhs,
+        certify=lambda nm: certify_alpha_identity(alternating_oracle, idi1_rhs, nm),
+        grid=_alpha_grid(10),
+    )
+
+
+def _pan_sides(ht, size: int) -> list[IdentityEntry]:
     # the skew-harmonic weights are H_k^- = -H_k(-1); the last three right sides
     # are Pan's theorem at each display's own (mu, lam, alpha)
     return [
@@ -520,15 +539,7 @@ def _pan_sides(ht) -> list[IdentityEntry]:
                 for alpha in ALPHA_GRID for lam in MU_LAMBDA_GRID for mu in MU_LAMBDA_GRID for n in range(1, n_max + 1)
             ],
         ),
-        IdentityEntry(
-            id="idi1-alternating",
-            anchor="idi1: sum_k (-1)^k C(n,k) H_k(a) = ((1-a)^n - 1)/n",
-            params=("n", "alpha"),
-            lhs=lambda n, alpha: binomial_oracle(n, ht(alpha, n), mu=-1),
-            rhs=idi1_rhs,
-            certify=lambda nm: certify_alpha_identity(alternating_oracle, idi1_rhs, nm),
-            grid=_alpha_grid(10),
-        ),
+        _idi1_alternating(ht),
         IdentityEntry(
             id="skew-transform",
             anchor="sum_k C(n,k) H_k^- = 2^n H_n(1/2)",
@@ -556,7 +567,7 @@ def _pan_sides(ht) -> list[IdentityEntry]:
     ]
 
 
-def _thm33_sides(ht) -> list[IdentityEntry]:
+def _thm33_sides(ht, size: int) -> list[IdentityEntry]:
     eqnnew8 = IdentityEntry(
         id="thm3.3-eqnnew8",
         anchor="eqnnew8: sum_k C(n,k)(-1)^k H_k(a) c_k via d = inverse transform of c",
@@ -582,7 +593,7 @@ def _thm33_sides(ht) -> list[IdentityEntry]:
     ]
 
 
-def _example34_sides(ht) -> list[IdentityEntry]:
+def _example34_sides(ht, size: int) -> list[IdentityEntry]:
     harmonic_alt = IdentityEntry(
         id="ex3.4-harmonic-alt",
         anchor="sum_k C(n,k)(-1)^(k-1) H_k = 1/n",
@@ -664,7 +675,7 @@ def _example34_sides(ht) -> list[IdentityEntry]:
     ]
 
 
-def _sanchez_sides() -> list[IdentityEntry]:
+def _sanchez_sides(ht, size: int) -> list[IdentityEntry]:
     entries = [
         IdentityEntry(
             id="sanchez-weight",
@@ -709,7 +720,7 @@ def _sanchez_sides() -> list[IdentityEntry]:
     return entries
 
 
-def _asnp_sides(ht) -> list[IdentityEntry]:
+def _asnp_sides(ht, size: int) -> list[IdentityEntry]:
     def oracle(n: int, p: int, z, alpha) -> Fraction:
         hs = ht(alpha, n)
         return binomial_oracle(n, [j**p * hs[j] for j in range(n + 1)], mu=z)
@@ -807,7 +818,7 @@ def _asnp_sides(ht) -> list[IdentityEntry]:
     ]
 
 
-def _conclusion_sides(idi1: IdentityEntry) -> list[IdentityEntry]:
+def _conclusion_sides(ht, size: int) -> list[IdentityEntry]:
     item3 = IdentityEntry(
         id="concl-item3",
         anchor="conclusion-3: sum_k H_k(a)/k vs product form, H(a)^(2) read as the weight-2 sum",
@@ -830,7 +841,7 @@ def _conclusion_sides(idi1: IdentityEntry) -> list[IdentityEntry]:
     )
     return [
         _variant(
-            idi1,
+            _idi1_alternating(ht),
             id="concl-item2",
             anchor="conclusion-2: sum_k (-1)^k C(n,k) H_k(a) = ((1-a)^n - 1)/n",
             grid=_alpha_grid(5),
@@ -854,27 +865,42 @@ def _conclusion_sides(idi1: IdentityEntry) -> list[IdentityEntry]:
     ]
 
 
-def declare(size: int = 0) -> list[IdentityEntry]:
-    """Every entry's sides, params and policy, in ledger order, with no cells.
+# The groups in ledger order.  Each is called as group(ht, size), where ht is
+# the run memo's harmonic tables built for n >= size.
+_GROUPS = (
+    _exact_sides,
+    _ratio_sides,
+    _gould_sides,
+    _series_sides,
+    _pan_sides,
+    _thm33_sides,
+    _example34_sides,
+    _sanchez_sides,
+    _asnp_sides,
+    _conclusion_sides,
+)
 
-    The tables the sides share are read through the run memo (see exact);
-    `size` is the n they are built for at least (a grid's n_max), and a side
-    asking for a larger n builds them at that n.
+
+def _harmonic_tables(size: int):
+    return _memo("harmonic_table", lambda alpha, m: harmonic_table(m, 1, alpha), size)
+
+
+# entry id -> the index in _GROUPS of the group that declares it, read from the groups once
+GROUP_OF = {e.id: g for g, group in enumerate(_GROUPS) for e in group(_harmonic_tables(0), 0)}
+
+
+def declare(size: int = 0, pattern: str = "*") -> list[IdentityEntry]:
+    """The sides, params and policy of the entries whose id matches the fnmatch pattern, in ledger order, with no cells.
+
+    Only the groups that hold a matching id are built.  The tables the sides
+    share are read through the run memo (see exact); `size` is the n they are
+    built for at least (a grid's n_max), and a side asking for a larger n
+    builds them at that n.
     """
-    ht = _memo("harmonic_table", lambda alpha, m: harmonic_table(m, 1, alpha), size)
-    pan = _pan_sides(ht)  # pan[1] is idi1-alternating, which concl-item2 restates
-    return [
-        *_exact_sides(),
-        *_ratio_sides(),
-        *_gould_sides(),
-        *_series_sides(ht, size),
-        *pan,
-        *_thm33_sides(ht),
-        *_example34_sides(ht),
-        *_sanchez_sides(),
-        *_asnp_sides(ht),
-        *_conclusion_sides(pan[1]),
-    ]
+    # an id holds no fnmatch metacharacter, so an exact id matches only itself
+    ids = {pattern} if pattern in GROUP_OF else {i for i in GROUP_OF if fnmatchcase(i, pattern)}
+    ht = _harmonic_tables(size)
+    return [e for g in sorted({GROUP_OF[i] for i in ids}) for e in _GROUPS[g](ht, size) if e.id in ids]
 
 
 def _on_seqs(side, seqs: list[tuple]):
@@ -885,12 +911,11 @@ def _on_seqs(side, seqs: list[tuple]):
 def build_registry(n_max: int, seed: int, pattern: str = "*") -> list[IdentityEntry]:
     """The entries whose id matches the fnmatch pattern, with their grids sized by n_max and seeded by seed.
 
-    Only the matching entries' grids and families are built.  An id holds no
-    fnmatch metacharacter, so an exact id matches only itself.
+    Only the matching entries' sides (declare), grids and families are built.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    entries = [e for e in declare(n_max) if fnmatchcase(e.id, pattern)]
+    entries = declare(n_max, pattern)
     families: dict = {}  # family function -> its one draw in this build
     for e in entries:
         rng = _rng(seed, e.id)

@@ -14,7 +14,8 @@ and harmonic_p builds one Fraction, for its last entry alone.  Stirling numbers
 and Bernoulli numbers come as whole tables, stirling2_row(p) and
 bernoulli_table(n), built afresh on each call, since nothing here is cached
 (the cache rule is in exact); stirling2 and bernoulli are views of one entry,
-so a caller that needs many values takes one table.
+so a caller that needs many values takes one table.  laguerre sums its
+defining series in integers and builds one Fraction per value.
 """
 
 from __future__ import annotations
@@ -141,14 +142,22 @@ def bernoulli(n: int) -> Fraction:
 
 
 def laguerre(n: int, x: RatLike) -> Fraction:
-    """Laguerre polynomial value L_n(x) = sum_k C(n, k) (-x)^k / k!."""
+    """Laguerre polynomial value L_n(x) = sum_k C(n, k) (-x)^k / k!; one Fraction.
+
+    The defining sum in integers: with x = p/q, over q^n n!, term k is
+    C(n, k) (-p)^k q^(n-k) n!/k!.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     xf = Fraction(x)
-    total = Fraction(0)
+    p, q = xf.numerator, xf.denominator
+    n_fact = math.factorial(n)
+    total, p_pow, q_pow = 0, 1, q**n  # (-p)^k and q^(n-k) at k = 0
     for k in range(n + 1):
-        total += binom_int(n, k) * (-xf) ** k / math.factorial(k)
-    return total
+        total += binom_int(n, k) * p_pow * q_pow * (n_fact // math.factorial(k))
+        p_pow *= -p
+        q_pow //= q
+    return Fraction(total, q**n * n_fact)
 
 
 # --- sequence specifications -------------------------------------------------

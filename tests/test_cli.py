@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from ghn.cli import ALIASES, SEQ_NAMES, main
+from ghn.cli import ALIASES, READINGS, SEQ_NAMES, SERIES_CHECKS, main
 from ghn.polyseries import TruncSeries
-from ghn.registry import build_registry, declare
+from ghn.registry import GROUP_OF, _GROUPS, _harmonic_tables, build_registry, declare
 from ghn.sequences import harmonic_table, materialize, parse_seq_spec, skew_harmonic
 from ghn.verifier import ASSERT, REPORT_ONLY, IdentityEntry, binomial_oracle, run_suite
 
@@ -205,6 +205,26 @@ def test_eval_known_ids(capsys):
     assert rows["lhs"] == rows["rhs"]
 
 
+def test_group_index_agrees_with_declare():
+    ht = _harmonic_tables(0)
+    groups = [[e.id for e in group(ht, 0)] for group in _GROUPS]
+    ids = [entry_id for group in groups for entry_id in group]
+    assert ids == [e.id for e in declare()] == list(GROUP_OF) and len(set(ids)) == len(ids) == 55
+    assert all(GROUP_OF[entry_id] == g for g, group in enumerate(groups) for entry_id in group)
+
+
+def _only_groups_of(monkeypatch, *entry_ids):
+    """Make the builder of every group that holds none of entry_ids raise."""
+    import ghn.registry as registry_mod
+
+    kept = {GROUP_OF[entry_id] for entry_id in entry_ids}
+
+    def refused(ht, size):
+        raise AssertionError("built a group that holds no entry asked for")
+
+    monkeypatch.setattr(registry_mod, "_GROUPS", tuple(group if g in kept else refused for g, group in enumerate(_GROUPS)))
+
+
 # one in-domain point per id that eval took before it reached the whole registry
 EVAL_POINTS = {
     "gen-harmonic-relation": ["n=5", "alpha=2/3"],
@@ -259,13 +279,14 @@ def _eval_rows(argv, capsys):
 
 
 @pytest.mark.parametrize("entry_id", EVAL_IDS)
-def test_eval_every_id(entry_id, capsys):
+def test_eval_every_id(entry_id, capsys, monkeypatch):
     argv = ["eval", "--id", entry_id]
     point = EVAL_POINTS.get(entry_id) or _grid_point(entry_id, n=3)
     for param in point:
         argv += ["--param", param]
-    rows = _eval_rows(argv, capsys)
     entry = SIDES[ALIASES.get(entry_id, entry_id)]
+    _only_groups_of(monkeypatch, entry.id, *([READINGS[entry.id][1]] if entry.id in READINGS else []))
+    rows = _eval_rows(argv, capsys)
     if entry_id in ("concl-item3", "concl-item4"):
         assert "rhs_square_reading" in rows
     elif entry.policy == ASSERT:
@@ -534,10 +555,11 @@ def test_series_checks(capsys):
     ],
     ids=["pan-lemma-mu0", "pan-lemma-lambda0", "alpha1", "alpha-2/7", "alpha-1", "skew"],
 )
-def test_series_check_cases(check, params, capsys):
+def test_series_check_cases(check, params, capsys, monkeypatch):
     argv = ["series", "--check", check, "--order", "40"]
     for param in params:
         argv += ["--param", param]
+    _only_groups_of(monkeypatch, SERIES_CHECKS[check])
     assert run_cli(argv, capsys) == (0, f"PASS: {check} coefficient-exact through order 40\n", "")
 
 
@@ -667,24 +689,35 @@ def test_only_the_grids_asked_for_are_built(capsys, monkeypatch):
 
     table = run_cli(["table", "--id", "knuth-flajolet", "--n-max", "4"], capsys)
     ledger = run_suite("knuth*", 4, 42).to_json()
-    declare = registry_mod.declare
 
     def unasked(n_max, rng):
         raise AssertionError("built a grid that was not asked for")
 
-    def guarded(size=0):
-        return [e if e.id == "knuth-flajolet" else replace(e, grid=unasked) for e in declare(size)]
+    def guarded(group):
+        # every entry but knuth-flajolet, in its own group too, gets a grid that raises
+        return lambda ht, size: [e if e.id == "knuth-flajolet" else replace(e, grid=unasked) for e in group(ht, size)]
 
-    monkeypatch.setattr(registry_mod, "declare", guarded)
+    monkeypatch.setattr(registry_mod, "_GROUPS", tuple(guarded(group) for group in _GROUPS))
+    with pytest.raises(AssertionError, match="not asked for"):
+        build_registry(4, 42, "second-case-ones")  # the guard is live, in knuth-flajolet's group too
     assert run_cli(["table", "--id", "knuth-flajolet", "--n-max", "4"], capsys) == table
     assert run_suite("knuth*", 4, 42).to_json() == ledger
 
 
-@pytest.mark.parametrize("pattern", ["hockey*", "knuth-flajolet?", "[h]ockey-stick"])
-def test_table_takes_no_pattern_for_an_id(pattern, capsys):
-    code, out, err = run_cli(["table", "--id", pattern], capsys)
+@pytest.mark.parametrize("pattern", ["hockey*", "knuth-flajolet?", "[h]ockey-stick", "*"])
+def test_table_takes_no_pattern_for_an_id(pattern, capsys, monkeypatch):
+    import ghn.cli as cli_mod
+
+    def unbuilt(*args):
+        raise AssertionError("built a grid for a pattern")
+
+    # refused before anything is built
+    monkeypatch.setattr(cli_mod, "build_registry", unbuilt)
+    _only_groups_of(monkeypatch)
+    code, out, err = run_cli(["table", "--id", pattern, "--n-max", "30"], capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: unknown entry id {pattern!r}; known: as-newcoff, ") and "hockey-stick" in err
+    assert err == f"error: unknown entry id {pattern!r}; known: {', '.join(sorted(SIDES))}\n"
 
 
 def test_table_ends_at_first_failing_cell(capsys, monkeypatch):
@@ -704,6 +737,7 @@ def test_table_ends_at_first_failing_cell(capsys, monkeypatch):
         ]
 
     monkeypatch.setattr(cli_mod, "build_registry", fake_registry)
+    monkeypatch.setattr(cli_mod, "GROUP_OF", {"injected-fault": 0})  # table refuses an id the index lacks
     code, out, err = run_cli(["table", "--id", "injected-fault"], capsys)
     assert code == 0
     assert out.splitlines()[2:] == ["| 1 | 1 | 1 | yes |", "| 2 | 2 | 2 | yes |", "| 3 | 3 | 0 | NO |"]

@@ -32,13 +32,14 @@ from ghn.closed_forms import (  # noqa: E402
 from ghn.errors import DomainError, OutOfValidityRangeError, SeqSpecError  # noqa: E402
 from ghn.exact import binom_rat, common_denominator, hockey_stick_sum, shared_run  # noqa: E402
 from ghn.polyseries import PolyQ, TruncSeries, _convolve_num  # noqa: E402
-from ghn.registry import _gould_oracle, _ratio_oracle, _thm33_clib, build_registry, declare  # noqa: E402
+from ghn.registry import _gould_oracle, _laguerre_recurrence, _ratio_oracle, _thm33_clib, build_registry, declare  # noqa: E402
 from ghn.sequences import (  # noqa: E402
     SeqSpec,
     _harmonic_num,
     bernoulli,
     harmonic_p,
     harmonic_table,
+    laguerre,
     parse_seq_spec,
     stirling2,
 )
@@ -162,6 +163,25 @@ def test_bernoulli_matches_sympy():
         if n == 1:
             expected = -expected  # sympy >= 1.12 takes B_1 = +1/2; ghn takes -1/2
         assert bernoulli(n) == expected
+
+
+@SETTINGS
+@example(nx=(0, Fraction(0)))
+@example(nx=(60, Fraction(-7, 3)))
+@example(nx=(6, Fraction(-(10**99) - 7, 10**99 + 3)))
+@given(
+    nx=st.one_of(
+        st.tuples(st.integers(min_value=0, max_value=60), st.one_of(rats, st.integers(min_value=-9, max_value=9))),
+        st.tuples(st.integers(min_value=0, max_value=6), big_rats),
+    )
+)
+def test_laguerre_matches_its_recurrence_and_a_plain_fraction_sum(nx):
+    # the integer sum over q^n n! against the three-term recurrence that ex3.4-laguerre
+    # checks it by, and against the defining sum term by term in Fractions
+    n, x = nx
+    value = laguerre(n, x)
+    plain = sum((math.comb(n, k) * Fraction(-x) ** k / math.factorial(k) for k in range(n + 1)), Fraction(0))
+    assert value == plain == _laguerre_recurrence(Fraction(x), n)[n] and type(value) is Fraction
 
 
 # --- ring laws, products and round trips ---------------------------------------
