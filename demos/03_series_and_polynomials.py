@@ -41,7 +41,7 @@ print("(t+t^2)^2 via composition =", f.compose(g))
 #   f(mu*t/(1-lam*t)) / (1-lam*t) has coefficients sum C(n,k) mu^k lam^(n-k) a_k,
 # here with a_k = -H_k(2/5).  `ghn series --check pan-lemma` runs this registry
 # entry at n = 0..order, as below.
-entry = next(e for e in declare(40) if e.id == "panequa1-series")
+entry = next(e for e in declare() if e.id == "panequa1-series")
 point = {"lambda": Fraction(2, 3), "mu": Fraction(5, 7), "alpha": Fraction(2, 5)}
 result = run_entry(replace(entry, cells=[{**point, "n": n} for n in range(41)]))
 print("\ncomposition identity through order 40:", result.tier, f"({result.cells} coefficients)")
@@ -51,6 +51,6 @@ print("\ncomposition identity through order 40:", result.tier, f"({result.cells}
 # certify hook compares coefficient-wise with a direct sum for each n.
 print("\nH_2 as a polynomial in alpha:", harmonic_poly(2, 1))
 print("((1-a)^3 - 1)/3 at alpha = ALPHA:", idi1_rhs(3, ALPHA))
-for entry in declare(CERTIFY_N):
+for entry in declare():
     if entry.certify is not None:
         print(f"certify {entry.id} ({entry.anchor}) for n <= {CERTIFY_N}:", entry.certify(CERTIFY_N))

@@ -12,10 +12,12 @@ params (integers n, p, j, k; sequence specs for seq, b, c; rationals
 otherwise) and calls rhs, then lhs, with those values in the order of params.
 A --param given twice is a usage error.  series does the same for the entry
 its --check names (SERIES_CHECKS), then runs that entry through
-verifier.run_entry at n = 0..order, which stops at the first differing
-coefficient.  table refuses an --id that is not in registry.GROUP_OF, a
-pattern too, before it builds anything; it then passes the id to
-registry.build_registry as the pattern and builds one grid.
+verifier.run_entry at n = 0..order, which builds each series the entry reads
+once, to that order, and stops at the first differing coefficient.  Neither
+passes a size: eval's sides build their tables to its n, and series's run
+sizes them by its largest n.  table refuses an --id that is not in
+registry.GROUP_OF, a pattern too, before it builds anything; it then passes
+the id to registry.build_registry as the pattern and builds one grid.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error (a
 verify --filter that matches no entry id among them), 3 report I/O failure.
@@ -216,7 +218,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_series(args) -> int:
-    [entry] = declare(args.order, SERIES_CHECKS[args.check])
+    [entry] = declare(SERIES_CHECKS[args.check])
     point = _cast_params(_parse_params(args.param), [name for name in entry.params if name != "n"])
     # run_entry visits n = 0..order in order and stops an ASSERT entry at its first failing cell
     result = run_entry(replace(entry, cells=[{**point, "n": n} for n in range(args.order + 1)]))

@@ -10,20 +10,23 @@ run their inner loops in ints: ``common_denominator`` lifts their inputs to
 integer numerators over one denominator.
 
 The cache rule, for the whole package: every memo is the run memo.
-``shared_run`` opens one for the length of a ``with`` block, and
+``shared_run(size)`` opens one for the length of a ``with`` block, and
 ``_shared(key, build)`` returns build() once per key inside it; with no run
 open, ``_shared`` builds on every call.  The verifier opens one per
-``run_entry`` call, and it is dropped when that call ends, so no value
-outlives its run and a kernel patched between two runs reaches the second.
-No module keeps a cache of values of its own (cli builds its argument parser
-once per process; it holds no computed value).  No oracle function calls
-``_shared``.  Its readers are:
+``run_entry`` call, sized by the largest n of its cells, and it is dropped
+when that call ends, so no value outlives its run and a kernel patched
+between two runs reaches the second.  ``_shared_table`` reads a table indexed
+0..n through it, built once to the run's size, so one table serves every n of
+the run; outside a run it is built to the n asked for.  No module keeps a
+cache of values of its own (cli builds its argument parser once per process;
+it holds no computed value).  No oracle function calls ``_shared``.  Its
+readers are:
   - closed_forms: a grid sequence's transform, the rows of Theorem 3.3 that
     depend only on (n, alpha), and the newcoffey form's Pan values;
   - transforms: the Sanchez weights j! S(p, j), per p;
   - registry: the tables that sides read as oracle inputs (harmonic tables,
-    and the series of Pan's lemma and of log(1-alpha*t)/(1-t)), under tags
-    that no closed form uses.
+    and the series of Pan's lemma and of log(1-alpha*t)/(1-t)), through
+    ``_shared_table`` under tags that no closed form uses.
 A key is a tuple whose first item, its tag, names what it holds.  The memo
 lives in a ContextVar.
 
@@ -101,19 +104,20 @@ def common_denominator(values: Iterable[RatLike]) -> tuple[list[int], int]:
         raise TypeError("common_denominator takes int and Fraction values") from None
 
 
-# the memo of the run that is open in this context, or None outside every run
-_RUN: contextvars.ContextVar[dict | None] = contextvars.ContextVar("ghn_shared_run", default=None)
+# (the memo, the largest n) of the run that is open in this context, or None outside every run
+_RUN: contextvars.ContextVar[tuple[dict, int] | None] = contextvars.ContextVar("ghn_shared_run", default=None)
 
 
 @contextmanager
-def shared_run() -> Iterator[None]:
+def shared_run(size: int = 0) -> Iterator[None]:
     """Open a fresh memo for _shared until the block ends, then restore the outer one.
 
-    A key that names a sequence by its id() must keep a reference to that
+    size is the largest n the run asks for; _shared_table builds its tables to
+    it.  A key that names a sequence by its id() must keep a reference to that
     sequence in its value, so that the id cannot be reused while the run
     lasts; and no caller may mutate a sequence while a run is open.
     """
-    token = _RUN.set({})
+    token = _RUN.set(({}, size))
     try:
         yield
     finally:
@@ -122,13 +126,26 @@ def shared_run() -> Iterator[None]:
 
 def _shared(key: Hashable, build: Callable[[], T]) -> T:
     """build() once per key in the open run; with no run open, build() on every call."""
-    memo = _RUN.get()
-    if memo is None:
+    run = _RUN.get()
+    if run is None:
         return build()
+    memo = run[0]
     value = memo.get(key, _RUN)  # _RUN marks a key not built yet: no build returns it
     if value is _RUN:
         value = memo[key] = build()
     return value
+
+
+def _shared_table(tag: str, key: Hashable, n: int, build: Callable[[Hashable, int], T]) -> T:
+    """build(key, m), a table indexed 0..m, with m = max(n, the open run's size); through _shared under (tag, key, m).
+
+    Inside a run each key is built once, to the run's size, and serves every n
+    up to it; m is in the key, so an n past the size (a run opened with no
+    size) builds a longer table of its own.  With no run open, m = n.
+    """
+    run = _RUN.get()
+    m = n if run is None else max(n, run[1])
+    return _shared((tag, key, m), lambda: build(key, m))
 
 
 def binom_int(n: int, k: int) -> int:

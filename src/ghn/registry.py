@@ -5,29 +5,33 @@ An entry's sides (``declare``) take the values of the names in its
 in-domain point; ``ghn eval`` calls them at a point the user gives.  A side
 that is one closed form or oracle as it stands is that function itself, and
 an entry with a sequence parameter lists it first, as ``seq``.  Tables that
-sides share are read through the run memo, keyed by value and by the length
-they are built to, so no table depends on a grid or outlives a run (the cache
-rule is in exact).  Each entry declares its grid beside its sides:
-``grid(n_max, rng)`` returns the cells that ``verify`` and ``table`` run, and
-an entry whose sides take a sequence also declares ``family(n_max, seed,
-rng)``, the seeded sequences that a cell's ``seq`` indexes, resolved to their
-terms when the sides are called.  An entry made from another with
-``_variant`` keeps both unless it declares its own.
+sides share are read through the run memo (exact._shared_table), keyed by
+value and by the length they are built to: inside a run, the largest n of
+its cells, and outside one, the n asked for.  So no declaration carries a
+size, and no table depends on a grid or outlives a run (the cache rule is in
+exact).  Each entry declares its grid beside its sides: ``grid(n_max, rng)``
+returns the cells that ``verify`` and ``table`` run, and an entry whose sides
+take a sequence also declares ``family(n_max, seed, rng)``, the seeded
+sequences that a cell's ``seq`` indexes, resolved to their terms when the
+sides are called.  Its grid leaves ``seq`` out: ``build_registry`` adds it as
+the innermost name, over every sequence of the family, so a family's size is
+written once.  An entry made from another with ``_variant`` keeps both unless
+it declares its own.
 
 Entries are declared in groups, one builder per part of the paper, kept in
 ledger order in ``_GROUPS``; ``GROUP_OF`` maps each id to its group and is
 read once, at import, from the groups' own output, so no id is written twice.
-``declare(size, pattern)`` gives the entries whose id matches the fnmatch
-pattern, with no cells, and builds only the groups that hold them, so ``eval``
-and ``series`` build one group's sides.  ``build_registry(n_max, seed,
-pattern)`` builds the grids and families of those entries, and of no other
-entry, so ``verify --filter`` and ``table`` build only what they run.
+``declare(pattern)`` gives the entries whose id matches the fnmatch pattern,
+with no cells, and builds only the groups that hold them, so ``eval`` and
+``series`` build one group's sides.  ``build_registry(n_max, seed, pattern)``
+builds the grids and families of those entries, and of no other entry, so
+``verify --filter`` and ``table`` build only what they run.
 
 Grids are deterministic functions of (n_max, seed); each draws its random
 values from its entry's own stream, seeded by (seed, id), so that filtering
-or reordering entries cannot change any row.  The one family that two entries
-share, Theorem 3.3's sequences, has a stream of its own and is drawn once per
-build.
+or reordering entries cannot change any row.  Theorem 3.3's random sequences
+have a stream of their own, so the two entries that read them draw the same
+ones.
 
 ASSERT entries are expected to hold and fail the suite if they do not;
 REPORT_ONLY entries record conjectures, ambiguous readings, and source-text
@@ -69,7 +73,7 @@ from .closed_forms import (
     thm33_rhs,
 )
 from .errors import DomainError, OutOfValidityRangeError
-from .exact import _shared, binom_int, binom_rat, hockey_stick_sum
+from .exact import _shared_table, binom_int, binom_rat, hockey_stick_sum
 from .polyseries import PolyQ, harmonic_poly
 from .sequences import (
     bernoulli_table,
@@ -149,17 +153,9 @@ def _rng(seed: int, stream: str) -> random.Random:
     return random.Random(f"{seed}|{stream}")
 
 
-def _memo(tag: str, build, size: int):
-    """table(key, n): build(key, m) with m = max(size, n), once per run under the run-memo key (tag, key, m).
-
-    A table of length m + 1 serves every n <= m, so on a grid of n_max = size
-    each key is built once per run_entry call.
-    """
-    def table(key, n: int):
-        m = max(size, n)
-        return _shared((tag, key, m), lambda: build(key, m))
-
-    return table
+def _ht(alpha, n: int) -> list[Fraction]:
+    """H_0(alpha), ..., H_m(alpha) for an m >= n, shared through the run memo (exact._shared_table)."""
+    return _shared_table("harmonic_table", alpha, n, lambda alpha, m: harmonic_table(m, 1, alpha))
 
 
 def _rand_seqs(rng: random.Random, count: int, n_max: int) -> list[tuple[Fraction, ...]]:
@@ -175,9 +171,10 @@ def _thm33_clib(n_max: int, seed: int) -> list[tuple[Fraction, ...]]:
 # Grids.  run_entry visits a grid as given, so each is built in lexicographic
 # order of its cells' (name, value) pairs: the loops run over the names in
 # sorted order (a < alpha < j < k < lambda < mu < n < p < pair < seq < x < z),
-# and over each name's values in ascending order.  A grid draws its random
-# values from the rng it is given, the entry's own stream, so filtering or
-# reordering entries cannot change any row.
+# and over each name's values in ascending order.  build_registry adds seq
+# innermost, which keeps that order: no grid of a family entry uses x or z.  A
+# grid draws its random values from the rng it is given, the entry's own
+# stream, so filtering or reordering entries cannot change any row.
 
 def _n_grid(n_max: int, rng) -> list[Cell]:
     return [{"n": n} for n in range(1, n_max + 1)]
@@ -253,24 +250,24 @@ def _power_weight_oracle(a, n: int, p: int) -> Fraction:
 # multiple of it.
 
 
-def _fibonacci_doubling(n: int) -> int:
-    """F_n by fast doubling, F_2k = F_k (2 F_(k+1) - F_k) and F_(2k+1) = F_k^2 + F_(k+1)^2."""
+def _fibonacci_pair(n: int) -> tuple[int, int]:
+    """(F_n, F_(n+1)) by fast doubling, F_2k = F_k (2 F_(k+1) - F_k) and F_(2k+1) = F_k^2 + F_(k+1)^2."""
     f, g = 0, 1  # F_k, F_(k+1), k = 0
     for bit in bin(n)[2:]:
         f, g = f * (2 * g - f), f * f + g * g
         if bit == "1":
             f, g = g, f + g
-    return f
+    return f, g
+
+
+def _fibonacci_doubling(n: int) -> int:
+    return _fibonacci_pair(n)[0]
 
 
 def _lucas_doubling(n: int) -> int:
-    """L_n by fast doubling, L_2k = L_k^2 - 2(-1)^k and L_(2k+1) = L_k L_(k+1) - (-1)^k."""
-    a, b, sign = 2, 1, 1  # L_k, L_(k+1), (-1)^k, k = 0
-    for bit in bin(n)[2:]:
-        a, b, sign = a * a - 2 * sign, a * b - sign, 1
-        if bit == "1":
-            a, b, sign = b, a + b, -1
-    return a
+    """L_n = F_(n-1) + F_(n+1) = 2 F_(n+1) - F_n."""
+    f, g = _fibonacci_pair(n)
+    return 2 * g - f
 
 
 def _bernoulli_alternating(n: int) -> Fraction:
@@ -297,7 +294,7 @@ def _laguerre_recurrence(x, n_max: int) -> list[Fraction]:
 
 # --- sides, by group -------------------------------------------------------------
 
-def _exact_sides(ht, size: int) -> list[IdentityEntry]:
+def _exact_sides() -> list[IdentityEntry]:
     return [
         IdentityEntry(
             id="hockey-stick",
@@ -312,7 +309,7 @@ def _exact_sides(ht, size: int) -> list[IdentityEntry]:
     ]
 
 
-def _ratio_sides(ht, size: int) -> list[IdentityEntry]:
+def _ratio_sides() -> list[IdentityEntry]:
     ones = IdentityEntry(
         id="lemma2.1-ones",
         anchor="lemmaeq0: b=1, L!=0 branch = (C(L+n,n)-1)/(L*C(L+n,n))",
@@ -340,7 +337,7 @@ def _ratio_sides(ht, size: int) -> list[IdentityEntry]:
             rhs=lemma21_rhs,
             note="seq indexes the seeded random b sequences; integer lambdas in [-n,-1] are skipped",
             family=lambda n_max, seed, rng: _rand_seqs(rng, 30, n_max),
-            grid=lambda n_max, rng: [{"seq": s, "lambda": lam, "n": n} for lam in LAMBDA_GRID for n in range(1, n_max + 1) for s in range(30)],
+            grid=lambda n_max, rng: [{"lambda": lam, "n": n} for lam in LAMBDA_GRID for n in range(1, n_max + 1)],
         ),
         IdentityEntry(
             id="lemma2.1-ones-zero",
@@ -368,7 +365,7 @@ def _ratio_sides(ht, size: int) -> list[IdentityEntry]:
             note="even seq indices have a_0 = 0, odd ones a_0 != 0",
             # even seq indices get a_0 = 0, so the b_0-correction path is exercised either way
             family=lambda n_max, seed, rng: [(Fraction(0), *s[1:]) if i % 2 == 0 else s for i, s in enumerate(_rand_seqs(rng, 30, n_max))],
-            grid=lambda n_max, rng: [{"seq": i, "lambda": lam, "n": n} for lam in LAMBDA_GRID for n in range(1, n_max + 1) for i in range(30)],
+            grid=lambda n_max, rng: [{"lambda": lam, "n": n} for lam in LAMBDA_GRID for n in range(1, n_max + 1)],
         ),
         IdentityEntry(
             id="thm2.3-lambda0",
@@ -377,7 +374,7 @@ def _ratio_sides(ht, size: int) -> list[IdentityEntry]:
             lhs=lambda a, n: _ratio_oracle(a, n, 0),
             rhs=lambda a, n: boyadzhiev_ratio_closed(a, n, 0),
             family=lambda n_max, seed, rng: _rand_seqs(rng, 10, n_max),
-            grid=lambda n_max, rng: [{"seq": i, "n": n} for n in range(1, n_max + 1) for i in range(10)],
+            grid=_n_grid,
         ),
         IdentityEntry(
             id="thm2.3-lambda1",
@@ -386,7 +383,7 @@ def _ratio_sides(ht, size: int) -> list[IdentityEntry]:
             lhs=lambda a, n: _ratio_oracle(a, n, 1),
             rhs=lambda1_case_rhs,
             family=lambda n_max, seed, rng: _rand_seqs(rng, 10, n_max),
-            grid=lambda n_max, rng: [{"seq": i, "n": n} for n in range(1, n_max + 1) for i in range(10)],
+            grid=_n_grid,
         ),
         IdentityEntry(
             id="second-case-ones",
@@ -425,7 +422,7 @@ def _ratio_sides(ht, size: int) -> list[IdentityEntry]:
     ]
 
 
-def _gould_sides(ht, size: int) -> list[IdentityEntry]:
+def _gould_sides() -> list[IdentityEntry]:
     j0 = IdentityEntry(
         id="eq-eulerbnew-j0",
         anchor="eulerbnew at j=0 as printed",
@@ -460,18 +457,23 @@ def _gould_sides(ht, size: int) -> list[IdentityEntry]:
     ]
 
 
-def _series_sides(ht, size: int) -> list[IdentityEntry]:
+def _series_sides() -> list[IdentityEntry]:
     # the series of Pan's lemma with a_k = -H_k(alpha) per (L, u, alpha), built at order 1
     # at least (its smallest order); the right sides negate the shared harmonic tables
-    pan = _memo("pan_lemma_series", lambda key, m: pan_lemma_series(max(m, 1), key[0], key[1], [-h for h in ht(key[2], m)]).coeffs, size)
-    genfunc = _memo("harmonic_genfunc", lambda alpha, m: harmonic_genfunc(m, alpha).coeffs, size)
+    def pan(key, n: int) -> list[Fraction]:
+        build = lambda key, m: pan_lemma_series(max(m, 1), key[0], key[1], [-h for h in _ht(key[2], m)]).coeffs
+        return _shared_table("pan_lemma_series", key, n, build)
+
+    def genfunc(alpha, n: int) -> list[Fraction]:
+        return _shared_table("harmonic_genfunc", alpha, n, lambda alpha, m: harmonic_genfunc(m, alpha).coeffs)
+
     return [
         IdentityEntry(
             id="panequa1-series",
             anchor="panequa1: [t^n] f(ut/(1-Lt))/(1-Lt) = sum_k C(n,k)u^k L^(n-k) a_k",
             params=("n", "lambda", "mu", "alpha"),
             lhs=lambda n, lam, mu, alpha: pan((lam, mu, alpha), n)[n],
-            rhs=lambda n, lam, mu, alpha: -binomial_oracle(n, ht(alpha, n), mu, lam),
+            rhs=lambda n, lam, mu, alpha: -binomial_oracle(n, _ht(alpha, n), mu, lam),
             note="a_k = -H_k(alpha), the generating coefficients of log(1-alpha*t)/(1-t); seeded (L,u,alpha) triples",
             grid=lambda n_max, rng: [
                 {"pair": i, "lambda": lam, "mu": mu, "alpha": alpha, "n": n}
@@ -486,7 +488,7 @@ def _series_sides(ht, size: int) -> list[IdentityEntry]:
             anchor="conclusion-1: log(1-a*t)/(1-t) = -sum H_n(a) t^n",
             params=("n", "alpha"),
             lhs=lambda n, alpha: genfunc(alpha, n)[n],
-            rhs=lambda n, alpha: -ht(alpha, n)[n],
+            rhs=lambda n, alpha: -_ht(alpha, n)[n],
             grid=lambda n_max, rng: [{"alpha": a, "n": n} for a in sorted({rand_rat(rng) for _ in range(10)}) for n in range(n_max + 1)],
         ),
         IdentityEntry(
@@ -494,7 +496,7 @@ def _series_sides(ht, size: int) -> list[IdentityEntry]:
             anchor="conclusion-1.1: log(1-t)/(1-t) = -sum H_n t^n",
             params=("n",),
             lhs=lambda n: genfunc(Fraction(1), n)[n],
-            rhs=lambda n: -ht(1, n)[n],
+            rhs=lambda n: -_ht(1, n)[n],
             grid=lambda n_max, rng: [{"alpha": Fraction(1), "n": n} for n in range(n_max + 1)],
         ),
         IdentityEntry(
@@ -502,28 +504,28 @@ def _series_sides(ht, size: int) -> list[IdentityEntry]:
             anchor="conclusion-1.2: [t^n] log(1+t)/(1-t) = H_n^- = -H_n(-1)",
             params=("n",),
             lhs=lambda n: genfunc(Fraction(-1), n)[n],
-            rhs=lambda n: -ht(-1, n)[n],
+            rhs=lambda n: -_ht(-1, n)[n],
             note="the printed -H notation matches only under the H_n(-1) reading",
             grid=_n0_grid,
         ),
     ]
 
 
-def _idi1_alternating(ht) -> IdentityEntry:
+def _idi1_alternating() -> IdentityEntry:
     """idi1-alternating, of the Pan group; the conclusion group restates it as concl-item2."""
     alternating_oracle = lambda n: sum((binom_int(n, k) * (-1) ** k * harmonic_poly(k) for k in range(n + 1)), PolyQ())
     return IdentityEntry(
         id="idi1-alternating",
         anchor="idi1: sum_k (-1)^k C(n,k) H_k(a) = ((1-a)^n - 1)/n",
         params=("n", "alpha"),
-        lhs=lambda n, alpha: binomial_oracle(n, ht(alpha, n), mu=-1),
+        lhs=lambda n, alpha: binomial_oracle(n, _ht(alpha, n), mu=-1),
         rhs=idi1_rhs,
         certify=lambda nm: certify_alpha_identity(alternating_oracle, idi1_rhs, nm),
         grid=_alpha_grid(10),
     )
 
 
-def _pan_sides(ht, size: int) -> list[IdentityEntry]:
+def _pan_sides() -> list[IdentityEntry]:
     # the skew-harmonic weights are H_k^- = -H_k(-1); the last three right sides
     # are Pan's theorem at each display's own (mu, lam, alpha)
     return [
@@ -531,7 +533,7 @@ def _pan_sides(ht, size: int) -> list[IdentityEntry]:
             id="pan-thm3.2",
             anchor="teorempan: sum_k C(n,k)u^k L^(n-k) H_k(a), both branches",
             params=("n", "mu", "lambda", "alpha"),
-            lhs=lambda n, mu, lam, alpha: binomial_oracle(n, ht(alpha, n), mu, lam),
+            lhs=lambda n, mu, lam, alpha: binomial_oracle(n, _ht(alpha, n), mu, lam),
             rhs=pan_closed_form,
             note="grid includes every u+L = 0 line (second branch) and u = L = 0",
             grid=lambda n_max, rng: [
@@ -539,12 +541,12 @@ def _pan_sides(ht, size: int) -> list[IdentityEntry]:
                 for alpha in ALPHA_GRID for lam in MU_LAMBDA_GRID for mu in MU_LAMBDA_GRID for n in range(1, n_max + 1)
             ],
         ),
-        _idi1_alternating(ht),
+        _idi1_alternating(),
         IdentityEntry(
             id="skew-transform",
             anchor="sum_k C(n,k) H_k^- = 2^n H_n(1/2)",
             params=("n",),
-            lhs=lambda n: -binomial_oracle(n, ht(-1, n)),
+            lhs=lambda n: -binomial_oracle(n, _ht(-1, n)),
             rhs=lambda n: -pan_closed_form(n, 1, 1, -1),
             grid=_n_grid,
         ),
@@ -552,7 +554,7 @@ def _pan_sides(ht, size: int) -> list[IdentityEntry]:
             id="frontczak-variant",
             anchor="sum_k C(n,k) 2^k H_k^- = -3^n (H_n(-1/3) - H_n(1/3))",
             params=("n",),
-            lhs=lambda n: -binomial_oracle(n, ht(-1, n), mu=2),
+            lhs=lambda n: -binomial_oracle(n, _ht(-1, n), mu=2),
             rhs=lambda n: -pan_closed_form(n, 2, 1, -1),
             grid=_n_grid,
         ),
@@ -560,25 +562,23 @@ def _pan_sides(ht, size: int) -> list[IdentityEntry]:
             id="spivey-generalization",
             anchor="sum_{k>=1} C(n,k) H_k(a) = 2^n (H_n((1+a)/2) - H_n(1/2))",
             params=("n", "alpha"),
-            lhs=lambda n, alpha: binomial_oracle(n, ht(alpha, n)),
+            lhs=lambda n, alpha: binomial_oracle(n, _ht(alpha, n)),
             rhs=lambda n, alpha: pan_closed_form(n, 1, 1, alpha),
             grid=_alpha_grid(5),
         ),
     ]
 
 
-def _thm33_sides(ht, size: int) -> list[IdentityEntry]:
+def _thm33_sides() -> list[IdentityEntry]:
     eqnnew8 = IdentityEntry(
         id="thm3.3-eqnnew8",
         anchor="eqnnew8: sum_k C(n,k)(-1)^k H_k(a) c_k via d = inverse transform of c",
         params=("seq", "n", "alpha"),
-        lhs=lambda c, n, alpha: binomial_oracle(n, [h * ck for h, ck in zip(ht(alpha, n)[: n + 1], c)], mu=-1),
+        lhs=lambda c, n, alpha: binomial_oracle(n, [h * ck for h, ck in zip(_ht(alpha, n)[: n + 1], c)], mu=-1),
         rhs=thm33_rhs,
         note=f"promoted to ASSERT after a clean full oracle run; a and alpha are treated as one symbol; seq: {_THM33_LEGEND}",
         family=lambda n_max, seed, rng: _thm33_clib(n_max, seed),
-        grid=lambda n_max, rng: [
-            {"seq": i, "alpha": a, "n": n} for a in ALPHA_GRID for n in range(1, n_max + 1) for i in range(len(THM33_SEQS))
-        ],
+        grid=lambda n_max, rng: [{"alpha": a, "n": n} for a in ALPHA_GRID for n in range(1, n_max + 1)],
     )
     return [
         eqnnew8,
@@ -588,17 +588,18 @@ def _thm33_sides(ht, size: int) -> list[IdentityEntry]:
             anchor="eqnnew9: same sum decomposed through weighted nabla terms",
             rhs=thm33_nabla_rhs,
             note=f"seq: {_THM33_LEGEND}",
-            grid=lambda n_max, rng: [{"seq": i, "alpha": a, "n": n} for a in ALPHA_GRID for n in range(1, n_max + 1) for i in range(6)],
+            # the first six named sequences of eqnnew8's family
+            family=lambda n_max, seed, rng: [tuple(terms(n_max)) for _, terms in _THM33_NAMED[:6]],
         ),
     ]
 
 
-def _example34_sides(ht, size: int) -> list[IdentityEntry]:
+def _example34_sides() -> list[IdentityEntry]:
     harmonic_alt = IdentityEntry(
         id="ex3.4-harmonic-alt",
         anchor="sum_k C(n,k)(-1)^(k-1) H_k = 1/n",
         params=("n",),
-        lhs=lambda n: -binomial_oracle(n, ht(1, n), mu=-1),
+        lhs=lambda n: -binomial_oracle(n, _ht(1, n), mu=-1),
         rhs=lambda n: Fraction(1, n),
         note="printed transform value (-1)^(n-1)/n holds only at odd n; see ex3.4-harmonic-alt-as-printed",
         grid=_n_grid,
@@ -675,7 +676,7 @@ def _example34_sides(ht, size: int) -> list[IdentityEntry]:
     ]
 
 
-def _sanchez_sides(ht, size: int) -> list[IdentityEntry]:
+def _sanchez_sides() -> list[IdentityEntry]:
     entries = [
         IdentityEntry(
             id="sanchez-weight",
@@ -712,17 +713,15 @@ def _sanchez_sides(ht, size: int) -> list[IdentityEntry]:
             note="cells with p > n are skipped by contract, not evaluated",
             family=lambda n_max, seed, rng: _rand_seqs(rng, 10, min(n_max, 12)),
             # p = n+1 cells exercise the validity-range skip
-            grid=lambda n_max, rng: [
-                {"seq": i, "n": n, "p": p} for n in range(1, min(n_max, 12) + 1) for p in range(min(n, 6) + 2) for i in range(10)
-            ],
+            grid=lambda n_max, rng: [{"n": n, "p": p} for n in range(1, min(n_max, 12) + 1) for p in range(min(n, 6) + 2)],
         )
     )
     return entries
 
 
-def _asnp_sides(ht, size: int) -> list[IdentityEntry]:
+def _asnp_sides() -> list[IdentityEntry]:
     def oracle(n: int, p: int, z, alpha) -> Fraction:
-        hs = ht(alpha, n)
+        hs = _ht(alpha, n)
         return binomial_oracle(n, [j**p * hs[j] for j in range(n + 1)], mu=z)
 
     general = IdentityEntry(
@@ -749,7 +748,7 @@ def _asnp_sides(ht, size: int) -> list[IdentityEntry]:
         id="as-p0",
         anchor="p=0 case: sum_k C(n,k) z^k H_k(a) = (1+z)^n (H_n((1+az)/(1+z)) - H_n(1/(1+z)))",
         params=("n", "z", "alpha"),
-        lhs=lambda n, z, alpha: binomial_oracle(n, ht(alpha, n), mu=z),
+        lhs=lambda n, z, alpha: binomial_oracle(n, _ht(alpha, n), mu=z),
         rhs=lambda n, z, alpha: pan_closed_form(n, z, 1, alpha),
         note="printed display carries a stray (-1)^k on the left; see as-p0-as-printed",
         grid=lambda n_max, rng: [
@@ -782,7 +781,7 @@ def _asnp_sides(ht, size: int) -> list[IdentityEntry]:
             p0,
             id="as-p0-as-printed",
             anchor="p=0 case with the printed (-1)^k kept on the left",
-            lhs=lambda n, z, alpha: binomial_oracle(n, ht(alpha, n), mu=-z),
+            lhs=lambda n, z, alpha: binomial_oracle(n, _ht(alpha, n), mu=-z),
             policy=REPORT_ONLY,
             note="",
         ),
@@ -818,7 +817,7 @@ def _asnp_sides(ht, size: int) -> list[IdentityEntry]:
     ]
 
 
-def _conclusion_sides(ht, size: int) -> list[IdentityEntry]:
+def _conclusion_sides() -> list[IdentityEntry]:
     item3 = IdentityEntry(
         id="concl-item3",
         anchor="conclusion-3: sum_k H_k(a)/k vs product form, H(a)^(2) read as the weight-2 sum",
@@ -841,7 +840,7 @@ def _conclusion_sides(ht, size: int) -> list[IdentityEntry]:
     )
     return [
         _variant(
-            _idi1_alternating(ht),
+            _idi1_alternating(),
             id="concl-item2",
             anchor="conclusion-2: sum_k (-1)^k C(n,k) H_k(a) = ((1-a)^n - 1)/n",
             grid=_alpha_grid(5),
@@ -865,8 +864,7 @@ def _conclusion_sides(ht, size: int) -> list[IdentityEntry]:
     ]
 
 
-# The groups in ledger order.  Each is called as group(ht, size), where ht is
-# the run memo's harmonic tables built for n >= size.
+# The groups in ledger order, each called with no argument.
 _GROUPS = (
     _exact_sides,
     _ratio_sides,
@@ -881,26 +879,20 @@ _GROUPS = (
 )
 
 
-def _harmonic_tables(size: int):
-    return _memo("harmonic_table", lambda alpha, m: harmonic_table(m, 1, alpha), size)
-
-
 # entry id -> the index in _GROUPS of the group that declares it, read from the groups once
-GROUP_OF = {e.id: g for g, group in enumerate(_GROUPS) for e in group(_harmonic_tables(0), 0)}
+GROUP_OF = {e.id: g for g, group in enumerate(_GROUPS) for e in group()}
 
 
-def declare(size: int = 0, pattern: str = "*") -> list[IdentityEntry]:
+def declare(pattern: str = "*") -> list[IdentityEntry]:
     """The sides, params and policy of the entries whose id matches the fnmatch pattern, in ledger order, with no cells.
 
     Only the groups that hold a matching id are built.  The tables the sides
-    share are read through the run memo (see exact); `size` is the n they are
-    built for at least (a grid's n_max), and a side asking for a larger n
-    builds them at that n.
+    share are read through the run memo, sized by the run that calls them
+    (see exact), so a declaration carries no size.
     """
     # an id holds no fnmatch metacharacter, so an exact id matches only itself
     ids = {pattern} if pattern in GROUP_OF else {i for i in GROUP_OF if fnmatchcase(i, pattern)}
-    ht = _harmonic_tables(size)
-    return [e for g in sorted({GROUP_OF[i] for i in ids}) for e in _GROUPS[g](ht, size) if e.id in ids]
+    return [e for g in sorted({GROUP_OF[i] for i in ids}) for e in _GROUPS[g]() if e.id in ids]
 
 
 def _on_seqs(side, seqs: list[tuple]):
@@ -912,17 +904,18 @@ def build_registry(n_max: int, seed: int, pattern: str = "*") -> list[IdentityEn
     """The entries whose id matches the fnmatch pattern, with their grids sized by n_max and seeded by seed.
 
     Only the matching entries' sides (declare), grids and families are built.
+    A family entry's cells are its grid with ``seq`` added innermost, over
+    every sequence of its family.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    entries = declare(n_max, pattern)
-    families: dict = {}  # family function -> its one draw in this build
+    entries = declare(pattern)
     for e in entries:
         rng = _rng(seed, e.id)
-        if e.family is not None:
-            if e.family not in families:
-                families[e.family] = e.family(n_max, seed, rng)
-            seqs = families[e.family]
+        if e.family is None:
+            e.cells = e.grid(n_max, rng)
+        else:
+            seqs = e.family(n_max, seed, rng)
             e.lhs, e.rhs = _on_seqs(e.lhs, seqs), _on_seqs(e.rhs, seqs)
-        e.cells = e.grid(n_max, rng)
+            e.cells = [{**cell, "seq": i} for cell in e.grid(n_max, rng) for i in range(len(seqs))]
     return entries

@@ -15,9 +15,10 @@ OutOfValidityRangeError) are skipped and counted, never failed.  Reports are
 deterministic functions of (filter, n_max, seed): cells are visited in grid
 order and wall-clock timings are kept out of the serialized formats.
 
-Shared work: run_entry opens an exact.shared_run memo for its cell loop and
-drops it when the loop ends.  That run memo is the one cache of the package;
-its rule and its readers are written once, in exact.
+Shared work: run_entry opens an exact.shared_run memo for its cell loop,
+sized by the largest n of its cells, and drops it when the loop ends.  That
+run memo is the one cache of the package; its rule and its readers are
+written once, in exact.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ class IdentityEntry:
     returns them, drawing any random value from ``rng``, the entry's own
     seeded stream.  An entry whose sides take a sequence ``seq`` declares
     ``family(n_max, seed, rng)``, the seeded sequences that a cell's ``seq``
-    indexes; entries that hold the same family function share one draw of it.
+    indexes; its grid leaves ``seq`` out, and the registry adds it as the
+    innermost name, over every sequence of the family.
     """
 
     id: str
@@ -204,8 +206,10 @@ def run_entry(
     The grid sets the order: the cells are visited as ``entry.cells`` lists
     them.  ``on_cell(cell, lhs, rhs)`` sees each one, with ``lhs = rhs =
     None`` for a skipped cell, and an ASSERT entry stops at its first failing
-    cell.  The cell loop runs inside one exact.shared_run, so the sides may
-    not mutate a grid sequence.
+    cell.  The cell loop runs inside one exact.shared_run, sized by the
+    largest n of the cells (a cell with no n sizes nothing), so the tables
+    the sides share are built once, to that n; the sides may not mutate a
+    grid sequence.
     """
     start = time.perf_counter()
     evaluated = 0
@@ -213,7 +217,7 @@ def run_entry(
     mismatches = 0
     counterexamples: list[dict] = []
     agreement: dict | None = None
-    with shared_run():
+    with shared_run(max((cell.get("n", 0) for cell in entry.cells), default=0)):
         for cell in entry.cells:
             args = [cell[name] for name in entry.params]
             try:

@@ -14,7 +14,7 @@ import pytest
 
 from ghn.cli import ALIASES, READINGS, SEQ_NAMES, SERIES_CHECKS, main
 from ghn.polyseries import TruncSeries
-from ghn.registry import GROUP_OF, _GROUPS, _harmonic_tables, build_registry, declare
+from ghn.registry import GROUP_OF, _GROUPS, build_registry, declare
 from ghn.sequences import harmonic_table, materialize, parse_seq_spec, skew_harmonic
 from ghn.verifier import ASSERT, REPORT_ONLY, IdentityEntry, binomial_oracle, run_suite
 
@@ -60,8 +60,8 @@ def test_sources_parse_as_the_oldest_supported_python():
 
 
 # Snapshots every module-level list, dict and set of every ghn module in a fresh
-# interpreter, runs the ledger, two compute queries and an eval, and prints the
-# names whose value changed, with the exit codes.
+# interpreter, runs the ledger, two compute queries, an eval and a series check,
+# and prints the names whose value changed, with the exit codes.
 _MODULE_CONTAINERS_CHANGED = """
 import contextlib, copy, io, sys
 import ghn, ghn.cli
@@ -81,6 +81,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["compute", "--seq", "bernoulli"],
         ["compute", "--seq", "stirling_row:p=12"],
         ["eval", "--id", "sanchez-weight", "--param", "n=9", "--param", "k=4", "--param", "p=5"],
+        ["series", "--check", "pan-lemma", "--order", "40", "--param", "lambda=2/3", "--param", "mu=5/7", "--param", "alpha=2/5"],
     )]
 after = snapshot()
 print(sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k)), codes)
@@ -89,12 +90,13 @@ print(sorted(k for k in before.keys() | after.keys() if before.get(k) != after.g
 
 def test_no_module_level_container_grows_across_runs():
     # every memo is the run memo, which is dropped when its run ends; a module-level
-    # cache of values would outlive it and could hide a kernel fault from later runs
+    # cache of values would outlive it and could hide a kernel fault from later runs,
+    # the series tables that a series run sizes included
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", _MODULE_CONTAINERS_CHANGED], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[] [0, 0, 0]"
+    assert proc.stdout.splitlines()[-1] == "[] [0, 0, 0, 0]"
 
 
 def test_compute_harmonic_table(capsys):
@@ -206,11 +208,30 @@ def test_eval_known_ids(capsys):
 
 
 def test_group_index_agrees_with_declare():
-    ht = _harmonic_tables(0)
-    groups = [[e.id for e in group(ht, 0)] for group in _GROUPS]
+    groups = [[e.id for e in group()] for group in _GROUPS]
     ids = [entry_id for group in groups for entry_id in group]
     assert ids == [e.id for e in declare()] == list(GROUP_OF) and len(set(ids)) == len(ids) == 55
     assert all(GROUP_OF[entry_id] == g for g, group in enumerate(groups) for entry_id in group)
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["--check", "pan-lemma", "--order", "56", "--param", "lambda=2/3", "--param", "mu=-5/7", "--param", "alpha=2/5"], "pan_lemma_series"),
+        (["--check", "genfunc-alpha", "--order", "180", "--param", "alpha=-3/11"], "harmonic_genfunc"),
+    ],
+)
+def test_series_builds_its_series_once_at_its_order(argv, built, capsys, monkeypatch):
+    # the run over n = 0..order sizes the entry's series table by its largest n, with no size passed
+    import ghn.registry as registry_mod
+
+    calls = []
+    for name in ("pan_lemma_series", "harmonic_genfunc"):
+        real = getattr(registry_mod, name)
+        monkeypatch.setattr(registry_mod, name, lambda order, *args, real=real, name=name: calls.append((name, order)) or real(order, *args))
+    code, out, _ = run_cli(["series", *argv], capsys)
+    assert code == 0 and out.startswith("PASS:")
+    assert calls == [(built, int(argv[3]))]
 
 
 def _only_groups_of(monkeypatch, *entry_ids):
@@ -219,7 +240,7 @@ def _only_groups_of(monkeypatch, *entry_ids):
 
     kept = {GROUP_OF[entry_id] for entry_id in entry_ids}
 
-    def refused(ht, size):
+    def refused():
         raise AssertionError("built a group that holds no entry asked for")
 
     monkeypatch.setattr(registry_mod, "_GROUPS", tuple(group if g in kept else refused for g, group in enumerate(_GROUPS)))
@@ -695,7 +716,7 @@ def test_only_the_grids_asked_for_are_built(capsys, monkeypatch):
 
     def guarded(group):
         # every entry but knuth-flajolet, in its own group too, gets a grid that raises
-        return lambda ht, size: [e if e.id == "knuth-flajolet" else replace(e, grid=unasked) for e in group(ht, size)]
+        return lambda: [e if e.id == "knuth-flajolet" else replace(e, grid=unasked) for e in group()]
 
     monkeypatch.setattr(registry_mod, "_GROUPS", tuple(guarded(group) for group in _GROUPS))
     with pytest.raises(AssertionError, match="not asked for"):

@@ -534,8 +534,9 @@ def test_oracles_never_call_the_lifting_helper(monkeypatch):
     def broken_memo(key, build):
         raise RuntimeError("_shared called")
 
+    # the registry reads its tables through exact._shared_table, which calls exact._shared
     bound = _rebind(monkeypatch, exact._shared, broken_memo)
-    assert sorted(bound) == ["ghn.closed_forms._shared", "ghn.exact._shared", "ghn.registry._shared", "ghn.transforms._shared"]
+    assert sorted(bound) == ["ghn.closed_forms._shared", "ghn.exact._shared", "ghn.transforms._shared"]
     for closed_form in (boyadzhiev_ratio_closed, thm33_rhs, thm33_nabla_rhs):
         with pytest.raises(RuntimeError, match="_shared"):
             closed_form(a, 7, lam)
@@ -594,6 +595,8 @@ def test_registry_well_formed():
         assert e.policy in (ASSERT, REPORT_ONLY)
         # an id is a build_registry pattern that matches only itself
         assert not set("*?[]") & set(e.id), e.id
+        # run_entry sizes the run's tables by the largest n of the cells
+        assert "n" in e.params, e.id
     # smallest legal grids still exist at n_max = 1, and each entry still
     # evaluates at least one cell there
     for e in build_registry(1, 42):
@@ -626,17 +629,53 @@ def test_filtering_cannot_change_a_row(n_max, seed):
         assert json.loads(run_suite(row["id"], n_max, seed).to_json())["entries"] == [row]
 
 
-def test_a_shared_family_is_drawn_once_per_build(monkeypatch):
+# each family entry and the number of sequences in its family
+FAMILY_SIZES = {
+    "lemma2.1-coherence": 30,
+    "thm2.3-general": 30,
+    "thm2.3-lambda0": 10,
+    "thm2.3-lambda1": 10,
+    "thm3.3-eqnnew8": 13,
+    "thm3.3-nabla": 6,
+    "sanchez-transform": 10,
+}
+
+
+@pytest.mark.parametrize("n_max, seed", [(2, 7), (20, 42), (30, 5)])
+def test_a_family_sizes_its_seq_axis(n_max, seed):
+    # a family entry's grid leaves seq out, and build_registry adds it as the innermost name,
+    # over every sequence of the family; a cell's seq resolves to that sequence's terms
+    from ghn.registry import _rng, declare
+
+    built = {e.id: e for e in build_registry(n_max, seed)}
+    families = {}
+    for e in declare():
+        if e.family is not None:
+            rng = _rng(seed, e.id)
+            families[e.id] = seqs = e.family(n_max, seed, rng)
+            grid = e.grid(n_max, rng)
+            assert grid and not any("seq" in cell for cell in grid), e.id
+            assert built[e.id].cells == [{**cell, "seq": i} for cell in grid for i in range(len(seqs))], e.id
+            cell = built[e.id].cells[len(seqs) - 1]  # the first grid cell, at the last sequence
+            point = [cell[name] for name in e.params[1:]]
+            assert built[e.id].rhs(cell["seq"], *point) == e.rhs(seqs[-1], *point), e.id
+    assert {i: len(seqs) for i, seqs in families.items()} == FAMILY_SIZES
+    # thm3.3-nabla reads the first six named sequences that thm3.3-eqnnew8 reads
+    assert families["thm3.3-nabla"] == families["thm3.3-eqnnew8"][:6]
+    assert THM33_SEQS[:6] == ["ones", "identity", "squares", "fib", "fib2", "lucas"]
+
+
+def test_run_suite_builds_each_harmonic_table_once_to_the_grids_largest_n(monkeypatch):
+    # as-newcoffey's grid stops at n = 12 whatever n_max is, and its run sizes the tables by its cells
     import ghn.registry as registry_mod
+    from ghn.registry import AS_ALPHAS
 
     calls = []
-    clib = registry_mod._thm33_clib
-    monkeypatch.setattr(registry_mod, "_thm33_clib", lambda n_max, seed: calls.append((n_max, seed)) or clib(n_max, seed))
-    build_registry(20, 42)
-    assert calls == [(20, 42)]
-    build_registry(20, 42, "thm3.3-nabla")
-    build_registry(20, 42, "hockey*")
-    assert calls == [(20, 42), (20, 42)]
+    real = registry_mod.harmonic_table
+    monkeypatch.setattr(registry_mod, "harmonic_table", lambda n, p, alpha: calls.append((n, alpha)) or real(n, p, alpha))
+    [result] = run_suite("as-newcoffey", 20, 42).results
+    assert result.tier == HOLDS_ON_GRID
+    assert sorted(calls) == [(12, alpha) for alpha in AS_ALPHAS]
 
 
 def test_thm33_named_rows_equal_their_generators():
@@ -787,8 +826,8 @@ def _functions_reached(entry_id, side_name):
 
 # The ghn functions that both sides of each ASSERT entry reach.  Pan's closed
 # form and the ex3.4 right sides call no sequence generator.  _shared is the run
-# memo: the registry's tables of oracle inputs and the closed forms' rows are
-# both read through it, under tags of their own.
+# memo: the registry's tables of oracle inputs (through _shared_table) and the
+# closed forms' rows are both read through it, under tags of their own.
 SHARED = {
     **dict.fromkeys(
         ["lemma2.1-ones-zero", "lemma2.1-ones", "thm2.3-general", "thm2.3-lambda0", "knuth-flajolet"],
@@ -797,9 +836,9 @@ SHARED = {
     "lemma2.1-coherence": {"check_lambda_domain", "check_terms"},
     **dict.fromkeys(["gen-harmonic-relation", "skew-relation"], {"harmonic_p", "_harmonic_num"}),
     **dict.fromkeys(["as-newcoffey1", "as-p1-exemple1"], {"_harmonic_num"}),
-    "panequa1-series": {"harmonic_table", "_harmonic_num", "_shared"},
+    "panequa1-series": {"harmonic_table", "_harmonic_num", "_shared", "_shared_table"},
     "thm3.3-eqnnew8": {"binom_int", "_harmonic_num", "_shared"},
-    **dict.fromkeys(["genfunc-alpha", "genfunc-harmonic", "genfunc-skew"], {"_shared"}),
+    **dict.fromkeys(["genfunc-alpha", "genfunc-harmonic", "genfunc-skew"], {"_shared", "_shared_table"}),
     **dict.fromkeys(["thm3.3-nabla", "as-newcoffey", "as-newcoff"], {"binom_int", "_shared"}),
     **dict.fromkeys(["eq-eulerbnew", "eq-eulerbnew-j0-corrected", "sanchez-transform"], {"binom_int"}),
     **dict.fromkeys(["sanchez-weight", "sanchez-p1", "sanchez-p2", "sanchez-p3"], {"binom_int"}),
