@@ -71,18 +71,19 @@ Binomial sums: a closed form that needs a transform calls
 transforms.binomial_transform, its inverse or their integer kernel
 _transform_num, and every direct-sum oracle of a C(n,k)-weighted sum over
 rationals is verifier.binomial_oracle, called by the registry (the Gould left
-side too).  The exceptions are sequences.laguerre's defining sum, the Sanchez
-Stirling double sums, the registry's Theorem 2.3 ratio oracle, which has its
-own integer loop like lemma21_lhs, and the registry's Q[alpha] oracle of the
-alternating sum, which adds its PolyQ terms itself; a display that is itself a
-binomial sum (generalized_harmonic_relation) is evaluated as printed.  The one
-oracle kept here, lemma21_lhs, is not a binomial sum.  The oracles never call
-the lifting helper or a transform: binomial_oracle, the ratio oracle and
-lemma21_lhs each lift their own terms inline over the lcm of their
-denominators, and lemma21_lhs has its own integer coefficients over
-(p+q)...(p+nq).  Oracles call check_lambda_domain only for its DomainError and
-keep the lambda they are given, so a fault in it reaches the closed forms
-alone.
+side and the power-weighted sums too).  The exceptions are sequences.laguerre's
+defining sum, the Sanchez Stirling double sums, the registry's ratio oracle of
+sum_k C(n,k) a_k/(k+lam) (Theorem 2.3, and Knuth-Flajolet at a_k = (-1)^k),
+which has its own integer loop like lemma21_lhs, and the registry's Q[alpha]
+oracle of the alternating sum, which adds its PolyQ terms itself; a display
+that is itself a binomial sum (generalized_harmonic_relation) is evaluated as
+printed.  The one oracle kept here, lemma21_lhs, is not a binomial sum.  The
+oracles never call common_denominator or a transform: binomial_oracle, the
+ratio oracle and lemma21_lhs lift their terms through the oracles' own lift,
+exact._oracle_terms (the rule is in exact), and lemma21_lhs has its own
+integer coefficients over (p+q)...(p+nq).  Oracles call check_lambda_domain
+only for its DomainError and keep the lambda they are given, so a fault in it
+reaches the closed forms alone.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, OutOfValidityRangeError
-from .exact import RatLike, _shared, binom_int, binom_rat, check_terms, common_denominator
+from .exact import RatLike, _oracle_terms, _shared, binom_int, binom_rat, check_terms, common_denominator
 from .polyseries import PolyQ
 from .sequences import harmonic, harmonic_p, harmonic_table, stirling2_row
 from .transforms import _transform_num, binomial_transform, sanchez_transform, weighted_nabla
@@ -116,17 +117,14 @@ def lemma21_lhs(b: Sequence[RatLike], n: int, lam: RatLike) -> Fraction:
     check_terms(b, n, "b")
     # with lam = p/q, term m is b_m q^(n-m+1) (n!/m!) / ((p+mq)...(p+nq)); over the
     # denominator (p+q)...(p+nq) its integer coefficient gains (p+q)...(p+(m-1)q),
-    # and b_m = num_m/den_m is lifted inline over the lcm D of den_1..den_n
+    # and b_1..b_n are lifted by the oracles' lift to nums[m]/D (the 0 in slot 0 is never read)
     p, q = lam.numerator, lam.denominator
-    try:
-        den = math.lcm(*[b[m].denominator for m in range(1, n + 1)])
-    except AttributeError:
-        raise TypeError("lemma21_lhs takes int and Fraction terms") from None
+    nums, den = _oracle_terms([0] + [b[m] for m in range(1, n + 1)], "lemma21_lhs")
     total = 0
     prefix = 1
     for m in range(1, n + 1):
         coef = prefix * q ** (n - m + 1) * (math.factorial(n) // math.factorial(m))
-        total += coef * b[m].numerator * (den // b[m].denominator)
+        total += coef * nums[m]
         prefix *= p + m * q
     return Fraction(total, prefix * den)
 

@@ -5,9 +5,15 @@ here ever touches floating point.  Fractions are always
 stored reduced with a positive denominator, parse from strings like ``"p/q"``
 and print the same way, so they double as the wire format.  The series
 kernels read their scalar arguments through ``as_fraction``, which refuses a
-float instead of reading its binary expansion.  The hot kernels
-run their inner loops in ints: ``common_denominator`` lifts their inputs to
-integer numerators over one denominator.
+float instead of reading its binary expansion.
+
+The lifting rule, for the whole package: a kernel that sums exact terms lifts
+them once to integer numerators over one denominator and runs its inner loop
+in ints, through one of two functions.  The closed forms (and the series
+constructors) lift through ``common_denominator``; the direct-sum oracles lift
+through ``_oracle_terms``.  No function calls both, so a fault in either lift
+reaches one side of a row only and cannot cancel.  Both refuse a term that is
+not an int or a Fraction, a float included, with a TypeError.
 
 The cache rule, for the whole package: every memo is the run memo.
 ``shared_run(size)`` opens one for the length of a ``with`` block, and
@@ -90,11 +96,12 @@ def common_denominator(values: Iterable[RatLike]) -> tuple[list[int], int]:
 
     Returns (nums, den) with values[i] == Fraction(nums[i], den); den is 1 for
     no values or ints only, and any other value (a float) raises TypeError.
-    The closed-form kernels sum these numerators and build one Fraction per
-    output.  The PolyQ and TruncSeries constructors lift through it too, so
-    the series oracles pan_lemma_series and harmonic_genfunc reach it; the
-    other side of each of their rows (harmonic_table, binomial_oracle) does
-    not, so a fault here still cannot hide.
+    The lift of the closed forms (the rule is in the module docstring): they
+    sum these numerators and build one Fraction per output.  The PolyQ and
+    TruncSeries constructors lift through it too, so the series oracles
+    pan_lemma_series and harmonic_genfunc reach it; the other side of each of
+    their rows (harmonic_table, binomial_oracle) does not, so a fault here
+    still cannot hide.
     """
     values = list(values)
     try:
@@ -102,6 +109,22 @@ def common_denominator(values: Iterable[RatLike]) -> tuple[list[int], int]:
         return [v.numerator * (den // v.denominator) for v in values], den
     except AttributeError:
         raise TypeError("common_denominator takes int and Fraction values") from None
+
+
+def _oracle_terms(values: Sequence[RatLike], who: str) -> tuple[list[int], int]:
+    """The oracles' lift: integer numerators of ints and Fractions over their lcm.
+
+    Returns (nums, den) with values[i] == Fraction(nums[i], den), as
+    common_denominator does, but written apart from it, since the oracles
+    check the closed forms that lift through it.  Any other term (a float)
+    raises TypeError naming ``who``, the oracle that was given it.
+    """
+    try:
+        dens = [v.denominator for v in values]
+    except AttributeError:
+        raise TypeError(f"{who} takes int and Fraction terms") from None
+    den = math.lcm(*dens)
+    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
 # (the memo, the largest n) of the run that is open in this context, or None outside every run

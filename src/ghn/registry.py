@@ -15,8 +15,8 @@ take a sequence also declares ``family(n_max, seed, rng)``, the seeded
 sequences that a cell's ``seq`` indexes, resolved to their terms when the
 sides are called.  Its grid leaves ``seq`` out: ``build_registry`` adds it as
 the innermost name, over every sequence of the family, so a family's size is
-written once.  An entry made from another with ``_variant`` keeps both unless
-it declares its own.
+written once.  An entry made from another with ``dataclasses.replace`` keeps
+both unless it declares its own.
 
 Entries are declared in groups, one builder per part of the paper, kept in
 ledger order in ``_GROUPS``; ``GROUP_OF`` maps each id to its group and is
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from fnmatch import fnmatchcase
 from fractions import Fraction
 
@@ -73,7 +74,7 @@ from .closed_forms import (
     thm33_rhs,
 )
 from .errors import DomainError, OutOfValidityRangeError
-from .exact import _shared_table, binom_int, binom_rat, hockey_stick_sum
+from .exact import _oracle_terms, _shared_table, binom_int, binom_rat, hockey_stick_sum
 from .polyseries import PolyQ, harmonic_poly
 from .sequences import (
     bernoulli_table,
@@ -130,11 +131,17 @@ Z_GRID = [Fraction(-2), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2
 GOULD_A_GRID = [Fraction(-2, 3), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2)]
 AS_ALPHAS = [Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2)]
 LAGUERRE_XS = [Fraction(-2, 3), Fraction(1, 2), Fraction(1), Fraction(3)]
+
+
+def _ones(n: int) -> list[Fraction]:
+    return [Fraction(1)] * (n + 1)
+
+
 # The named sequences c of the Theorem 3.3 grids, as (name, the terms c_0..c_n
 # as a function of n); the grids index them in this order, then three seeded
 # random sequences.
 _THM33_NAMED = [
-    ("ones", lambda n: [Fraction(1)] * (n + 1)),
+    ("ones", _ones),
     ("identity", lambda n: [Fraction(k) for k in range(n + 1)]),
     ("squares", lambda n: [Fraction(k * k) for k in range(n + 1)]),
     ("fib", lambda n: [Fraction(fibonacci(k)) for k in range(n + 1)]),
@@ -195,33 +202,21 @@ def _concl_grid(n_max: int, rng) -> list[Cell]:
     return [{"alpha": a, "n": n} for a in ALPHA_GRID for n in range(1, min(n_max, 20) + 1)]
 
 
-def _variant(base: IdentityEntry, **changes) -> IdentityEntry:
-    """dataclasses.replace(base, **changes) at half its cost; every eval calls declare()."""
-    return IdentityEntry(**{**vars(base), **changes})
-
-
-def _ones(n: int) -> list[Fraction]:
-    return [Fraction(1)] * (n + 1)
-
-
 def _ratio_oracle(a, n: int, lam) -> Fraction:
     """Direct sum_{k=1..n} C(n,k) a_k / (k + lam).
 
     With lam = p/q the term is C(n,k) a_k q / (kq + p): over the lcm M of the
-    kq + p, and with a_k = num_k/den_k lifted inline over the lcm D of
-    den_1..den_n, it is an integer, and the sum is divided once by M D.
+    kq + p, and with a_1..a_n lifted by the oracles' lift (exact._oracle_terms)
+    to N_k/D, it is an integer, and the sum is divided once by M D.
     """
     check_lambda_domain(lam, n)  # for its DomainError: an oracle takes lambda as given
     lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator
     lcm = math.lcm(*[k * q + p for k in range(1, n + 1)])
-    try:
-        den = math.lcm(*[a[k].denominator for k in range(1, n + 1)])
-    except AttributeError:
-        raise TypeError("_ratio_oracle takes int and Fraction terms") from None
+    nums, den = _oracle_terms([0] + [a[k] for k in range(1, n + 1)], "_ratio_oracle")  # slot 0 is never read
     total = 0
     for k in range(1, n + 1):
-        total += binom_int(n, k) * q * (lcm // (k * q + p)) * a[k].numerator * (den // a[k].denominator)
+        total += binom_int(n, k) * q * (lcm // (k * q + p)) * nums[k]
     return Fraction(total, lcm * den)
 
 
@@ -231,18 +226,19 @@ def _gould_oracle(n: int, j: int, a) -> Fraction:
 
 
 def _knuth_oracle(n: int, lam) -> Fraction:
+    """Direct sum_{k=0..n} C(n,k) (-1)^k / (k + lam): its k = 0 term 1/lam plus the ratio sum of (-1)^k."""
     lam = Fraction(lam)
     if lam == 0:
         raise DomainError("lambda = 0 is a pole")
-    check_lambda_domain(lam, n)  # for its DomainError: an oracle takes lambda as given
-    return binomial_oracle(n, [1 / (k + lam) for k in range(n + 1)], mu=-1)
+    return 1 / lam + _ratio_oracle([(-1) ** k for k in range(n + 1)], n, lam)
 
 
-def _power_weight_oracle(a, n: int, p: int) -> Fraction:
+def _power_weight_oracle(a, n: int, p: int, mu=1) -> Fraction:
+    """Direct sum_{k=0..n} C(n,k) mu^k k^p a_k, with the terms a_k as they are."""
     if p > n:
         # mirrors the formula's declared validity range so the cell is skipped
         raise OutOfValidityRangeError("p > n")
-    return binomial_oracle(n, [k**p * Fraction(a[k]) for k in range(n + 1)])
+    return binomial_oracle(n, [k**p * a[k] for k in range(n + 1)], mu)
 
 
 # Second definitions for the ex3.4 right sides: the identities are linear in
@@ -348,7 +344,7 @@ def _ratio_sides() -> list[IdentityEntry]:
             grid=_n_grid,
         ),
         ones,
-        _variant(
+        replace(
             ones,
             id="lemma2.1-ones-as-printed",
             anchor="lemmaeq0: b=1, L!=0 branch with numerator C(L+n,n-1) as printed",
@@ -411,7 +407,7 @@ def _ratio_sides() -> list[IdentityEntry]:
             grid=_alpha_grid(20),
         ),
         skew,
-        _variant(
+        replace(
             skew,
             id="skew-sign-convention",
             anchor="H_n^- = H_n + sum_k C(n,k)(-2)^k/k (as printed)",
@@ -446,7 +442,7 @@ def _gould_sides() -> list[IdentityEntry]:
             ],
         ),
         j0,
-        _variant(
+        replace(
             j0,
             id="eq-eulerbnew-j0-corrected",
             anchor="eulerbnew at j=0 with the -H_n correction restored",
@@ -582,7 +578,7 @@ def _thm33_sides() -> list[IdentityEntry]:
     )
     return [
         eqnnew8,
-        _variant(
+        replace(
             eqnnew8,
             id="thm3.3-nabla",
             anchor="eqnnew9: same sum decomposed through weighted nabla terms",
@@ -615,7 +611,7 @@ def _example34_sides() -> list[IdentityEntry]:
             grid=lambda n_max, rng: [{"p": p, "n": n} for n in range(n_max + 1) for p in range(9)],
         ),
         harmonic_alt,
-        _variant(
+        replace(
             harmonic_alt,
             id="ex3.4-harmonic-alt-as-printed",
             anchor="sum_k C(n,k)(-1)^(k-1) H_k = (-1)^(n-1)/n (as printed)",
@@ -720,15 +716,11 @@ def _sanchez_sides() -> list[IdentityEntry]:
 
 
 def _asnp_sides() -> list[IdentityEntry]:
-    def oracle(n: int, p: int, z, alpha) -> Fraction:
-        hs = _ht(alpha, n)
-        return binomial_oracle(n, [j**p * hs[j] for j in range(n + 1)], mu=z)
-
     general = IdentityEntry(
         id="as-newcoffey",
         anchor="newcoffey: sum_j C(n,j) j^p H_j(a) z^j, z != -1, via Stirling double sum",
         params=("n", "p", "z", "alpha"),
-        lhs=oracle,
+        lhs=lambda n, p, z, alpha: _power_weight_oracle(_ht(alpha, n), n, p, z),
         rhs=as_np_closed,
         grid=lambda n_max, rng: [
             {"z": z, "alpha": alpha, "n": n, "p": p}
@@ -739,7 +731,7 @@ def _asnp_sides() -> list[IdentityEntry]:
         id="as-newcoffey1",
         anchor="newcoffey1: z=-1, a=1 case with weights k! S(p,k)",
         params=("n", "p"),
-        lhs=lambda n, p: oracle(n, p, Fraction(-1), Fraction(1)),
+        lhs=lambda n, p: _power_weight_oracle(_ht(1, n), n, p, -1),
         rhs=as_zneg1_alpha1_closed,
         note="tail weight corrected to k! S(p,k), forced by the oracle and by the surrounding derivation; see -as-printed",
         grid=lambda n_max, rng: [{"n": n, "p": p} for n in range(1, min(n_max, 15) + 1) for p in range(1, min(n, 6) + 1)],
@@ -757,7 +749,7 @@ def _asnp_sides() -> list[IdentityEntry]:
     )
     return [
         general,
-        _variant(
+        replace(
             general,
             id="as-newcoff",
             anchor="newcoff: the z = -1 branch through the alternating transform values",
@@ -768,7 +760,7 @@ def _asnp_sides() -> list[IdentityEntry]:
             ],
         ),
         alpha1,
-        _variant(
+        replace(
             alpha1,
             id="as-newcoffey1-as-printed",
             anchor="newcoffey1 with the printed tail weight k! C(n,k)",
@@ -777,7 +769,7 @@ def _asnp_sides() -> list[IdentityEntry]:
             note="",
         ),
         p0,
-        _variant(
+        replace(
             p0,
             id="as-p0-as-printed",
             anchor="p=0 case with the printed (-1)^k kept on the left",
@@ -789,7 +781,7 @@ def _asnp_sides() -> list[IdentityEntry]:
             id="as-p1-exemple1",
             anchor="exemple1: the factored p=1 expansion",
             params=("n", "z", "alpha"),
-            lhs=lambda n, z, alpha: oracle(n, 1, z, alpha),
+            lhs=lambda n, z, alpha: _power_weight_oracle(_ht(alpha, n), n, 1, z),
             rhs=as_p1_closed,
             # p = 1 is shown in the table; the sides do not read it
             grid=lambda n_max, rng: [
@@ -797,7 +789,7 @@ def _asnp_sides() -> list[IdentityEntry]:
             ],
         ),
         *(
-            _variant(
+            replace(
                 general,
                 id=f"as-p{p}-display",
                 anchor=f"p={p} display expansion",
@@ -839,14 +831,14 @@ def _conclusion_sides() -> list[IdentityEntry]:
         grid=_concl_grid,
     )
     return [
-        _variant(
+        replace(
             _idi1_alternating(),
             id="concl-item2",
             anchor="conclusion-2: sum_k (-1)^k C(n,k) H_k(a) = ((1-a)^n - 1)/n",
             grid=_alpha_grid(5),
         ),
         item3,
-        _variant(
+        replace(
             item3,
             id="concl-item3-square",
             anchor="conclusion-3 with H(a)^(2) read as a square",
@@ -854,7 +846,7 @@ def _conclusion_sides() -> list[IdentityEntry]:
             note="alternative reading of the same conjecture",
         ),
         item4,
-        _variant(
+        replace(
             item4,
             id="concl-item4-square",
             anchor="conclusion-4 with the squares reading",

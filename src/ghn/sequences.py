@@ -97,24 +97,23 @@ def stirling2(p: int, j: int) -> int:
     return (stirling2_row(p) + [0] * j)[j]
 
 
-def fibonacci(n: int) -> int:
-    """F_n with F_0 = 0, F_1 = 1."""
+def _fibonacci_like(n: int, a: int, b: int) -> int:
+    """Term n of x_(k+2) = x_(k+1) + x_k with x_0 = a and x_1 = b."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    a, b = 0, 1
     for _ in range(n):
         a, b = b, a + b
     return a
+
+
+def fibonacci(n: int) -> int:
+    """F_n with F_0 = 0, F_1 = 1."""
+    return _fibonacci_like(n, 0, 1)
 
 
 def lucas(n: int) -> int:
     """L_n with L_0 = 2, L_1 = 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    a, b = 2, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    return _fibonacci_like(n, 2, 1)
 
 
 def bernoulli_table(n: int) -> list[Fraction]:

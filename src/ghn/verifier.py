@@ -24,7 +24,6 @@ written once, in exact.
 from __future__ import annotations
 
 import json
-import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DomainError, OutOfValidityRangeError
-from .exact import RatLike, as_fraction, binom_int, shared_run
+from .exact import RatLike, _oracle_terms, as_fraction, binom_int, shared_run
 from .polyseries import PolyQ, TruncSeries, geometric, log_one_minus
 
 ASSERT = "ASSERT"
@@ -169,23 +168,20 @@ def binomial_oracle(n: int, w: Sequence[RatLike], mu: RatLike = 1, lam: RatLike 
     """Exact sum_{k=0..n} C(n,k) mu^k lam^(n-k) w[k], summed in integers.
 
     The direct-sum oracle behind every binomial-weighted identity.  It calls no
-    transform and lifts its own weights, so it stays independent of the closed
-    forms it checks.  The weights are ints and Fractions (any other type raises
-    TypeError); with w[k] = num_k/den_k over their lcm D, mu = a/b and lam =
-    c/d, term k is the integer C(n,k) (ad)^k (bc)^(n-k) num_k (D // den_k), and
-    the sum is divided once by D (bd)^n.
+    transform and lifts its weights through the oracles' lift,
+    exact._oracle_terms, so it stays independent of the closed forms it
+    checks.  The weights are ints and Fractions (any other type raises
+    TypeError), and w must hold w[0..n]; with w[k] = N_k/D over their lcm D,
+    mu = a/b and lam = c/d, term k is the integer C(n,k) (ad)^k (bc)^(n-k) N_k,
+    and the sum is divided once by D (bd)^n.
     """
     mu, lam = Fraction(mu), Fraction(lam)
     x = mu.numerator * lam.denominator
     y = mu.denominator * lam.numerator
-    try:
-        terms = [(w[k].numerator, w[k].denominator) for k in range(n + 1)]
-    except AttributeError:
-        raise TypeError("binomial_oracle takes int and Fraction weights") from None
-    den = math.lcm(*[d for _, d in terms])
+    nums, den = _oracle_terms([w[k] for k in range(n + 1)], "binomial_oracle")
     total = 0
-    for k, (num, d) in enumerate(terms):
-        total += binom_int(n, k) * x**k * y ** (n - k) * num * (den // d)
+    for k, num in enumerate(nums):
+        total += binom_int(n, k) * x**k * y ** (n - k) * num
     return Fraction(total, den * (mu.denominator * lam.denominator) ** n)
 
 

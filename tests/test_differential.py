@@ -32,7 +32,17 @@ from ghn.closed_forms import (  # noqa: E402
 from ghn.errors import DomainError, OutOfValidityRangeError, SeqSpecError  # noqa: E402
 from ghn.exact import binom_rat, common_denominator, hockey_stick_sum, shared_run  # noqa: E402
 from ghn.polyseries import PolyQ, TruncSeries, _convolve_num  # noqa: E402
-from ghn.registry import _gould_oracle, _laguerre_recurrence, _ratio_oracle, _thm33_clib, build_registry, declare  # noqa: E402
+from ghn.registry import (  # noqa: E402
+    Z_GRID,
+    _gould_oracle,
+    _knuth_oracle,
+    _laguerre_recurrence,
+    _power_weight_oracle,
+    _ratio_oracle,
+    _thm33_clib,
+    build_registry,
+    declare,
+)
 from ghn.sequences import (  # noqa: E402
     SeqSpec,
     _harmonic_num,
@@ -700,6 +710,44 @@ def test_ratio_oracle_matches_a_plain_loop(n, lam, a):
         return
     plain = sum((math.comb(n, k) * Fraction(a[k]) / (k + lam) for k in range(1, n + 1)), Fraction(0))
     value = _ratio_oracle(a, n, lam)
+    assert value == plain and type(value) is Fraction
+
+
+@SETTINGS
+@example(n=0, lam=Fraction(3, 2))
+@example(n=0, lam=Fraction(-1))
+@example(n=3, lam=Fraction(-5))
+@example(n=8, lam=Fraction(-9))
+@given(n=st.integers(min_value=0, max_value=8), lam=st.one_of(st.integers(min_value=-10, max_value=3).map(Fraction), rats, big_rats))
+def test_knuth_oracle_matches_a_plain_loop(n, lam):
+    # its k = 0 term and the ratio sum of (-1)^k, against the whole alternating sum
+    for pole in range(-n, 1):  # lambda = 0 and each integer in -n..-1
+        with pytest.raises(DomainError):
+            _knuth_oracle(n, Fraction(pole))
+    if lam.denominator == 1 and -n <= lam <= 0:
+        return
+    plain = sum((math.comb(n, k) * Fraction((-1) ** k) / (k + lam) for k in range(n + 1)), Fraction(0))
+    value = _knuth_oracle(n, lam)
+    assert value == plain and type(value) is Fraction
+
+
+@SETTINGS
+@example(n=0, p=0, mu=Fraction(1), a=[1] * 9)
+@example(n=2, p=3, mu=Fraction(-1), a=[1] * 9)
+@example(n=5, p=2, mu=Fraction(-1), a=list(range(9)))
+@given(
+    n=st.integers(min_value=0, max_value=8),
+    p=st.integers(min_value=0, max_value=9),
+    mu=st.one_of(st.sampled_from(Z_GRID), rats, big_rats),
+    a=st.lists(edge_rats, min_size=9, max_size=9),
+)
+def test_power_weight_oracle_matches_a_plain_loop(n, p, mu, a):
+    if p > n:
+        with pytest.raises(OutOfValidityRangeError):
+            _power_weight_oracle(a, n, p, mu)
+        return
+    plain = sum((math.comb(n, k) * mu**k * k**p * Fraction(a[k]) for k in range(n + 1)), Fraction(0))
+    value = _power_weight_oracle(a, n, p, mu)
     assert value == plain and type(value) is Fraction
 
 

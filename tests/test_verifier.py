@@ -56,11 +56,13 @@ def test_binomial_oracle_takes_only_ints_and_fractions():
         "thm33_nabla_rhs",
         "_ratio_oracle",
         "binomial_oracle",
+        "_power_weight_oracle",
+        "sanchez_transform",
     ],
 )
 def test_a_float_term_is_a_type_error(name):
     # one error type for one mistake, whether an oracle or a closed form lifts the terms
-    from ghn import closed_forms, exact, registry
+    from ghn import closed_forms, exact, registry, transforms
 
     a = [Fraction(1), 0.5, Fraction(2, 3), 3]
     lam, alpha = Fraction(1, 2), Fraction(2)
@@ -73,6 +75,8 @@ def test_a_float_term_is_a_type_error(name):
         "thm33_nabla_rhs": lambda: closed_forms.thm33_nabla_rhs(a, 3, alpha),
         "_ratio_oracle": lambda: registry._ratio_oracle(a, 3, lam),
         "binomial_oracle": lambda: binomial_oracle(3, a),
+        "_power_weight_oracle": lambda: registry._power_weight_oracle(a, 3, 2),
+        "sanchez_transform": lambda: transforms.sanchez_transform(a, 3, 2),
     }
     with pytest.raises(TypeError, match="int and Fraction"):
         calls[name]()
@@ -397,24 +401,28 @@ def _mutated(fn, old, new):
     return namespace[fn.__name__]
 
 
-@pytest.mark.parametrize(
-    "module, name, share, index, entry_ids",
-    [
-        ("verifier", "binomial_oracle", "den // d", "k", ("pan-thm3.2", "as-newcoffey", "eq-eulerbnew")),
-        ("closed_forms", "lemma21_lhs", "den // b[m].denominator", "m", ("lemma2.1-coherence",)),
-        ("registry", "_ratio_oracle", "den // a[k].denominator", "k", ("thm2.3-general",)),
-    ],
-)
-def test_wrong_weight_lift_in_an_oracle_fails_its_entries(monkeypatch, module, name, share, index, entry_ids):
-    # the oracles lift their own weights; one weight over a wrong share of the
-    # common denominator, at index 1, must fail the entries that the oracle checks
-    import importlib
+def test_wrong_weight_lift_in_an_oracle_fails_its_entries(monkeypatch):
+    # the oracles lift their terms through exact._oracle_terms; with the term at
+    # index 1 over a wrong share of the lcm, every oracle that lifts through it
+    # must fail an entry it checks
+    from ghn import exact
 
-    real = getattr(importlib.import_module(f"ghn.{module}"), name)
-    mutated = _mutated(real, f"({share})", f"({share} + ({index} == 1))")
-    assert "ghn.registry" in {path.rsplit(".", 1)[0] for path in _rebind(monkeypatch, real, mutated)}
+    real = exact._oracle_terms
+    mutated = _mutated(
+        real,
+        "[v.numerator * (den // d) for v, d in zip(values, dens)]",
+        "[v.numerator * (den // d + (k == 1)) for k, (v, d) in enumerate(zip(values, dens))]",
+    )
+    bound = _rebind(monkeypatch, real, mutated)
+    assert sorted(bound) == ["ghn.closed_forms._oracle_terms", "ghn.exact._oracle_terms", "ghn.registry._oracle_terms", "ghn.verifier._oracle_terms"]
     entries = {e.id: e for e in build_registry(6, 42)}
-    for entry_id in entry_ids:
+    lifted_by = {
+        "binomial_oracle": ("pan-thm3.2", "as-newcoffey", "eq-eulerbnew"),
+        "lemma21_lhs": ("lemma2.1-coherence",),
+        "_ratio_oracle": ("thm2.3-general", "knuth-flajolet"),
+        "_power_weight_oracle": ("sanchez-transform",),
+    }
+    for entry_id in [i for ids in lifted_by.values() for i in ids]:
         assert run_entry(entries[entry_id]).tier == "FAILS", entry_id
 
 
@@ -495,7 +503,7 @@ def test_oracles_never_call_the_lifting_helper(monkeypatch):
     # nor the integer transform kernel that the closed forms read their numerators from,
     # nor the run memo that the closed forms share their work through
     from ghn import exact, transforms
-    from ghn.closed_forms import boyadzhiev_ratio_closed, lemma21_lhs, thm33_nabla_rhs, thm33_rhs
+    from ghn.closed_forms import boyadzhiev_ratio_closed, lemma21_lhs, lemma21_rhs, thm33_nabla_rhs, thm33_rhs
     from ghn.registry import _gould_oracle, _knuth_oracle, _power_weight_oracle, _ratio_oracle
     from ghn.sequences import harmonic_table
     from ghn.transforms import binomial_transform
@@ -542,6 +550,26 @@ def test_oracles_never_call_the_lifting_helper(monkeypatch):
             closed_form(a, 7, lam)
     with shared_run():
         assert {name: oracle() for name, oracle in oracles.items()} == expected
+
+    # the converse: the closed forms never call the oracles' lift
+    closed_forms = {
+        "boyadzhiev_ratio_closed": lambda: boyadzhiev_ratio_closed(a, 7, lam),
+        "thm33_rhs": lambda: thm33_rhs(a, 7, lam),
+        "thm33_nabla_rhs": lambda: thm33_nabla_rhs(a, 7, lam),
+        "lemma21_rhs": lambda: lemma21_rhs(a, 7, lam),
+        "binomial_transform": lambda: binomial_transform(a),
+    }
+    monkeypatch.undo()
+    closed_expected = {name: closed_form() for name, closed_form in closed_forms.items()}
+
+    def broken_oracle_lift(values, who):
+        raise RuntimeError("_oracle_terms called")
+
+    bound = _rebind(monkeypatch, exact._oracle_terms, broken_oracle_lift)
+    assert sorted(bound) == ["ghn.closed_forms._oracle_terms", "ghn.exact._oracle_terms", "ghn.registry._oracle_terms", "ghn.verifier._oracle_terms"]
+    with pytest.raises(RuntimeError, match="_oracle_terms"):
+        lemma21_lhs(a, 7, lam)
+    assert {name: closed_form() for name, closed_form in closed_forms.items()} == closed_expected
 
 
 def test_declared_sides_bind_their_closed_forms():
