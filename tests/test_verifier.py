@@ -401,28 +401,39 @@ def _mutated(fn, old, new):
     return namespace[fn.__name__]
 
 
-def test_wrong_weight_lift_in_an_oracle_fails_its_entries(monkeypatch):
+# each oracle that lifts its terms through exact._oracle_terms, and the entries it checks;
+# _power_weight_oracle lifts through binomial_oracle, so sanchez-transform is listed there
+ORACLE_LIFTS = [
+    ("verifier", "binomial_oracle", ("pan-thm3.2", "as-newcoffey", "eq-eulerbnew", "sanchez-transform")),
+    ("closed_forms", "lemma21_lhs", ("lemma2.1-coherence",)),
+    ("registry", "_ratio_oracle", ("thm2.3-general", "knuth-flajolet")),
+]
+LIFT_SHARE = "den // d"  # the share of the lcm that _oracle_terms gives each term
+
+
+@pytest.mark.parametrize(
+    "module, name, entry_ids", ORACLE_LIFTS, ids=[f"{module}-{name}-{LIFT_SHARE}" for module, name, _ in ORACLE_LIFTS]
+)
+def test_wrong_weight_lift_in_an_oracle_fails_its_entries(monkeypatch, module, name, entry_ids):
     # the oracles lift their terms through exact._oracle_terms; with the term at
-    # index 1 over a wrong share of the lcm, every oracle that lifts through it
-    # must fail an entry it checks
+    # index 1 over a wrong share of the lcm, each oracle that lifts through it
+    # must fail the entries that it checks
+    import importlib
+
     from ghn import exact
 
+    oracle = getattr(importlib.import_module(f"ghn.{module}"), name)
+    assert "_oracle_terms(" in inspect.getsource(oracle), name
     real = exact._oracle_terms
     mutated = _mutated(
         real,
-        "[v.numerator * (den // d) for v, d in zip(values, dens)]",
-        "[v.numerator * (den // d + (k == 1)) for k, (v, d) in enumerate(zip(values, dens))]",
+        f"[v.numerator * ({LIFT_SHARE}) for v, d in zip(values, dens)]",
+        f"[v.numerator * ({LIFT_SHARE} + (k == 1)) for k, (v, d) in enumerate(zip(values, dens))]",
     )
     bound = _rebind(monkeypatch, real, mutated)
     assert sorted(bound) == ["ghn.closed_forms._oracle_terms", "ghn.exact._oracle_terms", "ghn.registry._oracle_terms", "ghn.verifier._oracle_terms"]
     entries = {e.id: e for e in build_registry(6, 42)}
-    lifted_by = {
-        "binomial_oracle": ("pan-thm3.2", "as-newcoffey", "eq-eulerbnew"),
-        "lemma21_lhs": ("lemma2.1-coherence",),
-        "_ratio_oracle": ("thm2.3-general", "knuth-flajolet"),
-        "_power_weight_oracle": ("sanchez-transform",),
-    }
-    for entry_id in [i for ids in lifted_by.values() for i in ids]:
+    for entry_id in entry_ids:
         assert run_entry(entries[entry_id]).tier == "FAILS", entry_id
 
 
