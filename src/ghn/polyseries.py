@@ -10,10 +10,13 @@ strips trailing zeros and a product keeps every term, while a ``TruncSeries``
 holds exactly order + 1 coefficients and a product keeps the smaller
 operand's order.  Every product runs the one integer product loop,
 ``_convolve_num``, on the numerators the operands hold, and so does each
-Horner step of ``TruncSeries.compose``.  A scalar (an ``int`` or a
-``Fraction``) may stand on either side of a product and of a ``PolyQ`` sum or
-difference; no other type may, and a coefficient that is not an ``int`` or a
-``Fraction`` (a float, a string) raises ``TypeError``.
+Horner step of ``TruncSeries.compose``; the step that adds s_i asks it only
+for the order + 1 - i coefficients that can reach the result, since its
+accumulator is later multiplied by inner^i, of valuation at least i.  A
+scalar (an ``int`` or a ``Fraction``) may stand on either side of a product
+and of a ``PolyQ`` sum or difference; no other type may, and a coefficient
+that is not an ``int`` or a ``Fraction`` (a float, a string) raises
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -238,7 +241,11 @@ class TruncSeries(_Coeffs):
 
         With self = s / S and inner = q / d, the accumulator is acc / (S e).  A
         step multiplies it by q / d and adds s_i / S = s_i e d / (S e d), then
-        divides acc and e by their gcd.
+        divides acc and e by their gcd.  The step that adds s_i keeps only the
+        first order + 1 - i coefficients: its accumulator is later multiplied
+        by inner^i, whose valuation is at least i, so no later coefficient
+        reaches the result (Brent & Kung, J. ACM 25(4), 1978).  The last step,
+        i = 0, keeps all of them.
         """
         if not isinstance(inner, TruncSeries):
             raise TypeError("compose expects a TruncSeries")
@@ -247,10 +254,10 @@ class TruncSeries(_Coeffs):
         s, size = self._nums, len(self._nums)
         q, d = inner._nums[:size], inner._den
         acc, e = [s[-1]], 1
-        for c in reversed(s[:-1]):
-            acc = _convolve_num(acc, q, size)
+        for i in range(size - 2, -1, -1):
+            acc = _convolve_num(acc, q, size - i)
             e *= d
-            acc[0] += c * e
+            acc[0] += s[i] * e
             g = math.gcd(e, *acc)
             acc, e = [a // g for a in acc], e // g
         return TruncSeries._of(acc, self._den * e)

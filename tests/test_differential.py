@@ -8,6 +8,7 @@ so that a run is reproducible.
 import functools
 import inspect
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -401,6 +402,22 @@ def test_compose_is_a_ring_map(f, g, h):
     assert (f + g).compose(h) == f.compose(h) + g.compose(h)
     assert f.compose(TruncSeries([0, 1], ORDER)) == f
     assert (h * h).compose(TruncSeries([0, 1], ORDER)) == h * h
+
+
+def test_compose_matches_plain_horner_where_the_truncation_cuts():
+    # the hypothesis cases above stop at order 7; here each Horner step of an
+    # order-24 outer series drops coefficients, under inner series of lower,
+    # equal and higher order
+    rng = random.Random(24)
+
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    fa = _plain([part() for _ in range(25)], 24)
+    for inner_order in (8, 24, 30):
+        ga = _plain([0] + [part() for _ in range(inner_order)], inner_order)
+        composed = TruncSeries(fa, 24).compose(TruncSeries(ga, inner_order))
+        assert composed.coeffs == _plain_compose(fa, ga), inner_order
 
 
 @SETTINGS

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ghn import polyseries
 from ghn.errors import CompositionDomainError
 from ghn.polyseries import PolyQ, TruncSeries, geometric, harmonic_poly, log_one_minus
 from ghn.sequences import harmonic, harmonic_p, skew_harmonic
@@ -141,6 +142,26 @@ def test_series_compose_associative_random():
         g = TruncSeries([0] + [_rand_rat(rng) for _ in range(12)], 12)
         h = TruncSeries([0] + [_rand_rat(rng) for _ in range(12)], 12)
         assert f.compose(g).compose(h) == f.compose(g.compose(h))
+
+
+def test_each_horner_step_keeps_only_the_coefficients_that_reach_the_result(monkeypatch):
+    # the accumulator of the step that adds s_i is later multiplied by inner^i,
+    # of valuation >= i, so that step needs only order + 1 - i coefficients; a
+    # full-size step gives the same values, so only the sizes show the cut
+    sizes = []
+    convolve = polyseries._convolve_num
+
+    def recording(a, b, size):
+        sizes.append(size)
+        return convolve(a, b, size)
+
+    monkeypatch.setattr(polyseries, "_convolve_num", recording)
+    rng = random.Random(12)
+    n = 12
+    f = TruncSeries([_rand_rat(rng) for _ in range(n + 1)], n)
+    g = TruncSeries([0] + [_rand_rat(rng) for _ in range(n)], n)
+    f.compose(g)
+    assert sizes == list(range(2, n + 2))
 
 
 def test_log_one_minus():
