@@ -1,22 +1,19 @@
 """Time the slowest series queries that every per-argument cap still admits.
 
 Each query of QUERIES runs through ``ghn.cli.main`` in this process, with its
-output discarded, under a ``signal.alarm`` budget; one that runs past it is
-stopped and prints ``> budget``.  The pan-lemma check composes a series whose
+output discarded, under a ``signal.alarm`` budget of BUDGET seconds; one that
+runs past it is stopped and prints ``> budget``.  The pan-lemma check composes a series whose
 inner coefficients carry 100 k digits at t^k, so its cost grows with the order
 cubed times the digits of lambda and mu.  Stdlib only, Unix only (SIGALRM);
 no thread or process is started.
 
 Run from the repository root:
 
-    python tools/series_cost.py [--budget SECONDS]
-
-The budget defaults to 60 seconds per query.
+    python tools/series_cost.py
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import signal
@@ -28,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ghn import cli  # noqa: E402
 
+BUDGET = 60  # seconds per query
 BIG = f"{10**100 - 1}/{10**100 - 3}"  # 100 digits over 100 digits
 
 # (label, argv): ROADMAP item 7's series queries
@@ -49,14 +47,14 @@ def _alarm(signum, frame):
     raise _OverBudget
 
 
-def timed(argv: list[str], budget: int) -> tuple[float | None, int | None]:
-    """(seconds, exit code) of cli.main(argv), or (None, None) past the budget."""
+def timed(argv: list[str]) -> tuple[float | None, int | None]:
+    """(seconds, exit code) of cli.main(argv), or (None, None) past BUDGET."""
     previous = signal.signal(signal.SIGALRM, _alarm)
     sink = io.StringIO()
     start = time.perf_counter()
     try:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            signal.alarm(budget)
+            signal.alarm(BUDGET)
             try:
                 code = cli.main(argv)
             finally:
@@ -68,15 +66,10 @@ def timed(argv: list[str], budget: int) -> tuple[float | None, int | None]:
     return time.perf_counter() - start, code
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--budget", type=int, default=60, help="seconds per query (default 60)")
-    args = parser.parse_args(argv)
-    if args.budget < 1:
-        parser.error("--budget must be >= 1")
+def main() -> int:
     for label, query in QUERIES:
-        seconds, code = timed(query, args.budget)
-        shown = f"> budget ({args.budget} s)" if seconds is None else f"{seconds:.2f} s, exit {code}"
+        seconds, code = timed(query)
+        shown = f"> budget ({BUDGET} s)" if seconds is None else f"{seconds:.2f} s, exit {code}"
         print(f"{shown:>18}  {label}", flush=True)
     return 0
 
