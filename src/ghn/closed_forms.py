@@ -70,20 +70,27 @@ Fraction each.
 Binomial sums: a closed form that needs a transform calls
 transforms.binomial_transform, its inverse or their integer kernel
 _transform_num, and every direct-sum oracle of a C(n,k)-weighted sum over
-rationals is verifier.binomial_oracle, called by the registry (the Gould left
-side and the power-weighted sums too).  The exceptions are sequences.laguerre's
-defining sum, the Sanchez Stirling double sums, the registry's ratio oracle of
+rationals is verifier.binomial_oracle or its integer kernel, called by the
+registry (the Gould left side, the Theorem 3.3 left side and the
+power-weighted sums too).  The exceptions are sequences.laguerre's defining
+sum, the Sanchez Stirling double sums, the registry's ratio oracle of
 sum_k C(n,k) a_k/(k+lam) (Theorem 2.3, and Knuth-Flajolet at a_k = (-1)^k),
-which has its own integer loop like lemma21_lhs, and the registry's Q[alpha]
+which has its own integer kernel like lemma21_lhs, and the registry's Q[alpha]
 oracle of the alternating sum, which adds its PolyQ terms itself; a display
 that is itself a binomial sum (generalized_harmonic_relation) is evaluated as
-printed.  The one oracle kept here, lemma21_lhs, is not a binomial sum.  The
-oracles never call common_denominator or a transform: binomial_oracle, the
-ratio oracle and lemma21_lhs lift their terms through the oracles' own lift,
-exact._oracle_terms (the rule is in exact), and lemma21_lhs has its own
-integer coefficients over (p+q)...(p+nq).  Oracles call check_lambda_domain
-only for its DomainError and keep the lambda they are given, so a fault in it
-reaches the closed forms alone.
+printed.  The one oracle kept here, lemma21_lhs, is not a binomial sum; nor
+are the left sides of the concluding items 3 and 4, one integer sum each over
+the lifted harmonic table (_harmonic_over_k).  The oracles never call
+common_denominator or a transform: binomial_oracle, the ratio oracle and
+lemma21_lhs are the oracles' own lift, exact._oracle_terms (the rule is in
+exact), of their terms plus an integer kernel over (nums, den), the way
+binomial_transform is the view of _transform_num.  lemma21_lhs's kernel,
+_lemma21_lhs_num, sums its own integer coefficients over (p+q)...(p+nq) by
+Horner's rule in q; the registry's lemma2.1-coherence side calls it on the
+lift of the whole grid sequence, read once per run, and lemma21_lhs itself
+reads no memo.  Oracles call check_lambda_domain only for its DomainError and
+keep the lambda they are given, so a fault in it reaches the closed forms
+alone.
 """
 
 from __future__ import annotations
@@ -109,24 +116,32 @@ def check_lambda_domain(lam: RatLike, n: int) -> Fraction:
 
 
 def lemma21_lhs(b: Sequence[RatLike], n: int, lam: RatLike) -> Fraction:
-    """n! * sum_{m=1..n} b_m / (m! (lam+m)(lam+m+1)...(lam+n)), summed directly."""
+    """n! * sum_{m=1..n} b_m / (m! (lam+m)(lam+m+1)...(lam+n)), summed directly.
+
+    The oracles' lift, exact._oracle_terms, of b_1..b_n (with a 0 in slot 0,
+    never read), and its integer kernel _lemma21_lhs_num.
+    """
+    return _lemma21_lhs_num(*_oracle_terms([0, *b[1 : n + 1]], "lemma21_lhs"), n, lam)
+
+
+def _lemma21_lhs_num(nums: Sequence[int], den: int, n: int, lam: RatLike) -> Fraction:
+    """lemma21_lhs at b_m = nums[m] / den for m = 1..n; nums[0] is never read, and nums may run past n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     check_lambda_domain(lam, n)  # for its DomainError: an oracle takes lambda as given
     lam = Fraction(lam)
-    check_terms(b, n, "b")
+    check_terms(nums, n, "b")
     # with lam = p/q, term m is b_m q^(n-m+1) (n!/m!) / ((p+mq)...(p+nq)); over the
-    # denominator (p+q)...(p+nq) its integer coefficient gains (p+q)...(p+(m-1)q),
-    # and b_1..b_n are lifted by the oracles' lift to nums[m]/D (the 0 in slot 0 is never read)
+    # denominator (p+q)...(p+nq) its integer coefficient gains (p+q)...(p+(m-1)q)
     p, q = lam.numerator, lam.denominator
-    nums, den = _oracle_terms([0] + [b[m] for m in range(1, n + 1)], "lemma21_lhs")
     total = 0
-    prefix = 1
-    for m in range(1, n + 1):
-        coef = prefix * q ** (n - m + 1) * (math.factorial(n) // math.factorial(m))
-        total += coef * nums[m]
+    prefix = 1  # (p+q)...(p+(m-1)q)
+    falling = math.factorial(n)  # n!/m!
+    for m in range(1, n + 1):  # Horner in q: term m ends up times q^(n-m), and the sum times q
+        falling //= m
+        total = total * q + prefix * falling * nums[m]
         prefix *= p + m * q
-    return Fraction(total, prefix * den)
+    return Fraction(total * q, prefix * den)
 
 
 def lemma21_rhs(b: Sequence[RatLike], n: int, lam: RatLike) -> Fraction:
@@ -429,7 +444,15 @@ def _check_concl_args(n: int, reading: str = "p2") -> None:
 def concl_item3_lhs(n: int, alpha: RatLike) -> Fraction:
     """sum_{k=1..n} H_k(alpha)/k."""
     _check_concl_args(n)
-    return sum(h / k for k, h in enumerate(harmonic_table(n, 1, alpha)) if k)
+    return _harmonic_over_k(n, alpha, 1)
+
+
+def _harmonic_over_k(n: int, alpha: RatLike, sign: int) -> Fraction:
+    """sum_{k=1..n} sign^k H_k(alpha)/k, directly: with H_k(alpha) = N_k/D by the oracles' lift
+    and L = lcm(1..n), the integer sum_k sign^k N_k (L/k) over D L."""
+    nums, den = _oracle_terms(harmonic_table(n, 1, alpha), "_harmonic_over_k")
+    lcm = math.lcm(*range(1, n + 1))
+    return Fraction(sum(sign**k * nums[k] * (lcm // k) for k in range(1, n + 1)), den * lcm)
 
 
 def concl_item3_rhs(n: int, alpha: RatLike, reading: str = "p2") -> Fraction:
@@ -448,7 +471,7 @@ def concl_item3_rhs(n: int, alpha: RatLike, reading: str = "p2") -> Fraction:
 def concl_item4_lhs(n: int, alpha: RatLike) -> Fraction:
     """sum_{k=1..n} (-1)^k H_k(alpha)/k."""
     _check_concl_args(n)
-    return sum((-1) ** k * h / k for k, h in enumerate(harmonic_table(n, 1, alpha)) if k)
+    return _harmonic_over_k(n, alpha, -1)
 
 
 def concl_item4_rhs(n: int, alpha: RatLike, reading: str = "p2") -> Fraction:

@@ -13,7 +13,10 @@ in ints, through one of two functions.  The closed forms (and the series
 constructors) lift through ``common_denominator``; the direct-sum oracles lift
 through ``_oracle_terms``.  No function calls both, so a fault in either lift
 reaches one side of a row only and cannot cancel.  Both refuse a term that is
-not an int or a Fraction, a float included, with a TypeError.
+not an int or a Fraction, a float included, with a TypeError.  Each oracle is
+that lift plus an integer kernel over (nums, den); the registry's grid sides
+call the kernel on a lift read once per run: of each harmonic table and each
+family sequence, whole, and of the Gould weights per (n, j).
 
 The cache rule, for the whole package: every memo is the run memo.
 ``shared_run(size)`` opens one for the length of a ``with`` block, and
@@ -30,9 +33,12 @@ readers are:
   - closed_forms: a grid sequence's transform, the rows of Theorem 3.3 that
     depend only on (n, alpha), and the newcoffey form's Pan values;
   - transforms: the Sanchez weights j! S(p, j), per p;
-  - registry: the tables that sides read as oracle inputs (harmonic tables,
-    and the series of Pan's lemma and of log(1-alpha*t)/(1-t)), through
-    ``_shared_table`` under tags that no closed form uses.
+  - registry: the oracle inputs that its sides read, under tags that no
+    closed form uses: through ``_shared_table``, the harmonic tables, their
+    lifts (tag "harmonic_terms") and the series of Pan's lemma and of
+    log(1-alpha*t)/(1-t); through ``_shared``, the lift of each family
+    sequence, keyed by its id() (tag "oracle_terms"), and of the Gould
+    weights C(k,j)/k, keyed by (n, j) (tag "gould_terms").
 A key is a tuple whose first item, its tag, names what it holds.  The memo
 lives in a ContextVar.
 

@@ -18,6 +18,17 @@ the innermost name, over every sequence of the family, so a family's size is
 written once.  An entry made from another with ``dataclasses.replace`` keeps
 both unless it declares its own.
 
+Each oracle (verifier.binomial_oracle, _ratio_oracle, closed_forms.lemma21_lhs,
+_power_weight_oracle, _gould_oracle) is the oracles' lift, exact._oracle_terms,
+plus an integer kernel over the lifted terms (nums, den), and reads no memo.
+The grid sides call the kernel on lifts that they read through the run memo,
+once per run, under tags that no closed form uses: each harmonic table per
+alpha (_ht_terms), each family sequence whole, keyed by its id()
+(_seq_terms), and the Gould weights C(k,j)/k per (n, j) (_gould_side).  A lift
+of a whole table or sequence serves every n up to its length.  The weighted
+sums take integer weights from the lifted numerators: k^p N_k over D for the
+power-weighted sums, and N^H_k N^c_k over D_H D_c for Theorem 3.3.
+
 Entries are declared in groups, one builder per part of the paper, kept in
 ledger order in ``_GROUPS``; ``GROUP_OF`` maps each id to its group and is
 read once, at import, from the groups' own output, so no id is written twice.
@@ -51,6 +62,7 @@ from fnmatch import fnmatchcase
 from fractions import Fraction
 
 from .closed_forms import (
+    _lemma21_lhs_num,
     as_np_closed,
     as_p1_closed,
     as_zneg1_alpha1_closed,
@@ -74,7 +86,7 @@ from .closed_forms import (
     thm33_rhs,
 )
 from .errors import DomainError, OutOfValidityRangeError
-from .exact import _oracle_terms, _shared_table, binom_int, binom_rat, hockey_stick_sum
+from .exact import _oracle_terms, _shared, _shared_table, binom_int, binom_rat, hockey_stick_sum
 from .polyseries import PolyQ, harmonic_poly
 from .sequences import (
     bernoulli_table,
@@ -100,6 +112,7 @@ from .verifier import (
     REPORT_ONLY,
     Cell,
     IdentityEntry,
+    _binomial_num,
     binomial_oracle,
     certify_alpha_identity,
     harmonic_genfunc,
@@ -165,6 +178,29 @@ def _ht(alpha, n: int) -> list[Fraction]:
     return _shared_table("harmonic_table", alpha, n, lambda alpha, m: harmonic_table(m, 1, alpha))
 
 
+def _ht_terms(alpha, n: int) -> tuple[list[int], int]:
+    """The oracles' lift of H_0(alpha), ..., H_m(alpha) for an m >= n: their numerators over one denominator.
+
+    It lifts a harmonic_table of its own, not _ht's memo value, so a fault in
+    the memo scales the lift once, not twice, and cannot cancel against the
+    closed forms that read the memo twice.
+    """
+    return _shared_table("harmonic_terms", alpha, n, lambda alpha, m: _oracle_terms(harmonic_table(m, 1, alpha), "_ht_terms"))
+
+
+def _ht_sum(alpha, n: int, mu=1, lam=1) -> Fraction:
+    """Direct sum_{k=0..n} C(n,k) mu^k lam^(n-k) H_k(alpha): binomial_oracle's kernel at the lifted harmonic table."""
+    return _binomial_num(*_ht_terms(alpha, n), n, mu, lam)
+
+
+def _seq_terms(seq) -> tuple[list[int], int]:
+    """The oracles' lift of the whole of a grid sequence, once per run for this sequence object.
+
+    The memo keeps seq, so its id stays taken while the run lasts.
+    """
+    return _shared(("oracle_terms", id(seq)), lambda: (seq, _oracle_terms(seq, "_seq_terms")))[1]
+
+
 def _rand_seqs(rng: random.Random, count: int, n_max: int) -> list[tuple[Fraction, ...]]:
     return [tuple(rand_rat(rng) for _ in range(n_max + 1)) for _ in range(count)]
 
@@ -203,26 +239,39 @@ def _concl_grid(n_max: int, rng) -> list[Cell]:
 
 
 def _ratio_oracle(a, n: int, lam) -> Fraction:
-    """Direct sum_{k=1..n} C(n,k) a_k / (k + lam).
+    """Direct sum_{k=1..n} C(n,k) a_k / (k + lam): the oracles' lift of a_1..a_n and its kernel _ratio_num."""
+    return _ratio_num(*_oracle_terms([0, *a[1 : n + 1]], "_ratio_oracle"), n, lam)  # slot 0 is never read
+
+
+def _ratio_num(nums, den: int, n: int, lam) -> Fraction:
+    """_ratio_oracle at a_k = nums[k] / den for k = 1..n; nums[0] is never read, and nums may run past n.
 
     With lam = p/q the term is C(n,k) a_k q / (kq + p): over the lcm M of the
-    kq + p, and with a_1..a_n lifted by the oracles' lift (exact._oracle_terms)
-    to N_k/D, it is an integer, and the sum is divided once by M D.
+    kq + p it is an integer, and the sum is divided once by M den.
     """
     check_lambda_domain(lam, n)  # for its DomainError: an oracle takes lambda as given
     lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator
     lcm = math.lcm(*[k * q + p for k in range(1, n + 1)])
-    nums, den = _oracle_terms([0] + [a[k] for k in range(1, n + 1)], "_ratio_oracle")  # slot 0 is never read
     total = 0
     for k in range(1, n + 1):
         total += binom_int(n, k) * q * (lcm // (k * q + p)) * nums[k]
     return Fraction(total, lcm * den)
 
 
+def _gould_terms(n: int, j: int) -> tuple[list[int], int]:
+    """The oracles' lift of the weights C(k,j)/k for k = 1..n, after a 0 for k = 0 (the Gould sum excludes it)."""
+    return _oracle_terms([0] + [Fraction(binom_int(k, j), k) for k in range(1, n + 1)], "_gould_oracle")
+
+
 def _gould_oracle(n: int, j: int, a) -> Fraction:
-    """Direct sum_{k=1..n} C(n,k) C(k,j) (-a)^k / k (k = 0 is excluded)."""
-    return binomial_oracle(n, [0] + [Fraction(binom_int(k, j), k) for k in range(1, n + 1)], mu=-a)
+    """Direct sum_{k=1..n} C(n,k) C(k,j) (-a)^k / k: binomial_oracle's kernel at the lifted weights _gould_terms(n, j)."""
+    return _binomial_num(*_gould_terms(n, j), n, -a)
+
+
+def _gould_side(n: int, j: int, a) -> Fraction:
+    """_gould_oracle with its lifted weights read once per run per (n, j), for the five a of the grid."""
+    return _binomial_num(*_shared(("gould_terms", n, j), lambda: _gould_terms(n, j)), n, -a)
 
 
 def _knuth_oracle(n: int, lam) -> Fraction:
@@ -234,11 +283,25 @@ def _knuth_oracle(n: int, lam) -> Fraction:
 
 
 def _power_weight_oracle(a, n: int, p: int, mu=1) -> Fraction:
-    """Direct sum_{k=0..n} C(n,k) mu^k k^p a_k, with the terms a_k as they are."""
+    """Direct sum_{k=0..n} C(n,k) mu^k k^p a_k: the oracles' lift of a_0..a_n and its kernel _power_weight_num."""
+    return _power_weight_num(*_oracle_terms(a[: n + 1], "_power_weight_oracle"), n, p, mu)
+
+
+def _power_weight_num(nums, den: int, n: int, p: int, mu=1) -> Fraction:
+    """_power_weight_oracle at a_k = nums[k] / den: binomial_oracle's kernel at the integer weights k^p nums[k]."""
     if p > n:
         # mirrors the formula's declared validity range so the cell is skipped
         raise OutOfValidityRangeError("p > n")
-    return binomial_oracle(n, [k**p * a[k] for k in range(n + 1)], mu)
+    return _binomial_num([k**p * nums[k] for k in range(n + 1)], den, n, mu)
+
+
+def _thm33_side(c, n: int, alpha) -> Fraction:
+    """Direct sum_{k=0..n} C(n,k) (-1)^k H_k(alpha) c_k: binomial_oracle's kernel at the products of the lifted numerators.
+
+    With H_k(alpha) = N_k/D_H and c_k = M_k/D_c, the weight k is N_k M_k over D_H D_c.
+    """
+    (hn, hd), (cn, cd) = _ht_terms(alpha, n), _seq_terms(c)
+    return _binomial_num([hn[k] * cn[k] for k in range(n + 1)], hd * cd, n, -1)
 
 
 # Second definitions for the ex3.4 right sides: the identities are linear in
@@ -329,7 +392,7 @@ def _ratio_sides() -> list[IdentityEntry]:
             id="lemma2.1-coherence",
             anchor="lemmaeq0: n!*sum_m b_m/(m!(L+m)..(L+n)) = branch(L)",
             params=("seq", "n", "lambda"),
-            lhs=lemma21_lhs,
+            lhs=lambda b, n, lam: _lemma21_lhs_num(*_seq_terms(b), n, lam),
             rhs=lemma21_rhs,
             note="seq indexes the seeded random b sequences; integer lambdas in [-n,-1] are skipped",
             family=lambda n_max, seed, rng: _rand_seqs(rng, 30, n_max),
@@ -356,7 +419,7 @@ def _ratio_sides() -> list[IdentityEntry]:
             id="thm2.3-general",
             anchor="suce11: sum_k C(n,k) a_k/(k+L) = transform closed form",
             params=("seq", "n", "lambda"),
-            lhs=_ratio_oracle,
+            lhs=lambda a, n, lam: _ratio_num(*_seq_terms(a), n, lam),
             rhs=boyadzhiev_ratio_closed,
             note="even seq indices have a_0 = 0, odd ones a_0 != 0",
             # even seq indices get a_0 = 0, so the b_0-correction path is exercised either way
@@ -367,7 +430,7 @@ def _ratio_sides() -> list[IdentityEntry]:
             id="thm2.3-lambda0",
             anchor="suce11: L=0 branch sum b_m/m - b_0 H_n",
             params=("seq", "n"),
-            lhs=lambda a, n: _ratio_oracle(a, n, 0),
+            lhs=lambda a, n: _ratio_num(*_seq_terms(a), n, 0),
             rhs=lambda a, n: boyadzhiev_ratio_closed(a, n, 0),
             family=lambda n_max, seed, rng: _rand_seqs(rng, 10, n_max),
             grid=_n_grid,
@@ -376,7 +439,7 @@ def _ratio_sides() -> list[IdentityEntry]:
             id="thm2.3-lambda1",
             anchor="suce11: L=1 case (sum_m b_m - n b_0)/(n+1)",
             params=("seq", "n"),
-            lhs=lambda a, n: _ratio_oracle(a, n, 1),
+            lhs=lambda a, n: _ratio_num(*_seq_terms(a), n, 1),
             rhs=lambda1_case_rhs,
             family=lambda n_max, seed, rng: _rand_seqs(rng, 10, n_max),
             grid=_n_grid,
@@ -423,7 +486,7 @@ def _gould_sides() -> list[IdentityEntry]:
         id="eq-eulerbnew-j0",
         anchor="eulerbnew at j=0 as printed",
         params=("n", "a"),
-        lhs=lambda n, a: _gould_oracle(n, 0, a),
+        lhs=lambda n, a: _gould_side(n, 0, a),
         rhs=lambda n, a: gould_generalized_rhs(n, 0, a),
         policy=REPORT_ONLY,
         note="at j=0 the printed display drops the -b_0*H_n correction (b_0 = 1), so the sides differ by H_n",
@@ -434,7 +497,7 @@ def _gould_sides() -> list[IdentityEntry]:
             id="eq-eulerbnew",
             anchor="eulerbnew: sum_k C(n,k)C(k,j)(-a)^k/k = sum_t C(t,j)(-a)^j(1-a)^(t-j)/t",
             params=("n", "j", "a"),
-            lhs=_gould_oracle,
+            lhs=_gould_side,
             rhs=gould_generalized_rhs,
             note="j >= 1 grid; ratio sums start at k = 1; 0^0 = 1 at the a = 1 edge",
             grid=lambda n_max, rng: [
@@ -469,7 +532,7 @@ def _series_sides() -> list[IdentityEntry]:
             anchor="panequa1: [t^n] f(ut/(1-Lt))/(1-Lt) = sum_k C(n,k)u^k L^(n-k) a_k",
             params=("n", "lambda", "mu", "alpha"),
             lhs=lambda n, lam, mu, alpha: pan((lam, mu, alpha), n)[n],
-            rhs=lambda n, lam, mu, alpha: -binomial_oracle(n, _ht(alpha, n), mu, lam),
+            rhs=lambda n, lam, mu, alpha: -_ht_sum(alpha, n, mu, lam),
             note="a_k = -H_k(alpha), the generating coefficients of log(1-alpha*t)/(1-t); seeded (L,u,alpha) triples",
             grid=lambda n_max, rng: [
                 {"pair": i, "lambda": lam, "mu": mu, "alpha": alpha, "n": n}
@@ -514,7 +577,7 @@ def _idi1_alternating() -> IdentityEntry:
         id="idi1-alternating",
         anchor="idi1: sum_k (-1)^k C(n,k) H_k(a) = ((1-a)^n - 1)/n",
         params=("n", "alpha"),
-        lhs=lambda n, alpha: binomial_oracle(n, _ht(alpha, n), mu=-1),
+        lhs=lambda n, alpha: _ht_sum(alpha, n, mu=-1),
         rhs=idi1_rhs,
         certify=lambda nm: certify_alpha_identity(alternating_oracle, idi1_rhs, nm),
         grid=_alpha_grid(10),
@@ -529,7 +592,7 @@ def _pan_sides() -> list[IdentityEntry]:
             id="pan-thm3.2",
             anchor="teorempan: sum_k C(n,k)u^k L^(n-k) H_k(a), both branches",
             params=("n", "mu", "lambda", "alpha"),
-            lhs=lambda n, mu, lam, alpha: binomial_oracle(n, _ht(alpha, n), mu, lam),
+            lhs=lambda n, mu, lam, alpha: _ht_sum(alpha, n, mu, lam),
             rhs=pan_closed_form,
             note="grid includes every u+L = 0 line (second branch) and u = L = 0",
             grid=lambda n_max, rng: [
@@ -542,7 +605,7 @@ def _pan_sides() -> list[IdentityEntry]:
             id="skew-transform",
             anchor="sum_k C(n,k) H_k^- = 2^n H_n(1/2)",
             params=("n",),
-            lhs=lambda n: -binomial_oracle(n, _ht(-1, n)),
+            lhs=lambda n: -_ht_sum(-1, n),
             rhs=lambda n: -pan_closed_form(n, 1, 1, -1),
             grid=_n_grid,
         ),
@@ -550,7 +613,7 @@ def _pan_sides() -> list[IdentityEntry]:
             id="frontczak-variant",
             anchor="sum_k C(n,k) 2^k H_k^- = -3^n (H_n(-1/3) - H_n(1/3))",
             params=("n",),
-            lhs=lambda n: -binomial_oracle(n, _ht(-1, n), mu=2),
+            lhs=lambda n: -_ht_sum(-1, n, mu=2),
             rhs=lambda n: -pan_closed_form(n, 2, 1, -1),
             grid=_n_grid,
         ),
@@ -558,7 +621,7 @@ def _pan_sides() -> list[IdentityEntry]:
             id="spivey-generalization",
             anchor="sum_{k>=1} C(n,k) H_k(a) = 2^n (H_n((1+a)/2) - H_n(1/2))",
             params=("n", "alpha"),
-            lhs=lambda n, alpha: binomial_oracle(n, _ht(alpha, n)),
+            lhs=lambda n, alpha: _ht_sum(alpha, n),
             rhs=lambda n, alpha: pan_closed_form(n, 1, 1, alpha),
             grid=_alpha_grid(5),
         ),
@@ -570,7 +633,7 @@ def _thm33_sides() -> list[IdentityEntry]:
         id="thm3.3-eqnnew8",
         anchor="eqnnew8: sum_k C(n,k)(-1)^k H_k(a) c_k via d = inverse transform of c",
         params=("seq", "n", "alpha"),
-        lhs=lambda c, n, alpha: binomial_oracle(n, [h * ck for h, ck in zip(_ht(alpha, n)[: n + 1], c)], mu=-1),
+        lhs=_thm33_side,
         rhs=thm33_rhs,
         note=f"promoted to ASSERT after a clean full oracle run; a and alpha are treated as one symbol; seq: {_THM33_LEGEND}",
         family=lambda n_max, seed, rng: _thm33_clib(n_max, seed),
@@ -595,7 +658,7 @@ def _example34_sides() -> list[IdentityEntry]:
         id="ex3.4-harmonic-alt",
         anchor="sum_k C(n,k)(-1)^(k-1) H_k = 1/n",
         params=("n",),
-        lhs=lambda n: -binomial_oracle(n, _ht(1, n), mu=-1),
+        lhs=lambda n: -_ht_sum(1, n, mu=-1),
         rhs=lambda n: Fraction(1, n),
         note="printed transform value (-1)^(n-1)/n holds only at odd n; see ex3.4-harmonic-alt-as-printed",
         grid=_n_grid,
@@ -704,7 +767,7 @@ def _sanchez_sides() -> list[IdentityEntry]:
             id="sanchez-transform",
             anchor="sanchez: sum_k C(n,k) k^p a_k from the plain transform of a",
             params=("seq", "n", "p"),
-            lhs=_power_weight_oracle,
+            lhs=lambda a, n, p: _power_weight_num(*_seq_terms(a), n, p),
             rhs=lambda a, n, p: sanchez_transform(binomial_transform(a[: n + 1]), n, p),
             note="cells with p > n are skipped by contract, not evaluated",
             family=lambda n_max, seed, rng: _rand_seqs(rng, 10, min(n_max, 12)),
@@ -720,7 +783,7 @@ def _asnp_sides() -> list[IdentityEntry]:
         id="as-newcoffey",
         anchor="newcoffey: sum_j C(n,j) j^p H_j(a) z^j, z != -1, via Stirling double sum",
         params=("n", "p", "z", "alpha"),
-        lhs=lambda n, p, z, alpha: _power_weight_oracle(_ht(alpha, n), n, p, z),
+        lhs=lambda n, p, z, alpha: _power_weight_num(*_ht_terms(alpha, n), n, p, z),
         rhs=as_np_closed,
         grid=lambda n_max, rng: [
             {"z": z, "alpha": alpha, "n": n, "p": p}
@@ -731,7 +794,7 @@ def _asnp_sides() -> list[IdentityEntry]:
         id="as-newcoffey1",
         anchor="newcoffey1: z=-1, a=1 case with weights k! S(p,k)",
         params=("n", "p"),
-        lhs=lambda n, p: _power_weight_oracle(_ht(1, n), n, p, -1),
+        lhs=lambda n, p: _power_weight_num(*_ht_terms(1, n), n, p, -1),
         rhs=as_zneg1_alpha1_closed,
         note="tail weight corrected to k! S(p,k), forced by the oracle and by the surrounding derivation; see -as-printed",
         grid=lambda n_max, rng: [{"n": n, "p": p} for n in range(1, min(n_max, 15) + 1) for p in range(1, min(n, 6) + 1)],
@@ -740,7 +803,7 @@ def _asnp_sides() -> list[IdentityEntry]:
         id="as-p0",
         anchor="p=0 case: sum_k C(n,k) z^k H_k(a) = (1+z)^n (H_n((1+az)/(1+z)) - H_n(1/(1+z)))",
         params=("n", "z", "alpha"),
-        lhs=lambda n, z, alpha: binomial_oracle(n, _ht(alpha, n), mu=z),
+        lhs=lambda n, z, alpha: _ht_sum(alpha, n, mu=z),
         rhs=lambda n, z, alpha: pan_closed_form(n, z, 1, alpha),
         note="printed display carries a stray (-1)^k on the left; see as-p0-as-printed",
         grid=lambda n_max, rng: [
@@ -773,7 +836,7 @@ def _asnp_sides() -> list[IdentityEntry]:
             p0,
             id="as-p0-as-printed",
             anchor="p=0 case with the printed (-1)^k kept on the left",
-            lhs=lambda n, z, alpha: binomial_oracle(n, _ht(alpha, n), mu=-z),
+            lhs=lambda n, z, alpha: _ht_sum(alpha, n, mu=-z),
             policy=REPORT_ONLY,
             note="",
         ),
@@ -781,7 +844,7 @@ def _asnp_sides() -> list[IdentityEntry]:
             id="as-p1-exemple1",
             anchor="exemple1: the factored p=1 expansion",
             params=("n", "z", "alpha"),
-            lhs=lambda n, z, alpha: _power_weight_oracle(_ht(alpha, n), n, 1, z),
+            lhs=lambda n, z, alpha: _power_weight_num(*_ht_terms(alpha, n), n, 1, z),
             rhs=as_p1_closed,
             # p = 1 is shown in the table; the sides do not read it
             grid=lambda n_max, rng: [

@@ -18,7 +18,9 @@ order and wall-clock timings are kept out of the serialized formats.
 Shared work: run_entry opens an exact.shared_run memo for its cell loop,
 sized by the largest n of its cells, and drops it when the loop ends.  That
 run memo is the one cache of the package; its rule and its readers are
-written once, in exact.
+written once, in exact.  binomial_oracle is the oracles' lift of its weights
+plus its integer kernel _binomial_num; the registry's sides call that kernel
+on inputs lifted once per run, and binomial_oracle itself reads no memo.
 """
 
 from __future__ import annotations
@@ -167,21 +169,30 @@ def rand_rat(rng: random.Random) -> Fraction:
 def binomial_oracle(n: int, w: Sequence[RatLike], mu: RatLike = 1, lam: RatLike = 1) -> Fraction:
     """Exact sum_{k=0..n} C(n,k) mu^k lam^(n-k) w[k], summed in integers.
 
-    The direct-sum oracle behind every binomial-weighted identity.  It calls no
-    transform and lifts its weights through the oracles' lift,
-    exact._oracle_terms, so it stays independent of the closed forms it
-    checks.  The weights are ints and Fractions (any other type raises
-    TypeError), and w must hold w[0..n]; with w[k] = N_k/D over their lcm D,
-    mu = a/b and lam = c/d, term k is the integer C(n,k) (ad)^k (bc)^(n-k) N_k,
-    and the sum is divided once by D (bd)^n.
+    The direct-sum oracle behind every binomial-weighted identity: the
+    oracles' lift, exact._oracle_terms, of w[0..n], and its integer kernel
+    _binomial_num.  It calls no transform, so it stays independent of the
+    closed forms it checks.  The weights are ints and Fractions (any other
+    type raises TypeError), and w must hold w[0..n].
+    """
+    return _binomial_num(*_oracle_terms([w[k] for k in range(n + 1)], "binomial_oracle"), n, mu, lam)
+
+
+def _binomial_num(nums: Sequence[int], den: int, n: int, mu: RatLike = 1, lam: RatLike = 1) -> Fraction:
+    """binomial_oracle at w[k] = nums[k] / den for k = 0..n; nums may run past n.
+
+    With mu = a/b and lam = c/d, term k is the integer C(n,k) (ad)^k (bc)^(n-k)
+    nums[k], and the sum is divided once by den (bd)^n.  It is summed by
+    Horner's rule in ad, from k = n down, with a running power of bc.
     """
     mu, lam = Fraction(mu), Fraction(lam)
     x = mu.numerator * lam.denominator
     y = mu.denominator * lam.numerator
-    nums, den = _oracle_terms([w[k] for k in range(n + 1)], "binomial_oracle")
     total = 0
-    for k, num in enumerate(nums):
-        total += binom_int(n, k) * x**k * y ** (n - k) * num
+    ypow = 1  # y^(n-k)
+    for k in range(n, -1, -1):
+        total = total * x + binom_int(n, k) * ypow * nums[k]
+        ypow *= y
     return Fraction(total, den * (mu.denominator * lam.denominator) ** n)
 
 

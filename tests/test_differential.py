@@ -688,18 +688,27 @@ def test_thm33_nabla_rhs_is_d_dotted_with_the_nabla_row(alpha):
 @example(lam=Fraction(-3), alpha=Fraction(10**99 + 3, -(10**99) - 8), a=[Fraction(10**99 - k, 3 + k) for k in range(9)])
 @given(lam=st.one_of(lams, big_rats), alpha=st.one_of(alphas, big_rats), a=st.lists(edge_rats, min_size=9, max_size=9))
 def test_one_run_serves_every_prefix(lam, alpha, a):
-    # inside one run the memoized closed forms transform the whole of a once and read its
-    # first n+1 entries at each n; that equals their value on those terms with no run open
-    forms = ((boyadzhiev_ratio_closed, lam), (thm33_rhs, alpha), (thm33_nabla_rhs, alpha))
+    # inside one run the memoized closed forms transform the whole of a once, and the
+    # declared left sides lift the whole of a once, and each reads its first n+1 entries
+    # at each n; that equals their value on those terms with no run open
+    lhs = {e.id: e.lhs for i in ("thm2.3-general", "lemma2.1-coherence", "thm3.3-eqnnew8") for e in declare(i)}
+    forms = (
+        ("boyadzhiev_ratio_closed", boyadzhiev_ratio_closed, lam),
+        ("thm33_rhs", thm33_rhs, alpha),
+        ("thm33_nabla_rhs", thm33_nabla_rhs, alpha),
+        ("thm2.3-general", lhs["thm2.3-general"], lam),
+        ("lemma2.1-coherence", lhs["lemma2.1-coherence"], lam),
+        ("thm3.3-eqnnew8", lhs["thm3.3-eqnnew8"], alpha),
+    )
 
     def values(terms):
         out = {}
         for n in range(9):
-            for fn, x in forms:
+            for name, fn, x in forms:
                 try:
-                    out[fn.__name__, n] = fn(terms(n), n, x)
+                    out[name, n] = fn(terms(n), n, x)
                 except (DomainError, ValueError) as exc:  # n = 0, and lambda in {-1, ..., -n}
-                    out[fn.__name__, n] = type(exc)
+                    out[name, n] = type(exc)
         return out
 
     with shared_run():

@@ -402,22 +402,34 @@ def _mutated(fn, old, new):
 
 
 # each oracle that lifts its terms through exact._oracle_terms, and the entries it checks;
-# _power_weight_oracle lifts through binomial_oracle, so sanchez-transform is listed there
+# _power_weight_oracle lifts through binomial_oracle's kernel, so sanchez-transform is listed there
 ORACLE_LIFTS = [
     ("verifier", "binomial_oracle", ("pan-thm3.2", "as-newcoffey", "eq-eulerbnew", "sanchez-transform")),
     ("closed_forms", "lemma21_lhs", ("lemma2.1-coherence",)),
     ("registry", "_ratio_oracle", ("thm2.3-general", "knuth-flajolet")),
 ]
 LIFT_SHARE = "den // d"  # the share of the lcm that _oracle_terms gives each term
+# the cell names whose distinct values are the distinct inputs that each entry's oracle
+# lifts: a harmonic table per alpha, a sequence per seq, the Gould weights per (n, j); the
+# Knuth-Flajolet terms (-1)^k are made afresh on each cell
+LIFT_INPUTS = {
+    "pan-thm3.2": ("alpha",),
+    "as-newcoffey": ("alpha",),
+    "eq-eulerbnew": ("n", "j"),
+    "sanchez-transform": ("seq",),
+    "lemma2.1-coherence": ("seq",),
+    "thm2.3-general": ("seq",),
+    "knuth-flajolet": ("n", "lambda"),
+}
 
 
 @pytest.mark.parametrize(
     "module, name, entry_ids", ORACLE_LIFTS, ids=[f"{module}-{name}-{LIFT_SHARE}" for module, name, _ in ORACLE_LIFTS]
 )
 def test_wrong_weight_lift_in_an_oracle_fails_its_entries(monkeypatch, module, name, entry_ids):
-    # the oracles lift their terms through exact._oracle_terms; with the term at
-    # index 1 over a wrong share of the lcm, each oracle that lifts through it
-    # must fail the entries that it checks
+    # the oracles lift their terms through exact._oracle_terms, and a run lifts each of
+    # their inputs once; with the term at index 1 over a wrong share of the lcm, each
+    # oracle that lifts through it must fail the entries that it checks
     import importlib
 
     from ghn import exact
@@ -425,6 +437,20 @@ def test_wrong_weight_lift_in_an_oracle_fails_its_entries(monkeypatch, module, n
     oracle = getattr(importlib.import_module(f"ghn.{module}"), name)
     assert "_oracle_terms(" in inspect.getsource(oracle), name
     real = exact._oracle_terms
+    entries = {e.id: e for e in build_registry(6, 42)}
+    calls = []
+
+    def counted(values, who):
+        calls.append(who)
+        return real(values, who)
+
+    _rebind(monkeypatch, real, counted)
+    for entry_id in entry_ids:
+        calls.clear()
+        assert run_entry(entries[entry_id]).tier == HOLDS_ON_GRID, entry_id
+        inputs = {tuple(cell[key] for key in LIFT_INPUTS[entry_id]) for cell in entries[entry_id].cells}
+        assert 0 < len(calls) <= len(inputs), entry_id
+    monkeypatch.undo()
     mutated = _mutated(
         real,
         f"[v.numerator * ({LIFT_SHARE}) for v, d in zip(values, dens)]",
@@ -432,7 +458,6 @@ def test_wrong_weight_lift_in_an_oracle_fails_its_entries(monkeypatch, module, n
     )
     bound = _rebind(monkeypatch, real, mutated)
     assert sorted(bound) == ["ghn.closed_forms._oracle_terms", "ghn.exact._oracle_terms", "ghn.registry._oracle_terms", "ghn.verifier._oracle_terms"]
-    entries = {e.id: e for e in build_registry(6, 42)}
     for entry_id in entry_ids:
         assert run_entry(entries[entry_id]).tier == "FAILS", entry_id
 
@@ -553,9 +578,10 @@ def test_oracles_never_call_the_lifting_helper(monkeypatch):
     def broken_memo(key, build):
         raise RuntimeError("_shared called")
 
-    # the registry reads its tables through exact._shared_table, which calls exact._shared
+    # the registry's sides read their tables through exact._shared_table, which calls
+    # exact._shared, and their lifted sequences and Gould weights through exact._shared
     bound = _rebind(monkeypatch, exact._shared, broken_memo)
-    assert sorted(bound) == ["ghn.closed_forms._shared", "ghn.exact._shared", "ghn.transforms._shared"]
+    assert sorted(bound) == ["ghn.closed_forms._shared", "ghn.exact._shared", "ghn.registry._shared", "ghn.transforms._shared"]
     for closed_form in (boyadzhiev_ratio_closed, thm33_rhs, thm33_nabla_rhs):
         with pytest.raises(RuntimeError, match="_shared"):
             closed_form(a, 7, lam)
@@ -587,7 +613,7 @@ def test_declared_sides_bind_their_closed_forms():
     # a side that is one closed form as it stands is that function, with no adapter around it
     from ghn import closed_forms as cf
     from ghn import sequences, transforms
-    from ghn.registry import _bernoulli_alternating, _fibonacci_doubling, _gould_oracle, _lucas_doubling, declare
+    from ghn.registry import _bernoulli_alternating, _fibonacci_doubling, _gould_side, _lucas_doubling, declare
 
     entries = {e.id: e for e in declare()}
     bound = {
@@ -613,7 +639,8 @@ def test_declared_sides_bind_their_closed_forms():
     for entry_id, fn in bound.items():
         assert entries[entry_id].rhs is fn, entry_id
     assert [entries[i].rhs(6) for i in ("ex3.4-fibonacci", "ex3.4-lucas")] == [sequences.fibonacci(12), sequences.lucas(12)]
-    assert entries["eq-eulerbnew"].lhs is _gould_oracle
+    # the Gould oracle with its lifted weights read through the run memo
+    assert entries["eq-eulerbnew"].lhs is _gould_side
 
 
 def test_rand_rat_bounds():
@@ -865,13 +892,11 @@ def _functions_reached(entry_id, side_name):
 
 # The ghn functions that both sides of each ASSERT entry reach.  Pan's closed
 # form and the ex3.4 right sides call no sequence generator.  _shared is the run
-# memo: the registry's tables of oracle inputs (through _shared_table) and the
+# memo: the registry's lifted oracle inputs (tables through _shared_table) and the
 # closed forms' rows are both read through it, under tags of their own.
 SHARED = {
-    **dict.fromkeys(
-        ["lemma2.1-ones-zero", "lemma2.1-ones", "thm2.3-general", "thm2.3-lambda0", "knuth-flajolet"],
-        {"check_lambda_domain"},
-    ),
+    **dict.fromkeys(["lemma2.1-ones-zero", "lemma2.1-ones", "knuth-flajolet"], {"check_lambda_domain"}),
+    **dict.fromkeys(["thm2.3-general", "thm2.3-lambda0"], {"check_lambda_domain", "_shared"}),
     "lemma2.1-coherence": {"check_lambda_domain", "check_terms"},
     **dict.fromkeys(["gen-harmonic-relation", "skew-relation"], {"harmonic_p", "_harmonic_num"}),
     **dict.fromkeys(["as-newcoffey1", "as-p1-exemple1"], {"_harmonic_num"}),
@@ -879,7 +904,8 @@ SHARED = {
     "thm3.3-eqnnew8": {"binom_int", "_harmonic_num", "_shared"},
     **dict.fromkeys(["genfunc-alpha", "genfunc-harmonic", "genfunc-skew"], {"_shared", "_shared_table"}),
     **dict.fromkeys(["thm3.3-nabla", "as-newcoffey", "as-newcoff"], {"binom_int", "_shared"}),
-    **dict.fromkeys(["eq-eulerbnew", "eq-eulerbnew-j0-corrected", "sanchez-transform"], {"binom_int"}),
+    **dict.fromkeys(["eq-eulerbnew", "eq-eulerbnew-j0-corrected"], {"binom_int"}),
+    "sanchez-transform": {"binom_int", "_shared"},
     **dict.fromkeys(["sanchez-weight", "sanchez-p1", "sanchez-p2", "sanchez-p3"], {"binom_int"}),
 }
 
