@@ -19,8 +19,13 @@ sizes them by its largest n.  table refuses an --id that is not in
 registry.GROUP_OF, a pattern too, before it builds anything; it then passes
 the id to registry.build_registry as the pattern and builds one grid.
 
+verify --timings FILE writes a JSON sidecar beside the ledger: per entry, the
+seconds of its cell loop and of its certify hook, its cells, skipped cells and
+cells per second.  The ledger's bytes do not depend on it.
+
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error (a
-verify --filter that matches no entry id among them), 3 report I/O failure.
+verify --filter that matches no entry id among them), 3 report or timings
+I/O failure.
 
 Integer arguments are capped so that no input can request unbounded work:
 verify and table take --n-max 1..30, compute takes --n-max 0..180, series
@@ -192,20 +197,29 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _write_file(path: str, text: str, what: str) -> bool:
+    """Write text to path; on an OSError say so on stderr, naming what, and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {what}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_verify(args) -> int:
     report = run_suite(args.filter, args.n_max, args.seed)
     if not report.results:  # a mistyped filter is not a clean run
         raise UsageError(f"no entry id matches {args.filter!r}")
     payload = report.to_json() if args.format == "json" else report.to_markdown()
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
+        if not _write_file(args.out, payload, "report"):
             return 3
     else:
         sys.stdout.write(payload)
+    if args.timings and not _write_file(args.timings, report.to_timings_json(), "timings"):
+        return 3
     tiers: dict[str, int] = {}
     for r in report.results:
         tiers[r.tier] = tiers.get(r.tier, 0) + 1
@@ -276,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--format", choices=("json", "md"), default="json")
     p.add_argument("--out", default=None)
+    p.add_argument("--timings", default=None, help="also write each entry's timings, as JSON, to this file")
 
     p = sub.add_parser("series", help="coefficient-exact series checks")
     p.add_argument("--check", choices=SERIES_CHECKS, required=True)

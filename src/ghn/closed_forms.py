@@ -10,9 +10,11 @@ factor), and 0^0 = 1 throughout.
 Derivation map: a closed form that the paper derives from another result is
 that result evaluated, not a copy of it.
   boyadzhiev_ratio_closed (Thm 2.3)  lemma21_rhs at the transform of (0, a_1, a_2, ...)
-  thm33_rhs (Thm 3.3)                the Gould sum _gould_num(n, n-m, 1-alpha) per d_m,
-                                     d the inverse transform of the whole of c
+  thm33_rhs (Thm 3.3)                d dotted with one row of H_n(alpha), the 1/(n-m) tail and
+                                     the Gould sum _gould_num(n, n-m, 1-alpha), d the inverse
+                                     transform of the whole of c
   thm33_nabla_rhs (eqnnew9)          d dotted with the row weighted_nabla(b, n)
+  power_weighted_rhs (Sanchez)       sanchez_transform of the transform of the whole of a
   as_np_closed (newcoffey)           sanchez_transform of pan_closed_form(m, z, 1, alpha),
                                      for the m = n-p..n that it reads
   pan_closed_form (Thm 3.2)          its own integer sum, no harmonic_p; mu + lam = 0:
@@ -24,21 +26,30 @@ lemma21_rhs_ones, lambda1_case_rhs, second_case_ones_rhs, as_p1_closed,
 as_zneg1_alpha1_closed.
 
 Shared work: entry m of a binomial transform depends on the terms 0..m
-alone, so these three closed forms transform the whole sequence they are
-given and read its first n+1 entries; that one transform serves every n.
-Through exact._shared, inside a verifier run they compute once per run
+alone, so the closed forms that take a sequence transform, or lift, the whole
+sequence they are given and read its first n+1 entries; that one value serves
+every n.  What depends only on the grid point is a weight row, built once per
+point: each family cell is then one integer dot product (_dot) of the row
+with the sequence's numerators.  Through exact._shared, inside a verifier run
+they compute once per run
   - per sequence, keyed by its id(): the _transform_num of (0, a_1, a_2, ...)
-    (boyadzhiev_ratio_closed), and the inverse _transform_num of c, which
-    thm33_rhs and thm33_nabla_rhs share under one key;
-  - per (n, alpha): thm33_rhs's Gould row _gould_num(n, n-m, p, q, L) for
-    m < n with H_n(alpha), and thm33_nabla_rhs's row weighted_nabla(b, n)
-    with b_j = idi1_rhs(j, alpha), lifted to integers over one denominator;
+    (boyadzhiev_ratio_closed), the lift of (0, b_1, b_2, ...) (lemma21_rhs),
+    the inverse _transform_num of c, which thm33_rhs and thm33_nabla_rhs share
+    under one key, and the binomial_transform of a (lambda1_case_rhs,
+    power_weighted_rhs);
+  - per (n, lam): Lemma 2.1's row _lemma21_row, with its argument checks
+    (lemma21_rhs and boyadzhiev_ratio_closed);
+  - per (n, alpha): thm33_rhs's row _thm33_row, which folds H_n(alpha), the
+    1/(n-m) tail and the Gould row _gould_num(n, n-m, p, q, L) over one
+    scale, and thm33_nabla_rhs's row weighted_nabla(b, n) with
+    b_j = idi1_rhs(j, alpha), lifted to integers over one denominator;
   - per (m, z, alpha): as_np_closed's Pan value pan_closed_form(m, z, 1, alpha),
     which every (n, p) with n-p <= m <= n reads.
-The memo holds each sequence it keys, so no id is reused while the run
-lasts, and a side may not mutate a sequence during a run.  Outside a run
-every call computes afresh.  No oracle here reads the memo; the cache rule is
-in exact.
+A row builder raises for a point outside its domain (a DomainError), and a
+raised build is never stored, so every excluded cell still skips.  The memo
+holds each sequence it keys, so no id is reused while the run lasts, and a
+side may not mutate a sequence during a run.  Outside a run every call
+computes afresh.  No oracle here reads the memo; the cache rule is in exact.
 
 generalized_harmonic_relation and idi1_rhs also run over Q[alpha]: at alpha =
 verifier.ALPHA they return the PolyQ in alpha that CERTIFIED proves.  So they
@@ -48,24 +59,24 @@ leave a PolyQ alpha as it is.
 Fraction-free kernels: lemma21_rhs, pan_closed_form, thm33_rhs,
 thm33_nabla_rhs and gould_generalized_rhs (like the transforms,
 sanchez_transform, exact.binom_rat and sequences._harmonic_num below them) sum
-integer numerators over one denominator and build one Fraction per value, or
-per part.  lemma21_rhs lifts its inputs through exact.common_denominator, and
+integer numerators over one denominator and build one Fraction per value.
+lemma21_rhs lifts its inputs through exact.common_denominator, and
 pan_closed_form lifts mu, lam and alpha itself, in integers;
 boyadzhiev_ratio_closed, thm33_rhs and thm33_nabla_rhs take the numerators of
 the transform, or of its inverse, from transforms._transform_num as they are,
-so no transform value is reduced to a Fraction and lifted again, and
-thm33_nabla_rhs lifts its (n, alpha) row once, inside the memo.  Three
-per-term Fraction loops are left on graded sides:
-generalized_harmonic_relation, which must still take a PolyQ alpha,
-lambda1_case_rhs's sum of transform values and as_zneg1_alpha1_closed's tail.
-Lemma 2.1's integer body, _lemma21_num, holds the argument checks that
-lemma21_rhs and boyadzhiev_ratio_closed share; with lam = p/q it needs no
-binomial of a rational.  pan_closed_form sums over D^n lcm(1..n), D the
-product of the denominators of mu, lam and alpha.  The
-Gould sum is one integer kernel, _gould_num, over q^n lcm(1..n) for a = p/q:
-gould_generalized_rhs wraps it in a Fraction, and thm33_rhs dots it with the
-numerators of d_0..d_(n-1), so its Gould part and its 1/(n-m) tail are one
-Fraction each.
+so no transform value is reduced to a Fraction and lifted again.  A row is
+(weights, scale), integers: the value of a cell is sum_m weights[m] nums[m]
+over scale * den, one Fraction (_dot).  Three per-term Fraction loops are
+left on graded sides: generalized_harmonic_relation, which must still take a
+PolyQ alpha, lambda1_case_rhs's sum of transform values and
+as_zneg1_alpha1_closed's tail.  Lemma 2.1's integer body, _lemma21_num, reads
+the row _lemma21_row, which holds the argument checks that lemma21_rhs and
+boyadzhiev_ratio_closed share; with lam = p/q it needs no binomial of a
+rational.  pan_closed_form sums over D^n lcm(1..n), D the product of the
+denominators of mu, lam and alpha.  The Gould sum is one integer kernel,
+_gould_num, over q^n lcm(1..n) for a = p/q: gould_generalized_rhs wraps it in
+a Fraction, and _thm33_row scales it, with H_n(alpha) and the 1/(n-m) tail,
+to one denominator, so a thm33_rhs cell builds one Fraction.
 
 Binomial sums: a closed form that needs a transform calls
 transforms.binomial_transform, its inverse or their integer kernel
@@ -84,13 +95,14 @@ the lifted harmonic table (_harmonic_over_k).  The oracles never call
 common_denominator or a transform: binomial_oracle, the ratio oracle and
 lemma21_lhs are the oracles' own lift, exact._oracle_terms (the rule is in
 exact), of their terms plus an integer kernel over (nums, den), the way
-binomial_transform is the view of _transform_num.  lemma21_lhs's kernel,
-_lemma21_lhs_num, sums its own integer coefficients over (p+q)...(p+nq) by
-Horner's rule in q; the registry's lemma2.1-coherence side calls it on the
-lift of the whole grid sequence, read once per run, and lemma21_lhs itself
-reads no memo.  Oracles call check_lambda_domain only for its DomainError and
-keep the lambda they are given, so a fault in it reaches the closed forms
-alone.
+binomial_transform is the view of _transform_num.  lemma21_lhs is the pure
+row builder _lemma21_lhs_row, its own integer weights over (p+q)...(p+nq),
+dotted with the lift by the oracles' dot product exact._oracle_dot, which no
+closed form calls; the registry's lemma2.1-coherence side reads that row once
+per run per (n, lam) and dots it with the lift of the whole grid sequence,
+and lemma21_lhs itself reads no memo.  Oracles, and their row builders, call
+check_lambda_domain only for its DomainError and keep the lambda they are
+given, so a fault in it reaches the closed forms alone.
 """
 
 from __future__ import annotations
@@ -101,7 +113,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, OutOfValidityRangeError
-from .exact import RatLike, _oracle_terms, _shared, binom_int, binom_rat, check_terms, common_denominator
+from .exact import RatLike, _oracle_dot, _oracle_terms, _shared, binom_int, binom_rat, check_terms, common_denominator
 from .polyseries import PolyQ
 from .sequences import harmonic, harmonic_p, harmonic_table, stirling2_row
 from .transforms import _transform_num, binomial_transform, sanchez_transform, weighted_nabla
@@ -118,65 +130,88 @@ def check_lambda_domain(lam: RatLike, n: int) -> Fraction:
 def lemma21_lhs(b: Sequence[RatLike], n: int, lam: RatLike) -> Fraction:
     """n! * sum_{m=1..n} b_m / (m! (lam+m)(lam+m+1)...(lam+n)), summed directly.
 
-    The oracles' lift, exact._oracle_terms, of b_1..b_n (with a 0 in slot 0,
-    never read), and its integer kernel _lemma21_lhs_num.
+    The oracles' lift, exact._oracle_terms, of b_1..b_n (with a 0 in slot 0),
+    dotted with the row _lemma21_lhs_row(n, lam) by exact._oracle_dot.
     """
-    return _lemma21_lhs_num(*_oracle_terms([0, *b[1 : n + 1]], "lemma21_lhs"), n, lam)
+    return _oracle_dot(_lemma21_lhs_row(n, lam), *_oracle_terms([0, *b[1 : n + 1]], "lemma21_lhs"))
 
 
-def _lemma21_lhs_num(nums: Sequence[int], den: int, n: int, lam: RatLike) -> Fraction:
-    """lemma21_lhs at b_m = nums[m] / den for m = 1..n; nums[0] is never read, and nums may run past n."""
+def _lemma21_lhs_row(n: int, lam: RatLike) -> tuple[list[int], int]:
+    """lemma21_lhs's row (weights, scale): b_m = nums[m] / den enters as weights[m] nums[m] over scale den.
+
+    With lam = p/q, term m is b_m q^(n-m+1) (n!/m!) / ((p+mq)...(p+nq)); over the
+    scale (p+q)...(p+nq) its weight gains (p+q)...(p+(m-1)q).  weights[0] is 0,
+    so b_0 never enters.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     check_lambda_domain(lam, n)  # for its DomainError: an oracle takes lambda as given
     lam = Fraction(lam)
-    check_terms(nums, n, "b")
-    # with lam = p/q, term m is b_m q^(n-m+1) (n!/m!) / ((p+mq)...(p+nq)); over the
-    # denominator (p+q)...(p+nq) its integer coefficient gains (p+q)...(p+(m-1)q)
     p, q = lam.numerator, lam.denominator
-    total = 0
+    weights = [0] * (n + 1)
     prefix = 1  # (p+q)...(p+(m-1)q)
     falling = math.factorial(n)  # n!/m!
-    for m in range(1, n + 1):  # Horner in q: term m ends up times q^(n-m), and the sum times q
+    for m in range(1, n + 1):
         falling //= m
-        total = total * q + prefix * falling * nums[m]
+        weights[m] = prefix * falling * q ** (n - m + 1)
         prefix *= p + m * q
-    return Fraction(total * q, prefix * den)
+    return weights, prefix
 
 
 def lemma21_rhs(b: Sequence[RatLike], n: int, lam: RatLike) -> Fraction:
     """Branch-selected closed form of lemma21_lhs.
 
     lam = 0: sum b_m/m; otherwise sum C(lam-1+m, m) b_m / (lam C(lam+n, n)).
-    Both are one integer sum over the numerators of b_1..b_n (_lemma21_num).
+    Both are one integer dot product with the numerators of (0, b_1, b_2, ...),
+    lifted once per run for this sequence (_lemma21_num).
     """
-    nums, den = common_denominator([0, *b[1 : n + 1]])
+    nums, den = _per_sequence("lemma21", b, lambda b: common_denominator([0, *b[1:]]))
     return _lemma21_num(nums, den, n, lam)
 
 
 def _lemma21_num(nums: Sequence[int], den: int, n: int, lam: RatLike) -> Fraction:
-    """lemma21_rhs at b_m = nums[m] / den for m = 1..n; nums[0] is never read.
+    """lemma21_rhs at b_m = nums[m] / den for m = 1..n: the row _lemma21_row(n, lam), once per run, dotted with nums."""
+    row = _shared(("lemma21_row", n, lam), lambda: _lemma21_row(n, lam))
+    check_terms(nums, n, "b")
+    return _dot(row, nums, den)
 
-    The argument checks of Lemma 2.1 and Theorem 2.3.  With lam = p/q,
+
+def _lemma21_row(n: int, lam: RatLike) -> tuple[list[int], int]:
+    """Lemma 2.1's row (weights, scale): b_m = nums[m] / den enters as weights[m] nums[m] over scale den.
+
+    The argument checks of Lemma 2.1 and Theorem 2.3, so they run once per
+    (n, lam) in a run; a DomainError is raised, never stored.  lam = 0: weight
+    m is L/m over L = lcm(1..n).  Otherwise, with lam = p/q,
     C(lam-1+m, m) = p(p+q)...(p+(m-1)q) / (q^m m!) and
-    lam C(lam+n, n) = p(p+q)...(p+nq) / (q^(n+1) n!).
+    lam C(lam+n, n) = p(p+q)...(p+nq) / (q^(n+1) n!), so weight m is
+    p(p+q)...(p+(m-1)q) q^(n-m+1) n!/m! over the scale p(p+q)...(p+nq).
+    weights[0] is 0, so b_0 never enters.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     lam = check_lambda_domain(lam, n)
-    check_terms(nums, n, "b")
     p, q = lam.numerator, lam.denominator
     if p == 0:
         lcm = math.lcm(*range(1, n + 1))
-        return Fraction(sum(nums[m] * (lcm // m) for m in range(1, n + 1)), den * lcm)
-    total = 0
+        return [0] + [lcm // m for m in range(1, n + 1)], lcm
+    weights = [0] * (n + 1)
     rising = 1  # p(p+q)...(p+(m-1)q)
     fact_n, fact_m = math.factorial(n), 1
     for m in range(1, n + 1):
         rising *= p + (m - 1) * q
         fact_m *= m
-        total += rising * q ** (n - m) * (fact_n // fact_m) * nums[m]
-    return Fraction(total * q, den * rising * (p + n * q))
+        weights[m] = rising * q ** (n - m + 1) * (fact_n // fact_m)
+    return weights, rising * (p + n * q)
+
+
+def _dot(row: tuple[Sequence[int], int], nums: Sequence[int], den: int) -> Fraction:
+    """The closed forms' dot product: sum_m weights[m] nums[m] over scale * den, one Fraction, for row = (weights, scale).
+
+    nums may run past the row.  The oracles dot their rows with a kernel of
+    their own (exact._oracle_dot), so a fault here reaches the closed forms only.
+    """
+    weights, scale = row
+    return Fraction(sum(map(operator.mul, weights, nums)), scale * den)
 
 
 def lemma21_rhs_ones(n: int, lam: RatLike, as_printed: bool = False) -> Fraction:
@@ -211,8 +246,18 @@ def lambda1_case_rhs(a: Sequence[RatLike], n: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     check_terms(a, n, "a")
-    b = binomial_transform(a[: n + 1])
-    return (sum(b[1:]) - n * b[0]) / (n + 1)
+    b = _transform(a)
+    return (sum(b[1 : n + 1]) - n * b[0]) / (n + 1)
+
+
+def power_weighted_rhs(a: Sequence[RatLike], n: int, p: int) -> Fraction:
+    """sum_k C(n,k) k^p a_k from the plain transform b of a: sanchez_transform(b, n, p).
+
+    b is the transform of the whole of a, once per run (_transform); entry m
+    reads a_0..a_m alone.  Valid for p <= n, like sanchez_transform.
+    """
+    check_terms(a, n, "a")
+    return sanchez_transform(_transform(a), n, p)
 
 
 def knuth_flajolet_rhs(n: int, lam: RatLike) -> Fraction:
@@ -277,6 +322,11 @@ def _inverse_num(c: Sequence) -> tuple[list[int], int]:
     return _per_sequence("inverse", c, lambda c: _transform_num(c, inverse=True))
 
 
+def _transform(a: Sequence) -> list[Fraction]:
+    """binomial_transform of the whole of a, once per run for lambda1_case_rhs and power_weighted_rhs."""
+    return _per_sequence("transform", a, binomial_transform)
+
+
 def pan_closed_form(n: int, mu: RatLike, lam: RatLike, alpha: RatLike) -> Fraction:
     """Closed form of sum_k C(n,k) mu^k lam^(n-k) H_k(alpha).
 
@@ -327,30 +377,37 @@ def thm33_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
 
     Uses d = inverse binomial transform of c:
       (-1)^n d_n H_n(alpha) - sum_{m<n} d_m (-1)^m/(n-m)
-      + [alpha != 1] (-1)^n sum_{m<n} d_m gould_generalized_rhs(n, n-m, 1-alpha).
+      + [alpha != 1] (-1)^n sum_{m<n} d_m gould_generalized_rhs(n, n-m, 1-alpha),
+    as one integer dot product of d's numerators with the row _thm33_row(n, alpha).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     check_terms(c, n, "c")
     alpha = Fraction(alpha)
     nums, den = _inverse_num(c)  # d_m = nums[m] / den
-    h, lcm, gould_row = _shared(("gould", n, alpha), lambda: _thm33_row(n, alpha))
-    # the 1/(n-m) tail over den lcm, and the Gould part over den q^n lcm (a = 1 - alpha = p/q,
-    # so q is alpha's denominator)
-    total = (-1) ** n * Fraction(nums[n], den) * h
-    total -= Fraction(sum((-1) ** m * nums[m] * (lcm // (n - m)) for m in range(n)), den * lcm)
-    if alpha != 1:
-        gould = sum(nums[m] * gould_row[m] for m in range(n) if nums[m])
-        total += Fraction((-1) ** n * gould, den * alpha.denominator**n * lcm)
-    return total
+    return _dot(_shared(("thm33_row", n, alpha), lambda: _thm33_row(n, alpha)), nums, den)
 
 
-def _thm33_row(n: int, alpha: Fraction) -> tuple[Fraction, int, list[int]]:
-    """H_n(alpha), lcm(1..n) and, unless alpha = 1, the Gould row _gould_num(n, n-m, 1-alpha) for m < n."""
+def _thm33_row(n: int, alpha: Fraction) -> tuple[list[int], int]:
+    """thm33_rhs's row (weights, scale): d_m = nums[m] / den enters as weights[m] nums[m] over scale den.
+
+    With H_n(alpha) = N/D, L = lcm(1..n), a = 1 - alpha = p/q (q is alpha's
+    denominator) and the scale S = lcm(D, q^n L): weight n is (-1)^n N (S/D),
+    and weight m < n is the tail's -(-1)^m (L/(n-m)) (S/L) plus, unless
+    alpha = 1, the Gould part's (-1)^n _gould_num(n, n-m, p, q, L) (S/(q^n L)).
+    """
     lcm = math.lcm(*range(1, n + 1))
+    h = harmonic_p(n, 1, alpha)
     a = 1 - alpha
-    row = [_gould_num(n, n - m, a.numerator, a.denominator, lcm) for m in range(n)] if alpha != 1 else []
-    return harmonic_p(n, 1, alpha), lcm, row
+    gould_den = a.denominator**n * lcm
+    scale = math.lcm(h.denominator, gould_den)
+    sign = (-1) ** n
+    weights = [-((-1) ** m) * (lcm // (n - m)) * (scale // lcm) for m in range(n)]
+    weights.append(sign * h.numerator * (scale // h.denominator))
+    if alpha != 1:
+        for m in range(n):
+            weights[m] += sign * _gould_num(n, n - m, a.numerator, a.denominator, lcm) * (scale // gould_den)
+    return weights, scale
 
 
 def thm33_nabla_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
@@ -364,8 +421,7 @@ def thm33_nabla_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
     check_terms(c, n, "c")
     alpha = Fraction(alpha)
     nums, den = _inverse_num(c)  # d_m = nums[m] / den
-    row, row_den = _shared(("nabla", n, alpha), lambda: _nabla_row(n, alpha))
-    return Fraction(sum(map(operator.mul, nums, row)), den * row_den)
+    return _dot(_shared(("nabla", n, alpha), lambda: _nabla_row(n, alpha)), nums, den)
 
 
 def _nabla_row(n: int, alpha: Fraction) -> tuple[list[int], int]:

@@ -16,7 +16,11 @@ reaches one side of a row only and cannot cancel.  Both refuse a term that is
 not an int or a Fraction, a float included, with a TypeError.  Each oracle is
 that lift plus an integer kernel over (nums, den); the registry's grid sides
 call the kernel on a lift read once per run: of each harmonic table and each
-family sequence, whole, and of the Gould weights per (n, j).
+family sequence, whole, and of the Gould weights per (n, j).  Where the
+weights of a sum depend only on the grid point (n and lambda, or n and
+alpha), a pure row builder makes them once, as (weights, scale) in integers,
+and a cell is one dot product of that row with the lifted numerators, one
+Fraction: ``_oracle_dot`` on the oracle side, closed_forms._dot on the other.
 
 The cache rule, for the whole package: every memo is the run memo.
 ``shared_run(size)`` opens one for the length of a ``with`` block, and
@@ -28,17 +32,23 @@ between two runs reaches the second.  ``_shared_table`` reads a table indexed
 0..n through it, built once to the run's size, so one table serves every n of
 the run; outside a run it is built to the n asked for.  No module keeps a
 cache of values of its own (cli builds its argument parser once per process;
-it holds no computed value).  No oracle function calls ``_shared``.  Its
-readers are:
-  - closed_forms: a grid sequence's transform, the rows of Theorem 3.3 that
-    depend only on (n, alpha), and the newcoffey form's Pan values;
-  - transforms: the Sanchez weights j! S(p, j), per p;
-  - registry: the oracle inputs that its sides read, under tags that no
-    closed form uses: through ``_shared_table``, the harmonic tables, their
-    lifts (tag "harmonic_terms") and the series of Pan's lemma and of
-    log(1-alpha*t)/(1-t); through ``_shared``, the lift of each family
-    sequence, keyed by its id() (tag "oracle_terms"), and of the Gould
-    weights C(k,j)/k, keyed by (n, j) (tag "gould_terms").
+it holds no computed value).  No oracle function calls ``_shared``, nor
+does a row builder.  Its readers, and their tags, are:
+  - closed_forms: per sequence, keyed by its id(), its transform ("ratio",
+    "transform"), inverse transform ("inverse") or lift ("lemma21"); the weight
+    rows of Lemma 2.1 per (n, lambda) ("lemma21_row") and of Theorem 3.3 per
+    (n, alpha) ("thm33_row", "nabla"); and the newcoffey form's Pan values
+    ("pan");
+  - transforms: the Sanchez weights j! S(p, j), per p ("sanchez-weights");
+  - registry: the oracle inputs and rows that its sides read, under tags
+    that no closed form uses: through ``_shared_table``, the harmonic tables
+    ("harmonic_table"), their lifts ("harmonic_terms") and the series of Pan's
+    lemma and of log(1-alpha*t)/(1-t) ("pan_lemma_series",
+    "harmonic_genfunc"); through ``_shared``, the lift of each family
+    sequence, keyed by its id() ("oracle_terms"), the Gould row per (n, j)
+    ("gould_row"), the ratio and Lemma 2.1 oracle rows per (n, lambda)
+    ("ratio_row", "lemma21_lhs_row") and the harmonic row
+    sign^k C(n,k) N_k per (n, alpha, sign) ("harmonic_row").
 A key is a tuple whose first item, its tag, names what it holds.  The memo
 lives in a ContextVar.
 
@@ -52,6 +62,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import operator
 import re
 from contextlib import contextmanager
 from fractions import Fraction
@@ -131,6 +142,18 @@ def _oracle_terms(values: Sequence[RatLike], who: str) -> tuple[list[int], int]:
         raise TypeError(f"{who} takes int and Fraction terms") from None
     den = math.lcm(*dens)
     return [v.numerator * (den // d) for v, d in zip(values, dens)], den
+
+
+def _oracle_dot(row: tuple[Sequence[int], int], nums: Sequence[int], den: int) -> Fraction:
+    """The oracles' dot product: sum_k weights[k] nums[k] over scale * den, one Fraction, for row = (weights, scale).
+
+    nums may run past the row, and one that stops short of it is a ValueError
+    (check_terms).  The closed forms dot their rows with a kernel of their
+    own, so a fault here reaches the oracle side of a row only.
+    """
+    weights, scale = row
+    check_terms(nums, len(weights) - 1, "the terms")
+    return Fraction(sum(map(operator.mul, weights, nums)), scale * den)
 
 
 # (the memo, the largest n) of the run that is open in this context, or None outside every run

@@ -21,13 +21,20 @@ both unless it declares its own.
 Each oracle (verifier.binomial_oracle, _ratio_oracle, closed_forms.lemma21_lhs,
 _power_weight_oracle, _gould_oracle) is the oracles' lift, exact._oracle_terms,
 plus an integer kernel over the lifted terms (nums, den), and reads no memo.
-The grid sides call the kernel on lifts that they read through the run memo,
-once per run, under tags that no closed form uses: each harmonic table per
-alpha (_ht_terms), each family sequence whole, keyed by its id()
-(_seq_terms), and the Gould weights C(k,j)/k per (n, j) (_gould_side).  A lift
-of a whole table or sequence serves every n up to its length.  The weighted
-sums take integer weights from the lifted numerators: k^p N_k over D for the
-power-weighted sums, and N^H_k N^c_k over D_H D_c for Theorem 3.3.
+Where the weights depend only on the grid point, a pure row builder makes
+them, (weights, scale) in integers, and the kernel is one dot product of the
+row with the lift (exact._oracle_dot): _ratio_row per (n, lambda) for the
+ratio sum, closed_forms._lemma21_lhs_row for Lemma 2.1's left side.  The grid
+sides read through the run memo, once per run, under tags that no closed
+form uses: the lift of each harmonic table per alpha (_ht_terms) and of each
+family sequence, whole, keyed by its id() (_seq_terms); the Gould row
+C(n,k) C(k,j)/k per (n, j) (_gould_side); the ratio and Lemma 2.1 rows per
+(n, lambda) (_ratio_side, _lemma21_side); and the harmonic row
+sign^k C(n,k) N_k per (n, alpha) (_harmonic_row), which _ht_sum sums by
+Horner's rule at each (mu, lambda) and _thm33_side dots with the lifted c, so
+a family cell is one integer dot product.  A lift of a whole table or
+sequence serves every n up to its length.  The power-weighted sums take the
+integer weights k^p N_k over D from the lifted numerators.
 
 Entries are declared in groups, one builder per part of the paper, kept in
 ledger order in ``_GROUPS``; ``GROUP_OF`` maps each id to its group and is
@@ -62,7 +69,7 @@ from fnmatch import fnmatchcase
 from fractions import Fraction
 
 from .closed_forms import (
-    _lemma21_lhs_num,
+    _lemma21_lhs_row,
     as_np_closed,
     as_p1_closed,
     as_zneg1_alpha1_closed,
@@ -81,12 +88,13 @@ from .closed_forms import (
     lemma21_rhs,
     lemma21_rhs_ones,
     pan_closed_form,
+    power_weighted_rhs,
     second_case_ones_rhs,
     thm33_nabla_rhs,
     thm33_rhs,
 )
 from .errors import DomainError, OutOfValidityRangeError
-from .exact import _oracle_terms, _shared, _shared_table, binom_int, binom_rat, hockey_stick_sum
+from .exact import _oracle_dot, _oracle_terms, _shared, _shared_table, binom_int, binom_rat, hockey_stick_sum
 from .polyseries import PolyQ, harmonic_poly
 from .sequences import (
     bernoulli_table,
@@ -100,8 +108,6 @@ from .sequences import (
     stirling2_row,
 )
 from .transforms import (
-    binomial_transform,
-    sanchez_transform,
     sanchez_weight,
     sanchez_weight_p1,
     sanchez_weight_p2,
@@ -113,6 +119,7 @@ from .verifier import (
     Cell,
     IdentityEntry,
     _binomial_num,
+    _binomial_row,
     binomial_oracle,
     certify_alpha_identity,
     harmonic_genfunc,
@@ -188,9 +195,15 @@ def _ht_terms(alpha, n: int) -> tuple[list[int], int]:
     return _shared_table("harmonic_terms", alpha, n, lambda alpha, m: _oracle_terms(harmonic_table(m, 1, alpha), "_ht_terms"))
 
 
+def _harmonic_row(alpha, n: int, sign: int) -> tuple[list[int], int]:
+    """sign^k C(n,k) N_k for k = 0..n over D, with H_k(alpha) = N_k / D lifted by _ht_terms: a harmonic side's row."""
+    nums, den = _ht_terms(alpha, n)
+    return [sign**k * w for k, w in enumerate(_binomial_row(nums, n))], den
+
+
 def _ht_sum(alpha, n: int, mu=1, lam=1) -> Fraction:
-    """Direct sum_{k=0..n} C(n,k) mu^k lam^(n-k) H_k(alpha): binomial_oracle's kernel at the lifted harmonic table."""
-    return _binomial_num(*_ht_terms(alpha, n), n, mu, lam)
+    """Direct sum_{k=0..n} C(n,k) mu^k lam^(n-k) H_k(alpha): binomial_oracle's kernel at the row _harmonic_row(alpha, n, 1), read once per run per (n, alpha)."""
+    return _binomial_num(*_shared(("harmonic_row", n, alpha, 1), lambda: _harmonic_row(alpha, n, 1)), n, mu, lam)
 
 
 def _seq_terms(seq) -> tuple[list[int], int]:
@@ -239,39 +252,48 @@ def _concl_grid(n_max: int, rng) -> list[Cell]:
 
 
 def _ratio_oracle(a, n: int, lam) -> Fraction:
-    """Direct sum_{k=1..n} C(n,k) a_k / (k + lam): the oracles' lift of a_1..a_n and its kernel _ratio_num."""
-    return _ratio_num(*_oracle_terms([0, *a[1 : n + 1]], "_ratio_oracle"), n, lam)  # slot 0 is never read
+    """Direct sum_{k=1..n} C(n,k) a_k / (k + lam): the row _ratio_row(n, lam) dotted with the oracles' lift of a_1..a_n."""
+    return _oracle_dot(_ratio_row(n, lam), *_oracle_terms([0, *a[1 : n + 1]], "_ratio_oracle"))  # slot 0 has weight 0
 
 
-def _ratio_num(nums, den: int, n: int, lam) -> Fraction:
-    """_ratio_oracle at a_k = nums[k] / den for k = 1..n; nums[0] is never read, and nums may run past n.
+def _ratio_row(n: int, lam) -> tuple[list[int], int]:
+    """_ratio_oracle's row (weights, scale): a_k = nums[k] / den enters as weights[k] nums[k] over scale den.
 
     With lam = p/q the term is C(n,k) a_k q / (kq + p): over the lcm M of the
-    kq + p it is an integer, and the sum is divided once by M den.
+    kq + p, weight k is the integer C(n,k) q (M / (kq + p)), and the scale is M.
+    weights[0] is 0, so a_0 never enters.
     """
     check_lambda_domain(lam, n)  # for its DomainError: an oracle takes lambda as given
     lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator
     lcm = math.lcm(*[k * q + p for k in range(1, n + 1)])
-    total = 0
-    for k in range(1, n + 1):
-        total += binom_int(n, k) * q * (lcm // (k * q + p)) * nums[k]
-    return Fraction(total, lcm * den)
+    return [0] + [binom_int(n, k) * q * (lcm // (k * q + p)) for k in range(1, n + 1)], lcm
 
 
-def _gould_terms(n: int, j: int) -> tuple[list[int], int]:
-    """The oracles' lift of the weights C(k,j)/k for k = 1..n, after a 0 for k = 0 (the Gould sum excludes it)."""
-    return _oracle_terms([0] + [Fraction(binom_int(k, j), k) for k in range(1, n + 1)], "_gould_oracle")
+def _ratio_side(a, n: int, lam) -> Fraction:
+    """_ratio_oracle on a family sequence: its row read once per run per (n, lam), dotted with the sequence's lift."""
+    return _oracle_dot(_shared(("ratio_row", n, lam), lambda: _ratio_row(n, lam)), *_seq_terms(a))
+
+
+def _lemma21_side(b, n: int, lam) -> Fraction:
+    """closed_forms.lemma21_lhs on a family sequence: its row read once per run per (n, lam), dotted with the sequence's lift."""
+    return _oracle_dot(_shared(("lemma21_lhs_row", n, lam), lambda: _lemma21_lhs_row(n, lam)), *_seq_terms(b))
+
+
+def _gould_row(n: int, j: int) -> tuple[list[int], int]:
+    """The Gould sum's row: C(n,k) N_k over D, with N_k/D the oracles' lift of C(k,j)/k for k = 1..n after a 0 for k = 0 (the sum excludes it)."""
+    nums, den = _oracle_terms([0] + [Fraction(binom_int(k, j), k) for k in range(1, n + 1)], "_gould_oracle")
+    return _binomial_row(nums, n), den
 
 
 def _gould_oracle(n: int, j: int, a) -> Fraction:
-    """Direct sum_{k=1..n} C(n,k) C(k,j) (-a)^k / k: binomial_oracle's kernel at the lifted weights _gould_terms(n, j)."""
-    return _binomial_num(*_gould_terms(n, j), n, -a)
+    """Direct sum_{k=1..n} C(n,k) C(k,j) (-a)^k / k: binomial_oracle's kernel at the row _gould_row(n, j)."""
+    return _binomial_num(*_gould_row(n, j), n, -a)
 
 
 def _gould_side(n: int, j: int, a) -> Fraction:
-    """_gould_oracle with its lifted weights read once per run per (n, j), for the five a of the grid."""
-    return _binomial_num(*_shared(("gould_terms", n, j), lambda: _gould_terms(n, j)), n, -a)
+    """_gould_oracle with its row read once per run per (n, j), for the five a of the grid."""
+    return _binomial_num(*_shared(("gould_row", n, j), lambda: _gould_row(n, j)), n, -a)
 
 
 def _knuth_oracle(n: int, lam) -> Fraction:
@@ -288,20 +310,20 @@ def _power_weight_oracle(a, n: int, p: int, mu=1) -> Fraction:
 
 
 def _power_weight_num(nums, den: int, n: int, p: int, mu=1) -> Fraction:
-    """_power_weight_oracle at a_k = nums[k] / den: binomial_oracle's kernel at the integer weights k^p nums[k]."""
+    """_power_weight_oracle at a_k = nums[k] / den: binomial_oracle's kernel at the row of the integer weights k^p nums[k]."""
     if p > n:
         # mirrors the formula's declared validity range so the cell is skipped
         raise OutOfValidityRangeError("p > n")
-    return _binomial_num([k**p * nums[k] for k in range(n + 1)], den, n, mu)
+    return _binomial_num(_binomial_row([k**p * nums[k] for k in range(n + 1)], n), den, n, mu)
 
 
 def _thm33_side(c, n: int, alpha) -> Fraction:
-    """Direct sum_{k=0..n} C(n,k) (-1)^k H_k(alpha) c_k: binomial_oracle's kernel at the products of the lifted numerators.
+    """Direct sum_{k=0..n} C(n,k) (-1)^k H_k(alpha) c_k: the row _harmonic_row(alpha, n, -1), once per run per (n, alpha), dotted with the lifted c.
 
-    With H_k(alpha) = N_k/D_H and c_k = M_k/D_c, the weight k is N_k M_k over D_H D_c.
+    With H_k(alpha) = N_k/D_H and c_k = M_k/D_c, weight k is (-1)^k C(n,k) N_k,
+    and the dot is over D_H D_c.
     """
-    (hn, hd), (cn, cd) = _ht_terms(alpha, n), _seq_terms(c)
-    return _binomial_num([hn[k] * cn[k] for k in range(n + 1)], hd * cd, n, -1)
+    return _oracle_dot(_shared(("harmonic_row", n, alpha, -1), lambda: _harmonic_row(alpha, n, -1)), *_seq_terms(c))
 
 
 # Second definitions for the ex3.4 right sides: the identities are linear in
@@ -392,7 +414,7 @@ def _ratio_sides() -> list[IdentityEntry]:
             id="lemma2.1-coherence",
             anchor="lemmaeq0: n!*sum_m b_m/(m!(L+m)..(L+n)) = branch(L)",
             params=("seq", "n", "lambda"),
-            lhs=lambda b, n, lam: _lemma21_lhs_num(*_seq_terms(b), n, lam),
+            lhs=_lemma21_side,
             rhs=lemma21_rhs,
             note="seq indexes the seeded random b sequences; integer lambdas in [-n,-1] are skipped",
             family=lambda n_max, seed, rng: _rand_seqs(rng, 30, n_max),
@@ -419,7 +441,7 @@ def _ratio_sides() -> list[IdentityEntry]:
             id="thm2.3-general",
             anchor="suce11: sum_k C(n,k) a_k/(k+L) = transform closed form",
             params=("seq", "n", "lambda"),
-            lhs=lambda a, n, lam: _ratio_num(*_seq_terms(a), n, lam),
+            lhs=_ratio_side,
             rhs=boyadzhiev_ratio_closed,
             note="even seq indices have a_0 = 0, odd ones a_0 != 0",
             # even seq indices get a_0 = 0, so the b_0-correction path is exercised either way
@@ -430,7 +452,7 @@ def _ratio_sides() -> list[IdentityEntry]:
             id="thm2.3-lambda0",
             anchor="suce11: L=0 branch sum b_m/m - b_0 H_n",
             params=("seq", "n"),
-            lhs=lambda a, n: _ratio_num(*_seq_terms(a), n, 0),
+            lhs=lambda a, n: _ratio_side(a, n, 0),
             rhs=lambda a, n: boyadzhiev_ratio_closed(a, n, 0),
             family=lambda n_max, seed, rng: _rand_seqs(rng, 10, n_max),
             grid=_n_grid,
@@ -439,7 +461,7 @@ def _ratio_sides() -> list[IdentityEntry]:
             id="thm2.3-lambda1",
             anchor="suce11: L=1 case (sum_m b_m - n b_0)/(n+1)",
             params=("seq", "n"),
-            lhs=lambda a, n: _ratio_num(*_seq_terms(a), n, 1),
+            lhs=lambda a, n: _ratio_side(a, n, 1),
             rhs=lambda1_case_rhs,
             family=lambda n_max, seed, rng: _rand_seqs(rng, 10, n_max),
             grid=_n_grid,
@@ -518,9 +540,11 @@ def _gould_sides() -> list[IdentityEntry]:
 
 def _series_sides() -> list[IdentityEntry]:
     # the series of Pan's lemma with a_k = -H_k(alpha) per (L, u, alpha), built at order 1
-    # at least (its smallest order); the right sides negate the shared harmonic tables
+    # at least (its smallest order) from a harmonic table of its own, so that a fault in
+    # the memo scales it once, against the twice of its right side's row; the genfunc
+    # right sides negate the shared harmonic tables
     def pan(key, n: int) -> list[Fraction]:
-        build = lambda key, m: pan_lemma_series(max(m, 1), key[0], key[1], [-h for h in _ht(key[2], m)]).coeffs
+        build = lambda key, m: pan_lemma_series(max(m, 1), key[0], key[1], [-h for h in harmonic_table(m, 1, key[2])]).coeffs
         return _shared_table("pan_lemma_series", key, n, build)
 
     def genfunc(alpha, n: int) -> list[Fraction]:
@@ -768,7 +792,7 @@ def _sanchez_sides() -> list[IdentityEntry]:
             anchor="sanchez: sum_k C(n,k) k^p a_k from the plain transform of a",
             params=("seq", "n", "p"),
             lhs=lambda a, n, p: _power_weight_num(*_seq_terms(a), n, p),
-            rhs=lambda a, n, p: sanchez_transform(binomial_transform(a[: n + 1]), n, p),
+            rhs=power_weighted_rhs,
             note="cells with p > n are skipped by contract, not evaluated",
             family=lambda n_max, seed, rng: _rand_seqs(rng, 10, min(n_max, 12)),
             # p = n+1 cells exercise the validity-range skip

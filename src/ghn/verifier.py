@@ -13,14 +13,18 @@ grid of exact rational parameter points.  run_entry grades it:
 Cells whose parameters violate an identity's hypotheses (DomainError or
 OutOfValidityRangeError) are skipped and counted, never failed.  Reports are
 deterministic functions of (filter, n_max, seed): cells are visited in grid
-order and wall-clock timings are kept out of the serialized formats.
+order and wall-clock timings are kept out of the serialized formats.  An
+EntryResult times its cell loop (seconds) apart from its certify hook
+(certify_seconds); VerdictReport.to_timings_json writes them to a sidecar of
+their own, never to the ledger.
 
 Shared work: run_entry opens an exact.shared_run memo for its cell loop,
 sized by the largest n of its cells, and drops it when the loop ends.  That
 run memo is the one cache of the package; its rule and its readers are
-written once, in exact.  binomial_oracle is the oracles' lift of its weights
-plus its integer kernel _binomial_num; the registry's sides call that kernel
-on inputs lifted once per run, and binomial_oracle itself reads no memo.
+written once, in exact.  binomial_oracle is the oracles' lift of its weights,
+their row C(n,k) N_k (_binomial_row) and its integer kernel _binomial_num over
+that row; the registry's sides call the kernel on rows built once per run, and
+binomial_oracle itself reads no memo.
 """
 
 from __future__ import annotations
@@ -94,7 +98,8 @@ class EntryResult:
     skipped: int
     counterexamples: list[dict]
     note: str
-    seconds: float
+    seconds: float  # the cell loop's wall time
+    certify_seconds: float = 0.0  # the certify hook's wall time, 0 for an entry without one
 
 
 @dataclass
@@ -157,6 +162,26 @@ class VerdictReport:
         lines.append("")
         return "\n".join(lines)
 
+    def to_timings_json(self) -> str:
+        """The timings sidecar: each entry's grid and certify seconds, cells, skipped cells and cells per grid second.
+
+        Wall-clock figures, so never part of the ledger, which stays a
+        deterministic function of (filter, n_max, seed).
+        """
+        entries = [
+            {
+                "id": r.id,
+                "grid_s": r.seconds,
+                "certify_s": r.certify_seconds,
+                "cells": r.cells,
+                "skipped": r.skipped,
+                "cells_per_s": r.cells / r.seconds if r.seconds else 0.0,
+            }
+            for r in self.results
+        ]
+        payload = {"suite": self.suite, "seed": self.seed, "n_max": self.n_max, "seconds": self.seconds, "entries": entries}
+        return json.dumps(payload, indent=2) + "\n"
+
     def has_assert_failure(self) -> bool:
         return any(r.tier == FAILS for r in self.results)
 
@@ -170,20 +195,27 @@ def binomial_oracle(n: int, w: Sequence[RatLike], mu: RatLike = 1, lam: RatLike 
     """Exact sum_{k=0..n} C(n,k) mu^k lam^(n-k) w[k], summed in integers.
 
     The direct-sum oracle behind every binomial-weighted identity: the
-    oracles' lift, exact._oracle_terms, of w[0..n], and its integer kernel
-    _binomial_num.  It calls no transform, so it stays independent of the
-    closed forms it checks.  The weights are ints and Fractions (any other
-    type raises TypeError), and w must hold w[0..n].
+    oracles' lift, exact._oracle_terms, of w[0..n], their row C(n,k) N_k
+    (_binomial_row) and its integer kernel _binomial_num.  It calls no
+    transform, so it stays independent of the closed forms it checks.  The
+    weights are ints and Fractions (any other type raises TypeError), and w
+    must hold w[0..n].
     """
-    return _binomial_num(*_oracle_terms([w[k] for k in range(n + 1)], "binomial_oracle"), n, mu, lam)
+    nums, den = _oracle_terms([w[k] for k in range(n + 1)], "binomial_oracle")
+    return _binomial_num(_binomial_row(nums, n), den, n, mu, lam)
 
 
-def _binomial_num(nums: Sequence[int], den: int, n: int, mu: RatLike = 1, lam: RatLike = 1) -> Fraction:
-    """binomial_oracle at w[k] = nums[k] / den for k = 0..n; nums may run past n.
+def _binomial_row(nums: Sequence[int], n: int) -> list[int]:
+    """C(n,k) nums[k] for k = 0..n: binomial_oracle's integer weights at w[k] = nums[k] / den; nums may run past n."""
+    return [binom_int(n, k) * nums[k] for k in range(n + 1)]
 
-    With mu = a/b and lam = c/d, term k is the integer C(n,k) (ad)^k (bc)^(n-k)
-    nums[k], and the sum is divided once by den (bd)^n.  It is summed by
-    Horner's rule in ad, from k = n down, with a running power of bc.
+
+def _binomial_num(row: Sequence[int], den: int, n: int, mu: RatLike = 1, lam: RatLike = 1) -> Fraction:
+    """sum_{k=0..n} row[k] mu^k lam^(n-k) / den, for a row of _binomial_row(nums, n): binomial_oracle's kernel.
+
+    With mu = a/b and lam = c/d, term k is the integer row[k] (ad)^k (bc)^(n-k),
+    and the sum is divided once by den (bd)^n.  It is summed by Horner's rule
+    in ad, from k = n down, with a running power of bc.
     """
     mu, lam = Fraction(mu), Fraction(lam)
     x = mu.numerator * lam.denominator
@@ -191,7 +223,7 @@ def _binomial_num(nums: Sequence[int], den: int, n: int, mu: RatLike = 1, lam: R
     total = 0
     ypow = 1  # y^(n-k)
     for k in range(n, -1, -1):
-        total = total * x + binom_int(n, k) * ypow * nums[k]
+        total = total * x + row[k] * ypow
         ypow *= y
     return Fraction(total, den * (mu.denominator * lam.denominator) ** n)
 
@@ -246,14 +278,19 @@ def run_entry(
                     break
             elif agreement is None:
                 agreement = _sample(cell, lv, rv)
+    seconds = time.perf_counter() - start
+    certify_seconds = 0.0
     note = entry.note
     if entry.policy == ASSERT:
         if mismatches:
             tier = FAILS
         else:
             tier = HOLDS_ON_GRID
-            if entry.certify is not None and entry.certify(CERTIFY_N):
-                tier = CERTIFIED
+            if entry.certify is not None:
+                start = time.perf_counter()
+                if entry.certify(CERTIFY_N):
+                    tier = CERTIFIED
+                certify_seconds = time.perf_counter() - start
     else:
         tier = REPORT_ONLY
         outcome = (
@@ -272,7 +309,8 @@ def run_entry(
         skipped=skipped,
         counterexamples=counterexamples,
         note=note,
-        seconds=time.perf_counter() - start,
+        seconds=seconds,
+        certify_seconds=certify_seconds,
     )
 
 

@@ -692,6 +692,32 @@ def test_verify_io_failure_exits_3(capsys):
     assert "cannot write report" in err
 
 
+def test_verify_timings_sidecar_leaves_the_ledger_unchanged(tmp_path, capsys):
+    # the sidecar holds the wall-clock figures, one row per entry; the ledger bytes are
+    # those of a run without it
+    plain, timed, sidecar = tmp_path / "plain.json", tmp_path / "timed.json", tmp_path / "timings.json"
+    argv = ["verify", "--filter", "*", "--n-max", "3"]
+    assert run_cli([*argv, "--out", str(plain)], capsys)[0] == 0
+    assert run_cli([*argv, "--out", str(timed), "--timings", str(sidecar)], capsys)[0] == 0
+    assert timed.read_bytes() == plain.read_bytes()
+    ledger = json.loads(plain.read_text())["entries"]
+    rows = json.loads(sidecar.read_text())["entries"]
+    assert [(r["id"], r["cells"], r["skipped"]) for r in rows] == [(r["id"], r["cells"], r["skipped"]) for r in ledger]
+    assert all(set(r) == {"id", "grid_s", "certify_s", "cells", "skipped", "cells_per_s"} for r in rows)
+    assert all(r["grid_s"] > 0 and r["cells_per_s"] == r["cells"] / r["grid_s"] for r in rows)
+    # only the entries with a certify hook spend certificate time
+    certified = {r["id"] for r in ledger if r["tier"] == "CERTIFIED"}
+    assert certified and {r["id"] for r in rows if r["certify_s"] > 0} == certified
+
+
+def test_verify_timings_io_failure_exits_3(tmp_path, capsys):
+    out_file = tmp_path / "report.json"
+    argv = ["verify", "--filter", "knuth*", "--n-max", "4", "--out", str(out_file), "--timings", "/nonexistent/dir/t.json"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 3
+    assert "cannot write timings" in err
+
+
 def test_table_command(capsys):
     code, out, err = run_cli(["table", "--id", "knuth-flajolet", "--n-max", "4"], capsys)
     assert code == 0

@@ -479,6 +479,33 @@ MEMOIZED = ("thm2.3-general", "thm3.3-eqnnew8", "thm3.3-nabla")
 HARMONIC_TABLE_READERS = ("genfunc-alpha", "pan-thm3.2", "thm3.3-eqnnew8", "spivey-generalization")
 
 
+# the builders of the weight rows (weights, scale) that a run reads once per (n, lambda)
+# or (n, alpha), the module that defines each, and the entries that read it: the
+# closed-form Lemma 2.1 row, which Theorem 2.3 reads too, and Theorem 3.3's folded row;
+# the oracle rows of the ratio sum and of Lemma 2.1's left side, and the harmonic row
+# sign^k C(n,k) N_k of the Theorem 3.3 left sides and of every _ht_sum side
+ROW_BUILDERS = {
+    "_lemma21_row": ("closed_forms", ("lemma2.1-coherence", "thm2.3-general", "thm2.3-lambda0")),
+    "_thm33_row": ("closed_forms", ("thm3.3-eqnnew8",)),
+    "_lemma21_lhs_row": ("closed_forms", ("lemma2.1-coherence",)),
+    "_ratio_row": ("registry", ("thm2.3-general", "thm2.3-lambda0", "thm2.3-lambda1")),
+    "_harmonic_row": (
+        "registry",
+        ("thm3.3-eqnnew8", "thm3.3-nabla", "pan-thm3.2", "skew-transform", "spivey-generalization", "panequa1-series"),
+    ),
+}
+
+
+def _bumped(fn):
+    """fn with the last weight of the row (weights, scale) that it returns raised by one."""
+
+    def bumped(*args):
+        weights, scale = fn(*args)
+        return [*weights[:-1], weights[-1] + 1], scale
+
+    return bumped
+
+
 @pytest.mark.parametrize(
     "name, entry_ids",
     [
@@ -486,24 +513,30 @@ HARMONIC_TABLE_READERS = ("genfunc-alpha", "pan-thm3.2", "thm3.3-eqnnew8", "spiv
         ("_gould_num", ("thm3.3-eqnnew8",)),
         ("weighted_nabla", ("thm3.3-nabla",)),
         ("harmonic_table", HARMONIC_TABLE_READERS),
+        *((name, entry_ids) for name, (_, entry_ids) in ROW_BUILDERS.items()),
     ],
 )
 def test_no_memo_outlives_its_run(monkeypatch, name, entry_ids):
     # clean runs of the entries whose sides share work fill and drop their memos; a
     # kernel fault made after them must reach the next runs on the same registry
-    from ghn import closed_forms, sequences, transforms
+    from ghn import closed_forms, registry, sequences, transforms
 
     entries = {e.id: e for e in build_registry(6, 42)}
     warm = dict.fromkeys([*MEMOIZED, *entry_ids])
     assert {i: run_entry(entries[i]).tier for i in warm} == dict.fromkeys(warm, HOLDS_ON_GRID)
-    real = next(getattr(mod, name) for mod in (transforms, closed_forms, sequences) if hasattr(mod, name))
+    real = next(getattr(mod, name) for mod in (transforms, closed_forms, sequences, registry) if hasattr(mod, name))
     if name == "_transform_num":
         mutated = _mutated(real, "map(operator.mul, row, nums)", "map(operator.mul, row[1:], nums)")
     elif name == "_gould_num":
         mutated = lambda n, j, p, q, lcm: real(n, j + 1, p, q, lcm)
+    elif name in ROW_BUILDERS:
+        mutated = _bumped(real)
     else:
         mutated = _doubled(real)
-    reader = "registry" if name == "harmonic_table" else "closed_forms"
+    if name in ROW_BUILDERS:
+        reader = ROW_BUILDERS[name][0]
+    else:
+        reader = "registry" if name == "harmonic_table" else "closed_forms"
     assert f"ghn.{reader}.{name}" in _rebind(monkeypatch, real, mutated)
     for entry_id in entry_ids:
         assert run_entry(entries[entry_id]).tier == "FAILS", entry_id
@@ -892,18 +925,23 @@ def _functions_reached(entry_id, side_name):
 
 # The ghn functions that both sides of each ASSERT entry reach.  Pan's closed
 # form and the ex3.4 right sides call no sequence generator.  _shared is the run
-# memo: the registry's lifted oracle inputs (tables through _shared_table) and the
-# closed forms' rows are both read through it, under tags of their own.
+# memo: the registry's lifted oracle inputs (tables through _shared_table), the
+# oracle rows and the closed forms' rows are all read through it, under tags of
+# their own.  check_terms is called by the oracles' dot product
+# (exact._oracle_dot) and by the closed forms that take a sequence.
 SHARED = {
     **dict.fromkeys(["lemma2.1-ones-zero", "lemma2.1-ones", "knuth-flajolet"], {"check_lambda_domain"}),
-    **dict.fromkeys(["thm2.3-general", "thm2.3-lambda0"], {"check_lambda_domain", "_shared"}),
-    "lemma2.1-coherence": {"check_lambda_domain", "check_terms"},
+    **dict.fromkeys(
+        ["thm2.3-general", "thm2.3-lambda0", "lemma2.1-coherence"], {"check_lambda_domain", "check_terms", "_shared"}
+    ),
+    "thm2.3-lambda1": {"check_terms", "_shared"},
     **dict.fromkeys(["gen-harmonic-relation", "skew-relation"], {"harmonic_p", "_harmonic_num"}),
     **dict.fromkeys(["as-newcoffey1", "as-p1-exemple1"], {"_harmonic_num"}),
     "panequa1-series": {"harmonic_table", "_harmonic_num", "_shared", "_shared_table"},
-    "thm3.3-eqnnew8": {"binom_int", "_harmonic_num", "_shared"},
+    "thm3.3-eqnnew8": {"binom_int", "_harmonic_num", "check_terms", "_shared"},
+    "thm3.3-nabla": {"binom_int", "check_terms", "_shared"},
     **dict.fromkeys(["genfunc-alpha", "genfunc-harmonic", "genfunc-skew"], {"_shared", "_shared_table"}),
-    **dict.fromkeys(["thm3.3-nabla", "as-newcoffey", "as-newcoff"], {"binom_int", "_shared"}),
+    **dict.fromkeys(["as-newcoffey", "as-newcoff"], {"binom_int", "_shared"}),
     **dict.fromkeys(["eq-eulerbnew", "eq-eulerbnew-j0-corrected"], {"binom_int"}),
     "sanchez-transform": {"binom_int", "_shared"},
     **dict.fromkeys(["sanchez-weight", "sanchez-p1", "sanchez-p2", "sanchez-p3"], {"binom_int"}),
@@ -938,6 +976,29 @@ def _double(value):
 
 def _doubled(fn):
     return lambda *args: _double(fn(*args))
+
+
+# The ASSERT rows of build_registry(8, 42) that FAIL when every run-memo value is
+# doubled (19 before the weight rows were read through the memo).  A row left out reads
+# the memo alike on both sides, so a fault that scales every memo value cancels on it:
+# lemma2.1-coherence, thm2.3-general and thm2.3-lambda0 read a lifted sequence and a
+# weight row on each side, and the genfunc rows a series against a table.  A new
+# symmetric read drops a row from this set and fails here.
+DOUBLED_MEMO_FAILS = {
+    "as-newcoff", "as-newcoffey", "as-newcoffey1", "as-p0", "as-p1-exemple1", "concl-item2", "eq-eulerbnew",
+    "eq-eulerbnew-j0-corrected", "ex3.4-harmonic-alt", "frontczak-variant", "idi1-alternating", "pan-thm3.2",
+    "panequa1-series", "sanchez-transform", "sanchez-weight", "skew-transform", "spivey-generalization",
+    "thm2.3-lambda1", "thm3.3-eqnnew8", "thm3.3-nabla",
+}
+
+
+def test_doubled_memo_census_is_pinned(monkeypatch):
+    from ghn import exact
+
+    assert _rebind(monkeypatch, exact._shared, _doubled(exact._shared))
+    failing = {e.id for e in build_registry(8, 42) if e.policy == ASSERT and run_entry(e).tier == "FAILS"}
+    assert failing == DOUBLED_MEMO_FAILS
+    assert len(failing) >= 19
 
 
 @pytest.mark.parametrize(
