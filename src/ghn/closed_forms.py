@@ -52,23 +52,30 @@ side may not mutate a sequence during a run.  Outside a run every call
 computes afresh.  No oracle here reads the memo; the cache rule is in exact.
 
 generalized_harmonic_relation and idi1_rhs also run over Q[alpha]: at alpha =
-verifier.ALPHA they return the PolyQ in alpha that CERTIFIED proves.  So they
-coerce any other alpha through Fraction(), as every closed form does, and
-leave a PolyQ alpha as it is.
+verifier.ALPHA they return the PolyQ in alpha that CERTIFIED proves.  Each
+lifts a rational alpha to integers x/y (alpha - 1 = x/y, or 1 - alpha = x/y)
+and, by a second lift, a PolyQ alpha to (that polynomial, 1), and runs its one
+integer loop on either.
+
+A kernel reads a scalar that is already a Fraction as it is, and any other
+scalar (an int, a float, a string) through Fraction():
+``x if type(x) is Fraction else Fraction(x)``.  That line is written out at
+each site, since a helper for it would be a function that both sides of most
+rows reach, where a fault could cancel.
 
 Fraction-free kernels: lemma21_rhs, pan_closed_form, thm33_rhs,
-thm33_nabla_rhs and gould_generalized_rhs (like the transforms,
-sanchez_transform, exact.binom_rat and sequences._harmonic_num below them) sum
-integer numerators over one denominator and build one Fraction per value.
+thm33_nabla_rhs, gould_generalized_rhs, generalized_harmonic_relation and
+idi1_rhs (like the transforms, sanchez_transform, exact.binom_rat and
+sequences._harmonic_num below them) sum integer numerators over one
+denominator and build one Fraction per value.
 lemma21_rhs lifts its inputs through exact.common_denominator, and
 pan_closed_form lifts mu, lam and alpha itself, in integers;
 boyadzhiev_ratio_closed, thm33_rhs and thm33_nabla_rhs take the numerators of
 the transform, or of its inverse, from transforms._transform_num as they are,
 so no transform value is reduced to a Fraction and lifted again.  A row is
 (weights, scale), integers: the value of a cell is sum_m weights[m] nums[m]
-over scale * den, one Fraction (_dot).  Three per-term Fraction loops are
-left on graded sides: generalized_harmonic_relation, which must still take a
-PolyQ alpha, lambda1_case_rhs's sum of transform values and
+over scale * den, one Fraction (_dot).  Two per-term Fraction loops are left
+on graded sides: lambda1_case_rhs's sum of transform values and
 as_zneg1_alpha1_closed's tail.  Lemma 2.1's integer body, _lemma21_num, reads
 the row _lemma21_row, which holds the argument checks that lemma21_rhs and
 boyadzhiev_ratio_closed share; with lam = p/q it needs no binomial of a
@@ -121,7 +128,7 @@ from .transforms import _transform_num, binomial_transform, sanchez_transform, w
 
 def check_lambda_domain(lam: RatLike, n: int) -> Fraction:
     """Reject lambda in {-1, ..., -n}, where the telescoped products vanish."""
-    lam = Fraction(lam)
+    lam = lam if type(lam) is Fraction else Fraction(lam)
     if lam.denominator == 1 and -n <= lam <= -1:
         raise DomainError(f"lambda={lam} is excluded for n={n}")
     return lam
@@ -146,7 +153,7 @@ def _lemma21_lhs_row(n: int, lam: RatLike) -> tuple[list[int], int]:
     if n < 1:
         raise ValueError("n must be >= 1")
     check_lambda_domain(lam, n)  # for its DomainError: an oracle takes lambda as given
-    lam = Fraction(lam)
+    lam = lam if type(lam) is Fraction else Fraction(lam)
     p, q = lam.numerator, lam.denominator
     weights = [0] * (n + 1)
     prefix = 1  # (p+q)...(p+(m-1)q)
@@ -171,7 +178,8 @@ def lemma21_rhs(b: Sequence[RatLike], n: int, lam: RatLike) -> Fraction:
 
 def _lemma21_num(nums: Sequence[int], den: int, n: int, lam: RatLike) -> Fraction:
     """lemma21_rhs at b_m = nums[m] / den for m = 1..n: the row _lemma21_row(n, lam), once per run, dotted with nums."""
-    row = _shared(("lemma21_row", n, lam), lambda: _lemma21_row(n, lam))
+    lam = lam if type(lam) is Fraction else Fraction(lam)
+    row = _shared(("lemma21_row", n, lam.numerator, lam.denominator), lambda: _lemma21_row(n, lam))
     check_terms(nums, n, "b")
     return _dot(row, nums, den)
 
@@ -272,18 +280,26 @@ def knuth_flajolet_rhs(n: int, lam: RatLike) -> Fraction:
 
 
 def generalized_harmonic_relation(n: int, alpha: RatLike) -> Fraction:
-    """H_n + sum_{k=1..n} C(n,k) (alpha-1)^k / k; evaluates to H_n(alpha)."""
+    """H_n + sum_{k=1..n} C(n,k) (alpha-1)^k / k; evaluates to H_n(alpha).
+
+    With alpha - 1 = x/y and L = lcm(1..n), the sum is one integer sum over
+    y^n L, sum_k C(n,k) (L/k) x^k y^(n-k), by Horner's rule in x.  A PolyQ
+    alpha lifts to x = alpha - 1 and y = 1, and runs the same loop over Q[alpha].
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not isinstance(alpha, PolyQ):
-        alpha = Fraction(alpha)
-    d = alpha - 1
-    total = harmonic(n)
-    power = Fraction(1)
-    for k in range(1, n + 1):
-        power *= d
-        total += Fraction(binom_int(n, k), k) * power
-    return total
+    if isinstance(alpha, PolyQ):
+        x, y = alpha - 1, 1
+    else:
+        alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
+        x, y = alpha.numerator - alpha.denominator, alpha.denominator
+    lcm = math.lcm(*range(1, n + 1))
+    total = 0
+    ypow = 1  # y^(n-k)
+    for k in range(n, 0, -1):  # Horner in x: term k ends up times x^k
+        total = (total + binom_int(n, k) * (lcm // k) * ypow) * x
+        ypow *= y
+    return harmonic(n) + Fraction(1, ypow * lcm) * total
 
 
 def second_case_ones_rhs(n: int) -> Fraction:
@@ -301,7 +317,7 @@ def gould_generalized_rhs(n: int, j: int, a: RatLike) -> Fraction:
     """
     if n < 1 or j < 0:
         raise ValueError("requires n >= 1 and j >= 0")
-    a = Fraction(a)
+    a = a if type(a) is Fraction else Fraction(a)
     lcm = math.lcm(*range(1, n + 1))
     return Fraction(_gould_num(n, j, a.numerator, a.denominator, lcm), a.denominator**n * lcm)
 
@@ -343,7 +359,9 @@ def pan_closed_form(n: int, mu: RatLike, lam: RatLike, alpha: RatLike) -> Fracti
         raise ValueError("n must be >= 0")
     if n == 0:
         return Fraction(0)
-    mu, lam, alpha = Fraction(mu), Fraction(lam), Fraction(alpha)
+    mu = mu if type(mu) is Fraction else Fraction(mu)
+    lam = lam if type(lam) is Fraction else Fraction(lam)
+    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
     a, b = mu.numerator, mu.denominator
     c, d = lam.numerator, lam.denominator
     e, f = alpha.numerator, alpha.denominator
@@ -364,12 +382,20 @@ def pan_closed_form(n: int, mu: RatLike, lam: RatLike, alpha: RatLike) -> Fracti
 
 
 def idi1_rhs(n: int, alpha: RatLike) -> Fraction:
-    """((1-alpha)^n - 1)/n: the alternating transform of H_k(alpha)."""
+    """((1-alpha)^n - 1)/n: the alternating transform of H_k(alpha).
+
+    With 1 - alpha = x/y it is (x^n - y^n) / (n y^n), in integers.  A PolyQ
+    alpha lifts to x = 1 - alpha and y = 1, and takes the same steps over Q[alpha].
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not isinstance(alpha, PolyQ):
-        alpha = Fraction(alpha)
-    return ((1 - alpha) ** n - 1) * Fraction(1, n)
+    if isinstance(alpha, PolyQ):
+        x, y = 1 - alpha, 1
+    else:
+        alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
+        x, y = alpha.denominator - alpha.numerator, alpha.denominator
+    ypow = y**n
+    return Fraction(1, n * ypow) * (x**n - ypow)
 
 
 def thm33_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
@@ -383,9 +409,9 @@ def thm33_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     check_terms(c, n, "c")
-    alpha = Fraction(alpha)
+    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
     nums, den = _inverse_num(c)  # d_m = nums[m] / den
-    return _dot(_shared(("thm33_row", n, alpha), lambda: _thm33_row(n, alpha)), nums, den)
+    return _dot(_shared(("thm33_row", n, alpha.numerator, alpha.denominator), lambda: _thm33_row(n, alpha)), nums, den)
 
 
 def _thm33_row(n: int, alpha: Fraction) -> tuple[list[int], int]:
@@ -419,9 +445,9 @@ def thm33_nabla_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     check_terms(c, n, "c")
-    alpha = Fraction(alpha)
+    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
     nums, den = _inverse_num(c)  # d_m = nums[m] / den
-    return _dot(_shared(("nabla", n, alpha), lambda: _nabla_row(n, alpha)), nums, den)
+    return _dot(_shared(("nabla", n, alpha.numerator, alpha.denominator), lambda: _nabla_row(n, alpha)), nums, den)
 
 
 def _nabla_row(n: int, alpha: Fraction) -> tuple[list[int], int]:
@@ -440,9 +466,12 @@ def as_np_closed(n: int, p: int, z: RatLike, alpha: RatLike) -> Fraction:
         raise ValueError("n must be >= 1")
     if p < 1 or p > n:
         raise OutOfValidityRangeError(f"closed form needs 1 <= p <= n, got p={p}, n={n}")
+    z = z if type(z) is Fraction else Fraction(z)
+    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
+    key = (z.numerator, z.denominator, alpha.numerator, alpha.denominator)
     # sanchez_transform reads only b_(n-p..n), so the slots below n-p hold a 0 it never reads;
     # a run computes each Pan value once for all the (n, p) that read it
-    pan = [_shared(("pan", m, z, alpha), lambda: pan_closed_form(m, z, 1, alpha)) for m in range(n - p, n + 1)]
+    pan = [_shared(("pan", m, *key), lambda: pan_closed_form(m, z, 1, alpha)) for m in range(n - p, n + 1)]
     bvals = [0] * (n - p) + pan
     return sanchez_transform(bvals, n, p)
 

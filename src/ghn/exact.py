@@ -49,8 +49,11 @@ does a row builder.  Its readers, and their tags, are:
     ("gould_row"), the ratio and Lemma 2.1 oracle rows per (n, lambda)
     ("ratio_row", "lemma21_lhs_row") and the harmonic row
     sign^k C(n,k) N_k per (n, alpha, sign) ("harmonic_row").
-A key is a tuple whose first item, its tag, names what it holds.  The memo
-lives in a ContextVar.
+A key is a tuple whose first item, its tag, names what it holds.  A rational
+enters a key as its numerator and denominator, never as a Fraction, whose hash
+is recomputed on every lookup; a reader coerces its scalar to a Fraction
+before it builds the key, so a float or a string still reads as Fraction()
+reads it.  The memo lives in a ContextVar.
 
 binom_rat builds one Fraction from an integer product: with x = p/q,
 C(x, k) = p(p-q)...(p-(k-1)q) / (q^k k!).  hockey_stick_sum, the oracle of the
@@ -188,8 +191,8 @@ def _shared(key: Hashable, build: Callable[[], T]) -> T:
     return value
 
 
-def _shared_table(tag: str, key: Hashable, n: int, build: Callable[[Hashable, int], T]) -> T:
-    """build(key, m), a table indexed 0..m, with m = max(n, the open run's size); through _shared under (tag, key, m).
+def _shared_table(tag: str, key: Hashable, n: int, build: Callable[[int], T]) -> T:
+    """build(m), a table indexed 0..m, with m = max(n, the open run's size); through _shared under (tag, key, m).
 
     Inside a run each key is built once, to the run's size, and serves every n
     up to it; m is in the key, so an n past the size (a run opened with no
@@ -197,7 +200,7 @@ def _shared_table(tag: str, key: Hashable, n: int, build: Callable[[Hashable, in
     """
     run = _RUN.get()
     m = n if run is None else max(n, run[1])
-    return _shared((tag, key, m), lambda: build(key, m))
+    return _shared((tag, key, m), lambda: build(m))
 
 
 def binom_int(n: int, k: int) -> int:
@@ -216,7 +219,7 @@ def binom_rat(x: RatLike, k: int) -> Fraction:
     """
     if k < 0:
         return Fraction(0)
-    x = Fraction(x)
+    x = x if type(x) is Fraction else Fraction(x)
     p, q = x.numerator, x.denominator
     num = 1
     for i in range(k):
@@ -233,7 +236,7 @@ def hockey_stick_sum(x: RatLike, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("hockey_stick_sum requires n >= 0")
-    x = Fraction(x)
+    x = x if type(x) is Fraction else Fraction(x)
     p, q = x.numerator, x.denominator
     total = 0
     rising = den = 1  # (p+q)...(p+mq) and m! q^m

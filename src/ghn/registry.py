@@ -182,7 +182,8 @@ def _rng(seed: int, stream: str) -> random.Random:
 
 def _ht(alpha, n: int) -> list[Fraction]:
     """H_0(alpha), ..., H_m(alpha) for an m >= n, shared through the run memo (exact._shared_table)."""
-    return _shared_table("harmonic_table", alpha, n, lambda alpha, m: harmonic_table(m, 1, alpha))
+    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
+    return _shared_table("harmonic_table", (alpha.numerator, alpha.denominator), n, lambda m: harmonic_table(m, 1, alpha))
 
 
 def _ht_terms(alpha, n: int) -> tuple[list[int], int]:
@@ -192,7 +193,9 @@ def _ht_terms(alpha, n: int) -> tuple[list[int], int]:
     the memo scales the lift once, not twice, and cannot cancel against the
     closed forms that read the memo twice.
     """
-    return _shared_table("harmonic_terms", alpha, n, lambda alpha, m: _oracle_terms(harmonic_table(m, 1, alpha), "_ht_terms"))
+    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
+    key = (alpha.numerator, alpha.denominator)
+    return _shared_table("harmonic_terms", key, n, lambda m: _oracle_terms(harmonic_table(m, 1, alpha), "_ht_terms"))
 
 
 def _harmonic_row(alpha, n: int, sign: int) -> tuple[list[int], int]:
@@ -203,7 +206,9 @@ def _harmonic_row(alpha, n: int, sign: int) -> tuple[list[int], int]:
 
 def _ht_sum(alpha, n: int, mu=1, lam=1) -> Fraction:
     """Direct sum_{k=0..n} C(n,k) mu^k lam^(n-k) H_k(alpha): binomial_oracle's kernel at the row _harmonic_row(alpha, n, 1), read once per run per (n, alpha)."""
-    return _binomial_num(*_shared(("harmonic_row", n, alpha, 1), lambda: _harmonic_row(alpha, n, 1)), n, mu, lam)
+    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
+    row = _shared(("harmonic_row", n, alpha.numerator, alpha.denominator, 1), lambda: _harmonic_row(alpha, n, 1))
+    return _binomial_num(*row, n, mu, lam)
 
 
 def _seq_terms(seq) -> tuple[list[int], int]:
@@ -264,7 +269,7 @@ def _ratio_row(n: int, lam) -> tuple[list[int], int]:
     weights[0] is 0, so a_0 never enters.
     """
     check_lambda_domain(lam, n)  # for its DomainError: an oracle takes lambda as given
-    lam = Fraction(lam)
+    lam = lam if type(lam) is Fraction else Fraction(lam)
     p, q = lam.numerator, lam.denominator
     lcm = math.lcm(*[k * q + p for k in range(1, n + 1)])
     return [0] + [binom_int(n, k) * q * (lcm // (k * q + p)) for k in range(1, n + 1)], lcm
@@ -272,12 +277,15 @@ def _ratio_row(n: int, lam) -> tuple[list[int], int]:
 
 def _ratio_side(a, n: int, lam) -> Fraction:
     """_ratio_oracle on a family sequence: its row read once per run per (n, lam), dotted with the sequence's lift."""
-    return _oracle_dot(_shared(("ratio_row", n, lam), lambda: _ratio_row(n, lam)), *_seq_terms(a))
+    lam = lam if type(lam) is Fraction else Fraction(lam)
+    return _oracle_dot(_shared(("ratio_row", n, lam.numerator, lam.denominator), lambda: _ratio_row(n, lam)), *_seq_terms(a))
 
 
 def _lemma21_side(b, n: int, lam) -> Fraction:
     """closed_forms.lemma21_lhs on a family sequence: its row read once per run per (n, lam), dotted with the sequence's lift."""
-    return _oracle_dot(_shared(("lemma21_lhs_row", n, lam), lambda: _lemma21_lhs_row(n, lam)), *_seq_terms(b))
+    lam = lam if type(lam) is Fraction else Fraction(lam)
+    row = _shared(("lemma21_lhs_row", n, lam.numerator, lam.denominator), lambda: _lemma21_lhs_row(n, lam))
+    return _oracle_dot(row, *_seq_terms(b))
 
 
 def _gould_row(n: int, j: int) -> tuple[list[int], int]:
@@ -323,7 +331,9 @@ def _thm33_side(c, n: int, alpha) -> Fraction:
     With H_k(alpha) = N_k/D_H and c_k = M_k/D_c, weight k is (-1)^k C(n,k) N_k,
     and the dot is over D_H D_c.
     """
-    return _oracle_dot(_shared(("harmonic_row", n, alpha, -1), lambda: _harmonic_row(alpha, n, -1)), *_seq_terms(c))
+    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
+    row = _shared(("harmonic_row", n, alpha.numerator, alpha.denominator, -1), lambda: _harmonic_row(alpha, n, -1))
+    return _oracle_dot(row, *_seq_terms(c))
 
 
 # Second definitions for the ex3.4 right sides: the identities are linear in
@@ -543,19 +553,25 @@ def _series_sides() -> list[IdentityEntry]:
     # at least (its smallest order) from a harmonic table of its own, so that a fault in
     # the memo scales it once, against the twice of its right side's row; the genfunc
     # right sides negate the shared harmonic tables
-    def pan(key, n: int) -> list[Fraction]:
-        build = lambda key, m: pan_lemma_series(max(m, 1), key[0], key[1], [-h for h in harmonic_table(m, 1, key[2])]).coeffs
+    def pan(lam, mu, alpha, n: int) -> list[Fraction]:
+        lam = lam if type(lam) is Fraction else Fraction(lam)
+        mu = mu if type(mu) is Fraction else Fraction(mu)
+        alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
+        key = (lam.numerator, lam.denominator, mu.numerator, mu.denominator, alpha.numerator, alpha.denominator)
+        build = lambda m: pan_lemma_series(max(m, 1), lam, mu, [-h for h in harmonic_table(m, 1, alpha)]).coeffs
         return _shared_table("pan_lemma_series", key, n, build)
 
     def genfunc(alpha, n: int) -> list[Fraction]:
-        return _shared_table("harmonic_genfunc", alpha, n, lambda alpha, m: harmonic_genfunc(m, alpha).coeffs)
+        alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
+        key = (alpha.numerator, alpha.denominator)
+        return _shared_table("harmonic_genfunc", key, n, lambda m: harmonic_genfunc(m, alpha).coeffs)
 
     return [
         IdentityEntry(
             id="panequa1-series",
             anchor="panequa1: [t^n] f(ut/(1-Lt))/(1-Lt) = sum_k C(n,k)u^k L^(n-k) a_k",
             params=("n", "lambda", "mu", "alpha"),
-            lhs=lambda n, lam, mu, alpha: pan((lam, mu, alpha), n)[n],
+            lhs=lambda n, lam, mu, alpha: pan(lam, mu, alpha, n)[n],
             rhs=lambda n, lam, mu, alpha: -_ht_sum(alpha, n, mu, lam),
             note="a_k = -H_k(alpha), the generating coefficients of log(1-alpha*t)/(1-t); seeded (L,u,alpha) triples",
             grid=lambda n_max, rng: [

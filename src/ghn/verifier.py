@@ -217,7 +217,8 @@ def _binomial_num(row: Sequence[int], den: int, n: int, mu: RatLike = 1, lam: Ra
     and the sum is divided once by den (bd)^n.  It is summed by Horner's rule
     in ad, from k = n down, with a running power of bc.
     """
-    mu, lam = Fraction(mu), Fraction(lam)
+    mu = mu if type(mu) is Fraction else Fraction(mu)
+    lam = lam if type(lam) is Fraction else Fraction(lam)
     x = mu.numerator * lam.denominator
     y = mu.denominator * lam.numerator
     total = 0

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from ghn.closed_forms import (
+    _lemma21_lhs_row,
     as_np_closed,
     as_p1_closed,
     as_zneg1_alpha1_closed,
     boyadzhiev_ratio_closed,
+    check_lambda_domain,
     concl_item3_lhs,
     concl_item3_rhs,
     concl_item4_lhs,
@@ -26,11 +28,11 @@ from ghn.closed_forms import (
     thm33_rhs,
 )
 from ghn.errors import DomainError, OutOfValidityRangeError
-from ghn.exact import binom_int
-from ghn.registry import _gould_oracle
-from ghn.sequences import harmonic, harmonic_p, harmonic_table, skew_harmonic
+from ghn.exact import binom_int, binom_rat, hockey_stick_sum, shared_run
+from ghn.registry import _gould_oracle, _ratio_row
+from ghn.sequences import _harmonic_num, harmonic, harmonic_p, harmonic_table, skew_harmonic
 from ghn.transforms import binomial_transform
-from ghn.verifier import binomial_oracle
+from ghn.verifier import _binomial_num, _binomial_row, binomial_oracle
 
 ONES = [Fraction(1)] * 32
 
@@ -395,3 +397,53 @@ def test_conclusion_rejects_unknown_reading():
         concl_item3_rhs(3, Fraction(1), reading="other")
     with pytest.raises(ValueError):
         concl_item4_rhs(3, Fraction(1), reading="other")
+
+
+# --- scalar coercion ---------------------------------------------------------------
+
+_C = [Fraction(k * k - 3, k + 2) for k in range(7)]
+
+
+def _with_run(fn):
+    """fn called inside a verifier run, so that its memo keys are built."""
+
+    def run(x):
+        with shared_run(6):
+            return fn(x)
+
+    return run
+
+
+# each kernel that reads a scalar as its numerator and denominator, called with that scalar at x
+COERCING_SITES = {
+    "pan_closed_form:mu": lambda x: pan_closed_form(5, x, Fraction(2, 3), Fraction(-1, 2)),
+    "pan_closed_form:lam": lambda x: pan_closed_form(5, Fraction(2, 3), x, Fraction(-1, 2)),
+    "pan_closed_form:alpha": lambda x: pan_closed_form(5, Fraction(2, 3), Fraction(-1, 2), x),
+    "_binomial_num:mu": lambda x: _binomial_num(_binomial_row([1, -2, 3, 5], 3), 7, 3, x, Fraction(3, 5)),
+    "_binomial_num:lam": lambda x: _binomial_num(_binomial_row([1, -2, 3, 5], 3), 7, 3, Fraction(3, 5), x),
+    "check_lambda_domain": lambda x: check_lambda_domain(x, 4),
+    "_lemma21_lhs_row": lambda x: _lemma21_lhs_row(4, x),
+    "_ratio_row": lambda x: _ratio_row(4, x),
+    "gould_generalized_rhs": lambda x: gould_generalized_rhs(5, 2, x),
+    "thm33_rhs": lambda x: thm33_rhs(_C, 5, x),
+    "thm33_nabla_rhs": lambda x: thm33_nabla_rhs(_C, 5, x),
+    "_harmonic_num": lambda x: _harmonic_num(6, 2, x),
+    "binom_rat": lambda x: binom_rat(x, 4),
+    "hockey_stick_sum": lambda x: hockey_stick_sum(x, 4),
+    # the memo key is built from the coerced scalar
+    "lemma21_rhs in a run": _with_run(lambda x: lemma21_rhs(_C, 5, x)),
+    "thm33_rhs in a run": _with_run(lambda x: thm33_rhs(_C, 5, x)),
+    "thm33_nabla_rhs in a run": _with_run(lambda x: thm33_nabla_rhs(_C, 5, x)),
+    "as_np_closed:z in a run": _with_run(lambda x: as_np_closed(5, 2, x, Fraction(1, 2))),
+    "as_np_closed:alpha in a run": _with_run(lambda x: as_np_closed(5, 2, Fraction(1, 2), x)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(COERCING_SITES))
+@pytest.mark.parametrize("x", [0.5, -2.25, "-7/3", "5"])
+def test_a_float_or_string_scalar_reads_as_its_fraction(site, x):
+    # a scalar that is not a Fraction still goes through Fraction(), and one that is is read as it is
+    call = COERCING_SITES[site]
+    value = call(x)
+    assert value == call(Fraction(x))
+    assert type(value) is type(call(Fraction(x)))

@@ -627,6 +627,55 @@ def test_pan_closed_form_equals_the_fraction_lift_on_the_grid():
     assert pan_closed_form(0, Fraction(2, 3), Fraction(-2, 3), 5) == _pan_lifted_by_fractions(0, 1, 2, 3) == 0
 
 
+def _relation_per_term(n, alpha):
+    """generalized_harmonic_relation as it summed before: one Fraction (or PolyQ) product and sum per term."""
+    if not isinstance(alpha, PolyQ):
+        alpha = Fraction(alpha)
+    d = alpha - 1
+    total = harmonic_p(n, 1, 1)
+    power = Fraction(1)
+    for k in range(1, n + 1):
+        power *= d
+        total += Fraction(math.comb(n, k), k) * power
+    return total
+
+
+def _idi1_per_term(n, alpha):
+    """idi1_rhs as it evaluated before: ((1 - alpha)^n - 1)/n in Fractions (or over Q[alpha])."""
+    if not isinstance(alpha, PolyQ):
+        alpha = Fraction(alpha)
+    return ((1 - alpha) ** n - 1) * Fraction(1, n)
+
+
+_BIG_ALPHA = Fraction(-(10**99) - 7, 10**99 + 3)
+
+
+@settings(SETTINGS, max_examples=20)
+@example(alpha=0)
+@example(alpha=1)
+@example(alpha=Fraction(1))
+@example(alpha=Fraction(-7, 3))
+@example(alpha=_BIG_ALPHA)
+@example(alpha=-_BIG_ALPHA)
+@given(alpha=edge_rats)
+def test_alpha_forms_equal_their_per_term_sums(alpha):
+    # the integer loops of the two forms that also take a PolyQ alpha, against the per-term
+    # sums they replaced, for n = 1..36 at an int, Fraction or 100-digit alpha and its text
+    for n in range(1, 37):
+        for form, per_term in ((closed_forms.generalized_harmonic_relation, _relation_per_term), (closed_forms.idi1_rhs, _idi1_per_term)):
+            value = form(n, alpha)
+            assert type(value) is Fraction and value == per_term(n, alpha), (form.__name__, n)
+            assert form(n, str(alpha)) == value
+
+
+def test_alpha_forms_over_q_alpha_equal_their_per_term_sums():
+    # the second lift, alpha -> (PolyQ, 1), runs the same loop and gives the same polynomial
+    for n in range(1, 37):
+        for form, per_term in ((closed_forms.generalized_harmonic_relation, _relation_per_term), (closed_forms.idi1_rhs, _idi1_per_term)):
+            value = form(n, ALPHA)
+            assert type(value) is PolyQ and value == per_term(n, ALPHA), (form.__name__, n)
+
+
 @SETTINGS
 @given(n=st.integers(min_value=1, max_value=7), p=st.integers(min_value=0, max_value=6), z=zs, alpha=alphas)
 def test_as_np_closed_matches_direct_sum(n, p, z, alpha):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ghn.errors import DomainError
+from ghn.errors import DomainError, OutOfValidityRangeError
 from ghn.exact import shared_run
 from ghn.polyseries import PolyQ, harmonic_poly
 from ghn.registry import THM33_SEQS, _thm33_clib, build_registry
@@ -566,6 +566,47 @@ def test_no_sequence_table_outlives_its_run(monkeypatch, name, old, new, entry_i
     assert f"ghn.registry.{name}" in _rebind(monkeypatch, real, _mutated(real, old, new))
     for entries in (entries, {e.id: e for e in build_registry(6, 42)}):
         assert {i: run_entry(entries[i]).tier for i in entry_ids} == dict.fromkeys(entry_ids, "FAILS")
+
+
+def _holds_a_fraction(key) -> bool:
+    return isinstance(key, Fraction) or (isinstance(key, tuple) and any(map(_holds_a_fraction, key)))
+
+
+def test_no_run_memo_key_holds_a_fraction():
+    # a rational enters a key as its numerator and denominator, so no lookup hashes a Fraction
+    from ghn import exact
+
+    keys = set()
+    for entry in build_registry(8, 42):
+        run_entry(entry, on_cell=lambda cell, lhs, rhs: keys.update(exact._RUN.get()[0]))
+    rational_tags = {
+        "lemma21_row", "thm33_row", "nabla", "pan", "harmonic_row", "ratio_row", "lemma21_lhs_row",
+        "harmonic_table", "harmonic_terms", "pan_lemma_series", "harmonic_genfunc",
+    }
+    assert rational_tags <= {key[0] for key in keys}
+    assert [key for key in keys if _holds_a_fraction(key)] == []
+
+
+def _value_or_error(side, point):
+    try:
+        return side(*point)
+    except (DomainError, OutOfValidityRangeError, ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def test_a_memo_key_tells_apart_rationals_that_share_a_numerator():
+    # each side at its largest-n cell with one rational parameter set to 1/2 and then to 1:
+    # inside one run it must give what it gives with no run open, so no key drops a denominator
+    for entry in build_registry(6, 42):
+        cell = max(entry.cells, key=lambda c: c.get("n", 0))
+        for name in entry.params:
+            if type(cell[name]) is not Fraction:
+                continue
+            points = [[value if p == name else cell[p] for p in entry.params] for value in (Fraction(1, 2), Fraction(1))]
+            for side in (entry.lhs, entry.rhs):
+                fresh = [_value_or_error(side, point) for point in points]
+                with shared_run(6):
+                    assert [_value_or_error(side, point) for point in points] == fresh, (entry.id, name)
 
 
 def test_oracles_never_call_the_lifting_helper(monkeypatch):
