@@ -23,7 +23,7 @@ that result evaluated, not a copy of it.
                                      -pan_closed_form(n, 1, 1, -1), in the registry
 Printed displays keep their own form, so the ledger grades the display itself:
 lemma21_rhs_ones, lambda1_case_rhs, second_case_ones_rhs, as_p1_closed,
-as_zneg1_alpha1_closed.
+as_zneg1_alpha1_closed and the right sides of the concluding items 3 and 4.
 
 Shared work: entry m of a binomial transform depends on the terms 0..m
 alone, so the closed forms that take a sequence transform, or lift, the whole
@@ -35,8 +35,8 @@ they compute once per run
   - per sequence, keyed by its id(): the _transform_num of (0, a_1, a_2, ...)
     (boyadzhiev_ratio_closed), the lift of (0, b_1, b_2, ...) (lemma21_rhs),
     the inverse _transform_num of c, which thm33_rhs and thm33_nabla_rhs share
-    under one key, and the binomial_transform of a (lambda1_case_rhs,
-    power_weighted_rhs);
+    under one key, the _transform_num of a (lambda1_case_rhs) and the
+    binomial_transform of a (power_weighted_rhs);
   - per (n, lam): Lemma 2.1's row _lemma21_row, with its argument checks
     (lemma21_rhs and boyadzhiev_ratio_closed);
   - per (n, alpha): thm33_rhs's row _thm33_row, which folds H_n(alpha), the
@@ -64,22 +64,22 @@ each site, since a helper for it would be a function that both sides of most
 rows reach, where a fault could cancel.
 
 Fraction-free kernels: lemma21_rhs, pan_closed_form, thm33_rhs,
-thm33_nabla_rhs, gould_generalized_rhs, generalized_harmonic_relation and
-idi1_rhs (like the transforms, sanchez_transform, exact.binom_rat and
-sequences._harmonic_num below them) sum integer numerators over one
-denominator and build one Fraction per value.
+thm33_nabla_rhs, gould_generalized_rhs, generalized_harmonic_relation,
+idi1_rhs, lambda1_case_rhs, as_p1_closed, as_zneg1_alpha1_closed,
+concl_item3_rhs (alpha != 1) and concl_item4_rhs (like the transforms,
+sanchez_transform, exact.binom_rat and sequences._harmonic_num below them)
+sum integer numerators over one denominator and build one Fraction per value.
 lemma21_rhs lifts its inputs through exact.common_denominator, and
 pan_closed_form lifts mu, lam and alpha itself, in integers;
-boyadzhiev_ratio_closed, thm33_rhs and thm33_nabla_rhs take the numerators of
-the transform, or of its inverse, from transforms._transform_num as they are,
-so no transform value is reduced to a Fraction and lifted again.  A row is
-(weights, scale), integers: the value of a cell is sum_m weights[m] nums[m]
-over scale * den, one Fraction (_dot).  Two per-term Fraction loops are left
-on graded sides: lambda1_case_rhs's sum of transform values and
-as_zneg1_alpha1_closed's tail.  Lemma 2.1's integer body, _lemma21_num, reads
-the row _lemma21_row, which holds the argument checks that lemma21_rhs and
-boyadzhiev_ratio_closed share; with lam = p/q it needs no binomial of a
-rational.  pan_closed_form sums over D^n lcm(1..n), D the product of the
+boyadzhiev_ratio_closed, lambda1_case_rhs, thm33_rhs and thm33_nabla_rhs take
+the numerators of the transform, or of its inverse, from
+transforms._transform_num as they are, so no transform value is reduced to a
+Fraction and lifted again.  A row is (weights, scale), integers: the value of
+a cell is sum_m weights[m] nums[m] over scale * den, one Fraction (_dot).  No
+per-term Fraction loop is left on a graded side.  Lemma 2.1's integer body,
+_lemma21_num, reads the row _lemma21_row, which holds the argument checks
+that lemma21_rhs and boyadzhiev_ratio_closed share; with lam = p/q it needs
+no binomial of a rational.  pan_closed_form sums over D^n lcm(1..n), D the product of the
 denominators of mu, lam and alpha.  The Gould sum is one integer kernel,
 _gould_num, over q^n lcm(1..n) for a = p/q: gould_generalized_rhs wraps it in
 a Fraction, and _thm33_row scales it, with H_n(alpha) and the 1/(n-m) tail,
@@ -122,7 +122,7 @@ from typing import Sequence
 from .errors import DomainError, OutOfValidityRangeError
 from .exact import RatLike, _oracle_dot, _oracle_terms, _shared, binom_int, binom_rat, check_terms, common_denominator
 from .polyseries import PolyQ
-from .sequences import harmonic, harmonic_p, harmonic_table, stirling2_row
+from .sequences import _harmonic_num, harmonic, harmonic_p, harmonic_table, stirling2_row
 from .transforms import _transform_num, binomial_transform, sanchez_transform, weighted_nabla
 
 
@@ -250,12 +250,16 @@ def boyadzhiev_ratio_closed(a: Sequence[RatLike], n: int, lam: RatLike) -> Fract
 
 
 def lambda1_case_rhs(a: Sequence[RatLike], n: int) -> Fraction:
-    """lam = 1 simplification: (sum_{m=1..n} b_m - n b_0) / (n+1)."""
+    """lam = 1 simplification: (sum_{m=1..n} b_m - n b_0) / (n+1).
+
+    With b_m = N_m / D, the integer numerators of the transform of a, read
+    once per run: (sum_{m=1..n} N_m - n N_0) / ((n+1) D).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     check_terms(a, n, "a")
-    b = _transform(a)
-    return (sum(b[1 : n + 1]) - n * b[0]) / (n + 1)
+    nums, den = _per_sequence("transform_num", a, _transform_num)
+    return Fraction(sum(nums[1 : n + 1]) - n * nums[0], (n + 1) * den)
 
 
 def power_weighted_rhs(a: Sequence[RatLike], n: int, p: int) -> Fraction:
@@ -480,38 +484,56 @@ def as_p1_closed(n: int, z: RatLike, alpha: RatLike) -> Fraction:
     """p = 1 expansion: n(1+z)^(n-1) {z H_(n-1)(B) - z H_(n-1)(G) + (1+z)(B^n - G^n)/n}
 
     with B = (1+alpha*z)/(1+z) and G = 1/(1+z); needs z != -1.
+
+    With z = a/b, alpha = e/f and s = f(a+b), B = u/s and G = v/s for
+    u = bf + ae and v = bf.  Over s^n L, L = lcm(1..n), the bracket is one
+    Horner sum, like Pan's: term k is w_k s^(n-k) (u^k - v^k) (L/k), with
+    w_k = a for k < n and w_n = a + b, and the bracket divides it by b s^n L.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    z, alpha = Fraction(z), Fraction(alpha)
-    zp = 1 + z
-    if zp == 0:
+    z = z if type(z) is Fraction else Fraction(z)
+    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
+    a, b = z.numerator, z.denominator
+    e, f = alpha.numerator, alpha.denominator
+    if a + b == 0:
         raise DomainError("z = -1 lies outside this expansion")
-    beta = (1 + alpha * z) / zp
-    gamma = 1 / zp
-    inner = z * (harmonic_p(n - 1, 1, beta) - harmonic_p(n - 1, 1, gamma))
-    inner += zp * (beta**n - gamma**n) / n
-    return n * zp ** (n - 1) * inner
+    s = f * (a + b)
+    v = b * f
+    u = v + a * e
+    lcm = math.lcm(*range(1, n + 1))
+    total = 0
+    upow = vpow = 1
+    for k in range(1, n + 1):  # Horner in s: term k ends up times s^(n-k)
+        upow *= u
+        vpow *= v
+        total = total * s + (a if k < n else a + b) * (upow - vpow) * (lcm // k)
+    # n (1+z)^(n-1) = n (a+b)^(n-1) / b^(n-1), times the bracket's 1 / (b s^n L)
+    return Fraction(n * (a + b) ** (n - 1) * total, (b * s) ** n * lcm)
 
 
 def as_zneg1_alpha1_closed(n: int, p: int, as_printed: bool = False) -> Fraction:
     """z = -1, alpha = 1 case: (-1)^n n! S(p,n) H_n - sum_{k<n} (-1)^k k! w_k/(n-k).
 
     The oracle-validated weight is w_k = S(p,k); ``as_printed`` swaps in the
-    source display's C(n,k) instead so the registry can report on it.
+    source display's C(n,k) instead so the registry can report on it.  The
+    lead and the tail are integers over L = lcm(1..n), the denominator of
+    _harmonic_num's H_n: the tail's term k is (-1)^k k! w_k (L/(n-k)).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if p < 1 or p > n:
         raise OutOfValidityRangeError(f"closed form needs 1 <= p <= n, got p={p}, n={n}")
     stirling = stirling2_row(p) + [0] * (n - p)  # S(p, k) for k = 0..n
-    lead = (-1) ** n * math.factorial(n) * stirling[n] * harmonic(n)
-    tail = Fraction(0)
+    h_nums, lcm = _harmonic_num(n, 1, 1)  # H_n = h_nums[n] / lcm
+    total = (-1) ** n * math.factorial(n) * stirling[n] * h_nums[n]
+    fact = 1  # k!
     for k in range(n):
+        if k:
+            fact *= k
         w = binom_int(n, k) if as_printed else stirling[k]
-        if w:
-            tail += Fraction((-1) ** k * math.factorial(k) * w, n - k)
-    return lead - tail
+        total -= (-1) ** k * fact * w * (lcm // (n - k))
+    return Fraction(total, lcm)
 
 
 # The concluding sums of items 3 and 4.  Their superscript-(2) notation is
@@ -542,15 +564,37 @@ def _harmonic_over_k(n: int, alpha: RatLike, sign: int) -> Fraction:
 
 def concl_item3_rhs(n: int, alpha: RatLike, reading: str = "p2") -> Fraction:
     """(H_n^2 + H_n^(2))/2 at alpha = 1, otherwise
-    H_n(alpha) H_n + H_n^(2)(alpha) - sum_{k=1..n} alpha^k H_k/k."""
+    H_n(alpha) H_n + H_n^(2)(alpha) - sum_{k=1..n} alpha^k H_k/k.
+
+    For alpha = e/f != 1, with L = lcm(1..n) and t_k = e^k f^(n-k), one loop
+    gives ha = sum t_k (L/k), h = sum L/k, h2a = sum t_k (L/k)^2 and
+    tail = sum t_k h_k (L/k), h_k the running h: H_n(alpha) = ha/(f^n L),
+    H_n = h/L, H_n^(2)(alpha) = h2a/(f^n L^2), and the tail sum is
+    tail/(f^n L^2).
+    """
     _check_concl_args(n, reading)
-    alpha = Fraction(alpha)
+    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
     if alpha == 1:
         h = harmonic(n)
         return (h * h + harmonic_p(n, 2, 1)) / 2
-    second = harmonic_p(n, 2, alpha) if reading == "p2" else harmonic_p(n, 1, alpha) ** 2
-    tail = sum(alpha**k * h / k for k, h in enumerate(harmonic_table(n, 1, 1)) if k)
-    return harmonic_p(n, 1, alpha) * harmonic(n) + second - tail
+    e, f = alpha.numerator, alpha.denominator
+    lcm = math.lcm(*range(1, n + 1))
+    fpow = [1]  # f^j for j = 0..n
+    for _ in range(n):
+        fpow.append(fpow[-1] * f)
+    ha = h = h2a = tail = 0
+    epow = 1
+    for k in range(1, n + 1):
+        epow *= e
+        t = epow * fpow[n - k]
+        w = lcm // k
+        h += w
+        ha += t * w
+        h2a += t * w * w
+        tail += t * h * w
+    if reading == "p2":
+        return Fraction(ha * h + h2a - tail, fpow[n] * lcm * lcm)
+    return Fraction((ha * h - tail) * fpow[n] + ha * ha, fpow[n] ** 2 * lcm * lcm)
 
 
 def concl_item4_lhs(n: int, alpha: RatLike) -> Fraction:
@@ -560,9 +604,29 @@ def concl_item4_lhs(n: int, alpha: RatLike) -> Fraction:
 
 
 def concl_item4_rhs(n: int, alpha: RatLike, reading: str = "p2") -> Fraction:
-    """H_n^(2)(1-alpha) - H_n^(2)(1), or with squares for reading="square"."""
+    """H_n^(2)(1-alpha) - H_n^(2)(1), or with squares for reading="square".
+
+    With 1 - alpha = x/y, L = lcm(1..n) and t_k = x^k y^(n-k), one loop:
+    "p2" is sum_k (t_k - y^n) (L/k)^2 over y^n L^2, and "square" is
+    (ha^2 - h^2 y^(2n)) over y^(2n) L^2, with ha = sum_k t_k (L/k) and
+    h = sum_k L/k.
+    """
     _check_concl_args(n, reading)
-    alpha = Fraction(alpha)
+    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
+    x, y = alpha.denominator - alpha.numerator, alpha.denominator
+    lcm = math.lcm(*range(1, n + 1))
+    ypow = [1]  # y^j for j = 0..n
+    for _ in range(n):
+        ypow.append(ypow[-1] * y)
+    ha = h = total = 0
+    xpow = 1
+    for k in range(1, n + 1):
+        xpow *= x
+        t = xpow * ypow[n - k]
+        w = lcm // k
+        total += (t - ypow[n]) * w * w
+        ha += t * w
+        h += w
     if reading == "p2":
-        return harmonic_p(n, 2, 1 - alpha) - harmonic_p(n, 2, 1)
-    return harmonic_p(n, 1, 1 - alpha) ** 2 - harmonic(n) ** 2
+        return Fraction(total, ypow[n] * lcm * lcm)
+    return Fraction(ha * ha - h * h * ypow[n] ** 2, ypow[n] ** 2 * lcm * lcm)

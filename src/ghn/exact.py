@@ -35,10 +35,10 @@ cache of values of its own (cli builds its argument parser once per process;
 it holds no computed value).  No oracle function calls ``_shared``, nor
 does a row builder.  Its readers, and their tags, are:
   - closed_forms: per sequence, keyed by its id(), its transform ("ratio",
-    "transform"), inverse transform ("inverse") or lift ("lemma21"); the weight
-    rows of Lemma 2.1 per (n, lambda) ("lemma21_row") and of Theorem 3.3 per
-    (n, alpha) ("thm33_row", "nabla"); and the newcoffey form's Pan values
-    ("pan");
+    "transform", "transform_num"), inverse transform ("inverse") or lift
+    ("lemma21"); the weight rows of Lemma 2.1 per (n, lambda) ("lemma21_row")
+    and of Theorem 3.3 per (n, alpha) ("thm33_row", "nabla"); and the
+    newcoffey form's Pan values ("pan");
   - transforms: the Sanchez weights j! S(p, j), per p ("sanchez-weights");
   - registry: the oracle inputs and rows that its sides read, under tags
     that no closed form uses: through ``_shared_table``, the harmonic tables

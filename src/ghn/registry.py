@@ -362,25 +362,34 @@ def _lucas_doubling(n: int) -> int:
 
 
 def _bernoulli_alternating(n: int) -> Fraction:
-    """(-1)^n B_n by the Akiyama-Tanigawa algorithm.
+    """(-1)^n B_n by the Akiyama-Tanigawa algorithm, in integers.
 
     The algorithm gives B_1 = +1/2, which is (-1)^n B_n under the B_1 = -1/2
-    convention of sequences.bernoulli (odd B_n vanish past n = 1).
+    convention of sequences.bernoulli (odd B_n vanish past n = 1).  Its row
+    starts at 1/(m+1) and each step is an integer combination of the row, so
+    over L = lcm(1..n+1) every entry is an integer: seed L/(m+1).
     """
-    row: list[Fraction] = []
+    lcm = math.lcm(*range(1, n + 2))
+    row: list[int] = []
     for m in range(n + 1):
-        row.append(Fraction(1, m + 1))
+        row.append(lcm // (m + 1))
         for j in range(m, 0, -1):
             row[j - 1] = j * (row[j - 1] - row[j])
-    return row[0]
+    return Fraction(row[0], lcm)
 
 
-def _laguerre_recurrence(x, n_max: int) -> list[Fraction]:
-    """L_0(x), ..., L_n_max(x) by the three-term recurrence (at least two terms)."""
-    vals = [Fraction(1), 1 - x]
-    for n in range(2, n_max + 1):
-        vals.append(((2 * n - 1 - x) * vals[n - 1] - (n - 1) * vals[n - 2]) / n)
-    return vals
+def _laguerre_recurrence(n: int, x) -> Fraction:
+    """L_n(x) by the three-term recurrence, independent of the defining sum.
+
+    With x = p/q, M_k = k! q^k L_k(x) is an integer: M_0 = 1, M_1 = q - p and
+    M_k = ((2k-1)q - p) M_(k-1) - (k-1)^2 q^2 M_(k-2), so L_n(x) = M_n / (n! q^n).
+    """
+    x = x if type(x) is Fraction else Fraction(x)
+    p, q = x.numerator, x.denominator
+    prev, cur = 0, 1  # M_(k-1), M_k at k = 0; the step at k = 1 gives M_1 = q - p
+    for k in range(1, n + 1):
+        prev, cur = cur, ((2 * k - 1) * q - p) * cur - (k - 1) ** 2 * q * q * prev
+    return Fraction(cur, math.factorial(n) * q**n)
 
 
 # --- sides, by group -------------------------------------------------------------
@@ -768,7 +777,7 @@ def _example34_sides() -> list[IdentityEntry]:
             anchor="sum_k C(n,k)(-x)^k/k! = L_n(x)",
             params=("n", "x"),
             lhs=laguerre,
-            rhs=lambda n, x: _laguerre_recurrence(x, n)[n],
+            rhs=_laguerre_recurrence,
             note="right side from the three-term recurrence, independent of the defining sum",
             grid=lambda n_max, rng: [{"x": x, "n": n} for n in range(n_max + 1) for x in LAGUERRE_XS],
         ),

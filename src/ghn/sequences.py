@@ -40,7 +40,8 @@ def _harmonic_num(n_max: int, p: int, alpha: RatLike) -> tuple[list[int], int]:
         raise ValueError("n must be >= 0")
     if p < 1:
         raise ValueError("p must be >= 1")
-    a = alpha if type(alpha) is Fraction else Fraction(alpha)
+    # an int or a Fraction is read as it is, any other scalar through Fraction()
+    a = alpha if type(alpha) is Fraction or type(alpha) is int else Fraction(alpha)
     r, q = a.numerator, a.denominator
     lcm = math.lcm(*range(1, n_max + 1))
     qpow = [1]

@@ -9,9 +9,10 @@ _transform_num is the one C(n,k)-weighted sum of the closed forms: it builds
 each row C(n,k) or C(n,k) (-1)^(n-k) by Pascal's rule and returns the unreduced
 integer numerators of the transform, or of its inverse, over the input's common
 denominator.  binomial_transform and inverse_binomial_transform are its
-Fraction views; closed_forms.boyadzhiev_ratio_closed, thm33_rhs and
-thm33_nabla_rhs read its numerators as they are, and weighted_nabla's row is
-one inverse transform of b_n, b_(n-1), ..., b_0, signed (-1)^m.  The Sanchez
+Fraction views; closed_forms.boyadzhiev_ratio_closed, lambda1_case_rhs,
+thm33_rhs and thm33_nabla_rhs read its numerators as they are, and
+weighted_nabla's row is one inverse transform of b_n, b_(n-1), ..., b_0,
+signed (-1)^m.  The Sanchez
 Stirling double sums are one integer row, _sanchez_row, dotted with C(n-l,k)
 (sanchez_weight) or with b_(n-l) (sanchez_transform); sequences.laguerre keeps
 its defining sum.

@@ -217,8 +217,9 @@ def _binomial_num(row: Sequence[int], den: int, n: int, mu: RatLike = 1, lam: Ra
     and the sum is divided once by den (bd)^n.  It is summed by Horner's rule
     in ad, from k = n down, with a running power of bc.
     """
-    mu = mu if type(mu) is Fraction else Fraction(mu)
-    lam = lam if type(lam) is Fraction else Fraction(lam)
+    # an int or a Fraction is read as it is, any other scalar through Fraction()
+    mu = mu if type(mu) is Fraction or type(mu) is int else Fraction(mu)
+    lam = lam if type(lam) is Fraction or type(lam) is int else Fraction(lam)
     x = mu.numerator * lam.denominator
     y = mu.denominator * lam.numerator
     total = 0

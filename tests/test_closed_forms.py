@@ -29,7 +29,7 @@ from ghn.closed_forms import (
 )
 from ghn.errors import DomainError, OutOfValidityRangeError
 from ghn.exact import binom_int, binom_rat, hockey_stick_sum, shared_run
-from ghn.registry import _gould_oracle, _ratio_row
+from ghn.registry import _bernoulli_alternating, _gould_oracle, _laguerre_recurrence, _ratio_row
 from ghn.sequences import _harmonic_num, harmonic, harmonic_p, harmonic_table, skew_harmonic
 from ghn.transforms import binomial_transform
 from ghn.verifier import _binomial_num, _binomial_row, binomial_oracle
@@ -428,6 +428,13 @@ COERCING_SITES = {
     "thm33_rhs": lambda x: thm33_rhs(_C, 5, x),
     "thm33_nabla_rhs": lambda x: thm33_nabla_rhs(_C, 5, x),
     "_harmonic_num": lambda x: _harmonic_num(6, 2, x),
+    "concl_item3_rhs": lambda x: concl_item3_rhs(6, x),
+    "concl_item3_rhs:square": lambda x: concl_item3_rhs(6, x, "square"),
+    "concl_item4_rhs": lambda x: concl_item4_rhs(6, x),
+    "concl_item4_rhs:square": lambda x: concl_item4_rhs(6, x, "square"),
+    "as_p1_closed:z": lambda x: as_p1_closed(5, x, Fraction(2, 3)),
+    "as_p1_closed:alpha": lambda x: as_p1_closed(5, Fraction(2, 3), x),
+    "_laguerre_recurrence": lambda x: _laguerre_recurrence(6, x),
     "binom_rat": lambda x: binom_rat(x, 4),
     "hockey_stick_sum": lambda x: hockey_stick_sum(x, 4),
     # the memo key is built from the coerced scalar
@@ -447,3 +454,42 @@ def test_a_float_or_string_scalar_reads_as_its_fraction(site, x):
     value = call(x)
     assert value == call(Fraction(x))
     assert type(value) is type(call(Fraction(x)))
+
+
+# --- one Fraction per value ----------------------------------------------------------
+
+_ALPHA, _Z = Fraction(-7, 3), Fraction(2, 5)
+
+# each side that sums integer numerators over one denominator, at a generic point
+ONE_FRACTION_SIDES = {
+    "concl_item3_rhs": lambda: concl_item3_rhs(12, _ALPHA),
+    "concl_item3_rhs:square": lambda: concl_item3_rhs(12, _ALPHA, "square"),
+    "concl_item4_rhs": lambda: concl_item4_rhs(12, _ALPHA),
+    "concl_item4_rhs:square": lambda: concl_item4_rhs(12, _ALPHA, "square"),
+    "as_p1_closed": lambda: as_p1_closed(12, _Z, _ALPHA),
+    "as_zneg1_alpha1_closed": lambda: as_zneg1_alpha1_closed(12, 4),
+    "as_zneg1_alpha1_closed:as_printed": lambda: as_zneg1_alpha1_closed(12, 4, as_printed=True),
+    "lambda1_case_rhs in a run": lambda: lambda1_case_rhs(_C, 6),
+    "_bernoulli_alternating": lambda: _bernoulli_alternating(12),
+    "_laguerre_recurrence": lambda: _laguerre_recurrence(12, _ALPHA),
+}
+
+
+@pytest.mark.parametrize("side", sorted(ONE_FRACTION_SIDES))
+def test_an_integer_side_builds_one_fraction(monkeypatch, side):
+    call = ONE_FRACTION_SIDES[side]
+    built = 0
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return real(cls, *args, **kwargs)
+
+    with shared_run(12):
+        call()  # fills the run memo: lambda1_case_rhs reads the transform's numerators from it
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", staticmethod(counting))
+            value = call()
+    assert type(value) is Fraction and value == call()
+    assert built == 1

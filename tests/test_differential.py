@@ -36,6 +36,7 @@ from ghn.registry import (  # noqa: E402
     Z_GRID,
     _gould_oracle,
     _knuth_oracle,
+    _bernoulli_alternating,
     _laguerre_recurrence,
     _power_weight_oracle,
     _ratio_oracle,
@@ -52,6 +53,7 @@ from ghn.sequences import (  # noqa: E402
     laguerre,
     parse_seq_spec,
     stirling2,
+    stirling2_row,
 )
 from ghn.transforms import (  # noqa: E402
     binomial_transform,
@@ -167,12 +169,25 @@ def test_hockey_stick_sum_matches_a_plain_fraction_loop(x, n):
     assert value == _plain_binom(Fraction(x) + n + 1, n) and type(value) is Fraction
 
 
+def _bernoulli_alternating_per_term(n):
+    """_bernoulli_alternating as it summed before: the Akiyama-Tanigawa row in Fractions."""
+    row = []
+    for m in range(n + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+    return row[0]
+
+
 def test_bernoulli_matches_sympy():
+    # and the integer Akiyama-Tanigawa row of ex3.4-bernoulli, against its Fraction loop
     for n in range(41):
         expected = _frac(sympy.bernoulli(n))
         if n == 1:
             expected = -expected  # sympy >= 1.12 takes B_1 = +1/2; ghn takes -1/2
         assert bernoulli(n) == expected
+        value = _bernoulli_alternating(n)
+        assert value == (-1) ** n * expected == _bernoulli_alternating_per_term(n) and type(value) is Fraction
 
 
 @SETTINGS
@@ -191,7 +206,7 @@ def test_laguerre_matches_its_recurrence_and_a_plain_fraction_sum(nx):
     n, x = nx
     value = laguerre(n, x)
     plain = sum((math.comb(n, k) * Fraction(-x) ** k / math.factorial(k) for k in range(n + 1)), Fraction(0))
-    assert value == plain == _laguerre_recurrence(Fraction(x), n)[n] and type(value) is Fraction
+    assert value == plain == _laguerre_recurrence(n, x) and type(value) is Fraction
 
 
 # --- ring laws, products and round trips ---------------------------------------
@@ -647,6 +662,60 @@ def _idi1_per_term(n, alpha):
     return ((1 - alpha) ** n - 1) * Fraction(1, n)
 
 
+@functools.lru_cache(maxsize=4096)
+def _hp(n, p, alpha):
+    """H_n^(p)(alpha), one Fraction per term, for the references below; H_(n-1) is kept from the last n."""
+    return _hp(n - 1, p, alpha) + Fraction(alpha) ** n / n**p if n else Fraction(0)
+
+
+def _concl3_per_term(n, alpha, reading):
+    """concl_item3_rhs as it summed before, with harmonic numbers summed term by term."""
+    alpha, h = Fraction(alpha), _hp(n, 1, 1)
+    if alpha == 1:
+        return (h * h + _hp(n, 2, 1)) / 2
+    second = _hp(n, 2, alpha) if reading == "p2" else _hp(n, 1, alpha) ** 2
+    return _hp(n, 1, alpha) * h + second - _concl3_tail(n, alpha)
+
+
+@functools.lru_cache(maxsize=4096)
+def _concl3_tail(n, alpha):
+    """sum_{k=1..n} alpha^k H_k / k, one Fraction per term; the sum to n-1 is kept from the last n."""
+    return _concl3_tail(n - 1, alpha) + alpha**n * _hp(n, 1, 1) / n if n else Fraction(0)
+
+
+def _concl4_per_term(n, alpha, reading):
+    """concl_item4_rhs as it evaluated before."""
+    x = 1 - Fraction(alpha)
+    if reading == "p2":
+        return _hp(n, 2, x) - _hp(n, 2, 1)
+    return _hp(n, 1, x) ** 2 - _hp(n, 1, 1) ** 2
+
+
+def _as_p1_per_term(n, z, alpha):
+    """as_p1_closed as it evaluated before, in Fractions, at z != -1."""
+    z, alpha = Fraction(z), Fraction(alpha)
+    zp = 1 + z
+    beta, gamma = (1 + alpha * z) / zp, 1 / zp
+    inner = z * (_hp(n - 1, 1, beta) - _hp(n - 1, 1, gamma)) + zp * (beta**n - gamma**n) / n
+    return n * zp ** (n - 1) * inner
+
+
+def _zneg1_per_term(n, p, as_printed):
+    """as_zneg1_alpha1_closed as it summed before: the tail one Fraction per term."""
+    stirling = stirling2_row(p) + [0] * (n - p)
+    weights = [math.comb(n, k) for k in range(n + 1)] if as_printed else stirling
+    lead = (-1) ** n * math.factorial(n) * stirling[n] * _hp(n, 1, 1)
+    return lead - sum((Fraction((-1) ** k * math.factorial(k) * weights[k], n - k) for k in range(n)), Fraction(0))
+
+
+def _laguerre_per_term(n_max, x):
+    """L_0(x), ..., L_n_max(x) by the three-term recurrence in Fractions, as ex3.4-laguerre's side was."""
+    vals = [Fraction(1), 1 - Fraction(x)]
+    for n in range(2, n_max + 1):
+        vals.append(((2 * n - 1 - x) * vals[n - 1] - (n - 1) * vals[n - 2]) / n)
+    return vals
+
+
 _BIG_ALPHA = Fraction(-(10**99) - 7, 10**99 + 3)
 
 
@@ -654,18 +723,50 @@ _BIG_ALPHA = Fraction(-(10**99) - 7, 10**99 + 3)
 @example(alpha=0)
 @example(alpha=1)
 @example(alpha=Fraction(1))
+@example(alpha=-1)
 @example(alpha=Fraction(-7, 3))
 @example(alpha=_BIG_ALPHA)
 @example(alpha=-_BIG_ALPHA)
 @given(alpha=edge_rats)
 def test_alpha_forms_equal_their_per_term_sums(alpha):
-    # the integer loops of the two forms that also take a PolyQ alpha, against the per-term
-    # sums they replaced, for n = 1..36 at an int, Fraction or 100-digit alpha and its text
+    # the integer loops of the closed forms against the per-term sums they replaced, for
+    # n = 1..36 at an int, Fraction or 100-digit alpha (also as z, x and the terms of a
+    # sequence) and, for the forms that also take a PolyQ alpha, its text
+    a = [Fraction(alpha - k) / (k + 1) for k in range(37)]  # a sequence of mixed denominators
+    b = [sum((math.comb(m, k) * a[k] for k in range(m + 1)), Fraction(0)) for m in range(37)]  # its transform
+    laguerre_vals = _laguerre_per_term(36, alpha)
     for n in range(1, 37):
         for form, per_term in ((closed_forms.generalized_harmonic_relation, _relation_per_term), (closed_forms.idi1_rhs, _idi1_per_term)):
             value = form(n, alpha)
             assert type(value) is Fraction and value == per_term(n, alpha), (form.__name__, n)
             assert form(n, str(alpha)) == value
+        values = {
+            "lambda1_case_rhs": (closed_forms.lambda1_case_rhs(a, n), (sum(b[1 : n + 1]) - n * b[0]) / (n + 1)),
+            "_laguerre_recurrence": (_laguerre_recurrence(n, alpha), laguerre_vals[n]),
+        }
+        for reading in ("p2", "square"):
+            values[f"concl_item3_rhs {reading}"] = (closed_forms.concl_item3_rhs(n, alpha, reading), _concl3_per_term(n, alpha, reading))
+            values[f"concl_item4_rhs {reading}"] = (closed_forms.concl_item4_rhs(n, alpha, reading), _concl4_per_term(n, alpha, reading))
+        for z, w in ((alpha, Fraction(-7, 3)), (Fraction(1, 2), alpha)):
+            if z == -1:
+                with pytest.raises(DomainError):
+                    closed_forms.as_p1_closed(n, z, w)
+            else:
+                values[f"as_p1_closed {z}"] = (closed_forms.as_p1_closed(n, z, w), _as_p1_per_term(n, z, w))
+        p = 1 + abs(Fraction(alpha).numerator) % n
+        for as_printed in (False, True):
+            values[f"as_zneg1_alpha1_closed {p} {as_printed}"] = (
+                closed_forms.as_zneg1_alpha1_closed(n, p, as_printed),
+                _zneg1_per_term(n, p, as_printed),
+            )
+        for name, (value, per_term) in values.items():
+            assert type(value) is Fraction and value == per_term, (name, n)
+        for bad_p in (0, n + 1):
+            with pytest.raises(OutOfValidityRangeError):
+                closed_forms.as_zneg1_alpha1_closed(n, bad_p)
+    for form in (closed_forms.concl_item3_rhs, closed_forms.concl_item4_rhs):
+        with pytest.raises(ValueError, match="reading must be"):
+            form(3, alpha, "other")
 
 
 def test_alpha_forms_over_q_alpha_equal_their_per_term_sums():

@@ -965,7 +965,8 @@ def _functions_reached(entry_id, side_name):
 
 
 # The ghn functions that both sides of each ASSERT entry reach.  Pan's closed
-# form and the ex3.4 right sides call no sequence generator.  _shared is the run
+# form, the p = 1 expansion (as_p1_closed) and the ex3.4 right sides call no
+# sequence generator.  _shared is the run
 # memo: the registry's lifted oracle inputs (tables through _shared_table), the
 # oracle rows and the closed forms' rows are all read through it, under tags of
 # their own.  check_terms is called by the oracles' dot product
@@ -977,7 +978,7 @@ SHARED = {
     ),
     "thm2.3-lambda1": {"check_terms", "_shared"},
     **dict.fromkeys(["gen-harmonic-relation", "skew-relation"], {"harmonic_p", "_harmonic_num"}),
-    **dict.fromkeys(["as-newcoffey1", "as-p1-exemple1"], {"_harmonic_num"}),
+    "as-newcoffey1": {"_harmonic_num"},
     "panequa1-series": {"harmonic_table", "_harmonic_num", "_shared", "_shared_table"},
     "thm3.3-eqnnew8": {"binom_int", "_harmonic_num", "check_terms", "_shared"},
     "thm3.3-nabla": {"binom_int", "check_terms", "_shared"},
