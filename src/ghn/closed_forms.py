@@ -79,11 +79,12 @@ a cell is sum_m weights[m] nums[m] over scale * den, one Fraction (_dot).  No
 per-term Fraction loop is left on a graded side.  Lemma 2.1's integer body,
 _lemma21_num, reads the row _lemma21_row, which holds the argument checks
 that lemma21_rhs and boyadzhiev_ratio_closed share; with lam = p/q it needs
-no binomial of a rational.  pan_closed_form sums over D^n lcm(1..n), D the product of the
-denominators of mu, lam and alpha.  The Gould sum is one integer kernel,
-_gould_num, over q^n lcm(1..n) for a = p/q: gould_generalized_rhs wraps it in
-a Fraction, and _thm33_row scales it, with H_n(alpha) and the 1/(n-m) tail,
-to one denominator, so a thm33_rhs cell builds one Fraction.
+no binomial of a rational.  pan_closed_form sums over D^n lcm(1..n), D the
+product of the denominators of mu, lam and alpha.  The Gould sum is one
+integer kernel, _gould_num, over q^n lcm(1..n) for a = p/q:
+gould_generalized_rhs wraps it in a Fraction, and _thm33_row scales it, with
+H_n(alpha) and the 1/(n-m) tail, to one denominator, so a thm33_rhs cell
+builds one Fraction.
 
 Binomial sums: a closed form that needs a transform calls
 transforms.binomial_transform, its inverse or their integer kernel
@@ -343,7 +344,7 @@ def _inverse_num(c: Sequence) -> tuple[list[int], int]:
 
 
 def _transform(a: Sequence) -> list[Fraction]:
-    """binomial_transform of the whole of a, once per run for lambda1_case_rhs and power_weighted_rhs."""
+    """binomial_transform of the whole of a, once per run for power_weighted_rhs."""
     return _per_sequence("transform", a, binomial_transform)
 
 
@@ -529,10 +530,9 @@ def as_zneg1_alpha1_closed(n: int, p: int, as_printed: bool = False) -> Fraction
     total = (-1) ** n * math.factorial(n) * stirling[n] * h_nums[n]
     fact = 1  # k!
     for k in range(n):
-        if k:
-            fact *= k
         w = binom_int(n, k) if as_printed else stirling[k]
         total -= (-1) ** k * fact * w * (lcm // (n - k))
+        fact *= k + 1
     return Fraction(total, lcm)
 
 

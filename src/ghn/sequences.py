@@ -34,13 +34,13 @@ def _harmonic_num(n_max: int, p: int, alpha: RatLike) -> tuple[list[int], int]:
 
     Returns (nums, den) with H_n^(p)(alpha) = Fraction(nums[n], den), by one
     running sum: with alpha = r/q, den = q^n_max L^p, where L = lcm(1..n_max),
-    and term j adds r^j q^(n_max-j) (L/j)^p.
+    and term j adds r^j q^(n_max-j) (L/j)^p.  An int or a Fraction alpha is
+    read as it is, any other scalar through Fraction().
     """
     if n_max < 0:
         raise ValueError("n must be >= 0")
     if p < 1:
         raise ValueError("p must be >= 1")
-    # an int or a Fraction is read as it is, any other scalar through Fraction()
     a = alpha if type(alpha) is Fraction or type(alpha) is int else Fraction(alpha)
     r, q = a.numerator, a.denominator
     lcm = math.lcm(*range(1, n_max + 1))

@@ -12,10 +12,9 @@ denominator.  binomial_transform and inverse_binomial_transform are its
 Fraction views; closed_forms.boyadzhiev_ratio_closed, lambda1_case_rhs,
 thm33_rhs and thm33_nabla_rhs read its numerators as they are, and
 weighted_nabla's row is one inverse transform of b_n, b_(n-1), ..., b_0,
-signed (-1)^m.  The Sanchez
-Stirling double sums are one integer row, _sanchez_row, dotted with C(n-l,k)
-(sanchez_weight) or with b_(n-l) (sanchez_transform); sequences.laguerre keeps
-its defining sum.
+signed (-1)^m.  The Sanchez Stirling double sums are one integer row,
+_sanchez_row, dotted with C(n-l,k) (sanchez_weight) or with b_(n-l)
+(sanchez_transform); sequences.laguerre keeps its defining sum.
 """
 
 from __future__ import annotations

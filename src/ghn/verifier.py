@@ -215,9 +215,9 @@ def _binomial_num(row: Sequence[int], den: int, n: int, mu: RatLike = 1, lam: Ra
 
     With mu = a/b and lam = c/d, term k is the integer row[k] (ad)^k (bc)^(n-k),
     and the sum is divided once by den (bd)^n.  It is summed by Horner's rule
-    in ad, from k = n down, with a running power of bc.
+    in ad, from k = n down, with a running power of bc.  An int or a Fraction
+    mu and lam are read as they are, any other scalar through Fraction().
     """
-    # an int or a Fraction is read as it is, any other scalar through Fraction()
     mu = mu if type(mu) is Fraction or type(mu) is int else Fraction(mu)
     lam = lam if type(lam) is Fraction or type(lam) is int else Fraction(lam)
     x = mu.numerator * lam.denominator
