@@ -34,9 +34,9 @@ from ghn.exact import binom_rat, common_denominator, hockey_stick_sum, shared_ru
 from ghn.polyseries import PolyQ, TruncSeries, _convolve_num  # noqa: E402
 from ghn.registry import (  # noqa: E402
     Z_GRID,
+    _bernoulli_alternating,
     _gould_oracle,
     _knuth_oracle,
-    _bernoulli_alternating,
     _laguerre_recurrence,
     _power_weight_oracle,
     _ratio_oracle,
@@ -752,7 +752,7 @@ def test_alpha_forms_equal_their_per_term_sums(alpha):
                 with pytest.raises(DomainError):
                     closed_forms.as_p1_closed(n, z, w)
             else:
-                values[f"as_p1_closed {z}"] = (closed_forms.as_p1_closed(n, z, w), _as_p1_per_term(n, z, w))
+                values[f"as_p1_closed z={z} alpha={w}"] = (closed_forms.as_p1_closed(n, z, w), _as_p1_per_term(n, z, w))
         p = 1 + abs(Fraction(alpha).numerator) % n
         for as_printed in (False, True):
             values[f"as_zneg1_alpha1_closed {p} {as_printed}"] = (
