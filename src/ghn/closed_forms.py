@@ -17,7 +17,7 @@ that result evaluated, not a copy of it.
   power_weighted_rhs (Sanchez)       sanchez_transform of the transform of the whole of a
   as_np_closed (newcoffey)           sanchez_transform of pan_closed_form(m, z, 1, alpha),
                                      for the m = n-p..n that it reads
-  pan_closed_form (Thm 3.2)          its own integer sum, no harmonic_p; mu + lam = 0:
+  pan_closed_form (Thm 3.2)          its integer sum _pan_num, no harmonic_p; mu + lam = 0:
                                      lam^n idi1_rhs(n, alpha)
   Spivey, Frontczak, skew transform  pan_closed_form(n, 1, 1, alpha), -pan_closed_form(n, 2, 1, -1),
                                      -pan_closed_form(n, 1, 1, -1), in the registry
@@ -30,8 +30,8 @@ alone, so the closed forms that take a sequence transform, or lift, the whole
 sequence they are given and read its first n+1 entries; that one value serves
 every n.  What depends only on the grid point is a weight row, built once per
 point: each family cell is then one integer dot product (_dot) of the row
-with the sequence's numerators.  Through exact._shared, inside a verifier run
-they compute once per run
+with the sequence's numerators.  Through exact._shared (a row through _row),
+inside a verifier run they compute once per run
   - per sequence, keyed by its id(): the _transform_num of (0, a_1, a_2, ...)
     (boyadzhiev_ratio_closed), the lift of (0, b_1, b_2, ...) (lemma21_rhs),
     the inverse _transform_num of c, which thm33_rhs and thm33_nabla_rhs share
@@ -57,34 +57,11 @@ lifts a rational alpha to integers x/y (alpha - 1 = x/y, or 1 - alpha = x/y)
 and, by a second lift, a PolyQ alpha to (that polynomial, 1), and runs its one
 integer loop on either.
 
-A kernel reads a scalar that is already a Fraction as it is, and any other
-scalar (an int, a float, a string) through Fraction():
-``x if type(x) is Fraction else Fraction(x)``.  That line is written out at
-each site, since a helper for it would be a function that both sides of most
-rows reach, where a fault could cancel.
-
-Fraction-free kernels: lemma21_rhs, pan_closed_form, thm33_rhs,
-thm33_nabla_rhs, gould_generalized_rhs, generalized_harmonic_relation,
-idi1_rhs, lambda1_case_rhs, as_p1_closed, as_zneg1_alpha1_closed,
-concl_item3_rhs (alpha != 1) and concl_item4_rhs (like the transforms,
-sanchez_transform, exact.binom_rat and sequences._harmonic_num below them)
-sum integer numerators over one denominator and build one Fraction per value.
-lemma21_rhs lifts its inputs through exact.common_denominator, and
-pan_closed_form lifts mu, lam and alpha itself, in integers;
-boyadzhiev_ratio_closed, lambda1_case_rhs, thm33_rhs and thm33_nabla_rhs take
-the numerators of the transform, or of its inverse, from
-transforms._transform_num as they are, so no transform value is reduced to a
-Fraction and lifted again.  A row is (weights, scale), integers: the value of
-a cell is sum_m weights[m] nums[m] over scale * den, one Fraction (_dot).  No
-per-term Fraction loop is left on a graded side.  Lemma 2.1's integer body,
-_lemma21_num, reads the row _lemma21_row, which holds the argument checks
-that lemma21_rhs and boyadzhiev_ratio_closed share; with lam = p/q it needs
-no binomial of a rational.  pan_closed_form sums over D^n lcm(1..n), D the
-product of the denominators of mu, lam and alpha.  The Gould sum is one
-integer kernel, _gould_num, over q^n lcm(1..n) for a = p/q:
-gould_generalized_rhs wraps it in a Fraction, and _thm33_row scales it, with
-H_n(alpha) and the 1/(n-m) tail, to one denominator, so a thm33_rhs cell
-builds one Fraction.
+Each kernel here sums integer numerators over one denominator and builds one
+Fraction per value, so no per-term Fraction loop is left on a graded side.  It
+reads a scalar through exact._ratio, and a weight row per (n, scalar) through
+_row (the reader rule is in exact).  A row is (weights, scale), integers: a
+cell is sum_m weights[m] nums[m] over scale * den, one Fraction (_dot).
 
 Binomial sums: a closed form that needs a transform calls
 transforms.binomial_transform, its inverse or their integer kernel
@@ -121,9 +98,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, OutOfValidityRangeError
-from .exact import RatLike, _oracle_dot, _oracle_terms, _shared, binom_int, binom_rat, check_terms, common_denominator
+from .exact import RatLike, _oracle_dot, _oracle_ratio, _oracle_terms, _ratio, _shared, binom_int, binom_rat, check_terms, common_denominator
 from .polyseries import PolyQ
-from .sequences import _harmonic_num, harmonic, harmonic_p, harmonic_table, stirling2_row
+from .sequences import _harmonic_num, harmonic, harmonic_p, stirling2_row
 from .transforms import _transform_num, binomial_transform, sanchez_transform, weighted_nabla
 
 
@@ -154,8 +131,7 @@ def _lemma21_lhs_row(n: int, lam: RatLike) -> tuple[list[int], int]:
     if n < 1:
         raise ValueError("n must be >= 1")
     check_lambda_domain(lam, n)  # for its DomainError: an oracle takes lambda as given
-    lam = lam if type(lam) is Fraction else Fraction(lam)
-    p, q = lam.numerator, lam.denominator
+    p, q = _oracle_ratio(lam)
     weights = [0] * (n + 1)
     prefix = 1  # (p+q)...(p+(m-1)q)
     falling = math.factorial(n)  # n!/m!
@@ -179,8 +155,7 @@ def lemma21_rhs(b: Sequence[RatLike], n: int, lam: RatLike) -> Fraction:
 
 def _lemma21_num(nums: Sequence[int], den: int, n: int, lam: RatLike) -> Fraction:
     """lemma21_rhs at b_m = nums[m] / den for m = 1..n: the row _lemma21_row(n, lam), once per run, dotted with nums."""
-    lam = lam if type(lam) is Fraction else Fraction(lam)
-    row = _shared(("lemma21_row", n, lam.numerator, lam.denominator), lambda: _lemma21_row(n, lam))
+    row = _row("lemma21_row", _lemma21_row, n, lam)
     check_terms(nums, n, "b")
     return _dot(row, nums, den)
 
@@ -277,10 +252,9 @@ def knuth_flajolet_rhs(n: int, lam: RatLike) -> Fraction:
     """1 / (lam * C(lam+n, n)), the alternating ratio-sum closed form."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    lam = Fraction(lam)
+    lam = check_lambda_domain(lam, n)  # lambda = 0 is outside the set that it rejects
     if lam == 0:
         raise DomainError("lambda = 0 is a pole of the alternating ratio sum")
-    lam = check_lambda_domain(lam, n)
     return 1 / (lam * binom_rat(lam + n, n))
 
 
@@ -296,8 +270,8 @@ def generalized_harmonic_relation(n: int, alpha: RatLike) -> Fraction:
     if isinstance(alpha, PolyQ):
         x, y = alpha - 1, 1
     else:
-        alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
-        x, y = alpha.numerator - alpha.denominator, alpha.denominator
+        x, y = _ratio(alpha)
+        x -= y
     lcm = math.lcm(*range(1, n + 1))
     total = 0
     ypow = 1  # y^(n-k)
@@ -322,9 +296,9 @@ def gould_generalized_rhs(n: int, j: int, a: RatLike) -> Fraction:
     """
     if n < 1 or j < 0:
         raise ValueError("requires n >= 1 and j >= 0")
-    a = a if type(a) is Fraction else Fraction(a)
+    p, q = _ratio(a)
     lcm = math.lcm(*range(1, n + 1))
-    return Fraction(_gould_num(n, j, a.numerator, a.denominator, lcm), a.denominator**n * lcm)
+    return Fraction(_gould_num(n, j, p, q, lcm), q**n * lcm)
 
 
 def _gould_num(n: int, j: int, p: int, q: int, lcm: int) -> int:
@@ -336,6 +310,12 @@ def _gould_num(n: int, j: int, p: int, q: int, lcm: int) -> int:
 def _per_sequence(tag: str, seq: Sequence, build):
     """build(seq), once per run for this sequence object; the memo keeps seq so its id stays taken."""
     return _shared((tag, id(seq)), lambda: (seq, build(seq)))[1]
+
+
+def _row(tag: str, build, n: int, x: RatLike):
+    """build(n, x), a weight row, once per run per (n, x): through _shared under (tag, n, numerator, denominator of x)."""
+    num, den = _ratio(x)
+    return _shared((tag, n, num, den), lambda: build(n, x))
 
 
 def _inverse_num(c: Sequence) -> tuple[list[int], int]:
@@ -364,26 +344,28 @@ def pan_closed_form(n: int, mu: RatLike, lam: RatLike, alpha: RatLike) -> Fracti
         raise ValueError("n must be >= 0")
     if n == 0:
         return Fraction(0)
-    mu = mu if type(mu) is Fraction else Fraction(mu)
-    lam = lam if type(lam) is Fraction else Fraction(lam)
-    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
-    a, b = mu.numerator, mu.denominator
-    c, d = lam.numerator, lam.denominator
-    e, f = alpha.numerator, alpha.denominator
+    a, b = _ratio(mu)
+    c, d = _ratio(lam)
+    e, f = _ratio(alpha)
     ns = (a * d + c * b) * f
     if ns == 0:
-        return lam**n * idi1_rhs(n, alpha)
+        return Fraction(c, d) ** n * idi1_rhs(n, alpha)
     nv = c * b * f
     nu = nv + a * e * d
     den = b * d * f
     lcm = math.lcm(*range(1, n + 1))
+    return Fraction(_pan_num(nu, nv, ns, n, lcm), den**n * lcm)
+
+
+def _pan_num(u: int, v: int, s: int, n: int, lcm: int) -> int:
+    """sum_{k=1..n} s^(n-k) (u^k - v^k) (lcm/k), by Horner's rule in s: Pan's integer sum (pan_closed_form, as_p1_closed)."""
     total = 0
     upow = vpow = 1
-    for k in range(1, n + 1):  # Horner in ns: term k ends up times ns^(n-k)
-        upow *= nu
-        vpow *= nv
-        total = total * ns + (upow - vpow) * (lcm // k)
-    return Fraction(total, den**n * lcm)
+    for k in range(1, n + 1):  # term k ends up times s^(n-k)
+        upow *= u
+        vpow *= v
+        total = total * s + (upow - vpow) * (lcm // k)
+    return total
 
 
 def idi1_rhs(n: int, alpha: RatLike) -> Fraction:
@@ -397,8 +379,8 @@ def idi1_rhs(n: int, alpha: RatLike) -> Fraction:
     if isinstance(alpha, PolyQ):
         x, y = 1 - alpha, 1
     else:
-        alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
-        x, y = alpha.denominator - alpha.numerator, alpha.denominator
+        x, y = _ratio(alpha)
+        x = y - x
     ypow = y**n
     return Fraction(1, n * ypow) * (x**n - ypow)
 
@@ -414,12 +396,10 @@ def thm33_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     check_terms(c, n, "c")
-    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
-    nums, den = _inverse_num(c)  # d_m = nums[m] / den
-    return _dot(_shared(("thm33_row", n, alpha.numerator, alpha.denominator), lambda: _thm33_row(n, alpha)), nums, den)
+    return _dot(_row("thm33_row", _thm33_row, n, alpha), *_inverse_num(c))
 
 
-def _thm33_row(n: int, alpha: Fraction) -> tuple[list[int], int]:
+def _thm33_row(n: int, alpha: RatLike) -> tuple[list[int], int]:
     """thm33_rhs's row (weights, scale): d_m = nums[m] / den enters as weights[m] nums[m] over scale den.
 
     With H_n(alpha) = N/D, L = lcm(1..n), a = 1 - alpha = p/q (q is alpha's
@@ -427,17 +407,18 @@ def _thm33_row(n: int, alpha: Fraction) -> tuple[list[int], int]:
     and weight m < n is the tail's -(-1)^m (L/(n-m)) (S/L) plus, unless
     alpha = 1, the Gould part's (-1)^n _gould_num(n, n-m, p, q, L) (S/(q^n L)).
     """
+    e, q = _ratio(alpha)
+    p = q - e  # 1 - alpha = p/q
     lcm = math.lcm(*range(1, n + 1))
     h = harmonic_p(n, 1, alpha)
-    a = 1 - alpha
-    gould_den = a.denominator**n * lcm
+    gould_den = q**n * lcm
     scale = math.lcm(h.denominator, gould_den)
     sign = (-1) ** n
     weights = [-((-1) ** m) * (lcm // (n - m)) * (scale // lcm) for m in range(n)]
     weights.append(sign * h.numerator * (scale // h.denominator))
-    if alpha != 1:
+    if p != 0:  # alpha != 1
         for m in range(n):
-            weights[m] += sign * _gould_num(n, n - m, a.numerator, a.denominator, lcm) * (scale // gould_den)
+            weights[m] += sign * _gould_num(n, n - m, p, q, lcm) * (scale // gould_den)
     return weights, scale
 
 
@@ -450,12 +431,10 @@ def thm33_nabla_rhs(c: Sequence[RatLike], n: int, alpha: RatLike) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     check_terms(c, n, "c")
-    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
-    nums, den = _inverse_num(c)  # d_m = nums[m] / den
-    return _dot(_shared(("nabla", n, alpha.numerator, alpha.denominator), lambda: _nabla_row(n, alpha)), nums, den)
+    return _dot(_row("nabla", _nabla_row, n, alpha), *_inverse_num(c))
 
 
-def _nabla_row(n: int, alpha: Fraction) -> tuple[list[int], int]:
+def _nabla_row(n: int, alpha: RatLike) -> tuple[list[int], int]:
     """weighted_nabla(b, n) at b_j = idi1_rhs(j, alpha) for j >= 1 and b_0 = 0, over one denominator."""
     return common_denominator(weighted_nabla([Fraction(0)] + [idi1_rhs(j, alpha) for j in range(1, n + 1)], n))
 
@@ -471,9 +450,7 @@ def as_np_closed(n: int, p: int, z: RatLike, alpha: RatLike) -> Fraction:
         raise ValueError("n must be >= 1")
     if p < 1 or p > n:
         raise OutOfValidityRangeError(f"closed form needs 1 <= p <= n, got p={p}, n={n}")
-    z = z if type(z) is Fraction else Fraction(z)
-    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
-    key = (z.numerator, z.denominator, alpha.numerator, alpha.denominator)
+    key = (*_ratio(z), *_ratio(alpha))
     # sanchez_transform reads only b_(n-p..n), so the slots below n-p hold a 0 it never reads;
     # a run computes each Pan value once for all the (n, p) that read it
     pan = [_shared(("pan", m, *key), lambda: pan_closed_form(m, z, 1, alpha)) for m in range(n - p, n + 1)]
@@ -487,28 +464,21 @@ def as_p1_closed(n: int, z: RatLike, alpha: RatLike) -> Fraction:
     with B = (1+alpha*z)/(1+z) and G = 1/(1+z); needs z != -1.
 
     With z = a/b, alpha = e/f and s = f(a+b), B = u/s and G = v/s for
-    u = bf + ae and v = bf.  Over s^n L, L = lcm(1..n), the bracket is one
-    Horner sum, like Pan's: term k is w_k s^(n-k) (u^k - v^k) (L/k), with
-    w_k = a for k < n and w_n = a + b, and the bracket divides it by b s^n L.
+    u = bf + ae and v = bf.  Over s^n L, L = lcm(1..n), the bracket is
+    a T + b (u^n - v^n) (L/n) divided by b s^n L, with T = _pan_num(u, v, s, n, L),
+    Pan's integer sum: its terms k < n are weighted by a, term n by a + b.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    z = z if type(z) is Fraction else Fraction(z)
-    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
-    a, b = z.numerator, z.denominator
-    e, f = alpha.numerator, alpha.denominator
+    a, b = _ratio(z)
+    e, f = _ratio(alpha)
     if a + b == 0:
         raise DomainError("z = -1 lies outside this expansion")
     s = f * (a + b)
     v = b * f
     u = v + a * e
     lcm = math.lcm(*range(1, n + 1))
-    total = 0
-    upow = vpow = 1
-    for k in range(1, n + 1):  # Horner in s: term k ends up times s^(n-k)
-        upow *= u
-        vpow *= v
-        total = total * s + (a if k < n else a + b) * (upow - vpow) * (lcm // k)
+    total = a * _pan_num(u, v, s, n, lcm) + b * (u**n - v**n) * (lcm // n)
     # n (1+z)^(n-1) = n (a+b)^(n-1) / b^(n-1), times the bracket's 1 / (b s^n L)
     return Fraction(n * (a + b) ** (n - 1) * total, (b * s) ** n * lcm)
 
@@ -555,9 +525,9 @@ def concl_item3_lhs(n: int, alpha: RatLike) -> Fraction:
 
 
 def _harmonic_over_k(n: int, alpha: RatLike, sign: int) -> Fraction:
-    """sum_{k=1..n} sign^k H_k(alpha)/k, directly: with H_k(alpha) = N_k/D by the oracles' lift
-    and L = lcm(1..n), the integer sum_k sign^k N_k (L/k) over D L."""
-    nums, den = _oracle_terms(harmonic_table(n, 1, alpha), "_harmonic_over_k")
+    """sum_{k=1..n} sign^k H_k(alpha)/k, directly: with H_k(alpha) = N_k/D from the harmonic kernel
+    _harmonic_num and L = lcm(1..n), the integer sum_k sign^k N_k (L/k) over D L."""
+    nums, den = _harmonic_num(n, 1, alpha)
     lcm = math.lcm(*range(1, n + 1))
     return Fraction(sum(sign**k * nums[k] * (lcm // k) for k in range(1, n + 1)), den * lcm)
 
@@ -573,11 +543,10 @@ def concl_item3_rhs(n: int, alpha: RatLike, reading: str = "p2") -> Fraction:
     tail/(f^n L^2).
     """
     _check_concl_args(n, reading)
-    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
-    if alpha == 1:
+    e, f = _ratio(alpha)
+    if e == f:  # alpha = 1
         h = harmonic(n)
         return (h * h + harmonic_p(n, 2, 1)) / 2
-    e, f = alpha.numerator, alpha.denominator
     lcm = math.lcm(*range(1, n + 1))
     fpow = [1]  # f^j for j = 0..n
     for _ in range(n):
@@ -612,8 +581,8 @@ def concl_item4_rhs(n: int, alpha: RatLike, reading: str = "p2") -> Fraction:
     h = sum_k L/k.
     """
     _check_concl_args(n, reading)
-    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
-    x, y = alpha.denominator - alpha.numerator, alpha.denominator
+    x, y = _ratio(alpha)
+    x = y - x
     lcm = math.lcm(*range(1, n + 1))
     ypow = [1]  # y^j for j = 0..n
     for _ in range(n):

@@ -22,6 +22,16 @@ alpha), a pure row builder makes them once, as (weights, scale) in integers,
 and a cell is one dot product of that row with the lifted numerators, one
 Fraction: ``_oracle_dot`` on the oracle side, closed_forms._dot on the other.
 
+The reader rule, written apart in the same way: a kernel reads a scalar
+(alpha, lambda, mu, z, a) as its numerator and denominator through one of two
+functions, ``_ratio`` on the closed forms' side and ``_oracle_ratio`` on the
+oracles'.  Each reads an int or a Fraction as it is and any other scalar (a
+float, a string) through Fraction(), and neither calls the other.  A weight
+row per (n, scalar) is read through the run memo by closed_forms._row or
+registry._oracle_row, which key it by the scalar their side's reader gives.
+closed_forms.check_lambda_domain and sequences._harmonic_num, which both
+sides of some rows reach, read their scalar inline, so no reader is shared.
+
 The cache rule, for the whole package: every memo is the run memo.
 ``shared_run(size)`` opens one for the length of a ``with`` block, and
 ``_shared(key, build)`` returns build() once per key inside it; with no run
@@ -50,10 +60,9 @@ does a row builder.  Its readers, and their tags, are:
     ("ratio_row", "lemma21_lhs_row") and the harmonic row
     sign^k C(n,k) N_k per (n, alpha, sign) ("harmonic_row").
 A key is a tuple whose first item, its tag, names what it holds.  A rational
-enters a key as its numerator and denominator, never as a Fraction, whose hash
-is recomputed on every lookup; a reader coerces its scalar to a Fraction
-before it builds the key, so a float or a string still reads as Fraction()
-reads it.  The memo lives in a ContextVar.
+enters a key as the numerator and denominator that a scalar reader gives,
+never as a Fraction, whose hash is recomputed on every lookup.  The memo lives
+in a ContextVar.
 
 binom_rat builds one Fraction from an integer product: with x = p/q,
 C(x, k) = p(p-q)...(p-(k-1)q) / (q^k k!).  hockey_stick_sum, the oracle of the
@@ -147,6 +156,18 @@ def _oracle_terms(values: Sequence[RatLike], who: str) -> tuple[list[int], int]:
     return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
+def _ratio(x: RatLike) -> tuple[int, int]:
+    """The closed forms' scalar reader: (numerator, denominator) of x, an int or a Fraction as it is, any other scalar through Fraction()."""
+    x = x if type(x) is Fraction or type(x) is int else Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _oracle_ratio(x: RatLike) -> tuple[int, int]:
+    """The oracles' scalar reader, written apart from _ratio: (numerator, denominator) of x, read as _ratio reads it."""
+    x = x if type(x) is Fraction or type(x) is int else Fraction(x)
+    return x.numerator, x.denominator
+
+
 def _oracle_dot(row: tuple[Sequence[int], int], nums: Sequence[int], den: int) -> Fraction:
     """The oracles' dot product: sum_k weights[k] nums[k] over scale * den, one Fraction, for row = (weights, scale).
 
@@ -219,8 +240,7 @@ def binom_rat(x: RatLike, k: int) -> Fraction:
     """
     if k < 0:
         return Fraction(0)
-    x = x if type(x) is Fraction else Fraction(x)
-    p, q = x.numerator, x.denominator
+    p, q = _ratio(x)
     num = 1
     for i in range(k):
         num *= p - i * q
@@ -236,8 +256,7 @@ def hockey_stick_sum(x: RatLike, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("hockey_stick_sum requires n >= 0")
-    x = x if type(x) is Fraction else Fraction(x)
-    p, q = x.numerator, x.denominator
+    p, q = _oracle_ratio(x)
     total = 0
     rising = den = 1  # (p+q)...(p+mq) and m! q^m
     for m in range(n + 1):

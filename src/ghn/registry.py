@@ -28,13 +28,16 @@ ratio sum, closed_forms._lemma21_lhs_row for Lemma 2.1's left side.  The grid
 sides read through the run memo, once per run, under tags that no closed
 form uses: the lift of each harmonic table per alpha (_ht_terms) and of each
 family sequence, whole, keyed by its id() (_seq_terms); the Gould row
-C(n,k) C(k,j)/k per (n, j) (_gould_side); the ratio and Lemma 2.1 rows per
-(n, lambda) (_ratio_side, _lemma21_side); and the harmonic row
-sign^k C(n,k) N_k per (n, alpha) (_harmonic_row), which _ht_sum sums by
-Horner's rule at each (mu, lambda) and _thm33_side dots with the lifted c, so
-a family cell is one integer dot product.  A lift of a whole table or
-sequence serves every n up to its length.  The power-weighted sums take the
-integer weights k^p N_k over D from the lifted numerators.
+(-1)^k C(n,k) C(k,j)/k per (n, j) (_gould_side); and, through _oracle_row,
+the ratio and Lemma 2.1 rows per (n, lambda) (_ratio_side, _lemma21_side) and
+the harmonic row sign^k C(n,k) N_k per (n, alpha) (_harmonic_row), which
+_ht_sum sums by Horner's rule at each (mu, lambda) and _thm33_side dots with
+the lifted c, so a family cell is one integer dot product.  A lift of a
+whole table or sequence serves every n up to its length.  The power-weighted
+sums take the integer weights k^p N_k over D from the lifted numerators.  The
+oracle sides read a scalar through exact._oracle_ratio; the series sides of
+panequa1-series and genfunc-*, which lift through common_denominator, key
+their series through exact._ratio (the reader rule is in exact).
 
 Entries are declared in groups, one builder per part of the paper, kept in
 ledger order in ``_GROUPS``; ``GROUP_OF`` maps each id to its group and is
@@ -94,7 +97,7 @@ from .closed_forms import (
     thm33_rhs,
 )
 from .errors import DomainError, OutOfValidityRangeError
-from .exact import _oracle_dot, _oracle_terms, _shared, _shared_table, binom_int, binom_rat, hockey_stick_sum
+from .exact import _oracle_dot, _oracle_ratio, _oracle_terms, _ratio, _shared, _shared_table, binom_int, binom_rat, hockey_stick_sum
 from .polyseries import PolyQ, harmonic_poly
 from .sequences import (
     bernoulli_table,
@@ -182,8 +185,7 @@ def _rng(seed: int, stream: str) -> random.Random:
 
 def _ht(alpha, n: int) -> list[Fraction]:
     """H_0(alpha), ..., H_m(alpha) for an m >= n, shared through the run memo (exact._shared_table)."""
-    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
-    return _shared_table("harmonic_table", (alpha.numerator, alpha.denominator), n, lambda m: harmonic_table(m, 1, alpha))
+    return _shared_table("harmonic_table", _oracle_ratio(alpha), n, lambda m: harmonic_table(m, 1, alpha))
 
 
 def _ht_terms(alpha, n: int) -> tuple[list[int], int]:
@@ -193,22 +195,18 @@ def _ht_terms(alpha, n: int) -> tuple[list[int], int]:
     the memo scales the lift once, not twice, and cannot cancel against the
     closed forms that read the memo twice.
     """
-    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
-    key = (alpha.numerator, alpha.denominator)
-    return _shared_table("harmonic_terms", key, n, lambda m: _oracle_terms(harmonic_table(m, 1, alpha), "_ht_terms"))
+    return _shared_table("harmonic_terms", _oracle_ratio(alpha), n, lambda m: _oracle_terms(harmonic_table(m, 1, alpha), "_ht_terms"))
 
 
-def _harmonic_row(alpha, n: int, sign: int) -> tuple[list[int], int]:
+def _harmonic_row(n: int, alpha, sign: int) -> tuple[list[int], int]:
     """sign^k C(n,k) N_k for k = 0..n over D, with H_k(alpha) = N_k / D lifted by _ht_terms: a harmonic side's row."""
     nums, den = _ht_terms(alpha, n)
     return [sign**k * w for k, w in enumerate(_binomial_row(nums, n))], den
 
 
 def _ht_sum(alpha, n: int, mu=1, lam=1) -> Fraction:
-    """Direct sum_{k=0..n} C(n,k) mu^k lam^(n-k) H_k(alpha): binomial_oracle's kernel at the row _harmonic_row(alpha, n, 1), read once per run per (n, alpha)."""
-    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
-    row = _shared(("harmonic_row", n, alpha.numerator, alpha.denominator, 1), lambda: _harmonic_row(alpha, n, 1))
-    return _binomial_num(*row, n, mu, lam)
+    """Direct sum_{k=0..n} C(n,k) mu^k lam^(n-k) H_k(alpha): binomial_oracle's kernel at the row _harmonic_row(n, alpha, 1), read once per run per (n, alpha)."""
+    return _binomial_num(*_oracle_row("harmonic_row", _harmonic_row, n, alpha, 1), n, mu, lam)
 
 
 def _seq_terms(seq) -> tuple[list[int], int]:
@@ -217,6 +215,12 @@ def _seq_terms(seq) -> tuple[list[int], int]:
     The memo keeps seq, so its id stays taken while the run lasts.
     """
     return _shared(("oracle_terms", id(seq)), lambda: (seq, _oracle_terms(seq, "_seq_terms")))[1]
+
+
+def _oracle_row(tag: str, build, n: int, x, *rest):
+    """build(n, x, *rest), an oracle's weight row, once per run: through _shared under (tag, n, numerator, denominator of x, *rest)."""
+    num, den = _oracle_ratio(x)
+    return _shared((tag, n, num, den, *rest), lambda: build(n, x, *rest))
 
 
 def _rand_seqs(rng: random.Random, count: int, n_max: int) -> list[tuple[Fraction, ...]]:
@@ -269,47 +273,43 @@ def _ratio_row(n: int, lam) -> tuple[list[int], int]:
     weights[0] is 0, so a_0 never enters.
     """
     check_lambda_domain(lam, n)  # for its DomainError: an oracle takes lambda as given
-    lam = lam if type(lam) is Fraction else Fraction(lam)
-    p, q = lam.numerator, lam.denominator
+    p, q = _oracle_ratio(lam)
     lcm = math.lcm(*[k * q + p for k in range(1, n + 1)])
     return [0] + [binom_int(n, k) * q * (lcm // (k * q + p)) for k in range(1, n + 1)], lcm
 
 
 def _ratio_side(a, n: int, lam) -> Fraction:
     """_ratio_oracle on a family sequence: its row read once per run per (n, lam), dotted with the sequence's lift."""
-    lam = lam if type(lam) is Fraction else Fraction(lam)
-    return _oracle_dot(_shared(("ratio_row", n, lam.numerator, lam.denominator), lambda: _ratio_row(n, lam)), *_seq_terms(a))
+    return _oracle_dot(_oracle_row("ratio_row", _ratio_row, n, lam), *_seq_terms(a))
 
 
 def _lemma21_side(b, n: int, lam) -> Fraction:
     """closed_forms.lemma21_lhs on a family sequence: its row read once per run per (n, lam), dotted with the sequence's lift."""
-    lam = lam if type(lam) is Fraction else Fraction(lam)
-    row = _shared(("lemma21_lhs_row", n, lam.numerator, lam.denominator), lambda: _lemma21_lhs_row(n, lam))
-    return _oracle_dot(row, *_seq_terms(b))
+    return _oracle_dot(_oracle_row("lemma21_lhs_row", _lemma21_lhs_row, n, lam), *_seq_terms(b))
 
 
 def _gould_row(n: int, j: int) -> tuple[list[int], int]:
-    """The Gould sum's row: C(n,k) N_k over D, with N_k/D the oracles' lift of C(k,j)/k for k = 1..n after a 0 for k = 0 (the sum excludes it)."""
+    """The Gould sum's row: (-1)^k C(n,k) N_k over D, with N_k/D the oracles' lift of C(k,j)/k for k = 1..n after a 0 for k = 0 (the sum excludes it)."""
     nums, den = _oracle_terms([0] + [Fraction(binom_int(k, j), k) for k in range(1, n + 1)], "_gould_oracle")
-    return _binomial_row(nums, n), den
+    return [(-1) ** k * w for k, w in enumerate(_binomial_row(nums, n))], den
 
 
 def _gould_oracle(n: int, j: int, a) -> Fraction:
-    """Direct sum_{k=1..n} C(n,k) C(k,j) (-a)^k / k: binomial_oracle's kernel at the row _gould_row(n, j)."""
-    return _binomial_num(*_gould_row(n, j), n, -a)
+    """Direct sum_{k=1..n} C(n,k) C(k,j) (-a)^k / k: binomial_oracle's kernel at the row _gould_row(n, j) and mu = a."""
+    return _binomial_num(*_gould_row(n, j), n, a)
 
 
 def _gould_side(n: int, j: int, a) -> Fraction:
     """_gould_oracle with its row read once per run per (n, j), for the five a of the grid."""
-    return _binomial_num(*_shared(("gould_row", n, j), lambda: _gould_row(n, j)), n, -a)
+    return _binomial_num(*_shared(("gould_row", n, j), lambda: _gould_row(n, j)), n, a)
 
 
 def _knuth_oracle(n: int, lam) -> Fraction:
     """Direct sum_{k=0..n} C(n,k) (-1)^k / (k + lam): its k = 0 term 1/lam plus the ratio sum of (-1)^k."""
-    lam = Fraction(lam)
-    if lam == 0:
+    p, q = _oracle_ratio(lam)
+    if p == 0:
         raise DomainError("lambda = 0 is a pole")
-    return 1 / lam + _ratio_oracle([(-1) ** k for k in range(n + 1)], n, lam)
+    return Fraction(q, p) + _ratio_oracle([(-1) ** k for k in range(n + 1)], n, lam)
 
 
 def _power_weight_oracle(a, n: int, p: int, mu=1) -> Fraction:
@@ -326,14 +326,12 @@ def _power_weight_num(nums, den: int, n: int, p: int, mu=1) -> Fraction:
 
 
 def _thm33_side(c, n: int, alpha) -> Fraction:
-    """Direct sum_{k=0..n} C(n,k) (-1)^k H_k(alpha) c_k: the row _harmonic_row(alpha, n, -1), once per run per (n, alpha), dotted with the lifted c.
+    """Direct sum_{k=0..n} C(n,k) (-1)^k H_k(alpha) c_k: the row _harmonic_row(n, alpha, -1), once per run per (n, alpha), dotted with the lifted c.
 
     With H_k(alpha) = N_k/D_H and c_k = M_k/D_c, weight k is (-1)^k C(n,k) N_k,
     and the dot is over D_H D_c.
     """
-    alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
-    row = _shared(("harmonic_row", n, alpha.numerator, alpha.denominator, -1), lambda: _harmonic_row(alpha, n, -1))
-    return _oracle_dot(row, *_seq_terms(c))
+    return _oracle_dot(_oracle_row("harmonic_row", _harmonic_row, n, alpha, -1), *_seq_terms(c))
 
 
 # Second definitions for the ex3.4 right sides: the identities are linear in
@@ -384,8 +382,7 @@ def _laguerre_recurrence(n: int, x) -> Fraction:
     With x = p/q, M_k = k! q^k L_k(x) is an integer: M_0 = 1, M_1 = q - p and
     M_k = ((2k-1)q - p) M_(k-1) - (k-1)^2 q^2 M_(k-2), so L_n(x) = M_n / (n! q^n).
     """
-    x = x if type(x) is Fraction else Fraction(x)
-    p, q = x.numerator, x.denominator
+    p, q = _ratio(x)
     prev, cur = 0, 1  # M_(k-1), M_k at k = 0; the step at k = 1 gives M_1 = q - p
     for k in range(1, n + 1):
         prev, cur = cur, ((2 * k - 1) * q - p) * cur - (k - 1) ** 2 * q * q * prev
@@ -563,17 +560,13 @@ def _series_sides() -> list[IdentityEntry]:
     # the memo scales it once, against the twice of its right side's row; the genfunc
     # right sides negate the shared harmonic tables
     def pan(lam, mu, alpha, n: int) -> list[Fraction]:
-        lam = lam if type(lam) is Fraction else Fraction(lam)
-        mu = mu if type(mu) is Fraction else Fraction(mu)
-        alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
-        key = (lam.numerator, lam.denominator, mu.numerator, mu.denominator, alpha.numerator, alpha.denominator)
-        build = lambda m: pan_lemma_series(max(m, 1), lam, mu, [-h for h in harmonic_table(m, 1, alpha)]).coeffs
-        return _shared_table("pan_lemma_series", key, n, build)
+        (a, b), (c, d) = _ratio(lam), _ratio(mu)
+        build = lambda m: pan_lemma_series(max(m, 1), Fraction(a, b), Fraction(c, d), [-h for h in harmonic_table(m, 1, alpha)]).coeffs
+        return _shared_table("pan_lemma_series", (a, b, c, d, *_ratio(alpha)), n, build)
 
     def genfunc(alpha, n: int) -> list[Fraction]:
-        alpha = alpha if type(alpha) is Fraction else Fraction(alpha)
-        key = (alpha.numerator, alpha.denominator)
-        return _shared_table("harmonic_genfunc", key, n, lambda m: harmonic_genfunc(m, alpha).coeffs)
+        key = _ratio(alpha)
+        return _shared_table("harmonic_genfunc", key, n, lambda m: harmonic_genfunc(m, Fraction(*key)).coeffs)
 
     return [
         IdentityEntry(

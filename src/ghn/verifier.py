@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import DomainError, OutOfValidityRangeError
-from .exact import RatLike, _oracle_terms, as_fraction, binom_int, shared_run
+from .exact import RatLike, _oracle_ratio, _oracle_terms, as_fraction, binom_int, shared_run
 from .polyseries import PolyQ, TruncSeries, geometric, log_one_minus
 
 ASSERT = "ASSERT"
@@ -215,19 +215,19 @@ def _binomial_num(row: Sequence[int], den: int, n: int, mu: RatLike = 1, lam: Ra
 
     With mu = a/b and lam = c/d, term k is the integer row[k] (ad)^k (bc)^(n-k),
     and the sum is divided once by den (bd)^n.  It is summed by Horner's rule
-    in ad, from k = n down, with a running power of bc.  An int or a Fraction
-    mu and lam are read as they are, any other scalar through Fraction().
+    in ad, from k = n down, with a running power of bc.  mu and lam are read
+    by exact._oracle_ratio.
     """
-    mu = mu if type(mu) is Fraction or type(mu) is int else Fraction(mu)
-    lam = lam if type(lam) is Fraction or type(lam) is int else Fraction(lam)
-    x = mu.numerator * lam.denominator
-    y = mu.denominator * lam.numerator
+    a, b = _oracle_ratio(mu)
+    c, d = _oracle_ratio(lam)
+    x = a * d
+    y = b * c
     total = 0
     ypow = 1  # y^(n-k)
     for k in range(n, -1, -1):
         total = total * x + row[k] * ypow
         ypow *= y
-    return Fraction(total, den * (mu.denominator * lam.denominator) ** n)
+    return Fraction(total, den * (b * d) ** n)
 
 
 def _sample(cell: Cell, lhs: Fraction, rhs: Fraction) -> dict:

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +31,17 @@ from ghn.closed_forms import (
 )
 from ghn.errors import DomainError, OutOfValidityRangeError
 from ghn.exact import binom_int, binom_rat, hockey_stick_sum, shared_run
-from ghn.registry import _bernoulli_alternating, _gould_oracle, _laguerre_recurrence, _ratio_row
+from ghn.registry import (
+    _bernoulli_alternating,
+    _gould_oracle,
+    _gould_side,
+    _ht_sum,
+    _laguerre_recurrence,
+    _lemma21_side,
+    _ratio_row,
+    _ratio_side,
+    _thm33_side,
+)
 from ghn.sequences import _harmonic_num, harmonic, harmonic_p, harmonic_table, skew_harmonic
 from ghn.transforms import binomial_transform
 from ghn.verifier import _binomial_num, _binomial_row, binomial_oracle
@@ -443,6 +455,12 @@ COERCING_SITES = {
     "thm33_nabla_rhs in a run": _with_run(lambda x: thm33_nabla_rhs(_C, 5, x)),
     "as_np_closed:z in a run": _with_run(lambda x: as_np_closed(5, 2, x, Fraction(1, 2))),
     "as_np_closed:alpha in a run": _with_run(lambda x: as_np_closed(5, 2, Fraction(1, 2), x)),
+    # the oracle rows, read through registry._oracle_row
+    "_ht_sum in a run": _with_run(lambda x: _ht_sum(x, 5, Fraction(2, 3), Fraction(-1, 2))),
+    "_ratio_side in a run": _with_run(lambda x: _ratio_side(_C, 5, x)),
+    "_lemma21_side in a run": _with_run(lambda x: _lemma21_side(_C, 5, x)),
+    "_thm33_side in a run": _with_run(lambda x: _thm33_side(_C, 5, x)),
+    "_gould_side in a run": _with_run(lambda x: _gould_side(5, 2, x)),
 }
 
 
@@ -454,6 +472,33 @@ def test_a_float_or_string_scalar_reads_as_its_fraction(site, x):
     value = call(x)
     assert value == call(Fraction(x))
     assert type(value) is type(call(Fraction(x)))
+
+
+def _type_tests_of_fraction(node, where: str, found: set) -> None:
+    """Add to found the innermost function (or "<module>") around each `type(...) is Fraction` test under node."""
+    for child in ast.iter_child_nodes(node):
+        if (
+            isinstance(child, ast.Compare)
+            and isinstance(child.left, ast.Call)
+            and getattr(child.left.func, "id", None) == "type"
+            and any(getattr(right, "id", None) == "Fraction" for right in child.comparators)
+        ):
+            found.add(where)
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        _type_tests_of_fraction(child, inner, found)
+
+
+def test_a_scalar_is_coerced_inline_only_where_pinned():
+    # a scalar is read through exact._ratio (closed forms) or exact._oracle_ratio (oracles),
+    # and the row readers closed_forms._row and registry._oracle_row call those; only
+    # check_lambda_domain and _harmonic_num, which both sides of a row reach, read inline
+    package = Path(__file__).resolve().parent.parent / "src" / "ghn"
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        where = set()
+        _type_tests_of_fraction(ast.parse(path.read_text(encoding="utf-8")), "<module>", where)
+        found |= {f"{path.stem}.{name}" for name in where}
+    assert found == {"exact._ratio", "exact._oracle_ratio", "closed_forms.check_lambda_domain", "sequences._harmonic_num"}
 
 
 # --- one Fraction per value ----------------------------------------------------------

@@ -683,6 +683,81 @@ def test_oracles_never_call_the_lifting_helper(monkeypatch):
     assert {name: closed_form() for name, closed_form in closed_forms.items()} == closed_expected
 
 
+def test_scalar_readers_are_written_apart(monkeypatch):
+    # the closed forms read a scalar through exact._ratio and the oracles through
+    # exact._oracle_ratio, so a fault in either reader reaches one side of a row only
+    from ghn import closed_forms as cf
+    from ghn import exact, registry
+    from ghn.registry import declare
+
+    a = [Fraction(k * k - 3, k + 2) for k in range(8)]
+    lam, mu, alpha = Fraction(-5, 3), Fraction(2, 7), Fraction(-3, 4)
+    [pan_series], [genfunc] = declare("panequa1-series"), declare("genfunc-alpha")
+    oracles = {
+        "binomial_oracle": lambda: binomial_oracle(7, a, mu, lam),
+        "_ratio_oracle": lambda: registry._ratio_oracle(a, 7, lam),
+        "_knuth_oracle": lambda: registry._knuth_oracle(7, lam),
+        "_power_weight_oracle": lambda: registry._power_weight_oracle(a, 7, 3, mu),
+        "_gould_oracle": lambda: registry._gould_oracle(7, 2, mu),
+        "lemma21_lhs": lambda: cf.lemma21_lhs(a, 7, lam),
+        "concl_item3_lhs": lambda: cf.concl_item3_lhs(7, alpha),
+        "concl_item4_lhs": lambda: cf.concl_item4_lhs(7, alpha),
+        "hockey_stick_sum": lambda: exact.hockey_stick_sum(lam, 7),
+        "_ht": lambda: registry._ht(alpha, 7)[7],
+        "_ht_sum": lambda: registry._ht_sum(alpha, 7, mu, lam),
+        "_ratio_side": lambda: registry._ratio_side(a, 7, lam),
+        "_lemma21_side": lambda: registry._lemma21_side(a, 7, lam),
+        "_thm33_side": lambda: registry._thm33_side(a, 7, alpha),
+        "_gould_side": lambda: registry._gould_side(7, 2, mu),
+    }
+    closed_forms = {
+        "pan_closed_form": lambda: cf.pan_closed_form(7, mu, lam, alpha),
+        "pan_closed_form:mu+lam=0": lambda: cf.pan_closed_form(7, mu, -mu, alpha),
+        "lemma21_rhs": lambda: cf.lemma21_rhs(a, 7, lam),
+        "boyadzhiev_ratio_closed": lambda: cf.boyadzhiev_ratio_closed(a, 7, lam),
+        "knuth_flajolet_rhs": lambda: cf.knuth_flajolet_rhs(7, lam),
+        "thm33_rhs": lambda: cf.thm33_rhs(a, 7, alpha),
+        "thm33_nabla_rhs": lambda: cf.thm33_nabla_rhs(a, 7, alpha),
+        "gould_generalized_rhs": lambda: cf.gould_generalized_rhs(7, 2, mu),
+        "generalized_harmonic_relation": lambda: cf.generalized_harmonic_relation(7, alpha),
+        "idi1_rhs": lambda: cf.idi1_rhs(7, alpha),
+        "as_np_closed": lambda: cf.as_np_closed(7, 3, mu, alpha),
+        "as_p1_closed": lambda: cf.as_p1_closed(7, mu, alpha),
+        "concl_item3_rhs": lambda: cf.concl_item3_rhs(7, alpha),
+        "concl_item4_rhs": lambda: cf.concl_item4_rhs(7, alpha, "square"),
+        "binom_rat": lambda: exact.binom_rat(lam, 7),
+        "_laguerre_recurrence": lambda: registry._laguerre_recurrence(7, alpha),
+        "panequa1-series lhs": lambda: pan_series.lhs(7, lam, mu, alpha),
+        "genfunc-alpha lhs": lambda: genfunc.lhs(7, alpha),
+    }
+
+    def values(sides):
+        with shared_run(7):
+            return {name: side() for name, side in sides.items()}
+
+    expected = values(oracles), values(closed_forms)
+
+    def broken(x):
+        raise RuntimeError("reader called")
+
+    bound = _rebind(monkeypatch, exact._ratio, broken)
+    assert sorted(bound) == ["ghn.closed_forms._ratio", "ghn.exact._ratio", "ghn.registry._ratio"]
+    for side in closed_forms.values():
+        with pytest.raises(RuntimeError, match="reader called"):
+            side()
+    assert values(oracles) == expected[0]
+    monkeypatch.undo()
+    bound = _rebind(monkeypatch, exact._oracle_ratio, broken)
+    assert sorted(bound) == [
+        "ghn.closed_forms._oracle_ratio", "ghn.exact._oracle_ratio", "ghn.registry._oracle_ratio", "ghn.verifier._oracle_ratio"
+    ]
+    for name, side in oracles.items():
+        if name not in ("concl_item3_lhs", "concl_item4_lhs"):  # these read alpha through _harmonic_num alone
+            with pytest.raises(RuntimeError, match="reader called"):
+                side()
+    assert values(closed_forms) == expected[1]
+
+
 def test_declared_sides_bind_their_closed_forms():
     # a side that is one closed form as it stands is that function, with no adapter around it
     from ghn import closed_forms as cf
