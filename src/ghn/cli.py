@@ -21,11 +21,13 @@ the id to registry.build_registry as the pattern and builds one grid.
 
 verify --timings FILE writes a JSON sidecar beside the ledger: per entry, the
 seconds of its cell loop and of its certify hook, its cells, skipped cells and
-cells per second.  The ledger's bytes do not depend on it.
+cells per second.  The ledger's bytes do not depend on it.  A FILE that is
+the --out file (compared after os.path.realpath) is refused before the suite
+runs, since the sidecar would overwrite the ledger.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/parse error (a
-verify --filter that matches no entry id among them), 3 report or timings
-I/O failure.
+Exit codes: 0 success, 1 verification failure, 2 usage/parse error (among
+them a verify --filter that matches no entry id, and --timings naming the
+--out file), 3 report or timings I/O failure.
 
 Integer arguments are capped so that no input can request unbounded work:
 verify and table take --n-max 1..30, compute takes --n-max 0..180, series
@@ -44,7 +46,9 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
+from collections import Counter
 from dataclasses import replace
 
 from .errors import DomainError, OutOfValidityRangeError, SeqSpecError
@@ -209,20 +213,19 @@ def _write_file(path: str, text: str, what: str) -> bool:
 
 
 def cmd_verify(args) -> int:
+    if args.out and args.timings and os.path.realpath(args.out) == os.path.realpath(args.timings):
+        raise UsageError(f"--out and --timings name the same file, {args.out!r}")
     report = run_suite(args.filter, args.n_max, args.seed)
     if not report.results:  # a mistyped filter is not a clean run
         raise UsageError(f"no entry id matches {args.filter!r}")
     payload = report.to_json() if args.format == "json" else report.to_markdown()
-    if args.out:
-        if not _write_file(args.out, payload, "report"):
-            return 3
-    else:
+    if not args.out:
         sys.stdout.write(payload)
+    elif not _write_file(args.out, payload, "report"):
+        return 3
     if args.timings and not _write_file(args.timings, report.to_timings_json(), "timings"):
         return 3
-    tiers: dict[str, int] = {}
-    for r in report.results:
-        tiers[r.tier] = tiers.get(r.tier, 0) + 1
+    tiers = Counter(r.tier for r in report.results)
     summary = ", ".join(f"{k}={v}" for k, v in sorted(tiers.items()))
     print(
         f"{len(report.results)} entries ({summary}) in {report.seconds:.2f}s",

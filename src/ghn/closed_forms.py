@@ -30,21 +30,10 @@ alone, so the closed forms that take a sequence transform, or lift, the whole
 sequence they are given and read its first n+1 entries; that one value serves
 every n.  What depends only on the grid point is a weight row, built once per
 point: each family cell is then one integer dot product (_dot) of the row
-with the sequence's numerators.  Through exact._shared (a row through _row),
-inside a verifier run they compute once per run
-  - per sequence, keyed by its id(): the _transform_num of (0, a_1, a_2, ...)
-    (boyadzhiev_ratio_closed), the lift of (0, b_1, b_2, ...) (lemma21_rhs),
-    the inverse _transform_num of c, which thm33_rhs and thm33_nabla_rhs share
-    under one key, the _transform_num of a (lambda1_case_rhs) and the
-    binomial_transform of a (power_weighted_rhs);
-  - per (n, lam): Lemma 2.1's row _lemma21_row, with its argument checks
-    (lemma21_rhs and boyadzhiev_ratio_closed);
-  - per (n, alpha): thm33_rhs's row _thm33_row, which folds H_n(alpha), the
-    1/(n-m) tail and the Gould row _gould_num(n, n-m, p, q, L) over one
-    scale, and thm33_nabla_rhs's row weighted_nabla(b, n) with
-    b_j = idi1_rhs(j, alpha), lifted to integers over one denominator;
-  - per (m, z, alpha): as_np_closed's Pan value pan_closed_form(m, z, 1, alpha),
-    which every (n, p) with n-p <= m <= n reads.
+with the sequence's numerators.  Inside a verifier run each is computed once
+per run, through the run memo exact._shared: a sequence's transform or lift
+per sequence, keyed by its id() (_per_sequence), and a row per (n, scalar)
+(_row).  The exact docstring lists every value kept there and its tag.
 A row builder raises for a point outside its domain (a DomainError), and a
 raised build is never stored, so every excluded cell still skips.  The memo
 holds each sequence it keys, so no id is reused while the run lasts, and a
@@ -241,11 +230,11 @@ def lambda1_case_rhs(a: Sequence[RatLike], n: int) -> Fraction:
 def power_weighted_rhs(a: Sequence[RatLike], n: int, p: int) -> Fraction:
     """sum_k C(n,k) k^p a_k from the plain transform b of a: sanchez_transform(b, n, p).
 
-    b is the transform of the whole of a, once per run (_transform); entry m
+    b is the transform of the whole of a, once per run; entry m
     reads a_0..a_m alone.  Valid for p <= n, like sanchez_transform.
     """
     check_terms(a, n, "a")
-    return sanchez_transform(_transform(a), n, p)
+    return sanchez_transform(_per_sequence("transform", a, binomial_transform), n, p)
 
 
 def knuth_flajolet_rhs(n: int, lam: RatLike) -> Fraction:
@@ -321,11 +310,6 @@ def _row(tag: str, build, n: int, x: RatLike):
 def _inverse_num(c: Sequence) -> tuple[list[int], int]:
     """The inverse _transform_num of c, once per run for both Theorem 3.3 forms."""
     return _per_sequence("inverse", c, lambda c: _transform_num(c, inverse=True))
-
-
-def _transform(a: Sequence) -> list[Fraction]:
-    """binomial_transform of the whole of a, once per run for power_weighted_rhs."""
-    return _per_sequence("transform", a, binomial_transform)
 
 
 def pan_closed_form(n: int, mu: RatLike, lam: RatLike, alpha: RatLike) -> Fraction:
@@ -509,6 +493,7 @@ def as_zneg1_alpha1_closed(n: int, p: int, as_printed: bool = False) -> Fraction
 # The concluding sums of items 3 and 4.  Their superscript-(2) notation is
 # ambiguous: reading="p2" takes it as the weight-2 sum H_n^(2)(x), "square" as
 # a square.  Neither pairing is asserted anywhere; the verifier only reports them.
+# Both right sides, under both readings, are sums of _concl_sums' integers.
 
 
 def _check_concl_args(n: int, reading: str = "p2") -> None:
@@ -536,34 +521,45 @@ def concl_item3_rhs(n: int, alpha: RatLike, reading: str = "p2") -> Fraction:
     """(H_n^2 + H_n^(2))/2 at alpha = 1, otherwise
     H_n(alpha) H_n + H_n^(2)(alpha) - sum_{k=1..n} alpha^k H_k/k.
 
-    For alpha = e/f != 1, with L = lcm(1..n) and t_k = e^k f^(n-k), one loop
-    gives ha = sum t_k (L/k), h = sum L/k, h2a = sum t_k (L/k)^2 and
-    tail = sum t_k h_k (L/k), h_k the running h: H_n(alpha) = ha/(f^n L),
-    H_n = h/L, H_n^(2)(alpha) = h2a/(f^n L^2), and the tail sum is
-    tail/(f^n L^2).
+    With alpha = e/f and the sums of _concl_sums(n, e, f): H_n(alpha) = ha/(f^n L),
+    H_n = h/L, H_n^(2)(alpha) = h2a/(f^n L^2), H_n^(2) = w2/L^2, and the tail
+    sum is tail/(f^n L^2).
     """
     _check_concl_args(n, reading)
     e, f = _ratio(alpha)
+    ha, h, h2a, w2, tail, fn, lcm = _concl_sums(n, e, f)
     if e == f:  # alpha = 1
-        h = harmonic(n)
-        return (h * h + harmonic_p(n, 2, 1)) / 2
+        return Fraction(h * h + w2, 2 * lcm * lcm)
+    if reading == "p2":
+        return Fraction(ha * h + h2a - tail, fn * lcm * lcm)
+    return Fraction((ha * h - tail) * fn + ha * ha, fn * fn * lcm * lcm)
+
+
+def _concl_sums(n: int, x: int, y: int) -> tuple[int, int, int, int, int, int, int]:
+    """The integer sums of the concluding right sides: (ha, h, h2a, w2, tail, y^n, L).
+
+    With L = lcm(1..n), w_k = L/k, t_k = x^k y^(n-k) and h_k = w_1 + ... + w_k,
+    one loop gives ha = sum t_k w_k, h = sum w_k, h2a = sum t_k w_k^2,
+    w2 = sum w_k^2 and tail = sum t_k h_k w_k, for k = 1..n.  At z = x/y,
+    H_n(z) = ha/(y^n L), H_n = h/L, H_n^(2)(z) = h2a/(y^n L^2) and
+    H_n^(2) = w2/L^2.
+    """
     lcm = math.lcm(*range(1, n + 1))
-    fpow = [1]  # f^j for j = 0..n
+    ypow = [1]  # y^j for j = 0..n
     for _ in range(n):
-        fpow.append(fpow[-1] * f)
-    ha = h = h2a = tail = 0
-    epow = 1
+        ypow.append(ypow[-1] * y)
+    ha = h = h2a = w2 = tail = 0
+    xpow = 1
     for k in range(1, n + 1):
-        epow *= e
-        t = epow * fpow[n - k]
+        xpow *= x
+        t = xpow * ypow[n - k]
         w = lcm // k
         h += w
         ha += t * w
         h2a += t * w * w
+        w2 += w * w
         tail += t * h * w
-    if reading == "p2":
-        return Fraction(ha * h + h2a - tail, fpow[n] * lcm * lcm)
-    return Fraction((ha * h - tail) * fpow[n] + ha * ha, fpow[n] ** 2 * lcm * lcm)
+    return ha, h, h2a, w2, tail, ypow[n], lcm
 
 
 def concl_item4_lhs(n: int, alpha: RatLike) -> Fraction:
@@ -575,27 +571,13 @@ def concl_item4_lhs(n: int, alpha: RatLike) -> Fraction:
 def concl_item4_rhs(n: int, alpha: RatLike, reading: str = "p2") -> Fraction:
     """H_n^(2)(1-alpha) - H_n^(2)(1), or with squares for reading="square".
 
-    With 1 - alpha = x/y, L = lcm(1..n) and t_k = x^k y^(n-k), one loop:
-    "p2" is sum_k (t_k - y^n) (L/k)^2 over y^n L^2, and "square" is
-    (ha^2 - h^2 y^(2n)) over y^(2n) L^2, with ha = sum_k t_k (L/k) and
-    h = sum_k L/k.
+    With 1 - alpha = x/y and the sums of _concl_sums(n, x, y): "p2" is
+    (h2a - y^n w2) over y^n L^2, and "square" is (ha^2 - h^2 y^(2n)) over
+    y^(2n) L^2.
     """
     _check_concl_args(n, reading)
-    x, y = _ratio(alpha)
-    x = y - x
-    lcm = math.lcm(*range(1, n + 1))
-    ypow = [1]  # y^j for j = 0..n
-    for _ in range(n):
-        ypow.append(ypow[-1] * y)
-    ha = h = total = 0
-    xpow = 1
-    for k in range(1, n + 1):
-        xpow *= x
-        t = xpow * ypow[n - k]
-        w = lcm // k
-        total += (t - ypow[n]) * w * w
-        ha += t * w
-        h += w
+    e, y = _ratio(alpha)
+    ha, h, h2a, w2, _, yn, lcm = _concl_sums(n, y - e, y)
     if reading == "p2":
-        return Fraction(total, ypow[n] * lcm * lcm)
-    return Fraction(ha * ha - h * h * ypow[n] ** 2, ypow[n] ** 2 * lcm * lcm)
+        return Fraction(h2a - yn * w2, yn * lcm * lcm)
+    return Fraction(ha * ha - h * h * yn * yn, yn * yn * lcm * lcm)

@@ -1,7 +1,9 @@
 """Exact rational scalars and binomial/factorial primitives.
 
-Every scalar in this package is an exact ``fractions.Fraction``; nothing
-here ever touches floating point.  Fractions are always
+Every scalar in this package is exact: an ``int`` or a ``fractions.Fraction``.
+A side may pass an integer scalar as an int (``registry._ht_sum(-1, n)``), and
+a kernel reads either kind as an integer numerator and denominator (the reader
+rule below); nothing here ever touches floating point.  Fractions are always
 stored reduced with a positive denominator, parse from strings like ``"p/q"``
 and print the same way, so they double as the wire format.  The series
 kernels read their scalar arguments through ``as_fraction``, which refuses a
@@ -44,11 +46,14 @@ the run; outside a run it is built to the n asked for.  No module keeps a
 cache of values of its own (cli builds its argument parser once per process;
 it holds no computed value).  No oracle function calls ``_shared``, nor
 does a row builder.  Its readers, and their tags, are:
-  - closed_forms: per sequence, keyed by its id(), its transform ("ratio",
-    "transform", "transform_num"), inverse transform ("inverse") or lift
-    ("lemma21"); the weight rows of Lemma 2.1 per (n, lambda) ("lemma21_row")
-    and of Theorem 3.3 per (n, alpha) ("thm33_row", "nabla"); and the
-    newcoffey form's Pan values ("pan");
+  - closed_forms: per sequence, keyed by its id(), its transform ("ratio"
+    for boyadzhiev_ratio_closed, of (0, a_1, a_2, ...); "transform" for
+    power_weighted_rhs; "transform_num" for lambda1_case_rhs), inverse
+    transform ("inverse", which both Theorem 3.3 forms read) or lift
+    ("lemma21"); the weight rows, with their argument checks, of Lemma 2.1
+    per (n, lambda) ("lemma21_row") and of Theorem 3.3 per (n, alpha)
+    ("thm33_row", "nabla"); and the newcoffey form's Pan values per
+    (m, z, alpha) ("pan"), which every (n, p) with n-p <= m <= n reads;
   - transforms: the Sanchez weights j! S(p, j), per p ("sanchez-weights");
   - registry: the oracle inputs and rows that its sides read, under tags
     that no closed form uses: through ``_shared_table``, the harmonic tables

@@ -24,17 +24,18 @@ plus an integer kernel over the lifted terms (nums, den), and reads no memo.
 Where the weights depend only on the grid point, a pure row builder makes
 them, (weights, scale) in integers, and the kernel is one dot product of the
 row with the lift (exact._oracle_dot): _ratio_row per (n, lambda) for the
-ratio sum, closed_forms._lemma21_lhs_row for Lemma 2.1's left side.  The grid
-sides read through the run memo, once per run, under tags that no closed
-form uses: the lift of each harmonic table per alpha (_ht_terms) and of each
-family sequence, whole, keyed by its id() (_seq_terms); the Gould row
-(-1)^k C(n,k) C(k,j)/k per (n, j) (_gould_side); and, through _oracle_row,
-the ratio and Lemma 2.1 rows per (n, lambda) (_ratio_side, _lemma21_side) and
-the harmonic row sign^k C(n,k) N_k per (n, alpha) (_harmonic_row), which
-_ht_sum sums by Horner's rule at each (mu, lambda) and _thm33_side dots with
-the lifted c, so a family cell is one integer dot product.  A lift of a
-whole table or sequence serves every n up to its length.  The power-weighted
-sums take the integer weights k^p N_k over D from the lifted numerators.  The
+ratio sum, closed_forms._lemma21_lhs_row for Lemma 2.1's left side.  The
+family and harmonic grid sides call an oracle's kernel, not the oracle, on a
+lift or row read once per run through the run memo, under tags that no
+closed form uses (the exact docstring lists them): _power_weight_num at the
+lift of a family sequence (_seq_terms) or of a harmonic table (_ht_terms);
+_gould_side at the Gould row per (n, j); _ratio_side and _lemma21_side at
+their rows per (n, lambda) (_oracle_row); and _ht_sum and _thm33_side at the
+harmonic row sign^k C(n,k) N_k per (n, alpha) (_harmonic_row), which _ht_sum
+sums by Horner's rule at each (mu, lambda) and _thm33_side dots with the
+lifted c, so a family cell is one integer dot product.  A lift of a whole
+table or sequence serves every n up to its length.  _power_weight_oracle and
+_gould_oracle are the references that tests hold those kernels to.  The
 oracle sides read a scalar through exact._oracle_ratio; the series sides of
 panequa1-series and genfunc-*, which lift through common_denominator, key
 their series through exact._ratio (the reader rule is in exact).

@@ -52,6 +52,8 @@ SAMPLE_CAP = 3
 # a certify hook proves its identity for each n <= CERTIFY_N at alpha = ALPHA, alpha itself
 CERTIFY_N = 30
 ALPHA = PolyQ([0, 1])
+# the EntryResult fields that a ledger entry holds, in the order it writes them
+LEDGER_FIELDS = ("id", "anchor", "tier", "cells", "skipped", "counterexamples", "note")
 
 Cell = dict
 
@@ -117,18 +119,7 @@ class VerdictReport:
             "suite": self.suite,
             "seed": self.seed,
             "n_max": self.n_max,
-            "entries": [
-                {
-                    "id": r.id,
-                    "anchor": r.anchor,
-                    "tier": r.tier,
-                    "cells": r.cells,
-                    "skipped": r.skipped,
-                    "counterexamples": r.counterexamples,
-                    "note": r.note,
-                }
-                for r in self.results
-            ],
+            "entries": [{name: getattr(r, name) for name in LEDGER_FIELDS} for r in self.results],
         }
 
     def to_json(self) -> str:
@@ -147,18 +138,13 @@ class VerdictReport:
             note = r.note.replace("|", "\\|")
             lines.append(f"| {r.id} | {r.tier} | {r.cells} | {r.skipped} | {note} |")
         lines.append("")
-        shown = False
-        for r in self.results:
-            if not r.counterexamples:
-                continue
-            if not shown:
-                lines.append("## Sample cells")
-                lines.append("")
-                shown = True
-            for ce in r.counterexamples:
-                params = ", ".join(f"{k}={v}" for k, v in ce["params"].items())
-                verdict = "==" if ce["lhs"] == ce["rhs"] else "!="
-                lines.append(f"- `{r.id}` at {params}: lhs={ce['lhs']} {verdict} rhs={ce['rhs']}")
+        samples = [(r.id, ce) for r in self.results for ce in r.counterexamples]
+        if samples:
+            lines += ["## Sample cells", ""]
+        for entry_id, ce in samples:
+            params = ", ".join(f"{k}={v}" for k, v in ce["params"].items())
+            verdict = "==" if ce["lhs"] == ce["rhs"] else "!="
+            lines.append(f"- `{entry_id}` at {params}: lhs={ce['lhs']} {verdict} rhs={ce['rhs']}")
         lines.append("")
         return "\n".join(lines)
 

@@ -653,9 +653,19 @@ def test_verify_filter_matching_nothing_exits_2(tmp_path, capsys):
 
 
 def test_verify_markdown_format(capsys):
+    # an ASSERT row that holds keeps no sample cell, so the report is the table alone, with no sample section
     code, out, _ = run_cli(["verify", "--filter", "knuth*", "--n-max", "6", "--format", "md"], capsys)
     assert code == 0
-    assert out.startswith("# Identity verification report")
+    assert out == (
+        "# Identity verification report\n"
+        "\n"
+        "suite: `ghn:knuth*`, seed: 42, n_max: 6\n"
+        "\n"
+        "| id | tier | cells | skipped | note |\n"
+        "|---|---|---:|---:|---|\n"
+        "| knuth-flajolet | HOLDS_ON_GRID | 24 | 0 |  |\n"
+        "\n"
+    )
 
 
 def test_verify_exit_1_on_injected_fault(capsys, monkeypatch):
@@ -708,6 +718,18 @@ def test_verify_timings_sidecar_leaves_the_ledger_unchanged(tmp_path, capsys):
     # only the entries with a certify hook spend certificate time
     certified = {r["id"] for r in ledger if r["tier"] == "CERTIFIED"}
     assert certified and {r["id"] for r in rows if r["certify_s"] > 0} == certified
+
+
+def test_verify_timings_on_the_ledger_file_exits_2(tmp_path, capsys, monkeypatch):
+    # the sidecar would overwrite the ledger, however the two paths are spelled: refused before the suite runs
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    ledger = tmp_path / "report.json"
+    argv = ["verify", "--filter", "knuth*", "--n-max", "4", "--out", "report.json", "--timings", "sub/../report.json"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --out and --timings name the same file, 'report.json'\n"
+    assert not ledger.exists()
 
 
 def test_verify_timings_io_failure_exits_3(tmp_path, capsys):

@@ -1004,8 +1004,8 @@ def test_every_closed_form_statement_is_reached_by_the_ledger():
     assert missed == set()
 
 
-def _functions_reached(entry_id, side_name):
-    """Names of the ghn functions outside the registry's wiring that one side calls on up to 15 cells.
+def _functions_reached(entry_id, side_name, limit=15):
+    """Names of the ghn functions outside the registry's wiring that one side calls on up to `limit` cells (None: all).
 
     Each side runs on its own fresh registry, so no memo that the other side
     filled hides a call.
@@ -1029,7 +1029,7 @@ def _functions_reached(entry_id, side_name):
     previous = sys.getprofile()
     sys.setprofile(on_call)
     try:
-        for cell in entry.cells[:15]:
+        for cell in entry.cells[:limit]:
             try:
                 side(*[cell[name] for name in entry.params])
             except (DomainError, OutOfValidityRangeError):
@@ -1080,6 +1080,14 @@ def test_functions_both_sides_reach_are_pinned():
     assert shared == SHARED
     # the coefficient rows belong to the closed forms alone
     assert not any({"_sanchez_row", "weighted_nabla"} & names for names in shared.values())
+
+
+@pytest.mark.parametrize("entry_id", ["concl-item3", "concl-item3-square", "concl-item4", "concl-item4-square"])
+def test_concluding_sides_share_only_their_argument_check(entry_id):
+    # over every cell, alpha = 1 included: the right sides sum _concl_sums' integers and
+    # reach no harmonic kernel, so only the argument check is common to both sides
+    both = _functions_reached(entry_id, "lhs", None) & _functions_reached(entry_id, "rhs", None)
+    assert both == {"_check_concl_args"}
 
 
 def _double(value):
