@@ -57,10 +57,11 @@ does a row builder.  Its readers, and their tags, are:
   - transforms: the Sanchez weights j! S(p, j), per p ("sanchez-weights");
   - registry: the oracle inputs and rows that its sides read, under tags
     that no closed form uses: through ``_shared_table``, the harmonic tables
-    ("harmonic_table"), their lifts ("harmonic_terms") and the series of Pan's
-    lemma and of log(1-alpha*t)/(1-t) ("pan_lemma_series",
-    "harmonic_genfunc"); through ``_shared``, the lift of each family
-    sequence, keyed by its id() ("oracle_terms"), the Gould row per (n, j)
+    ("harmonic_table"), their lifts ("harmonic_terms"), the Bernoulli numbers
+    ("bernoulli_table") and the series of Pan's lemma and of
+    log(1-alpha*t)/(1-t) ("pan_lemma_series", "harmonic_genfunc"); through
+    ``_shared``, the lift of each family sequence, keyed by its id()
+    ("oracle_terms"), the Gould row per (n, j)
     ("gould_row"), the ratio and Lemma 2.1 oracle rows per (n, lambda)
     ("ratio_row", "lemma21_lhs_row") and the harmonic row
     sign^k C(n,k) N_k per (n, alpha, sign) ("harmonic_row").

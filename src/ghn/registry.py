@@ -45,7 +45,9 @@ ledger order in ``_GROUPS``; ``GROUP_OF`` maps each id to its group and is
 read once, at import, from the groups' own output, so no id is written twice.
 ``declare(pattern)`` gives the entries whose id matches the fnmatch pattern,
 with no cells, and builds only the groups that hold them, so ``eval`` and
-``series`` build one group's sides.  ``build_registry(n_max, seed, pattern)``
+``series`` build one group's sides.  It rebuilds those groups on every call
+because sides bind their kernels when declared: a kernel patched between two
+declares must reach the second.  ``build_registry(n_max, seed, pattern)``
 builds the grids and families of those entries, and of no other entry, so
 ``verify --filter`` and ``table`` build only what they run.
 
@@ -401,7 +403,7 @@ def _exact_sides() -> list[IdentityEntry]:
             lhs=lambda n, x: hockey_stick_sum(x, n),
             rhs=lambda n, x: binom_rat(x + n + 1, n),
             grid=lambda n_max, rng: [
-                {"x": x, "n": n} for xs in [sorted({rand_rat(rng) for _ in range(20)})] for n in range(min(n_max, 30) + 1) for x in xs
+                {"x": x, "n": n} for xs in [sorted({rand_rat(rng) for _ in range(20)})] for n in range(n_max + 1) for x in xs
             ],
         )
     ]
@@ -761,7 +763,7 @@ def _example34_sides() -> list[IdentityEntry]:
             id="ex3.4-bernoulli",
             anchor="sum_k C(n,k) B_k = (-1)^n B_n",
             params=("n",),
-            lhs=lambda n: binomial_oracle(n, bernoulli_table(n)),
+            lhs=lambda n: binomial_oracle(n, _shared_table("bernoulli_table", (), n, bernoulli_table)),
             rhs=_bernoulli_alternating,
             note="pins the B_1 = -1/2 convention; the +1/2 convention fails at n = 1",
             grid=_n0_grid,

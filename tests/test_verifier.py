@@ -587,6 +587,27 @@ def test_no_run_memo_key_holds_a_fraction():
     assert [key for key in keys if _holds_a_fraction(key)] == []
 
 
+def test_no_run_memo_tag_is_read_by_both_sides(monkeypatch):
+    # each tag is read from the closed forms' modules or from the registry's oracle
+    # sides, never from both, so no memo value is work that both sides of a row share
+    from ghn import exact
+
+    real, readers = exact._shared, {}
+
+    def recording(key, build):
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] == "ghn.exact":  # _shared_table reads for its caller
+            frame = frame.f_back
+        readers.setdefault(key[0], set()).add(frame.f_globals["__name__"])
+        return real(key, build)
+
+    assert _rebind(monkeypatch, real, recording)
+    run_suite("*", 8, 42)
+    closed, oracle = {"ghn.closed_forms", "ghn.transforms"}, {"ghn.registry"}
+    assert {tag: mods for tag, mods in readers.items() if not (mods <= closed or mods <= oracle)} == {}
+    assert len(readers) == 20
+
+
 def _value_or_error(side, point):
     try:
         return side(*point)
@@ -1004,11 +1025,11 @@ def test_every_closed_form_statement_is_reached_by_the_ledger():
     assert missed == set()
 
 
-def _functions_reached(entry_id, side_name, limit=15):
-    """Names of the ghn functions outside the registry's wiring that one side calls on up to `limit` cells (None: all).
+def _functions_reached(entry_id, side_name):
+    """Names of the ghn functions outside the registry's wiring that one side calls on every cell of its entry.
 
-    Each side runs on its own fresh registry, so no memo that the other side
-    filled hides a call.
+    Each side runs on a fresh registry of its own entry, so no memo that the
+    other side filled hides a call.
     """
     import ghn
     import ghn.registry as registry_mod
@@ -1016,7 +1037,7 @@ def _functions_reached(entry_id, side_name, limit=15):
 
     package = str(Path(inspect.getsourcefile(ghn)).parent)
     wiring = inspect.getsourcefile(registry_mod)
-    entry = next(e for e in build_registry(8, 42) if e.id == entry_id)
+    (entry,) = build_registry(8, 42, entry_id)
     side = getattr(entry, side_name)
     names = set()
 
@@ -1029,7 +1050,7 @@ def _functions_reached(entry_id, side_name, limit=15):
     previous = sys.getprofile()
     sys.setprofile(on_call)
     try:
-        for cell in entry.cells[:limit]:
+        for cell in entry.cells:
             try:
                 side(*[cell[name] for name in entry.params])
             except (DomainError, OutOfValidityRangeError):
@@ -1039,13 +1060,15 @@ def _functions_reached(entry_id, side_name, limit=15):
     return names
 
 
-# The ghn functions that both sides of each ASSERT entry reach.  Pan's closed
-# form, the p = 1 expansion (as_p1_closed) and the ex3.4 right sides call no
-# sequence generator.  _shared is the run
-# memo: the registry's lifted oracle inputs (tables through _shared_table), the
-# oracle rows and the closed forms' rows are all read through it, under tags of
+# The ghn functions that both sides of each entry reach, over every cell of every
+# row, ASSERT and REPORT_ONLY alike.  Pan's closed form, the p = 1 expansion
+# (as_p1_closed) and the ex3.4 right sides call no sequence generator.  _shared is
+# the run memo: the registry's lifted oracle inputs (tables through _shared_table),
+# the oracle rows and the closed forms' rows are all read through it, under tags of
 # their own.  check_terms is called by the oracles' dot product
-# (exact._oracle_dot) and by the closed forms that take a sequence.
+# (exact._oracle_dot) and by the closed forms that take a sequence.  The
+# concluding items' right sides sum _concl_sums' integers and reach no harmonic
+# kernel, so only their argument check is common to both sides.
 SHARED = {
     **dict.fromkeys(["lemma2.1-ones-zero", "lemma2.1-ones", "knuth-flajolet"], {"check_lambda_domain"}),
     **dict.fromkeys(
@@ -1062,32 +1085,30 @@ SHARED = {
     **dict.fromkeys(["eq-eulerbnew", "eq-eulerbnew-j0-corrected"], {"binom_int"}),
     "sanchez-transform": {"binom_int", "_shared"},
     **dict.fromkeys(["sanchez-weight", "sanchez-p1", "sanchez-p2", "sanchez-p3"], {"binom_int"}),
+    # REPORT_ONLY
+    "lemma2.1-ones-as-printed": {"check_lambda_domain"},
+    "skew-sign-convention": {"harmonic_p", "_harmonic_num"},
+    "eq-eulerbnew-j0": {"binom_int"},
+    "as-newcoffey1-as-printed": {"_harmonic_num", "binom_int"},
+    **dict.fromkeys(["as-p2-display", "as-p3-display"], {"binom_int", "_shared"}),
+    **dict.fromkeys(["concl-item3", "concl-item3-square", "concl-item4", "concl-item4-square"], {"_check_concl_args"}),
 }
 
 
 def test_functions_both_sides_reach_are_pinned():
-    """The ghn functions that both sides of each ASSERT entry reach, so that new sharing fails here.
+    """The ghn functions that both sides of each entry reach, so that new sharing fails here.
 
     A fault in a function that both sides call can cancel out; the kernel-fault
-    test below shows that none of these does.
+    test below shows that none of these does on the ASSERT rows.
     """
     shared = {}
     for entry in build_registry(8, 42):
-        if entry.policy == ASSERT:
-            both = _functions_reached(entry.id, "lhs") & _functions_reached(entry.id, "rhs")
-            if both:
-                shared[entry.id] = both
+        both = _functions_reached(entry.id, "lhs") & _functions_reached(entry.id, "rhs")
+        if both:
+            shared[entry.id] = both
     assert shared == SHARED
     # the coefficient rows belong to the closed forms alone
     assert not any({"_sanchez_row", "weighted_nabla"} & names for names in shared.values())
-
-
-@pytest.mark.parametrize("entry_id", ["concl-item3", "concl-item3-square", "concl-item4", "concl-item4-square"])
-def test_concluding_sides_share_only_their_argument_check(entry_id):
-    # over every cell, alpha = 1 included: the right sides sum _concl_sums' integers and
-    # reach no harmonic kernel, so only the argument check is common to both sides
-    both = _functions_reached(entry_id, "lhs", None) & _functions_reached(entry_id, "rhs", None)
-    assert both == {"_check_concl_args"}
 
 
 def _double(value):
@@ -1111,8 +1132,8 @@ def _doubled(fn):
 # symmetric read drops a row from this set and fails here.
 DOUBLED_MEMO_FAILS = {
     "as-newcoff", "as-newcoffey", "as-newcoffey1", "as-p0", "as-p1-exemple1", "concl-item2", "eq-eulerbnew",
-    "eq-eulerbnew-j0-corrected", "ex3.4-harmonic-alt", "frontczak-variant", "idi1-alternating", "pan-thm3.2",
-    "panequa1-series", "sanchez-transform", "sanchez-weight", "skew-transform", "spivey-generalization",
+    "eq-eulerbnew-j0-corrected", "ex3.4-bernoulli", "ex3.4-harmonic-alt", "frontczak-variant", "idi1-alternating",
+    "pan-thm3.2", "panequa1-series", "sanchez-transform", "sanchez-weight", "skew-transform", "spivey-generalization",
     "thm2.3-lambda1", "thm3.3-eqnnew8", "thm3.3-nabla",
 }
 
@@ -1128,9 +1149,10 @@ def test_doubled_memo_census_is_pinned(monkeypatch):
 
 @pytest.mark.parametrize(
     "name",
-    # every function both sides reach but check_terms, which returns nothing, and
-    # the generators that the ex3.4 left sides call, so their right sides must not
-    sorted(set().union(*SHARED.values()) - {"check_terms"} | {"fibonacci", "lucas", "bernoulli_table"}),
+    # every function both sides reach but check_terms and _check_concl_args, which
+    # return nothing, and the generators that the ex3.4 left sides call, so their
+    # right sides must not
+    sorted(set().union(*SHARED.values()) - {"check_terms", "_check_concl_args"} | {"fibonacci", "lucas", "bernoulli_table"}),
 )
 def test_doubled_shared_function_fails_an_assert_entry(monkeypatch, name):
     from ghn import closed_forms, exact, sequences
