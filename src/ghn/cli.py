@@ -4,6 +4,8 @@ Subcommands: compute (sequence tables), eval (both sides of one registry
 entry at a point), verify (run the identity registry and write a verdict
 report), series (coefficient-exact series checks), table (per-cell view of
 one registry entry).  All rationals cross this boundary as "p/q" strings.
+main reads a named command's arguments once, with that command's own parser;
+any other argv (none, -h, an unknown command) goes to the top-level parser.
 
 eval builds no grid: it checks its id against registry.GROUP_OF, takes the
 entry's sides from registry.declare with the id as the pattern, so that only
@@ -273,9 +275,13 @@ def cmd_table(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parse_args leaves it unchanged."""
+    """The argument parser, built once per process; parse_args leaves it unchanged.
+
+    Its commands attribute maps each command name to that command's parser.
+    """
     parser = argparse.ArgumentParser(prog="ghn", description="exact generalized-harmonic identity toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("compute", help="tabulate a sequence")
     p.add_argument("--seq", required=True, help='e.g. "harmonic:p=1,alpha=1/3"')
@@ -310,7 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in parser.commands:  # parse_args would read argv here, then again in this parser
+        args, extra = parser.commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:  # reported as parse_args reports them
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:  # no command named: only the top-level parser prints its usage
+        args = parser.parse_args(argv)
     try:
         # looked up at call time, so a rebound cmd_* function is the one that runs
         return globals()[f"cmd_{args.command}"](args)

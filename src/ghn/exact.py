@@ -43,9 +43,10 @@ when that call ends, so no value outlives its run and a kernel patched
 between two runs reaches the second.  ``_shared_table`` reads a table indexed
 0..n through it, built once to the run's size, so one table serves every n of
 the run; outside a run it is built to the n asked for.  No module keeps a
-cache of values of its own (cli builds its argument parser once per process;
-it holds no computed value).  No oracle function calls ``_shared``, nor
-does a row builder.  Its readers, and their tags, are:
+cache of values of its own (cli builds its argument parser, with the parser
+of each command, once per process; it holds no computed value).  No oracle
+function calls ``_shared``, nor does a row builder.  Its readers, and their
+tags, are:
   - closed_forms: per sequence, keyed by its id(), its transform ("ratio"
     for boyadzhiev_ratio_closed, of (0, a_1, a_2, ...); "transform" for
     power_weighted_rhs; "transform_num" for lambda1_case_rhs), inverse

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import io
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ghn.cli import ALIASES, READINGS, SEQ_NAMES, SERIES_CHECKS, main
+from ghn.cli import ALIASES, READINGS, SEQ_NAMES, SERIES_CHECKS, build_parser, main, run
 from ghn.polyseries import TruncSeries
 from ghn.registry import GROUP_OF, _GROUPS, build_registry, declare
 from ghn.sequences import harmonic_table, materialize, parse_seq_spec, skew_harmonic
@@ -23,6 +24,13 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse usage errors and -h
+        return exc.code
 
 
 # Loads ghn in a fresh interpreter, runs a suite, a series check and an eval, and
@@ -397,10 +405,7 @@ def test_eval_alpha_off_every_grid(capsys):
 )
 def test_out_of_range_integers_exit_2(argv, capsys):
     # an exception escaping main would be a traceback; none may
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse usage errors
-        code = exc.code
+    code = _exit_code(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err and ("out of range" in err or "expected an integer" in err)
@@ -451,6 +456,116 @@ def test_successive_calls_share_no_parsed_values(capsys):
     assert code == 0, err
     assert "equal  true" in again
     assert run_cli(first, capsys) == (0, out, "")
+
+
+_TOP_USAGE = "usage: ghn [-h] {compute,eval,verify,series,table} ...\n"
+_NO_SUCH_COMMAND = "ghn: error: argument command: invalid choice: {!r} (choose from 'compute', 'eval', 'verify', 'series', 'table')\n"
+_EVAL_USAGE = "usage: ghn eval [-h] --id ID [--param PARAM]\n                [--format {text,json,csv,markdown}]\n"
+_BERNOULLI_TO_3 = "n  value\n0  1\n1  -1/2\n2  1/6\n3  0\n"
+_PAN_POINT = ["--id", "pan-thm3.2", "--param", "n=6", "--param", "mu=2", "--param", "lambda=1", "--param", "alpha=-1/3"]
+
+# argv -> exit code, stdout, stderr, as main gave them when it parsed every argv with the
+# top-level parser; "help:NAME" stands for the -h text of the top-level parser ("help:") or
+# of command NAME's parser, which argparse prints as format_help() gives it
+PARSE_CONTRACT = [
+    ([], 2, "", _TOP_USAGE + "ghn: error: the following arguments are required: command\n"),
+    (["-h"], 0, "help:", ""),
+    (["--help"], 0, "help:", ""),
+    (["-h", "eval"], 0, "help:", ""),
+    (["frobnicate"], 2, "", _TOP_USAGE + _NO_SUCH_COMMAND.format("frobnicate")),
+    (["frobnicate", "--x"], 2, "", _TOP_USAGE + _NO_SUCH_COMMAND.format("frobnicate")),
+    (["--"], 2, "", _TOP_USAGE + "ghn: error: the following arguments are required: command\n"),
+    (["--", "eval", "--id", "pan-thm3.2"], 2, "", _TOP_USAGE + _NO_SUCH_COMMAND.format("--")),
+    (["eval"], 2, "", _EVAL_USAGE + "ghn eval: error: the following arguments are required: --id\n"),
+    (["eval", "--", "--id", "pan-thm3.2"], 2, "", _EVAL_USAGE + "ghn eval: error: the following arguments are required: --id\n"),
+    (["eval", "--id", "pan-thm3.2", "-h"], 0, "help:eval", ""),
+    (["eval", "--id", "pan-thm3.2", "--bogus"], 2, "", _TOP_USAGE + "ghn: error: unrecognized arguments: --bogus\n"),
+    (["compute", "--seq", "bernoulli", "extra"], 2, "", _TOP_USAGE + "ghn: error: unrecognized arguments: extra\n"),
+    (["verify", "--n-max", "0"], 2, "",
+     "usage: ghn verify [-h] [--filter FILTER] [--n-max N_MAX] [--seed SEED]\n"
+     "                  [--format {json,md}] [--out OUT] [--timings TIMINGS]\n"
+     "ghn verify: error: argument --n-max: 0 is out of range: must be between 1 and 30\n"),
+    (["table", "--id", "hockey-stick", "--limit", "0"], 2, "",
+     "usage: ghn table [-h] --id ID [--n-max N_MAX] [--seed SEED] [--limit LIMIT]\n"
+     "                 [--format {text,json,csv,markdown}]\n"
+     "ghn table: error: argument --limit: 0 is out of range: must be at least 1\n"),
+    (["series", "--check", "nope"], 2, "",
+     "usage: ghn series [-h] --check {pan-lemma,genfunc-alpha,genfunc-skew}\n"
+     "                  [--order ORDER] [--param PARAM]\n"
+     "ghn series: error: argument --check: invalid choice: 'nope' (choose from 'pan-lemma', 'genfunc-alpha', 'genfunc-skew')\n"),
+    (["compute", "--se", "bernoulli", "--n", "3"], 0, _BERNOULLI_TO_3, ""),
+    (["compute", "--seq=bernoulli", "--n-max=3"], 0, _BERNOULLI_TO_3, ""),
+    (["compute", "--seq", "harmonic", "--seq", "bernoulli", "--n-max", "3"], 0, _BERNOULLI_TO_3, ""),
+]
+
+
+@pytest.mark.parametrize(("argv", "code", "out", "err"), PARSE_CONTRACT,
+                         ids=[" ".join(case[0]) or "(none)" for case in PARSE_CONTRACT])
+def test_parse_contract(argv, code, out, err, capsys, monkeypatch):
+    # a named command is read by its own parser, anything else by the top-level one;
+    # both must print what the top-level parser printed, byte for byte
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    if out.startswith("help:"):
+        name = out[len("help:"):]
+        out = (build_parser().commands[name] if name else build_parser()).format_help()
+    assert _exit_code(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+ONE_ARGV_PER_COMMAND = [
+    ["compute", "--seq", "harmonic:p=2", "--n-max", "4", "--format", "csv"],
+    ["eval", *_PAN_POINT, "--format", "json"],
+    ["verify", "--filter", "pan-*", "--n-max", "5", "--seed", "7", "--format", "md"],
+    ["series", "--check", "genfunc-alpha", "--order", "12", "--param", "alpha=1/2"],
+    ["table", "--id", "hockey-stick", "--n-max", "4", "--limit", "3"],
+]
+
+
+def _count_parses(monkeypatch):
+    parsers = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsers.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    return parsers
+
+
+@pytest.mark.parametrize("argv", ONE_ARGV_PER_COMMAND, ids=lambda argv: argv[0])
+def test_a_named_command_is_parsed_once_by_its_own_parser(argv, monkeypatch):
+    # the top-level parser would read every argument and then hand them all to the
+    # command's parser to read again; main hands the command's parser the same namespace
+    import ghn.cli as cli_mod
+
+    expected = build_parser().parse_args(argv)
+    handed = []
+    monkeypatch.setattr(cli_mod, f"cmd_{argv[0]}", lambda args: handed.append(args) or 0)
+    parsers = _count_parses(monkeypatch)
+    assert main(argv) == 0
+    assert handed == [expected]
+    assert len(parsers) == 1 and parsers[0] is build_parser().commands[argv[0]]
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["frobnicate"]])
+def test_argv_naming_no_command_reaches_the_top_level_parser(argv, monkeypatch, capsys):
+    parsers = _count_parses(monkeypatch)
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert parsers[0] is build_parser()
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    # run(), the ghn console entry, calls main() with no argv
+    monkeypatch.setattr(sys, "argv", ["ghn", "compute", "--seq", "bernoulli", "--n-max", "3"])
+    assert run_cli(None, capsys) == (0, _BERNOULLI_TO_3, "")
+    with pytest.raises(SystemExit) as exc:
+        run()
+    assert exc.value.code == 0 and capsys.readouterr().out == _BERNOULLI_TO_3
+    monkeypatch.setattr(sys, "argv", ["ghn", "eval", *_PAN_POINT, "--bogus"])
+    assert _exit_code(None) == 2
+    assert capsys.readouterr() == ("", _TOP_USAGE + "ghn: error: unrecognized arguments: --bogus\n")
 
 
 @pytest.mark.parametrize(
