@@ -6,7 +6,6 @@ order; identities polynomial in alpha are proved exactly for each n by
 comparing coefficient vectors.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 from ghn import (
@@ -43,7 +42,7 @@ print("(t+t^2)^2 via composition =", f.compose(g))
 # entry at n = 0..order, as below.
 entry = next(e for e in declare() if e.id == "panequa1-series")
 point = {"lambda": Fraction(2, 3), "mu": Fraction(5, 7), "alpha": Fraction(2, 5)}
-result = run_entry(replace(entry, cells=[{**point, "n": n} for n in range(41)]))
+result = run_entry(entry.replace(cells=[{**point, "n": n} for n in range(41)]))
 print("\ncomposition identity through order 40:", result.tier, f"({result.cells} coefficients)")
 
 # Polynomial certification: at alpha = ALPHA, the polynomial alpha, a

@@ -51,7 +51,6 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import replace
 
 from .errors import DomainError, OutOfValidityRangeError, SeqSpecError
 from .exact import parse_rat
@@ -240,7 +239,7 @@ def cmd_series(args) -> int:
     [entry] = declare(SERIES_CHECKS[args.check])
     point = _cast_params(_parse_params(args.param), [name for name in entry.params if name != "n"])
     # run_entry visits n = 0..order in order and stops an ASSERT entry at its first failing cell
-    result = run_entry(replace(entry, cells=[{**point, "n": n} for n in range(args.order + 1)]))
+    result = run_entry(entry.replace(cells=[{**point, "n": n} for n in range(args.order + 1)]))
     if not result.counterexamples:
         print(f"PASS: {args.check} coefficient-exact through order {args.order}")
         return 0

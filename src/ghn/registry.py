@@ -15,7 +15,7 @@ take a sequence also declares ``family(n_max, seed, rng)``, the seeded
 sequences that a cell's ``seq`` indexes, resolved to their terms when the
 sides are called.  Its grid leaves ``seq`` out: ``build_registry`` adds it as
 the innermost name, over every sequence of the family, so a family's size is
-written once.  An entry made from another with ``dataclasses.replace`` keeps
+written once.  An entry made from another with ``IdentityEntry.replace`` keeps
 both unless it declares its own.
 
 Each oracle (verifier.binomial_oracle, _ratio_oracle, closed_forms.lemma21_lhs,
@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 from fnmatch import fnmatchcase
 from fractions import Fraction
 
@@ -448,8 +447,7 @@ def _ratio_sides() -> list[IdentityEntry]:
             grid=_n_grid,
         ),
         ones,
-        replace(
-            ones,
+        ones.replace(
             id="lemma2.1-ones-as-printed",
             anchor="lemmaeq0: b=1, L!=0 branch with numerator C(L+n,n-1) as printed",
             rhs=lambda n, lam: lemma21_rhs_ones(n, lam, as_printed=True),
@@ -511,8 +509,7 @@ def _ratio_sides() -> list[IdentityEntry]:
             grid=_alpha_grid(20),
         ),
         skew,
-        replace(
-            skew,
+        skew.replace(
             id="skew-sign-convention",
             anchor="H_n^- = H_n + sum_k C(n,k)(-2)^k/k (as printed)",
             lhs=skew_harmonic,
@@ -546,8 +543,7 @@ def _gould_sides() -> list[IdentityEntry]:
             ],
         ),
         j0,
-        replace(
-            j0,
+        j0.replace(
             id="eq-eulerbnew-j0-corrected",
             anchor="eulerbnew at j=0 with the -H_n correction restored",
             rhs=lambda n, a, printed=j0.rhs: printed(n, a) - harmonic(n),
@@ -686,8 +682,7 @@ def _thm33_sides() -> list[IdentityEntry]:
     )
     return [
         eqnnew8,
-        replace(
-            eqnnew8,
+        eqnnew8.replace(
             id="thm3.3-nabla",
             anchor="eqnnew9: same sum decomposed through weighted nabla terms",
             rhs=thm33_nabla_rhs,
@@ -719,8 +714,7 @@ def _example34_sides() -> list[IdentityEntry]:
             grid=lambda n_max, rng: [{"p": p, "n": n} for n in range(n_max + 1) for p in range(9)],
         ),
         harmonic_alt,
-        replace(
-            harmonic_alt,
+        harmonic_alt.replace(
             id="ex3.4-harmonic-alt-as-printed",
             anchor="sum_k C(n,k)(-1)^(k-1) H_k = (-1)^(n-1)/n (as printed)",
             rhs=lambda n: Fraction((-1) ** (n + 1), n),  # (-1)^(n-1), an int also at n = 0
@@ -857,8 +851,7 @@ def _asnp_sides() -> list[IdentityEntry]:
     )
     return [
         general,
-        replace(
-            general,
+        general.replace(
             id="as-newcoff",
             anchor="newcoff: the z = -1 branch through the alternating transform values",
             note="promoted to ASSERT after a clean full oracle run; the l = n corner uses b_0 = 0 exactly, avoiding the printed 0/0",
@@ -868,8 +861,7 @@ def _asnp_sides() -> list[IdentityEntry]:
             ],
         ),
         alpha1,
-        replace(
-            alpha1,
+        alpha1.replace(
             id="as-newcoffey1-as-printed",
             anchor="newcoffey1 with the printed tail weight k! C(n,k)",
             rhs=lambda n, p: as_zneg1_alpha1_closed(n, p, as_printed=True),
@@ -877,8 +869,7 @@ def _asnp_sides() -> list[IdentityEntry]:
             note="",
         ),
         p0,
-        replace(
-            p0,
+        p0.replace(
             id="as-p0-as-printed",
             anchor="p=0 case with the printed (-1)^k kept on the left",
             lhs=lambda n, z, alpha: _ht_sum(alpha, n, mu=-z),
@@ -897,8 +888,7 @@ def _asnp_sides() -> list[IdentityEntry]:
             ],
         ),
         *(
-            replace(
-                general,
+            general.replace(
                 id=f"as-p{p}-display",
                 anchor=f"p={p} display expansion",
                 policy=REPORT_ONLY,
@@ -939,23 +929,20 @@ def _conclusion_sides() -> list[IdentityEntry]:
         grid=_concl_grid,
     )
     return [
-        replace(
-            _idi1_alternating(),
+        _idi1_alternating().replace(
             id="concl-item2",
             anchor="conclusion-2: sum_k (-1)^k C(n,k) H_k(a) = ((1-a)^n - 1)/n",
             grid=_alpha_grid(5),
         ),
         item3,
-        replace(
-            item3,
+        item3.replace(
             id="concl-item3-square",
             anchor="conclusion-3 with H(a)^(2) read as a square",
             rhs=lambda n, alpha: concl_item3_rhs(n, alpha, reading="square"),
             note="alternative reading of the same conjecture",
         ),
         item4,
-        replace(
-            item4,
+        item4.replace(
             id="concl-item4-square",
             anchor="conclusion-4 with the squares reading",
             rhs=lambda n, alpha: concl_item4_rhs(n, alpha, reading="square"),

@@ -21,7 +21,6 @@ defining series in integers and builds one Fraction per value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -188,14 +187,15 @@ _KINDS: dict[str, tuple[set[str], set[str], tuple[int, int] | None, Callable]] =
 }
 
 
-@dataclass(frozen=True)
 class SeqSpec:
-    """A named sequence plus its rational parameters."""
+    """A named sequence plus its rational parameters, checked against its row of _KINDS when made.
 
-    kind: str
-    params: dict[str, Fraction] = field(default_factory=dict)
+    Immutable, and equal to another spec of the same kind and params; it is
+    unhashable, since its params are a dict.
+    """
 
-    def __post_init__(self):
+    def __init__(self, kind: str, params: dict[str, Fraction] | None = None):
+        self.__dict__.update(kind=kind, params={} if params is None else params)
         if self.kind not in _KINDS:
             raise SeqSpecError(f"unknown sequence kind {self.kind!r}; known: {sorted(_KINDS)}")
         takes, requires, p_range, _ = _KINDS[self.kind]
@@ -214,6 +214,18 @@ class SeqSpec:
                 raise SeqSpecError(f"{self.kind} p={p} is out of range: must be at most {hi}")
         if self.params.get("doubled", 0) not in (0, 1):
             raise SeqSpecError(f"{self.kind} doubled must be 0 or 1 (false or true)")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return (self.kind, self.params) == (other.kind, other.params) if other.__class__ is SeqSpec else NotImplemented
+
+    def __repr__(self):
+        return f"SeqSpec(kind={self.kind!r}, params={self.params!r})"
 
 
 def parse_seq_spec(text: str) -> SeqSpec:

@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -58,7 +57,6 @@ LEDGER_FIELDS = ("id", "anchor", "tier", "cells", "skipped", "counterexamples", 
 Cell = dict
 
 
-@dataclass
 class IdentityEntry:
     """One catalogued identity: two sides, the names they take, a grid, a policy.
 
@@ -75,44 +73,39 @@ class IdentityEntry:
     seeded stream.  An entry whose sides take a sequence ``seq`` declares
     ``family(n_max, seed, rng)``, the seeded sequences that a cell's ``seq``
     indexes; its grid leaves ``seq`` out, and the registry adds it as the
-    innermost name, over every sequence of the family.
+    innermost name, over every sequence of the family.  ``replace(**changes)``
+    makes a variant: a new entry with the fields named changed.
     """
 
-    id: str
-    anchor: str
-    lhs: Callable[..., Fraction]
-    rhs: Callable[..., Fraction]
-    params: tuple[str, ...] = ()
-    cells: Sequence[Cell] = ()
-    policy: str = ASSERT
-    note: str = ""
-    certify: Callable[[int], bool] | None = None
-    grid: Callable[[int, random.Random], list[Cell]] | None = None
-    family: Callable[[int, int, random.Random], list[tuple]] | None = None
+    def __init__(
+        self, id: str, anchor: str, lhs: Callable[..., Fraction], rhs: Callable[..., Fraction], params: tuple[str, ...] = (),
+        cells: Sequence[Cell] = (), policy: str = ASSERT, note: str = "", certify: Callable[[int], bool] | None = None,
+        grid: Callable[[int, random.Random], list[Cell]] | None = None,
+        family: Callable[[int, int, random.Random], list[tuple]] | None = None,
+    ):
+        self.id, self.anchor, self.lhs, self.rhs, self.params, self.cells = id, anchor, lhs, rhs, params, cells
+        self.policy, self.note, self.certify, self.grid, self.family = policy, note, certify, grid, family
+
+    def replace(self, **changes) -> IdentityEntry:
+        return IdentityEntry(**{**vars(self), **changes})
 
 
-@dataclass
 class EntryResult:
-    id: str
-    anchor: str
-    tier: str
-    cells: int
-    skipped: int
-    counterexamples: list[dict]
-    note: str
-    seconds: float  # the cell loop's wall time
-    certify_seconds: float = 0.0  # the certify hook's wall time, 0 for an entry without one
+    def __init__(
+        self, id: str, anchor: str, tier: str, cells: int, skipped: int, counterexamples: list[dict], note: str,
+        seconds: float,  # the cell loop's wall time
+        certify_seconds: float = 0.0,  # the certify hook's wall time, 0 for an entry without one
+    ):
+        self.id, self.anchor, self.tier, self.cells, self.skipped = id, anchor, tier, cells, skipped
+        self.counterexamples, self.note, self.seconds, self.certify_seconds = counterexamples, note, seconds, certify_seconds
 
 
-@dataclass
 class VerdictReport:
     """Per-entry outcomes for one suite run."""
 
-    suite: str
-    seed: int
-    n_max: int
-    results: list[EntryResult] = field(default_factory=list)
-    seconds: float = 0.0
+    def __init__(self, suite: str, seed: int, n_max: int, results: list[EntryResult] | None = None, seconds: float = 0.0):
+        self.suite, self.seed, self.n_max, self.seconds = suite, seed, n_max, seconds
+        self.results = [] if results is None else results
 
     def to_dict(self) -> dict:
         return {

@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,8 +33,10 @@ def _exit_code(argv):
 
 
 # Loads ghn in a fresh interpreter, runs a suite, a series check and an eval, and
-# prints the top-level modules that this loaded beyond ghn and the standard library.
-_LOADED_OUTSIDE_STDLIB = """
+# prints the modules that this loaded, each line with the exit codes: first the
+# top-level modules beyond ghn and the standard library, then the slow-to-import
+# standard modules (dataclasses pulls in inspect, which pulls in ast, dis and tokenize).
+_LOADED_BY_A_RUN = """
 import sys
 before = set(sys.modules)
 import ghn, ghn.cli
@@ -44,19 +45,29 @@ codes = [ghn.cli.main(argv) for argv in (
     ["series", "--check", "genfunc-alpha", "--order", "7", "--param", "alpha=1/3"],
     ["eval", "--id", "hockey-stick", "--param", "n=3", "--param", "x=1/2"],
 )]
-loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
-print(sorted(loaded - set(sys.stdlib_module_names) - {"ghn"}), codes)
+loaded = set(sys.modules) - before
+print(sorted({name.partition(".")[0] for name in loaded} - set(sys.stdlib_module_names) - {"ghn"}), codes)
+print(sorted(loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}), codes)
 """
 
 
-def test_runtime_loads_only_the_standard_library():
-    # the tests import hypothesis and sympy themselves, so only a fresh
-    # interpreter shows that the runtime stays stdlib-only
+def _loaded_by_a_run() -> list[str]:
+    # the tests import hypothesis, sympy and inspect themselves, so only a fresh
+    # interpreter shows what the runtime loads
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", _LOADED_OUTSIDE_STDLIB], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY_A_RUN], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[] [0, 0]"
+    return proc.stdout.splitlines()[-2:]
+
+
+def test_runtime_loads_only_the_standard_library():
+    assert _loaded_by_a_run()[0] == "[] [0, 0]"
+
+
+def test_runtime_loads_no_slow_standard_module():
+    # dataclasses and inspect, with the modules they load, would take about a third of import ghn
+    assert _loaded_by_a_run()[1] == "[] [0, 0]"
 
 
 def test_sources_parse_as_the_oldest_supported_python():
@@ -879,7 +890,7 @@ def test_only_the_grids_asked_for_are_built(capsys, monkeypatch):
 
     def guarded(group):
         # every entry but knuth-flajolet, in its own group too, gets a grid that raises
-        return lambda: [e if e.id == "knuth-flajolet" else replace(e, grid=unasked) for e in group()]
+        return lambda: [e if e.id == "knuth-flajolet" else e.replace(grid=unasked) for e in group()]
 
     monkeypatch.setattr(registry_mod, "_GROUPS", tuple(guarded(group) for group in _GROUPS))
     with pytest.raises(AssertionError, match="not asked for"):

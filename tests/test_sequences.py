@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -170,6 +172,26 @@ def test_spec_text_parses_to_its_spec():
         ("bernoulli", SeqSpec("bernoulli")),
     ):
         assert parse_seq_spec(text) == spec
+
+
+def test_seq_spec_is_immutable_unhashable_and_equal_by_value():
+    spec = SeqSpec("harmonic_p", {"p": Fraction(2), "alpha": Fraction(1, 3)})
+    for name in ("kind", "params", "other"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, None)
+    with pytest.raises(AttributeError):
+        del spec.kind
+    with pytest.raises(TypeError):
+        hash(SeqSpec("skew"))
+    assert spec == SeqSpec(kind="harmonic_p", params={"alpha": Fraction(1, 3), "p": Fraction(2)})
+    assert spec != SeqSpec("harmonic_p", {"p": Fraction(2)})
+    assert SeqSpec("skew") != ("skew", {})
+    assert repr(spec) == "SeqSpec(kind='harmonic_p', params={'p': Fraction(2, 1), 'alpha': Fraction(1, 3)})"
+    assert repr(SeqSpec("skew")) == "SeqSpec(kind='skew', params={})"
+    assert SeqSpec("skew").params is not SeqSpec("skew").params
+    assert copy.deepcopy(spec) == spec and pickle.loads(pickle.dumps(spec)) == spec
+    with pytest.raises(TypeError):
+        SeqSpec("skew", {}, 3)
 
 
 def test_whitespace_around_a_kind_is_ignored():

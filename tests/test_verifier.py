@@ -145,7 +145,41 @@ def test_run_entry_visits_cells_in_the_order_given():
     assert seen == [5, 4]
 
 
-GRID_SEEDS = [(20, 42), (20, 7), (1, 0), (2, 7), (3, 123456789), (12, 1), (25, 42), (30, 5)]
+def test_identity_entry_fields_and_replace():
+    side = lambda n: Fraction(n)
+    entry = IdentityEntry("toy", "toy anchor", side, side)  # positional, in declaration order
+    assert vars(entry) == {
+        "id": "toy", "anchor": "toy anchor", "lhs": side, "rhs": side, "params": (), "cells": (),
+        "policy": ASSERT, "note": "", "certify": None, "grid": None, "family": None,
+    }
+    with pytest.raises(TypeError):
+        IdentityEntry(id="x", anchor="x", lhs=side, rhs=side, bogus=1)
+    with pytest.raises(TypeError):
+        IdentityEntry(id="x", anchor="x", lhs=side)
+    original = _toy_entry()
+    before = dict(vars(original))
+    variant = original.replace(id="toy-variant")
+    assert variant is not original and variant.id == "toy-variant"
+    assert {**vars(variant), "id": "toy"} == before and vars(original) == before
+    with pytest.raises(TypeError):
+        original.replace(bogus=1)
+    assert vars(original) == before
+
+
+def test_result_and_report_fields():
+    from ghn.verifier import EntryResult, VerdictReport
+
+    result = EntryResult("toy", "toy anchor", HOLDS_ON_GRID, 5, 0, [], "", 0.5)
+    assert (result.id, result.tier, result.cells, result.seconds, result.certify_seconds) == ("toy", HOLDS_ON_GRID, 5, 0.5, 0.0)
+    with pytest.raises(TypeError):
+        EntryResult("toy", "toy anchor", HOLDS_ON_GRID, 5, 0, [], "")  # no seconds
+    first, second = VerdictReport("toy", 0, 5), VerdictReport(suite="toy", seed=0, n_max=5)
+    assert first.results == [] and first.results is not second.results and first.seconds == 0.0
+    first.results.append(result)
+    assert second.results == []
+
+
+GRID_SEEDS =[(20, 42), (20, 7), (1, 0), (2, 7), (3, 123456789), (12, 1), (25, 42), (30, 5)]
 
 
 @pytest.mark.parametrize("n_max, seed", GRID_SEEDS)
