@@ -47,7 +47,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import os
 import sys
 from collections import Counter
@@ -86,6 +85,8 @@ def _bounded_int(lo: int, hi: int | None = None):
 
 def _emit_table(title: str, headers: list[str], rows: list[list[str]], fmt: str, out) -> None:
     if fmt == "json":
+        import json  # here, not at the top: a text query never loads it
+
         payload = {"table": title, "columns": headers, "rows": [dict(zip(headers, r)) for r in rows]}
         out.write(json.dumps(payload, indent=2) + "\n")
     elif fmt == "csv":

@@ -9,14 +9,17 @@ Both print as ``"c0 + c1*t + ..."``.  Their length rules differ: a ``PolyQ``
 strips trailing zeros and a product keeps every term, while a ``TruncSeries``
 holds exactly order + 1 coefficients and a product keeps the smaller
 operand's order.  Every product runs the one integer product loop,
-``_convolve_num``, on the numerators the operands hold, and so does each
-Horner step of ``TruncSeries.compose``; the step that adds s_i asks it only
-for the order + 1 - i coefficients that can reach the result, since its
-accumulator is later multiplied by inner^i, of valuation at least i.  A
-scalar (an ``int`` or a ``Fraction``) may stand on either side of a product
-and of a ``PolyQ`` sum or difference; no other type may, and a coefficient
-that is not an ``int`` or a ``Fraction`` (a float, a string) raises
-``TypeError``.
+``_convolve_num``, on the numerators the operands hold, and so does
+``TruncSeries.compose``, by baby steps and giant steps (Paterson &
+Stockmeyer, SIAM J. Comput. 2(1), 1973): with size = order + 1 and blocks of
+m = max(1, isqrt(size // 3)) terms, its baby steps inner^2..inner^m ask for
+size coefficients each, and the giant step that adds block j asks for only
+the size - jm that can reach the result, since its accumulator is later
+multiplied by inner^(jm), of valuation at least jm (Brent & Kung, J. ACM
+25(4), 1978, section 2).  A scalar (an ``int`` or a ``Fraction``) may stand
+on either side of a product and of a ``PolyQ`` sum or difference; no other
+type may, and a coefficient that is not an ``int`` or a ``Fraction`` (a
+float, a string) raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -237,30 +240,60 @@ class TruncSeries(_Coeffs):
     __rmul__ = __mul__
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """self(inner), by Horner in integers; inner must have zero constant term.
+        """self(inner), by baby steps and giant steps in integers; inner must
+        have zero constant term.
 
-        With self = s / S and inner = q / d, the accumulator is acc / (S e).  A
-        step multiplies it by q / d and adds s_i / S = s_i e d / (S e d), then
-        divides acc and e by their gcd.  The step that adds s_i keeps only the
-        first order + 1 - i coefficients: its accumulator is later multiplied
-        by inner^i, whose valuation is at least i, so no later coefficient
-        reaches the result (Brent & Kung, J. ACM 25(4), 1978).  The last step,
-        i = 0, keeps all of them.
+        With size = order + 1 and m = max(1, isqrt(size // 3)), the baby steps
+        are inner^1..inner^m, each cut to size coefficients and reduced by one
+        gcd.  Block j, sum_(r<m) s_(jm+r) inner^r, is kept over the lcm of the
+        denominators of inner^1..inner^(m-1), and Horner in G = inner^m runs
+        over the blocks (Paterson & Stockmeyer, SIAM J. Comput. 2(1), 1973):
+        about m size^2 / 2 + size^3 / (6 m) products, least near m =
+        sqrt(size / 3), instead of size^3 / 6.  With self = s / S, the
+        accumulator is acc / (S lcm e); the giant step that adds block j keeps
+        only the first size - jm coefficients, since its accumulator is later
+        multiplied by G^j, of valuation at least jm, so no later coefficient
+        reaches the result (Brent & Kung, J. ACM 25(4), 1978, section 2).
+        Below order 11, m = 1: each block is s_j alone, and the giant steps
+        are plain Horner in inner.
         """
         if not isinstance(inner, TruncSeries):
             raise TypeError("compose expects a TruncSeries")
         if inner._nums[0]:
             raise CompositionDomainError("inner series must have zero constant term")
         s, size = self._nums, len(self._nums)
-        q, d = inner._nums[:size], inner._den
-        acc, e = [s[-1]], 1
-        for i in range(size - 2, -1, -1):
-            acc = _convolve_num(acc, q, size - i)
-            e *= d
-            acc[0] += s[i] * e
-            g = math.gcd(e, *acc)
-            acc, e = [a // g for a in acc], e // g
-        return TruncSeries._of(acc, self._den * e)
+        m = math.isqrt(size // 3) or 1
+        # baby steps: G = gn / gd is inner^m, and powers[r - 1] / dens[r - 1] is inner^r for r < m;
+        # at m = 1 there are none, and the giant steps below are Horner in inner
+        gn, gd = inner._nums[:size], inner._den
+        lcm, cols = 1, ()
+        if m > 1:
+            q, d, powers, dens = gn, gd, [], []
+            for _ in range(m - 1):
+                powers.append(gn)
+                dens.append(gd)
+                p, den = _convolve_num(gn, q, size), gd * d
+                g = math.gcd(den, *p)
+                gn, gd = [c // g for c in p], den // g
+            # cols[k][r - 1] is the t^k coefficient of inner^r, over lcm
+            lcm = math.lcm(*dens)
+            cols = list(zip_longest(*[[c * (lcm // den) for c in p] for p, den in zip(powers, dens)], fillvalue=0))
+        # giant steps: i = jm runs down over the blocks, and acc holds size - i coefficients
+        top = (size - 1) // m * m
+        acc, e = [0] * (size - top), 1
+        for i in range(top, -1, -m):
+            acc[0] += s[i] * lcm * e
+            if cols:
+                si = [c * e for c in s[i + 1 : i + m]]
+                for k, col in enumerate(cols[: size - i]):
+                    acc[k] += sum(map(operator.mul, si, col))
+            if i:
+                g = math.gcd(e, *acc)
+                if g > 1:
+                    acc, e = [a // g for a in acc], e // g
+                acc = _convolve_num(acc, gn, size - i + m)
+                e *= gd
+        return TruncSeries._of(acc, self._den * lcm * e)
 
 
 def log_one_minus(c: RatLike, order: int) -> TruncSeries:

@@ -29,7 +29,6 @@ binomial_oracle itself reads no memo.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from fractions import Fraction
@@ -116,6 +115,8 @@ class VerdictReport:
         }
 
     def to_json(self) -> str:
+        import json  # here, not at the top: a text query never loads it
+
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_markdown(self) -> str:
@@ -147,6 +148,8 @@ class VerdictReport:
         Wall-clock figures, so never part of the ledger, which stays a
         deterministic function of (filter, n_max, seed).
         """
+        import json  # as in to_json
+
         entries = [
             {
                 "id": r.id,

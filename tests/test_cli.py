@@ -51,14 +51,18 @@ print(sorted(loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}), cod
 """
 
 
-def _loaded_by_a_run() -> list[str]:
-    # the tests import hypothesis, sympy and inspect themselves, so only a fresh
-    # interpreter shows what the runtime loads
+def _fresh_interpreter(script: str) -> list[str]:
+    # the tests import hypothesis, sympy, inspect and json themselves, so only a
+    # fresh interpreter shows what the runtime loads
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", _LOADED_BY_A_RUN], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-2:]
+    return proc.stdout.splitlines()
+
+
+def _loaded_by_a_run() -> list[str]:
+    return _fresh_interpreter(_LOADED_BY_A_RUN)[-2:]
 
 
 def test_runtime_loads_only_the_standard_library():
@@ -68,6 +72,23 @@ def test_runtime_loads_only_the_standard_library():
 def test_runtime_loads_no_slow_standard_module():
     # dataclasses and inspect, with the modules they load, would take about a third of import ghn
     assert _loaded_by_a_run()[1] == "[] [0, 0]"
+
+
+# Loads ghn in a fresh interpreter and runs one eval that prints text; json is
+# loaded only where json is written (VerdictReport.to_json, to_timings_json and
+# --format json), so this run leaves it out.
+_JSON_AFTER_A_TEXT_QUERY = """
+import contextlib, io, sys
+before = set(sys.modules)
+import ghn, ghn.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ghn.cli.main(["eval", "--id", "hockey-stick", "--param", "n=3", "--param", "x=1/2"])
+print(sorted({"json", "json.decoder", "json.encoder", "json.scanner"} & (set(sys.modules) - before)), code)
+"""
+
+
+def test_a_text_query_does_not_load_json():
+    assert _fresh_interpreter(_JSON_AFTER_A_TEXT_QUERY)[-1] == "[] 0"
 
 
 def test_sources_parse_as_the_oldest_supported_python():
@@ -111,11 +132,7 @@ def test_no_module_level_container_grows_across_runs():
     # every memo is the run memo, which is dropped when its run ends; a module-level
     # cache of values would outlive it and could hide a kernel fault from later runs,
     # the series tables that a series run sizes included
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", _MODULE_CONTAINERS_CHANGED], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[] [0, 0, 0, 0]"
+    assert _fresh_interpreter(_MODULE_CONTAINERS_CHANGED)[-1] == "[] [0, 0, 0, 0]"
 
 
 def test_compute_harmonic_table(capsys):

@@ -295,7 +295,8 @@ def _plain_add(a: tuple, b: tuple, order: int | None = None) -> tuple:
 def _plain_mul(a: tuple, b: tuple, order: int | None = None) -> tuple:
     out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
+        # past t^order a product term is cut anyway
+        for j, y in enumerate(b if order is None else b[: order + 1 - i]):
             out[i + j] += x * y
     return _plain(out, order)
 
@@ -310,8 +311,9 @@ def _plain_compose(f: tuple, g: tuple) -> tuple:
     return _plain(acc, order)
 
 
-# parts in -9..9 over 1..9 for an order-24 outer series and inner series up to
-# order 30, where each Horner step of compose keeps fewer coefficients than the last
+# parts in -9..9 over 1..9 for an order-24 outer series, which compose takes in
+# blocks of 2 terms, each giant step keeping 2 coefficients more than the last,
+# and inner series up to order 30
 _CUT_A = [Fraction((7 * i) % 19 - 9, i % 9 + 1) for i in range(25)]
 _CUT_B = [Fraction((5 * i + 3) % 19 - 9, (4 * i) % 9 + 1) for i in range(31)]
 
@@ -419,12 +421,50 @@ def test_polyq_canonical_form_of_equal_inputs():
 
 
 @SETTINGS
+# order 26, where compose runs in blocks of 3 terms
+@example(f=TruncSeries(_CUT_B[:27]), g=TruncSeries(_CUT_B[4:]), h=TruncSeries([0, *_CUT_A[1:]], 26))
 @given(f=series, g=series, h=inner_series)
 def test_compose_is_a_ring_map(f, g, h):
     assert (f * g).compose(h) == f.compose(h) * g.compose(h)
     assert (f + g).compose(h) == f.compose(h) + g.compose(h)
     assert f.compose(TruncSeries([0, 1], ORDER)) == f
     assert (h * h).compose(TruncSeries([0, 1], ORDER)) == h * h
+
+
+def _cut_parts(order: int, shift: int) -> list[Fraction]:
+    """order + 1 rationals with parts in -9..9 over 1..9, a pattern set by shift."""
+    return [Fraction((7 * i + shift) % 19 - 9, (4 * i + shift) % 9 + 1) for i in range(order + 1)]
+
+
+def _pan_inner(lam: Fraction, mu: Fraction, order: int) -> list[Fraction]:
+    """mu lam^(k-1) at t^k, as pan_lemma_series builds its inner series."""
+    return [Fraction(0)] + [mu * lam ** (k - 1) for k in range(1, order + 1)]
+
+
+# -H_k(alpha) at t^k, alpha = -11/7: the outer series of the pan-lemma check
+_MINUS_H = [-sum((Fraction(-11, 7) ** j / j for j in range(1, k + 1)), Fraction(0)) for k in range(29)]
+
+
+# compose runs in blocks of m = isqrt((order + 1) // 3) terms: m = 3 at orders 26
+# and 28, 4 at 56 and 59, and the last block is whole only when m divides order + 1
+@pytest.mark.parametrize(
+    ("outer", "inner"),
+    [
+        pytest.param(_cut_parts(26, 1), [0, *_cut_parts(25, 2)], id="order 26, size 27, m 3"),
+        pytest.param(_cut_parts(28, 3), [0, *_cut_parts(27, 4)], id="order 28, size 29, m 3"),
+        pytest.param(_cut_parts(56, 5), [0, *_cut_parts(55, 6)], id="order 56, size 57, m 4"),
+        pytest.param(_cut_parts(59, 7), [0, *_cut_parts(58, 8)], id="order 59, size 60, m 4"),
+        pytest.param(_cut_parts(26, 9), [0, *_cut_parts(7, 10)], id="inner order 8 below the outer 26"),
+        pytest.param(_cut_parts(28, 11), [0, *_cut_parts(58, 12)], id="inner order 59 above the outer 28"),
+        pytest.param(_MINUS_H, _pan_inner(Fraction(-13, 5), Fraction(7, 11), 28), id="pan inner at order 28"),
+        pytest.param(_cut_parts(12, 13), _pan_inner(Fraction(10**100 - 1, 10**100 - 3), Fraction(-2), 12), id="pan inner with a 100-digit lambda, order 12"),
+    ],
+)
+def test_compose_in_blocks_matches_plain_horner(outer, inner):
+    f, h = TruncSeries(outer), TruncSeries(inner)
+    composed = f.compose(h)
+    assert composed.coeffs == _plain_compose(_plain(outer, f.order), _plain(inner)) and _all_fractions(composed.coeffs)
+    assert composed.order == f.order and composed._den > 0 and math.gcd(composed._den, *composed._nums) == 1
 
 
 @SETTINGS

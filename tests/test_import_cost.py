@@ -18,3 +18,12 @@ import time:       400 |       2200 | ghn
 
 def test_self_times_reads_the_modules_after_the_marker():
     assert import_cost.self_times(STDERR) == {"numbers": 300, "fractions": 1500, "ghn": 400}
+
+
+def test_a_bad_count_or_package_prints_the_usage_line(tmp_path, capsys):
+    # refused before any interpreter starts, so each case costs nothing
+    cases = [[count] for count in ("--help", "-h", "x", "2.5", "0", "-3")] + [["3", str(tmp_path)]]
+    for args in cases:
+        assert import_cost.main(["import_cost.py", *args]) == 2, args
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", import_cost.USAGE + "\n"), args

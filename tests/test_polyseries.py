@@ -144,9 +144,11 @@ def test_series_compose_associative_random():
         assert f.compose(g).compose(h) == f.compose(g.compose(h))
 
 
-def test_each_horner_step_keeps_only_the_coefficients_that_reach_the_result(monkeypatch):
-    # the accumulator of the step that adds s_i is later multiplied by inner^i,
-    # of valuation >= i, so that step needs only order + 1 - i coefficients; a
+def test_each_giant_step_keeps_only_the_coefficients_that_reach_the_result(monkeypatch):
+    # compose runs in blocks of m = isqrt((order + 1) // 3) terms (at least 1).  Each
+    # baby step, inner^2..inner^m, asks for all size = order + 1 coefficients; the
+    # accumulator of the giant step that adds block j is later multiplied by
+    # inner^(jm), of valuation >= jm, so that step asks only for size - jm.  A
     # full-size step gives the same values, so only the sizes show the cut
     sizes = []
     convolve = polyseries._convolve_num
@@ -157,11 +159,14 @@ def test_each_horner_step_keeps_only_the_coefficients_that_reach_the_result(monk
 
     monkeypatch.setattr(polyseries, "_convolve_num", recording)
     rng = random.Random(12)
-    n = 12
-    f = TruncSeries([_rand_rat(rng) for _ in range(n + 1)], n)
-    g = TruncSeries([0] + [_rand_rat(rng) for _ in range(n)], n)
-    f.compose(g)
-    assert sizes == list(range(2, n + 2))
+    # (order, m, the index j of the top block): order 10 is plain Horner in
+    # inner, with no baby step; size 27 is a multiple of m = 3, and size 29 is not
+    for n, m, top in ((10, 1, 10), (26, 3, 8), (28, 3, 9)):
+        f = TruncSeries([_rand_rat(rng) for _ in range(n + 1)], n)
+        g = TruncSeries([0] + [_rand_rat(rng) for _ in range(n)], n)
+        sizes.clear()
+        f.compose(g)
+        assert sizes == [n + 1] * (m - 1) + [n + 1 - j * m for j in range(top - 1, -1, -1)], n
 
 
 def test_log_one_minus():

@@ -21,7 +21,9 @@ Run from the repository root:
 
     python tools/import_cost.py [N] [PACKAGE_DIR]
 
-N defaults to 20, PACKAGE_DIR to src/ghn next to this script's directory.
+N defaults to 20, PACKAGE_DIR to src/ghn next to this script's directory.  A
+count that is not a positive integer, such as --help, or a PACKAGE_DIR with
+no __init__.py prints the usage line and exits with status 2.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ TIMED_IMPORT = "import sys, time; sys.path.insert(0, sys.argv[1]); start = time.
 # a marker on stderr before the import, so that the modules site loaded at start-up are left out
 MARKED_IMPORT = "import sys; sys.path.insert(0, sys.argv[1]); print('import ghn', file=sys.stderr, flush=True); import ghn"
 TOP = 10
+USAGE = "usage: python tools/import_cost.py [N] [PACKAGE_DIR]"
 
 
 def run(env: dict, *args: str) -> subprocess.CompletedProcess:
@@ -56,8 +59,14 @@ def self_times(stderr: str) -> dict[str, int]:
 
 
 def main(argv: list[str]) -> int:
-    n = int(argv[1]) if len(argv) > 1 else 20
+    try:
+        n = int(argv[1]) if len(argv) > 1 else 20
+    except ValueError:
+        n = 0
     package = Path(argv[2]) if len(argv) > 2 else Path(__file__).resolve().parent.parent / "src" / "ghn"
+    if n < 1 or not (package / "__init__.py").is_file():
+        print(USAGE, file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "src"
         shutil.copytree(package, root / "ghn", ignore=shutil.ignore_patterns("__pycache__"))

@@ -3,8 +3,12 @@
 Each query of QUERIES runs through ``ghn.cli.main`` in this process, with its
 output discarded, under a ``signal.alarm`` budget of BUDGET seconds; one that
 runs past it is stopped and prints ``> budget``.  The pan-lemma check composes a series whose
-inner coefficients carry 100 k digits at t^k, so its cost grows with the order
-cubed times the digits of lambda and mu.  Stdlib only, Unix only (SIGALRM);
+inner coefficients carry 100 k digits at t^k.  Composition by baby steps and
+giant steps makes about order^2.5 products, but their operands grow with the
+order too, so the check's time grows about as order^3.6 to order^3.8: with a
+100-digit lambda it read 0.06, 0.75 and 3.5 s at orders 20, 40 and 60 on a
+2-core x86-64 host, against 0.06, 1.29 and 7.6 s (about order^4.4) for plain
+Horner, which makes about order^3 / 6 products.  Stdlib only, Unix only (SIGALRM);
 no thread or process is started.
 
 Run from the repository root:
