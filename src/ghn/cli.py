@@ -12,14 +12,16 @@ entry's sides from registry.declare with the id as the pattern, so that only
 the group that holds the entry is built, casts each --param by the entry's
 params (integers n, p, j, k; sequence specs for seq, b, c; rationals
 otherwise) and calls rhs, then lhs, with those values in the order of params.
-A --param given twice is a usage error.  series does the same for the entry
-its --check names (SERIES_CHECKS), then runs that entry through
-verifier.run_entry at n = 0..order, which builds each series the entry reads
-once, to that order, and stops at the first differing coefficient.  Neither
-passes a size: eval's sides build their tables to its n, and series's run
-sizes them by its largest n.  table refuses an --id that is not in
-registry.GROUP_OF, a pattern too, before it builds anything; it then passes
-the id to registry.build_registry as the pattern and builds one grid.
+A --param given twice is a usage error: --param values and the items of a
+sequence spec are read by one name=value reader, sequences._pairs.  series
+does the same for the entry its --check names (SERIES_CHECKS), then runs that
+entry through verifier.run_entry at n = 0..order, which builds each series
+the entry reads once, to that order, and stops at the first differing
+coefficient.  Neither passes a size: eval's sides build their tables to its
+n, and series's run sizes them by its largest n.  table refuses an --id that
+is not in registry.GROUP_OF, a pattern too, before it builds anything; it
+then passes the id to registry.build_registry as the pattern and builds one
+grid.
 
 verify --timings FILE writes a JSON sidecar beside the ledger: per entry, the
 seconds of its cell loop and of its certify hook, its cells, skipped cells and
@@ -28,8 +30,9 @@ the --out file (compared after os.path.realpath) is refused before the suite
 runs, since the sidecar would overwrite the ledger.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error (among
-them a verify --filter that matches no entry id, and --timings naming the
---out file), 3 report or timings I/O failure.
+them a verify --filter that matches no entry id, --timings naming the
+--out file, and an eval point where a side divides by zero, reported as
+"division by zero at this point"), 3 report or timings I/O failure.
 
 Integer arguments are capped so that no input can request unbounded work:
 verify and table take --n-max 1..30, compute takes --n-max 0..180, series
@@ -54,7 +57,7 @@ from collections import Counter
 from .errors import DomainError, OutOfValidityRangeError, SeqSpecError
 from .exact import parse_rat
 from .registry import GROUP_OF, build_registry, declare
-from .sequences import materialize, parse_seq_spec
+from .sequences import _pairs, materialize, parse_seq_spec
 from .verifier import run_entry, run_suite
 
 FORMATS = ("text", "json", "csv", "markdown")
@@ -103,19 +106,6 @@ def _emit_table(title: str, headers: list[str], rows: list[list[str]], fmt: str,
         out.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
         for r in rows:
             out.write("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n")
-
-
-def _parse_params(pairs: list[str]) -> dict[str, str]:
-    out = {}
-    for item in pairs or []:
-        key, eq, value = item.partition("=")
-        if not eq:
-            raise UsageError(f"expected name=value, got {item!r}")
-        key = key.strip()
-        if key in out:
-            raise UsageError(f"parameter {key!r} is given twice")
-        out[key] = value.strip()
-    return out
 
 
 _INT_PARAMS = {"n", "p", "j", "k"}
@@ -186,10 +176,10 @@ def cmd_eval(args) -> int:
         raise UsageError(f"unknown identity id {args.id!r}; known: {', '.join(sorted([*GROUP_OF, *ALIASES]))}")
     [entry] = declare(pattern=entry_id)
     names = [SEQ_NAMES.get(args.id, "seq") if name == "seq" else name for name in entry.params]
-    cast = _cast_params(_parse_params(args.param), names)
+    cast = _cast_params(dict(_pairs(args.param, UsageError)), names)
     point = [cast[name] for name in names]
     try:
-        # the closed form's domain check runs before the oracle can divide by zero
+        # rhs first: the closed form checks the identity's hypotheses, so an error names them
         rhs = entry.rhs(*point)
         lhs = entry.lhs(*point)
         rows = [["lhs", _shown("lhs", lhs)], ["rhs", _shown("rhs", rhs)], ["equal", "true" if lhs == rhs else "false"]]
@@ -197,7 +187,9 @@ def cmd_eval(args) -> int:
             label, other = READINGS[entry.id]
             [reading] = declare(pattern=other)
             rows.append([label, _shown(label, reading.rhs(*point))])
-    except (DomainError, OutOfValidityRangeError, ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:  # a pole that no check names; Fraction's message is only its repr
+        raise UsageError("division by zero at this point") from exc
+    except (DomainError, OutOfValidityRangeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     _emit_table(args.id, ["field", "value"], rows, args.format, sys.stdout)
     return 0
@@ -238,7 +230,7 @@ def cmd_verify(args) -> int:
 
 def cmd_series(args) -> int:
     [entry] = declare(SERIES_CHECKS[args.check])
-    point = _cast_params(_parse_params(args.param), [name for name in entry.params if name != "n"])
+    point = _cast_params(dict(_pairs(args.param, UsageError)), [name for name in entry.params if name != "n"])
     # run_entry visits n = 0..order in order and stops an ASSERT entry at its first failing cell
     result = run_entry(entry.replace(cells=[{**point, "n": n} for n in range(args.order + 1)]))
     if not result.counterexamples:

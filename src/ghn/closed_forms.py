@@ -74,9 +74,12 @@ row builder _lemma21_lhs_row, its own integer weights over (p+q)...(p+nq),
 dotted with the lift by the oracles' dot product exact._oracle_dot, which no
 closed form calls; the registry's lemma2.1-coherence side reads that row once
 per run per (n, lam) and dots it with the lift of the whole grid sequence,
-and lemma21_lhs itself reads no memo.  Oracles, and their row builders, call
-check_lambda_domain only for its DomainError and keep the lambda they are
-given, so a fault in it reaches the closed forms alone.
+and lemma21_lhs itself reads no memo.  An identity's hypotheses (lambda not
+in {-1, ..., -n}, p <= n, n >= 1) are checked by its closed form alone, through
+check_lambda_domain, _check_concl_args and the like; an oracle, with its row
+builder, is the plain sum and raises only at its own poles, a DomainError
+where a factor of its divisor is 0, so a fault in a check reaches the closed
+forms alone.
 """
 
 from __future__ import annotations
@@ -115,11 +118,9 @@ def _lemma21_lhs_row(n: int, lam: RatLike) -> tuple[list[int], int]:
 
     With lam = p/q, term m is b_m q^(n-m+1) (n!/m!) / ((p+mq)...(p+nq)); over the
     scale (p+q)...(p+nq) its weight gains (p+q)...(p+(m-1)q).  weights[0] is 0,
-    so b_0 never enters.
+    so b_0 never enters.  A scale of 0, where a factor p + mq is 0 at lam = -m,
+    is a pole of the sum: a DomainError.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    check_lambda_domain(lam, n)  # for its DomainError: an oracle takes lambda as given
     p, q = _oracle_ratio(lam)
     weights = [0] * (n + 1)
     prefix = 1  # (p+q)...(p+(m-1)q)
@@ -128,6 +129,8 @@ def _lemma21_lhs_row(n: int, lam: RatLike) -> tuple[list[int], int]:
         falling //= m
         weights[m] = prefix * falling * q ** (n - m + 1)
         prefix *= p + m * q
+    if prefix == 0:
+        raise DomainError(f"lambda={lam} is a pole of the sum for n={n}")
     return weights, prefix
 
 
@@ -505,7 +508,6 @@ def _check_concl_args(n: int, reading: str = "p2") -> None:
 
 def concl_item3_lhs(n: int, alpha: RatLike) -> Fraction:
     """sum_{k=1..n} H_k(alpha)/k."""
-    _check_concl_args(n)
     return _harmonic_over_k(n, alpha, 1)
 
 
@@ -564,7 +566,6 @@ def _concl_sums(n: int, x: int, y: int) -> tuple[int, int, int, int, int, int, i
 
 def concl_item4_lhs(n: int, alpha: RatLike) -> Fraction:
     """sum_{k=1..n} (-1)^k H_k(alpha)/k."""
-    _check_concl_args(n)
     return _harmonic_over_k(n, alpha, -1)
 
 

@@ -31,8 +31,10 @@ oracles'.  Each reads an int or a Fraction as it is and any other scalar (a
 float, a string) through Fraction(), and neither calls the other.  A weight
 row per (n, scalar) is read through the run memo by closed_forms._row or
 registry._oracle_row, which key it by the scalar their side's reader gives.
-closed_forms.check_lambda_domain and sequences._harmonic_num, which both
-sides of some rows reach, read their scalar inline, so no reader is shared.
+sequences._harmonic_num, which both sides of some rows reach, reads its
+scalar inline, so no reader is shared.  So does closed_forms.check_lambda_domain,
+which no oracle calls: hypotheses are checked by the closed forms, and poles by
+each oracle itself.
 
 The cache rule, for the whole package: every memo is the run memo.
 ``shared_run(size)`` opens one for the length of a ``with`` block, and

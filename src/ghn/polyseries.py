@@ -298,8 +298,6 @@ class TruncSeries(_Coeffs):
 
 def log_one_minus(c: RatLike, order: int) -> TruncSeries:
     """Series of ln(1 - c*t): coefficient -c^k/k at t^k, zero constant term."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
     c = as_fraction(c, "c")
     coeffs = [Fraction(0)]
     power = Fraction(1)
@@ -311,8 +309,6 @@ def log_one_minus(c: RatLike, order: int) -> TruncSeries:
 
 def geometric(c: RatLike, order: int) -> TruncSeries:
     """Series of 1/(1 - c*t): coefficient c^k at t^k."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
     c = as_fraction(c, "c")
     coeffs = [Fraction(1)]
     for _ in range(order):

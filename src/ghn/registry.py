@@ -20,7 +20,9 @@ both unless it declares its own.
 
 Each oracle (verifier.binomial_oracle, _ratio_oracle, closed_forms.lemma21_lhs,
 _power_weight_oracle, _gould_oracle) is the oracles' lift, exact._oracle_terms,
-plus an integer kernel over the lifted terms (nums, den), and reads no memo.
+plus an integer kernel over the lifted terms (nums, den), and reads no memo;
+it checks none of its identity's hypotheses, only its own poles (the rule is
+in closed_forms).
 Where the weights depend only on the grid point, a pure row builder makes
 them, (weights, scale) in integers, and the kernel is one dot product of the
 row with the lift (exact._oracle_dot): _ratio_row per (n, lambda) for the
@@ -53,9 +55,10 @@ builds the grids and families of those entries, and of no other entry, so
 
 Grids are deterministic functions of (n_max, seed); each draws its random
 values from its entry's own stream, seeded by (seed, id), so that filtering
-or reordering entries cannot change any row.  Theorem 3.3's random sequences
-have a stream of their own, so the two entries that read them draw the same
-ones.
+or reordering entries cannot change any row.  Theorem 3.3's random sequences,
+which thm3.3-eqnnew8 alone reads (thm3.3-nabla reads six named ones), keep a
+stream of their own, so that eqnnew8's draws, and so its tables, stay as they
+were.
 
 ASSERT entries are expected to hold and fail the suite if they do not;
 REPORT_ONLY entries record conjectures, ambiguous readings, and source-text
@@ -79,7 +82,6 @@ from .closed_forms import (
     as_p1_closed,
     as_zneg1_alpha1_closed,
     boyadzhiev_ratio_closed,
-    check_lambda_domain,
     concl_item3_lhs,
     concl_item3_rhs,
     concl_item4_lhs,
@@ -98,7 +100,7 @@ from .closed_forms import (
     thm33_nabla_rhs,
     thm33_rhs,
 )
-from .errors import DomainError, OutOfValidityRangeError
+from .errors import DomainError
 from .exact import _oracle_dot, _oracle_ratio, _oracle_terms, _ratio, _shared, _shared_table, binom_int, binom_rat, hockey_stick_sum
 from .polyseries import PolyQ, harmonic_poly
 from .sequences import (
@@ -272,11 +274,13 @@ def _ratio_row(n: int, lam) -> tuple[list[int], int]:
 
     With lam = p/q the term is C(n,k) a_k q / (kq + p): over the lcm M of the
     kq + p, weight k is the integer C(n,k) q (M / (kq + p)), and the scale is M.
-    weights[0] is 0, so a_0 never enters.
+    weights[0] is 0, so a_0 never enters.  A factor kq + p that is 0, at lam = -k,
+    is a pole of the sum: a DomainError.
     """
-    check_lambda_domain(lam, n)  # for its DomainError: an oracle takes lambda as given
     p, q = _oracle_ratio(lam)
     lcm = math.lcm(*[k * q + p for k in range(1, n + 1)])
+    if lcm == 0:
+        raise DomainError(f"lambda={lam} is a pole of the sum for n={n}")
     return [0] + [binom_int(n, k) * q * (lcm // (k * q + p)) for k in range(1, n + 1)], lcm
 
 
@@ -321,9 +325,6 @@ def _power_weight_oracle(a, n: int, p: int, mu=1) -> Fraction:
 
 def _power_weight_num(nums, den: int, n: int, p: int, mu=1) -> Fraction:
     """_power_weight_oracle at a_k = nums[k] / den: binomial_oracle's kernel at the row of the integer weights k^p nums[k]."""
-    if p > n:
-        # mirrors the formula's declared validity range so the cell is skipped
-        raise OutOfValidityRangeError("p > n")
     return _binomial_num(_binomial_row([k**p * nums[k] for k in range(n + 1)], n), den, n, mu)
 
 
@@ -554,13 +555,12 @@ def _gould_sides() -> list[IdentityEntry]:
 
 
 def _series_sides() -> list[IdentityEntry]:
-    # the series of Pan's lemma with a_k = -H_k(alpha) per (L, u, alpha), built at order 1
-    # at least (its smallest order) from a harmonic table of its own, so that a fault in
-    # the memo scales it once, against the twice of its right side's row; the genfunc
-    # right sides negate the shared harmonic tables
+    # the series of Pan's lemma with a_k = -H_k(alpha) per (L, u, alpha), built from a
+    # harmonic table of its own, so that a fault in the memo scales it once, against the
+    # twice of its right side's row; the genfunc right sides negate the shared harmonic tables
     def pan(lam, mu, alpha, n: int) -> list[Fraction]:
         (a, b), (c, d) = _ratio(lam), _ratio(mu)
-        build = lambda m: pan_lemma_series(max(m, 1), Fraction(a, b), Fraction(c, d), [-h for h in harmonic_table(m, 1, alpha)]).coeffs
+        build = lambda m: pan_lemma_series(m, Fraction(a, b), Fraction(c, d), [-h for h in harmonic_table(m, 1, alpha)]).coeffs
         return _shared_table("pan_lemma_series", (a, b, c, d, *_ratio(alpha)), n, build)
 
     def genfunc(alpha, n: int) -> list[Fraction]:

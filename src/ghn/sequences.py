@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .errors import SeqSpecError
 from .exact import RatLike, binom_int, parse_rat
@@ -228,6 +228,26 @@ class SeqSpec:
         return f"SeqSpec(kind={self.kind!r}, params={self.params!r})"
 
 
+def _pairs(items: Iterable[str], error: type[Exception]) -> Iterator[tuple[str, str]]:
+    """(name, value) of each "name=value" item, both stripped, one at a time.
+
+    Raises error for an item with no "=" or a name given twice, when it
+    reaches that item, so a caller that checks each value as it comes reports
+    the first bad item first.  The one name=value reader: the items of a spec
+    here, and cli's --param values.
+    """
+    seen = set()
+    for item in items:
+        name, eq, value = item.partition("=")
+        if not eq:
+            raise error(f"expected name=value, got {item!r}")
+        name = name.strip()
+        if name in seen:
+            raise error(f"parameter {name!r} is given twice")
+        seen.add(name)
+        yield name, value.strip()
+
+
 def parse_seq_spec(text: str) -> SeqSpec:
     """Parse the canonical text form, e.g. "harmonic:p=1,alpha=1/3"."""
     kind, _, rest = text.strip().partition(":")
@@ -235,14 +255,7 @@ def parse_seq_spec(text: str) -> SeqSpec:
     kind = _ALIASES.get(kind, kind)
     params: dict[str, Fraction] = {}
     if rest:
-        for item in rest.split(","):
-            key, eq, value = item.partition("=")
-            if not eq:
-                raise SeqSpecError(f"expected key=value, got {item!r}")
-            key = key.strip()
-            if key in params:
-                raise SeqSpecError(f"parameter {key!r} is given twice")
-            value = value.strip()
+        for key, value in _pairs(rest.split(","), SeqSpecError):
             if key == "doubled":
                 if value not in ("true", "false"):
                     raise SeqSpecError(f"doubled must be true or false, got {value!r}")

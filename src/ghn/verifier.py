@@ -305,8 +305,6 @@ def certify_alpha_identity(oracle: Callable[[int], PolyQ], rhs: Callable[[int, P
 
 def pan_lemma_series(order: int, lam: RatLike, mu: RatLike, a: Sequence[RatLike]) -> TruncSeries:
     """f(mu*t/(1-lam*t))/(1-lam*t) through t^order, where f = sum_k a_k t^k."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
     lam, mu = as_fraction(lam, "lambda"), as_fraction(mu, "mu")
     inner = [Fraction(0)] + [mu * lam ** (k - 1) for k in range(1, order + 1)]
     return TruncSeries(a, order).compose(TruncSeries(inner, order)) * geometric(lam, order)

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import functools
 import io
 import json
 import math
@@ -32,78 +33,19 @@ def _exit_code(argv):
         return exc.code
 
 
-# Loads ghn in a fresh interpreter, runs a suite, a series check and an eval, and
-# prints the modules that this loaded, each line with the exit codes: first the
-# top-level modules beyond ghn and the standard library, then the slow-to-import
-# standard modules (dataclasses pulls in inspect, which pulls in ast, dis and tokenize).
-_LOADED_BY_A_RUN = """
-import sys
-before = set(sys.modules)
-import ghn, ghn.cli
-ghn.run_suite("hockey*", 3, 1).to_json()
-codes = [ghn.cli.main(argv) for argv in (
-    ["series", "--check", "genfunc-alpha", "--order", "7", "--param", "alpha=1/3"],
-    ["eval", "--id", "hockey-stick", "--param", "n=3", "--param", "x=1/2"],
-)]
-loaded = set(sys.modules) - before
-print(sorted({name.partition(".")[0] for name in loaded} - set(sys.stdlib_module_names) - {"ghn"}), codes)
-print(sorted(loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}), codes)
-"""
-
-
-def _fresh_interpreter(script: str) -> list[str]:
-    # the tests import hypothesis, sympy, inspect and json themselves, so only a
-    # fresh interpreter shows what the runtime loads
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
-
-
-def _loaded_by_a_run() -> list[str]:
-    return _fresh_interpreter(_LOADED_BY_A_RUN)[-2:]
-
-
-def test_runtime_loads_only_the_standard_library():
-    assert _loaded_by_a_run()[0] == "[] [0, 0]"
-
-
-def test_runtime_loads_no_slow_standard_module():
-    # dataclasses and inspect, with the modules they load, would take about a third of import ghn
-    assert _loaded_by_a_run()[1] == "[] [0, 0]"
-
-
-# Loads ghn in a fresh interpreter and runs one eval that prints text; json is
-# loaded only where json is written (VerdictReport.to_json, to_timings_json and
-# --format json), so this run leaves it out.
-_JSON_AFTER_A_TEXT_QUERY = """
-import contextlib, io, sys
-before = set(sys.modules)
-import ghn, ghn.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = ghn.cli.main(["eval", "--id", "hockey-stick", "--param", "n=3", "--param", "x=1/2"])
-print(sorted({"json", "json.decoder", "json.encoder", "json.scanner"} & (set(sys.modules) - before)), code)
-"""
-
-
-def test_a_text_query_does_not_load_json():
-    assert _fresh_interpreter(_JSON_AFTER_A_TEXT_QUERY)[-1] == "[] 0"
-
-
-def test_sources_parse_as_the_oldest_supported_python():
-    # pyproject.toml says requires-python >= 3.10; ast rejects later syntax, such as except*
-    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "ghn").glob("*.py")):
-        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
-    with pytest.raises(SyntaxError):
-        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
-
-
-# Snapshots every module-level list, dict and set of every ghn module in a fresh
-# interpreter, runs the ledger, two compute queries, an eval and a series check,
-# and prints the names whose value changed, with the exit codes.
-_MODULE_CONTAINERS_CHANGED = """
+# One fresh interpreter for the runtime contract.  It loads ghn, snapshots every
+# module-level list, dict and set of every ghn module, runs one eval that prints
+# text and records which json modules that loaded, then runs the ledger with its
+# JSON, two compute queries, an eval and two series checks.  It prints four lines,
+# each with the exit codes of its queries:
+#   the json modules that the text eval loaded, with its exit code;
+#   the names of the module-level containers whose value changed;
+#   the top-level modules the run loaded beyond ghn and the standard library;
+#   the slow-to-import standard modules it loaded (dataclasses pulls in inspect,
+#   which pulls in ast, dis and tokenize).
+_RUNTIME_CONTRACT = """
 import contextlib, copy, io, sys
+before = set(sys.modules)
 import ghn, ghn.cli
 
 def snapshot():
@@ -114,25 +56,70 @@ def snapshot():
         if not attr.startswith("__") and isinstance(value, (list, dict, set))
     }
 
-before = snapshot()
-ghn.run_suite("*", 8, 42)
+containers = snapshot()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ghn.cli.main(["eval", "--id", "hockey-stick", "--param", "n=3", "--param", "x=1/2"])
+json_loaded = sorted({"json", "json.decoder", "json.encoder", "json.scanner"} & (set(sys.modules) - before))
+ghn.run_suite("*", 8, 42).to_json()
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [ghn.cli.main(argv) for argv in (
         ["compute", "--seq", "bernoulli"],
         ["compute", "--seq", "stirling_row:p=12"],
         ["eval", "--id", "sanchez-weight", "--param", "n=9", "--param", "k=4", "--param", "p=5"],
         ["series", "--check", "pan-lemma", "--order", "40", "--param", "lambda=2/3", "--param", "mu=5/7", "--param", "alpha=2/5"],
+        ["series", "--check", "genfunc-alpha", "--order", "7", "--param", "alpha=1/3"],
     )]
-after = snapshot()
-print(sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k)), codes)
+changed = snapshot()
+loaded = set(sys.modules) - before
+print(json_loaded, code)
+print(sorted(k for k in containers.keys() | changed.keys() if containers.get(k) != changed.get(k)), codes)
+print(sorted({name.partition(".")[0] for name in loaded} - set(sys.stdlib_module_names) - {"ghn"}), codes)
+print(sorted(loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}), codes)
 """
+
+
+@functools.cache
+def _runtime_contract() -> tuple[str, ...]:
+    # the tests import hypothesis, sympy, inspect and json themselves, so only a
+    # fresh interpreter shows what the runtime loads; one run serves every test below
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _RUNTIME_CONTRACT], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(proc.stdout.splitlines()[-4:])
+
+
+_CODES = "[0, 0, 0, 0, 0]"
+
+
+def test_runtime_loads_only_the_standard_library():
+    assert _runtime_contract()[2] == "[] " + _CODES
+
+
+def test_runtime_loads_no_slow_standard_module():
+    # dataclasses and inspect, with the modules they load, would take about a third of import ghn
+    assert _runtime_contract()[3] == "[] " + _CODES
+
+
+def test_a_text_query_does_not_load_json():
+    # json is loaded only where json is written (VerdictReport.to_json,
+    # to_timings_json and --format json), so a text eval leaves it out
+    assert _runtime_contract()[0] == "[] 0"
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    # pyproject.toml says requires-python >= 3.10; ast rejects later syntax, such as except*
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "ghn").glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
 
 
 def test_no_module_level_container_grows_across_runs():
     # every memo is the run memo, which is dropped when its run ends; a module-level
     # cache of values would outlive it and could hide a kernel fault from later runs,
     # the series tables that a series run sizes included
-    assert _fresh_interpreter(_MODULE_CONTAINERS_CHANGED)[-1] == "[] [0, 0, 0, 0]"
+    assert _runtime_contract()[1] == "[] " + _CODES
 
 
 def test_compute_harmonic_table(capsys):
@@ -678,6 +665,12 @@ def test_eval_domain_error_is_usage_error(capsys):
     )
     assert code == 2
     assert "excluded" in err
+
+
+@pytest.mark.parametrize("entry_id", ["ex3.4-harmonic-alt", "ex3.4-harmonic-alt-as-printed"])
+def test_eval_at_a_zero_divisor_says_so(entry_id, capsys):
+    # the right side 1/n has a pole at n = 0 that no check names: a message, not Fraction's repr
+    assert run_cli(["eval", "--id", entry_id, "--param", "n=0"], capsys) == (2, "", "error: division by zero at this point\n")
 
 
 def test_series_checks(capsys):

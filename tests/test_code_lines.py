@@ -37,3 +37,13 @@ def test_main_total_is_the_sum_of_the_module_rows(tmp_path, capsys):
     *modules, (total, name) = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert name == "total" and len(modules) > 1
     assert int(total) == sum(int(count) for count, _ in modules)
+
+
+def test_a_bad_argument_or_an_empty_directory_prints_the_usage_line(tmp_path, capsys):
+    # a count of nothing is refused, not printed as a total of 0 lines
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    cases = [["--help"], ["-h"], [str(tmp_path / "missing")], [str(tmp_path)], ["src/ghn", "extra"]]
+    for args in cases:
+        assert code_lines_tool.main(["code_lines.py", *args]) == 2, args
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", code_lines_tool.USAGE + "\n"), args

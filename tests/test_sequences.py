@@ -255,6 +255,22 @@ def test_spec_text_validation_messages():
     assert materialize(parse_seq_spec("stirling_row:p=180"), 1) == [0, 1]
 
 
+def test_spec_items_are_read_in_order():
+    # each item is checked as it is read, so the first bad item is the one reported:
+    # the bad rational before the item with no "=" that follows it
+    cases = {
+        "harmonic:foo": "expected name=value, got 'foo'",
+        "harmonic:alpha=x,foo": "bad rational 'x' for alpha: Invalid literal for Fraction: 'x'",
+        "harmonic:p=1,foo,p=2": "expected name=value, got 'foo'",
+        "harmonic:p=1,p=2,foo": "parameter 'p' is given twice",
+        "fibonacci:doubled=no,doubled": "doubled must be true or false, got 'no'",
+    }
+    for text, message in cases.items():
+        with pytest.raises(SeqSpecError) as exc:
+            parse_seq_spec(text)
+        assert str(exc.value) == message, text
+
+
 def _direct_cases():
     """(spec, terms(k_max) from the generator called directly) for every kind over a small grid."""
     for p in (1, 2, 3, 48):

@@ -352,13 +352,14 @@ def test_wrong_lift_in_pan_fails_its_entries(monkeypatch, old, new):
 
 
 def test_shifted_lambda_check_fails_every_lambda_row(monkeypatch):
-    # the oracles call check_lambda_domain only for its DomainError and keep the
-    # lambda they were given, so a lambda shifted there reaches the closed forms alone
+    # the closed forms alone check lambda's hypothesis; each oracle raises at its own
+    # poles and never calls check_lambda_domain, so a lambda shifted there reaches the
+    # closed forms alone
     import ghn.closed_forms as closed_forms_mod
 
     real = closed_forms_mod.check_lambda_domain
     bound = _rebind(monkeypatch, real, lambda lam, n: real(lam, n) + Fraction(1, 997))
-    assert {"ghn.closed_forms.check_lambda_domain", "ghn.registry.check_lambda_domain"} <= set(bound)
+    assert "ghn.closed_forms.check_lambda_domain" in bound and "ghn.registry.check_lambda_domain" not in bound
     entries = {e.id: e for e in build_registry(8, 42)}
     lambda_rows = [
         "lemma2.1-coherence",
@@ -371,6 +372,36 @@ def test_shifted_lambda_check_fails_every_lambda_row(monkeypatch):
     assert {i: run_entry(entries[i]).tier for i in lambda_rows} == dict.fromkeys(lambda_rows, "FAILS")
     # the printed lambda = 1 display has no lambda, so the shift reaches neither of its sides
     assert run_entry(entries["thm2.3-lambda1"]).tier == HOLDS_ON_GRID
+
+
+def test_the_oracles_are_plain_sums():
+    # an oracle checks none of the hypotheses of the identity it grades (n >= 1,
+    # p <= n, lambda not in -1..-n); those are the closed forms' checks.  It raises
+    # only where its own sum has a zero divisor: the ratio sum and Lemma 2.1's left
+    # side at lambda = -k for k <= n, and nowhere past -n
+    import math
+
+    from ghn.closed_forms import concl_item3_lhs, concl_item4_lhs, lemma21_lhs
+    from ghn.registry import _power_weight_oracle, _ratio_oracle
+
+    seq = [Fraction(2 * k - 5, k + 2) for k in range(9)]
+    for lam in (Fraction(-2), Fraction(0), Fraction(1, 2)):
+        assert lemma21_lhs(seq, 0, lam) == 0  # the empty sum
+    for alpha in (Fraction(-1, 3), Fraction(1), Fraction(2)):
+        assert concl_item3_lhs(0, alpha) == 0 and concl_item4_lhs(0, alpha) == 0
+    for n in range(7):
+        p = n + 1
+        assert _power_weight_oracle(seq, n, p) == sum((math.comb(n, k) * k**p * seq[k] for k in range(n + 1)), Fraction(0))
+        for k in range(1, n + 1):
+            for oracle in (_ratio_oracle, lemma21_lhs):
+                with pytest.raises(DomainError):
+                    oracle(seq, n, Fraction(-k))
+        lam = Fraction(-(n + 1))
+        ratio = sum((math.comb(n, k) * seq[k] / (k + lam) for k in range(1, n + 1)), Fraction(0))
+        lemma = math.factorial(n) * sum(
+            (seq[m] / (math.factorial(m) * math.prod(lam + i for i in range(m, n + 1))) for m in range(1, n + 1)), Fraction(0)
+        )
+        assert (_ratio_oracle(seq, n, lam), lemma21_lhs(seq, n, lam)) == (ratio, lemma), n
 
 
 def test_mutated_sanchez_row_fails_its_entries(monkeypatch):
@@ -1100,15 +1131,15 @@ def _functions_reached(entry_id, side_name):
 # the run memo: the registry's lifted oracle inputs (tables through _shared_table),
 # the oracle rows and the closed forms' rows are all read through it, under tags of
 # their own.  check_terms is called by the oracles' dot product
-# (exact._oracle_dot) and by the closed forms that take a sequence.  The
-# concluding items' right sides sum _concl_sums' integers and reach no harmonic
-# kernel, so only their argument check is common to both sides.
+# (exact._oracle_dot) and by the closed forms that take a sequence.  Only the
+# closed forms check an identity's hypotheses (check_lambda_domain,
+# _check_concl_args); an oracle raises at its own poles alone.  So the lambda rows
+# share no check, and the concluding items' rows, whose right sides sum
+# _concl_sums' integers and reach no harmonic kernel, share no function at all.
 SHARED = {
-    **dict.fromkeys(["lemma2.1-ones-zero", "lemma2.1-ones", "knuth-flajolet"], {"check_lambda_domain"}),
     **dict.fromkeys(
-        ["thm2.3-general", "thm2.3-lambda0", "lemma2.1-coherence"], {"check_lambda_domain", "check_terms", "_shared"}
+        ["thm2.3-general", "thm2.3-lambda0", "thm2.3-lambda1", "lemma2.1-coherence"], {"check_terms", "_shared"}
     ),
-    "thm2.3-lambda1": {"check_terms", "_shared"},
     **dict.fromkeys(["gen-harmonic-relation", "skew-relation"], {"harmonic_p", "_harmonic_num"}),
     "as-newcoffey1": {"_harmonic_num"},
     "panequa1-series": {"harmonic_table", "_harmonic_num", "_shared", "_shared_table"},
@@ -1120,12 +1151,10 @@ SHARED = {
     "sanchez-transform": {"binom_int", "_shared"},
     **dict.fromkeys(["sanchez-weight", "sanchez-p1", "sanchez-p2", "sanchez-p3"], {"binom_int"}),
     # REPORT_ONLY
-    "lemma2.1-ones-as-printed": {"check_lambda_domain"},
     "skew-sign-convention": {"harmonic_p", "_harmonic_num"},
     "eq-eulerbnew-j0": {"binom_int"},
     "as-newcoffey1-as-printed": {"_harmonic_num", "binom_int"},
     **dict.fromkeys(["as-p2-display", "as-p3-display"], {"binom_int", "_shared"}),
-    **dict.fromkeys(["concl-item3", "concl-item3-square", "concl-item4", "concl-item4-square"], {"_check_concl_args"}),
 }
 
 

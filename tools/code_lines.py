@@ -8,7 +8,10 @@ Run from the repository root:
 
     python tools/code_lines.py [PACKAGE_DIR]
 
-PACKAGE_DIR defaults to src/ghn next to this script's directory.
+PACKAGE_DIR defaults to src/ghn next to this script's directory.  A second
+argument, or a PACKAGE_DIR that holds no .py file, such as --help or a missing
+directory, prints the usage line and exits with status 2, so no total of 0
+lines is ever printed for a wrong path.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import sys
 import tokenize
 from pathlib import Path
 
+USAGE = "usage: python tools/code_lines.py [PACKAGE_DIR]"
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
 
@@ -45,8 +49,12 @@ def code_lines(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     package = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "ghn"
+    modules = sorted(package.glob("*.py"))
+    if len(argv) > 2 or not modules:
+        print(USAGE, file=sys.stderr)
+        return 2
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in modules:
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path.name}")

@@ -14,6 +14,9 @@ no thread or process is started.
 Run from the repository root:
 
     python tools/series_cost.py
+
+It takes no argument: any argument, such as --help, prints the usage line and
+exits with status 2 before a query runs.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from ghn import cli  # noqa: E402
 
 BUDGET = 60  # seconds per query
 BIG = f"{10**100 - 1}/{10**100 - 3}"  # 100 digits over 100 digits
+USAGE = "usage: python tools/series_cost.py"
 
 # (label, argv): ROADMAP item 7's series queries
 QUERIES = [
@@ -70,7 +74,10 @@ def timed(argv: list[str]) -> tuple[float | None, int | None]:
     return time.perf_counter() - start, code
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        print(USAGE, file=sys.stderr)
+        return 2
     for label, query in QUERIES:
         seconds, code = timed(query)
         shown = f"> budget ({BUDGET} s)" if seconds is None else f"{seconds:.2f} s, exit {code}"
@@ -79,4 +86,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))
