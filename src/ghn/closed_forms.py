@@ -294,9 +294,19 @@ def gould_generalized_rhs(n: int, j: int, a: RatLike) -> Fraction:
 
 
 def _gould_num(n: int, j: int, p: int, q: int, lcm: int) -> int:
-    """gould_generalized_rhs(n, j, p/q) times q^n lcm, with lcm = lcm(1..n)."""
-    total = sum(binom_int(t, j) * (q - p) ** (t - j) * q ** (n - t) * (lcm // t) for t in range(max(j, 1), n + 1))
-    return (-p) ** j * total
+    """gould_generalized_rhs(n, j, p/q) times q^n lcm, with lcm = lcm(1..n).
+
+    (-p)^j sum_{t=max(j,1)..n} C(t,j) (q-p)^(t-j) q^(n-t) (lcm/t), summed by
+    Horner's rule in r = q-p, from t = n down, with a running power of q: term
+    t ends up times r^(t-max(j,1)), and the sum is scaled by r^(max(j,1)-j),
+    which is r at j = 0 and 1 otherwise.
+    """
+    r, start = q - p, max(j, 1)
+    total, qpow = 0, 1  # qpow = q^(n-t)
+    for t in range(n, start - 1, -1):
+        total = total * r + binom_int(t, j) * qpow * (lcm // t)
+        qpow *= q
+    return (-p) ** j * r ** (start - j) * total
 
 
 def _per_sequence(tag: str, seq: Sequence, build):

@@ -57,7 +57,8 @@ tags, are:
     per (n, lambda) ("lemma21_row") and of Theorem 3.3 per (n, alpha)
     ("thm33_row", "nabla"); and the newcoffey form's Pan values per
     (m, z, alpha) ("pan"), which every (n, p) with n-p <= m <= n reads;
-  - transforms: the Sanchez weights j! S(p, j), per p ("sanchez-weights");
+  - transforms: the Sanchez row of _sanchez_row, per (n, p) ("sanchez_row"),
+    which sanchez_weight and sanchez_transform both read;
   - registry: the oracle inputs and rows that its sides read, under tags
     that no closed form uses: through ``_shared_table``, the harmonic tables
     ("harmonic_table"), their lifts ("harmonic_terms"), the Bernoulli numbers

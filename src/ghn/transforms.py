@@ -13,8 +13,9 @@ Fraction views; closed_forms.boyadzhiev_ratio_closed, lambda1_case_rhs,
 thm33_rhs and thm33_nabla_rhs read its numerators as they are, and
 weighted_nabla's row is one inverse transform of b_n, b_(n-1), ..., b_0,
 signed (-1)^m.  The Sanchez Stirling double sums are one integer row,
-_sanchez_row, dotted with C(n-l,k) (sanchez_weight) or with b_(n-l)
-(sanchez_transform); sequences.laguerre keeps its defining sum.
+_sanchez_row, read through the run memo once per run and (n, p) and dotted
+with C(n-l,k) (sanchez_weight) or with b_(n-l) (sanchez_transform);
+sequences.laguerre keeps its defining sum.
 """
 
 from __future__ import annotations
@@ -66,13 +67,19 @@ def inverse_binomial_transform(b: Sequence[RatLike]) -> list[Fraction]:
 def _sanchez_row(n: int, p: int) -> list[int]:
     """(-1)^l C(n,l) sum_{j=l..p} C(n-l,j-l) j! S(p,j) for l <= min(p, n); C(n,l) is 0 past n.
 
-    The weights j! S(p,j) are built once per run and p, through exact._shared.
+    A pure row builder: sanchez_weight and sanchez_transform read it through
+    the run memo (_shared_sanchez_row), so a run builds it once per (n, p).
     """
-    weights = _shared(("sanchez-weights", p), lambda: [math.factorial(j) * s for j, s in enumerate(stirling2_row(p))])
+    weights = [math.factorial(j) * s for j, s in enumerate(stirling2_row(p))]
     return [
         (-1) ** l * binom_int(n, l) * sum(binom_int(n - l, j - l) * weights[j] for j in range(l, p + 1))
         for l in range(min(p, n) + 1)
     ]
+
+
+def _shared_sanchez_row(n: int, p: int) -> list[int]:
+    """_sanchez_row(n, p), once per run per (n, p): through exact._shared under ("sanchez_row", n, p)."""
+    return _shared(("sanchez_row", n, p), lambda: _sanchez_row(n, p))
 
 
 def sanchez_weight(n: int, k: int, p: int) -> int:
@@ -85,7 +92,7 @@ def sanchez_weight(n: int, k: int, p: int) -> int:
         raise ValueError("requires 0 <= k <= n")
     if p < 0:
         raise ValueError("p must be >= 0")
-    return sum(c * binom_int(n - l, k) for l, c in enumerate(_sanchez_row(n, p)))
+    return sum(c * binom_int(n - l, k) for l, c in enumerate(_shared_sanchez_row(n, p)))
 
 
 def _scaled_binom(coef: int, n: int, k: int) -> int:
@@ -130,7 +137,7 @@ def sanchez_transform(b: Sequence[RatLike], n: int, p: int) -> Fraction:
         raise OutOfValidityRangeError(f"weighted transform needs p <= n, got p={p}, n={n}")
     check_terms(b, n, "b")
     nums, den = common_denominator(b[n - p : n + 1])
-    return Fraction(sum(map(operator.mul, _sanchez_row(n, p), reversed(nums))), den)
+    return Fraction(sum(map(operator.mul, _shared_sanchez_row(n, p), reversed(nums))), den)
 
 
 def weighted_nabla(b: Sequence[RatLike], n: int) -> list[Fraction]:

@@ -29,6 +29,7 @@ binomial_oracle itself reads no memo.
 
 from __future__ import annotations
 
+import operator
 import random
 import time
 from fractions import Fraction
@@ -232,7 +233,8 @@ def run_entry(
     cell.  The cell loop runs inside one exact.shared_run, sized by the
     largest n of the cells (a cell with no n sizes nothing), so the tables
     the sides share are built once, to that n; the sides may not mutate a
-    grid sequence.
+    grid sequence.  The sides and their names are read from the entry once,
+    when the call starts.
     """
     start = time.perf_counter()
     evaluated = 0
@@ -240,12 +242,15 @@ def run_entry(
     mismatches = 0
     counterexamples: list[dict] = []
     agreement: dict | None = None
+    lhs, rhs, params = entry.lhs, entry.rhs, entry.params
+    get = operator.itemgetter(*params) if params else lambda cell: ()
+    single = len(params) == 1  # itemgetter of one name returns the bare value
     with shared_run(max((cell.get("n", 0) for cell in entry.cells), default=0)):
         for cell in entry.cells:
-            args = [cell[name] for name in entry.params]
+            args = (get(cell),) if single else get(cell)
             try:
-                lv = entry.lhs(*args)
-                rv = entry.rhs(*args)
+                lv = lhs(*args)
+                rv = rhs(*args)
             except (DomainError, OutOfValidityRangeError):
                 skipped += 1
                 if on_cell is not None:

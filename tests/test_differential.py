@@ -633,6 +633,37 @@ def test_gould_generalized_rhs_matches_direct_sum(n, j, a):
     assert rhs == (-a) ** j * plain and type(rhs) is Fraction
 
 
+def _gould_num_by_terms(n, j, p, q, lcm):
+    """The Gould sum term by term, two fresh powers per term: (-p)^j sum_t C(t,j) (q-p)^(t-j) q^(n-t) (lcm/t)."""
+    return (-p) ** j * sum(math.comb(t, j) * (q - p) ** (t - j) * q ** (n - t) * (lcm // t) for t in range(max(j, 1), n + 1))
+
+
+# a = 1 makes q - p = 0, so (q - p)^(t - j) is 0^0 at t = j
+GOULD_AS = [Fraction(1), Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(-7, 3), Fraction(10**99 + 7, -(10**99) - 3)]
+
+
+def _gould_num_misses(kernel):
+    """The points n <= 20, 0 <= j <= n + 1, a in GOULD_AS where kernel differs from the sum term by term."""
+    misses = []
+    for n in range(1, 21):
+        lcm = math.lcm(*range(1, n + 1))
+        for a in GOULD_AS:
+            args = [(n, j, a.numerator, a.denominator, lcm) for j in range(n + 2)]
+            misses += [point for point in args if kernel(*point) != _gould_num_by_terms(*point)]
+    return misses
+
+
+def test_gould_horner_sum_matches_the_sum_term_by_term():
+    assert _gould_num_misses(closed_forms._gould_num) == []
+    # without its last factor (q - p)^(max(j,1) - j) the Horner sum is wrong at j = 0
+    source = inspect.getsource(closed_forms._gould_num)
+    assert source.count("r ** (start - j) * ") == 1
+    namespace = dict(vars(closed_forms))
+    exec(compile(source.replace("r ** (start - j) * ", ""), inspect.getsourcefile(closed_forms), "exec"), namespace)
+    misses = _gould_num_misses(namespace["_gould_num"])
+    assert misses and {j for _, j, *_ in misses} == {0}
+
+
 @SETTINGS
 @example(n=5, mu=Fraction(2, 3), lam=Fraction(0), alpha=Fraction(-1, 4), branch="")  # lam = 0
 @example(n=4, mu=Fraction(3), lam=Fraction(-1, 2), alpha=Fraction(0), branch="u=0")

@@ -145,6 +145,35 @@ def test_run_entry_visits_cells_in_the_order_given():
     assert seen == [5, 4]
 
 
+@pytest.mark.parametrize("entry_id", ["skew-transform", "as-newcoffey"])
+def test_run_entry_calls_the_sides_the_entry_holds_when_it_starts(entry_id):
+    # a side replaced after build_registry, as the bench tracer wraps them, is the side
+    # that runs, and it takes the values of entry.params in that order, for one name or several
+    entry = next(e for e in build_registry(6, 42) if e.id == entry_id)
+    real, calls = entry.lhs, []
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    entry.lhs = recording
+    assert run_entry(entry).tier == HOLDS_ON_GRID
+    assert calls == [tuple(cell[name] for name in entry.params) for cell in entry.cells]
+    entry.lhs = lambda *args: real(*args) + 1
+    assert run_entry(entry).tier == "FAILS"
+
+
+@pytest.mark.parametrize("params", [(), ("b",), ("b", "a"), ("c", "a", "b")])
+def test_run_entry_passes_the_params_in_their_order(params):
+    # the cells list their names in another order, and carry a display-only name besides
+    cells = [{"a": n, "b": 10 * n, "c": 100 * n, "shown": -n} for n in range(1, 4)]
+    calls = []
+    side = lambda *args: calls.append(args) or Fraction(0)
+    entry = IdentityEntry(id="order", anchor="order", lhs=side, rhs=side, params=params, cells=cells)
+    assert run_entry(entry).tier == HOLDS_ON_GRID
+    assert calls == [tuple(cell[name] for name in params) for cell in cells for _ in "lr"]
+
+
 def test_identity_entry_fields_and_replace():
     side = lambda n: Fraction(n)
     entry = IdentityEntry("toy", "toy anchor", side, side)  # positional, in declaration order
@@ -423,6 +452,28 @@ def test_mutated_sanchez_row_fails_its_entries(monkeypatch):
         assert run_entry(entries[entry_id]).tier == "FAILS", entry_id
 
 
+def test_each_sanchez_row_is_built_once_per_run(monkeypatch):
+    # both Sanchez sums read the row through the run memo, so a run builds it once per
+    # (n, p) of its grid, however many cells (k, z, alpha, seq) share that point
+    from ghn import transforms
+
+    real, builds = transforms._sanchez_row, []
+
+    def counting(n, p):
+        builds.append((n, p))
+        return real(n, p)
+
+    monkeypatch.setattr(transforms, "_sanchez_row", counting)
+    entries = {e.id: e for e in build_registry(8, 42)}
+    for entry_id in ("sanchez-weight", "as-newcoffey"):
+        builds.clear()
+        entry = entries[entry_id]
+        assert run_entry(entry).tier == HOLDS_ON_GRID
+        points = {(cell["n"], cell["p"]) for cell in entry.cells}
+        assert len(entry.cells) > len(points)
+        assert sorted(builds) == sorted(points), entry_id
+
+
 def test_shifted_binom_rat_product_fails_its_entries(monkeypatch):
     # C(x, k) built from (x-1)...(x-k): the right sides of the hockey stick, the b = 1
     # display and Knuth-Flajolet read binom_rat, and their oracles do not
@@ -579,6 +630,7 @@ def _bumped(fn):
         ("weighted_nabla", ("thm3.3-nabla",)),
         ("harmonic_table", HARMONIC_TABLE_READERS),
         *((name, entry_ids) for name, (_, entry_ids) in ROW_BUILDERS.items()),
+        ("_sanchez_row", ("sanchez-weight", "sanchez-transform", "as-newcoffey")),
     ],
 )
 def test_no_memo_outlives_its_run(monkeypatch, name, entry_ids):
@@ -594,6 +646,8 @@ def test_no_memo_outlives_its_run(monkeypatch, name, entry_ids):
         mutated = _mutated(real, "map(operator.mul, row, nums)", "map(operator.mul, row[1:], nums)")
     elif name == "_gould_num":
         mutated = lambda n, j, p, q, lcm: real(n, j + 1, p, q, lcm)
+    elif name == "_sanchez_row":
+        mutated = lambda n, p: [*real(n, p), 1][1:]  # the row shifted by one place, its length kept
     elif name in ROW_BUILDERS:
         mutated = _bumped(real)
     else:
@@ -601,7 +655,7 @@ def test_no_memo_outlives_its_run(monkeypatch, name, entry_ids):
     if name in ROW_BUILDERS:
         reader = ROW_BUILDERS[name][0]
     else:
-        reader = "registry" if name == "harmonic_table" else "closed_forms"
+        reader = {"harmonic_table": "registry", "_sanchez_row": "transforms"}.get(name, "closed_forms")
     assert f"ghn.{reader}.{name}" in _rebind(monkeypatch, real, mutated)
     for entry_id in entry_ids:
         assert run_entry(entries[entry_id]).tier == "FAILS", entry_id
